@@ -20,14 +20,12 @@ from repro.scenario import (
     Scenario,
     ScenarioConfig,
     build_scenario,
-    config_for_scale,
     default_scenario,
-    evaluation_config,
     small_scenario,
     tiny_scenario,
 )
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "Experiment",
@@ -36,9 +34,7 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "build_scenario",
-    "config_for_scale",
     "default_scenario",
-    "evaluation_config",
     "run_experiment",
     "small_scenario",
     "tiny_scenario",

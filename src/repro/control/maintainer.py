@@ -18,10 +18,12 @@ above one never change the set.  So repair decomposes cleanly:
   a from-scratch build**, so parity holds by construction.
 
 The maintainer therefore guarantees: after :meth:`CloseSetMaintainer.
-drain`, every tracked set's ``entries`` dict is *identical* to what
-:func:`repro.core.close_cluster.construct_close_cluster_set` would
-build on the same membership — the property the parity tests and the
-soak's staleness gauge check.
+drain`, every tracked set's ``entries`` dict is *identical* to a
+from-scratch build on the same membership — the property the parity
+tests (against the Fig. 9 reference) and the soak's staleness gauge
+check.  Builds, verdicts and patches all go through the system's one
+:class:`~repro.worldarrays.FlatCloseSetBuilder`, so the threshold rule
+is not restated here.
 """
 
 from __future__ import annotations
@@ -31,15 +33,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
-from repro.bgp.asgraph import ASGraph
-from repro.core.close_cluster import (
-    CloseClusterEntry,
-    CloseClusterSet,
-    construct_close_cluster_set,
-)
-from repro.core.config import ASAPConfig
+from repro.core.close_cluster import CloseClusterSet
 from repro.errors import ProtocolError
+from repro.worldarrays.closesets import FlatCloseSetBuilder
 
 __all__ = ["CloseSetMaintainer", "ClusterMembership", "MembershipEvent"]
 
@@ -87,9 +86,12 @@ class ClusterMembership:
     def is_online(self, cluster: int) -> bool:
         return self._counts.get(cluster, 0) > 0
 
-    def online_only(self, clusters: List[int]) -> List[int]:
-        """Filter a static cluster list down to the online members."""
-        return [c for c in clusters if self.is_online(c)]
+    def online_mask(self, size: int) -> np.ndarray:
+        """The membership as a boolean mask over cluster indices
+        ``0..size-1`` (the builder's ``online`` argument)."""
+        mask = np.zeros(size, dtype=bool)
+        mask[[c for c, count in self._counts.items() if count > 0]] = True
+        return mask
 
     def apply(self, event: MembershipEvent) -> Optional[str]:
         """Apply one event; returns ``"online"``/``"offline"`` on a
@@ -110,30 +112,21 @@ class ClusterMembership:
 class CloseSetMaintainer:
     """Keeps tracked close sets parity-exact under membership churn.
 
-    ``clusters_in_as`` is the *static* AS→clusters table (e.g.
-    :meth:`ASAPSystem.clusters_in_as`); the maintainer composes it with
-    its :class:`ClusterMembership` so builds and verdicts see only
-    online clusters.  ``lat``/``loss`` are the surrogate probe callables
-    of the reference builder.
+    ``builder`` is the world's :class:`FlatCloseSetBuilder` over the
+    *static* AS→clusters table; the maintainer passes it the current
+    :class:`ClusterMembership` as a mask, so builds and verdicts see
+    only online clusters.
     """
 
     def __init__(
         self,
-        graph: ASGraph,
+        builder: FlatCloseSetBuilder,
         membership: ClusterMembership,
-        clusters_in_as: Callable[[int], List[int]],
         asn_of_cluster: Callable[[int], int],
-        lat: Callable[[int, int], Optional[float]],
-        loss: Callable[[int, int], Optional[float]],
-        config: Optional[ASAPConfig] = None,
     ) -> None:
-        self._graph = graph
+        self._builder = builder
         self._membership = membership
-        self._static_clusters_in_as = clusters_in_as
         self._asn_of_cluster = asn_of_cluster
-        self._lat = lat
-        self._loss = loss
-        self._config = config if config is not None else ASAPConfig()
         # owner cluster -> (maintained set, {asn: (depth, expands)})
         self._tracked: Dict[int, Tuple[CloseClusterSet, Dict[int, Tuple[int, bool]]]] = {}
         self._dormant: set = set()  # tracked owners whose cluster went dark
@@ -153,13 +146,9 @@ class CloseSetMaintainer:
                 {idx: system.online_size(idx) for idx in range(len(view.asn_of))}
             )
         return cls(
-            graph=system.scenario.protocol_graph,
+            builder=system.close_set_builder,
             membership=membership,
-            clusters_in_as=system.clusters_in_as,
             asn_of_cluster=lambda c: int(view.asn_of[c]),
-            lat=system._probe_lat,
-            loss=system._probe_loss,
-            config=system.config,
         )
 
     # -- views ---------------------------------------------------------------
@@ -234,13 +223,20 @@ class CloseSetMaintainer:
             self._build(cluster)
             self._log(at_ms, "owner-return", owner=cluster)
         asn = int(self._asn_of_cluster(cluster))
+        online = self._online()
         for owner in sorted(self._tracked):
             if owner == cluster:
                 continue  # just rebuilt above (owner-return)
-            self._repair_owner(owner, cluster, asn, transition, at_ms)
+            self._repair_owner(owner, cluster, asn, transition, at_ms, online)
 
     def _repair_owner(
-        self, owner: int, cluster: int, asn: int, transition: str, at_ms: float
+        self,
+        owner: int,
+        cluster: int,
+        asn: int,
+        transition: str,
+        at_ms: float,
+        online: np.ndarray,
     ) -> None:
         close_set, meta = self._tracked[owner]
         if asn not in meta:
@@ -250,8 +246,8 @@ class CloseSetMaintainer:
             self.noops += 1
             return
         depth, old_verdict = meta[asn]
-        new_verdict = self._verdict(owner, asn, depth)
-        if new_verdict != old_verdict and depth < self._config.k_hops:
+        new_verdict, _, passing = self._builder.probe_as(owner, asn, depth, online)
+        if new_verdict != old_verdict and depth < self._builder.config.k_hops:
             # Expansion rights through this AS flipped: reachability
             # downstream may change arbitrarily — rebuild from scratch.
             self._build(owner)
@@ -268,38 +264,26 @@ class CloseSetMaintainer:
         if transition == "offline":
             close_set.entries.pop(cluster, None)
         else:
-            measured = self._measure(owner, cluster)
-            if measured is not None:
-                rtt, lost = measured
-                if (
-                    rtt < self._config.lat_threshold_ms
-                    and lost < self._config.loss_threshold
-                    and cluster not in close_set.entries
-                ):
-                    close_set.entries[cluster] = CloseClusterEntry(
-                        cluster, rtt, lost, depth
-                    )
+            for entry in passing:
+                if entry.cluster == cluster:
+                    close_set.entries.setdefault(cluster, entry)
         self._log(at_ms, "patch", owner=owner, cluster=cluster, op=transition)
         self.local_repairs += 1
         obs.counter("control.maintainer.local_repairs").inc()
 
     # -- internals ----------------------------------------------------------------
 
-    def _clusters_in_as(self, asn: int) -> List[int]:
-        return self._membership.online_only(self._static_clusters_in_as(asn))
+    def _online(self) -> np.ndarray:
+        return self._membership.online_mask(self._builder.cluster_count)
 
     def _fresh(
         self, owner: int, meta_out: Optional[Dict[int, Tuple[int, bool]]] = None
     ) -> CloseClusterSet:
-        return construct_close_cluster_set(
+        return self._builder.build(
             owner,
             int(self._asn_of_cluster(owner)),
-            self._graph,
-            self._clusters_in_as,
-            self._lat,
-            self._loss,
-            self._config,
             meta_out=meta_out,
+            online=self._online(),
         )
 
     def _build(self, owner: int) -> CloseClusterSet:
@@ -307,31 +291,6 @@ class CloseSetMaintainer:
         close_set = self._fresh(owner, meta_out=meta)
         self._tracked[owner] = (close_set, meta)
         return close_set
-
-    def _measure(self, owner: int, other: int) -> Optional[Tuple[float, float]]:
-        rtt = self._lat(owner, other)
-        lost = self._loss(owner, other)
-        if rtt is None or lost is None:
-            return None
-        return rtt, lost
-
-    def _verdict(self, owner: int, asn: int, depth: int) -> bool:
-        """Expansion rights through one AS under current membership —
-        the same rule as ``_visit_as``: own AS and transit (empty) ASes
-        always expand, populated ASes need one threshold-passing probe."""
-        if depth == 0:
-            return True
-        clusters = self._clusters_in_as(asn)
-        if not clusters:
-            return True
-        for cluster in clusters:
-            measured = self._measure(owner, cluster)
-            if measured is None:
-                continue
-            rtt, lost = measured
-            if rtt < self._config.lat_threshold_ms and lost < self._config.loss_threshold:
-                return True
-        return False
 
     def _log(self, at_ms: float, kind: str, **fields) -> None:
         doc = {"at_ms": round(at_ms, 3), "kind": kind}

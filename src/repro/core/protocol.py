@@ -14,7 +14,9 @@ built :class:`~repro.scenario.Scenario`:
 
 Surrogate-to-surrogate probes (``lat()``/``loss()`` of Fig. 9) read the
 scenario's delegate matrices — the same measured data the paper's
-trace-driven simulation replays.
+trace-driven simulation replays — through one
+:class:`~repro.worldarrays.FlatCloseSetBuilder` shared by every
+surrogate of the system.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.bootstrap import Bootstrap
-from repro.core.close_cluster import CloseClusterSet, construct_close_cluster_set
+from repro.core.close_cluster import CloseClusterSet
 from repro.core.config import ASAPConfig
 from repro.core.endhost import EndHost
 from repro.core.relay_selection import RelaySelection, select_close_relay
@@ -79,20 +81,23 @@ class ASAPSystem:
     """A running ASAP deployment over one scenario."""
 
     def __init__(self, scenario: Scenario, config: Optional[ASAPConfig] = None) -> None:
-        from repro.worldarrays import flat_enabled
+        from repro.worldarrays import FlatCloseSetBuilder
 
         self._scenario = scenario
         self._config = config = config if config is not None else ASAPConfig()
         self._view = scenario.matrix_view()
         self._clusters = scenario.clusters
-        self._flat_builder = None
-        self._use_flat_close_sets = flat_enabled()
         graph = scenario.protocol_graph
 
         # Cluster bookkeeping at matrix-index granularity.
         self._clusters_by_as: Dict[int, List[int]] = {}
         for idx, asn in enumerate(self._view.asn_of):
             self._clusters_by_as.setdefault(int(asn), []).append(idx)
+        # One CSR graph export + probe view, shared by every surrogate
+        # (and inherited copy-on-write by prebuild pool workers).
+        self._builder = FlatCloseSetBuilder(
+            graph, self._view, self._clusters_by_as, config
+        )
 
         # Elect surrogates: the most capable hosts per cluster.  Large
         # clusters get several (§6.3 load sharing): one per
@@ -122,29 +127,6 @@ class ASAPSystem:
         self.sessions_run = 0
         self._init_close_sets()
 
-    def _flat_close_set_builder(self, own_cluster: int, own_as: int):
-        """Surrogate fast-builder hook: the flat-array close-set path.
-
-        The vectorized builder (CSR graph export + probe arrays) is
-        created on first use and shared by every surrogate of this
-        system; its results are bit-identical to the reference
-        construction (parity-tested), so surrogates cache them exactly
-        as they would the reference's.
-        """
-        return self._flat_builder_instance().build(own_cluster, own_as)
-
-    def _flat_builder_instance(self):
-        if self._flat_builder is None:
-            from repro.worldarrays import FlatCloseSetBuilder
-
-            self._flat_builder = FlatCloseSetBuilder(
-                self._scenario.protocol_graph,
-                self._view,
-                self._clusters_by_as,
-                self._config,
-            )
-        return self._flat_builder
-
     # -- wiring ---------------------------------------------------------------
 
     @property
@@ -159,6 +141,12 @@ class ASAPSystem:
     def bootstraps(self) -> List[Bootstrap]:
         return list(self._bootstraps)
 
+    @property
+    def close_set_builder(self):
+        """The system's one close-set builder (surrogates build through
+        it; :class:`~repro.control.CloseSetMaintainer` repairs through it)."""
+        return self._builder
+
     def _elect_group(self, idx: int, cluster) -> List[Surrogate]:
         """Elect the cluster's surrogate group, primary first."""
         ranked = sorted(
@@ -172,14 +160,7 @@ class ASAPSystem:
                 cluster=idx,
                 asn=cluster.asn,
                 host=ranked[position],
-                graph=self._scenario.protocol_graph,
-                clusters_in_as=self.clusters_in_as,
-                lat=self._probe_lat,
-                loss=self._probe_loss,
-                config=self._config,
-                fast_builder=(
-                    self._flat_close_set_builder if self._use_flat_close_sets else None
-                ),
+                build=self._builder.build,
             )
             if group:
                 member.close_set_source = group[0]
@@ -217,15 +198,6 @@ class ASAPSystem:
         """Matrix index of the cluster containing an end-host IP."""
         cluster = self._clusters.cluster_of(ip)
         return self._view.index_of[cluster.prefix]
-
-    def _probe_lat(self, own: int, other: int) -> Optional[float]:
-        value = self._view.rtt_cell(own, other)
-        return None if not np.isfinite(value) else value
-
-    def _probe_loss(self, own: int, other: int) -> Optional[float]:
-        value = self._view.loss_cell(own, other)
-        rtt = self._view.rtt_cell(own, other)
-        return None if not np.isfinite(rtt) else value
 
     # -- membership -------------------------------------------------------------
 
@@ -406,10 +378,6 @@ class ASAPSystem:
         self, pending: List[int], count: int
     ) -> Dict[int, CloseClusterSet]:
         if count > 1 and len(pending) > 1 and fork_available():
-            if self._use_flat_close_sets:
-                # Materialize the CSR export once pre-fork so every pool
-                # child inherits it copy-on-write instead of rebuilding it.
-                self._flat_builder_instance()
             global _PREBUILD_SYSTEM
             _PREBUILD_SYSTEM = self
             try:
@@ -496,20 +464,7 @@ _PREBUILD_SYSTEM: Optional[ASAPSystem] = None
 def _build_close_set_chunk(indices: List[int]):
     """Pool worker: construct the close sets of one chunk of clusters."""
     system = _PREBUILD_SYSTEM
-    out = []
-    for idx in indices:
-        primary = system._surrogates[idx][0]
-        if primary.fast_builder is not None:
-            built = primary.fast_builder(idx, primary.asn)
-        else:
-            built = construct_close_cluster_set(
-                own_cluster=idx,
-                own_as=primary.asn,
-                graph=primary.graph,
-                clusters_in_as=system.clusters_in_as,
-                lat=system._probe_lat,
-                loss=system._probe_loss,
-                config=system._config,
-            )
-        out.append((idx, built))
-    return out
+    return [
+        (idx, system._builder.build(idx, system._surrogates[idx][0].asn))
+        for idx in indices
+    ]

@@ -123,6 +123,7 @@ class TcpTransport(Transport):
         self._handler: Optional[Handler] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._conns: Dict[str, _Conn] = {}
+        self._connect_locks: Dict[str, asyncio.Lock] = {}
         self._pending: Dict[int, asyncio.Future] = {}
         self._request_seq = itertools.count(1)
         self._inbound_tasks: set = set()
@@ -154,6 +155,7 @@ class TcpTransport(Transport):
             conn.fail_waiters()
             conn.writer.close()
         self._conns.clear()
+        self._connect_locks.clear()
         for task in list(self._inbound_tasks):
             task.cancel()
         self._inbound_tasks.clear()
@@ -177,15 +179,23 @@ class TcpTransport(Transport):
         conn = self._conns.get(addr)
         if conn is not None and conn.alive():
             return conn
-        host, _, port = addr.rpartition(":")
-        try:
-            reader, writer = await asyncio.open_connection(host, int(port))
-        except (OSError, ValueError) as exc:
-            raise TransportTimeout(f"cannot connect to {addr}: {exc}") from exc
-        conn = _Conn(reader, writer, self._max_in_flight, self._max_waiters)
-        conn.task = asyncio.get_running_loop().create_task(self._pump(conn))
-        self._conns[addr] = conn
-        return conn
+        # One connect per address at a time.  Lanes racing here on an
+        # empty pool would each open a connection and all but the last
+        # stored would be orphaned — a socket and a pump task close()
+        # never sees; the losers wait and find the winner's connection.
+        async with self._connect_locks.setdefault(addr, asyncio.Lock()):
+            conn = self._conns.get(addr)
+            if conn is not None and conn.alive():
+                return conn
+            host, _, port = addr.rpartition(":")
+            try:
+                reader, writer = await asyncio.open_connection(host, int(port))
+            except (OSError, ValueError) as exc:
+                raise TransportTimeout(f"cannot connect to {addr}: {exc}") from exc
+            conn = _Conn(reader, writer, self._max_in_flight, self._max_waiters)
+            conn.task = asyncio.get_running_loop().create_task(self._pump(conn))
+            self._conns[addr] = conn
+            return conn
 
     async def _pump(self, conn: _Conn) -> None:
         """Read frames off a pooled connection until it dies."""

@@ -34,8 +34,7 @@ __all__ = [
 #: v2: histogram snapshots carry p50/p95/p99 estimates; ``traces_file``
 #: and ``traces_written`` record the run's causal-trace output.
 #: v3: top-level ``parallel`` block (per-chunk sizes/timings and resolved
-#: worker count of the run's parallel matrix build, null for serial runs)
-#: replaces reading ``matrix.LAST_PARALLEL_STATS`` out of the process.
+#: worker count of the run's parallel matrix build, null for serial runs).
 #: v4: optional top-level ``soak`` block — the churn soak's gate verdicts
 #: (steady-state registry, directory convergence, staleness bound,
 #: terminal calls) plus the directory/repair accounting behind them.

@@ -93,9 +93,7 @@ class ScenarioConfig:
     def preset(cls, scale: str, seed: int = 0) -> "ScenarioConfig":
         """The registered config of a named scale tier.
 
-        One classmethod replaces the old per-scale helper functions
-        (``tiny_config``/``small_config``/``evaluation_config``/
-        ``config_for_scale``, now deprecation shims).  The tier table:
+        The tier table:
 
         ========== ========== ============ ====================================
         scale      clusters~  hosts        purpose
@@ -443,31 +441,9 @@ _PRESETS = {
 SCALES = tuple(_PRESETS)
 
 
-def _deprecated_config_helper(name: str, scale: str):
-    import warnings
-
-    warnings.warn(
-        f"{name}() is deprecated; use ScenarioConfig.preset({scale!r}, seed)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def tiny_config(seed: int = 0) -> ScenarioConfig:
-    """Deprecated: use ``ScenarioConfig.preset("tiny", seed)``."""
-    _deprecated_config_helper("tiny_config", "tiny")
-    return ScenarioConfig.preset("tiny", seed)
-
-
 def tiny_scenario(seed: int = 0) -> Scenario:
     """A very small world for unit tests (sub-second build)."""
     return build_scenario(ScenarioConfig.preset("tiny", seed))
-
-
-def small_config(seed: int = 0) -> ScenarioConfig:
-    """Deprecated: use ``ScenarioConfig.preset("small", seed)``."""
-    _deprecated_config_helper("small_config", "small")
-    return ScenarioConfig.preset("small", seed)
 
 
 def small_scenario(seed: int = 0) -> Scenario:
@@ -475,24 +451,6 @@ def small_scenario(seed: int = 0) -> Scenario:
     return build_scenario(ScenarioConfig.preset("small", seed))
 
 
-def evaluation_config(seed: int = 0) -> ScenarioConfig:
-    """Deprecated: use ``ScenarioConfig.preset("evaluation", seed)``."""
-    _deprecated_config_helper("evaluation_config", "evaluation")
-    return ScenarioConfig.preset("evaluation", seed)
-
-
 def default_scenario(seed: int = 0) -> Scenario:
     """The standard world used by benchmarks (evaluation scale)."""
     return build_scenario(ScenarioConfig.preset("evaluation", seed))
-
-
-def config_for_scale(scale: str, seed: int = 0) -> ScenarioConfig:
-    """Deprecated: use ``ScenarioConfig.preset(scale, seed)``."""
-    import warnings
-
-    warnings.warn(
-        "config_for_scale() is deprecated; use ScenarioConfig.preset(scale, seed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ScenarioConfig.preset(scale, seed)

@@ -1,10 +1,10 @@
 """Flat, int-indexed world representation for the substrate hot paths.
 
-The object world (:class:`~repro.topology.clustering.ClusterIndex`,
-:class:`~repro.bgp.asgraph.ASGraph`, per-pair python walks) is the
-*reference* implementation everywhere; this package exports the same
-world once into contiguous numpy arrays and rewrites the two hottest
-computations against them:
+This package exports the object world
+(:class:`~repro.topology.clustering.ClusterIndex`,
+:class:`~repro.bgp.asgraph.ASGraph`) once into contiguous numpy arrays
+and computes the two hottest products against them — the only
+matrix-fill and close-set code production runs:
 
 - :mod:`repro.worldarrays.matrixfill` — delegate-matrix assembly as
   vectorized per-destination column fills (the memoized next-hop chain
@@ -15,14 +15,13 @@ computations against them:
   that builds the sets of many source clusters in one sweep.
 
 Both are guarded by parity tests: for identical seeds they produce
-**bit-identical** results to the object-path reference (same matrices,
-same close sets, same ``traces.jsonl``).  The flat path is the default;
-set ``REPRO_FLAT_WORLD=0`` to force the object reference everywhere.
+**bit-identical** results to their executable specifications — the
+scalar matrix walk in ``tests/oracles.py`` and the Fig. 9 transcription
+:func:`repro.core.close_cluster.construct_close_cluster_set` (same
+matrices, same close sets, same ``traces.jsonl``).
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.worldarrays.arrays import GraphCSR, WorldArrays, csr_gather
 from repro.worldarrays.closesets import FlatCloseSetBuilder
@@ -30,21 +29,10 @@ from repro.worldarrays.matrixfill import FlatMatrixAssembler
 from repro.worldarrays.virtual import VirtualMatrices
 
 __all__ = [
-    "FLAT_WORLD_ENV",
     "FlatCloseSetBuilder",
     "FlatMatrixAssembler",
     "GraphCSR",
     "VirtualMatrices",
     "WorldArrays",
     "csr_gather",
-    "flat_enabled",
 ]
-
-#: Environment switch for the flat-array substrate (default on; the
-#: object path remains the reference and is selected with ``0``).
-FLAT_WORLD_ENV = "REPRO_FLAT_WORLD"
-
-
-def flat_enabled() -> bool:
-    """Whether the flat-array hot paths are enabled (default: yes)."""
-    return os.environ.get(FLAT_WORLD_ENV, "1").strip() not in ("0", "no", "off")

@@ -1,8 +1,11 @@
 """Vectorized ``construct-close-cluster-set()`` over :class:`GraphCSR`.
 
-The reference (:func:`repro.core.close_cluster.construct_close_cluster_set`)
-runs a level-synchronous valley-free BFS with python sets; this builder
-runs the same levels as boolean masks over the CSR step tables:
+This is the close-set code production runs: every surrogate build and
+every maintainer rebuild, verdict and patch.  The executable
+specification (:func:`repro.core.close_cluster.construct_close_cluster_set`,
+the Fig. 9 transcription tests compare against) runs a level-synchronous
+valley-free BFS with python sets; this builder runs the same levels as
+boolean masks over the CSR step tables:
 
 - the frontier is a pair of (UP, DOWN) phase masks; one level is four
   ragged CSR gathers (providers, peers, customers, siblings) instead of
@@ -23,7 +26,7 @@ setup cost is paid once per sweep instead of once per surrogate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,8 +43,8 @@ from repro.worldarrays.arrays import GraphCSR, csr_gather
 class FlatCloseSetBuilder:
     """Builds close cluster sets from flat arrays (bit-identical).
 
-    ``clusters_by_as`` maps ASN → ascending matrix indices of online
-    clusters (the same table :meth:`ASAPSystem.clusters_in_as` serves);
+    ``clusters_by_as`` maps ASN → matrix indices of the clusters it
+    hosts (the same table :meth:`ASAPSystem.clusters_in_as` serves);
     ``world`` is the matrix view the surrogate probes read — dense
     :class:`~repro.measurement.matrix.DelegateMatrices` or the streamed
     :class:`~repro.worldarrays.virtual.VirtualMatrices` (the gathers
@@ -65,14 +68,31 @@ class FlatCloseSetBuilder:
             for asn in self._csr.as_ids
         ]
 
+    @property
+    def config(self) -> ASAPConfig:
+        return self._config
+
+    @property
+    def cluster_count(self) -> int:
+        """Clusters in the probed world (the length of an ``online`` mask)."""
+        return self._world.count
+
     def build(
-        self, own_cluster: int, own_as: int, meta_out: Optional[dict] = None
+        self,
+        own_cluster: int,
+        own_as: int,
+        meta_out: Optional[dict] = None,
+        online: Optional[np.ndarray] = None,
     ) -> CloseClusterSet:
         """The close cluster set of one source cluster.
 
         ``meta_out`` mirrors the reference builder's hook: it receives
         ``{asn: (depth, expands)}`` for every visited AS, identical to
-        what :func:`construct_close_cluster_set` records.
+        what :func:`construct_close_cluster_set` records.  ``online`` is
+        the current membership as a boolean mask over cluster indices
+        (``None``: every cluster is online); offline clusters are
+        neither probed nor entered, exactly as if the reference's
+        ``clusters_in_as`` had been filtered by the same mask.
         """
         config = self._config
         csr = self._csr
@@ -84,7 +104,7 @@ class FlatCloseSetBuilder:
             return result
 
         # Level 0: own cluster plus co-located clusters.
-        self._probe_as(result, own_cluster, own_idx, depth=0)
+        self._visit(result, own_idx, 0, online)
         result.ases_visited = 1
         if meta_out is not None:
             meta_out[own_as] = (0, True)
@@ -108,7 +128,7 @@ class FlatCloseSetBuilder:
             seen |= fresh
             for as_idx in np.nonzero(fresh)[0]:
                 result.ases_visited += 1
-                expands[as_idx] = self._probe_as(result, own_cluster, int(as_idx), depth)
+                expands[as_idx] = self._visit(result, int(as_idx), depth, online)
                 if meta_out is not None:
                     meta_out[int(csr.as_ids[as_idx])] = (depth, bool(expands[as_idx]))
 
@@ -157,43 +177,71 @@ class FlatCloseSetBuilder:
         new_down &= ~down
         return new_up, new_down
 
-    def _probe_as(
-        self, result: CloseClusterSet, own_cluster: int, as_idx: int, depth: int
-    ) -> bool:
-        """Probe every cluster of one AS; returns expansion rights.
+    def probe_as(
+        self,
+        own_cluster: int,
+        asn: int,
+        depth: int,
+        online: Optional[np.ndarray] = None,
+    ) -> Tuple[bool, int, List[CloseClusterEntry]]:
+        """Probe every online cluster of one AS from ``own_cluster``.
 
-        Accounting is identical to the reference ``_probe``/``_visit_as``
-        pair: 2 messages per probed cluster, attributed to this AS; the
-        own cluster joins with a zero-cost entry and is never probed.
+        Returns ``(expands, probed, passing)``: whether the BFS may
+        expand through the AS, how many clusters were probed, and an
+        entry (at ``depth``) for each cluster that passed.  This is the
+        one place the close-set rule is written: a probe passes iff it
+        was answered and ``rtt < latT`` and ``loss < lossT``; a
+        populated AS expands iff any probe passed, while the own AS
+        (``depth == 0``, where the own cluster is never probed) and
+        transit ASes (nothing to probe) always expand.  Builds and the
+        maintainer's verdicts and patches all go through it.
         """
-        rows = self._rows_of[as_idx]
-        if len(rows) == 0:
-            return True  # transit AS: nothing to probe, expansion free
-        asn = int(self._csr.as_ids[as_idx])
+        return self._probe(own_cluster, self._csr.index_of[asn], depth, online)
+
+    def _probe(
+        self, own_cluster: int, as_idx: int, depth: int, online: Optional[np.ndarray]
+    ) -> Tuple[bool, int, List[CloseClusterEntry]]:
+        probed = self._rows_of[as_idx]
+        if online is not None:
+            probed = probed[online[probed]]
         if depth == 0:
-            if np.any(rows == own_cluster):
-                result.entries[own_cluster] = CloseClusterEntry(own_cluster, 0.0, 0.0, 0)
-            probed = rows[rows != own_cluster]
-        else:
-            probed = rows
+            probed = probed[probed != own_cluster]
         if len(probed) == 0:
-            return depth == 0  # lone own cluster: reference expands own AS anyway
-        result.probe_messages += 2 * len(probed)
-        result.probes_by_as[asn] = result.probes_by_as.get(asn, 0) + 2 * len(probed)
+            return True, 0, []
         rtt = self._world.gather_rtt(own_cluster, probed)
         lost = self._world.gather_loss(own_cluster, probed)
-        answered = np.isfinite(rtt)
         passed = (
-            answered
+            np.isfinite(rtt)
             & (rtt < self._config.lat_threshold_ms)
             & (lost < self._config.loss_threshold)
         )
-        for row, rtt_ms, loss_rate in zip(
-            probed[passed], rtt[passed], lost[passed]
-        ):
-            result.entries[int(row)] = CloseClusterEntry(
-                int(row), float(rtt_ms), float(loss_rate), depth
-            )
-        if depth == 0:
-            return True  # the reference always expands through the own AS
-        return bool(passed.any())
+        passing = [
+            CloseClusterEntry(int(row), float(rtt_ms), float(loss_rate), depth)
+            for row, rtt_ms, loss_rate in zip(probed[passed], rtt[passed], lost[passed])
+        ]
+        return depth == 0 or bool(passing), len(probed), passing
+
+    def _visit(
+        self,
+        result: CloseClusterSet,
+        as_idx: int,
+        depth: int,
+        online: Optional[np.ndarray],
+    ) -> bool:
+        """Probe one newly visited AS into ``result``; returns expansion
+        rights.  Accounting matches the reference ``_probe``/``_visit_as``
+        pair: 2 messages per probed cluster, attributed to this AS; the
+        own cluster joins with a zero-cost entry and is never probed.
+        """
+        own = result.owner
+        if depth == 0 and (online is None or online[own]):
+            if np.any(self._rows_of[as_idx] == own):
+                result.entries[own] = CloseClusterEntry(own, 0.0, 0.0, 0)
+        expands, probed, passing = self._probe(own, as_idx, depth, online)
+        if probed:
+            asn = int(self._csr.as_ids[as_idx])
+            result.probe_messages += 2 * probed
+            result.probes_by_as[asn] = result.probes_by_as.get(asn, 0) + 2 * probed
+            for entry in passing:
+                result.entries[entry.cluster] = entry
+        return expands

@@ -1,9 +1,8 @@
 """Vectorized delegate-matrix assembly over :class:`WorldArrays`.
 
-The object reference (``repro.measurement.matrix._fill_destinations``)
-walks each destination's routing tree with a python memo and then runs a
-python loop over source rows per column.  This module computes the same
-numbers as array passes:
+The scalar specification (``tests/oracles.py``) walks each destination's
+routing tree with a python memo and then runs a python loop over source
+rows per column.  This module computes the same numbers as array passes:
 
 - the memoized next-hop chain walk becomes an iterative *resolution
   sweep*: each round vectorizes over every AS whose next hop is already
@@ -36,9 +35,9 @@ class FlatMatrixAssembler:
     """Fills destination columns of the delegate matrices from flat arrays.
 
     One-way results are memoized per destination AS, so columns sharing
-    an AS cost one tree resolution total (the object path re-walks the
-    memo per column).  Instances are safe to fork: workers inherit the
-    arrays copy-on-write and only append to their private memo.
+    an AS cost one tree resolution total.  Instances are safe to fork:
+    workers inherit the arrays copy-on-write and only append to their
+    private memo.
 
     ``memo_limit`` bounds the memo to an LRU of that many destination
     ASes (each entry holds four V-length arrays ≈ 25·V bytes); the
@@ -84,7 +83,7 @@ class FlatMatrixAssembler:
 
         ``columns`` are global cluster indices; ``positions`` are the
         matching column positions in the output arrays (defaults to the
-        enumeration order, matching the object worker's block layout).
+        enumeration order).
         """
         from repro import obs
 

@@ -1,0 +1,160 @@
+"""Parity oracles for the flat-array substrate (``repro.worldarrays``).
+
+- The scalar delegate-matrix fill: the original object-path code — a
+  memoized python walk per routing tree and a python loop over source
+  rows per column — moved out of ``repro.measurement.matrix`` when the
+  flat arrays became the only production path.  Deliberately slow and
+  obvious; :func:`repro.measurement.matrix.compute_delegate_matrices`
+  (serial and pooled) must reproduce it bit for bit.
+- :func:`reference_close_set`: the Fig. 9 transcription
+  (:func:`repro.core.construct_close_cluster_set`) wired to a system's
+  world, which :class:`repro.worldarrays.FlatCloseSetBuilder` must match.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
+
+from repro.core import construct_close_cluster_set
+from repro.measurement.latency import LatencyModel
+from repro.measurement.matrix import UNREACHABLE, DelegateMatrices, cluster_headers
+from repro.topology.clustering import ClusterIndex
+
+
+def scalar_delegate_matrices(
+    model: LatencyModel, clusters: ClusterIndex
+) -> DelegateMatrices:
+    """``compute_delegate_matrices`` the scalar way (serial, no arrays)."""
+    cluster_list = clusters.all_clusters()
+    n = len(cluster_list)
+    prefixes, index_of, asn_of, sizes, access = cluster_headers(cluster_list)
+    rtt = np.full((n, n), UNREACHABLE, dtype=float)
+    loss = np.full((n, n), 1.0, dtype=float)
+    hops = np.full((n, n), -1, dtype=np.int64)
+    fill_destinations(range(n), model, access, asn_of, rtt, loss, hops)
+    for i in range(n):
+        asn = int(asn_of[i])
+        rtt[i, i] = 2.0 * model.endpoint_cost_ms(asn) + 4.0 * access[i]
+        loss[i, i] = model.conditions.loss_of(asn)
+        hops[i, i] = 0
+    return DelegateMatrices(
+        prefixes=prefixes,
+        index_of=index_of,
+        asn_of=asn_of,
+        sizes=sizes,
+        rtt_ms=rtt,
+        loss=loss,
+        as_hops=hops,
+    )
+
+
+def fill_destinations(
+    columns: Sequence[int],
+    model: LatencyModel,
+    access: np.ndarray,
+    asn_of: np.ndarray,
+    rtt: np.ndarray,
+    loss: np.ndarray,
+    hops: np.ndarray,
+    positions: Optional[Sequence[int]] = None,
+) -> None:
+    """Fill the given destination columns of the matrices.
+
+    ``positions`` are the output column positions matching ``columns``
+    (defaults to enumeration order, the sampled-column block layout).
+    """
+    unique_ases = sorted(set(int(a) for a in asn_of))
+    rows_of_as: Dict[int, List[int]] = {}
+    for i, asn in enumerate(asn_of):
+        rows_of_as.setdefault(int(asn), []).append(i)
+    if positions is None:
+        positions = range(len(columns))
+    for col, j in zip(positions, columns):
+        tree = model.routing_tree(int(asn_of[j]))
+        if tree is None:
+            continue
+        lat_to, loss_to, hops_to = walk_tree(model, tree, unique_ases)
+        for src_as in unique_ases:
+            one_way = lat_to.get(src_as)
+            if one_way is None:
+                continue
+            for i in rows_of_as[src_as]:
+                rtt[i, col] = 2.0 * one_way + 2.0 * (access[i] + access[j])
+                loss[i, col] = loss_to[src_as]
+                hops[i, col] = hops_to[src_as]
+
+
+def walk_tree(model: LatencyModel, tree, source_ases: List[int]):
+    """Memoized walk of a routing tree: per-AS one-way latency / loss / hops.
+
+    The memo stores *interior* path cost (links plus transit node costs,
+    excluding both endpoints); endpoint processing is added per source so
+    the result matches :meth:`LatencyModel.path_one_way_ms` exactly.
+    """
+    dest = tree.destination
+    interior: Dict[int, float] = {dest: 0.0}
+    survive: Dict[int, float] = {dest: 1.0 - model.conditions.loss_of(dest)}
+    hops: Dict[int, int] = {dest: 0}
+
+    def resolve(asn: int) -> bool:
+        """Fill memo entries along the next-hop chain from ``asn``."""
+        chain: List[int] = []
+        node = asn
+        while node not in interior:
+            if not tree.reaches(node):
+                return False
+            chain.append(node)
+            node = tree.next_hop[node]
+        for source in reversed(chain):
+            nh = tree.next_hop[source]
+            transit = model.node_cost_ms(nh) if nh != dest else 0.0
+            interior[source] = model.link_delay_ms(source, nh) + transit + interior[nh]
+            survive[source] = (1.0 - model.conditions.loss_of(source)) * survive[nh]
+            hops[source] = hops[nh] + 1
+        return True
+
+    lat_out: Dict[int, float] = {}
+    loss_out: Dict[int, float] = {}
+    hops_out: Dict[int, int] = {}
+    dest_endpoint = model.endpoint_cost_ms(dest)
+    for asn in source_ases:
+        if asn in interior or resolve(asn):
+            if asn == dest:
+                lat_out[asn] = model.endpoint_cost_ms(asn)
+            else:
+                lat_out[asn] = (
+                    model.endpoint_cost_ms(asn) + interior[asn] + dest_endpoint
+                )
+            loss_out[asn] = 1.0 - survive[asn]
+            hops_out[asn] = hops[asn]
+    return lat_out, loss_out, hops_out
+
+
+def reference_close_set(system, cluster: int, online=None, meta_out=None):
+    """Fig. 9 (:func:`construct_close_cluster_set`) over an
+    :class:`ASAPSystem`'s world — scalar probes of the same matrix view,
+    ``clusters_in_as`` filtered by the optional ``online`` mask."""
+    view = system.scenario.matrix_view()
+
+    def lat(own: int, other: int) -> Optional[float]:
+        value = view.rtt_cell(own, other)
+        return value if np.isfinite(value) else None
+
+    def loss(own: int, other: int) -> Optional[float]:
+        return view.loss_cell(own, other) if lat(own, other) is not None else None
+
+    def clusters_in_as(asn: int) -> List[int]:
+        return [c for c in system.clusters_in_as(asn) if online is None or online[c]]
+
+    return construct_close_cluster_set(
+        cluster,
+        int(view.asn_of[cluster]),
+        system.scenario.protocol_graph,
+        clusters_in_as,
+        lat,
+        loss,
+        system.config,
+        meta_out=meta_out,
+    )

@@ -8,12 +8,14 @@ and leave events, with drains at arbitrary points.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.bgp import ASGraph
 from repro.control import ClusterMembership, CloseSetMaintainer, MembershipEvent
 from repro.core import ASAPConfig, construct_close_cluster_set
 from repro.errors import ProtocolError
+from repro.worldarrays import FlatCloseSetBuilder
 
 
 def diamond():
@@ -35,6 +37,24 @@ def chain():
     return g
 
 
+class ArrayView:
+    """The two gathers the builder probes through, over a symmetric
+    ``lat_map`` (unlisted pairs never answer; answered probes lose 0)."""
+
+    def __init__(self, lat_map, count):
+        self.count = count
+        self.rtt_ms = np.full((count, count), np.inf)
+        for (a, b), rtt in lat_map.items():
+            self.rtt_ms[a, b] = self.rtt_ms[b, a] = rtt
+        self.loss = np.zeros((count, count))
+
+    def gather_rtt(self, rows, cols):
+        return self.rtt_ms[rows, cols]
+
+    def gather_loss(self, rows, cols):
+        return self.loss[rows, cols]
+
+
 def make_maintainer(graph, lat_map, clusters_map, asn_of, counts, config=None):
     def lat(own, other):
         return lat_map.get((own, other), lat_map.get((other, own)))
@@ -43,20 +63,35 @@ def make_maintainer(graph, lat_map, clusters_map, asn_of, counts, config=None):
         return 0.0 if lat(own, other) is not None else None
 
     membership = ClusterMembership(counts)
-    maintainer = CloseSetMaintainer(
-        graph=graph,
-        membership=membership,
-        clusters_in_as=lambda asn: clusters_map.get(asn, []),
-        asn_of_cluster=lambda c: asn_of[c],
-        lat=lat,
-        loss=loss,
-        config=config,
+    builder = FlatCloseSetBuilder(
+        graph, ArrayView(lat_map, max(asn_of) + 1), clusters_map, config
     )
+    maintainer = CloseSetMaintainer(
+        builder=builder,
+        membership=membership,
+        asn_of_cluster=lambda c: asn_of[c],
+    )
+
+    def reference(owner):
+        """Fig. 9 from scratch on the maintainer's current membership."""
+        return construct_close_cluster_set(
+            owner,
+            asn_of[owner],
+            graph,
+            lambda asn: [
+                c for c in clusters_map.get(asn, []) if membership.is_online(c)
+            ],
+            lat,
+            loss,
+            builder.config,
+        )
+
+    maintainer.reference = reference
     return maintainer, lat, loss
 
 
 def fresh_entries(maintainer, owner):
-    return dict(maintainer._fresh(owner).entries)
+    return dict(maintainer.reference(owner).entries)
 
 
 def assert_parity(maintainer):
@@ -84,10 +119,11 @@ class TestRepairPaths:
     def _small_world(self):
         # Own AS 5 has cluster 0; AS 3 holds clusters 1 (close) and
         # 6 (too far); AS 1 (behind 3) holds cluster 2 (close).
+        # Cluster 9 lives in AS 99, which is not in the graph at all.
         lat_map = {(0, 1): 50.0, (0, 6): 500.0, (0, 2): 60.0}
-        clusters = {5: [0], 3: [1, 6], 1: [2]}
-        asn_of = {0: 5, 1: 3, 6: 3, 2: 1}
-        counts = {0: 2, 1: 1, 6: 1, 2: 1}
+        clusters = {5: [0], 3: [1, 6], 1: [2], 99: [9]}
+        asn_of = {0: 5, 1: 3, 6: 3, 2: 1, 9: 99}
+        counts = {0: 2, 1: 1, 6: 1, 2: 1, 9: 0}
         return make_maintainer(
             chain(), lat_map, clusters, asn_of, counts, ASAPConfig(k_hops=2)
         )
@@ -127,9 +163,7 @@ class TestRepairPaths:
         maintainer, _, _ = self._small_world()
         maintainer.track(0)
         before = dict(maintainer.current(0).entries)
-        # Cluster 9 lives in AS 99, never visited by the BFS.
-        maintainer._static_clusters_in_as = lambda asn: {99: [9]}.get(asn, [])
-        maintainer._asn_of_cluster = lambda c: {9: 99}.get(c, 5)
+        # Cluster 9's AS 99 is never visited by the BFS.
         maintainer.enqueue(MembershipEvent(at_ms=1.0, kind="host-join", cluster=9))
         maintainer.drain()
         assert maintainer.current(0).entries == before

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bgp import ASGraph, PrefixOriginTable
+from repro.core import construct_close_cluster_set
 from repro.core.bootstrap import Bootstrap
 from repro.core.config import ASAPConfig
 from repro.core.endhost import EndHost
@@ -74,11 +75,15 @@ def make_surrogate(host=None):
         cluster=0,
         asn=7,
         host=host or make_host("10.0.0.5"),
-        graph=graph,
-        clusters_in_as=lambda asn: [0] if asn == 7 else [],
-        lat=lambda a, b: 10.0,
-        loss=lambda a, b: 0.0,
-        config=ASAPConfig(k_hops=1),
+        build=lambda cluster, asn: construct_close_cluster_set(
+            cluster,
+            asn,
+            graph,
+            clusters_in_as=lambda asn: [0] if asn == 7 else [],
+            lat=lambda a, b: 10.0,
+            loss=lambda a, b: 0.0,
+            config=ASAPConfig(k_hops=1),
+        ),
     )
 
 

@@ -32,13 +32,8 @@ from repro.evaluation.policies import METHOD_NAMES, default_policies
 from repro.scenario import (
     SCALES,
     ScenarioConfig,
-    config_for_scale,
-    evaluation_config,
-    small_config,
-    tiny_config,
     tiny_scenario,
 )
-from repro.storage.cache import scenario_cache_key
 from repro.storage.columns import ColumnStore
 from repro.worldarrays.virtual import VirtualMatrices
 
@@ -91,33 +86,6 @@ class TestScalePresets:
         hosts = [ScenarioConfig.preset(s).population.host_count for s in SCALES]
         assert hosts == sorted(hosts)
         assert hosts[-1] == 1_000_000
-
-    @pytest.mark.parametrize(
-        "helper, scale",
-        [
-            (tiny_config, "tiny"),
-            (small_config, "small"),
-            (evaluation_config, "evaluation"),
-        ],
-    )
-    def test_deprecated_helpers_match_preset(self, helper, scale):
-        with pytest.warns(DeprecationWarning, match="preset"):
-            old = helper(seed=9)
-        assert old == ScenarioConfig.preset(scale, seed=9)
-
-    def test_config_for_scale_shim(self):
-        with pytest.warns(DeprecationWarning, match="preset"):
-            old = config_for_scale("small", seed=2)
-        assert old == ScenarioConfig.preset("small", seed=2)
-
-    def test_cache_keys_stable_across_shim_and_preset(self):
-        # The preset migration must not invalidate existing artifact
-        # caches: identical config => identical content-addressed key.
-        with pytest.warns(DeprecationWarning):
-            old = tiny_config(seed=4)
-        assert scenario_cache_key(old) == scenario_cache_key(
-            ScenarioConfig.preset("tiny", seed=4)
-        )
 
 
 # -- streaming parity (the engine's core contract) -----------------------------

@@ -188,6 +188,50 @@ class TestTcp:
         asyncio.run(main())
 
 
+    def test_concurrent_first_requests_share_one_connection(self):
+        # Regression: lanes racing through ``_get_conn`` on an empty pool
+        # each opened a connection; the pool kept the last and ``close()``
+        # never saw the others (a leaked socket + pump task per race).
+        async def main():
+            senders = []
+
+            async def echo(sender, frame):
+                senders.append(sender)
+                return Pong(token=frame.message.token)
+
+            server = TcpTransport()
+            server.bind(echo)
+            await server.start()
+            client = TcpTransport()
+            await client.start()
+            try:
+                replies = await asyncio.gather(
+                    *(
+                        client.request(
+                            server.local_address, Ping(token=i), timeout_ms=2_000.0
+                        )
+                        for i in range(8)
+                    )
+                )
+                pooled = len(client._conns)
+            finally:
+                await client.close()
+                await server.close()
+            await asyncio.sleep(0)  # let the cancelled pump finish
+            pending = [
+                task
+                for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__ == "TcpTransport._pump"
+            ]
+            return replies, pooled, senders, pending
+
+        replies, pooled, senders, pending = asyncio.run(main())
+        assert replies == [Pong(token=i) for i in range(8)]
+        assert pooled == 1
+        assert len(senders) == 8 and len(set(senders)) == 1  # one accept
+        assert not pending
+
+
 class TestWrappers:
     def test_faulty_drop_consumes_timeout_then_raises(self):
         async def main(hub):

@@ -1,27 +1,32 @@
-"""Flat-array substrate parity: bit-identical to the object reference.
+"""Flat-array substrate parity: bit-identical to its executable specs.
 
-The ``repro.worldarrays`` fast paths are *substitutes*, not
-approximations: for the same scenario they must reproduce the object
-paths bit for bit — every matrix cell (IEEE-exact), every close-set
-entry, every probe count, and every observability record, across
-seeds, scales, serial and parallel execution, with fault injection
-running and tracing on.  These tests are the contract that lets the
-flat paths be the default.
+The ``repro.worldarrays`` kernels are the only production matrix-fill
+and close-set code, and they are *substitutes* for the obvious scalar
+algorithms, not approximations: for the same world they must reproduce
+the oracles (``tests/oracles.py``) bit for bit — every matrix cell
+(IEEE-exact), every close-set entry, every probe count, the BFS
+verdicts, and every observability record, across seeds, scales, serial
+and parallel execution, under any membership mask, with tracing on.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import ASAPConfig, ASAPSystem
-from repro.evaluation.chaos import run_chaos
-from repro.faults import FaultScheduleConfig
+from repro.measurement.conditions import ConditionsConfig, generate_conditions
+from repro.measurement.latency import LatencyModel
 from repro.measurement.matrix import compute_delegate_matrices
 from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
 from repro.scenario import PopulationConfig, TopologyConfig
-from repro.worldarrays import FLAT_WORLD_ENV, flat_enabled
+from repro.topology.generator import generate_topology
+from repro.util.rng import derive_rng
+from repro.worldarrays import FlatMatrixAssembler, WorldArrays
+from tests.oracles import fill_destinations, reference_close_set, scalar_delegate_matrices
 
 SEEDS = (3, 11, 29)
 
@@ -51,142 +56,129 @@ def _assert_matrices_identical(a, b):
     assert a.prefixes == b.prefixes
 
 
-class TestFlatDefault:
-    def test_flat_is_the_default(self, monkeypatch):
-        monkeypatch.delenv(FLAT_WORLD_ENV, raising=False)
-        assert flat_enabled()
-
-    def test_env_opts_out(self, monkeypatch):
-        for value in ("0", "no", "off"):
-            monkeypatch.setenv(FLAT_WORLD_ENV, value)
-            assert not flat_enabled()
-        monkeypatch.setenv(FLAT_WORLD_ENV, "1")
-        assert flat_enabled()
-
-
 class TestMatrixParity:
     def test_flat_serial_bit_identical_across_seeds_and_scales(self, scenarios):
         for scenario in scenarios:
-            flat = compute_delegate_matrices(
-                scenario.latency, scenario.clusters, method="flat"
+            _assert_matrices_identical(
+                compute_delegate_matrices(scenario.latency, scenario.clusters),
+                scalar_delegate_matrices(scenario.latency, scenario.clusters),
             )
-            obj = compute_delegate_matrices(
-                scenario.latency, scenario.clusters, method="object"
-            )
-            _assert_matrices_identical(flat, obj)
 
     def test_flat_parallel_bit_identical_to_object_serial(self, scenarios):
         scenario = scenarios[0]
-        reference = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, method="object"
-        )
+        reference = scalar_delegate_matrices(scenario.latency, scenario.clusters)
         for workers in (2, 3):
             parallel = compute_delegate_matrices(
-                scenario.latency, scenario.clusters, workers=workers, method="flat"
+                scenario.latency, scenario.clusters, workers=workers
             )
             _assert_matrices_identical(parallel, reference)
 
-    def test_object_parallel_still_bit_identical(self, scenarios):
-        scenario = scenarios[1]
-        reference = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, method="object"
+    def test_synthetic_10k_clusters_sampled_columns(self):
+        # 10,000 synthetic clusters over a small topology, 8 sampled
+        # destination columns: the shape the scale tiers assemble, far
+        # beyond what a built scenario reaches in a unit test.
+        n, sampled = 10_000, 8
+        topology = generate_topology(
+            TopologyConfig(tier1_count=3, tier2_count=10, tier3_count=40, seed=0)
         )
-        parallel = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, workers=2, method="object"
+        model = LatencyModel(
+            topology, generate_conditions(topology, ConditionsConfig(seed=0)), seed=0
         )
-        _assert_matrices_identical(parallel, reference)
+        rng = derive_rng(0, "parity-synthetic")
+        ases = np.array(sorted(model.router.graph.ases()), dtype=np.int64)
+        asn_of = ases[rng.integers(0, len(ases), n)]
+        access = np.round(rng.uniform(2.0, 30.0, n), 3)
+        sizes = rng.integers(1, 64, n, dtype=np.int64)
+        columns = [int(c) for c in np.sort(rng.choice(n, size=sampled, replace=False))]
 
-    def test_unknown_method_rejected(self, scenarios):
-        from repro.errors import MeasurementError
-
-        scenario = scenarios[0]
-        with pytest.raises(MeasurementError):
-            compute_delegate_matrices(
-                scenario.latency, scenario.clusters, method="sparse"
+        def blank():
+            return (
+                np.full((n, sampled), np.inf, dtype=float),
+                np.full((n, sampled), 1.0, dtype=float),
+                np.full((n, sampled), -1, dtype=np.int64),
             )
 
+        flat, scalar = blank(), blank()
+        world = WorldArrays.from_arrays(model, asn_of, access, sizes)
+        FlatMatrixAssembler(model, world).fill_columns(columns, *flat)
+        fill_destinations(columns, model, access, asn_of, *scalar)
+        for got, expected in zip(flat, scalar):
+            assert np.array_equal(got, expected)
+        assert np.isfinite(flat[0]).any()  # the columns were actually filled
 
-def _close_sets(scenario, flat: bool, monkeypatch, workers: int = 1):
-    monkeypatch.setenv(FLAT_WORLD_ENV, "1" if flat else "0")
-    system = ASAPSystem(scenario, ASAPConfig())
-    return system.prebuild_close_sets(workers=workers)
+
+def _online_mask(seed: int, count: int) -> np.ndarray:
+    """A seeded membership mask with roughly a third of clusters dark."""
+    return derive_rng(seed, "parity-online").random(count) >= 0.35
 
 
-def _assert_close_sets_identical(flat_sets, obj_sets):
-    assert set(flat_sets) == set(obj_sets)
-    for idx in obj_sets:
-        flat, obj = flat_sets[idx], obj_sets[idx]
-        assert flat.owner == obj.owner
-        assert flat.probe_messages == obj.probe_messages
-        assert flat.ases_visited == obj.ases_visited
-        assert dict(flat.probes_by_as) == dict(obj.probes_by_as)
-        assert set(flat.entries) == set(obj.entries)
-        for cluster, entry in obj.entries.items():
-            got = flat.entries[cluster]
-            assert got.rtt_ms == entry.rtt_ms        # bitwise: no approx
-            assert got.loss == entry.loss
-            assert got.as_hops == entry.as_hops
+def _assert_close_set_identical(flat, ref):
+    assert flat.owner == ref.owner
+    assert flat.probe_messages == ref.probe_messages
+    assert flat.ases_visited == ref.ases_visited
+    assert dict(flat.probes_by_as) == dict(ref.probes_by_as)
+    assert set(flat.entries) == set(ref.entries)
+    for cluster, entry in ref.entries.items():
+        got = flat.entries[cluster]
+        assert got.rtt_ms == entry.rtt_ms        # bitwise: no approx
+        assert got.loss == entry.loss
+        assert got.as_hops == entry.as_hops
+
+
+def _assert_builder_matches_reference(system, online=None):
+    builder = system.close_set_builder
+    view = system.scenario.matrix_view()
+    for cluster in range(view.count):
+        flat_meta, ref_meta = {}, {}
+        flat = builder.build(
+            cluster, int(view.asn_of[cluster]), meta_out=flat_meta, online=online
+        )
+        ref = reference_close_set(system, cluster, online=online, meta_out=ref_meta)
+        _assert_close_set_identical(flat, ref)
+        assert flat_meta == ref_meta
 
 
 class TestCloseSetParity:
-    def test_bit_identical_across_seeds_and_scales(self, scenarios, monkeypatch):
+    def test_bit_identical_across_seeds_and_scales(self, scenarios):
         for scenario in scenarios:
-            _assert_close_sets_identical(
-                _close_sets(scenario, flat=True, monkeypatch=monkeypatch),
-                _close_sets(scenario, flat=False, monkeypatch=monkeypatch),
-            )
+            _assert_builder_matches_reference(ASAPSystem(scenario, ASAPConfig()))
 
-    def test_parallel_prebuild_parity(self, scenarios, monkeypatch):
-        scenario = scenarios[0]
-        _assert_close_sets_identical(
-            _close_sets(scenario, flat=True, monkeypatch=monkeypatch, workers=2),
-            _close_sets(scenario, flat=False, monkeypatch=monkeypatch, workers=1),
-        )
+    def test_parallel_prebuild_parity(self, scenarios):
+        system = ASAPSystem(scenarios[0], ASAPConfig())
+        built = system.prebuild_close_sets(workers=2)
+        assert set(built) == set(range(system.scenario.matrix_view().count))
+        for cluster, close_set in built.items():
+            _assert_close_set_identical(close_set, reference_close_set(system, cluster))
+
+    @given(st.integers(0, 10_000), st.integers(0, len(SEEDS)))
+    @settings(max_examples=12, deadline=None)
+    def test_online_mask_equals_filtered_reference(self, scenarios, mask_seed, world):
+        # ``online=mask`` ≡ the reference with ``clusters_in_as`` filtered
+        # by the same mask — entries, accounting and ``meta_out``.
+        system = ASAPSystem(scenarios[world], ASAPConfig())
+        online = _online_mask(mask_seed, system.scenario.matrix_view().count)
+        _assert_builder_matches_reference(system, online=online)
 
 
 class TestObservabilityParity:
-    """Tracing on: the two paths must write byte-identical traces.jsonl."""
+    """Tracing on: builder and reference write byte-identical spans."""
 
-    def _trace_bytes(self, scenario, flat, tmp_path, monkeypatch):
-        monkeypatch.setenv(FLAT_WORLD_ENV, "1" if flat else "0")
-        obs_dir = tmp_path / ("flat" if flat else "object")
-        with obs.observe(obs_dir=obs_dir, trace=True) as run:
-            system = ASAPSystem(scenario, ASAPConfig())
-            system.prebuild_close_sets(workers=1)
-            columns = run.registry.snapshot()["counters"].get("matrix.columns", 0)
-        return (obs_dir / "traces.jsonl").read_bytes(), columns
+    def _trace_bytes(self, system, build, obs_dir):
+        with obs.observe(obs_dir=obs_dir, trace=True):
+            for cluster in range(system.scenario.matrix_view().count):
+                build(cluster)
+        return (obs_dir / "traces.jsonl").read_bytes()
 
-    def test_traces_byte_identical(self, scenarios, tmp_path, monkeypatch):
-        scenario = scenarios[0]
-        flat_trace, flat_cols = self._trace_bytes(
-            scenario, True, tmp_path, monkeypatch
+    def test_traces_byte_identical(self, scenarios, tmp_path):
+        system = ASAPSystem(scenarios[0], ASAPConfig())
+        asn_of = system.scenario.matrix_view().asn_of
+        flat_trace = self._trace_bytes(
+            system,
+            lambda c: system.close_set_builder.build(c, int(asn_of[c])),
+            tmp_path / "flat",
         )
-        obj_trace, obj_cols = self._trace_bytes(
-            scenario, False, tmp_path, monkeypatch
+        ref_trace = self._trace_bytes(
+            system, lambda c: reference_close_set(system, c), tmp_path / "reference"
         )
-        assert flat_trace == obj_trace
-        assert flat_trace  # non-empty: the spans were actually emitted
-        assert flat_cols == obj_cols
-
-
-class TestChaosParity:
-    """Faults enabled: a chaos run is replay-identical under both paths."""
-
-    @pytest.mark.parametrize("seed", [0, 4])
-    def test_chaos_run_identical(self, scenarios, monkeypatch, seed):
-        scenario = scenarios[0]
-        fault_config = FaultScheduleConfig(
-            duration_ms=20_000.0,
-            surrogate_crash_rate_per_min=6.0,
-            host_churn_rate_per_min=6.0,
-            message_loss_rate=0.05,
-            seed=seed,
-        )
-        results = {}
-        for flat in (True, False):
-            monkeypatch.setenv(FLAT_WORLD_ENV, "1" if flat else "0")
-            results[flat] = run_chaos(
-                scenario, fault_config, sessions=12, joins=12, seed=seed
-            )
-        assert results[True].to_dict() == results[False].to_dict()
-        assert results[True].fault_log == results[False].fault_log
+        assert flat_trace == ref_trace
+        assert b"close_set.build" in flat_trace  # the spans were actually emitted
