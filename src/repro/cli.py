@@ -8,8 +8,8 @@ Commands mirror the paper's workflow:
 - ``section5``   the 14-session Skype study (Tables 1-2, Figs. 6-7);
 - ``section7``   ASAP vs baselines on latent sessions (Figs. 11-16, 18);
 - ``experiment`` the unified experiment engine — section7 on the dense
-                 or streamed substrate at any tier, with stage timings,
-                 peak-RSS accounting and BENCH_e2e.json emission;
+                 or streamed substrate at any tier, with stage and
+                 per-policy timings and peak-RSS accounting;
 - ``scalability``the two-population experiment (Fig. 17);
 - ``call``       one ASAP call on the worst direct pair (or an explicit
                  ``--src``/``--dst`` host pair), verbosely;
@@ -227,6 +227,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     stages = " ".join(f"{k}={v:.2f}s" for k, v in report.stage_seconds.items())
     print(f"stages: {stages}")
+    policies = " ".join(f"{k}={v:.2f}s" for k, v in report.policy_seconds.items())
+    print(f"policies: {policies}")
     print(f"peak RSS: {report.peak_rss_kb} KiB "
           f"(dense matrices would need {report.dense_bytes // (1024 * 1024)} MiB)")
     if report.spill is not None:
@@ -236,9 +238,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     print(f"latent sessions: {len(report.result.latent_sessions)} "
           f"(derived k = {report.derived_k_hops})")
     print(render_method_table(report.result.summaries()))
-    if args.bench_out:
-        path = report.write_bench(args.bench_out)
-        print(f"wrote e2e bench document: {path}")
     return 0
 
 
@@ -905,8 +904,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "default: ephemeral temp dir, removed after the run")
     p.add_argument("--chunk-columns", type=int, default=256, metavar="C",
                    help="columns per spilled chunk (default: 256)")
-    p.add_argument("--bench-out", metavar="PATH",
-                   help="write the BENCH_e2e.json document here")
 
     p = _subcommand(sub, "scalability", cmd_scalability,
                     "two-population experiment (Fig. 17)")

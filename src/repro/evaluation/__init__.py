@@ -11,7 +11,7 @@
   ASAP adapter) plus the default Section-7 roster.
 - :mod:`repro.evaluation.engine` — the unified
   :class:`~repro.evaluation.engine.Experiment` runner (dense or
-  streamed substrate, stage timings, BENCH_e2e emission).
+  streamed substrate, stage and per-policy timings).
 - :mod:`repro.evaluation.section7` — Figs. 11-18 (ASAP vs baselines,
   scalability, overhead).
 - :mod:`repro.evaluation.ablations` — parameter sweeps for the design

@@ -18,24 +18,18 @@ behind one config, with two interchangeable substrates:
   cell/gather/block protocol, which is why the two substrates produce
   bit-identical experiment results.
 
-Each run times its stages, snapshots peak RSS, and can emit a
-benchmark document (``benchmarks/BENCH_e2e.json``) whose schema is
-validated by :func:`validate_e2e_document`.
+Each run times its stages and policies, snapshots peak RSS, and
+annotates them on the run manifest.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
-import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Union
 
 from repro import obs
 from repro.baselines.base import BaselineConfig
@@ -57,23 +51,15 @@ from repro.topology.generator import generate_topology
 from repro.worldarrays.virtual import VirtualMatrices
 
 __all__ = [
-    "E2E_BENCH_SCHEMA_VERSION",
     "Experiment",
     "ExperimentConfig",
     "ExperimentReport",
     "STREAM_SCALES",
     "run_experiment",
-    "validate_e2e_document",
 ]
 
 #: Tiers whose dense matrices exceed sensible memory — streamed by default.
 STREAM_SCALES = ("100k", "1m")
-
-#: Bump when the BENCH_e2e.json document layout changes.
-E2E_BENCH_SCHEMA_VERSION = 1
-
-#: MOS grid of the reduced CDF (paper Figs. 15-16 read MOS ∈ [1, 4.5]).
-MOS_GRID = tuple(round(1.0 + 0.1 * i, 1) for i in range(36))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -146,49 +132,6 @@ class ExperimentReport:
         needed without streaming (rtt + loss float64, hops int64)."""
         return 3 * self.clusters * self.clusters * 8
 
-    def bench_document(self) -> dict:
-        """The run as a BENCH_e2e.json document (validated on write)."""
-        methods = {}
-        for summary in self.result.summaries():
-            row = {k: _jsonable(v) for k, v in asdict(summary).items() if k != "method"}
-            methods[summary.method] = row
-        mos_cdf: Dict[str, list] = {"grid": list(MOS_GRID)}
-        for name in self.result.records:
-            mos = self.result.series(name, "highest_mos")
-            mos_cdf[name] = [float(np.mean(mos <= level)) for level in MOS_GRID]
-        return {
-            "schema": E2E_BENCH_SCHEMA_VERSION,
-            "generated_by": "repro.evaluation.engine",
-            "scale": self.config.scale,
-            "seed": self.config.seed,
-            "streamed": self.streamed,
-            "population": self.population,
-            "clusters": self.clusters,
-            "chunk_columns": self.config.chunk_columns if self.streamed else None,
-            "dense_bytes": self.dense_bytes,
-            "peak_rss_kb": self.peak_rss_kb,
-            "sessions": self.config.session_count,
-            "latent_sessions": len(self.result.latent_sessions),
-            "derived_k_hops": self.derived_k_hops,
-            "stage_seconds": {k: round(v, 6) for k, v in self.stage_seconds.items()},
-            "policy_seconds": {k: round(v, 6) for k, v in self.policy_seconds.items()},
-            "spill": self.spill,
-            "methods": methods,
-            "mos_cdf": mos_cdf,
-        }
-
-    def write_bench(self, path: Union[str, Path]) -> Path:
-        document = self.bench_document()
-        problems = validate_e2e_document(document)
-        if problems:
-            raise ValueError("invalid e2e bench document: " + "; ".join(problems))
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        return path
-
 
 class _TimedPolicy:
     """Wraps a policy to account its evaluation wall-clock per name."""
@@ -223,7 +166,6 @@ class Experiment:
         config = self.config
         stage_seconds: Dict[str, float] = {}
         policy_seconds: Dict[str, float] = {}
-        ephemeral_spill: Optional[Path] = None
         timeline = obs.timeline()
         run_t0 = time.perf_counter()
 
@@ -241,15 +183,20 @@ class Experiment:
                     "engine.rows_per_s", at_ms, rows / seconds, wall=True, stage=stage
                 )
 
+        # Owned here, not by the build: the ``finally`` below must cover a
+        # build that raises after the directory exists.
+        ephemeral_spill: Optional[Path] = None
+        if config.streamed and config.spill_dir is None:
+            ephemeral_spill = Path(tempfile.mkdtemp(prefix="repro-columns-"))
         try:
             with obs.span(
                 "experiment.run", scale=config.scale, streamed=config.streamed
             ):
                 started = time.perf_counter()
                 if config.streamed:
-                    scenario, spill_root = self._build_streamed()
-                    if config.spill_dir is None:
-                        ephemeral_spill = spill_root
+                    scenario = self._build_streamed(
+                        ephemeral_spill or Path(config.spill_dir)
+                    )
                 else:
                     scenario = build_scenario(
                         ScenarioConfig.preset(config.scale, config.seed)
@@ -314,7 +261,16 @@ class Experiment:
                 stage_seconds["reduce"] = time.perf_counter() - started
                 mark_stage("reduce", stage_seconds["reduce"])
 
-                spill = self._spill_accounting(view, ephemeral_spill)
+                spill = None
+                if config.streamed:
+                    stored, total = view.store.chunk_count()
+                    spill = {
+                        "dir": None if ephemeral_spill else str(view.store.root),
+                        "ephemeral": ephemeral_spill is not None,
+                        "chunks": stored,
+                        "chunk_total": total,
+                        "bytes": view.store.stored_bytes(),
+                    }
                 peak_rss = _peak_rss_kb()
                 if timeline:
                     end_ms = (time.perf_counter() - run_t0) * 1000.0
@@ -334,11 +290,7 @@ class Experiment:
                             hits / (hits + misses),
                             wall=True,
                         )
-                obs.annotate(
-                    peak_rss_kb=peak_rss,
-                    stage_seconds={k: round(v, 6) for k, v in stage_seconds.items()},
-                )
-                return ExperimentReport(
+                report = ExperimentReport(
                     config=config,
                     result=result,
                     population=len(scenario.population),
@@ -349,14 +301,25 @@ class Experiment:
                     derived_k_hops=asap_config.k_hops,
                     spill=spill,
                 )
+                obs.annotate(
+                    peak_rss_kb=peak_rss,
+                    stage_seconds={k: round(v, 6) for k, v in stage_seconds.items()},
+                    policy_seconds={k: round(v, 6) for k, v in policy_seconds.items()},
+                    clusters=report.clusters,
+                    dense_bytes=report.dense_bytes,
+                    derived_k_hops=report.derived_k_hops,
+                    spill=spill,
+                )
+                return report
         finally:
             if ephemeral_spill is not None:
                 shutil.rmtree(ephemeral_spill, ignore_errors=True)
 
     # -- internals ---------------------------------------------------------
 
-    def _build_streamed(self) -> Tuple[Scenario, Path]:
-        """Build the world with a streamed matrix view attached.
+    def _build_streamed(self, spill_root: Path) -> Scenario:
+        """Build the world with a streamed matrix view over a column
+        store at ``spill_root`` attached.
 
         Bypasses the scenario artifact cache on purpose: persisting a
         scenario forces dense matrix materialization, the very thing the
@@ -369,10 +332,6 @@ class Experiment:
         with obs.span("experiment.build", scale=config.scale):
             topology = generate_topology(scenario_config.topology)
             scenario = build_scenario_from_topology(topology, scenario_config)
-        if config.spill_dir is not None:
-            spill_root = Path(config.spill_dir)
-        else:
-            spill_root = Path(tempfile.mkdtemp(prefix="repro-columns-"))
         n = len(scenario.clusters.all_clusters())
         store = ColumnStore(
             spill_root,
@@ -387,27 +346,7 @@ class Experiment:
             store=store,
         )
         scenario.attach_virtual_matrices(virtual)
-        return scenario, spill_root
-
-    def _spill_accounting(
-        self, view, ephemeral_spill: Optional[Path]
-    ) -> Optional[dict]:
-        if not self.config.streamed:
-            return None
-        store = view.store
-        if store is None:
-            return None
-        stored, total = store.chunk_count()
-        spilled_bytes = sum(
-            f.stat().st_size for f in store.root.glob("*.npy") if f.is_file()
-        )
-        return {
-            "dir": None if ephemeral_spill is not None else str(store.root),
-            "ephemeral": ephemeral_spill is not None,
-            "chunks": stored,
-            "chunk_total": total,
-            "bytes": spilled_bytes,
-        }
+        return scenario
 
 
 def run_experiment(
@@ -424,126 +363,3 @@ def _peak_rss_kb() -> int:
     except ImportError:  # non-POSIX: no resource module
         return 0
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-def _jsonable(value):
-    """JSON-safe scalar: non-finite floats become None."""
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    return value
-
-
-# -- BENCH_e2e.json schema -------------------------------------------------
-
-_REQUIRED_STAGES = ("build", "sweep", "workload", "evaluate", "reduce")
-
-
-def validate_e2e_document(document: dict) -> List[str]:
-    """Check a BENCH_e2e.json document; returns problems (empty = valid)."""
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return [f"document must be an object, got {type(document).__name__}"]
-
-    def need(mapping, key, kinds, where=""):
-        label = f"{where}{key}"
-        if key not in mapping:
-            problems.append(f"missing field {label!r}")
-            return None
-        value = mapping[key]
-        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in (
-            kinds if isinstance(kinds, tuple) else (kinds,)
-        ):
-            expected = "/".join(
-                t.__name__ for t in (kinds if isinstance(kinds, tuple) else (kinds,))
-            )
-            problems.append(f"field {label!r} must be {expected}")
-            return None
-        return value
-
-    if document.get("schema") != E2E_BENCH_SCHEMA_VERSION:
-        problems.append(
-            f"schema must be {E2E_BENCH_SCHEMA_VERSION}, got {document.get('schema')!r}"
-        )
-    need(document, "generated_by", str)
-    need(document, "scale", str)
-    need(document, "seed", int)
-    need(document, "streamed", bool)
-    need(document, "population", int)
-    need(document, "clusters", int)
-    need(document, "dense_bytes", int)
-    need(document, "peak_rss_kb", int)
-    need(document, "sessions", int)
-    need(document, "latent_sessions", int)
-    need(document, "derived_k_hops", int)
-    stages = need(document, "stage_seconds", dict)
-    if stages is not None:
-        for stage in _REQUIRED_STAGES:
-            if not isinstance(stages.get(stage), (int, float)):
-                problems.append(f"stage_seconds.{stage} must be a number")
-    policies = need(document, "policy_seconds", dict)
-    if policies is not None:
-        for key, value in policies.items():
-            if not isinstance(value, (int, float)):
-                problems.append(f"policy_seconds.{key} must be a number")
-    if document.get("streamed"):
-        spill = need(document, "spill", dict)
-        if spill is not None:
-            for key, kinds in (
-                ("ephemeral", bool),
-                ("chunks", int),
-                ("chunk_total", int),
-                ("bytes", int),
-            ):
-                if not isinstance(spill.get(key), kinds):
-                    problems.append(f"spill.{key} must be {kinds.__name__}")
-    methods = need(document, "methods", dict)
-    if methods is not None:
-        if not methods:
-            problems.append("methods must not be empty")
-        for name, row in methods.items():
-            if not isinstance(row, dict):
-                problems.append(f"methods.{name} must be an object")
-                continue
-            if not isinstance(row.get("sessions"), int):
-                problems.append(f"methods.{name}.sessions must be an integer")
-            if "mos_median" not in row:
-                problems.append(f"methods.{name} missing field 'mos_median'")
-    mos_cdf = need(document, "mos_cdf", dict)
-    if mos_cdf is not None:
-        grid = mos_cdf.get("grid")
-        if not isinstance(grid, list) or not grid:
-            problems.append("mos_cdf.grid must be a non-empty list")
-        else:
-            for name, series in mos_cdf.items():
-                if name == "grid":
-                    continue
-                if not isinstance(series, list) or len(series) != len(grid):
-                    problems.append(f"mos_cdf.{name} must match the grid length")
-    return problems
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Validate a BENCH_e2e.json document from the command line."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.evaluation.engine",
-        description="Validate an end-to-end experiment benchmark document.",
-    )
-    parser.add_argument("path", help="path to BENCH_e2e.json")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when the document is invalid (default: report only)",
-    )
-    args = parser.parse_args(argv)
-    document = json.loads(Path(args.path).read_text(encoding="utf-8"))
-    problems = validate_e2e_document(document)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        return 1 if args.check else 0
-    print(f"{args.path}: valid e2e bench document (schema {document['schema']})")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -128,19 +128,14 @@ class ColumnStore:
             np.load(hops_path, mmap_mode="r"),
         )
 
-    def iter_blocks(
-        self,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(cols, rtt, loss, hops)`` for every stored chunk, in
-        column order (every chunk must exist)."""
-        for start in self.starts():
-            rtt, loss, hops = self.load(start)
-            yield self.columns_of(start), rtt, loss, hops
-
     def chunk_count(self) -> Tuple[int, int]:
         """(stored, total) chunk counts — resume progress."""
         stored = sum(1 for start in self.starts() if self.has(start))
         return stored, len(self.starts())
+
+    def stored_bytes(self) -> int:
+        """Bytes on disk across every chunk file."""
+        return sum(path.stat().st_size for path in self.root.glob("*.npy"))
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -3,11 +3,14 @@
 :class:`VirtualMatrices` exposes the same read surface as dense
 :class:`~repro.measurement.matrix.DelegateMatrices` — header arrays,
 cell reads, broadcast gathers, column-block iteration, the workload's
-finite-row fractions — but computes everything column-at-a-time from a
+finite-row fractions — over a chunked
+:class:`~repro.storage.columns.ColumnStore`.  Every read is a *chunk
+fault*: the first touch of a chunk adopts it from disk, or assembles it
+column-at-a-time with a
 :class:`~repro.worldarrays.matrixfill.FlatMatrixAssembler` over
-:class:`~repro.worldarrays.arrays.WorldArrays`, with an optional
-:class:`~repro.storage.columns.ColumnStore` spilling computed blocks to
-disk.
+:class:`~repro.worldarrays.arrays.WorldArrays`, spills it, and maps it;
+every later read indexes the memory-mapped arrays.  There is no second
+way to answer a read.
 
 Bit-identical contract: every value this view returns is the float (or
 int) the dense assembly would have stored in the same cell —
@@ -15,26 +18,27 @@ int) the dense assembly would have stored in the same cell —
 - off-diagonal cells come from the same per-destination-AS broadcast
   fill the flat dense path runs (IEEE elementwise ops are
   value-identical to their scalar forms);
-- diagonal cells come from per-cluster vectors computed with the dense
-  path's own scalar loop (``2.0 * endpoint + 4.0 * access``);
+- diagonal cells are overridden after the fill with the dense path's
+  own scalar expression (``2.0 * endpoint + 4.0 * access``);
 - spilled chunks round-trip bit-exactly through ``.npy`` files.
 
 Memory discipline at the 100k tier (V ≈ 8.6k ASes, N = 100k clusters):
 
-- the assembler's one-way memo is an LRU (``memo_limit``), so resolved
-  trees never accumulate past a few hundred × ~25·V bytes;
+- the assembler's one-way memo is an LRU (:data:`_MEMO_LIMIT`), so
+  resolved trees never accumulate past a few hundred × ~25·V bytes;
 - the policy router's own tree cache (4096 entries ≈ 0.9 MB each at
-  that V) is flushed every ``router_flush_interval`` fresh resolutions;
-- once a sweep has spilled every chunk, *all* reads route through the
-  memory-mapped store — random row/cell reads fault pages, not arrays.
+  that V) is flushed every :data:`_ROUTER_FLUSH_INTERVAL` fresh
+  resolutions;
+- reads fault mmap pages, not arrays.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.measurement.latency import LatencyModel
 from repro.measurement.matrix import UNREACHABLE, cluster_headers
 from repro.storage.columns import ColumnStore
@@ -42,6 +46,13 @@ from repro.worldarrays.arrays import WorldArrays
 from repro.worldarrays.matrixfill import FlatMatrixAssembler
 
 __all__ = ["VirtualMatrices"]
+
+#: LRU bound on the assembler's one-way memo (destination ASes).
+_MEMO_LIMIT = 256
+
+#: Fresh destination-AS resolutions between policy-router cache flushes
+#: (each cached tree is ~0.2 MB per thousand ASes; the router keeps 4096).
+_ROUTER_FLUSH_INTERVAL = 64
 
 
 class VirtualMatrices:
@@ -53,18 +64,19 @@ class VirtualMatrices:
         cluster_list,
         *,
         chunk_columns: int = 256,
-        store: Optional[ColumnStore] = None,
-        memo_limit: Optional[int] = 256,
-        router_flush_interval: int = 64,
+        store: ColumnStore,
     ) -> None:
-        if store is not None and store.chunk != chunk_columns:
+        if not isinstance(store, ColumnStore):
+            raise TypeError(
+                f"VirtualMatrices reads through a ColumnStore, got {type(store).__name__}"
+            )
+        if store.chunk != chunk_columns:
             raise ValueError(
                 f"store chunk width {store.chunk} != chunk_columns {chunk_columns}"
             )
         self._model = model
         self._chunk = int(chunk_columns)
         self._store = store
-        self._router_flush_interval = int(router_flush_interval)
         self._fresh_resolutions = 0
 
         (
@@ -74,26 +86,16 @@ class VirtualMatrices:
             self.sizes,
             self._access,
         ) = cluster_headers(cluster_list)
+        if store.n != len(self.prefixes):
+            raise ValueError(
+                f"store is for n={store.n}, world has n={len(self.prefixes)}"
+            )
         self._world = WorldArrays.from_clusters(model, cluster_list)
-        self._assembler = FlatMatrixAssembler(model, self._world, memo_limit=memo_limit)
-
-        n = len(self.prefixes)
-        if store is not None and (store.n != n):
-            raise ValueError(f"store is for n={store.n}, world has n={n}")
-
-        # Diagonal vectors, computed with the dense path's scalar loop so
-        # every diagonal read is bit-identical to the materialized matrix.
-        diag_rtt = np.empty(n, dtype=float)
-        diag_loss = np.empty(n, dtype=float)
-        for i in range(n):
-            asn = int(self.asn_of[i])
-            diag_rtt[i] = 2.0 * model.endpoint_cost_ms(asn) + 4.0 * self._access[i]
-            diag_loss[i] = model.conditions.loss_of(asn)
-        self._diag_rtt = diag_rtt
-        self._diag_loss = diag_loss
-
+        self._assembler = FlatMatrixAssembler(
+            model, self._world, memo_limit=_MEMO_LIMIT
+        )
         self._mmap_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._finite_fractions: Optional[np.ndarray] = None
+        self._finite_fractions = None
 
     # -- headers -------------------------------------------------------
 
@@ -106,14 +108,30 @@ class VirtualMatrices:
         return self._world
 
     @property
-    def store(self) -> Optional[ColumnStore]:
+    def store(self) -> ColumnStore:
         return self._store
 
     @property
     def chunk_columns(self) -> int:
         return self._chunk
 
-    # -- block computation ---------------------------------------------
+    # -- the one read path ---------------------------------------------
+
+    def _chunk_arrays(self, start: int):
+        """Memory-mapped ``(rtt, loss, hops)`` of the chunk at ``start``:
+        cached handles, else adopted from disk, else assembled, spilled
+        and mapped."""
+        arrays = self._mmap_cache.get(start)
+        if arrays is None:
+            if self._store.has(start):
+                obs.counter("columns.chunks.hit").inc()
+            else:
+                obs.counter("columns.chunks.miss").inc()
+                self._store.save(
+                    start, *self._compute_block(self._store.columns_of(start))
+                )
+            arrays = self._mmap_cache[start] = self._store.load(start)
+        return arrays
 
     def _compute_block(self, cols: np.ndarray):
         """Assemble one column block exactly as the dense fill would."""
@@ -125,169 +143,79 @@ class VirtualMatrices:
         self._assembler.fill_columns(
             cols, rtt, loss, hops, positions=np.arange(len(cols), dtype=np.int64)
         )
-        # Diagonal overrides, after the fill (dense-path order).
+        # Diagonal overrides, after the fill, with the dense path's own
+        # scalar expressions so every diagonal read is bit-identical.
         for pos, j in enumerate(cols):
             j = int(j)
-            rtt[j, pos] = self._diag_rtt[j]
-            loss[j, pos] = self._diag_loss[j]
+            asn = int(self.asn_of[j])
+            rtt[j, pos] = (
+                2.0 * self._model.endpoint_cost_ms(asn) + 4.0 * self._access[j]
+            )
+            loss[j, pos] = self._model.conditions.loss_of(asn)
             hops[j, pos] = 0
         return rtt, loss, hops
 
     def _note_resolutions(self, cols: np.ndarray) -> None:
         """Bound the policy router's tree LRU: count the destination ASes
         this block will freshly resolve and flush the router cache every
-        ``router_flush_interval`` of them (each cached tree is ~0.2 MB
-        per thousand ASes; the default LRU keeps 4096)."""
-        fresh = 0
+        :data:`_ROUTER_FLUSH_INTERVAL` of them."""
         for as_idx in np.unique(self._world.cluster_as_idx[cols]):
             if not self._assembler.memoized(int(self._world.as_ids[as_idx])):
-                fresh += 1
-        self._fresh_resolutions += fresh
-        if self._fresh_resolutions >= self._router_flush_interval:
+                self._fresh_resolutions += 1
+        if self._fresh_resolutions >= _ROUTER_FLUSH_INTERVAL:
             self._model.router.invalidate()
             self._fresh_resolutions = 0
 
-    def _store_ready(self) -> bool:
-        return self._store is not None and self._store.complete()
-
-    def _chunk_arrays(self, start: int):
-        """Memory-mapped arrays of one stored chunk (cached handles)."""
-        if start not in self._mmap_cache:
-            self._mmap_cache[start] = self._store.load(start)
-        return self._mmap_cache[start]
-
     # -- view protocol -------------------------------------------------
 
+    def ensure_spilled(self) -> None:
+        """Fault in every chunk not yet on disk (no-op when the store is
+        already complete) — the one place completeness is asked."""
+        if self._store.complete():
+            return
+        for start in self._store.starts():
+            self._chunk_arrays(start)
+
     def iter_column_blocks(
-        self, chunk: Optional[int] = None
+        self,
     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Yield ``(cols, rtt, loss, hops)`` over every destination
-        column, in order, at the view's chunk width (``chunk`` is
-        accepted for dense-signature compatibility and ignored — store
-        geometry is fixed at construction).  Blocks are loaded from the
-        spill store when present, computed (and spilled) otherwise.
-        """
-        from repro import obs
-
-        n = self.count
-        for start in range(0, n, self._chunk):
-            cols = np.arange(start, min(start + self._chunk, n), dtype=np.int64)
-            if self._store is not None:
-                if self._store.has(start):
-                    obs.counter("columns.chunks.hit").inc()
-                    rtt, loss, hops = self._chunk_arrays(start)
-                else:
-                    obs.counter("columns.chunks.miss").inc()
-                    rtt, loss, hops = self._compute_block(cols)
-                    self._store.save(start, rtt, loss, hops)
-                    rtt, loss, hops = self._chunk_arrays(start)
-            else:
-                rtt, loss, hops = self._compute_block(cols)
-            yield cols, rtt, loss, hops
-
-    def ensure_spilled(self) -> None:
-        """Run one full sweep so every chunk is on disk (no-op without a
-        store or when already complete); subsequent random reads then
-        fault mmap pages instead of resolving trees."""
-        if self._store is None or self._store.complete():
-            return
-        for _ in self.iter_column_blocks():
-            pass
+        column, in order, at the store's chunk width."""
+        self.ensure_spilled()
+        for start in self._store.starts():
+            yield (self._store.columns_of(start), *self._chunk_arrays(start))
 
     def rtt_cell(self, i: int, j: int) -> float:
-        i, j = int(i), int(j)
-        if i == j:
-            return float(self._diag_rtt[i])
-        if self._store_ready():
-            start = (j // self._chunk) * self._chunk
-            rtt, _, _ = self._chunk_arrays(start)
-            return float(rtt[i, j - start])
-        resolved = self._resolve_dest(j)
-        if resolved is None:
-            return float(UNREACHABLE)
-        one_way, _, _, reach = resolved
-        src_as = int(self._world.cluster_as_idx[i])
-        if not reach[src_as]:
-            return float(UNREACHABLE)
-        return float(
-            2.0 * one_way[src_as] + 2.0 * (self._access[i] + self._access[j])
-        )
+        return float(self._cell(0, int(i), int(j)))
 
     def loss_cell(self, i: int, j: int) -> float:
-        i, j = int(i), int(j)
-        if i == j:
-            return float(self._diag_loss[i])
-        if self._store_ready():
-            start = (j // self._chunk) * self._chunk
-            _, loss, _ = self._chunk_arrays(start)
-            return float(loss[i, j - start])
-        resolved = self._resolve_dest(j)
-        if resolved is None:
-            return 1.0
-        _, loss_to, _, reach = resolved
-        src_as = int(self._world.cluster_as_idx[i])
-        if not reach[src_as]:
-            return 1.0
-        return float(loss_to[src_as])
+        return float(self._cell(1, int(i), int(j)))
 
-    def _resolve_dest(self, j: int):
-        """One-way arrays toward column ``j``'s destination AS."""
-        cols = np.array([j], dtype=np.int64)
-        self._note_resolutions(cols)
-        dest_as = int(self.asn_of[j])
-        return self._assembler.resolve(dest_as)
+    def _cell(self, which: int, i: int, j: int):
+        start = (j // self._chunk) * self._chunk
+        return self._chunk_arrays(start)[which][i, j - start]
 
     def gather_rtt(self, rows, cols) -> np.ndarray:
-        return self._gather(rows, cols, which="rtt")
+        return self._gather(0, rows, cols)
 
     def gather_loss(self, rows, cols) -> np.ndarray:
-        return self._gather(rows, cols, which="loss")
+        return self._gather(1, rows, cols)
 
-    def _gather(self, rows, cols, which: str) -> np.ndarray:
-        """``matrix[rows, cols]`` with numpy broadcasting, matrix-free."""
+    def _gather(self, which: int, rows, cols) -> np.ndarray:
+        """``matrix[rows, cols]`` with numpy broadcasting, one fancy
+        index per chunk the columns touch."""
         rows_b, cols_b = np.broadcast_arrays(
             np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         )
-        shape = rows_b.shape
         i_flat = rows_b.reshape(-1)
         j_flat = cols_b.reshape(-1)
         out = np.empty(len(i_flat), dtype=float)
-
-        if self._store_ready():
-            chunk_of = (j_flat // self._chunk) * self._chunk
-            for start in np.unique(chunk_of):
-                sel = chunk_of == start
-                rtt, loss, _ = self._chunk_arrays(int(start))
-                block = rtt if which == "rtt" else loss
-                out[sel] = block[i_flat[sel], j_flat[sel] - int(start)]
-            return out.reshape(shape)
-
-        default = UNREACHABLE if which == "rtt" else 1.0
-        out.fill(default)
-        dest_as_idx = self._world.cluster_as_idx[j_flat]
-        for as_idx in np.unique(dest_as_idx):
-            sel = np.nonzero(dest_as_idx == as_idx)[0]
-            self._note_resolutions(j_flat[sel][:1])
-            resolved = self._assembler.resolve(int(self._world.as_ids[as_idx]))
-            if resolved is None:
-                continue
-            one_way, loss_to, _, reach = resolved
-            src_as = self._world.cluster_as_idx[i_flat[sel]]
-            ok = sel[reach[src_as]]
-            if len(ok) == 0:
-                continue
-            s_as = self._world.cluster_as_idx[i_flat[ok]]
-            if which == "rtt":
-                out[ok] = 2.0 * one_way[s_as] + 2.0 * (
-                    self._access[i_flat[ok]] + self._access[j_flat[ok]]
-                )
-            else:
-                out[ok] = loss_to[s_as]
-        diag = i_flat == j_flat
-        if diag.any():
-            source = self._diag_rtt if which == "rtt" else self._diag_loss
-            out[diag] = source[i_flat[diag]]
-        return out.reshape(shape)
+        chunk_of = (j_flat // self._chunk) * self._chunk
+        for start in np.unique(chunk_of):
+            sel = chunk_of == start
+            block = self._chunk_arrays(int(start))[which]
+            out[sel] = block[i_flat[sel], j_flat[sel] - int(start)]
+        return out.reshape(rows_b.shape)
 
     def finite_row_fractions(self) -> np.ndarray:
         """Per-row fraction of finite RTT entries, exactly equal to the

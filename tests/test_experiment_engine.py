@@ -7,26 +7,26 @@ dense run record for record.  These tests pin that contract at the tiny
 tier, plus the satellite surfaces that ship with the engine: scale
 presets (and their deprecation shims), the one canonical
 ``RelayPolicy.evaluate_sessions`` signature, the resumable column
-store, and the BENCH_e2e.json schema.
+store, and the one read path of the streamed view (every read a chunk
+fault through the store).
 """
 
-import dataclasses
-import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.baselines import BaselineConfig
 from repro.baselines.base import RelayPolicy
 from repro.errors import ConfigurationError
 from repro.evaluation import generate_workload
 from repro.evaluation.engine import (
-    E2E_BENCH_SCHEMA_VERSION,
     STREAM_SCALES,
     ExperimentConfig,
-    main as engine_main,
     run_experiment,
-    validate_e2e_document,
 )
 from repro.evaluation.policies import METHOD_NAMES, default_policies
 from repro.scenario import (
@@ -154,6 +154,30 @@ class TestStreamingParity:
         assert {p.name: p.stat().st_mtime_ns for p in sorted(spill.glob("*.npy"))} == stamps
 
 
+class TestRunArtifacts:
+    def test_manifest_annotations_carry_the_run_accounting(self):
+        with obs.observe(command="experiment") as run:
+            report = run_experiment(stream=True, **EXPERIMENT_KWARGS)
+            noted = run.annotations
+        assert set(noted["stage_seconds"]) == set(report.stage_seconds)
+        assert set(noted["policy_seconds"]) == set(METHOD_NAMES)
+        assert noted["clusters"] == report.clusters
+        assert noted["dense_bytes"] == report.dense_bytes
+        assert noted["derived_k_hops"] == report.derived_k_hops
+        assert noted["spill"] == report.spill
+        assert noted["spill"]["ephemeral"] is True
+
+    def test_ephemeral_spill_removed_when_build_raises(self, tmp_path, monkeypatch):
+        def boom(self, *args, **kwargs):
+            raise RuntimeError("build failed after the spill directory exists")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(VirtualMatrices, "__init__", boom)
+        with pytest.raises(RuntimeError, match="build failed"):
+            run_experiment(stream=True, scale="tiny")
+        assert not list(tmp_path.glob("repro-columns-*"))
+
+
 # -- the column store ----------------------------------------------------------
 
 
@@ -215,26 +239,121 @@ class TestColumnStore:
         assert np.array_equal(adopted.load(0)[0], block)
 
 
+# -- the streamed view: one read path ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def world6():
+    scenario = tiny_scenario(seed=6)
+    return scenario, scenario.clusters.all_clusters(), scenario.matrices
+
+
+def _view(world, root, chunk=16):
+    scenario, clusters, _ = world
+    store = ColumnStore(root, key="parity", n=len(clusters), chunk=chunk)
+    return VirtualMatrices(scenario.latency, clusters, chunk_columns=chunk, store=store)
+
+
+@pytest.fixture(scope="module")
+def spilled6(world6, tmp_path_factory):
+    view = _view(world6, tmp_path_factory.mktemp("spilled6"))
+    view.ensure_spilled()
+    return view
+
+
 class TestVirtualSpillRoundTrip:
-    def test_spilled_blocks_match_computed(self, tmp_path):
-        scenario = tiny_scenario(seed=6)
-        clusters = scenario.clusters.all_clusters()
-        fresh = VirtualMatrices(scenario.latency, clusters, chunk_columns=16)
-        store = ColumnStore(tmp_path, key="parity", n=len(clusters), chunk=16)
-        spilled = VirtualMatrices(
-            scenario.latency, clusters, chunk_columns=16, store=store
-        )
-        spilled.ensure_spilled()
-        assert store.complete()
-        # Reads served from the mmap'd store are bit-identical to the
-        # formula path (np.save/np.load round-trips exactly).
-        for (cols_a, rtt_a, loss_a, hops_a), (cols_b, rtt_b, loss_b, hops_b) in zip(
-            fresh.iter_column_blocks(), spilled.iter_column_blocks()
-        ):
-            assert np.array_equal(cols_a, cols_b)
-            assert np.array_equal(rtt_a, rtt_b)
-            assert np.array_equal(loss_a, loss_b)
-            assert np.array_equal(hops_a, hops_b)
+    def test_spilled_blocks_match_computed(self, world6, tmp_path):
+        dense = world6[2]
+        view = _view(world6, tmp_path)
+        seen = []
+        for cols, rtt, loss, hops in view.iter_column_blocks():
+            seen.extend(cols)
+            assert np.array_equal(rtt, dense.rtt_ms[:, cols])
+            assert np.array_equal(loss, dense.loss[:, cols])
+            assert np.array_equal(hops, dense.as_hops[:, cols])
+        assert seen == list(range(dense.count))
+        assert view.store.complete()
+        assert np.array_equal(view.finite_row_fractions(), dense.finite_row_fractions())
+
+
+_INDEX_SHAPES = st.sampled_from(["scalar", "vector", "outer", "diagonal"])
+
+
+class TestVirtualReads:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shape=_INDEX_SHAPES)
+    def test_gathers_and_cells_equal_dense_indexing(self, world6, spilled6, data, shape):
+        dense = world6[2]
+        index = st.integers(0, dense.count - 1)
+        vector = st.lists(index, min_size=1, max_size=24)
+        if shape == "scalar":
+            rows, cols = data.draw(index), data.draw(index)
+        elif shape == "vector":
+            cols = np.array(data.draw(vector))  # spans several 16-wide chunks
+            rows = np.array(
+                data.draw(st.lists(index, min_size=len(cols), max_size=len(cols)))
+            )
+        elif shape == "outer":
+            rows = np.array(data.draw(vector))[:, None]
+            cols = np.array(data.draw(vector))[None, :]
+        else:
+            rows = cols = np.array(data.draw(vector))
+        assert np.array_equal(spilled6.gather_rtt(rows, cols), dense.rtt_ms[rows, cols])
+        assert np.array_equal(spilled6.gather_loss(rows, cols), dense.loss[rows, cols])
+        for i, j in zip(*(np.ravel(a) for a in np.broadcast_arrays(rows, cols))):
+            assert spilled6.rtt_cell(i, j) == dense.rtt_ms[i, j]
+            assert spilled6.loss_cell(i, j) == dense.loss[i, j]
+
+    def test_read_faults_in_exactly_the_chunk_it_touches(self, world6, tmp_path):
+        dense = world6[2]
+        rows, cols = np.arange(dense.count)[:, None], np.array([17, 20, 31])[None, :]
+        with obs.observe():
+            first = _view(world6, tmp_path)
+            total = len(first.store.starts())
+            assert total > 1
+            got = first.gather_rtt(rows, cols)
+            assert np.array_equal(got, dense.rtt_ms[rows, cols])
+            assert first.store.chunk_count() == (1, total)
+            assert obs.counter("columns.chunks.miss").value == 1
+        stamps = {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("*.npy")}
+        with obs.observe():
+            second = _view(world6, tmp_path)
+            assert np.array_equal(second.gather_rtt(rows, cols), got)
+            assert obs.counter("columns.chunks.miss").value == 0
+            assert obs.counter("columns.chunks.hit").value == 1
+        assert {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("*.npy")} == stamps
+
+    def test_reads_never_poll_the_store(self, world6, spilled6, monkeypatch):
+        polls = []
+        for name in ("has", "complete"):
+            monkeypatch.setattr(
+                ColumnStore, name, lambda self, *a, _name=name: polls.append(_name)
+            )
+        rng = np.random.default_rng(0)
+        n = spilled6.count
+        for _ in range(1000):
+            rows, cols = rng.integers(0, n, (2, 5))
+            spilled6.gather_rtt(rows, cols)
+            spilled6.gather_loss(rows[:, None], cols[None, :])
+            spilled6.rtt_cell(rows[0], cols[0])
+            spilled6.loss_cell(rows[1], cols[1])
+        assert polls == []
+
+    def test_store_is_required(self, world6):
+        scenario, clusters, _ = world6
+        with pytest.raises(TypeError):
+            VirtualMatrices(scenario.latency, clusters, chunk_columns=16)
+        with pytest.raises(TypeError):
+            VirtualMatrices(scenario.latency, clusters, chunk_columns=16, store=None)
+
+    def test_store_geometry_must_match(self, world6, tmp_path):
+        scenario, clusters, _ = world6
+        narrow = ColumnStore(tmp_path / "a", key="k", n=len(clusters), chunk=8)
+        with pytest.raises(ValueError, match="chunk width"):
+            VirtualMatrices(scenario.latency, clusters, chunk_columns=16, store=narrow)
+        short = ColumnStore(tmp_path / "b", key="k", n=len(clusters) - 1, chunk=16)
+        with pytest.raises(ValueError, match="n="):
+            VirtualMatrices(scenario.latency, clusters, chunk_columns=16, store=short)
 
 
 # -- one canonical policy signature --------------------------------------------
@@ -276,51 +395,3 @@ class TestRelayPolicyConformance:
         world = scenario.matrix_view()
         with pytest.raises(ConfigurationError):
             policies[0].evaluate_sessions(world, [(0, 1)], session_ids=[1, 2])
-
-
-# -- BENCH_e2e.json schema -----------------------------------------------------
-
-
-class TestBenchDocument:
-    def test_report_document_validates(self, reports):
-        for report in reports[:2]:
-            document = report.bench_document()
-            assert validate_e2e_document(document) == []
-            assert document["schema"] == E2E_BENCH_SCHEMA_VERSION
-
-    def test_document_is_json_clean(self, reports):
-        dense, _, _ = reports
-        encoded = json.dumps(dense.bench_document(), sort_keys=True)
-        assert "Infinity" not in encoded and "NaN" not in encoded
-
-    def test_write_and_cli_check(self, reports, tmp_path):
-        _, streamed, _ = reports
-        path = streamed.write_bench(tmp_path / "BENCH_e2e.json")
-        assert engine_main([str(path), "--check"]) == 0
-
-    def test_rejects_broken_documents(self, reports, capsys):
-        dense, _, _ = reports
-        good = dense.bench_document()
-
-        wrong_schema = dict(good, schema=99)
-        assert any("schema" in p for p in validate_e2e_document(wrong_schema))
-
-        no_stage = dict(good, stage_seconds={"build": 1.0})
-        assert any("sweep" in p for p in validate_e2e_document(no_stage))
-
-        no_methods = dict(good, methods={})
-        assert any("methods" in p for p in validate_e2e_document(no_methods))
-
-        grid = dict(good["mos_cdf"])
-        grid["OPT"] = grid["OPT"][:-1]
-        bad_grid = dict(good, mos_cdf=grid)
-        assert any("OPT" in p for p in validate_e2e_document(bad_grid))
-
-        streamed_no_spill = dict(good, streamed=True, spill=None)
-        assert any("spill" in p for p in validate_e2e_document(streamed_no_spill))
-
-    def test_cli_check_fails_on_invalid(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": 0}), encoding="utf-8")
-        assert engine_main([str(bad), "--check"]) == 1
-        assert engine_main([str(bad)]) == 0  # report-only mode
