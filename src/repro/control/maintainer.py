@@ -262,11 +262,11 @@ class CloseSetMaintainer:
         # expands): the BFS shape is intact, patch the entries in place.
         meta[asn] = (depth, new_verdict)
         if transition == "offline":
-            close_set.entries.pop(cluster, None)
+            close_set.discard(cluster)
         else:
             for entry in passing:
                 if entry.cluster == cluster:
-                    close_set.entries.setdefault(cluster, entry)
+                    close_set.add(entry)
         self._log(at_ms, "patch", owner=owner, cluster=cluster, op=transition)
         self.local_repairs += 1
         obs.counter("control.maintainer.local_repairs").inc()

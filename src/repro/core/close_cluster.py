@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.bgp.asgraph import ASGraph, _PHASE_DOWN, _PHASE_UP
 from repro.core.config import ASAPConfig
 from repro.errors import ProtocolError
@@ -38,7 +40,12 @@ class CloseClusterEntry:
 
 @dataclass
 class CloseClusterSet:
-    """The close cluster set of one cluster (keyed by matrix index)."""
+    """The close cluster set of one cluster (keyed by matrix index).
+
+    ``entries`` is the source of truth.  Once a set is in use, change its
+    membership only through :meth:`add` / :meth:`discard`: they keep the
+    array form :meth:`rows` serves to relay selection in step.
+    """
 
     owner: int
     entries: Dict[int, CloseClusterEntry] = field(default_factory=dict)
@@ -47,6 +54,9 @@ class CloseClusterSet:
     #: Probe messages split by the AS whose clusters were probed — the
     #: trace layer's L2/L4 attribution (which AS absorbed the probing).
     probes_by_as: Dict[int, int] = field(default_factory=dict)
+    _rows: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __contains__(self, cluster: int) -> bool:
         return cluster in self.entries
@@ -62,8 +72,36 @@ class CloseClusterSet:
                 f"cluster {cluster} not in close set of {self.owner}"
             ) from None
 
+    def rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(clusters, rtt_ms)``: the members as an ascending ``int64``
+        array and their RTTs as an aligned ``float64`` array — the form
+        select-close-relay intersects.  Read-only by convention."""
+        if self._rows is None:
+            clusters = sorted(self.entries)
+            self._rows = (
+                np.array(clusters, dtype=np.int64),
+                np.array([self.entries[c].rtt_ms for c in clusters], dtype=np.float64),
+            )
+        return self._rows
+
+    def seed_rows(self, clusters: np.ndarray, rtt_ms: np.ndarray) -> None:
+        """Install :meth:`rows` from arrays the caller filled ``entries``
+        from (the flat builder, the wire decoder), sparing the dict→array
+        pass; they must equal what :meth:`rows` would derive."""
+        self._rows = (clusters, rtt_ms)
+
     def clusters(self) -> List[int]:
-        return sorted(self.entries)
+        return self.rows()[0].tolist()
+
+    def add(self, entry: CloseClusterEntry) -> None:
+        """Admit ``entry`` unless its cluster is already a member."""
+        self.entries.setdefault(entry.cluster, entry)
+        self._rows = None
+
+    def discard(self, cluster: int) -> None:
+        """Evict ``cluster`` if it is a member."""
+        self.entries.pop(cluster, None)
+        self._rows = None
 
 
 def construct_close_cluster_set(

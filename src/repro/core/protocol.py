@@ -191,7 +191,7 @@ class ASAPSystem:
             raise ProtocolError(f"no surrogate for cluster {cluster_index}") from None
 
     def clusters_in_as(self, asn: int) -> List[int]:
-        """Matrix indices of online clusters hosted by an AS."""
+        """Matrix indices of every cluster hosted by an AS, online or not."""
         return list(self._clusters_by_as.get(asn, ()))
 
     def cluster_of_ip(self, ip: IPv4Address) -> int:

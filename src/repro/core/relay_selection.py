@@ -19,7 +19,7 @@ costs 2 more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,64 +118,62 @@ def select_close_relay(
     ``cluster_size`` maps a cluster index to its online host count;
     ``close_set_of`` fetches another surrogate's close cluster set (the
     two-hop step; each call is billed 2 messages).
+
+    Works on the sets' sorted :meth:`CloseClusterSet.rows`: the one-hop
+    intersection is a sorted-array intersection, each two-hop expansion
+    a ``searchsorted`` membership test of the fetched set in S2.  Sums
+    keep the scalar specification's left-to-right operand order
+    (``tests/oracles.py``), so every relay RTT is the same float.
     """
     if config is None:
         config = ASAPConfig()
+    lat_threshold = config.lat_threshold_ms
     result = RelaySelection()
     result.messages += 2  # h1 obtains S2 from h2 (request + response)
 
     # One-hop: intersect close sets.
-    common = sorted(set(s1.entries) & set(s2.entries))
-    for cluster in common:
+    c1, rtt1 = s1.rows()
+    c2, rtt2 = s2.rows()
+    common, at1, at2 = np.intersect1d(c1, c2, assume_unique=True, return_indices=True)
+    leg1 = rtt1[at1]
+    relay_rtt = leg1 + rtt2[at2] + config.relay_delay_rtt_ms
+    close = relay_rtt < lat_threshold
+    first_hops: List[Tuple[int, float, int]] = []  # (cluster, S1 rtt, size)
+    for cluster, leg, rtt in zip(
+        common[close].tolist(), leg1[close].tolist(), relay_rtt[close].tolist()
+    ):
         size = cluster_size(cluster)
         if size <= 0:
             continue  # churned dark: no hosts left to relay through
-        relay_rtt = s1.rtt_to(cluster) + s2.rtt_to(cluster) + config.relay_delay_rtt_ms
-        if relay_rtt < config.lat_threshold_ms:
-            result.one_hop.append(
-                OneHopCandidate(
-                    cluster=cluster,
-                    relay_rtt_ms=relay_rtt,
-                    member_ips=size,
-                )
-            )
+        result.one_hop.append(
+            OneHopCandidate(cluster=cluster, relay_rtt_ms=rtt, member_ips=size)
+        )
+        first_hops.append((cluster, leg, size))
 
     if result.one_hop_ips >= config.size_threshold:
         return result
 
     # Two-hop: expand through the close sets of one-hop candidate
     # clusters (the surrogates of clusters already known close to h1).
-    first_hops = [c.cluster for c in result.one_hop]
+    # First hops ascend and each fetched set's rows ascend, so
+    # candidates come out in (r1, r2) order.
     if config.max_two_hop_queries is not None:
         first_hops = first_hops[: config.max_two_hop_queries]
-    seen_pairs: Dict[Tuple[int, int], float] = {}
-    for r1 in first_hops:
-        os1 = close_set_of(r1)
+    both_delays = 2.0 * config.relay_delay_rtt_ms
+    for r1, leg, size1 in first_hops:
+        via, via_rtt = close_set_of(r1).rows()
         result.messages += 2
         result.two_hop_queries += 1
-        for r2 in os1.clusters():
-            if r2 not in s2.entries or r2 == r1:
-                continue
-            relay_rtt = (
-                s1.rtt_to(r1)
-                + os1.rtt_to(r2)
-                + s2.rtt_to(r2)
-                + 2.0 * config.relay_delay_rtt_ms
+        # r1 is in S2, so S2 is not empty and the clipped index is valid.
+        at2 = np.minimum(np.searchsorted(c2, via), len(c2) - 1)
+        keep = (c2[at2] == via) & (via != r1)
+        relay_rtt = leg + via_rtt[keep] + rtt2[at2[keep]] + both_delays
+        close = relay_rtt < lat_threshold
+        for r2, rtt in zip(via[keep][close].tolist(), relay_rtt[close].tolist()):
+            pairs = size1 * cluster_size(r2)
+            if pairs <= 0:
+                continue  # the second leg's cluster has churned dark
+            result.two_hop.append(
+                TwoHopCandidate(first=r1, second=r2, relay_rtt_ms=rtt, member_pairs=pairs)
             )
-            if relay_rtt < config.lat_threshold_ms:
-                key = (r1, r2)
-                if key not in seen_pairs or relay_rtt < seen_pairs[key]:
-                    seen_pairs[key] = relay_rtt
-    for (r1, r2), relay_rtt in sorted(seen_pairs.items()):
-        pairs = cluster_size(r1) * cluster_size(r2)
-        if pairs <= 0:
-            continue  # either leg's cluster has churned dark
-        result.two_hop.append(
-            TwoHopCandidate(
-                first=r1,
-                second=r2,
-                relay_rtt_ms=relay_rtt,
-                member_pairs=pairs,
-            )
-        )
     return result

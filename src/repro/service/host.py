@@ -38,7 +38,13 @@ from repro.core.relay_selection import (
     select_close_relay,
 )
 from repro.core.runtime import RuntimePolicy
-from repro.errors import RemoteError, ServiceError, TransportError, TransportTimeout
+from repro.errors import (
+    ProtocolError,
+    RemoteError,
+    ServiceError,
+    TransportError,
+    TransportTimeout,
+)
 from repro.net.codec import (
     ROLE_HOST,
     Bye,
@@ -552,9 +558,14 @@ class HostAgent(ServiceNode):
             if not isinstance(reply, CloseSetReply):
                 leg_span.end(self.now_ms(), outcome="timeout")
                 continue
+            try:
+                close_set = pairs_to_close_set(reply.owner, reply.entries)
+            except ProtocolError:
+                leg_span.end(self.now_ms(), outcome="malformed")
+                continue
             elapsed = round(self.now_ms() - start, 3)
             leg_span.end(self.now_ms(), outcome="ok", rtt_ms=elapsed)
-            return pairs_to_close_set(reply.owner, reply.entries)
+            return close_set
         return None
 
     async def _setup_relay(
@@ -700,13 +711,15 @@ class HostAgent(ServiceNode):
         except TransportError:
             query.end(self.now_ms(), outcome="timeout")
             return
-        if isinstance(reply, CloseSetReply):
-            fetched[cluster] = pairs_to_close_set(reply.owner, reply.entries)
-            query.end(
-                self.now_ms(), outcome="ok", rtt_ms=round(self.now_ms() - start, 3)
-            )
-        else:
+        if not isinstance(reply, CloseSetReply):
             query.end(self.now_ms(), outcome="timeout")
+            return
+        try:
+            fetched[cluster] = pairs_to_close_set(reply.owner, reply.entries)
+        except ProtocolError:
+            query.end(self.now_ms(), outcome="malformed")
+            return
+        query.end(self.now_ms(), outcome="ok", rtt_ms=round(self.now_ms() - start, 3))
 
     async def _establish_relay(
         self,

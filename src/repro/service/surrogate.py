@@ -14,8 +14,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro import obs
-from repro.errors import ServiceError
+from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.errors import ProtocolError, ServiceError
 from repro.net.codec import (
     ERR_NOT_SERVING,
     ROLE_SURROGATE,
@@ -38,23 +41,31 @@ __all__ = ["SurrogateServer", "close_set_to_pairs", "pairs_to_close_set"]
 
 
 def close_set_to_pairs(close_set) -> list:
-    """Wire form of a close cluster set: sorted (cluster, rtt) pairs."""
-    return [
-        (cluster, close_set.entries[cluster].rtt_ms)
-        for cluster in sorted(close_set.entries)
-    ]
+    """Wire form of a close cluster set: (cluster, rtt) pairs, cluster
+    ids strictly ascending."""
+    clusters, rtt_ms = close_set.rows()
+    return list(zip(clusters.tolist(), rtt_ms.tolist()))
 
 
-def pairs_to_close_set(owner: int, pairs) -> "CloseClusterSet":
+def pairs_to_close_set(owner: int, pairs) -> CloseClusterSet:
     """Rebuild a usable close set from its wire pairs.
 
     Only membership and RTT travel (all select-close-relay needs);
     loss and hop depth are measurement-side detail that stays with the
-    owning surrogate.
+    owning surrogate.  The pairs must be what :func:`close_set_to_pairs`
+    emits — strictly ascending cluster ids, finite non-negative RTTs —
+    and anything else raises :class:`ProtocolError`.
     """
-    from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
-
-    return CloseClusterSet(
+    table = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    clusters = table[:, 0].astype(np.int64)
+    rtt_ms = np.ascontiguousarray(table[:, 1])
+    if np.any(clusters[1:] <= clusters[:-1]):
+        raise ProtocolError(
+            f"close set of {owner}: cluster ids are not strictly ascending"
+        )
+    if not np.all(np.isfinite(rtt_ms) & (rtt_ms >= 0.0)):
+        raise ProtocolError(f"close set of {owner}: negative or non-finite RTT")
+    close_set = CloseClusterSet(
         owner=owner,
         entries={
             cluster: CloseClusterEntry(
@@ -63,6 +74,8 @@ def pairs_to_close_set(owner: int, pairs) -> "CloseClusterSet":
             for cluster, rtt in pairs
         },
     )
+    close_set.seed_rows(clusters, rtt_ms)
+    return close_set
 
 
 class SurrogateServer(ServiceNode):

@@ -11,8 +11,8 @@ matrix-fill and close-set code production runs:
   walk becomes a level-ordered array scan, the per-row python loop a
   single gather);
 - :mod:`repro.worldarrays.closesets` — ``construct-close-cluster-set``
-  as a vectorized valley-free BFS over int frontiers, with a batch API
-  that builds the sets of many source clusters in one sweep.
+  as a vectorized valley-free BFS over int frontiers that probes each
+  BFS level with one gather pair.
 
 Both are guarded by parity tests: for identical seeds they produce
 **bit-identical** results to their executable specifications — the

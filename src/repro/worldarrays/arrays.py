@@ -48,7 +48,7 @@ def csr_gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.
     return indices[positions]
 
 
-def _bucket_csr(count: int, lists: Dict[int, np.ndarray]) -> tuple:
+def bucket_csr(count: int, lists: Dict[int, np.ndarray]) -> tuple:
     """Pack per-row neighbor arrays into (indptr, indices)."""
     counts = np.zeros(count, dtype=np.int64)
     for row, neighbors in lists.items():
@@ -101,7 +101,7 @@ class GraphCSR:
                     lists[row] = np.array(
                         sorted(index_of[m] for m in members), dtype=np.int64
                     )
-            return _bucket_csr(count, lists)
+            return bucket_csr(count, lists)
 
         providers = bucket(graph.providers)
         customers = bucket(graph.customers)
@@ -233,7 +233,7 @@ class WorldArrays:
         rows_lists: Dict[int, List[int]] = {}
         for row, as_idx in enumerate(cluster_as_idx):
             rows_lists.setdefault(int(as_idx), []).append(row)
-        rows_indptr, rows_indices = _bucket_csr(
+        rows_indptr, rows_indices = bucket_csr(
             count, {k: np.array(v, dtype=np.int64) for k, v in rows_lists.items()}
         )
         return cls(

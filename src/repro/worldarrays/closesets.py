@@ -5,13 +5,16 @@ every maintainer rebuild, verdict and patch.  The executable
 specification (:func:`repro.core.close_cluster.construct_close_cluster_set`,
 the Fig. 9 transcription tests compare against) runs a level-synchronous
 valley-free BFS with python sets; this builder runs the same levels as
-boolean masks over the CSR step tables:
+arrays over the CSR step tables:
 
-- the frontier is a pair of (UP, DOWN) phase masks; one level is four
-  ragged CSR gathers (providers, peers, customers, siblings) instead of
-  per-AS python iteration;
-- probing a newly discovered AS is one vectorized threshold pass over
-  the matrix rows of its clusters.
+- the frontier is the pair of (UP, DOWN) index arrays the previous level
+  discovered; one level is four ragged CSR gathers (providers, peers,
+  customers, siblings) instead of per-AS python iteration;
+- expansion rights only matter at the *next* level, so the ASes a level
+  newly visits are one independent batch: their cluster rows come out of
+  one CSR gather, are probed with one ``gather_rtt`` and one
+  ``gather_loss`` from the owner, and the per-AS verdicts are two
+  ``np.bincount`` passes over the owning-AS index.
 
 It reproduces the reference *exactly*: same entries (cluster, rtt,
 loss, depth), same ``probe_messages`` / ``probes_by_as`` /
@@ -19,9 +22,8 @@ loss, depth), same ``probe_messages`` / ``probes_by_as`` /
 (counters, histograms, and the ``close_set.build`` trace span), so
 ``traces.jsonl`` is byte-identical whichever path built the set.
 
-The batch API (:meth:`FlatCloseSetBuilder.build_many`) shares one CSR
-export and the probe arrays across every source cluster — the per-world
-setup cost is paid once per sweep instead of once per surrogate.
+Every build shares the builder's one CSR export, cluster-row table and
+probe view; nothing is set up per source cluster.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.core.close_cluster import (
     emit_build_observability,
 )
 from repro.core.config import ASAPConfig
-from repro.worldarrays.arrays import GraphCSR, csr_gather
+from repro.worldarrays.arrays import GraphCSR, bucket_csr, csr_gather
 
 
 class FlatCloseSetBuilder:
@@ -61,12 +63,17 @@ class FlatCloseSetBuilder:
         self._config = config if config is not None else ASAPConfig()
         self._csr = GraphCSR.from_asgraph(graph)
         self._world = world
-        # Clusters per graph node, ascending (ASes outside the graph are
-        # unreachable by the BFS and need no rows).
-        self._rows_of: List[np.ndarray] = [
-            np.array(sorted(clusters_by_as.get(int(asn), ())), dtype=np.int64)
-            for asn in self._csr.as_ids
-        ]
+        # Clusters per graph node as one CSR, ascending within each AS
+        # (ASes outside the graph are unreachable by the BFS and need no
+        # rows).
+        self._rows_indptr, self._rows_flat = bucket_csr(
+            self._csr.count,
+            {
+                node: np.array(sorted(clusters_by_as[asn]), dtype=np.int64)
+                for asn, node in self._csr.index_of.items()
+                if clusters_by_as.get(asn)
+            },
+        )
 
     @property
     def config(self) -> ASAPConfig:
@@ -94,7 +101,6 @@ class FlatCloseSetBuilder:
         neither probed nor entered, exactly as if the reference's
         ``clusters_in_as`` had been filtered by the same mask.
         """
-        config = self._config
         csr = self._csr
         result = CloseClusterSet(owner=own_cluster)
         own_idx = csr.index_of.get(own_as)
@@ -103,40 +109,66 @@ class FlatCloseSetBuilder:
             # yields an empty set with no emission.
             return result
 
-        # Level 0: own cluster plus co-located clusters.
-        self._visit(result, own_idx, 0, online)
-        result.ases_visited = 1
-        if meta_out is not None:
-            meta_out[own_as] = (0, True)
+        # The own cluster joins with a zero-cost entry and is never probed.
+        found: List[Tuple[np.ndarray, np.ndarray]] = []  # (clusters, rtt) per level
+        own_rows = self._rows_flat[
+            self._rows_indptr[own_idx] : self._rows_indptr[own_idx + 1]
+        ]
+        if (online is None or online[own_cluster]) and np.any(own_rows == own_cluster):
+            result.entries[own_cluster] = CloseClusterEntry(own_cluster, 0.0, 0.0, 0)
+            found.append((np.array([own_cluster], dtype=np.int64), np.zeros(1)))
 
         count = csr.count
         up = np.zeros(count, dtype=bool)
         down = np.zeros(count, dtype=bool)
         expands = np.zeros(count, dtype=bool)
         seen = np.zeros(count, dtype=bool)
-        up[own_idx] = True
-        expands[own_idx] = True
-        seen[own_idx] = True
+        fresh = front_up = np.array([own_idx], dtype=np.int64)
+        front_down = fresh[:0]
+        up[own_idx] = seen[own_idx] = True
+        for depth in range(self._config.k_hops + 1):
+            if depth:
+                new_up, new_down = self._level(
+                    front_up[expands[front_up]], front_down[expands[front_down]], up, down
+                )
+                if not new_up.any() and not new_down.any():
+                    break
+                up |= new_up
+                down |= new_down
+                front_up, front_down = np.nonzero(new_up)[0], np.nonzero(new_down)[0]
+                fresh = np.nonzero((new_up | new_down) & ~seen)[0]
+                seen[fresh] = True
+            # Probe the ASes this level newly visited as one batch.  The
+            # accounting matches the reference ``_probe``/``_visit_as``
+            # pair — 2 messages per probed cluster, attributed to its AS —
+            # and is written in its order: AS ascending, row ascending.
+            verdict, probed, rows, rtt, lost = self._measure(
+                own_cluster, fresh, depth, online
+            )
+            expands[fresh] = verdict
+            asns = csr.as_ids[fresh]
+            result.ases_visited += len(fresh)
+            result.probe_messages += 2 * int(probed.sum())
+            hit = probed > 0
+            result.probes_by_as.update(
+                zip(asns[hit].tolist(), (2 * probed[hit]).tolist())
+            )
+            if meta_out is not None:
+                for asn, rights in zip(asns.tolist(), verdict.tolist()):
+                    meta_out[asn] = (depth, rights)
+            for entry in _entries(rows, rtt, lost, depth):
+                result.entries[entry.cluster] = entry
+            found.append((rows, rtt))
 
-        for depth in range(1, config.k_hops + 1):
-            new_up, new_down = self._level(up, down, expands)
-            if not new_up.any() and not new_down.any():
-                break
-            up |= new_up
-            down |= new_down
-            fresh = (new_up | new_down) & ~seen
-            seen |= fresh
-            for as_idx in np.nonzero(fresh)[0]:
-                result.ases_visited += 1
-                expands[as_idx] = self._visit(result, int(as_idx), depth, online)
-                if meta_out is not None:
-                    meta_out[int(csr.as_ids[as_idx])] = (depth, bool(expands[as_idx]))
-
+        clusters = np.concatenate([rows for rows, _ in found])
+        order = np.argsort(clusters)
+        result.seed_rows(clusters[order], np.concatenate([rtt for _, rtt in found])[order])
         emit_build_observability(result, own_as)
         return result
 
     def build_many(self, sources: Iterable[tuple]) -> Dict[int, CloseClusterSet]:
-        """Close sets for many ``(own_cluster, own_as)`` sources in one sweep."""
+        """Close sets for many ``(own_cluster, own_as)`` sources, one
+        :meth:`build` each."""
         return {
             own_cluster: self.build(own_cluster, own_as)
             for own_cluster, own_as in sources
@@ -144,18 +176,25 @@ class FlatCloseSetBuilder:
 
     # -- internals ---------------------------------------------------------
 
-    def _level(self, up: np.ndarray, down: np.ndarray, expands: np.ndarray):
-        """One valley-free BFS level: new (UP, DOWN) states from the frontier.
+    def _level(
+        self,
+        active_up: np.ndarray,
+        active_down: np.ndarray,
+        up: np.ndarray,
+        down: np.ndarray,
+    ):
+        """One valley-free BFS level: the (UP, DOWN) states not yet in
+        the visited masks ``up``/``down`` that one step reaches.
 
-        Expansion rights are a property of the AS (its probe verdict),
-        mirroring the level-synchronous reference.
+        ``active_*`` are the states the previous level discovered — the
+        reference's ``frontier`` — whose AS holds expansion rights (a
+        property of the AS, its probe verdict).  Older states were
+        expanded at their own level and can reach nothing new.
         """
         csr = self._csr
         count = csr.count
         new_up = np.zeros(count, dtype=bool)
         new_down = np.zeros(count, dtype=bool)
-        active_up = np.nonzero(up & expands)[0]
-        active_down = np.nonzero(down & expands)[0]
         if not self._config.valley_free:
             # Unconstrained BFS: every neighbor, phase preserved.
             new_up[csr_gather(csr.neighbors_indptr, csr.neighbors_indices, active_up)] = True
@@ -167,7 +206,7 @@ class FlatCloseSetBuilder:
             new_up[csr_gather(csr.providers_indptr, csr.providers_indices, active_up)] = True
             new_down[csr_gather(csr.peers_indptr, csr.peers_indices, active_up)] = True
             # Both phases descend customers (DOWN) and keep phase on siblings.
-            both = np.union1d(active_up, active_down)
+            both = np.concatenate((active_up, active_down))
             new_down[csr_gather(csr.customers_indptr, csr.customers_indices, both)] = True
             new_up[csr_gather(csr.siblings_indptr, csr.siblings_indices, active_up)] = True
             new_down[
@@ -188,60 +227,61 @@ class FlatCloseSetBuilder:
 
         Returns ``(expands, probed, passing)``: whether the BFS may
         expand through the AS, how many clusters were probed, and an
-        entry (at ``depth``) for each cluster that passed.  This is the
-        one place the close-set rule is written: a probe passes iff it
-        was answered and ``rtt < latT`` and ``loss < lossT``; a
-        populated AS expands iff any probe passed, while the own AS
-        (``depth == 0``, where the own cluster is never probed) and
-        transit ASes (nothing to probe) always expand.  Builds and the
-        maintainer's verdicts and patches all go through it.
+        entry (at ``depth``) for each cluster that passed — the
+        single-AS form of the step :meth:`build` runs per level, which
+        the maintainer's verdicts and patches go through.
         """
-        return self._probe(own_cluster, self._csr.index_of[asn], depth, online)
+        nodes = np.array([self._csr.index_of[asn]], dtype=np.int64)
+        verdict, probed, rows, rtt, lost = self._measure(own_cluster, nodes, depth, online)
+        return bool(verdict[0]), int(probed[0]), _entries(rows, rtt, lost, depth)
 
-    def _probe(
-        self, own_cluster: int, as_idx: int, depth: int, online: Optional[np.ndarray]
-    ) -> Tuple[bool, int, List[CloseClusterEntry]]:
-        probed = self._rows_of[as_idx]
+    def _measure(
+        self, own_cluster: int, nodes: np.ndarray, depth: int, online: Optional[np.ndarray]
+    ):
+        """Probe every online cluster of the ASes ``nodes`` from
+        ``own_cluster`` with one ``gather_rtt`` and one ``gather_loss``.
+
+        Returns ``(expands, probed, rows, rtt, lost)``: per AS, its
+        expansion rights and how many clusters were probed; then the
+        clusters that passed with their measurements, in (``nodes``
+        order, row ascending) order.  This is the one place the
+        close-set rule is written: a probe passes iff it was answered
+        and ``rtt < latT`` and ``loss < lossT``; a populated AS expands
+        iff any probe passed, while the own AS (``depth == 0``, where
+        the own cluster is never probed) and transit ASes (nothing to
+        probe) always expand.
+        """
+        indptr = self._rows_indptr
+        rows = csr_gather(indptr, self._rows_flat, nodes)
+        owner = np.repeat(np.arange(len(nodes)), indptr[nodes + 1] - indptr[nodes])
         if online is not None:
-            probed = probed[online[probed]]
+            keep = online[rows]
+            rows, owner = rows[keep], owner[keep]
         if depth == 0:
-            probed = probed[probed != own_cluster]
-        if len(probed) == 0:
-            return True, 0, []
-        rtt = self._world.gather_rtt(own_cluster, probed)
-        lost = self._world.gather_loss(own_cluster, probed)
-        passed = (
-            np.isfinite(rtt)
-            & (rtt < self._config.lat_threshold_ms)
-            & (lost < self._config.loss_threshold)
-        )
-        passing = [
-            CloseClusterEntry(int(row), float(rtt_ms), float(loss_rate), depth)
-            for row, rtt_ms, loss_rate in zip(probed[passed], rtt[passed], lost[passed])
-        ]
-        return depth == 0 or bool(passing), len(probed), passing
+            keep = rows != own_cluster
+            rows, owner = rows[keep], owner[keep]
+        probed = np.bincount(owner, minlength=len(nodes))
+        if len(rows) == 0:
+            rtt = lost = np.zeros(0)
+        else:
+            rtt = self._world.gather_rtt(own_cluster, rows)
+            lost = self._world.gather_loss(own_cluster, rows)
+            passed = (
+                np.isfinite(rtt)
+                & (rtt < self._config.lat_threshold_ms)
+                & (lost < self._config.loss_threshold)
+            )
+            rows, owner, rtt, lost = rows[passed], owner[passed], rtt[passed], lost[passed]
+        expands = (probed == 0) | (np.bincount(owner, minlength=len(nodes)) > 0)
+        if depth == 0:
+            expands[:] = True
+        return expands, probed, rows, rtt, lost
 
-    def _visit(
-        self,
-        result: CloseClusterSet,
-        as_idx: int,
-        depth: int,
-        online: Optional[np.ndarray],
-    ) -> bool:
-        """Probe one newly visited AS into ``result``; returns expansion
-        rights.  Accounting matches the reference ``_probe``/``_visit_as``
-        pair: 2 messages per probed cluster, attributed to this AS; the
-        own cluster joins with a zero-cost entry and is never probed.
-        """
-        own = result.owner
-        if depth == 0 and (online is None or online[own]):
-            if np.any(self._rows_of[as_idx] == own):
-                result.entries[own] = CloseClusterEntry(own, 0.0, 0.0, 0)
-        expands, probed, passing = self._probe(own, as_idx, depth, online)
-        if probed:
-            asn = int(self._csr.as_ids[as_idx])
-            result.probe_messages += 2 * probed
-            result.probes_by_as[asn] = result.probes_by_as.get(asn, 0) + 2 * probed
-            for entry in passing:
-                result.entries[entry.cluster] = entry
-        return expands
+
+def _entries(
+    rows: np.ndarray, rtt: np.ndarray, lost: np.ndarray, depth: int
+) -> List[CloseClusterEntry]:
+    return [
+        CloseClusterEntry(row, rtt_ms, loss_rate, depth)
+        for row, rtt_ms, loss_rate in zip(rows.tolist(), rtt.tolist(), lost.tolist())
+    ]

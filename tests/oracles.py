@@ -9,15 +9,28 @@
 - :func:`reference_close_set`: the Fig. 9 transcription
   (:func:`repro.core.construct_close_cluster_set`) wired to a system's
   world, which :class:`repro.worldarrays.FlatCloseSetBuilder` must match.
+- :func:`scalar_select_close_relay`: the Fig. 10 transcription over the
+  close sets' ``entries`` dicts — the body
+  :func:`repro.core.relay_selection.select_close_relay` had before it
+  went array-native, which it must reproduce float for float.
+- :func:`assert_rows_match_entries`: a close set's array form against
+  its ``entries`` dict, the source of truth.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import construct_close_cluster_set
+from repro.core.close_cluster import CloseClusterSet
+from repro.core.config import ASAPConfig
+from repro.core.relay_selection import (
+    OneHopCandidate,
+    RelaySelection,
+    TwoHopCandidate,
+)
 from repro.measurement.latency import LatencyModel
 from repro.measurement.matrix import UNREACHABLE, DelegateMatrices, cluster_headers
 from repro.topology.clustering import ClusterIndex
@@ -158,3 +171,86 @@ def reference_close_set(system, cluster: int, online=None, meta_out=None):
         system.config,
         meta_out=meta_out,
     )
+
+
+def assert_rows_match_entries(close_set: CloseClusterSet) -> None:
+    """``rows()`` ≡ the entries dict sorted by cluster: same ids, same floats."""
+    clusters, rtt_ms = close_set.rows()
+    assert clusters.dtype == np.int64 and rtt_ms.dtype == np.float64
+    assert clusters.tolist() == sorted(close_set.entries)
+    assert rtt_ms.tolist() == [close_set.entries[c].rtt_ms for c in clusters.tolist()]
+
+
+def scalar_select_close_relay(
+    s1: CloseClusterSet,
+    s2: CloseClusterSet,
+    cluster_size: Callable[[int], int],
+    close_set_of: Callable[[int], CloseClusterSet],
+    config: Optional[ASAPConfig] = None,
+) -> RelaySelection:
+    """``select_close_relay`` the scalar way: Fig. 10 over the entries dicts.
+
+    ``cluster_size`` maps a cluster index to its online host count;
+    ``close_set_of`` fetches another surrogate's close cluster set (the
+    two-hop step; each call is billed 2 messages).
+    """
+    if config is None:
+        config = ASAPConfig()
+    result = RelaySelection()
+    result.messages += 2  # h1 obtains S2 from h2 (request + response)
+
+    # One-hop: intersect close sets.
+    common = sorted(set(s1.entries) & set(s2.entries))
+    for cluster in common:
+        size = cluster_size(cluster)
+        if size <= 0:
+            continue  # churned dark: no hosts left to relay through
+        relay_rtt = s1.rtt_to(cluster) + s2.rtt_to(cluster) + config.relay_delay_rtt_ms
+        if relay_rtt < config.lat_threshold_ms:
+            result.one_hop.append(
+                OneHopCandidate(
+                    cluster=cluster,
+                    relay_rtt_ms=relay_rtt,
+                    member_ips=size,
+                )
+            )
+
+    if result.one_hop_ips >= config.size_threshold:
+        return result
+
+    # Two-hop: expand through the close sets of one-hop candidate
+    # clusters (the surrogates of clusters already known close to h1).
+    first_hops = [c.cluster for c in result.one_hop]
+    if config.max_two_hop_queries is not None:
+        first_hops = first_hops[: config.max_two_hop_queries]
+    seen_pairs: Dict[Tuple[int, int], float] = {}
+    for r1 in first_hops:
+        os1 = close_set_of(r1)
+        result.messages += 2
+        result.two_hop_queries += 1
+        for r2 in sorted(os1.entries):
+            if r2 not in s2.entries or r2 == r1:
+                continue
+            relay_rtt = (
+                s1.rtt_to(r1)
+                + os1.rtt_to(r2)
+                + s2.rtt_to(r2)
+                + 2.0 * config.relay_delay_rtt_ms
+            )
+            if relay_rtt < config.lat_threshold_ms:
+                key = (r1, r2)
+                if key not in seen_pairs or relay_rtt < seen_pairs[key]:
+                    seen_pairs[key] = relay_rtt
+    for (r1, r2), relay_rtt in sorted(seen_pairs.items()):
+        pairs = cluster_size(r1) * cluster_size(r2)
+        if pairs <= 0:
+            continue  # either leg's cluster has churned dark
+        result.two_hop.append(
+            TwoHopCandidate(
+                first=r1,
+                second=r2,
+                relay_rtt_ms=relay_rtt,
+                member_pairs=pairs,
+            )
+        )
+    return result

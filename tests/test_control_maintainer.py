@@ -16,6 +16,7 @@ from repro.control import ClusterMembership, CloseSetMaintainer, MembershipEvent
 from repro.core import ASAPConfig, construct_close_cluster_set
 from repro.errors import ProtocolError
 from repro.worldarrays import FlatCloseSetBuilder
+from tests.oracles import assert_rows_match_entries
 
 
 def diamond():
@@ -97,6 +98,7 @@ def fresh_entries(maintainer, owner):
 def assert_parity(maintainer):
     for owner in maintainer.tracked:
         assert maintainer.current(owner).entries == fresh_entries(maintainer, owner)
+        assert_rows_match_entries(maintainer.current(owner))  # patched or rebuilt
         assert maintainer.staleness(owner) == 0.0
 
 
@@ -188,6 +190,52 @@ class TestRepairPaths:
         maintainer.membership._counts[1] = 0
         with pytest.raises(ProtocolError):
             maintainer.track(1)
+
+
+class TestFrontierOnlyLevels:
+    """The builder expands only the (AS, phase) states the previous level
+    discovered; an AS seen before can still contribute a new state."""
+
+    def _world(self, rtt_to_40, k_hops):
+        # 20 is a provider of both the own AS 10 and of 40, so (40, DOWN)
+        # is found at depth 2, where AS 40 is probed.  The provider chain
+        # 10 → 11 → 12 → 40 re-reaches it as (40, UP) at depth 3.  40's
+        # provider 50 and peer 60 can be entered only from (40, UP); its
+        # customer 70 only through 40 at all.
+        g = ASGraph()
+        g.add_provider_customer(20, 10)
+        g.add_provider_customer(20, 40)
+        g.add_provider_customer(11, 10)
+        g.add_provider_customer(12, 11)
+        g.add_provider_customer(40, 12)
+        g.add_provider_customer(50, 40)
+        g.add_peer(40, 60)
+        g.add_provider_customer(40, 70)
+        lat_map = {(0, 1): rtt_to_40, (0, 2): 60.0, (0, 3): 70.0, (0, 4): 80.0}
+        clusters = {10: [0], 40: [1], 50: [2], 60: [3], 70: [4]}
+        asn_of = {0: 10, 1: 40, 2: 50, 3: 60, 4: 70}
+        maintainer, _, _ = make_maintainer(
+            g, lat_map, clusters, asn_of, {c: 1 for c in asn_of}, ASAPConfig(k_hops=k_hops)
+        )
+        built = maintainer.track(0)
+        assert_parity(maintainer)
+        return built, maintainer._tracked[0][1]
+
+    def test_as_seen_down_then_up_climbs_and_crosses_a_level_later(self):
+        built, meta = self._world(rtt_to_40=50.0, k_hops=4)
+        assert meta[40] == (2, True)  # probed once, when first seen
+        assert meta[70] == (3, True)  # from (40, DOWN)
+        assert meta[50] == (4, True) and meta[60] == (4, True)  # from (40, UP)
+        assert set(built.entries) == {0, 1, 2, 3, 4}
+        # One hop short, (40, UP) is discovered but never expanded.
+        built, meta = self._world(rtt_to_40=50.0, k_hops=3)
+        assert set(built.entries) == {0, 1, 4} and 50 not in meta and 60 not in meta
+
+    def test_failed_as_blocks_both_of_its_phase_states(self):
+        built, meta = self._world(rtt_to_40=900.0, k_hops=6)
+        assert meta[40] == (2, False)
+        assert set(built.entries) == {0}
+        assert not {50, 60, 70} & set(meta)
 
 
 class TestRandomizedParity:

@@ -1,11 +1,14 @@
 """Tests for construct-close-cluster-set (paper Fig. 9)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bgp import ASGraph
 from repro.core import ASAPConfig, construct_close_cluster_set
-from repro.core.close_cluster import CloseClusterSet
+from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
 from repro.errors import ProtocolError
+from tests.oracles import assert_rows_match_entries
 
 
 def diamond():
@@ -139,3 +142,34 @@ class TestConstructCloseClusterSet:
         )
         result = construct_close_cluster_set(0, 5, diamond(), cin, lat, loss)
         assert result.clusters() == sorted(result.clusters())
+
+
+class TestRows:
+    """``rows()`` stays the sorted image of ``entries`` under mutation."""
+
+    OPS = st.lists(
+        st.tuples(
+            st.sampled_from(["add", "discard", "rows"]),
+            st.integers(0, 7),
+            st.floats(0.0, 500.0, allow_nan=False),
+        ),
+        max_size=40,
+    )
+
+    @given(OPS)
+    def test_add_discard_interleavings(self, ops):
+        cs = CloseClusterSet(owner=0)
+        model = {}
+        for op, cluster, rtt in ops:
+            if op == "add":
+                cs.add(CloseClusterEntry(cluster, rtt, 0.0, 1))
+                model.setdefault(cluster, rtt)  # a member keeps its entry
+            elif op == "discard":
+                cs.discard(cluster)             # absent: no-op
+                model.pop(cluster, None)
+            else:
+                cs.rows()                       # fill the cache mid-stream
+            assert {c: e.rtt_ms for c, e in cs.entries.items()} == model
+        assert_rows_match_entries(cs)
+        assert cs.clusters() == sorted(model) and len(cs) == len(model)
+

@@ -1,9 +1,15 @@
 """Tests for select-close-relay (paper Fig. 10)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ASAPConfig, select_close_relay
 from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.core.relay_selection import ranked_relay_clusters
+from tests.oracles import scalar_select_close_relay
 
 
 def close_set(owner, rtts):
@@ -148,3 +154,63 @@ class TestTwoHop:
         one_hop_rtt = 100.0 + 100.0 + 40.0      # 240
         two_hop_rtt = 100.0 + 40.0 + 50.0 + 80  # 270
         assert result.best_rtt_ms() == pytest.approx(min(one_hop_rtt, two_hop_rtt))
+
+
+# -- array selection ≡ the scalar specification -----------------------------
+
+# An eight-cluster universe so the sets overlap.  Hypothesis draws the
+# shape (how full each set is, the thresholds) and a seed; RTTs come from
+# the seeded generator because they need full-width mantissas for a
+# reordered sum to show, and hypothesis prefers round floats.  They put
+# one-hop sums (≤ 340 with the relay delay) and two-hop sums (≤ 530) on
+# both sides of latT = 300.
+UNIVERSE = range(8)
+FILL = st.sampled_from([0.0, 0.5, 0.9])  # 0.0: an empty set
+
+
+@st.composite
+def selection_worlds(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def rtt_map(fill):
+        return {c: rng.uniform(0.0, 150.0) for c in UNIVERSE if rng.random() < fill}
+
+    s1, s2 = rtt_map(draw(FILL)), rtt_map(draw(FILL))
+    # A first hop without a fetched set answers empty; a fetched set may
+    # be empty itself or hold its own owner (r2 == r1).
+    answered, fill = draw(FILL), draw(FILL)
+    fetched = {c: rtt_map(fill) for c in UNIVERSE if rng.random() < answered}
+    sizes_of = [rng.choice((0, 1, 1, 2, 4)) for _ in UNIVERSE]  # 0: churned dark
+    config = ASAPConfig(
+        size_threshold=draw(st.sampled_from([0, 3, 10**9])),
+        max_two_hop_queries=draw(st.sampled_from([None, 0, 2])),
+    )
+    return s1, s2, fetched, sizes_of, config
+
+
+class TestMatchesScalarOracle:
+    @given(selection_worlds())
+    @settings(max_examples=300, deadline=None)
+    def test_array_selection_equals_scalar_oracle(self, world):
+        s1, s2, fetched, sizes_of, config = world
+        results = []
+        for select in (select_close_relay, scalar_select_close_relay):
+            # Fresh sets per implementation: neither sees the other's caches.
+            sets = {r1: close_set(r1, rtts) for r1, rtts in fetched.items()}
+            empty = CloseClusterSet(owner=-1)
+            results.append(
+                select(
+                    close_set(100, s1),
+                    close_set(101, s2),
+                    sizes_of.__getitem__,
+                    lambda idx: sets.get(idx, empty),
+                    config,
+                )
+            )
+        got, want = results
+        assert got.one_hop == want.one_hop          # exact floats, same order
+        assert got.two_hop == want.two_hop
+        assert got.messages == want.messages
+        assert got.two_hop_queries == want.two_hop_queries
+        assert got.best_rtt_ms() == want.best_rtt_ms()
+        assert ranked_relay_clusters(got) == ranked_relay_clusters(want)

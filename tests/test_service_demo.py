@@ -9,15 +9,31 @@ runtime's, so one trace-analysis toolkit reads both.
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
-from repro.net.codec import ROLE_HOST, Join, JoinOk, Leave, Resolve, ResolveOk
+from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.core.runtime import RuntimePolicy
+from repro.errors import ProtocolError
+from repro.net.codec import (
+    ROLE_HOST,
+    CloseSetReply,
+    Join,
+    JoinOk,
+    Leave,
+    Resolve,
+    ResolveOk,
+)
 from repro.net.loopback import LoopbackHub, LoopbackTransport
 from repro.netaddr import IPv4Address
 from repro.service import ServiceWorld, run_demo
 from repro.service.bootstrap import BootstrapServer
-from repro.service.surrogate import SurrogateServer
+from repro.service.surrogate import (
+    SurrogateServer,
+    close_set_to_pairs,
+    pairs_to_close_set,
+)
 
 SCALE, SEED = "tiny", 0
 
@@ -170,6 +186,80 @@ class TestBootstrapHardening:
         bootstrap, gone = asyncio.run(hub.run(main(hub)))
         assert gone.found == 0
         assert bootstrap.leaves == 1
+
+
+class TestCloseSetWire:
+    """Close sets travel as strictly ascending (cluster, rtt) pairs."""
+
+    def test_pairs_round_trip_the_rows(self, world):
+        built = world.close_set(world.populated_clusters()[0])
+        unsorted = CloseClusterSet(
+            owner=7,
+            entries={c: CloseClusterEntry(c, rtt, 0.0, 1) for c, rtt in ((9, 1.5), (2, 0.25))},
+        )
+        for close_set in (built, unsorted, CloseClusterSet(owner=3)):
+            pairs = close_set_to_pairs(close_set)
+            assert pairs == [(c, close_set.entries[c].rtt_ms) for c in sorted(close_set.entries)]
+            decoded = pairs_to_close_set(close_set.owner, CloseSetReply(close_set.owner, pairs).entries)
+            for got, want in zip(decoded.rows(), close_set.rows()):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert list(decoded.entries) == decoded.clusters() == close_set.clusters()
+            assert [e.rtt_ms for e in decoded.entries.values()] == close_set.rows()[1].tolist()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((4, 10.0), (4, 20.0)),             # duplicate id (was: last wins)
+            ((5, 10.0), (4, 20.0)),             # descending
+            ((4, -1.0),),                       # negative RTT
+            ((4, float("nan")),),
+            ((4, 10.0), (6, float("inf"))),
+        ],
+    )
+    def test_malformed_pairs_are_a_protocol_error(self, pairs):
+        with pytest.raises(ProtocolError):
+            pairs_to_close_set(1, pairs)
+
+    def _demo_with_corrupt_replies(self, out_dir, world, monkeypatch, corrupts):
+        """A traced one-call demo whose surrogates answer the queries
+        ``corrupts`` picks with their pairs in descending order."""
+        genuine = SurrogateServer._on_close_set_query
+
+        async def answer(server, sender, message):
+            reply = await genuine(server, sender, message)
+            if isinstance(reply, CloseSetReply) and corrupts(message):
+                return CloseSetReply(reply.owner, tuple(reversed(reply.entries)))
+            return reply
+
+        monkeypatch.setattr(SurrogateServer, "_on_close_set_query", answer)
+        result, trace_bytes = _traced_demo(out_dir, world)
+        records = [json.loads(line) for line in trace_bytes.splitlines() if line]
+        return result.calls[0], records
+
+    def test_malformed_close_set_leg_is_retried_then_degrades(
+        self, tmp_path, world, monkeypatch
+    ):
+        call, records = self._demo_with_corrupt_replies(
+            tmp_path, world, monkeypatch, corrupts=lambda query: True
+        )
+        legs = [r["attrs"]["outcome"] for r in records if r.get("name") == "setup.close_set"]
+        assert legs and set(legs) == {"malformed"}
+        assert len(legs) == 2 * RuntimePolicy().max_close_set_attempts  # both legs, every retry
+        assert (call.outcome, call.failure_reason) == ("degraded", "close-set-unavailable")
+        assert call.path == "direct"
+
+    def test_malformed_two_hop_answer_skips_that_first_hop(
+        self, tmp_path, world, monkeypatch
+    ):
+        # Two-hop queries name their cluster; the two legs ask with -1.
+        call, records = self._demo_with_corrupt_replies(
+            tmp_path, world, monkeypatch, corrupts=lambda query: query.cluster >= 0
+        )
+        expansions = [r["attrs"]["outcome"] for r in records if r.get("name") == "setup.two_hop"]
+        assert expansions and set(expansions) == {"malformed"}
+        select = next(r for r in records if r.get("name") == "setup.select")
+        assert select["attrs"]["two_hop"] == 0 and select["attrs"]["one_hop"] > 0
+        assert call.outcome == "completed"
 
 
 class TestShardedDemo:

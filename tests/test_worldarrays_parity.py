@@ -25,8 +25,13 @@ from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
 from repro.scenario import PopulationConfig, TopologyConfig
 from repro.topology.generator import generate_topology
 from repro.util.rng import derive_rng
-from repro.worldarrays import FlatMatrixAssembler, WorldArrays
-from tests.oracles import fill_destinations, reference_close_set, scalar_delegate_matrices
+from repro.worldarrays import FlatCloseSetBuilder, FlatMatrixAssembler, WorldArrays
+from tests.oracles import (
+    assert_rows_match_entries,
+    fill_destinations,
+    reference_close_set,
+    scalar_delegate_matrices,
+)
 
 SEEDS = (3, 11, 29)
 
@@ -113,6 +118,7 @@ def _online_mask(seed: int, count: int) -> np.ndarray:
 
 
 def _assert_close_set_identical(flat, ref):
+    assert_rows_match_entries(flat)  # the builder's seeded rows, not a re-derivation
     assert flat.owner == ref.owner
     assert flat.probe_messages == ref.probe_messages
     assert flat.ases_visited == ref.ases_visited
@@ -143,6 +149,10 @@ class TestCloseSetParity:
         for scenario in scenarios:
             _assert_builder_matches_reference(ASAPSystem(scenario, ASAPConfig()))
 
+    def test_unconstrained_bfs_parity(self, scenarios):
+        config = ASAPConfig(valley_free=False, k_hops=2)
+        _assert_builder_matches_reference(ASAPSystem(scenarios[0], config))
+
     def test_parallel_prebuild_parity(self, scenarios):
         system = ASAPSystem(scenarios[0], ASAPConfig())
         built = system.prebuild_close_sets(workers=2)
@@ -158,6 +168,47 @@ class TestCloseSetParity:
         system = ASAPSystem(scenarios[world], ASAPConfig())
         online = _online_mask(mask_seed, system.scenario.matrix_view().count)
         _assert_builder_matches_reference(system, online=online)
+
+
+class CountingView:
+    """A dense view that records the columns of every gather."""
+
+    def __init__(self, view):
+        self._view = view
+        self.count = view.count
+        self.rtt_reads, self.loss_reads = [], []
+
+    def gather_rtt(self, rows, cols):
+        self.rtt_reads.append(np.asarray(cols))
+        return self._view.gather_rtt(rows, cols)
+
+    def gather_loss(self, rows, cols):
+        self.loss_reads.append(np.asarray(cols))
+        return self._view.gather_loss(rows, cols)
+
+
+class TestLevelProbe:
+    def test_one_gather_pair_per_level_each_cluster_read_once(self, scenarios):
+        scenario = scenarios[-1]
+        system = ASAPSystem(scenario, ASAPConfig())
+        view = scenario.matrix_view()
+        counting = CountingView(view)
+        builder = FlatCloseSetBuilder(
+            scenario.protocol_graph,
+            counting,
+            {asn: system.clusters_in_as(asn) for asn in set(view.asn_of.tolist())},
+            system.config,
+        )
+        for cluster in range(view.count):
+            counting.rtt_reads.clear()
+            counting.loss_reads.clear()
+            built = builder.build(cluster, int(view.asn_of[cluster]))
+            _assert_close_set_identical(built, reference_close_set(system, cluster))
+            assert len(counting.rtt_reads) == len(counting.loss_reads)
+            assert len(counting.rtt_reads) <= system.config.k_hops + 1
+            for reads in (counting.rtt_reads, counting.loss_reads):
+                cells = np.concatenate(reads) if reads else np.zeros(0, dtype=np.int64)
+                assert len(cells) == len(set(cells.tolist())) == built.probe_messages // 2
 
 
 class TestObservabilityParity:
