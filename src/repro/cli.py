@@ -72,10 +72,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="scenario size (default: small)")
     parser.add_argument("--seed", type=int, default=0, help="scenario seed")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for matrix/close-set builds "
+                        help="worker processes for the matrix fill "
                              "(0 = all CPUs; default: $REPRO_WORKERS or serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="artifact cache directory for built scenarios "
+                        help="artifact cache directory for built worlds + matrices "
                              "(default: $REPRO_CACHE_DIR or no caching)")
     parser.add_argument("--obs-dir", default=None, metavar="DIR",
                         help="enable observability: write run_manifest.json "

@@ -18,8 +18,8 @@ above one never change the set.  So repair decomposes cleanly:
   a from-scratch build**, so parity holds by construction.
 
 The maintainer therefore guarantees: after :meth:`CloseSetMaintainer.
-drain`, every tracked set's ``entries`` dict is *identical* to a
-from-scratch build on the same membership — the property the parity
+drain`, every tracked set's members and measurements are *identical* to
+a from-scratch build on the same membership — the property the parity
 tests (against the Fig. 9 reference) and the soak's staleness gauge
 check.  Builds, verdicts and patches all go through the system's one
 :class:`~repro.worldarrays.FlatCloseSetBuilder`, so the threshold rule
@@ -36,7 +36,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.close_cluster import CloseClusterSet
+from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
 from repro.errors import ProtocolError
 from repro.worldarrays.closesets import FlatCloseSetBuilder
 
@@ -205,10 +205,7 @@ class CloseSetMaintainer:
         drain; positive while repair events are still queued.  This is
         the soak's convergence gauge (cf. :mod:`repro.core.maintenance`).
         """
-        current = self.current(owner)
-        fresh = self._fresh(owner)
-        diff = set(current.entries.items()) ^ set(fresh.entries.items())
-        return len(diff) / max(1, len(fresh.entries))
+        return self.current(owner).drift_from(self._fresh(owner))
 
     # -- repair ------------------------------------------------------------------
 
@@ -246,7 +243,7 @@ class CloseSetMaintainer:
             self.noops += 1
             return
         depth, old_verdict = meta[asn]
-        new_verdict, _, passing = self._builder.probe_as(owner, asn, depth, online)
+        new_verdict, passing, rtt, lost = self._builder.probe_as(owner, asn, depth, online)
         if new_verdict != old_verdict and depth < self._builder.config.k_hops:
             # Expansion rights through this AS flipped: reachability
             # downstream may change arbitrarily — rebuild from scratch.
@@ -264,9 +261,8 @@ class CloseSetMaintainer:
         if transition == "offline":
             close_set.discard(cluster)
         else:
-            for entry in passing:
-                if entry.cluster == cluster:
-                    close_set.add(entry)
+            for at in np.nonzero(passing == cluster)[0].tolist():
+                close_set.add(CloseClusterEntry(cluster, float(rtt[at]), float(lost[at]), depth))
         self._log(at_ms, "patch", owner=owner, cluster=cluster, op=transition)
         self.local_repairs += 1
         obs.counter("control.maintainer.local_repairs").inc()

@@ -13,8 +13,9 @@ do not bound the search; only the hop limit stops expansion through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -38,70 +39,110 @@ class CloseClusterEntry:
     as_hops: int        # valley-free BFS depth at which it was found
 
 
-@dataclass
+@dataclass(eq=False)
 class CloseClusterSet:
     """The close cluster set of one cluster (keyed by matrix index).
 
-    ``entries`` is the source of truth.  Once a set is in use, change its
-    membership only through :meth:`add` / :meth:`discard`: they keep the
-    array form :meth:`rows` serves to relay selection in step.
+    The set *is* four aligned arrays sorted by member cluster id; the
+    constructor rejects anything else.  :meth:`add` / :meth:`discard`
+    rebind the arrays and never write into them, so arrays handed out by
+    :meth:`rows`, and shallow copies of the set, stay valid snapshots.
     """
 
     owner: int
-    entries: Dict[int, CloseClusterEntry] = field(default_factory=dict)
+    ids: np.ndarray = ()          # member clusters: int64, strictly ascending
+    rtt_ms: np.ndarray = ()       # measured surrogate-to-surrogate RTT (float64)
+    loss: np.ndarray = ()         # measured one-way loss rate (float64)
+    as_hops: np.ndarray = ()      # valley-free BFS depth of discovery (int64)
     probe_messages: int = 0       # maintenance traffic spent building it
     ases_visited: int = 0
     #: Probe messages split by the AS whose clusters were probed — the
     #: trace layer's L2/L4 attribution (which AS absorbed the probing).
     probes_by_as: Dict[int, int] = field(default_factory=dict)
-    _rows: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.rtt_ms = np.asarray(self.rtt_ms, dtype=np.float64)
+        self.loss = np.asarray(self.loss, dtype=np.float64)
+        self.as_hops = np.asarray(self.as_hops, dtype=np.int64)
+        shapes = {self.ids.shape, self.rtt_ms.shape, self.loss.shape, self.as_hops.shape}
+        if len(shapes) != 1 or self.ids.ndim != 1 or np.any(self.ids[1:] <= self.ids[:-1]):
+            raise ProtocolError(f"close set of {self.owner}: arrays unaligned or ids not ascending")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CloseClusterSet):
+            return NotImplemented
+        return self.entries == other.entries and (
+            (self.owner, self.probe_messages, self.ases_visited, self.probes_by_as)
+            == (other.owner, other.probe_messages, other.ases_visited, other.probes_by_as)
+        )
+
+    def _slot(self, cluster: int) -> Tuple[int, bool]:
+        """Where ``cluster`` sits or would be inserted; whether it is a member."""
+        at = int(np.searchsorted(self.ids, cluster))
+        return at, at < len(self.ids) and int(self.ids[at]) == cluster
 
     def __contains__(self, cluster: int) -> bool:
-        return cluster in self.entries
+        return self._slot(cluster)[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
     def rtt_to(self, cluster: int) -> float:
-        try:
-            return self.entries[cluster].rtt_ms
-        except KeyError:
-            raise ProtocolError(
-                f"cluster {cluster} not in close set of {self.owner}"
-            ) from None
+        at, member = self._slot(cluster)
+        if not member:
+            raise ProtocolError(f"cluster {cluster} not in close set of {self.owner}")
+        return float(self.rtt_ms[at])
 
     def rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(clusters, rtt_ms)``: the members as an ascending ``int64``
-        array and their RTTs as an aligned ``float64`` array — the form
-        select-close-relay intersects.  Read-only by convention."""
-        if self._rows is None:
-            clusters = sorted(self.entries)
-            self._rows = (
-                np.array(clusters, dtype=np.int64),
-                np.array([self.entries[c].rtt_ms for c in clusters], dtype=np.float64),
-            )
-        return self._rows
-
-    def seed_rows(self, clusters: np.ndarray, rtt_ms: np.ndarray) -> None:
-        """Install :meth:`rows` from arrays the caller filled ``entries``
-        from (the flat builder, the wire decoder), sparing the dict→array
-        pass; they must equal what :meth:`rows` would derive."""
-        self._rows = (clusters, rtt_ms)
+        """``(ids, rtt_ms)`` as stored: the form select-close-relay
+        intersects.  Read-only by convention."""
+        return self.ids, self.rtt_ms
 
     def clusters(self) -> List[int]:
-        return self.rows()[0].tolist()
+        return self.ids.tolist()
+
+    @property
+    def entries(self) -> Mapping[int, CloseClusterEntry]:
+        """The members as a read-only ``{cluster: entry}`` mapping in
+        ascending order, derived from the arrays on every access — for
+        tests and scalar specifications, not for hot paths."""
+        rows = zip(
+            self.clusters(), self.rtt_ms.tolist(), self.loss.tolist(), self.as_hops.tolist()
+        )
+        return MappingProxyType({row[0]: CloseClusterEntry(*row) for row in rows})
 
     def add(self, entry: CloseClusterEntry) -> None:
-        """Admit ``entry`` unless its cluster is already a member."""
-        self.entries.setdefault(entry.cluster, entry)
-        self._rows = None
+        """Admit ``entry``; a cluster that is already a member keeps its entry."""
+        at, member = self._slot(entry.cluster)
+        if not member:
+            self.ids = np.insert(self.ids, at, entry.cluster)
+            self.rtt_ms = np.insert(self.rtt_ms, at, entry.rtt_ms)
+            self.loss = np.insert(self.loss, at, entry.loss)
+            self.as_hops = np.insert(self.as_hops, at, entry.as_hops)
 
     def discard(self, cluster: int) -> None:
         """Evict ``cluster`` if it is a member."""
-        self.entries.pop(cluster, None)
-        self._rows = None
+        at, member = self._slot(cluster)
+        if member:
+            self.ids = np.delete(self.ids, at)
+            self.rtt_ms = np.delete(self.rtt_ms, at)
+            self.loss = np.delete(self.loss, at)
+            self.as_hops = np.delete(self.as_hops, at)
+
+    def drift_from(self, fresh: "CloseClusterSet") -> float:
+        """``|self Δ fresh| / max(1, |fresh|)`` over members with their
+        measurements — how far this (stale) set sits from ``fresh``.  A
+        member whose measurements changed counts on both sides."""
+        _, mine, theirs = np.intersect1d(
+            self.ids, fresh.ids, assume_unique=True, return_indices=True
+        )
+        same = (
+            (self.rtt_ms[mine] == fresh.rtt_ms[theirs])
+            & (self.loss[mine] == fresh.loss[theirs])
+            & (self.as_hops[mine] == fresh.as_hops[theirs])
+        )
+        return (len(self) + len(fresh) - 2 * int(same.sum())) / max(1, len(fresh))
 
 
 def construct_close_cluster_set(
@@ -137,22 +178,23 @@ def construct_close_cluster_set(
     """
     if config is None:
         config = ASAPConfig()
-    result = CloseClusterSet(owner=own_cluster)
+    result = CloseClusterSet(owner=own_cluster)  # carries the accounting
     if own_as not in graph:
         # The surrogate's AS is unknown to the (inferred) graph — can
         # happen when inference dropped it; the close set is then empty.
         return result
 
     # Own cluster and co-located clusters are trivially close (intra-AS).
+    found: Dict[int, CloseClusterEntry] = {}
     for cluster in clusters_in_as(own_as):
         if cluster == own_cluster:
-            result.entries[cluster] = CloseClusterEntry(cluster, 0.0, 0.0, 0)
+            found[cluster] = CloseClusterEntry(cluster, 0.0, 0.0, 0)
             continue
         measured = _probe(result, own_cluster, cluster, own_as, lat, loss)
         if measured is not None:
             rtt, lost = measured
             if rtt < config.lat_threshold_ms and lost < config.loss_threshold:
-                result.entries[cluster] = CloseClusterEntry(cluster, rtt, lost, 0)
+                found[cluster] = CloseClusterEntry(cluster, rtt, lost, 0)
     result.ases_visited = 1
 
     # Valley-free BFS outward, level by level, with threshold-based
@@ -176,12 +218,20 @@ def construct_close_cluster_set(
         for asn in sorted({a for a, _ in discovered} - expands.keys()):
             result.ases_visited += 1
             expands[asn] = _visit_as(
-                result, asn, depth, own_cluster, clusters_in_as, lat, loss, config
+                result, found, asn, depth, own_cluster, clusters_in_as, lat, loss, config
             )
             if meta_out is not None:
                 meta_out[asn] = (depth, expands[asn])
         frontier = sorted(discovered)
 
+    members = [found[cluster] for cluster in sorted(found)]
+    result = replace(
+        result,
+        ids=[m.cluster for m in members],
+        rtt_ms=[m.rtt_ms for m in members],
+        loss=[m.loss for m in members],
+        as_hops=[m.as_hops for m in members],
+    )
     emit_build_observability(result, own_as)
     return result
 
@@ -202,7 +252,7 @@ def emit_build_observability(result: CloseClusterSet, own_as: int) -> None:
     if tracer:
         # Builds run analytically (zero simulated time), so the span is
         # instantaneous; it nests under whatever selection scope is
-        # ambient, or starts its own trace for standalone/prebuilds.
+        # ambient, or starts its own trace when built standalone.
         now = tracer.now()
         parent = tracer.active
         build = (
@@ -221,6 +271,7 @@ def emit_build_observability(result: CloseClusterSet, own_as: int) -> None:
 
 def _visit_as(
     result: CloseClusterSet,
+    found: Dict[int, CloseClusterEntry],
     asn: int,
     depth: int,
     own_cluster: int,
@@ -245,8 +296,7 @@ def _visit_as(
             continue
         rtt, lost = measured
         if rtt < config.lat_threshold_ms and lost < config.loss_threshold:
-            if cluster not in result.entries:
-                result.entries[cluster] = CloseClusterEntry(cluster, rtt, lost, depth)
+            found.setdefault(cluster, CloseClusterEntry(cluster, rtt, lost, depth))
             any_passed = True
     return any_passed
 

@@ -87,12 +87,11 @@ def staleness(
     if fresh.count != len(fresh.prefixes):
         raise EvaluationError("inconsistent fresh matrices")
 
-    violating = 0
-    for entry in stale_set.entries.values():
-        rtt = float(fresh.rtt_ms[cluster_index, entry.cluster])
-        loss = float(fresh.loss[cluster_index, entry.cluster])
-        if not (np.isfinite(rtt) and rtt < config.lat_threshold_ms and loss < config.loss_threshold):
-            violating += 1
+    members = stale_set.ids
+    rtt = fresh.rtt_ms[cluster_index, members]
+    loss = fresh.loss[cluster_index, members]
+    passing = np.isfinite(rtt) & (rtt < config.lat_threshold_ms) & (loss < config.loss_threshold)
+    violating = int(len(members) - passing.sum())
 
     # Missing: clusters that would qualify now (fresh RTT under the
     # threshold) but are not in the stale set.  Measured against the
@@ -101,9 +100,8 @@ def staleness(
     row = fresh.rtt_ms[cluster_index]
     qualifies = np.isfinite(row) & (row < config.lat_threshold_ms)
     qualifies[cluster_index] = False
-    missing = int(
-        sum(1 for idx in np.nonzero(qualifies)[0] if int(idx) not in stale_set.entries)
-    )
+    qualifies[members] = False
+    missing = int(qualifies.sum())
     return StalenessReport(
         cluster=cluster_index,
         entries=len(stale_set),

@@ -37,7 +37,6 @@ from repro.core.surrogate import Surrogate
 from repro.errors import ProtocolError
 from repro.netaddr import IPv4Address
 from repro.scenario import Scenario
-from repro.util.parallel import chunked, fork_available, resolve_workers, run_forked
 from repro.voip.quality import mos_of_path
 
 
@@ -93,8 +92,7 @@ class ASAPSystem:
         self._clusters_by_as: Dict[int, List[int]] = {}
         for idx, asn in enumerate(self._view.asn_of):
             self._clusters_by_as.setdefault(int(asn), []).append(idx)
-        # One CSR graph export + probe view, shared by every surrogate
-        # (and inherited copy-on-write by prebuild pool workers).
+        # One CSR graph export + probe view, shared by every surrogate.
         self._builder = FlatCloseSetBuilder(
             graph, self._view, self._clusters_by_as, config
         )
@@ -107,7 +105,7 @@ class ASAPSystem:
         self._surrogates: Dict[int, List[Surrogate]] = {}
         for cluster in self._clusters.all_clusters():
             idx = self._view.index_of[cluster.prefix]
-            group = self._elect_group(idx, cluster)
+            group = self._elect_group(idx, cluster.asn, cluster.hosts)
             self._surrogates[idx] = group
             surrogate_of_prefix[cluster.prefix] = group[0].ip
 
@@ -125,7 +123,6 @@ class ASAPSystem:
         self._offline: set = set()
         self._offline_in_cluster: Counter = Counter()
         self.sessions_run = 0
-        self._init_close_sets()
 
     # -- wiring ---------------------------------------------------------------
 
@@ -147,18 +144,16 @@ class ASAPSystem:
         it; :class:`~repro.control.CloseSetMaintainer` repairs through it)."""
         return self._builder
 
-    def _elect_group(self, idx: int, cluster) -> List[Surrogate]:
-        """Elect the cluster's surrogate group, primary first."""
-        ranked = sorted(
-            cluster.hosts, key=lambda h: (-h.info.capability(), h.ip)
-        )
-        count = max(1, -(-len(cluster.hosts) // self._config.hosts_per_surrogate))
+    def _elect_group(self, idx: int, asn: int, hosts: List) -> List[Surrogate]:
+        """Elect a cluster's surrogate group from ``hosts``, primary first."""
+        ranked = sorted(hosts, key=lambda h: (-h.info.capability(), h.ip))
+        count = max(1, -(-len(hosts) // self._config.hosts_per_surrogate))
         count = min(count, len(ranked))
         group: List[Surrogate] = []
         for position in range(count):
             member = Surrogate(
                 cluster=idx,
-                asn=cluster.asn,
+                asn=asn,
                 host=ranked[position],
                 build=self._builder.build,
             )
@@ -261,24 +256,7 @@ class ASAPSystem:
         group = self._surrogates[cluster_index]
         if all(member.ip != ip for member in group):
             return None
-        cluster = self._clusters.clusters[self._view.prefixes[cluster_index]]
-        remaining = [h for h in cluster.hosts if h.ip != ip and h.ip not in self._offline]
-        if not remaining:
-            return None  # cluster dark; stale surrogate entry remains
-
-        class _Survivors:
-            def __init__(self, prefix, asn, hosts):
-                self.prefix = prefix
-                self.asn = asn
-                self.hosts = hosts
-
-        fresh = self._elect_group(
-            cluster_index, _Survivors(cluster.prefix, cluster.asn, remaining)
-        )
-        self._surrogates[cluster_index] = fresh
-        for bootstrap in self._bootstraps:
-            bootstrap.register_surrogate(cluster.prefix, fresh[0].ip)
-        return fresh[0]
+        return self._reelect(cluster_index, excluding=ip)
 
     def fail_surrogate(self, cluster_index: int) -> Surrogate:
         """Kill a surrogate; bootstraps appoint the next most capable host.
@@ -287,114 +265,26 @@ class ASAPSystem:
         member *is* the surrogate).
         """
         old = self.surrogate(cluster_index)
-        cluster = self._clusters.clusters[self._view.prefixes[cluster_index]]
-        remaining = [
-            h
-            for h in cluster.hosts
-            if h.ip != old.host.ip and h.ip not in self._offline
-        ]
-        if not remaining:
-            raise ProtocolError(
-                f"cluster {cluster.prefix} has no other host to promote"
-            )
+        promoted = self._reelect(cluster_index, excluding=old.host.ip)
+        if promoted is None:
+            prefix = self._view.prefixes[cluster_index]
+            raise ProtocolError(f"cluster {prefix} has no other host to promote")
         self._mark_offline(old.host.ip)
+        return promoted
 
-        class _Survivors:
-            """Cluster view excluding the failed primary."""
-
-            def __init__(self, prefix, hosts):
-                self.prefix = prefix
-                self.asn = cluster.asn
-                self.hosts = hosts
-
-        group = self._elect_group(cluster_index, _Survivors(cluster.prefix, remaining))
+    def _reelect(self, cluster_index: int, excluding: IPv4Address) -> Optional[Surrogate]:
+        """Re-elect a cluster's surrogate group from its online members
+        other than ``excluding`` and tell the bootstraps; returns the new
+        primary, or None (nothing changed) when no such member exists."""
+        cluster = self._clusters.clusters[self._view.prefixes[cluster_index]]
+        survivors = [h for h in cluster.hosts if h.ip != excluding and h.ip not in self._offline]
+        if not survivors:
+            return None
+        group = self._elect_group(cluster_index, cluster.asn, survivors)
         self._surrogates[cluster_index] = group
         for bootstrap in self._bootstraps:
             bootstrap.register_surrogate(cluster.prefix, group[0].ip)
         return group[0]
-
-    # -- close-set maintenance -----------------------------------------------------
-
-    def _init_close_sets(self) -> None:
-        """Warm the close-set state according to the scenario's runtime knobs.
-
-        With an artifact cache configured, previously built close sets
-        (keyed by scenario config + protocol config) are installed
-        directly; otherwise, with ``workers > 1``, every primary's set is
-        prebuilt across a process pool.  With neither, construction stays
-        lazy per cluster exactly as before.
-        """
-        from repro.storage.cache import ScenarioCache, resolve_cache_dir
-
-        config = self._scenario.config
-        cache_root = resolve_cache_dir(config.cache_dir)
-        cache = (
-            ScenarioCache(cache_root)
-            if cache_root is not None and self._scenario.cacheable
-            else None
-        )
-        if cache is not None:
-            cached = cache.load_close_sets(config, self._config)
-            if cached is not None:
-                obs.counter("cache.close_sets.hits").inc()
-                for idx, close_set in cached.items():
-                    group = self._surrogates.get(idx)
-                    if group is not None:
-                        group[0]._close_set = close_set
-                return
-            obs.counter("cache.close_sets.misses").inc()
-        workers = resolve_workers(config.workers)
-        if cache is None and workers <= 1:
-            return  # lazy construction, the original behaviour
-        built = self.prebuild_close_sets(workers)
-        if cache is not None:
-            cache.save_close_sets(config, self._config, built)
-
-    def prebuild_close_sets(
-        self, workers: Optional[int] = None
-    ) -> Dict[int, CloseClusterSet]:
-        """Build every primary surrogate's close set, returning them all.
-
-        Each cluster's valley-free BFS is independent given the AS graph,
-        so with ``workers > 1`` the builds fan out over a fork-start
-        process pool (children inherit the system read-only); results are
-        identical to lazy serial construction.
-        """
-        count = resolve_workers(
-            self._scenario.config.workers if workers is None else workers
-        )
-        pending = [
-            idx
-            for idx, group in sorted(self._surrogates.items())
-            if group[0]._close_set is None
-        ]
-        prebuild_span = obs.span(
-            "asap.prebuild_close_sets", pending=len(pending), workers=count
-        )
-        with prebuild_span:
-            return self._prebuild_pending(pending, count)
-
-    def _prebuild_pending(
-        self, pending: List[int], count: int
-    ) -> Dict[int, CloseClusterSet]:
-        if count > 1 and len(pending) > 1 and fork_available():
-            global _PREBUILD_SYSTEM
-            _PREBUILD_SYSTEM = self
-            try:
-                blocks = run_forked(
-                    _build_close_set_chunk,
-                    chunked(pending, count * 4),
-                    processes=count,
-                )
-            finally:
-                _PREBUILD_SYSTEM = None
-            for block in blocks:
-                for idx, close_set in block:
-                    self._surrogates[idx][0]._close_set = close_set
-        else:
-            for idx in pending:
-                self._surrogates[idx][0].close_set()
-        return {idx: group[0].close_set() for idx, group in self._surrogates.items()}
 
     # -- calling ------------------------------------------------------------------
 
@@ -455,16 +345,3 @@ class ASAPSystem:
             for group in self._surrogates.values()
             for member in group
         )
-
-
-#: Shared state slot for fork-start close-set prebuild workers.
-_PREBUILD_SYSTEM: Optional[ASAPSystem] = None
-
-
-def _build_close_set_chunk(indices: List[int]):
-    """Pool worker: construct the close sets of one chunk of clusters."""
-    system = _PREBUILD_SYSTEM
-    return [
-        (idx, system._builder.build(idx, system._surrogates[idx][0].asn))
-        for idx in indices
-    ]

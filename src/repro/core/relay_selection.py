@@ -14,12 +14,16 @@ Given the close cluster sets S1 (caller's) and S2 (callee's):
 Message accounting follows Section 7.3: one-hop selection costs 2
 messages (obtaining S2 from the callee); each two-hop close-set fetch
 costs 2 more.
+
+A caller on a network waits between the steps for the close sets the
+first one names, so they are two functions, :func:`select_one_hop` and
+:func:`select_two_hop`; :func:`select_close_relay` composes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +58,9 @@ class RelaySelection:
     two_hop: List[TwoHopCandidate] = field(default_factory=list)
     messages: int = 0
     two_hop_queries: int = 0
+    #: The one-hop candidates whose clusters' close sets the two-hop
+    #: step asks for, in fetch order (empty when |OS| reached sizeT).
+    first_hops: List[OneHopCandidate] = field(default_factory=list)
 
     @property
     def one_hop_ips(self) -> int:
@@ -117,63 +124,87 @@ def select_close_relay(
 
     ``cluster_size`` maps a cluster index to its online host count;
     ``close_set_of`` fetches another surrogate's close cluster set (the
-    two-hop step; each call is billed 2 messages).
-
-    Works on the sets' sorted :meth:`CloseClusterSet.rows`: the one-hop
-    intersection is a sorted-array intersection, each two-hop expansion
-    a ``searchsorted`` membership test of the fetched set in S2.  Sums
-    keep the scalar specification's left-to-right operand order
-    (``tests/oracles.py``), so every relay RTT is the same float.
+    two-hop step; each call is billed 2 messages), first hops ascending.
     """
     if config is None:
         config = ASAPConfig()
-    lat_threshold = config.lat_threshold_ms
-    result = RelaySelection()
-    result.messages += 2  # h1 obtains S2 from h2 (request + response)
+    selection = select_one_hop(s1, s2, cluster_size, config)
+    fetched = {c.cluster: close_set_of(c.cluster) for c in selection.first_hops}
+    return select_two_hop(selection, s1, s2, fetched, cluster_size, config)
 
-    # One-hop: intersect close sets.
+
+def select_one_hop(
+    s1: CloseClusterSet,
+    s2: CloseClusterSet,
+    cluster_size: Callable[[int], int],
+    config: ASAPConfig,
+) -> RelaySelection:
+    """The one-hop step: fill ``one_hop`` from S1 ∩ S2, bill its 2
+    messages, and name in ``first_hops`` the candidates whose close sets
+    :func:`select_two_hop` needs.
+
+    Works on the sets' sorted :meth:`CloseClusterSet.rows`: a
+    sorted-array intersection whose sum keeps the scalar specification's
+    left-to-right operand order (``tests/oracles.py``), so every relay
+    RTT is the same float.
+    """
+    result = RelaySelection(messages=2)  # h1 obtains S2 from h2 (request + response)
     c1, rtt1 = s1.rows()
     c2, rtt2 = s2.rows()
     common, at1, at2 = np.intersect1d(c1, c2, assume_unique=True, return_indices=True)
-    leg1 = rtt1[at1]
-    relay_rtt = leg1 + rtt2[at2] + config.relay_delay_rtt_ms
-    close = relay_rtt < lat_threshold
-    first_hops: List[Tuple[int, float, int]] = []  # (cluster, S1 rtt, size)
-    for cluster, leg, rtt in zip(
-        common[close].tolist(), leg1[close].tolist(), relay_rtt[close].tolist()
-    ):
+    relay_rtt = rtt1[at1] + rtt2[at2] + config.relay_delay_rtt_ms
+    close = relay_rtt < config.lat_threshold_ms
+    for cluster, rtt in zip(common[close].tolist(), relay_rtt[close].tolist()):
         size = cluster_size(cluster)
         if size <= 0:
             continue  # churned dark: no hosts left to relay through
         result.one_hop.append(
             OneHopCandidate(cluster=cluster, relay_rtt_ms=rtt, member_ips=size)
         )
-        first_hops.append((cluster, leg, size))
 
-    if result.one_hop_ips >= config.size_threshold:
-        return result
+    # Two-hop expands through the close sets of one-hop candidates (clusters
+    # already known close to h1), and only while OS is short of sizeT.
+    if result.one_hop_ips < config.size_threshold:
+        result.first_hops = result.one_hop[: config.max_two_hop_queries]
+    return result
 
-    # Two-hop: expand through the close sets of one-hop candidate
-    # clusters (the surrogates of clusters already known close to h1).
-    # First hops ascend and each fetched set's rows ascend, so
-    # candidates come out in (r1, r2) order.
-    if config.max_two_hop_queries is not None:
-        first_hops = first_hops[: config.max_two_hop_queries]
+
+def select_two_hop(
+    selection: RelaySelection,
+    s1: CloseClusterSet,
+    s2: CloseClusterSet,
+    fetched: Mapping[int, CloseClusterSet],
+    cluster_size: Callable[[int], int],
+    config: ASAPConfig,
+) -> RelaySelection:
+    """The two-hop step: expand ``selection.first_hops`` through their
+    ``fetched`` close sets (keyed by cluster) into ``two_hop``.
+
+    Every named first hop is billed its query (2 messages) whether or
+    not its set arrived; one that did not contributes no candidates.
+    Each expansion is a ``searchsorted`` membership test of the fetched
+    set in S2.  First hops ascend and each fetched set's rows ascend, so
+    candidates come out in (r1, r2) order.  Returns ``selection``.
+    """
+    c2, rtt2 = s2.rows()
     both_delays = 2.0 * config.relay_delay_rtt_ms
-    for r1, leg, size1 in first_hops:
-        via, via_rtt = close_set_of(r1).rows()
-        result.messages += 2
-        result.two_hop_queries += 1
+    for first in selection.first_hops:
+        selection.messages += 2
+        selection.two_hop_queries += 1
+        r1 = first.cluster
+        if r1 not in fetched:
+            continue
+        via, via_rtt = fetched[r1].rows()
         # r1 is in S2, so S2 is not empty and the clipped index is valid.
         at2 = np.minimum(np.searchsorted(c2, via), len(c2) - 1)
         keep = (c2[at2] == via) & (via != r1)
-        relay_rtt = leg + via_rtt[keep] + rtt2[at2[keep]] + both_delays
-        close = relay_rtt < lat_threshold
+        relay_rtt = s1.rtt_to(r1) + via_rtt[keep] + rtt2[at2[keep]] + both_delays
+        close = relay_rtt < config.lat_threshold_ms
         for r2, rtt in zip(via[keep][close].tolist(), relay_rtt[close].tolist()):
-            pairs = size1 * cluster_size(r2)
+            pairs = first.member_ips * cluster_size(r2)
             if pairs <= 0:
                 continue  # the second leg's cluster has churned dark
-            result.two_hop.append(
+            selection.two_hop.append(
                 TwoHopCandidate(first=r1, second=r2, relay_rtt_ms=rtt, member_pairs=pairs)
             )
-    return result
+    return selection

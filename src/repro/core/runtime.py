@@ -720,8 +720,8 @@ class ASAPRuntime:
             if state.two_hop_pending == 0:
                 self._finalize_setup(record, state, on_complete, media_duration_ms)
 
-        if selection is not None and selection.two_hop_queries > 0:
-            for candidate in selection.one_hop[: selection.two_hop_queries]:
+        if selection is not None:
+            for candidate in selection.first_hops:
                 surrogate = self._system.surrogate(candidate.cluster, requester=caller.ip)
                 self._ensure_registered(surrogate.ip)
                 rtt = self._rtt_between(caller, surrogate.host)

@@ -31,6 +31,7 @@ static chaos run's records exactly.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -324,17 +325,16 @@ def run_soak(
         # Inter-tick close-set drift: snapshot, repair, compare against
         # the repaired truth (parity-exact with a fresh build).
         if maintainer.pending and maintainer.tracked:
+            # A shallow copy is a snapshot: repairs rebind a set's arrays.
             before = {
-                owner: dict(maintainer.current(owner).entries)
+                owner: copy.copy(maintainer.current(owner))
                 for owner in maintainer.tracked
             }
             maintainer.drain()
             for owner, snapshot in before.items():
                 if owner not in maintainer.tracked:
                     continue  # went dark mid-interval
-                truth = maintainer.current(owner).entries
-                drift = set(snapshot.items()) ^ set(truth.items())
-                staleness = len(drift) / max(1, len(truth))
+                staleness = snapshot.drift_from(maintainer.current(owner))
                 staleness_samples.append(staleness)
                 obs.histogram("control.staleness").observe(staleness)
         else:

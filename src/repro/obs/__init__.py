@@ -201,8 +201,6 @@ class RunObserver:
             "cache": {
                 "scenario_hits": counters.get("cache.scenario.hits", 0),
                 "scenario_misses": counters.get("cache.scenario.misses", 0),
-                "close_set_hits": counters.get("cache.close_sets.hits", 0),
-                "close_set_misses": counters.get("cache.close_sets.misses", 0),
             },
             "network": {
                 "messages_dropped": counters.get("net.dropped", 0),

@@ -41,7 +41,9 @@ __all__ = [
 #: v5: optional top-level ``telemetry`` block (time-series output file,
 #: sample/series counts, cadence, reservoir drops); histogram snapshots
 #: carry a bounded raw-sample reservoir (``samples``/``dropped``).
-MANIFEST_SCHEMA_VERSION = 5
+#: v6: the ``cache`` block lost its close-set hit/miss counts (close
+#: sets are built on first use, never cached on disk).
+MANIFEST_SCHEMA_VERSION = 6
 
 #: Canonical file name of a run manifest inside an observability directory.
 MANIFEST_FILENAME = "run_manifest.json"
@@ -81,12 +83,7 @@ MANIFEST_SCHEMA: Dict[str, Tuple[tuple, bool]] = {
 _HISTOGRAM_FIELDS = ("count", "sum", "min", "max", "p50", "p95", "p99", "buckets")
 
 #: Required integer members of the ``cache`` sub-document.
-_CACHE_FIELDS = (
-    "scenario_hits",
-    "scenario_misses",
-    "close_set_hits",
-    "close_set_misses",
-)
+_CACHE_FIELDS = ("scenario_hits", "scenario_misses")
 
 #: Required integer members of the optional ``network`` sub-document.
 _NETWORK_FIELDS = (

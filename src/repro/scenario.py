@@ -18,9 +18,8 @@ Every stochastic choice derives from ``ScenarioConfig.seed``, so a config
 value uniquely determines the world.  That determinism powers two
 runtime knobs that never change results:
 
-- ``workers`` — fan matrix assembly (and ASAP close-set prebuilds) out
-  over a fork-start process pool; output is bit-for-bit identical to
-  the serial path;
+- ``workers`` — fan matrix assembly out over a fork-start process
+  pool; output is bit-for-bit identical to the serial path;
 - ``cache_dir`` — a content-addressed artifact cache
   (:mod:`repro.storage.cache`): warm :func:`build_scenario` calls load
   the world and its matrices from disk instead of regenerating them.

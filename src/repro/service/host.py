@@ -35,7 +35,8 @@ from repro.core.close_cluster import CloseClusterSet
 from repro.core.relay_selection import (
     RelaySelection,
     ranked_relay_clusters,
-    select_close_relay,
+    select_one_hop,
+    select_two_hop,
 )
 from repro.core.runtime import RuntimePolicy
 from repro.errors import (
@@ -616,36 +617,23 @@ class HostAgent(ServiceNode):
             result.path_rtt_ms = result.direct_rtt_ms
             return
 
-        # 3. select-close-relay from the fetched sets.  A first pass with
-        # empty two-hop answers reveals which candidate clusters the
-        # algorithm wants expanded; those close sets are then fetched
-        # over the wire and a second pass computes the real selection.
-        empty = CloseClusterSet(owner=-1)
-        preview = select_close_relay(
-            s1, s2, world.cluster_size, lambda idx: empty, config=world.config
-        )
+        # 3. select-close-relay: the one-hop step names the candidate
+        # clusters to expand; their close sets are fetched over the wire
+        # and the two-hop step runs over whichever arrived.
+        selection = select_one_hop(s1, s2, world.cluster_size, world.config)
         fetched: Dict[int, CloseClusterSet] = {}
-        if preview.two_hop_queries > 0:
-            first_hops = [c.cluster for c in preview.one_hop]
-            if world.config.max_two_hop_queries is not None:
-                first_hops = first_hops[: world.config.max_two_hop_queries]
+        if selection.first_hops:
             two_hop_start = self.now_ms()
             await self.transport.gather(
                 *[
-                    self._fetch_two_hop(span, cluster, fetched)
-                    for cluster in first_hops
+                    self._fetch_two_hop(span, first.cluster, fetched)
+                    for first in selection.first_hops
                 ]
             )
             result.steps.append(
                 ("two_hop", round(self.now_ms() - two_hop_start, 3))
             )
-        selection = select_close_relay(
-            s1,
-            s2,
-            world.cluster_size,
-            lambda idx: fetched.get(idx, empty),
-            config=world.config,
-        )
+        select_two_hop(selection, s1, s2, fetched, world.cluster_size, world.config)
         result.selection_messages = selection.messages
         self._last_selection = selection
         select = span.child("setup.select", self.now_ms())

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.core.close_cluster import CloseClusterSet
 from repro.errors import ProtocolError, ServiceError
 from repro.net.codec import (
     ERR_NOT_SERVING,
@@ -52,30 +52,17 @@ def pairs_to_close_set(owner: int, pairs) -> CloseClusterSet:
 
     Only membership and RTT travel (all select-close-relay needs);
     loss and hop depth are measurement-side detail that stays with the
-    owning surrogate.  The pairs must be what :func:`close_set_to_pairs`
-    emits — strictly ascending cluster ids, finite non-negative RTTs —
+    owning surrogate (zeros here).  The pairs must be what
+    :func:`close_set_to_pairs` emits — strictly ascending cluster ids
+    (the set's own constructor checks that), finite non-negative RTTs —
     and anything else raises :class:`ProtocolError`.
     """
     table = np.array(pairs, dtype=np.float64).reshape(-1, 2)
-    clusters = table[:, 0].astype(np.int64)
     rtt_ms = np.ascontiguousarray(table[:, 1])
-    if np.any(clusters[1:] <= clusters[:-1]):
-        raise ProtocolError(
-            f"close set of {owner}: cluster ids are not strictly ascending"
-        )
     if not np.all(np.isfinite(rtt_ms) & (rtt_ms >= 0.0)):
         raise ProtocolError(f"close set of {owner}: negative or non-finite RTT")
-    close_set = CloseClusterSet(
-        owner=owner,
-        entries={
-            cluster: CloseClusterEntry(
-                cluster=cluster, rtt_ms=rtt, loss=0.0, as_hops=0
-            )
-            for cluster, rtt in pairs
-        },
-    )
-    close_set.seed_rows(clusters, rtt_ms)
-    return close_set
+    unmeasured = np.zeros(len(table))
+    return CloseClusterSet(owner, table[:, 0], rtt_ms, unmeasured, unmeasured)
 
 
 class SurrogateServer(ServiceNode):

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache of built scenarios and close sets.
+"""Content-addressed on-disk cache of built scenarios.
 
 Every experiment replays the same simulated worlds: a
 :class:`~repro.scenario.ScenarioConfig` plus its seed uniquely determine
@@ -11,7 +11,6 @@ Layout, under a cache root (``--cache-dir`` / ``$REPRO_CACHE_DIR``)::
     <root>/<key>/meta.json            # schema version, config echo
     <root>/<key>/scenario.pkl.gz      # world minus matrices (pickle)
     <root>/<key>/matrices.npz         # delegate matrices (npz archive)
-    <root>/<key>/close_sets-<k>.pkl.gz  # per-ASAPConfig close sets
 
 ``<key>`` is a SHA-256 digest over the canonical JSON of the scenario
 config (runtime-only fields — worker count, cache directory — excluded)
@@ -31,17 +30,20 @@ import json
 import os
 import pickle
 import tempfile
+import zipfile
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
+from repro.errors import ReproError
 from repro.storage.artifacts import load_matrices, save_matrices
 
 PathLike = Union[str, Path]
 
 #: Bump whenever the semantics of cached artifacts change (pickle layout,
-#: matrix contents, close-set construction): old entries become unreadable
-#: by key mismatch rather than silently wrong.
-#: v2: CloseClusterSet gained ``probes_by_as`` (per-AS probe attribution).
+#: matrix contents): old entries become unreadable by key mismatch rather
+#: than silently wrong.
+#: v2: the close sets once cached here gained ``probes_by_as``; they are
+#: no longer cached, and the number stays so existing entries stay valid.
 SCHEMA_VERSION = 2
 
 #: Environment override for the cache root when no explicit directory is
@@ -76,16 +78,6 @@ def scenario_cache_key(config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 
-def asap_config_key(asap_config) -> str:
-    """Stable content hash of an ASAP protocol config (for close sets)."""
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "config": dataclasses.asdict(asap_config),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -101,7 +93,7 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 
 class ScenarioCache:
-    """Load/store scenarios (and their close sets) under one cache root."""
+    """Load/store built scenarios under one cache root."""
 
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
@@ -109,23 +101,13 @@ class ScenarioCache:
     def dir_for(self, config) -> Path:
         return self.root / scenario_cache_key(config)
 
-    # -- scenarios ---------------------------------------------------------
-
-    def has(self, config) -> bool:
-        entry = self.dir_for(config)
-        return (entry / "meta.json").exists() and (
-            entry / "scenario.pkl.gz"
-        ).exists() and (entry / "matrices.npz").exists()
-
     def load(self, config):
-        """The cached scenario for ``config``, or ``None`` on a cold miss.
+        """The cached scenario for ``config``; ``None`` when there is no whole entry.
 
         The returned scenario carries the *requested* config object, so
         runtime fields (worker count, cache directory) follow the caller
         rather than whatever run populated the cache.
         """
-        if not self.has(config):
-            return None
         entry = self.dir_for(config)
         try:
             meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
@@ -134,7 +116,15 @@ class ScenarioCache:
             with gzip.open(entry / "scenario.pkl.gz", "rb") as handle:
                 scenario = pickle.load(handle)
             scenario._matrices = load_matrices(entry / "matrices.npz")
-        except (OSError, EOFError, pickle.UnpicklingError, json.JSONDecodeError):
+        except (
+            OSError,             # a file is missing (cold miss) or unreadable
+            EOFError,
+            pickle.UnpicklingError,
+            zipfile.BadZipFile,  # truncated matrices.npz
+            ReproError,          # foreign matrix archive version
+            KeyError,            # archive without one of its arrays
+            ValueError,          # undecodable JSON / not an npz at all
+        ):
             return None  # partial/corrupt entry: treat as a miss
         scenario.config = config
         return scenario
@@ -170,28 +160,3 @@ class ScenarioCache:
             json.dumps(meta, indent=2, sort_keys=True, default=str).encode("utf-8"),
         )
         return entry
-
-    # -- close cluster sets ------------------------------------------------
-
-    def _close_set_path(self, config, asap_config) -> Path:
-        return self.dir_for(config) / f"close_sets-{asap_config_key(asap_config)}.pkl.gz"
-
-    def load_close_sets(self, config, asap_config) -> Optional[Dict[int, object]]:
-        """Cached ``{cluster index: CloseClusterSet}`` mapping, or ``None``."""
-        path = self._close_set_path(config, asap_config)
-        if not path.exists():
-            return None
-        try:
-            with gzip.open(path, "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, EOFError, pickle.UnpicklingError):
-            return None
-
-    def save_close_sets(self, config, asap_config, close_sets: Dict[int, object]) -> Path:
-        path = self._close_set_path(config, asap_config)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_bytes(
-            path,
-            gzip.compress(pickle.dumps(close_sets, protocol=pickle.HIGHEST_PROTOCOL)),
-        )
-        return path

@@ -1,8 +1,7 @@
 """Multiprocess fan-out helpers for the evaluation substrate.
 
-The heavy substrate computations — per-destination policy-tree walks in
-:func:`repro.measurement.matrix.compute_delegate_matrices` and the
-per-surrogate valley-free BFS in close-cluster-set construction — are
+The heavy substrate computation — the per-destination policy-tree walks
+in :func:`repro.measurement.matrix.compute_delegate_matrices` — is
 embarrassingly parallel: each unit of work is independent given the
 shared read-only world (topology, AS graph, latency model).
 
@@ -158,6 +157,7 @@ def run_forked(worker, chunks: Iterable[Sequence], processes: int) -> List:
     _FORKED_WORKER = worker
     try:
         with obs.span("parallel.run_forked", processes=processes, chunks=len(chunk_list)):
+            obs.tracer().flush()  # or each child re-writes the lines it inherits unflushed
             with context.Pool(processes=processes) as pool:
                 outcomes = pool.map(_observed_worker, chunk_list)
     finally:

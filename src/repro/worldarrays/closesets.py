@@ -33,11 +33,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.bgp.asgraph import ASGraph
-from repro.core.close_cluster import (
-    CloseClusterEntry,
-    CloseClusterSet,
-    emit_build_observability,
-)
+from repro.core.close_cluster import CloseClusterSet, emit_build_observability
 from repro.core.config import ASAPConfig
 from repro.worldarrays.arrays import GraphCSR, bucket_csr, csr_gather
 
@@ -102,21 +98,20 @@ class FlatCloseSetBuilder:
         ``clusters_in_as`` had been filtered by the same mask.
         """
         csr = self._csr
-        result = CloseClusterSet(owner=own_cluster)
         own_idx = csr.index_of.get(own_as)
         if own_idx is None:
             # Matches the reference: an AS unknown to the inferred graph
             # yields an empty set with no emission.
-            return result
+            return CloseClusterSet(owner=own_cluster)
 
-        # The own cluster joins with a zero-cost entry and is never probed.
-        found: List[Tuple[np.ndarray, np.ndarray]] = []  # (clusters, rtt) per level
+        # Members as (clusters, rtt, loss, depth) arrays per level.  The
+        # own cluster joins with a zero-cost entry and is never probed.
+        found: List[Tuple[np.ndarray, ...]] = []
         own_rows = self._rows_flat[
             self._rows_indptr[own_idx] : self._rows_indptr[own_idx + 1]
         ]
         if (online is None or online[own_cluster]) and np.any(own_rows == own_cluster):
-            result.entries[own_cluster] = CloseClusterEntry(own_cluster, 0.0, 0.0, 0)
-            found.append((np.array([own_cluster], dtype=np.int64), np.zeros(1)))
+            found.append((np.array([own_cluster]), np.zeros(1), np.zeros(1), np.zeros(1, int)))
 
         count = csr.count
         up = np.zeros(count, dtype=bool)
@@ -126,6 +121,8 @@ class FlatCloseSetBuilder:
         fresh = front_up = np.array([own_idx], dtype=np.int64)
         front_down = fresh[:0]
         up[own_idx] = seen[own_idx] = True
+        ases_visited = probe_messages = 0
+        probes_by_as: Dict[int, int] = {}
         for depth in range(self._config.k_hops + 1):
             if depth:
                 new_up, new_down = self._level(
@@ -147,22 +144,25 @@ class FlatCloseSetBuilder:
             )
             expands[fresh] = verdict
             asns = csr.as_ids[fresh]
-            result.ases_visited += len(fresh)
-            result.probe_messages += 2 * int(probed.sum())
+            ases_visited += len(fresh)
+            probe_messages += 2 * int(probed.sum())
             hit = probed > 0
-            result.probes_by_as.update(
-                zip(asns[hit].tolist(), (2 * probed[hit]).tolist())
-            )
+            probes_by_as.update(zip(asns[hit].tolist(), (2 * probed[hit]).tolist()))
             if meta_out is not None:
                 for asn, rights in zip(asns.tolist(), verdict.tolist()):
                     meta_out[asn] = (depth, rights)
-            for entry in _entries(rows, rtt, lost, depth):
-                result.entries[entry.cluster] = entry
-            found.append((rows, rtt))
+            found.append((rows, rtt, lost, np.full(len(rows), depth)))
 
-        clusters = np.concatenate([rows for rows, _ in found])
-        order = np.argsort(clusters)
-        result.seed_rows(clusters[order], np.concatenate([rtt for _, rtt in found])[order])
+        # An AS is probed once, so no cluster repeats across levels.
+        columns = [np.concatenate(column) for column in zip(*found)]
+        order = np.argsort(columns[0])
+        result = CloseClusterSet(
+            own_cluster,
+            *(column[order] for column in columns),
+            probe_messages=probe_messages,
+            ases_visited=ases_visited,
+            probes_by_as=probes_by_as,
+        )
         emit_build_observability(result, own_as)
         return result
 
@@ -222,18 +222,18 @@ class FlatCloseSetBuilder:
         asn: int,
         depth: int,
         online: Optional[np.ndarray] = None,
-    ) -> Tuple[bool, int, List[CloseClusterEntry]]:
+    ) -> Tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
         """Probe every online cluster of one AS from ``own_cluster``.
 
-        Returns ``(expands, probed, passing)``: whether the BFS may
-        expand through the AS, how many clusters were probed, and an
-        entry (at ``depth``) for each cluster that passed — the
-        single-AS form of the step :meth:`build` runs per level, which
-        the maintainer's verdicts and patches go through.
+        Returns ``(expands, rows, rtt, lost)``: whether the BFS may
+        expand through the AS, then the clusters that passed (ascending)
+        with their measurements — the single-AS form of the step
+        :meth:`build` runs per level, which the maintainer's verdicts
+        and patches go through.
         """
         nodes = np.array([self._csr.index_of[asn]], dtype=np.int64)
-        verdict, probed, rows, rtt, lost = self._measure(own_cluster, nodes, depth, online)
-        return bool(verdict[0]), int(probed[0]), _entries(rows, rtt, lost, depth)
+        verdict, _, rows, rtt, lost = self._measure(own_cluster, nodes, depth, online)
+        return bool(verdict[0]), rows, rtt, lost
 
     def _measure(
         self, own_cluster: int, nodes: np.ndarray, depth: int, online: Optional[np.ndarray]
@@ -276,12 +276,3 @@ class FlatCloseSetBuilder:
         if depth == 0:
             expands[:] = True
         return expands, probed, rows, rtt, lost
-
-
-def _entries(
-    rows: np.ndarray, rtt: np.ndarray, lost: np.ndarray, depth: int
-) -> List[CloseClusterEntry]:
-    return [
-        CloseClusterEntry(row, rtt_ms, loss_rate, depth)
-        for row, rtt_ms, loss_rate in zip(rows.tolist(), rtt.tolist(), lost.tolist())
-    ]

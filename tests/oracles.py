@@ -10,11 +10,12 @@
   (:func:`repro.core.construct_close_cluster_set`) wired to a system's
   world, which :class:`repro.worldarrays.FlatCloseSetBuilder` must match.
 - :func:`scalar_select_close_relay`: the Fig. 10 transcription over the
-  close sets' ``entries`` dicts — the body
+  close sets' ``entries`` views — the body
   :func:`repro.core.relay_selection.select_close_relay` had before it
-  went array-native, which it must reproduce float for float.
-- :func:`assert_rows_match_entries`: a close set's array form against
-  its ``entries`` dict, the source of truth.
+  went array-native, which it (and its two steps) must reproduce float
+  for float.
+- :func:`assert_arrays_are_the_set`: the invariants of the arrays a
+  :class:`CloseClusterSet` stores, and of the views it derives.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import pytest
 
 from repro.core import construct_close_cluster_set
 from repro.core.close_cluster import CloseClusterSet
@@ -173,12 +175,26 @@ def reference_close_set(system, cluster: int, online=None, meta_out=None):
     )
 
 
-def assert_rows_match_entries(close_set: CloseClusterSet) -> None:
-    """``rows()`` ≡ the entries dict sorted by cluster: same ids, same floats."""
-    clusters, rtt_ms = close_set.rows()
-    assert clusters.dtype == np.int64 and rtt_ms.dtype == np.float64
-    assert clusters.tolist() == sorted(close_set.entries)
-    assert rtt_ms.tolist() == [close_set.entries[c].rtt_ms for c in clusters.tolist()]
+def assert_arrays_are_the_set(close_set: CloseClusterSet) -> None:
+    """The stored arrays' invariants: typed, aligned, ids strictly
+    ascending; ``rows()`` hands them out as they are; the ``entries``
+    view is their ascending image and cannot be written through."""
+    ids, rtt_ms, loss, as_hops = (
+        close_set.ids, close_set.rtt_ms, close_set.loss, close_set.as_hops
+    )
+    assert ids.dtype == as_hops.dtype == np.int64
+    assert rtt_ms.dtype == loss.dtype == np.float64
+    assert ids.shape == rtt_ms.shape == loss.shape == as_hops.shape == (len(close_set),)
+    assert np.all(ids[1:] > ids[:-1])
+    clusters, rtts = close_set.rows()
+    assert clusters is ids and rtts is rtt_ms
+    entries = close_set.entries
+    assert list(entries) == ids.tolist() == close_set.clusters()
+    assert [(e.cluster, e.rtt_ms, e.loss, e.as_hops) for e in entries.values()] == list(
+        zip(ids.tolist(), rtt_ms.tolist(), loss.tolist(), as_hops.tolist())
+    )
+    with pytest.raises(TypeError):
+        entries[-1] = None
 
 
 def scalar_select_close_relay(
@@ -188,7 +204,7 @@ def scalar_select_close_relay(
     close_set_of: Callable[[int], CloseClusterSet],
     config: Optional[ASAPConfig] = None,
 ) -> RelaySelection:
-    """``select_close_relay`` the scalar way: Fig. 10 over the entries dicts.
+    """``select_close_relay`` the scalar way: Fig. 10 over the entries views.
 
     ``cluster_size`` maps a cluster index to its online host count;
     ``close_set_of`` fetches another surrogate's close cluster set (the

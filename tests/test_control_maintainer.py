@@ -16,7 +16,7 @@ from repro.control import ClusterMembership, CloseSetMaintainer, MembershipEvent
 from repro.core import ASAPConfig, construct_close_cluster_set
 from repro.errors import ProtocolError
 from repro.worldarrays import FlatCloseSetBuilder
-from tests.oracles import assert_rows_match_entries
+from tests.oracles import assert_arrays_are_the_set
 
 
 def diamond():
@@ -98,7 +98,7 @@ def fresh_entries(maintainer, owner):
 def assert_parity(maintainer):
     for owner in maintainer.tracked:
         assert maintainer.current(owner).entries == fresh_entries(maintainer, owner)
-        assert_rows_match_entries(maintainer.current(owner))  # patched or rebuilt
+        assert_arrays_are_the_set(maintainer.current(owner))  # patched or rebuilt
         assert maintainer.staleness(owner) == 0.0
 
 

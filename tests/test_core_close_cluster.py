@@ -1,5 +1,6 @@
 """Tests for construct-close-cluster-set (paper Fig. 9)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from repro.bgp import ASGraph
 from repro.core import ASAPConfig, construct_close_cluster_set
 from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
 from repro.errors import ProtocolError
-from tests.oracles import assert_rows_match_entries
+from tests.oracles import assert_arrays_are_the_set
 
 
 def diamond():
@@ -145,11 +146,11 @@ class TestConstructCloseClusterSet:
 
 
 class TestRows:
-    """``rows()`` stays the sorted image of ``entries`` under mutation."""
+    """The stored arrays stay the sorted image of the model under mutation."""
 
     OPS = st.lists(
         st.tuples(
-            st.sampled_from(["add", "discard", "rows"]),
+            st.sampled_from(["add", "discard"]),
             st.integers(0, 7),
             st.floats(0.0, 500.0, allow_nan=False),
         ),
@@ -161,15 +162,46 @@ class TestRows:
         cs = CloseClusterSet(owner=0)
         model = {}
         for op, cluster, rtt in ops:
+            handed_out = tuple(a.copy() for a in cs.rows()), cs.rows()
             if op == "add":
-                cs.add(CloseClusterEntry(cluster, rtt, 0.0, 1))
+                cs.add(CloseClusterEntry(cluster, rtt, 0.5, 2))
                 model.setdefault(cluster, rtt)  # a member keeps its entry
-            elif op == "discard":
+            else:
                 cs.discard(cluster)             # absent: no-op
                 model.pop(cluster, None)
-            else:
-                cs.rows()                       # fill the cache mid-stream
-            assert {c: e.rtt_ms for c, e in cs.entries.items()} == model
-        assert_rows_match_entries(cs)
-        assert cs.clusters() == sorted(model) and len(cs) == len(model)
+            assert_arrays_are_the_set(cs)
+            assert cs.entries == {
+                c: CloseClusterEntry(c, r, 0.5, 2) for c, r in sorted(model.items())
+            }
+            assert cs.clusters() == sorted(model) and len(cs) == len(model)
+            assert all(c in cs and cs.rtt_to(c) == model[c] for c in model)
+            assert not any(c in cs for c in range(8) if c not in model)
+            # Arrays handed out earlier are snapshots: never written into.
+            for before, held in zip(*handed_out):
+                assert np.array_equal(before, held)
 
+    def test_constructor_rejects_unsorted_or_ragged_arrays(self):
+        with pytest.raises(ProtocolError):
+            CloseClusterSet(0, [2, 1], [1.0, 2.0], [0.0, 0.0], [0, 0])
+        with pytest.raises(ProtocolError):
+            CloseClusterSet(0, [1, 1], [1.0, 2.0], [0.0, 0.0], [0, 0])
+        with pytest.raises(ProtocolError):
+            CloseClusterSet(0, [1, 2], [1.0], [0.0, 0.0], [0, 0])
+
+    def test_equality_compares_members_and_values(self):
+        def build(rtt):
+            return CloseClusterSet(0, [1, 4], [rtt, 2.0], [0.0, 0.1], [1, 2], probe_messages=4)
+
+        assert build(1.0) == build(1.0)
+        assert build(1.0) != build(1.5)
+        shorter = build(1.0)
+        shorter.discard(4)
+        assert shorter != build(1.0)
+
+    def test_drift_counts_changed_members_on_both_sides(self):
+        stale = CloseClusterSet(0, [1, 2, 3], [1.0, 2.0, 3.0], [0.0] * 3, [1] * 3)
+        fresh = CloseClusterSet(0, [2, 3, 4, 5], [2.0, 3.5, 4.0, 5.0], [0.0] * 4, [1] * 4)
+        # 1 left, 4 and 5 arrived, 3 changed value (both sides): 5 of |fresh| = 4.
+        assert stale.drift_from(fresh) == 5 / 4
+        assert fresh.drift_from(fresh) == 0.0
+        assert stale.drift_from(CloseClusterSet(owner=0)) == 3.0  # max(1, 0)

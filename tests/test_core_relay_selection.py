@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from repro.core import ASAPConfig, select_close_relay
 from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
-from repro.core.relay_selection import ranked_relay_clusters
+from repro.core.relay_selection import (
+    ranked_relay_clusters,
+    select_one_hop,
+    select_two_hop,
+)
 from tests.oracles import scalar_select_close_relay
 
 
@@ -16,7 +20,7 @@ def close_set(owner, rtts):
     """Build a CloseClusterSet from {cluster: rtt}."""
     cs = CloseClusterSet(owner=owner)
     for cluster, rtt in rtts.items():
-        cs.entries[cluster] = CloseClusterEntry(cluster, rtt, 0.0, 1)
+        cs.add(CloseClusterEntry(cluster, rtt, 0.0, 1))
     return cs
 
 
@@ -188,29 +192,60 @@ def selection_worlds(draw):
     return s1, s2, fetched, sizes_of, config
 
 
+def stepwise_select(s1, s2, cluster_size, close_set_of, config):
+    """Fig. 10 the way a host on a network runs it: the one-hop step,
+    a fetch of the sets it names, the two-hop step.  A set that never
+    arrives (``close_set_of`` answers None) is left out of the mapping."""
+    selection = select_one_hop(s1, s2, cluster_size, config)
+    assert (selection.messages, selection.two_hop_queries, selection.two_hop) == (2, 0, [])
+    fetched = {}
+    for first in selection.first_hops:
+        answer = close_set_of(first.cluster)
+        if answer is not None:
+            fetched[first.cluster] = answer
+    assert select_two_hop(selection, s1, s2, fetched, cluster_size, config) is selection
+    return selection
+
+
 class TestMatchesScalarOracle:
     @given(selection_worlds())
     @settings(max_examples=300, deadline=None)
     def test_array_selection_equals_scalar_oracle(self, world):
         s1, s2, fetched, sizes_of, config = world
-        results = []
-        for select in (select_close_relay, scalar_select_close_relay):
-            # Fresh sets per implementation: neither sees the other's caches.
+        results, asked = [], []
+        for select in (select_close_relay, scalar_select_close_relay, stepwise_select):
+            # Fresh sets per implementation: none shares arrays with another.
             sets = {r1: close_set(r1, rtts) for r1, rtts in fetched.items()}
-            empty = CloseClusterSet(owner=-1)
+            # The composition and the specification see a first hop that
+            # never answers as an empty set; the steps see no set at all.
+            missing = None if select is stepwise_select else CloseClusterSet(owner=-1)
+            order = []
+
+            def close_set_of(idx):
+                order.append(idx)
+                return sets.get(idx, missing)
+
             results.append(
                 select(
                     close_set(100, s1),
                     close_set(101, s2),
                     sizes_of.__getitem__,
-                    lambda idx: sets.get(idx, empty),
+                    close_set_of,
                     config,
                 )
             )
-        got, want = results
-        assert got.one_hop == want.one_hop          # exact floats, same order
-        assert got.two_hop == want.two_hop
-        assert got.messages == want.messages
-        assert got.two_hop_queries == want.two_hop_queries
-        assert got.best_rtt_ms() == want.best_rtt_ms()
-        assert ranked_relay_clusters(got) == ranked_relay_clusters(want)
+            asked.append(order)
+        want = results[1]
+        for got in (results[0], results[2]):
+            assert got.one_hop == want.one_hop          # exact floats, same order
+            assert got.two_hop == want.two_hop
+            assert got.messages == want.messages
+            assert got.two_hop_queries == want.two_hop_queries
+            assert got.best_rtt_ms() == want.best_rtt_ms()
+            assert ranked_relay_clusters(got) == ranked_relay_clusters(want)
+            # The named first hops are exactly the billed queries, in fetch order.
+            assert [c.cluster for c in got.first_hops] == asked[1]
+            assert got.first_hops == got.one_hop[: len(asked[1])]
+        assert asked[0] == asked[1] == asked[2]
+        if config.size_threshold == 0 or config.max_two_hop_queries == 0:
+            assert asked[1] == []

@@ -227,6 +227,22 @@ class TestForkedMerge:
         records = obs.load_trace_file(tmp_path / obs.TRACES_FILENAME)
         assert len(records) == written == 2  # header + root span, nothing forked
 
+    def test_pooled_matrix_fill_writes_each_sink_line_once(self, scenario, tmp_path):
+        """The real ``--trace --workers 2`` path, holding no reference to
+        the tracer: forked workers inherit the sinks' file objects and
+        must find nothing unflushed in them to write a second time."""
+        if not fork_available():
+            pytest.skip("no fork start method on this platform")
+        with obs.observe(obs_dir=tmp_path, command="unit", trace=True):
+            compute_delegate_matrices(scenario.latency, scenario.clusters, workers=2)
+        records = obs.load_trace_file(tmp_path / obs.TRACES_FILENAME)  # validates
+        assert [r["kind"] for r in records].count("header") == 1
+        events = [
+            json.loads(line)
+            for line in (tmp_path / obs.EVENTS_FILENAME).read_text().splitlines()
+        ]
+        assert [e["name"] for e in events].count("run.start") == 1
+
     def test_fork_merge_identical_with_and_without_tracing(self):
         if not fork_available():
             pytest.skip("no fork start method on this platform")

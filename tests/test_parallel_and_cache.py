@@ -2,20 +2,23 @@
 
 Covers the three pillars added for fast repeated evaluation:
 
-- fork-pool matrix assembly and close-set prebuilds are *bit-for-bit*
-  identical to the serial reference paths;
-- the content-addressed scenario cache round-trips a world exactly and
-  never serves derived (subsampled / measured-view) worlds;
+- fork-pool matrix assembly is *bit-for-bit* identical to the serial
+  reference path;
+- the content-addressed scenario cache round-trips a world exactly,
+  treats a damaged entry as a miss, never serves derived (subsampled /
+  measured-view) worlds, and changes nothing a run measures;
 - the vectorized ``evaluate_sessions`` batch API agrees with the
   per-session ``evaluate_session`` loop for every baseline method.
 """
 
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines import (
     BaselineConfig,
     DEDIMethod,
@@ -23,7 +26,6 @@ from repro.baselines import (
     OPTMethod,
     RANDMethod,
 )
-from repro.core import ASAPConfig, ASAPSystem
 from repro.measurement.matrix import compute_delegate_matrices
 from repro.scenario import (
     ScenarioConfig,
@@ -204,20 +206,6 @@ class TestMatrixParallelParity:
         assert all(s >= 0.0 for s in stats["chunk_seconds"])
 
 
-class TestCloseSetPrebuildParity:
-    def test_parallel_prebuild_matches_lazy(self, scenario):
-        config = ASAPConfig()
-        lazy = ASAPSystem(scenario, config)
-        fanned = ASAPSystem(scenario, config)
-        built = fanned.prebuild_close_sets(workers=2)
-        for idx, close_set in built.items():
-            reference = lazy.close_set(idx)
-            assert set(close_set.entries) == set(reference.entries)
-            assert close_set.probe_messages == reference.probe_messages
-            for cluster, entry in close_set.entries.items():
-                assert entry.rtt_ms == reference.entries[cluster].rtt_ms
-
-
 # -- scenario cache ------------------------------------------------------------
 
 
@@ -255,13 +243,42 @@ class TestScenarioCache:
         assert len(cold.clusters.all_clusters()) == len(warm.clusters.all_clusters())
         assert warm.config == config
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("scenario.pkl.gz", "garbage"),
+            ("scenario.pkl.gz", "truncated"),
+            ("matrices.npz", "garbage"),
+            ("matrices.npz", "truncated"),      # was: zipfile.BadZipFile
+            ("matrices.npz", "foreign-version"),  # was: ReproError
+            ("matrices.npz", "missing-array"),    # was: KeyError
+            ("meta.json", "truncated"),
+            ("meta.json", "foreign-schema"),
+        ],
+    )
+    def test_corrupt_entry_is_a_miss(self, tmp_path, name, damage):
         config = dataclasses.replace(ScenarioConfig.preset("tiny", 7), cache_dir=str(tmp_path))
-        build_scenario(config)
-        pickle_path = tmp_path / scenario_cache_key(config) / "scenario.pkl.gz"
-        pickle_path.write_bytes(b"not a gzip stream")
-        rebuilt = build_scenario(config)  # must rebuild, not crash
-        assert rebuilt.matrices.count > 0
+        intact = build_scenario(config)
+        path = tmp_path / scenario_cache_key(config) / name
+        if damage == "garbage":
+            path.write_bytes(b"not what this file holds")
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "foreign-schema":
+            path.write_text(json.dumps({"schema": SCHEMA_VERSION + 1}))
+        else:
+            with np.load(path) as archive:
+                arrays = dict(archive)
+            if damage == "foreign-version":
+                arrays["version"] = arrays["version"] + 1
+            else:
+                del arrays["rtt_ms"]
+            np.savez_compressed(path, **arrays)
+        with obs.observe() as run:
+            rebuilt = build_scenario(config)  # must rebuild, not crash
+            assert run.registry.counter_value("cache.scenario.misses") == 1
+        assert np.array_equal(rebuilt.matrices.rtt_ms, intact.matrices.rtt_ms)
+        assert ScenarioCache(tmp_path).load(config) is not None  # and the entry is whole again
 
     def test_env_var_selects_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
@@ -284,17 +301,28 @@ class TestScenarioCache:
         with pytest.raises(ValueError):
             cache.save(measured)
 
-    def test_close_set_round_trip(self, scenario, tmp_path):
-        cache = ScenarioCache(str(tmp_path))
-        cache.save(scenario)
-        asap_config = ASAPConfig()
-        built = ASAPSystem(scenario, asap_config).prebuild_close_sets(workers=1)
-        cache.save_close_sets(scenario.config, asap_config, built)
-        loaded = cache.load_close_sets(scenario.config, asap_config)
-        assert loaded is not None
-        assert set(loaded) == set(built)
-        for idx in built:
-            assert set(loaded[idx].entries) == set(built[idx].entries)
+    def test_cache_leaves_the_traced_run_unchanged(self, tmp_path, capsys):
+        """``--cache-dir`` holds the world and its matrices, nothing a
+        run measures: a traced chaos run writes the same ``traces.jsonl``
+        (every ``close_set.build`` span under the call that needed the
+        set) with the cache unset, cold and warm."""
+        from repro.cli import main
+
+        def traced(name, *extra):
+            obs_dir = tmp_path / name
+            rc = main([
+                "chaos", "--scale", "tiny", "--latent", "10", "--sessions", "30",
+                "--trace", "--obs-dir", str(obs_dir), *extra,
+            ])
+            assert rc == 0
+            capsys.readouterr()
+            return (obs_dir / "traces.jsonl").read_bytes()
+
+        cache = ("--cache-dir", str(tmp_path / "cache"))
+        plain, cold, warm = traced("plain"), traced("cold", *cache), traced("warm", *cache)
+        assert plain.count(b'"close_set.build"') > 1
+        assert plain == cold == warm
+        assert not list((tmp_path / "cache").rglob("close_sets-*"))
 
     def test_schema_version_guards_key(self):
         # The schema version participates in the key material: bumping it

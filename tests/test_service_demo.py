@@ -7,6 +7,7 @@ runtime's, so one trace-analysis toolkit reads both.
 """
 
 import asyncio
+import hashlib
 import json
 
 import numpy as np
@@ -85,6 +86,34 @@ class TestLoopbackDemo:
         assert r1.virtual_ms == r2.virtual_ms
         assert r1.wire_deliveries == r2.wire_deliveries
         assert [c.mos for c in r1.calls] == [c.mos for c in r2.calls]
+
+    def test_relayed_dial_runs_each_selection_step_once(self, tmp_path, world, monkeypatch):
+        from repro.core import relay_selection
+        from repro.service import host
+
+        calls = {"select_close_relay": 0, "select_one_hop": 0, "select_two_hop": 0}
+
+        def counting(module, name):
+            genuine = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return genuine(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(relay_selection, "select_close_relay")
+        counting(host, "select_one_hop")
+        counting(host, "select_two_hop")
+        result, trace_bytes = _traced_demo(tmp_path / "t", world)
+        assert result.relayed == 1
+        assert calls == {"select_close_relay": 0, "select_one_hop": 1, "select_two_hop": 1}
+        # Recorded from the two-pass dial this one replaced (same scale and
+        # seed): the bill and every span are unchanged.
+        assert result.calls[0].selection_messages == 60
+        assert hashlib.sha256(trace_bytes).hexdigest() == (
+            "bdc63b19d13b5b8fb625658befa6e51b6f6f9be71e6964315f39bcfa506cc720"
+        )
 
     def test_span_vocabulary_matches_the_runtime(self, tmp_path, world):
         _, trace_bytes = _traced_demo(tmp_path / "t", world)
@@ -193,10 +222,9 @@ class TestCloseSetWire:
 
     def test_pairs_round_trip_the_rows(self, world):
         built = world.close_set(world.populated_clusters()[0])
-        unsorted = CloseClusterSet(
-            owner=7,
-            entries={c: CloseClusterEntry(c, rtt, 0.0, 1) for c, rtt in ((9, 1.5), (2, 0.25))},
-        )
+        unsorted = CloseClusterSet(owner=7)
+        for cluster, rtt in ((9, 1.5), (2, 0.25)):  # added out of order
+            unsorted.add(CloseClusterEntry(cluster, rtt, 0.0, 1))
         for close_set in (built, unsorted, CloseClusterSet(owner=3)):
             pairs = close_set_to_pairs(close_set)
             assert pairs == [(c, close_set.entries[c].rtt_ms) for c in sorted(close_set.entries)]

@@ -27,7 +27,7 @@ from repro.topology.generator import generate_topology
 from repro.util.rng import derive_rng
 from repro.worldarrays import FlatCloseSetBuilder, FlatMatrixAssembler, WorldArrays
 from tests.oracles import (
-    assert_rows_match_entries,
+    assert_arrays_are_the_set,
     fill_destinations,
     reference_close_set,
     scalar_delegate_matrices,
@@ -118,17 +118,12 @@ def _online_mask(seed: int, count: int) -> np.ndarray:
 
 
 def _assert_close_set_identical(flat, ref):
-    assert_rows_match_entries(flat)  # the builder's seeded rows, not a re-derivation
+    assert_arrays_are_the_set(flat)
     assert flat.owner == ref.owner
     assert flat.probe_messages == ref.probe_messages
     assert flat.ases_visited == ref.ases_visited
     assert dict(flat.probes_by_as) == dict(ref.probes_by_as)
-    assert set(flat.entries) == set(ref.entries)
-    for cluster, entry in ref.entries.items():
-        got = flat.entries[cluster]
-        assert got.rtt_ms == entry.rtt_ms        # bitwise: no approx
-        assert got.loss == entry.loss
-        assert got.as_hops == entry.as_hops
+    assert dict(flat.entries) == dict(ref.entries)  # bitwise floats: no approx
 
 
 def _assert_builder_matches_reference(system, online=None):
@@ -152,13 +147,6 @@ class TestCloseSetParity:
     def test_unconstrained_bfs_parity(self, scenarios):
         config = ASAPConfig(valley_free=False, k_hops=2)
         _assert_builder_matches_reference(ASAPSystem(scenarios[0], config))
-
-    def test_parallel_prebuild_parity(self, scenarios):
-        system = ASAPSystem(scenarios[0], ASAPConfig())
-        built = system.prebuild_close_sets(workers=2)
-        assert set(built) == set(range(system.scenario.matrix_view().count))
-        for cluster, close_set in built.items():
-            _assert_close_set_identical(close_set, reference_close_set(system, cluster))
 
     @given(st.integers(0, 10_000), st.integers(0, len(SEEDS)))
     @settings(max_examples=12, deadline=None)
