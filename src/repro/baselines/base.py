@@ -2,7 +2,7 @@
 
 The single batch-evaluation signature every policy implements:
 
-    evaluate_sessions(world, sessions, *, session_ids=None, columns=None)
+    evaluate_sessions(world, sessions, *, session_ids=None)
 
 ``world`` is the matrix read surface — dense
 :class:`~repro.measurement.matrix.DelegateMatrices` or the streamed
@@ -120,7 +120,6 @@ class RelayPolicy(Protocol):
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """One result per session of the batch."""
         ...
@@ -132,10 +131,6 @@ class RelayMethod(ABC):
     The batch :meth:`evaluate_sessions` is the abstract primitive —
     subclasses implement it (vectorized where possible); the per-session
     :meth:`evaluate_session` is a thin delegating wrapper over it.
-
-    The ``columns`` keyword is reserved for callers that pre-assembled
-    destination columns; the shipped views manage column caching (memo
-    LRU or spill store) internally, so methods may ignore it.
     """
 
     name: str = "abstract"
@@ -163,7 +158,6 @@ class RelayMethod(ABC):
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """Evaluate a batch of sessions, one result per session."""
 

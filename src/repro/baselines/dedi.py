@@ -53,7 +53,6 @@ class DEDIMethod(RelayMethod):
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """Vectorized batch evaluation: the fixed fleet makes all
         sessions' probe scores one pair of gather operations."""

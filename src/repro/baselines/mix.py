@@ -38,7 +38,6 @@ class MIXMethod(RelayMethod):
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """Batch evaluation: both component batches, combined per session."""
         dedi = self._dedi.evaluate_sessions(world, sessions, session_ids=session_ids)

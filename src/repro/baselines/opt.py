@@ -91,7 +91,6 @@ class OPTMethod(RelayMethod):
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """Vectorized batch evaluation: one-hop minima and quality counts
         for all sessions in a few numpy operations (the two-hop min-plus

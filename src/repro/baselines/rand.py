@@ -35,7 +35,6 @@ class RANDMethod(RelayMethod):
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """Vectorized batch evaluation.
 

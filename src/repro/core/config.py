@@ -75,35 +75,15 @@ def derive_k_hops(
     generated topologies have slightly longer AS paths than the 2005
     Internet, so this typically yields 5-6.
 
-    Accepts dense :class:`~repro.measurement.matrix.DelegateMatrices`
-    (the verbatim reference computation) or any streamed view exposing
-    ``iter_column_blocks`` without dense arrays — hop counts are then
-    folded into a histogram block by block and the percentile is
-    computed over it, value-identical to ``np.percentile`` on the
-    materialized hop multiset.
-    """
-    if not hasattr(matrices, "rtt_ms"):
-        return _derive_k_hops_streamed(matrices, threshold_ms, quantile, minimum, maximum)
-    mask = np.isfinite(matrices.rtt_ms) & (matrices.rtt_ms < threshold_ms)
-    mask &= matrices.as_hops >= 0
-    hops = matrices.as_hops[mask]
-    if hops.size == 0:
-        return 4
-    derived = int(np.percentile(hops, quantile))
-    return max(minimum, min(maximum, derived))
-
-
-def _derive_k_hops_streamed(
-    view, threshold_ms: float, quantile: float, minimum: int, maximum: int
-) -> int:
-    """Hop-count percentile over a streamed view, one block at a time.
-
-    Hop values are tiny non-negative ints, so the full multiset folds
-    into a histogram; :func:`_percentile_from_histogram` then replicates
+    Accepts any matrix view exposing ``iter_column_blocks`` — dense
+    :class:`~repro.measurement.matrix.DelegateMatrices` or a streamed
+    view.  Hop values are tiny non-negative ints, so the full multiset
+    folds into a histogram block by block;
+    :func:`_percentile_from_histogram` then replicates
     ``np.percentile``'s linear interpolation over it exactly.
     """
     counts = np.zeros(64, dtype=np.int64)
-    for _, rtt, _, hops in view.iter_column_blocks():
+    for _, rtt, _, hops in matrices.iter_column_blocks():
         mask = np.isfinite(rtt) & (rtt < threshold_ms) & (hops >= 0)
         values = hops[mask]
         if values.size:

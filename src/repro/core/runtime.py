@@ -43,6 +43,12 @@ preserving the sunny-day message counts and timings; a *fault*-caused
 silence (host down, AS failed, loss) goes through the timeout → retry →
 failover machinery.  With a zeroed fault schedule results are therefore
 bit-identical to the pre-fault runtime.
+
+Each flow is one coroutine on the runtime's
+:class:`~repro.sim.engine.Simulator` (``_join``, ``_call`` with its
+``_close_set_leg`` / ``_two_hop_query`` branches, ``_keepalives`` with
+``_failover``): it awaits an exchange or sleeps on the virtual clock,
+so the retry ladders read top to bottom.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from repro.core.relay_selection import ranked_relay_clusters
 from repro.errors import ConfigurationError, ProtocolError
 from repro.netaddr import IPv4Address
 from repro.scenario import Scenario
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Wait
 from repro.sim.network import SimNetwork
 from repro.topology.population import Host, NodalInfo
 from repro.voip.outage import OutageImpact, OutageWindow, account_outages
@@ -250,50 +256,28 @@ class MediaSessionRecord:
         return self.ends_ms - self.started_ms
 
 
-class _SetupState:
-    """Book-keeping for one call setup's concurrent close-set legs.
+@dataclass
+class _SetupTiming:
+    """Analytic timing of one call setup's close-set exchange.
 
-    Besides leg completion flags, the state mirrors the analytic timing
-    of the pre-fault runtime (``anchor + (max(own, peer) + two_hop)``):
-    when no timeout or retry perturbed the flow, completion is stamped
-    with exactly that sum, keeping zero-fault runs bit-identical despite
-    the event chain associating the same additions differently.
+    Mirrors the pre-fault runtime's ``anchor + (max(own, peer) +
+    two_hop)``: when no timeout or retry perturbed the flow, completion
+    is stamped with exactly that sum, keeping zero-fault runs
+    bit-identical despite the event chain associating the same additions
+    differently.
     """
 
-    __slots__ = (
-        "own_done",
-        "peer_done",
-        "own_failed",
-        "peer_failed",
-        "two_hop_pending",
-        "anchor_ms",
-        "own_rtt_ms",
-        "peer_rtt_ms",
-        "two_hop_ms",
-        "perturbed",
+    anchor_ms: float
+    #: First-attempt RTT of each close-set leg ("own" / "peer").
+    leg_rtt_ms: Dict[str, float] = field(
+        default_factory=lambda: {"own": 0.0, "peer": 0.0}
     )
-
-    def __init__(self, anchor_ms: float) -> None:
-        self.own_done = False
-        self.peer_done = False
-        self.own_failed = False
-        self.peer_failed = False
-        self.two_hop_pending = 0
-        self.anchor_ms = anchor_ms
-        self.own_rtt_ms = 0.0
-        self.peer_rtt_ms = 0.0
-        self.two_hop_ms = 0.0
-        self.perturbed = False
-
-    @property
-    def fetch_done(self) -> bool:
-        return self.own_done and self.peer_done
+    two_hop_ms: float = 0.0
+    perturbed: bool = False
 
     @property
     def analytic_completed_ms(self) -> float:
-        return self.anchor_ms + (
-            max(self.own_rtt_ms, self.peer_rtt_ms) + self.two_hop_ms
-        )
+        return self.anchor_ms + (max(self.leg_rtt_ms.values()) + self.two_hop_ms)
 
 
 class ASAPRuntime:
@@ -373,6 +357,24 @@ class ASAPRuntime:
     def _rtt_between(self, a: Host, b: Host) -> Optional[float]:
         return self._scenario.latency.host_rtt_ms(a, b)
 
+    def _exchange(
+        self, src: Host, dst_ip: IPv4Address, category: str, timeout_ms, rtt_ms, trace
+    ) -> Wait:
+        """One request/response over the simulated network, awaitable:
+        True when the response arrived, False when the timeout fired."""
+        wait = self.sim.wait()
+        self.network.request(
+            src,
+            dst_ip,
+            category,
+            timeout_ms=timeout_ms,
+            rtt_ms=rtt_ms,
+            on_response=lambda: wait.resolve(True),
+            on_timeout=lambda: wait.resolve(False),
+            trace=trace,
+        )
+        return wait
+
     # -- join flow -----------------------------------------------------------
 
     def schedule_join(self, ip: IPv4Address, at_ms: float = 0.0) -> JoinRecord:
@@ -380,50 +382,51 @@ class ASAPRuntime:
         record = JoinRecord(ip=ip, started_ms=at_ms)
         self.joins.append(record)
         host = self._ensure_registered(ip)
-
-        def start() -> None:
-            record.started_ms = self.sim.now_ms
-            tracer = obs.tracer()
-            if tracer:
-                tracer.clock = lambda: self.sim.now_ms
-                record.trace = tracer.begin(
-                    "join", self.sim.now_ms, ip=str(ip), asn=host.asn
-                )
-            self._try_join(record, host, attempt=0)
-
-        self.sim.schedule_at(at_ms, start)
+        self.sim.schedule_at(at_ms, lambda: self.sim.spawn(self._join(record, host)))
         return record
 
-    def _try_join(self, record: JoinRecord, host: Host, attempt: int) -> None:
+    async def _join(self, record: JoinRecord, host: Host) -> None:
+        """Register with a bootstrap (next one, backed off, on timeout),
+        then publish nodal info to the cluster's surrogate."""
+        record.started_ms = self.sim.now_ms
+        tracer = obs.tracer()
+        if tracer:
+            tracer.clock = lambda: self.sim.now_ms
+            record.trace = tracer.begin(
+                "join", self.sim.now_ms, ip=str(record.ip), asn=host.asn
+            )
         bootstraps = self._bootstrap_hosts
-        bootstrap_host = bootstraps[(host.ip.value + attempt) % len(bootstraps)]
-        rtt = self._rtt_between(host, bootstrap_host)
-        if rtt is None:
-            # No route in the static world: retrying cannot help.
-            self._join_failed(record, "bootstrap-unreachable")
-            return
-        record.attempts += 1
-        self.network.request(
-            host,
-            bootstrap_host.ip,
-            "join-request",
-            timeout_ms=self._policy.join_timeout_ms,
-            rtt_ms=rtt,
-            on_response=lambda: self._join_response(record, host),
-            on_timeout=lambda: self._join_retry(record, host, attempt),
-            trace=record.trace,
-        )
+        for attempt in range(self._policy.max_join_attempts):
+            bootstrap_host = bootstraps[(host.ip.value + attempt) % len(bootstraps)]
+            rtt = self._rtt_between(host, bootstrap_host)
+            if rtt is None:
+                # No route in the static world: retrying cannot help.
+                return self._join_failed(record, "bootstrap-unreachable")
+            record.attempts += 1
+            timeout_ms = self._policy.join_timeout_ms
+            if await self._exchange(
+                host, bootstrap_host.ip, "join-request", timeout_ms, rtt, record.trace
+            ):
+                break
+            obs.counter("runtime.join_retries").inc()
+            record.trace.point("join.retry", self.sim.now_ms, attempt=attempt + 1)
+            if attempt + 1 < self._policy.max_join_attempts:
+                await self.sim.sleep(self._policy.backoff_ms(attempt))
+        else:
+            return self._join_failed(record, "join-timeout")
 
-    def _join_retry(self, record: JoinRecord, host: Host, attempt: int) -> None:
-        obs.counter("runtime.join_retries").inc()
-        record.trace.point("join.retry", self.sim.now_ms, attempt=attempt + 1)
-        if attempt + 1 >= self._policy.max_join_attempts:
-            self._join_failed(record, "join-timeout")
-            return
-        self.sim.schedule(
-            self._policy.backoff_ms(attempt),
-            lambda: self._try_join(record, host, attempt + 1),
+        self._system.join(host.ip)
+        surrogate = self._system.surrogate(
+            self._system.cluster_of_ip(host.ip), requester=host.ip
         )
+        surrogate_host = self._ensure_registered(surrogate.ip) if surrogate.ip in self._scenario.population else surrogate.host
+        self.network.send(host, surrogate.ip, "publish-nodal-info", trace=record.trace)
+        publish_rtt = self._rtt_between(host, surrogate_host)
+        await self.sim.sleep((publish_rtt / 2.0) if publish_rtt is not None else 0.0)
+        record.completed_ms = self.sim.now_ms
+        record.outcome = "completed"
+        obs.counter("runtime.joins").inc()
+        record.trace.end(self.sim.now_ms, outcome="completed")
 
     def _join_failed(self, record: JoinRecord, reason: str) -> None:
         record.outcome = "failed"
@@ -431,23 +434,6 @@ class ASAPRuntime:
         obs.counter("runtime.joins_failed").inc()
         obs.event("join.failed", level="debug", ip=str(record.ip), reason=reason)
         record.trace.end(self.sim.now_ms, outcome="failed", reason=reason)
-
-    def _join_response(self, record: JoinRecord, host: Host) -> None:
-        endhost = self._system.join(host.ip)
-        surrogate = self._system.surrogate(
-            self._system.cluster_of_ip(host.ip), requester=host.ip
-        )
-        surrogate_host = self._ensure_registered(surrogate.ip) if surrogate.ip in self._scenario.population else surrogate.host
-        self.network.send(host, surrogate.ip, "publish-nodal-info", trace=record.trace)
-        publish_rtt = self._rtt_between(host, surrogate_host)
-        delay = (publish_rtt / 2.0) if publish_rtt is not None else 0.0
-        self.sim.schedule(delay, lambda: self._join_done(record))
-
-    def _join_done(self, record: JoinRecord) -> None:
-        record.completed_ms = self.sim.now_ms
-        record.outcome = "completed"
-        obs.counter("runtime.joins").inc()
-        record.trace.end(self.sim.now_ms, outcome="completed")
 
     # -- call setup flow -------------------------------------------------------
 
@@ -469,81 +455,70 @@ class ASAPRuntime:
         self.call_setups.append(record)
         caller = self._ensure_registered(caller_ip)
         callee = self._ensure_registered(callee_ip)
-
-        def start() -> None:
-            record.started_ms = self.sim.now_ms
-            tracer = obs.tracer()
-            if tracer:
-                tracer.clock = lambda: self.sim.now_ms
-                record.trace = tracer.begin(
-                    "call",
-                    self.sim.now_ms,
-                    caller=str(caller_ip),
-                    callee=str(callee_ip),
-                    caller_as=caller.asn,
-                    callee_as=callee.asn,
-                )
-            self._try_ping(record, caller, callee, 0, on_complete, media_duration_ms)
-
-        self.sim.schedule_at(at_ms, start)
+        self.sim.schedule_at(
+            at_ms,
+            lambda: self.sim.spawn(
+                self._call(record, caller, callee, on_complete, media_duration_ms)
+            ),
+        )
         return record
 
-    def _try_ping(
+    async def _call(
         self,
         record: CallSetupRecord,
         caller: Host,
         callee: Host,
-        attempt: int,
         on_complete,
         media_duration_ms,
     ) -> None:
-        ping_rtt = self._rtt_between(caller, callee)
-        if ping_rtt is None:
-            self._setup_failed(record, "callee-unreachable", on_complete)
-            return
-        record.attempts += 1
-        ping = record.trace.child(
-            "setup.ping", self.sim.now_ms, attempt=attempt + 1
-        )
-
-        def responded() -> None:
-            ping.end(self.sim.now_ms, outcome="ok", rtt_ms=round(ping_rtt, 3))
-            self._after_ping(record, caller, callee, on_complete, media_duration_ms)
-
-        def timed_out() -> None:
-            ping.end(self.sim.now_ms, outcome="timeout")
-            self._ping_retry(
-                record, caller, callee, attempt, on_complete, media_duration_ms
+        """Fig. 8 top to bottom: the ping ladder, then relay selection."""
+        record.started_ms = self.sim.now_ms
+        tracer = obs.tracer()
+        if tracer:
+            tracer.clock = lambda: self.sim.now_ms
+            record.trace = tracer.begin(
+                "call",
+                self.sim.now_ms,
+                caller=str(record.caller),
+                callee=str(record.callee),
+                caller_as=caller.asn,
+                callee_as=callee.asn,
             )
-
-        self.network.request(
-            caller,
-            callee.ip,
-            "ping",
-            timeout_ms=self._policy.ping_timeout_ms,
-            rtt_ms=ping_rtt,
-            on_response=responded,
-            on_timeout=timed_out,
-            trace=ping,
+        failure = await self._ping(record, caller, callee)
+        if failure is not None:
+            return self._setup_failed(record, failure, on_complete)
+        outcome, reason, completed_ms = await self._select_relay(record, caller, callee)
+        self._setup_complete(
+            record, outcome, on_complete, media_duration_ms, reason, completed_ms
         )
 
-    def _ping_retry(
-        self, record, caller, callee, attempt, on_complete, media_duration_ms
-    ) -> None:
-        obs.counter("runtime.ping_retries").inc()
-        if attempt + 1 >= self._policy.max_ping_attempts:
-            self._setup_failed(record, "ping-timeout", on_complete)
-            return
-        self.sim.schedule(
-            self._policy.backoff_ms(attempt),
-            lambda: self._try_ping(
-                record, caller, callee, attempt + 1, on_complete, media_duration_ms
-            ),
-        )
+    async def _ping(self, record, caller: Host, callee: Host) -> Optional[str]:
+        """Ping the callee, backed off on timeout; the failure reason, or
+        None once it answered."""
+        for attempt in range(self._policy.max_ping_attempts):
+            ping_rtt = self._rtt_between(caller, callee)
+            if ping_rtt is None:
+                return "callee-unreachable"
+            record.attempts += 1
+            ping = record.trace.child(
+                "setup.ping", self.sim.now_ms, attempt=attempt + 1
+            )
+            if await self._exchange(
+                caller, callee.ip, "ping", self._policy.ping_timeout_ms, ping_rtt, ping
+            ):
+                ping.end(self.sim.now_ms, outcome="ok", rtt_ms=round(ping_rtt, 3))
+                return None
+            ping.end(self.sim.now_ms, outcome="timeout")
+            obs.counter("runtime.ping_retries").inc()
+            if attempt + 1 < self._policy.max_ping_attempts:
+                await self.sim.sleep(self._policy.backoff_ms(attempt))
+        return "ping-timeout"
 
-    def _after_ping(
-        self, record, caller: Host, callee: Host, on_complete, media_duration_ms
-    ) -> None:
+    async def _select_relay(
+        self, record, caller: Host, callee: Host
+    ) -> Tuple[str, Optional[str], Optional[float]]:
+        """Select → the two close-set legs → the parallel two-hop queries
+        → relay pick; the setup's (outcome, reason, analytic completion)."""
         select = record.trace.child("setup.select", self.sim.now_ms)
         with obs.tracer().scope(select):
             session = self._system.call(caller.ip, callee.ip)
@@ -558,211 +533,26 @@ class ASAPRuntime:
         )
         record.session = session
         if not session.relay_needed:
-            self._setup_complete(record, "completed", on_complete, media_duration_ms)
-            return
+            return "completed", None, None
 
-        state = _SetupState(anchor_ms=self.sim.now_ms)
-        self._request_own_close_set(
-            record, state, caller, callee, 0, on_complete, media_duration_ms
+        timing = _SetupTiming(anchor_ms=self.sim.now_ms)
+        legs = await self.sim.gather(
+            self._close_set_leg(record, timing, caller, callee, "own"),
+            self._close_set_leg(record, timing, caller, callee, "peer"),
         )
-        self._request_peer_close_set(
-            record, state, caller, callee, 0, on_complete, media_duration_ms
-        )
-
-    # The two close-set legs run concurrently; each tries the serving
-    # surrogate first, then the remaining group members (§6.3 replicas)
-    # on timeout.  A structurally unreachable surrogate contributes 0 ms
-    # and no retries (matching the analytic model: the set still arrives
-    # through the system state).
-
-    def _surrogate_order(self, cluster: int, requester: IPv4Address):
-        group = self._system.surrogate_group(cluster)
-        if len(group) > 1:
-            first = self._system.surrogate(cluster, requester=requester)
-            group.sort(key=lambda s: (s.ip != first.ip, str(s.ip)))
-        return group[: self._policy.max_close_set_attempts]
-
-    def _request_own_close_set(
-        self, record, state, caller, callee, attempt, on_complete, media_duration_ms
-    ) -> None:
-        order = self._surrogate_order(record.session.caller_cluster, caller.ip)
-        if attempt >= len(order):
-            state.own_failed = True
-            self._leg_done(record, state, "own", caller, callee, on_complete, media_duration_ms)
-            return
-        surrogate = order[attempt]
-        self._ensure_registered(surrogate.ip)
-        rtt = self._rtt_between(caller, surrogate.host)
-        if rtt is None:
-            self.network.send(caller, surrogate.ip, "close-set-request", trace=record.trace)
-            self._leg_done(record, state, "own", caller, callee, on_complete, media_duration_ms)
-            return
-        if attempt > 0:
-            record.retries += 1
-            obs.counter("runtime.close_set_retries").inc()
-        else:
-            state.own_rtt_ms = rtt
-        leg = record.trace.child(
-            "setup.close_set",
-            self.sim.now_ms,
-            leg="own",
-            attempt=attempt + 1,
-            surrogate=str(surrogate.ip),
-        )
-
-        def responded() -> None:
-            leg.end(self.sim.now_ms, outcome="ok", rtt_ms=round(rtt, 3))
-            self._leg_done(
-                record, state, "own", caller, callee, on_complete, media_duration_ms
-            )
-
-        def timed_out() -> None:
-            leg.end(self.sim.now_ms, outcome="timeout")
-            state.perturbed = True
-            self._request_own_close_set(
-                record, state, caller, callee, attempt + 1, on_complete, media_duration_ms
-            )
-
-        self.network.request(
-            caller,
-            surrogate.ip,
-            "close-set-request",
-            timeout_ms=self._policy.close_set_timeout_ms,
-            rtt_ms=rtt,
-            on_response=responded,
-            on_timeout=timed_out,
-            trace=leg,
-        )
-
-    def _request_peer_close_set(
-        self, record, state, caller, callee, attempt, on_complete, media_duration_ms
-    ) -> None:
-        order = self._surrogate_order(record.session.callee_cluster, callee.ip)
-        if attempt >= len(order):
-            state.peer_failed = True
-            self._leg_done(record, state, "peer", caller, callee, on_complete, media_duration_ms)
-            return
-        surrogate = order[attempt]
-        self._ensure_registered(surrogate.ip)
-        peer_leg = self._rtt_between(caller, callee)
-        callee_leg = self._rtt_between(callee, surrogate.host)
-        if peer_leg is None:
-            # Callee vanished from the routing fabric after the ping —
-            # only possible structurally, so no retry value.
-            self.network.send(caller, callee.ip, "close-set-request", trace=record.trace)
-            self._leg_done(record, state, "peer", caller, callee, on_complete, media_duration_ms)
-            return
-        combined = peer_leg + (callee_leg if callee_leg is not None else 0.0)
-        if attempt > 0:
-            record.retries += 1
-            obs.counter("runtime.close_set_retries").inc()
-        else:
-            state.peer_rtt_ms = combined
-        leg = record.trace.child(
-            "setup.close_set",
-            self.sim.now_ms,
-            leg="peer",
-            attempt=attempt + 1,
-            surrogate=str(surrogate.ip),
-        )
-
-        def responded() -> None:
-            leg.end(self.sim.now_ms, outcome="ok", rtt_ms=round(combined, 3))
-            self._leg_done(
-                record, state, "peer", caller, callee, on_complete, media_duration_ms
-            )
-
-        def timed_out() -> None:
-            leg.end(self.sim.now_ms, outcome="timeout")
-            state.perturbed = True
-            self._request_peer_close_set(
-                record, state, caller, callee, attempt + 1, on_complete, media_duration_ms
-            )
-
-        self.network.request(
-            caller,
-            callee.ip,
-            "close-set-request",
-            timeout_ms=self._policy.close_set_timeout_ms,
-            rtt_ms=combined,
-            on_response=responded,
-            on_timeout=timed_out,
-            trace=leg,
-        )
-
-    def _leg_done(
-        self, record, state, leg: str, caller, callee, on_complete, media_duration_ms
-    ) -> None:
-        if leg == "own":
-            state.own_done = True
-        else:
-            state.peer_done = True
-        if not state.fetch_done:
-            return
-        if state.own_failed or state.peer_failed:
-            self._setup_complete(
-                record,
-                "degraded",
-                on_complete,
-                media_duration_ms,
-                reason="close-set-unavailable",
-            )
-            return
-        self._start_two_hop(record, state, caller, on_complete, media_duration_ms)
-
-    def _start_two_hop(self, record, state, caller, on_complete, media_duration_ms) -> None:
-        """Query candidate surrogates' close sets in parallel (Fig. 8 step 4)."""
-        session = record.session
-        selection = session.selection
-
-        def one_resolved() -> None:
-            state.two_hop_pending -= 1
-            if state.two_hop_pending == 0:
-                self._finalize_setup(record, state, on_complete, media_duration_ms)
-
+        if not all(legs):
+            return "degraded", "close-set-unavailable", None
+        # Fig. 8 step 4: candidate surrogates' close sets, in parallel.
         if selection is not None:
-            for candidate in selection.first_hops:
-                surrogate = self._system.surrogate(candidate.cluster, requester=caller.ip)
-                self._ensure_registered(surrogate.ip)
-                rtt = self._rtt_between(caller, surrogate.host)
-                if rtt is None:
-                    self.network.send(caller, surrogate.ip, "close-set-request", trace=record.trace)
-                    continue
-                state.two_hop_ms = max(state.two_hop_ms, rtt)
-                state.two_hop_pending += 1
-                query = record.trace.child(
-                    "setup.two_hop",
-                    self.sim.now_ms,
-                    cluster=candidate.cluster,
-                    surrogate=str(surrogate.ip),
-                )
+            await self.sim.gather(
+                *[
+                    self._two_hop_query(record, timing, caller, candidate.cluster)
+                    for candidate in selection.first_hops
+                ]
+            )
 
-                def resolved(query=query, rtt=rtt) -> None:
-                    query.end(self.sim.now_ms, outcome="ok", rtt_ms=round(rtt, 3))
-                    one_resolved()
-
-                def timed_out(query=query) -> None:
-                    query.end(self.sim.now_ms, outcome="timeout")
-                    state.perturbed = True
-                    one_resolved()
-
-                self.network.request(
-                    caller,
-                    surrogate.ip,
-                    "close-set-request",
-                    timeout_ms=self._policy.two_hop_timeout_ms,
-                    rtt_ms=rtt,
-                    on_response=resolved,
-                    on_timeout=timed_out,
-                    trace=query,
-                )
-        if state.two_hop_pending == 0:
-            self._finalize_setup(record, state, on_complete, media_duration_ms)
-
-    def _finalize_setup(self, record, state, on_complete, media_duration_ms) -> None:
-        completed_ms = None if state.perturbed else state.analytic_completed_ms
-        selection = record.session.selection
-        relay = self._pick_relay(record.session)
+        completed_ms = None if timing.perturbed else timing.analytic_completed_ms
+        relay = self._pick_relay(session)
         if record.trace:
             best = selection.best_rtt_ms() if selection is not None else None
             record.trace.point(
@@ -771,29 +561,116 @@ class ASAPRuntime:
                 relay=str(relay[1]) if relay is not None else None,
                 cluster=relay[0] if relay is not None else None,
                 chosen_rtt_ms=_finite(
-                    record.session.best_path_rtt_ms if relay is not None else None
+                    session.best_path_rtt_ms if relay is not None else None
                 ),
                 best_candidate_rtt_ms=_finite(best),
-                direct_rtt_ms=_finite(record.session.direct_rtt_ms),
+                direct_rtt_ms=_finite(session.direct_rtt_ms),
             )
         if relay is not None:
             record.relay_cluster, record.relay_ip = relay
-            self._setup_complete(
-                record, "completed", on_complete, media_duration_ms,
-                completed_ms=completed_ms,
-            )
-            return
+            return "completed", None, completed_ms
         had_candidates = selection is not None and (
             selection.one_hop or selection.two_hop
         )
-        self._setup_complete(
-            record,
-            "degraded",
-            on_complete,
-            media_duration_ms,
-            reason="relay-offline" if had_candidates else "no-relay-candidates",
-            completed_ms=completed_ms,
+        reason = "relay-offline" if had_candidates else "no-relay-candidates"
+        return "degraded", reason, completed_ms
+
+    def _surrogate_order(self, cluster: int, requester: IPv4Address):
+        group = self._system.surrogate_group(cluster)
+        if len(group) > 1:
+            first = self._system.surrogate(cluster, requester=requester)
+            group.sort(key=lambda s: (s.ip != first.ip, str(s.ip)))
+        return group[: self._policy.max_close_set_attempts]
+
+    async def _close_set_leg(
+        self, record, timing: _SetupTiming, caller: Host, callee: Host, leg: str
+    ) -> bool:
+        """One close-set leg: ``"own"`` asks the caller's surrogate,
+        ``"peer"`` asks the callee, who asks its own.
+
+        The two legs run concurrently; each tries the serving surrogate
+        first, then the remaining group members (§6.3 replicas) on
+        timeout, and returns False once the group is exhausted.  A
+        structurally unreachable surrogate contributes 0 ms and no
+        retries (matching the analytic model: the set still arrives
+        through the system state).
+        """
+        own = leg == "own"
+        session = record.session
+        cluster, requester = (
+            (session.caller_cluster, caller.ip)
+            if own
+            else (session.callee_cluster, callee.ip)
         )
+        for attempt in range(self._policy.max_close_set_attempts):
+            # Re-read per attempt: a crash may have re-elected the group.
+            order = self._surrogate_order(cluster, requester)
+            if attempt >= len(order):
+                break
+            surrogate = order[attempt]
+            self._ensure_registered(surrogate.ip)
+            if own:
+                dst_ip = surrogate.ip
+                rtt = self._rtt_between(caller, surrogate.host)
+            else:
+                dst_ip = callee.ip
+                rtt = self._rtt_between(caller, callee)
+                callee_leg = self._rtt_between(callee, surrogate.host)
+                if rtt is not None and callee_leg is not None:
+                    rtt = rtt + callee_leg
+            if rtt is None:
+                # No route (for the peer leg: the callee vanished from
+                # the routing fabric after the ping) — only possible
+                # structurally, so no retry value.
+                self.network.send(caller, dst_ip, "close-set-request", trace=record.trace)
+                return True
+            if attempt > 0:
+                record.retries += 1
+                obs.counter("runtime.close_set_retries").inc()
+            else:
+                timing.leg_rtt_ms[leg] = rtt
+            span = record.trace.child(
+                "setup.close_set",
+                self.sim.now_ms,
+                leg=leg,
+                attempt=attempt + 1,
+                surrogate=str(surrogate.ip),
+            )
+            timeout_ms = self._policy.close_set_timeout_ms
+            if await self._exchange(
+                caller, dst_ip, "close-set-request", timeout_ms, rtt, span
+            ):
+                span.end(self.sim.now_ms, outcome="ok", rtt_ms=round(rtt, 3))
+                return True
+            span.end(self.sim.now_ms, outcome="timeout")
+            timing.perturbed = True
+        return False
+
+    async def _two_hop_query(
+        self, record, timing: _SetupTiming, caller: Host, cluster: int
+    ) -> None:
+        """Ask one candidate cluster's surrogate for its close set."""
+        surrogate = self._system.surrogate(cluster, requester=caller.ip)
+        self._ensure_registered(surrogate.ip)
+        rtt = self._rtt_between(caller, surrogate.host)
+        if rtt is None:
+            self.network.send(caller, surrogate.ip, "close-set-request", trace=record.trace)
+            return
+        timing.two_hop_ms = max(timing.two_hop_ms, rtt)
+        query = record.trace.child(
+            "setup.two_hop",
+            self.sim.now_ms,
+            cluster=cluster,
+            surrogate=str(surrogate.ip),
+        )
+        timeout_ms = self._policy.two_hop_timeout_ms
+        if await self._exchange(
+            caller, surrogate.ip, "close-set-request", timeout_ms, rtt, query
+        ):
+            query.end(self.sim.now_ms, outcome="ok", rtt_ms=round(rtt, 3))
+        else:
+            query.end(self.sim.now_ms, outcome="timeout")
+            timing.perturbed = True
 
     def _relay_candidate_clusters(self, session: ASAPSession) -> List[Tuple[float, int]]:
         """Failover candidate clusters, best relay-path RTT first."""
@@ -891,8 +768,11 @@ class ASAPRuntime:
         obs.counter("runtime.media_sessions").inc()
         if media.relay_ip is not None:
             self._ensure_registered(media.relay_ip)
+            # Scheduled here, ahead of the sample ticks and the end-of-call
+            # event below, so same-instant ties keep their order.
             self.sim.schedule(
-                self._policy.keepalive_interval_ms, lambda: self._keepalive(media, record)
+                self._policy.keepalive_interval_ms,
+                lambda: self.sim.spawn(self._keepalives(media, record)),
             )
         if self._media_plane is not None:
             media.media_call_id = len(self.media_sessions)
@@ -949,91 +829,72 @@ class ASAPRuntime:
         if last is None or (last.rtt_ms, last.loss_rate) != (segment.rtt_ms, segment.loss_rate):
             media.path_windows.append(segment)
 
-    def _keepalive(self, media: MediaSessionRecord, record: CallSetupRecord) -> None:
-        if media.outcome != "active" or media.relay_ip is None:
-            return
-        if self.sim.now_ms >= media.ends_ms:
-            return
-        caller = self._ensure_registered(media.caller)
-        relay_host = self._ensure_registered(media.relay_ip)
-        media.keepalives += 1
-        sent_at = self.sim.now_ms
-        rtt = self._rtt_between(caller, relay_host)
-        self.network.request(
-            caller,
-            media.relay_ip,
-            "keepalive",
-            timeout_ms=self._policy.keepalive_timeout_ms,
-            rtt_ms=rtt,
-            on_response=lambda: self._keepalive_ok(media, record, sent_at),
-            on_timeout=lambda: self._relay_lost(media, record, sent_at),
-            trace=media.trace,
-        )
-
-    def _keepalive_ok(self, media, record, sent_at: float) -> None:
-        if media.outcome != "active":
-            return
-        next_at = sent_at + self._policy.keepalive_interval_ms
-        if next_at < media.ends_ms:
-            self.sim.schedule_at(
-                max(next_at, self.sim.now_ms), lambda: self._keepalive(media, record)
+    async def _keepalives(
+        self, media: MediaSessionRecord, record: CallSetupRecord
+    ) -> None:
+        """Keepalive the relay every interval until the call ends; a
+        missed one means relay lost → failover → (no candidate) degrade."""
+        interval_ms = self._policy.keepalive_interval_ms
+        timeout_ms = self._policy.keepalive_timeout_ms
+        while (
+            media.outcome == "active"
+            and media.relay_ip is not None
+            and self.sim.now_ms < media.ends_ms
+        ):
+            caller = self._ensure_registered(media.caller)
+            relay_host = self._ensure_registered(media.relay_ip)
+            media.keepalives += 1
+            sent_at = self.sim.now_ms
+            rtt = self._rtt_between(caller, relay_host)
+            answered = await self._exchange(
+                caller, media.relay_ip, "keepalive", timeout_ms, rtt, media.trace
             )
+            if media.outcome != "active":
+                return
+            if answered:
+                next_at = sent_at + interval_ms
+            else:
+                # The relay is presumed dead.
+                obs.counter("runtime.keepalive_timeouts").inc()
+                dead = media.relay_ip
+                media.dead_relays.add(dead)
+                detected = self.sim.now_ms
+                media.trace.point("media.relay_lost", detected, relay=str(dead))
+                if not await self._failover(media, record, dead, sent_at, detected):
+                    return
+                next_at = self.sim.now_ms + interval_ms
+            if next_at >= media.ends_ms:
+                return
+            await self.sim.sleep_until(max(next_at, self.sim.now_ms))
 
-    def _relay_lost(self, media, record, sent_at: float) -> None:
-        """A keepalive went unanswered: the relay is presumed dead."""
-        if media.outcome != "active":
-            return
-        obs.counter("runtime.keepalive_timeouts").inc()
-        dead = media.relay_ip
-        media.dead_relays.add(dead)
-        detected = self.sim.now_ms
-        media.trace.point("media.relay_lost", detected, relay=str(dead))
-        self._failover(media, record, dead, sent_at, detected)
-
-    def _failover(self, media, record, old_relay, outage_start, detected) -> None:
-        candidate = (
-            self._pick_relay(record.session, exclude=media.dead_relays)
-            if record.session is not None
-            else None
-        )
-        if candidate is None:
-            self._degrade_media(media, old_relay, outage_start, detected)
-            return
-        cluster, ip = candidate
-        caller = self._ensure_registered(media.caller)
-        relay_host = self._ensure_registered(ip)
-        rtt = self._rtt_between(caller, relay_host)
-        self.network.request(
-            caller,
-            ip,
-            "relay-setup",
-            timeout_ms=self._policy.keepalive_timeout_ms,
-            rtt_ms=rtt,
-            on_response=lambda: self._failover_done(
-                media, record, old_relay, cluster, ip, outage_start, detected
-            ),
-            on_timeout=lambda: self._failover_candidate_dead(
-                media, record, old_relay, ip, outage_start, detected
-            ),
-            trace=media.trace,
-        )
-
-    def _failover_candidate_dead(
-        self, media, record, old_relay, ip, outage_start, detected
-    ) -> None:
-        if media.outcome != "active":
-            return
-        media.dead_relays.add(ip)
-        media.trace.point(
-            "media.failover_candidate_dead", self.sim.now_ms, candidate=str(ip)
-        )
-        self._failover(media, record, old_relay, outage_start, detected)
-
-    def _failover_done(
-        self, media, record, old_relay, cluster, ip, outage_start, detected
-    ) -> None:
-        if media.outcome != "active":
-            return
+    async def _failover(self, media, record, old_relay, outage_start, detected) -> bool:
+        """Set up the next live relay candidate; False when none is left
+        (the call degraded or dropped) or the call ended meanwhile."""
+        while True:
+            candidate = (
+                self._pick_relay(record.session, exclude=media.dead_relays)
+                if record.session is not None
+                else None
+            )
+            if candidate is None:
+                self._degrade_media(media, old_relay, outage_start, detected)
+                return False
+            cluster, ip = candidate
+            caller = self._ensure_registered(media.caller)
+            relay_host = self._ensure_registered(ip)
+            rtt = self._rtt_between(caller, relay_host)
+            timeout_ms = self._policy.keepalive_timeout_ms
+            answered = await self._exchange(
+                caller, ip, "relay-setup", timeout_ms, rtt, media.trace
+            )
+            if media.outcome != "active":
+                return False
+            if answered:
+                break
+            media.dead_relays.add(ip)
+            media.trace.point(
+                "media.failover_candidate_dead", self.sim.now_ms, candidate=str(ip)
+            )
         restored = self.sim.now_ms
         event = FailoverEvent(
             detected_ms=detected,
@@ -1059,9 +920,7 @@ class ASAPRuntime:
             failover_ms=round(event.failover_ms, 3),
             interruption_ms=round(event.interruption_ms, 3),
         )
-        next_at = restored + self._policy.keepalive_interval_ms
-        if next_at < media.ends_ms:
-            self.sim.schedule_at(next_at, lambda: self._keepalive(media, record))
+        return True
 
     def _degrade_media(self, media, old_relay, outage_start, detected) -> None:
         """No surviving relay candidate: direct path, or drop the call."""

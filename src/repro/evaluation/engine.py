@@ -141,11 +141,9 @@ class _TimedPolicy:
         self._sink = sink
         self.name = inner.name
 
-    def evaluate_sessions(self, world, sessions, *, session_ids=None, columns=None):
+    def evaluate_sessions(self, world, sessions, *, session_ids=None):
         started = time.perf_counter()
-        out = self._inner.evaluate_sessions(
-            world, sessions, session_ids=session_ids, columns=columns
-        )
+        out = self._inner.evaluate_sessions(world, sessions, session_ids=session_ids)
         self._sink[self.name] = (
             self._sink.get(self.name, 0.0) + time.perf_counter() - started
         )

@@ -53,7 +53,6 @@ class ASAPPolicy:
         sessions: Sequence,
         *,
         session_ids: Optional[Sequence[int]] = None,
-        columns=None,
     ) -> List[MethodResult]:
         """Place one call per session.  ``world`` is accepted for
         protocol uniformity and ignored — the system is already bound to

@@ -5,32 +5,31 @@ every delivery is ``encode_frame`` → bytes → ``decode_frame`` — but
 moves them through a deterministic discrete-event scheduler instead of
 an operating-system socket:
 
-- **virtual time.**  :class:`LoopbackHub` owns a simulated clock (like
-  :class:`repro.sim.engine.Simulator`); deliveries take the configured
-  one-way latency, timeouts fire at exact virtual instants, and
-  ``sleep_ms`` parks on the virtual clock.  A 20-second call completes
-  in milliseconds of wall time.
+- **virtual time.**  :class:`LoopbackHub` owns a
+  :class:`repro.sim.engine.Simulator` — the same clock and scheduler the
+  simulated runtime runs on; deliveries take the configured one-way
+  latency, timeouts fire at exact virtual instants, and ``sleep_ms``
+  parks on the virtual clock.  A 20-second call completes in
+  milliseconds of wall time, and no event loop is involved.
 - **determinism.**  Events execute in (time, insertion order); parked
-  coroutines resume through asyncio's FIFO ready queue; no wall clock,
-  PID or unseeded randomness is ever consulted.  Two runs of the same
-  program therefore interleave identically — the service-layer CI diffs
-  ``traces.jsonl`` bytes across same-seed demo runs to hold this.
+  coroutines resume through the simulator's FIFO ready queue; no wall
+  clock, PID or unseeded randomness is ever consulted.  Two runs of the
+  same program therefore interleave identically — the service-layer CI
+  diffs ``traces.jsonl`` bytes across same-seed demo runs to hold this.
 
-The dispatcher advances virtual time only when every accounted coroutine
-is *parked* (awaiting a loopback future) — the classic conservative
+The simulator advances virtual time only when every coroutine is
+*parked* (awaiting one of its waits) — the classic conservative
 discrete-event rule.  Service code running over the loopback must
 therefore only suspend through transport primitives (``request``,
-``sleep_ms``, ``gather``); a bare ``asyncio.sleep`` would deadlock the
-virtual clock, exactly like calling ``time.sleep`` inside a simulator
-event.
+``sleep_ms``, ``gather``); a bare ``asyncio.sleep`` is a
+:class:`~repro.sim.engine.SimulationError`, exactly like calling
+``time.sleep`` inside a simulator event would stall its clock.
 """
 
 from __future__ import annotations
 
-import asyncio
-import heapq
 import itertools
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional
 
 from repro import obs
 from repro.errors import RemoteError, ServiceError, TransportTimeout
@@ -45,8 +44,8 @@ from repro.net.codec import (
     decode_frame,
     encode_frame,
 )
-from repro.net.codec import ERR_INTERNAL, ERR_UNSUPPORTED
-from repro.net.transport import Handler, TraceContext, Transport
+from repro.net.transport import Handler, TraceContext, Transport, answer_frame
+from repro.sim.engine import Simulator, Wait
 
 __all__ = ["LoopbackHub", "LoopbackTransport"]
 
@@ -68,20 +67,15 @@ class LoopbackHub:
     ) -> None:
         self._latency_ms_fn = latency_ms_fn
         self._endpoints: Dict[str, "LoopbackTransport"] = {}
-        self._now_ms = 0.0
-        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
-        self._busy = 0
-        self._idle: Optional[asyncio.Event] = None
+        #: The virtual clock and coroutine scheduler everything rides.
+        self.sim = Simulator()
         self.deliveries = 0
         self.drops = 0
-
-    # -- clock -------------------------------------------------------------
 
     @property
     def now_ms(self) -> float:
         """Current virtual time in milliseconds."""
-        return self._now_ms
+        return self.sim.now_ms
 
     def rtt_ms(self, src: str, dst: str) -> Optional[float]:
         """Round-trip time between two addresses (None = no route)."""
@@ -101,118 +95,47 @@ class LoopbackHub:
     def unregister(self, address: str) -> None:
         self._endpoints.pop(address, None)
 
-    # -- scheduling core ----------------------------------------------------
-    #
-    # Accounting invariant: ``_busy`` counts coroutine contexts that are
-    # runnable or running.  Spawned tasks are +1 for their lifetime; a
-    # ``_park`` (await on a hub future) is -1 and the matching ``_unpark``
-    # +1, so a parked task nets zero.  The dispatcher advances virtual
-    # time only at ``_busy == 0`` — when nothing can possibly run until
-    # a scheduled event fires.
+    # -- scheduling ---------------------------------------------------------
 
     def _at(self, delay_ms: float, action: Callable[[], None]) -> None:
-        heapq.heappush(
-            self._heap, (self._now_ms + max(delay_ms, 0.0), next(self._seq), action)
-        )
-
-    def _spawn(self, coro: Awaitable) -> asyncio.Task:
-        self._busy += 1
-        if self._idle is not None:
-            self._idle.clear()
-
-        async def runner():
-            try:
-                return await coro
-            finally:
-                self._busy -= 1
-                if self._busy == 0 and self._idle is not None:
-                    self._idle.set()
-
-        return asyncio.get_running_loop().create_task(runner())
-
-    async def _park(self, future: asyncio.Future):
-        self._busy -= 1
-        if self._busy == 0 and self._idle is not None:
-            self._idle.set()
-        return await future
-
-    def _unpark(self, future: asyncio.Future, result=None, exc=None) -> None:
-        if future.done():
-            return
-        self._busy += 1
-        if self._idle is not None:
-            self._idle.clear()
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
+        self.sim.schedule(max(delay_ms, 0.0), action)
 
     async def sleep_ms(self, ms: float) -> None:
         """Park the calling coroutine for ``ms`` of virtual time."""
-        future = asyncio.get_running_loop().create_future()
-        self._at(ms, lambda: self._unpark(future))
-        await self._park(future)
+        await self.sim.sleep(max(ms, 0.0))
 
     async def gather(self, *coros: Awaitable) -> list:
-        """Run coroutines concurrently under hub accounting.
+        """Run coroutines concurrently on the virtual clock.
 
-        The loopback equivalent of ``asyncio.gather`` — plain gather
-        would hide the parent's wait from the scheduler and stall the
-        virtual clock.  All branches run to completion; the first
-        exception (by argument order) is re-raised afterwards.
+        All branches run to completion; the first exception (by argument
+        order) is re-raised afterwards.
         """
-        if not coros:
-            return []
-        results: list = [None] * len(coros)
-        errors: list = [None] * len(coros)
-        remaining = len(coros)
-        future = asyncio.get_running_loop().create_future()
-
-        async def runner(index: int, coro: Awaitable) -> None:
-            nonlocal remaining
-            try:
-                results[index] = await coro
-            except Exception as exc:  # re-raised below, in argument order
-                errors[index] = exc
-            finally:
-                remaining -= 1
-                if remaining == 0:
-                    self._unpark(future)
-
-        for index, coro in enumerate(coros):
-            self._spawn(runner(index, coro))
-        await self._park(future)
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
+        return await self.sim.gather(*coros)
 
     async def run(self, main: Awaitable):
         """Drive ``main`` (and everything it spawns) to completion.
 
-        The conservative dispatch loop: wait until every accounted
-        coroutine is parked, then fire the next scheduled event and
-        advance the virtual clock to it.  Returns ``main``'s result; the
-        remaining event heap (stale request timeouts) is drained so the
-        final virtual time is a pure function of the schedule.
+        Never suspends its caller: the whole run executes inside this
+        call, on the simulator.  Returns ``main``'s result (or raises its
+        exception) after the event queue has drained — stale request
+        timeouts included, so the final virtual time is a pure function
+        of the schedule.
         """
-        self._idle = asyncio.Event()
-        if self._busy == 0:
-            self._idle.set()
-        main_task = self._spawn(main)
-        while True:
-            await self._idle.wait()
-            if not self._heap:
-                if not main_task.done():
-                    raise ServiceError(
-                        "loopback deadlock: coroutines parked with no "
-                        "scheduled events"
-                    )
-                break
-            time_ms, _, action = heapq.heappop(self._heap)
-            self._now_ms = time_ms
-            action()
-        return main_task.result()
+        outcome = self.sim.wait()
+
+        async def runner() -> None:
+            try:
+                outcome.resolve(await main)
+            except Exception as exc:  # re-raised below, after the drain
+                outcome.fail(exc)
+
+        self.sim.spawn(runner())
+        self.sim.run()
+        if not outcome.done:
+            raise ServiceError(
+                "loopback deadlock: coroutines parked with no scheduled events"
+            )
+        return await outcome
 
 
 class LoopbackTransport(Transport):
@@ -222,7 +145,7 @@ class LoopbackTransport(Transport):
         self._hub = hub
         self._address = address
         self._handler: Optional[Handler] = None
-        self._pending: Dict[int, asyncio.Future] = {}
+        self._pending: Dict[int, Wait] = {}
         self._request_seq = itertools.count(1)
         self._started = False
 
@@ -246,8 +169,8 @@ class LoopbackTransport(Transport):
         if self._started:
             self._hub.unregister(self._address)
             self._started = False
-        for future in self._pending.values():
-            self._hub._unpark(future, exc=TransportTimeout("transport closed"))
+        for wait in self._pending.values():
+            wait.fail(TransportTimeout("transport closed"))
         self._pending.clear()
 
     def now_ms(self) -> float:
@@ -270,7 +193,7 @@ class LoopbackTransport(Transport):
             return False
         self._hub._at(
             rtt / 2.0,
-            lambda: self._hub._spawn(dest._handle_inbound(self._address, data, rtt)),
+            lambda: self._hub.sim.spawn(dest._handle_inbound(self._address, data, rtt)),
         )
         return True
 
@@ -294,20 +217,17 @@ class LoopbackTransport(Transport):
         request_id = next(self._request_seq)
         data = encode_frame(message, REQUEST, request_id, trace=trace)
         obs.counter("wire.sent").inc()
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
+        wait = self._pending[request_id] = self._hub.sim.wait()
         rtt = self._hub.rtt_ms(self._address, addr)
-        delivered = False
         if rtt is not None:
-            delivered = self._schedule_inbound(addr, data, rtt)
+            self._schedule_inbound(addr, data, rtt)
         else:
             self._hub.drops += 1
             obs.counter("wire.dropped").inc()
-        if not delivered:
-            pass  # the timeout below is the only way the wait ends
+        # Undelivered, the timeout below is the only way the wait ends.
         self._hub._at(timeout_ms, lambda: self._fire_timeout(request_id, timeout_ms))
         try:
-            frame: Frame = await self._hub._park(future)
+            frame: Frame = await wait
         finally:
             self._pending.pop(request_id, None)
         if frame.flags == ERROR:
@@ -316,8 +236,8 @@ class LoopbackTransport(Transport):
         return frame.message
 
     def _fire_timeout(self, request_id: int, timeout_ms: float) -> None:
-        future = self._pending.get(request_id)
-        if future is not None and not future.done():
+        wait = self._pending.get(request_id)
+        if wait is not None and not wait.done:
             obs.counter("wire.timeouts").inc()
             # Deterministic: stamped with virtual time, so same-seed
             # loopback runs keep telemetry.jsonl byte-identical.
@@ -326,19 +246,18 @@ class LoopbackTransport(Transport):
                 self._hub.now_ms,
                 obs.counter("wire.timeouts").value,
             )
-            self._hub._unpark(
-                future,
-                exc=TransportTimeout(
+            wait.fail(
+                TransportTimeout(
                     f"no response from request {request_id} within {timeout_ms} ms"
-                ),
+                )
             )
 
     def _complete(self, request_id: int, data: bytes) -> None:
         """A response frame arrived for one of our requests."""
-        future = self._pending.get(request_id)
-        if future is None or future.done():
+        wait = self._pending.get(request_id)
+        if wait is None or wait.done:
             return  # raced its own timeout; drop the late response
-        self._hub._unpark(future, decode_frame(data))
+        wait.resolve(decode_frame(data))
 
     async def _handle_inbound(self, sender: str, data: bytes, rtt: float) -> None:
         """Decode, dispatch, and (for requests) schedule the response."""
@@ -348,25 +267,9 @@ class LoopbackTransport(Transport):
         if frame.flags in (RESPONSE, ERROR):
             self._complete(frame.request_id, data)
             return
-        response: Optional[Message] = None
-        if self._handler is None:
-            response = ErrorFrame(code=ERR_UNSUPPORTED, detail="no handler bound")
-        else:
-            try:
-                response = await self._handler(sender, frame)
-            except Exception as exc:  # a daemon bug must answer, not hang
-                response = ErrorFrame(code=ERR_INTERNAL, detail=str(exc))
-        if frame.flags != REQUEST:
-            return
-        if response is None:
-            response = ErrorFrame(
-                code=ERR_UNSUPPORTED,
-                detail=f"no response for {type(frame.message).__name__}",
-            )
-        flags = ERROR if isinstance(response, ErrorFrame) else RESPONSE
-        out = encode_frame(response, flags, frame.request_id)
+        out = await answer_frame(self._handler, sender, frame)
         origin = self._hub._endpoints.get(sender)
-        if origin is not None:
+        if out is not None and origin is not None:
             self._hub._at(
                 rtt / 2.0, lambda: origin._complete(frame.request_id, out)
             )

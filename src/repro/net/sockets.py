@@ -41,8 +41,7 @@ from repro.net.codec import (
     Message,
     encode_frame,
 )
-from repro.net.codec import ERR_INTERNAL, ERR_UNSUPPORTED
-from repro.net.transport import Handler, TraceContext, Transport
+from repro.net.transport import Handler, TraceContext, Transport, answer_frame
 
 __all__ = ["TcpTransport"]
 
@@ -334,24 +333,11 @@ class TcpTransport(Transport):
         self, writer: asyncio.StreamWriter, sender: str, frame: Frame
     ) -> None:
         obs.counter("wire.delivered").inc()
-        response: Optional[Message] = None
-        if self._handler is None:
-            response = ErrorFrame(code=ERR_UNSUPPORTED, detail="no handler bound")
-        else:
-            try:
-                response = await self._handler(sender, frame)
-            except Exception as exc:  # a daemon bug must answer, not hang
-                response = ErrorFrame(code=ERR_INTERNAL, detail=str(exc))
-        if frame.flags != REQUEST:
+        out = await answer_frame(self._handler, sender, frame)
+        if out is None:
             return
-        if response is None:
-            response = ErrorFrame(
-                code=ERR_UNSUPPORTED,
-                detail=f"no response for {type(frame.message).__name__}",
-            )
-        flags = ERROR if isinstance(response, ErrorFrame) else RESPONSE
         try:
-            writer.write(encode_frame(response, flags, frame.request_id))
+            writer.write(out)
             await writer.drain()
         except OSError:
             pass  # requester is gone; its timeout handles the rest

@@ -25,16 +25,54 @@ from __future__ import annotations
 import abc
 from typing import Awaitable, Callable, Optional, Tuple
 
-from repro.net.codec import Frame, Message
+from repro.net.codec import (
+    ERR_INTERNAL,
+    ERR_UNSUPPORTED,
+    ERROR,
+    REQUEST,
+    RESPONSE,
+    ErrorFrame,
+    Frame,
+    Message,
+    encode_frame,
+)
 
 #: A causal-trace context attached to an outbound request:
 #: ``(trace_id, parent_span_id)`` — see the codec's trace extension.
 TraceContext = Tuple[str, Optional[str]]
 
-__all__ = ["Handler", "TraceContext", "Transport"]
+__all__ = ["Handler", "TraceContext", "Transport", "answer_frame"]
 
 #: An endpoint's inbound dispatch: (sender address, frame) -> response.
 Handler = Callable[[str, Frame], Awaitable[Optional[Message]]]
+
+
+async def answer_frame(
+    handler: Optional[Handler], sender: str, frame: Frame
+) -> Optional[bytes]:
+    """Run ``handler`` on an inbound frame; the encoded answer, if any.
+
+    The request-answering rule every transport shares: one-way frames
+    get no answer; a ``REQUEST`` is answered with the handler's message
+    (``RESPONSE``), or with an ``ERROR`` frame when no handler is bound,
+    the handler raised, or it returned ``None``.
+    """
+    if handler is None:
+        response = ErrorFrame(code=ERR_UNSUPPORTED, detail="no handler bound")
+    else:
+        try:
+            response = await handler(sender, frame)
+        except Exception as exc:  # a daemon bug must answer, not hang
+            response = ErrorFrame(code=ERR_INTERNAL, detail=str(exc))
+    if frame.flags != REQUEST:
+        return None
+    if response is None:
+        response = ErrorFrame(
+            code=ERR_UNSUPPORTED,
+            detail=f"no response for {type(frame.message).__name__}",
+        )
+    flags = ERROR if isinstance(response, ErrorFrame) else RESPONSE
+    return encode_frame(response, flags, frame.request_id)
 
 
 class Transport(abc.ABC):

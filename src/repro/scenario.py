@@ -101,9 +101,13 @@ class ScenarioConfig:
         small      ~350       3,000        examples, quick runs
         10k        ~690       10,000       streaming-parity tier (dense fits)
         evaluation ~1,300     20,000       benchmark scale (paper stand-in)
-        100k       ~8,600     100,000      streamed section-7 tier
+        100k       ~6,300 †   56,700 †     streamed section-7 tier
         1m         ~8,600     1,000,000    million-host smoke tier
         ========== ========== ============ ====================================
+
+        † as built at seed 0 (6,304 clusters / 56,687 hosts); the config
+        asks for 8,000 stub ASes and 100,000 hosts.  ``1m`` shares that
+        topology and has not been re-counted.
 
         ``tiny``/``small``/``evaluation`` produce byte-identical configs
         to the old helpers, so existing artifact-cache keys stay valid.

@@ -164,8 +164,6 @@ class HostAgent(ServiceNode):
         #: (seq, sender timestamp_ms, arrival now_ms, codec wire id).
         self.frame_traces: Dict[int, List[Tuple[int, float, float, int]]] = {}
         self.relayed_calls = 0
-        self._relay_addr: Optional[str] = None
-        self._last_selection: Optional[RelaySelection] = None
         self.handle(Ping, self._on_ping)
         self.handle(CloseSetQuery, self._on_close_set_query)
         self.handle(CallSetup, self._on_call_setup)
@@ -417,6 +415,9 @@ class HostAgent(ServiceNode):
         result.direct_rtt_ms = round(ping_rtt, 3)
         relay_needed = not ping_rtt < config.lat_threshold_ms
 
+        # The established relay and the selection it came from belong to
+        # this call: one agent may have several dials in flight.
+        relay_addr = selection = None
         if not relay_needed:
             select = span.child("setup.select", self.now_ms())
             select.end(
@@ -431,7 +432,7 @@ class HostAgent(ServiceNode):
             result.path_rtt_ms = result.direct_rtt_ms
             self._setup_done(result, span, started, "completed", None)
         else:
-            await self._setup_relay(
+            relay_addr, selection = await self._setup_relay(
                 result, span, started, callee_ip, callee_addr, callee_host, call_id
             )
         if result.outcome == "failed":
@@ -454,7 +455,8 @@ class HostAgent(ServiceNode):
 
         if media_ms is not None:
             await self._run_media(
-                result, span, callee_addr, call_id, media_ms, media_frames
+                result, span, callee_addr, call_id, media_ms, media_frames,
+                relay_addr, selection,
             )
         result.mos = round(mos_of_path(result.path_rtt_ms), 3) if result.path_rtt_ms is not None else None
         span.end(self.now_ms(), outcome=result.outcome)
@@ -578,15 +580,18 @@ class HostAgent(ServiceNode):
         callee_addr: str,
         callee_host,
         call_id: int,
-    ) -> None:
-        """Close-set exchange, selection, and relay establishment."""
+    ) -> Tuple[Optional[str], Optional[RelaySelection]]:
+        """Close-set exchange, selection, and relay establishment.
+
+        Returns the established relay's wire address (None when the call
+        stays on the direct path) and the selection it was picked from."""
         policy = self._policy
         world = self._world
         if self.surrogate_addr is None or self.cluster is None:
             self._setup_done(result, span, started, "degraded", "close-set-unavailable")
             result.path = "direct"
             result.path_rtt_ms = result.direct_rtt_ms
-            return
+            return None, None
 
         # 2. the two close-set legs, concurrently (own surrogate; callee
         # forwards to its own — the peer leg's longer path).
@@ -615,7 +620,7 @@ class HostAgent(ServiceNode):
             self._setup_done(result, span, started, "degraded", "close-set-unavailable")
             result.path = "direct"
             result.path_rtt_ms = result.direct_rtt_ms
-            return
+            return None, None
 
         # 3. select-close-relay: the one-hop step names the candidate
         # clusters to expand; their close sets are fetched over the wire
@@ -635,7 +640,6 @@ class HostAgent(ServiceNode):
             )
         select_two_hop(selection, s1, s2, fetched, world.cluster_size, world.config)
         result.selection_messages = selection.messages
-        self._last_selection = selection
         select = span.child("setup.select", self.now_ms())
         select.end(
             self.now_ms(),
@@ -647,7 +651,7 @@ class HostAgent(ServiceNode):
         )
 
         # 4. establish the best live relay.
-        relay = await self._establish_relay(
+        relay_addr = await self._establish_relay(
             span, selection, callee_ip, call_id, result
         )
         best = selection.best_rtt_ms()
@@ -656,11 +660,11 @@ class HostAgent(ServiceNode):
             self.now_ms(),
             relay=str(result.relay_ip) if result.relay_ip is not None else None,
             cluster=result.relay_cluster,
-            chosen_rtt_ms=result.path_rtt_ms if relay else None,
+            chosen_rtt_ms=result.path_rtt_ms if relay_addr else None,
             best_candidate_rtt_ms=round(best, 3) if best is not None else None,
             direct_rtt_ms=result.direct_rtt_ms,
         )
-        if relay:
+        if relay_addr:
             result.path = "relay"
             self._setup_done(result, span, started, "completed", None)
         else:
@@ -674,6 +678,7 @@ class HostAgent(ServiceNode):
                 "degraded",
                 "relay-offline" if had else "no-relay-candidates",
             )
+        return relay_addr, selection
 
     async def _fetch_two_hop(
         self, span, cluster: int, fetched: Dict[int, CloseClusterSet]
@@ -717,8 +722,9 @@ class HostAgent(ServiceNode):
         call_id: int,
         result: DialResult,
         exclude: Optional[set] = None,
-    ) -> bool:
-        """RELAY_SETUP the first live candidate, best cluster first.
+    ) -> Optional[str]:
+        """RELAY_SETUP the first live candidate, best cluster first; its
+        wire address, or None when no candidate accepted.
 
         Candidates are resolved through the bootstrap directory, so
         only IPs with a running agent are attempted — the wire analogue
@@ -756,9 +762,8 @@ class HostAgent(ServiceNode):
                     result.steps.append(
                         ("relay_setup", round(self.now_ms() - setup_start, 3))
                     )
-                    self._relay_addr = addr
-                    return True
-        return False
+                    return addr
+        return None
 
     async def _run_media(
         self,
@@ -767,7 +772,9 @@ class HostAgent(ServiceNode):
         callee_addr: str,
         call_id: int,
         media_ms: float,
-        media_frames: bool = False,
+        media_frames: bool,
+        relay_addr: Optional[str],
+        selection: Optional[RelaySelection],
     ) -> None:
         """5. paced media with keepalive-guarded relay failover.
 
@@ -776,7 +783,6 @@ class HostAgent(ServiceNode):
         actual packetization interval, so the callee accumulates a
         scoreable received-frame trace."""
         policy = self._policy
-        relay_addr = self._relay_addr if result.path == "relay" else None
         target = relay_addr if relay_addr is not None else callee_addr
         if media_frames:
             from repro.media.frames import CODEC_WIRE_IDS
@@ -836,9 +842,10 @@ class HostAgent(ServiceNode):
                         relay=str(result.relay_ip),
                     )
                     dead.add(result.relay_ip)
-                    relay_addr, target = await self._failover(
-                        result, media, callee_addr, call_id, dead
+                    relay_addr = await self._failover(
+                        result, media, call_id, selection, dead
                     )
+                    target = relay_addr if relay_addr is not None else callee_addr
                 next_keepalive = self.now_ms() + policy.keepalive_interval_ms
             await self.transport.sleep_ms(interval_ms)
         result.media_packets = seq
@@ -848,20 +855,18 @@ class HostAgent(ServiceNode):
         await self.transport.send(callee_addr, Bye(call_id=call_id, reason="done"))
 
     async def _failover(
-        self, result: DialResult, media, callee_addr: str, call_id: int, dead: set
-    ) -> Tuple[Optional[str], str]:
-        """Re-establish on the next candidate, or degrade to direct."""
+        self, result: DialResult, media, call_id: int, selection: RelaySelection, dead: set
+    ) -> Optional[str]:
+        """Re-establish on the next candidate (its wire address), or
+        degrade to direct (None)."""
         result.failovers += 1
         obs.counter("service.failovers").inc()
-        # Reuse the established selection ranking via a fresh attempt.
+        # Reuse the call's selection ranking via a fresh attempt.
         probe = DialResult(caller=self.ip, callee=result.callee)
-        selection = self._last_selection
-        ok = False
-        if selection is not None:
-            ok = await self._establish_relay(
-                media, selection, result.callee, call_id, probe, exclude=dead
-            )
-        if ok:
+        relay_addr = await self._establish_relay(
+            media, selection, result.callee, call_id, probe, exclude=dead
+        )
+        if relay_addr is not None:
             media.point(
                 "media.failover",
                 self.now_ms(),
@@ -871,8 +876,8 @@ class HostAgent(ServiceNode):
             result.relay_ip = probe.relay_ip
             result.relay_cluster = probe.relay_cluster
             result.path_rtt_ms = probe.path_rtt_ms
-            return self._relay_addr, self._relay_addr
+            return relay_addr
         media.point("media.degraded", self.now_ms(), reason="no-relay-candidates")
         result.path = "direct"
         result.path_rtt_ms = result.direct_rtt_ms
-        return None, callee_addr
+        return None

@@ -1,17 +1,32 @@
-"""Event queue and simulated clock.
+"""Event queue, simulated clock and coroutine scheduler.
 
 Events execute in (time, insertion order) — ties break FIFO so runs are
 deterministic.  Time is in simulated milliseconds throughout the library
 (latencies are natively in ms; seconds-scale results convert at the
 edges).
+
+The same clock also runs coroutines, so a protocol flow can be written
+top to bottom (``await`` an exchange, ``await sim.sleep(...)``) instead
+of as a chain of callbacks.  A coroutine suspends only by awaiting a
+:class:`Wait`; resolving the wait queues the coroutine on a FIFO ready
+queue.  The ordering contract:
+
+- one timed event fires at a time; everything it makes runnable
+  (spawned coroutines, resolved waiters) runs FIFO to quiescence before
+  the next event is popped, even one at the same timestamp;
+- a coroutine awaiting an already-resolved wait does not yield;
+- an exception escaping a spawned coroutine propagates out of
+  :meth:`Simulator.step` / :meth:`Simulator.run`, exactly like one
+  escaping an event action — nothing is held in a task object.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Coroutine, Deque, List, Optional
 
 from repro.errors import ReproError
 
@@ -32,14 +47,62 @@ class Event:
         return (self.time_ms, self.seq) < (other.time_ms, other.seq)
 
 
+class Wait:
+    """A one-shot awaitable owned by a :class:`Simulator`.
+
+    One coroutine may ``await`` it; :meth:`resolve` (or :meth:`fail`)
+    makes that coroutine runnable and the ``await`` return the value (or
+    raise the error).  The first resolution wins — later ones are
+    ignored, so a response racing its own timeout needs no guard.
+    """
+
+    __slots__ = ("_sim", "_waiter", "_done", "_value", "_error")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self._sim = sim
+        self._waiter: Optional[Coroutine] = None
+        self._done = False
+        self._value: Any = None
+        self._error: Optional[BaseException] = None
+
+    @property
+    def done(self) -> bool:
+        """Whether the wait has been resolved (with a value or an error)."""
+        return self._done
+
+    def resolve(self, value: Any = None) -> None:
+        """Complete the wait with ``value``; queue the waiter, if any."""
+        if self._done:
+            return
+        self._done = True
+        self._value = value
+        if self._waiter is not None:
+            self._sim._ready.append(self._waiter)
+            self._waiter = None
+
+    def fail(self, error: BaseException) -> None:
+        """Complete the wait with an exception raised at the ``await``."""
+        if not self._done:
+            self._error = error
+            self.resolve()
+
+    def __await__(self):
+        if not self._done:
+            yield self
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 class Simulator:
-    """A single-threaded discrete-event simulator."""
+    """A single-threaded discrete-event simulator and coroutine scheduler."""
 
     def __init__(self) -> None:
         self._now_ms = 0.0
         self._queue: List[Event] = []
         self._seq = itertools.count()
         self._processed = 0
+        self._ready: Deque[Coroutine] = deque()
 
     @property
     def now_ms(self) -> float:
@@ -73,14 +136,95 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return event
 
+    # -- coroutines ----------------------------------------------------------
+
+    def wait(self) -> Wait:
+        """A fresh unresolved :class:`Wait` on this simulator."""
+        return Wait(self)
+
+    def spawn(self, coro: Coroutine) -> None:
+        """Make ``coro`` runnable; it first runs in spawn order, after
+        whatever is already ready and before the next timed event."""
+        self._ready.append(coro)
+
+    def sleep(self, delay_ms: float) -> Wait:
+        """Awaitable that resolves ``delay_ms`` from now."""
+        wait = Wait(self)
+        self.schedule(delay_ms, wait.resolve)
+        return wait
+
+    def sleep_until(self, time_ms: float) -> Wait:
+        """Awaitable that resolves at an absolute simulated time."""
+        wait = Wait(self)
+        self.schedule_at(time_ms, wait.resolve)
+        return wait
+
+    async def gather(self, *coros: Coroutine) -> list:
+        """Run coroutines concurrently; their results in argument order.
+
+        Every branch runs to completion; the first exception (by
+        argument order) is re-raised afterwards.  With no coroutines it
+        returns ``[]`` without yielding.
+        """
+        if not coros:
+            return []
+        results: list = [None] * len(coros)
+        errors: list = [None] * len(coros)
+        remaining = len(coros)
+        done = Wait(self)
+
+        async def branch(index: int, coro: Coroutine) -> None:
+            nonlocal remaining
+            try:
+                results[index] = await coro
+            except Exception as exc:  # re-raised below, in argument order
+                errors[index] = exc
+            finally:
+                remaining -= 1
+                if remaining == 0:
+                    done.resolve()
+
+        for index, coro in enumerate(coros):
+            self.spawn(branch(index, coro))
+        await done
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return results
+
+    def _drain(self) -> None:
+        """Run ready coroutines FIFO until every one is parked or done."""
+        ready = self._ready
+        while ready:
+            coro = ready.popleft()
+            try:
+                wait = coro.send(None)
+            except StopIteration:
+                continue
+            if not isinstance(wait, Wait) or wait._sim is not self:
+                raise SimulationError(
+                    f"coroutine suspended on {wait!r}, not on a wait of this "
+                    "simulator (a bare asyncio.sleep cannot advance virtual time)"
+                )
+            if wait._waiter is not None:
+                raise SimulationError("two coroutines awaiting one wait")
+            wait._waiter = coro
+
+    # -- driving ---------------------------------------------------------------
+
     def step(self) -> bool:
-        """Run the next event; returns False when the queue is empty."""
+        """Run the next event and everything it makes runnable; returns
+        False when the event queue is empty."""
+        if self._ready:
+            self._drain()
         if not self._queue:
             return False
         event = heapq.heappop(self._queue)
         self._now_ms = event.time_ms
         event.action()
         self._processed += 1
+        if self._ready:
+            self._drain()
         return True
 
     def run(self, until_ms: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -89,8 +233,12 @@ class Simulator:
         Returns the number of events executed by this call.  When
         ``until_ms`` is given, the clock is advanced to exactly
         ``until_ms`` at the end even if the queue drained earlier.
+        Coroutines still suspended when a bounded run stops stay
+        resumable by a later call.
         """
         executed = 0
+        if self._ready:
+            self._drain()
         while self._queue:
             if until_ms is not None and self._queue[0].time_ms > until_ms:
                 break

@@ -16,6 +16,9 @@
   for float.
 - :func:`assert_arrays_are_the_set`: the invariants of the arrays a
   :class:`CloseClusterSet` stores, and of the views it derives.
+- :func:`dense_k_hops`: ``np.percentile`` over the materialized hop
+  multiset — the dense expression :func:`repro.core.config.derive_k_hops`
+  had before the histogram fold became its only body.
 """
 
 from __future__ import annotations
@@ -270,3 +273,20 @@ def scalar_select_close_relay(
             )
         )
     return result
+
+
+def dense_k_hops(
+    matrices,
+    threshold_ms: float = 300.0,
+    quantile: float = 90.0,
+    minimum: int = 2,
+    maximum: int = 8,
+) -> int:
+    """The Section 6.2 hop-limit rule, verbatim on dense arrays."""
+    mask = np.isfinite(matrices.rtt_ms) & (matrices.rtt_ms < threshold_ms)
+    mask &= matrices.as_hops >= 0
+    hops = matrices.as_hops[mask]
+    if hops.size == 0:
+        return 4
+    derived = int(np.percentile(hops, quantile))
+    return max(minimum, min(maximum, derived))

@@ -7,6 +7,7 @@ from repro.core import ASAPConfig, ASAPSystem
 from repro.core.config import derive_k_hops
 from repro.errors import ConfigurationError, ProtocolError
 from repro.scenario import tiny_scenario
+from tests.oracles import dense_k_hops
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,18 @@ class TestConfig:
     def test_derive_k_hops_in_bounds(self, scenario):
         k = derive_k_hops(scenario.matrices)
         assert 2 <= k <= 8
+
+    @pytest.mark.parametrize("threshold_ms", [40.0, 150.0, 300.0, 1e9])
+    @pytest.mark.parametrize("quantile", [0.0, 37.5, 50.0, 90.0, 100.0])
+    def test_derive_k_hops_matches_the_dense_percentile(
+        self, scenario, threshold_ms, quantile
+    ):
+        args = dict(
+            threshold_ms=threshold_ms, quantile=quantile, minimum=0, maximum=10**6
+        )
+        assert derive_k_hops(scenario.matrices, **args) == dense_k_hops(
+            scenario.matrices, **args
+        )
 
 
 class TestMembership:

@@ -105,6 +105,35 @@ class TestCallSetup:
         runtime.run()
         assert len(runtime.setup_times_ms()) == 2
 
+    def test_bounded_run_suspends_flows_and_the_next_run_finishes_them(
+        self, scenario, runtime
+    ):
+        caller, callee = latent_host_pair(scenario)
+        join = runtime.schedule_join(scenario.population.hosts[0].ip)
+        call = runtime.schedule_call(caller, callee, media_duration_ms=30_000.0)
+        # Stop mid-ping: both flows are parked on an exchange.
+        runtime.run(until_ms=1.0)
+        assert runtime.sim.now_ms == 1.0
+        assert runtime.pending_records() == [join, call]
+        assert call.attempts == 1 and call.session is None
+        # Stop again mid-call: setup is done, the keepalive loop is parked.
+        runtime.run(until_ms=10_000.0)
+        assert call.outcome == "completed" and join.outcome == "completed"
+        (media,) = runtime.media_sessions
+        assert runtime.pending_records() == [media]
+        assert media.relay_ip is not None and 0 < media.keepalives < 10
+        runtime.run()
+        assert runtime.pending_records() == []
+        assert media.outcome == "finished"
+
+        # The stops are invisible: an unbounded run lands on the same times.
+        straight = ASAPRuntime(scenario, runtime.system.config)
+        other = straight.schedule_call(caller, callee, media_duration_ms=30_000.0)
+        straight.run()
+        assert other.completed_ms == call.completed_ms
+        assert straight.media_sessions[0].keepalives == media.keepalives
+        assert straight.sim.now_ms == runtime.sim.now_ms
+
     def test_messages_flow_through_network(self, scenario, runtime):
         caller, callee = latent_host_pair(scenario)
         runtime.schedule_call(caller, callee)

@@ -385,10 +385,10 @@ class TestRelayPolicyConformance:
             from_tuples = policy.evaluate_sessions(world, pairs, session_ids=ids)
             assert from_sessions == from_tuples, policy.name
 
-    def test_columns_keyword_accepted(self, scenario, policies):
+    def test_one_pair_batch_yields_one_result(self, scenario, policies):
         world = scenario.matrix_view()
         for policy in policies:
-            out = policy.evaluate_sessions(world, [(0, 1)], columns=None)
+            out = policy.evaluate_sessions(world, [(0, 1)])
             assert len(out) == 1
 
     def test_mismatched_ids_rejected(self, scenario, policies):

@@ -128,12 +128,37 @@ class TestLoopback:
         from repro.errors import ServiceError
 
         async def main(hub):
-            # a bare future nothing will ever resolve
-            await hub._park(asyncio.get_running_loop().create_future())
+            # a wait nothing will ever resolve
+            await hub.sim.wait()
 
         hub = LoopbackHub()
         with pytest.raises(ServiceError, match="deadlock"):
             asyncio.run(hub.run(main(hub)))
+
+    def test_run_needs_no_event_loop(self):
+        """``hub.run`` never suspends its caller: one ``send`` finishes a
+        whole overlay run, with or without asyncio around it."""
+
+        async def main(hub):
+            a, b = _loopback_pair(hub)
+            b.bind(_echo)
+            await a.start()
+            await b.start()
+            replies = await a.gather(
+                a.request("b", Ping(token=1), timeout_ms=100.0),
+                a.request("b", Ping(token=2), timeout_ms=100.0),
+            )
+            await a.sleep_ms(2.5)
+            return replies
+
+        bare = LoopbackHub(latency_ms_fn=lambda s, d: 6.0)
+        with pytest.raises(StopIteration) as stop:
+            bare.run(main(bare)).send(None)
+        looped, result = _run_loopback(main, latency_ms_fn=lambda s, d: 6.0)
+        assert stop.value.value == result == [Pong(token=1), Pong(token=2)]
+        assert (bare.now_ms, bare.deliveries) == (looped.now_ms, looped.deliveries)
+        # stale request timeouts are drained, so the clock ends past them
+        assert bare.now_ms == pytest.approx(100.0)
 
 
 class TestTcp:

@@ -9,6 +9,7 @@ runtime's, so one trace-analysis toolkit reads both.
 import asyncio
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,6 +87,25 @@ class TestLoopbackDemo:
         assert r1.virtual_ms == r2.virtual_ms
         assert r1.wire_deliveries == r2.wire_deliveries
         assert [c.mos for c in r1.calls] == [c.mos for c in r2.calls]
+
+    def test_concurrent_dials_from_one_caller_keep_their_own_relay(self, cache_dir):
+        """The relay a dial established belongs to that dial: with several
+        dials in flight from one agent, every relayed call's frames still
+        arrive, under its own call_id."""
+        world = ServiceWorld.from_scale("small", 0, cache_dir=cache_dir)
+        result = run_demo(world=world, calls=6, media_ms=1_000.0, media_frames=True)
+        dialed, relayed = Counter(), Counter()
+        for index, call in enumerate(result.calls):
+            dialed[call.caller] += 1
+            if call.path != "relay":
+                continue
+            relayed[call.caller] += 1
+            call_id = (call.caller.value << 16) | dialed[call.caller]
+            trace = result.frame_traces[index].get(call_id)
+            assert trace is not None, f"call {index}: no frames under its call_id"
+            received = sum(1 for frame in trace.frames if not frame.lost)
+            assert received >= 0.9 * call.media_packets
+        assert max(relayed.values()) >= 2  # the shape under test
 
     def test_relayed_dial_runs_each_selection_step_once(self, tmp_path, world, monkeypatch):
         from repro.core import relay_selection

@@ -85,6 +85,188 @@ class TestSimulator:
         assert sim.processed_events == 2
 
 
+class TestCoroutines:
+    """The ordering contract the loopback hub and the runtime port rely on."""
+
+    def test_spawn_order_is_first_run_order(self):
+        sim = Simulator()
+        order = []
+
+        async def flow(tag):
+            order.append((tag, "start"))
+            await sim.sleep(1.0)
+            order.append((tag, "end"))
+
+        for tag in "abc":
+            sim.spawn(flow(tag))
+        assert order == []  # nothing runs until the simulator is driven
+        sim.run()
+        assert order == [(t, "start") for t in "abc"] + [(t, "end") for t in "abc"]
+
+    def test_resolved_waiter_runs_before_the_next_same_time_event(self):
+        sim = Simulator()
+        order = []
+        wait = sim.wait()
+
+        async def waiter():
+            order.append(("got", await wait))
+
+        sim.spawn(waiter())
+        sim.schedule(5.0, lambda: (order.append("resolve"), wait.resolve(7)))
+        sim.schedule(5.0, lambda: order.append("same-time event"))
+        sim.run()
+        assert order == ["resolve", ("got", 7), "same-time event"]
+
+    def test_awaiting_a_resolved_wait_does_not_yield(self):
+        sim = Simulator()
+        order = []
+        done = sim.wait()
+        done.resolve("early")
+        done.resolve("late")  # the first resolution wins
+
+        async def first():
+            order.append(await done)
+            order.append("first continues")
+
+        async def second():
+            order.append("second")
+
+        sim.spawn(first())
+        sim.spawn(second())
+        sim.run()
+        assert order == ["early", "first continues", "second"]
+
+    def test_gather_results_in_argument_order(self):
+        sim = Simulator()
+
+        async def after(ms, value):
+            await sim.sleep(ms)
+            return value
+
+        async def main(out):
+            out.append(await sim.gather(after(9.0, "slow"), after(1.0, "fast")))
+            out.append(sim.now_ms)
+
+        out = []
+        sim.spawn(main(out))
+        sim.run()
+        assert out == [["slow", "fast"], 9.0]
+
+    def test_gather_finishes_every_branch_before_raising_the_first_error(self):
+        sim = Simulator()
+        finished = []
+
+        async def branch(ms, error=None):
+            await sim.sleep(ms)
+            finished.append(ms)
+            if error is not None:
+                raise error
+
+        async def main(out):
+            try:
+                await sim.gather(
+                    branch(3.0, ValueError("by argument order")),
+                    branch(1.0, KeyError("first in time")),
+                    branch(8.0),
+                )
+            except Exception as exc:
+                out.append((type(exc), sim.now_ms))
+
+        out = []
+        sim.spawn(main(out))
+        sim.run()
+        assert finished == [1.0, 3.0, 8.0]
+        assert out == [(ValueError, 8.0)]
+
+    def test_gather_of_nothing_returns_without_yielding(self):
+        sim = Simulator()
+        order = []
+
+        async def main():
+            order.append(await sim.gather())
+            order.append("main continues")
+
+        sim.spawn(main())
+        sim.spawn(self._note(order, "other"))
+        sim.run()
+        assert order == [[], "main continues", "other"]
+
+    @staticmethod
+    async def _note(order, tag):
+        order.append(tag)
+
+    def test_escaping_exception_is_raised_by_run(self):
+        sim = Simulator()
+
+        async def broken():
+            await sim.sleep(2.0)
+            raise RuntimeError("flow bug")
+
+        sim.spawn(broken())
+        with pytest.raises(RuntimeError, match="flow bug"):
+            sim.run()
+        assert sim.now_ms == 2.0
+
+    def test_failed_wait_raises_at_the_await(self):
+        sim = Simulator()
+        wait = sim.wait()
+        seen = []
+
+        async def waiter():
+            try:
+                await wait
+            except KeyError as exc:
+                seen.append((exc.args, sim.now_ms))
+
+        sim.spawn(waiter())
+        sim.schedule(4.0, lambda: wait.fail(KeyError("lost")))
+        sim.run()
+        assert seen == [(("lost",), 4.0)]
+
+    def test_bounded_run_leaves_coroutines_resumable(self):
+        sim = Simulator()
+        seen = []
+
+        async def flow():
+            await sim.sleep(5.0)
+            seen.append(sim.now_ms)
+            await sim.sleep_until(50.0)
+            seen.append(sim.now_ms)
+
+        sim.spawn(flow())
+        sim.run(until_ms=10.0)
+        assert seen == [5.0] and sim.now_ms == 10.0
+        sim.run()
+        assert seen == [5.0, 50.0]
+
+    def test_foreign_awaitable_is_an_error_not_a_stall(self):
+        import asyncio
+
+        sim = Simulator()
+
+        async def flow():
+            await asyncio.sleep(0)  # a bare yield: no Wait to park on
+
+        sim.spawn(flow())
+        with pytest.raises(SimulationError, match="asyncio.sleep"):
+            sim.run()
+
+    def test_event_only_simulation_keeps_time_seq_order(self):
+        """No coroutine in play: events fire in (time, insertion) order
+        and the counters read as they always did."""
+        sim = Simulator()
+        fired = []
+        events = [
+            sim.schedule(delay, lambda i=i: fired.append((sim.now_ms, i)))
+            for i, delay in enumerate([4.0, 1.0, 4.0, 0.0, 1.0])
+        ]
+        events.append(sim.schedule_at(4.0, lambda: fired.append((sim.now_ms, 5))))
+        assert [e.seq for e in events] == list(range(6))
+        assert sim.run() == 6
+        assert fired == [(0.0, 3), (1.0, 1), (1.0, 4), (4.0, 0), (4.0, 2), (4.0, 5)]
+        assert sim.processed_events == 6 and sim.pending_events == 0
+
+
 class TestSimNetwork:
     @pytest.fixture(scope="class")
     def scenario(self):

@@ -18,6 +18,7 @@ from repro.topology import (
 from repro.topology.bgpfeed import pick_vantage_ases
 
 SMALL = TopologyConfig(tier1_count=4, tier2_count=12, tier3_count=40, seed=1)
+TINY = TopologyConfig(tier1_count=3, tier2_count=5, tier3_count=12, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,26 @@ class TestBGPFeed:
         apply_updates(table, updates)
         # Withdraw+re-announce pairs leave the table at the same size.
         assert len(table) == before
+
+    @pytest.mark.parametrize("config", [TINY, SMALL], ids=["tiny", "small"])
+    def test_feed_is_independent_of_the_router_cache(self, config):
+        """The feed reads each origin's tree once, in sorted order, so
+        its default router keeps a single tree; an explicit router of
+        any cache size yields the same entries and updates."""
+        topo = generate_topology(config)
+        allocation = allocate_prefixes(topo, seed=1)
+        kwargs = dict(vantage_count=5, seed=1)
+        entries = generate_rib_entries(topo, allocation, **kwargs)
+        updates = generate_update_stream(
+            topo, allocation, churn_fraction=0.2, **kwargs
+        )
+        assert entries and updates
+        for cache_size in (1, 4096):
+            router = PolicyRouter(topo.graph, cache_size=cache_size)
+            assert generate_rib_entries(topo, allocation, router=router, **kwargs) == entries
+            assert generate_update_stream(
+                topo, allocation, router=router, churn_fraction=0.2, **kwargs
+            ) == updates
 
     def test_prefix_table_covers_population(self, world):
         _, _, _, prefix_table, population = world
