@@ -10,9 +10,11 @@ scratch:
 - :mod:`repro.bgp.prefix_table` — prefix→origin-AS longest-match table.
 - :mod:`repro.bgp.relationships` — Gao provider/customer/peer inference.
 - :mod:`repro.bgp.asgraph` — the annotated AS graph with valley-free search.
+- :mod:`repro.bgp.csr` — that graph exported to CSR arrays.
 - :mod:`repro.bgp.routing` — BGP policy route computation (customer >
-  peer > provider preference, shortest AS path) used as the "direct IP
-  routing" ground truth of the simulator.
+  peer > provider preference, shortest AS path), routing trees built in
+  batched array sweeps, used as the "direct IP routing" ground truth of
+  the simulator.
 """
 
 from repro.bgp.asgraph import ASGraph, Relationship

@@ -131,8 +131,14 @@ class ASGraph:
         )
 
     def degree(self, asn: int) -> int:
-        """Total annotated degree of an AS."""
-        return len(self.neighbors(asn))
+        """Total annotated degree of an AS (an AS pair carries exactly one
+        relationship, so the four neighbour sets are disjoint)."""
+        return (
+            len(self._providers.get(asn, ()))
+            + len(self._customers.get(asn, ()))
+            + len(self._peers.get(asn, ()))
+            + len(self._siblings.get(asn, ()))
+        )
 
     def relationship(self, a: int, b: int) -> Optional[Relationship]:
         """The relationship annotation of edge a-b, from ``a``'s view.

@@ -20,7 +20,7 @@ Internet is fixed and King estimates it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,8 +193,12 @@ class LatencyModel:
             return None
         return sum(legs) + 2.0 * RELAY_DELAY_RTT_MS
 
-    def routing_tree(self, dst_as: int) -> Optional[RoutingTree]:
-        """The policy routing tree toward an AS (None if the AS failed)."""
-        if dst_as in self._conditions.failed_ases or dst_as not in self._router.graph:
-            return None
-        return self._router.tree(dst_as)
+    def routing_trees(self, dst_ases: Sequence[int]) -> Iterator[Optional[RoutingTree]]:
+        """The policy routing tree toward each AS in order (``None`` if
+        the AS failed or is unknown), built in batches
+        (:meth:`PolicyRouter.trees`) and not cached: hold a tree only as
+        long as it is read."""
+        graph, failed = self._router.graph, self._conditions.failed_ases
+        routable = [asn not in failed and asn in graph for asn in dst_ases]
+        built = self._router.trees(asn for asn, ok in zip(dst_ases, routable) if ok)
+        return (next(built) if ok else None for ok in routable)

@@ -44,7 +44,8 @@ PathLike = Union[str, Path]
 #: than silently wrong.
 #: v2: the close sets once cached here gained ``probes_by_as``; they are
 #: no longer cached, and the number stays so existing entries stay valid.
-SCHEMA_VERSION = 2
+#: v3: pickled routers hold a CSR export and array routing trees.
+SCHEMA_VERSION = 3
 
 #: Environment override for the cache root when no explicit directory is
 #: configured.

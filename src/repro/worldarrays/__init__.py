@@ -1,15 +1,16 @@
 """Flat, int-indexed world representation for the substrate hot paths.
 
 This package exports the object world
-(:class:`~repro.topology.clustering.ClusterIndex`,
-:class:`~repro.bgp.asgraph.ASGraph`) once into contiguous numpy arrays
-and computes the two hottest products against them — the only
-matrix-fill and close-set code production runs:
+(:class:`~repro.topology.clustering.ClusterIndex`; the
+:class:`~repro.bgp.asgraph.ASGraph` export lives in
+:mod:`repro.bgp.csr`) once into contiguous numpy arrays and computes
+the two hottest products against them — the only matrix-fill and
+close-set code production runs:
 
 - :mod:`repro.worldarrays.matrixfill` — delegate-matrix assembly as
   vectorized per-destination column fills (the memoized next-hop chain
-  walk becomes a level-ordered array scan, the per-row python loop a
-  single gather);
+  walk becomes one array pass per distance level over a batch of
+  routing trees, the per-row python loop a single gather);
 - :mod:`repro.worldarrays.closesets` — ``construct-close-cluster-set``
   as a vectorized valley-free BFS over int frontiers that probes each
   BFS level with one gather pair.

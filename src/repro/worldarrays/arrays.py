@@ -1,16 +1,14 @@
 """Contiguous array exports of the object world.
 
-Two export products live here:
+:class:`WorldArrays` is the cluster book-keeping (cluster→AS index,
+access delays, sizes, clusters-grouped-by-AS) plus the latency model's
+per-AS costs and per-link edge costs as flat arrays, for the vectorized
+matrix fill.  The AS graph's own export, :class:`GraphCSR`, lives in
+:mod:`repro.bgp.csr` (the routing-tree builder reads it, and this
+module imports the latency model that imports the router) and is
+re-exported here with its gather helpers.
 
-- :class:`GraphCSR` — the annotated AS graph's valley-free step tables
-  (providers / customers / peers / siblings) in CSR form over a dense
-  int index, for the vectorized close-set BFS;
-- :class:`WorldArrays` — the cluster book-keeping (cluster→AS index,
-  access delays, sizes, clusters-grouped-by-AS) plus the latency model's
-  per-AS costs and per-link edge costs as flat arrays, for the
-  vectorized matrix fill.
-
-Both are pure *exports*: every number is produced by the same object
+It is a pure *export*: every number is produced by the same object
 code (``LatencyModel.link_delay_ms``, ``NetworkConditions.loss_of``, …)
 that the reference paths call, which is the first half of the
 bit-identical guarantee — the flat paths then combine those numbers with
@@ -20,108 +18,15 @@ the exact same IEEE operation order as the scalar reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.bgp.asgraph import ASGraph
+from repro.bgp.csr import GraphCSR, bucket_csr, csr_gather
 from repro.errors import MeasurementError
 from repro.measurement.latency import LatencyModel
 
-
-def csr_gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenate the CSR adjacency lists of ``rows`` (vectorized).
-
-    Equivalent to ``np.concatenate([indices[indptr[r]:indptr[r+1]] for r
-    in rows])`` without the python loop: the classic repeat/cumsum ragged
-    gather.
-    """
-    if len(rows) == 0:
-        return indices[:0]
-    counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return indices[:0]
-    starts = indptr[rows]
-    exclusive = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    positions = np.repeat(starts - exclusive, counts) + np.arange(total)
-    return indices[positions]
-
-
-def bucket_csr(count: int, lists: Dict[int, np.ndarray]) -> tuple:
-    """Pack per-row neighbor arrays into (indptr, indices)."""
-    counts = np.zeros(count, dtype=np.int64)
-    for row, neighbors in lists.items():
-        counts[row] = len(neighbors)
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for row, neighbors in lists.items():
-        indices[indptr[row] : indptr[row + 1]] = neighbors
-    return indptr, indices
-
-
-@dataclass
-class GraphCSR:
-    """Valley-free step tables of an :class:`ASGraph` in CSR form.
-
-    Node ``i`` is ``as_ids[i]`` (ascending ASN order); each relationship
-    bucket's neighbor lists are sorted, so every traversal over this
-    structure is order-independent by construction.
-    """
-
-    as_ids: np.ndarray          # (V,) int64, sorted ASNs
-    index_of: Dict[int, int]
-    providers_indptr: np.ndarray
-    providers_indices: np.ndarray
-    customers_indptr: np.ndarray
-    customers_indices: np.ndarray
-    peers_indptr: np.ndarray
-    peers_indices: np.ndarray
-    siblings_indptr: np.ndarray
-    siblings_indices: np.ndarray
-    neighbors_indptr: np.ndarray
-    neighbors_indices: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.as_ids)
-
-    @classmethod
-    def from_asgraph(cls, graph: ASGraph) -> "GraphCSR":
-        as_ids = np.array(graph.ases(), dtype=np.int64)
-        index_of = {int(asn): i for i, asn in enumerate(as_ids)}
-        count = len(as_ids)
-
-        def bucket(getter) -> tuple:
-            lists = {}
-            for asn, row in index_of.items():
-                members = getter(asn)
-                if members:
-                    lists[row] = np.array(
-                        sorted(index_of[m] for m in members), dtype=np.int64
-                    )
-            return bucket_csr(count, lists)
-
-        providers = bucket(graph.providers)
-        customers = bucket(graph.customers)
-        peers = bucket(graph.peers)
-        siblings = bucket(graph.siblings)
-        neighbors = bucket(graph.neighbors)
-        return cls(
-            as_ids=as_ids,
-            index_of=index_of,
-            providers_indptr=providers[0],
-            providers_indices=providers[1],
-            customers_indptr=customers[0],
-            customers_indices=customers[1],
-            peers_indptr=peers[0],
-            peers_indices=peers[1],
-            siblings_indptr=siblings[0],
-            siblings_indices=siblings[1],
-            neighbors_indptr=neighbors[0],
-            neighbors_indices=neighbors[1],
-        )
+__all__ = ["GraphCSR", "WorldArrays", "bucket_csr", "csr_gather"]
 
 
 @dataclass

@@ -22,14 +22,8 @@ int) the dense assembly would have stored in the same cell —
   own scalar expression (``2.0 * endpoint + 4.0 * access``);
 - spilled chunks round-trip bit-exactly through ``.npy`` files.
 
-Memory discipline at the 100k tier (V ≈ 8.6k ASes, N = 100k clusters):
-
-- the assembler's one-way memo is an LRU (:data:`_MEMO_LIMIT`), so
-  resolved trees never accumulate past a few hundred × ~25·V bytes;
-- the policy router's own tree cache (4096 entries ≈ 0.9 MB each at
-  that V) is flushed every :data:`_ROUTER_FLUSH_INTERVAL` fresh
-  resolutions;
-- reads fault mmap pages, not arrays.
+Memory: a chunk's routing trees are built, resolved, filled and dropped
+inside the fault, so the view holds its mmap handles and nothing else.
 """
 
 from __future__ import annotations
@@ -46,13 +40,6 @@ from repro.worldarrays.arrays import WorldArrays
 from repro.worldarrays.matrixfill import FlatMatrixAssembler
 
 __all__ = ["VirtualMatrices"]
-
-#: LRU bound on the assembler's one-way memo (destination ASes).
-_MEMO_LIMIT = 256
-
-#: Fresh destination-AS resolutions between policy-router cache flushes
-#: (each cached tree is ~0.2 MB per thousand ASes; the router keeps 4096).
-_ROUTER_FLUSH_INTERVAL = 64
 
 
 class VirtualMatrices:
@@ -77,7 +64,6 @@ class VirtualMatrices:
         self._model = model
         self._chunk = int(chunk_columns)
         self._store = store
-        self._fresh_resolutions = 0
 
         (
             self.prefixes,
@@ -91,9 +77,7 @@ class VirtualMatrices:
                 f"store is for n={store.n}, world has n={len(self.prefixes)}"
             )
         self._world = WorldArrays.from_clusters(model, cluster_list)
-        self._assembler = FlatMatrixAssembler(
-            model, self._world, memo_limit=_MEMO_LIMIT
-        )
+        self._assembler = FlatMatrixAssembler(model, self._world)
         self._mmap_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._finite_fractions = None
 
@@ -139,7 +123,6 @@ class VirtualMatrices:
         rtt = np.full((n, len(cols)), UNREACHABLE, dtype=float)
         loss = np.full((n, len(cols)), 1.0, dtype=float)
         hops = np.full((n, len(cols)), -1, dtype=np.int64)
-        self._note_resolutions(cols)
         self._assembler.fill_columns(
             cols, rtt, loss, hops, positions=np.arange(len(cols), dtype=np.int64)
         )
@@ -154,17 +137,6 @@ class VirtualMatrices:
             loss[j, pos] = self._model.conditions.loss_of(asn)
             hops[j, pos] = 0
         return rtt, loss, hops
-
-    def _note_resolutions(self, cols: np.ndarray) -> None:
-        """Bound the policy router's tree LRU: count the destination ASes
-        this block will freshly resolve and flush the router cache every
-        :data:`_ROUTER_FLUSH_INTERVAL` of them."""
-        for as_idx in np.unique(self._world.cluster_as_idx[cols]):
-            if not self._assembler.memoized(int(self._world.as_ids[as_idx])):
-                self._fresh_resolutions += 1
-        if self._fresh_resolutions >= _ROUTER_FLUSH_INTERVAL:
-            self._model.router.invalidate()
-            self._fresh_resolutions = 0
 
     # -- view protocol -------------------------------------------------
 

@@ -6,6 +6,10 @@
   flat arrays became the only production path.  Deliberately slow and
   obvious; :func:`repro.measurement.matrix.compute_delegate_matrices`
   (serial and pooled) must reproduce it bit for bit.
+- :func:`dict_routing_tree`: the dict / ``deque`` / ``heapq`` routing-tree
+  builder ``repro.bgp.routing.PolicyRouter`` had before trees became
+  batched arrays, verbatim.  The scalar matrix fill above walks *these*
+  trees, so it shares no code with the production path.
 - :func:`reference_close_set`: the Fig. 9 transcription
   (:func:`repro.core.construct_close_cluster_set`) wired to a system's
   world, which :class:`repro.worldarrays.FlatCloseSetBuilder` must match.
@@ -23,11 +27,16 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import heapq
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
 
+from repro.bgp.asgraph import ASGraph
+from repro.bgp.routes import RouteClass
 from repro.core import construct_close_cluster_set
 from repro.core.close_cluster import CloseClusterSet
 from repro.core.config import ASAPConfig
@@ -36,9 +45,112 @@ from repro.core.relay_selection import (
     RelaySelection,
     TwoHopCandidate,
 )
+from repro.errors import TopologyError
 from repro.measurement.latency import LatencyModel
 from repro.measurement.matrix import UNREACHABLE, DelegateMatrices, cluster_headers
 from repro.topology.clustering import ClusterIndex
+
+
+@dataclass
+class DictRoutingTree:
+    """All selected routes toward one destination AS, keyed by ASN."""
+
+    destination: int
+    route_class: Dict[int, RouteClass]
+    distance: Dict[int, int]
+    next_hop: Dict[int, int]
+
+    def reaches(self, source: int) -> bool:
+        return source in self.route_class
+
+
+def dict_routing_tree(graph: ASGraph, destination: int) -> DictRoutingTree:
+    """One destination's Gao-Rexford tree, one AS at a time."""
+    if destination not in graph:
+        raise TopologyError(f"unknown destination AS {destination}")
+
+    route_class: Dict[int, RouteClass] = {destination: RouteClass.ORIGIN}
+    distance: Dict[int, int] = {destination: 0}
+    next_hop: Dict[int, int] = {}
+
+    # Phase 1 — customer routes: propagate from the destination up
+    # customer→provider edges (and across sibling edges).
+    queue = deque([destination])
+    while queue:
+        node = queue.popleft()
+        dist = distance[node]
+        uphill = graph.providers(node) | graph.siblings(node)
+        for learner in sorted(uphill):
+            if learner in route_class:
+                continue
+            route_class[learner] = RouteClass.CUSTOMER
+            distance[learner] = dist + 1
+            next_hop[learner] = node
+            queue.append(learner)
+
+    # Phase 2 — peer routes: exactly one peer edge on top of a
+    # customer route (or directly to the destination).
+    customer_holders = [n for n, c in route_class.items() if c in (RouteClass.CUSTOMER, RouteClass.ORIGIN)]
+    peer_candidates: Dict[int, Tuple[int, int]] = {}
+    for holder in customer_holders:
+        for learner in graph.peers(holder):
+            if learner in route_class:
+                continue
+            cand = (distance[holder] + 1, holder)
+            if learner not in peer_candidates or cand < peer_candidates[learner]:
+                peer_candidates[learner] = cand
+    for learner, (dist, via) in peer_candidates.items():
+        route_class[learner] = RouteClass.PEER
+        distance[learner] = dist
+        next_hop[learner] = via
+
+    # Phase 3 — provider routes: downhill inheritance of any selected
+    # route, Dijkstra order so shorter provider routes win.
+    heap = [(distance[n], n) for n in route_class]
+    heapq.heapify(heap)
+    settled: Set[int] = set()
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if node in settled or distance.get(node, dist + 1) < dist:
+            continue
+        settled.add(node)
+        for customer in sorted(graph.customers(node)):
+            cand = dist + 1
+            if customer in route_class and distance[customer] <= cand:
+                continue
+            if customer in route_class and route_class[customer] is not RouteClass.PROVIDER:
+                continue  # customer/peer routes are always preferred
+            route_class[customer] = RouteClass.PROVIDER
+            distance[customer] = cand
+            next_hop[customer] = node
+            heapq.heappush(heap, (cand, customer))
+
+    return DictRoutingTree(
+        destination=destination,
+        route_class=route_class,
+        distance=distance,
+        next_hop=next_hop,
+    )
+
+
+def assert_tree_matches_dict(tree, reference: DictRoutingTree) -> None:
+    """An array :class:`~repro.bgp.routing.RoutingTree` holds exactly the
+    dict tree's routes: same routed ASes, next hops, distances, classes."""
+    routed = np.flatnonzero(tree.distance >= 0)
+    asns = tree.as_ids[routed].tolist()
+    assert tree.destination == reference.destination
+    assert set(asns) == set(reference.route_class)
+    assert dict(zip(asns, tree.distance[routed].tolist())) == reference.distance
+    assert dict(zip(asns, tree.route_class[routed].tolist())) == {
+        asn: int(cls) for asn, cls in reference.route_class.items()
+    }
+    forwarding = routed[tree.next_hop[routed] >= 0]
+    assert (
+        dict(zip(tree.as_ids[forwarding].tolist(), tree.as_ids[tree.next_hop[forwarding]].tolist()))
+        == reference.next_hop
+    )
+    unrouted = tree.distance < 0
+    assert np.all(tree.next_hop[unrouted] == -1)
 
 
 def scalar_delegate_matrices(
@@ -89,8 +201,14 @@ def fill_destinations(
         rows_of_as.setdefault(int(asn), []).append(i)
     if positions is None:
         positions = range(len(columns))
+    graph = model.router.graph
+    trees: Dict[int, Optional[DictRoutingTree]] = {}
     for col, j in zip(positions, columns):
-        tree = model.routing_tree(int(asn_of[j]))
+        dest_as = int(asn_of[j])
+        if dest_as not in trees:
+            dark = dest_as in model.conditions.failed_ases or dest_as not in graph
+            trees[dest_as] = None if dark else dict_routing_tree(graph, dest_as)
+        tree = trees[dest_as]
         if tree is None:
             continue
         lat_to, loss_to, hops_to = walk_tree(model, tree, unique_ases)

@@ -64,6 +64,18 @@ class TestConstruction:
         assert g.neighbors(1) == {2, 3}
         assert g.degree(5) == 2
 
+    def test_degree_is_the_neighbour_count_on_a_generated_topology(self):
+        # ``degree`` sums the four relationship sets without building
+        # their union: right only while an AS pair has one relationship.
+        from repro.scenario import ScenarioConfig
+        from repro.topology import generate_topology
+
+        g = generate_topology(ScenarioConfig.preset("small", 0).topology).graph
+        assert len(g) > 400 and any(g.siblings(a) for a in g.ases())
+        for asn in g.ases():
+            assert g.degree(asn) == len(g.neighbors(asn))
+        assert g.degree(10**9) == 0  # unknown AS, as before
+
     def test_edge_count(self):
         assert diamond().edge_count() == 5
 

@@ -1,12 +1,18 @@
 """Unit + property tests for the BGP policy routing engine."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import TopologyError
 from repro.bgp import ASGraph, PolicyRouter, RouteClass
+from repro.bgp import routing
+from repro.bgp.csr import GraphCSR
+from repro.bgp.routing import UNROUTED
 from repro.topology import TopologyConfig, generate_topology
+from tests.oracles import assert_tree_matches_dict, dict_routing_tree
 
 
 def diamond():
@@ -111,13 +117,88 @@ class TestPolicyRoutesOnDiamond:
         router.tree(4)
         t3 = router.tree(5)
         assert t1 is not t3
-        assert t1.next_hop == t3.next_hop
+        assert np.array_equal(t1.next_hop, t3.next_hop)
+        assert np.array_equal(t1.distance, t3.distance)
+        assert np.array_equal(t1.route_class, t3.route_class)
+        assert [t3.path_from(a) for a in (1, 2, 3, 4, 5)] == [
+            (1, 3, 5), (2, 4, 5), (3, 5), (4, 5), (5,)
+        ]
 
     def test_invalidate_clears_cache(self):
         router = PolicyRouter(diamond())
         t1 = router.tree(5)
         router.invalidate()
         assert router.tree(5) is not t1
+
+    def test_invalidate_drops_the_graph_export(self):
+        # The router reads a CSR snapshot, not the live graph: a new edge
+        # is invisible until ``invalidate()`` and used right after it.
+        g = diamond()
+        router = PolicyRouter(g)
+        assert router.as_path(1, 5) == (1, 3, 5)
+        g.add_provider_customer(1, 5)
+        router.invalidate()
+        assert router.as_path(1, 5) == (1, 5)
+        g.add_provider_customer(6, 5)  # a new AS changes the index space
+        router.invalidate()
+        assert router.as_path(5, 6) == (5, 6)
+        assert_tree_matches_dict(router.tree(6), dict_routing_tree(g, 6))
+
+    def test_trees_rejects_unknown_destination_before_building(self):
+        router = PolicyRouter(diamond())
+        with obs.observe() as run:
+            with pytest.raises(TopologyError, match="unknown destination AS 99"):
+                router.trees([5, 99])
+            with pytest.raises(TopologyError, match="unknown destination AS 99"):
+                router.tree(99)
+        assert run.registry.counter_value("routing.tree_batches") == 0
+
+    def test_isolated_as_reaches_only_itself(self):
+        g = diamond()
+        g.add_as(42)
+        tree = PolicyRouter(g).tree(42)
+        assert [a for a in g.ases() if tree.reaches(a)] == [42]
+        assert tree.path_from(42) == (42,)
+        assert tree.route_from(42).route_class is RouteClass.ORIGIN
+        assert tree.route_class[tree.index_of[1]] == UNROUTED
+
+    def test_trees_are_lazy_batches_that_skip_the_cache(self, monkeypatch):
+        g = diamond()
+        monkeypatch.setattr(routing, "CELLS", 2 * len(g))  # two trees a sweep
+        router = PolicyRouter(g)
+        with obs.observe() as run:
+            count = run.registry.counter_value
+            trees = router.trees([5, 4, 3, 2, 1])
+            assert count("routing.tree_batches") == 0
+            assert next(trees).destination == 5
+            assert count("routing.tree_batches") == 1
+            assert [t.destination for t in trees] == [4, 3, 2, 1]
+            assert (count("routing.tree_batches"), count("routing.trees")) == (3, 5)
+            assert router.tree(5).destination == 5  # trees() cached nothing
+            assert router.tree(5) is router.tree(5)
+            assert (count("routing.tree_batches"), count("routing.trees")) == (4, 6)
+
+    def test_customer_tie_goes_to_the_earliest_queued_neighbour(self):
+        # 20 hears of 1 from its customers 10 and 5 at the same length.
+        # 10 joined the BFS queue first (behind 3, the lower-ASN provider
+        # of 1), so 20 forwards to 10 — not to the lower ASN 5.
+        g = ASGraph()
+        for provider, customer in [(3, 1), (4, 1), (10, 3), (5, 4), (20, 10), (20, 5)]:
+            g.add_provider_customer(provider, customer)
+        tree = PolicyRouter(g).tree(1)
+        assert tree.path_from(20) == (20, 10, 3, 1)
+        assert_tree_matches_dict(tree, dict_routing_tree(g, 1))
+
+    def test_peer_and_provider_ties_go_to_the_lowest_asn(self):
+        g = ASGraph()
+        for provider, customer in [(7, 1), (6, 1), (7, 9), (6, 9)]:
+            g.add_provider_customer(provider, customer)
+        g.add_peer(8, 7)
+        g.add_peer(8, 6)
+        tree = PolicyRouter(g).tree(1)
+        assert tree.path_from(8) == (8, 6, 1)   # peer route: min (length, ASN)
+        assert tree.path_from(9) == (9, 6, 1)   # provider route: same
+        assert_tree_matches_dict(tree, dict_routing_tree(g, 1))
 
     def test_sibling_transit(self):
         # 1 provides for 2; 2 sibling 3: 1 should reach 3 through 2.
@@ -176,7 +257,19 @@ class TestPolicyRoutesOnGeneratedTopologies:
         for src in stubs[1:10]:
             path = tree.path_from(src)
             assert path is not None
-            assert len(path) - 1 == tree.distance[src]
+            assert len(path) - 1 == tree.distance[tree.index_of[src]]
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_tree_equals_the_dict_builder(self, seed):
+        # The truth graph and a failed-AS-pruned copy (what the latency
+        # model routes over), every destination, one batch.
+        topo = generate_topology(
+            TopologyConfig(tier1_count=3, tier2_count=8, tier3_count=25, seed=seed)
+        )
+        for g in (topo.graph, topo.graph.without(topo.transit_ases()[1:2])):
+            for tree in PolicyRouter(g).trees(g.ases()):
+                assert_tree_matches_dict(tree, dict_routing_tree(g, tree.destination))
 
 
 class TestReachableFraction:
@@ -199,3 +292,154 @@ class TestReachableFraction:
         from repro.bgp.routing import reachable_pairs_fraction
 
         assert reachable_pairs_fraction(PolicyRouter(diamond()), []) == 1.0
+
+
+# -- array trees ≡ the dict oracle, on random annotated graphs ------------------
+
+
+@st.composite
+def annotated_graphs(draw):
+    """Random annotated graphs: ASNs are a drawn permutation (so queue
+    order and ASN order disagree), a p2c edge always points down the
+    drawn rank (no provider cycles), and the edge list is sparse enough
+    that isolated ASes, several components, multi-homed customers,
+    lateral peers and siblings of stubs all occur."""
+    count = draw(st.integers(2, 14))
+    asns = draw(st.permutations(range(1, count + 1)))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, count - 1),
+                st.integers(0, count - 1),
+                st.sampled_from(["p2c", "p2c", "p2c", "peer", "sibling"]),
+            ),
+            max_size=3 * count,
+        )
+    )
+    g = ASGraph()
+    for asn in asns:
+        g.add_as(asn)
+    for a, b, kind in edges:
+        if a == b or g.relationship(asns[a], asns[b]) is not None:
+            continue
+        upper, lower = asns[min(a, b)], asns[max(a, b)]
+        if kind == "p2c":
+            g.add_provider_customer(upper, lower)
+        elif kind == "peer":
+            g.add_peer(upper, lower)
+        else:
+            g.add_sibling(upper, lower)
+    return g
+
+
+def assert_trees_equal(a, b):
+    assert a.destination == b.destination
+    assert np.array_equal(a.next_hop, b.next_hop)
+    assert np.array_equal(a.distance, b.distance)
+    assert np.array_equal(a.route_class, b.route_class)
+
+
+class TestArrayTreesMatchTheDictOracle:
+    @given(annotated_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_rows_are_the_sorted_neighbour_sets(self, g):
+        csr = GraphCSR.from_asgraph(g)
+        tables = {
+            "providers": g.providers,
+            "customers": g.customers,
+            "peers": g.peers,
+            "siblings": g.siblings,
+            "uphill": lambda asn: g.providers(asn) | g.siblings(asn),
+            "neighbors": g.neighbors,
+        }
+        for name, members in tables.items():
+            indptr = getattr(csr, f"{name}_indptr")
+            indices = getattr(csr, f"{name}_indices")
+            assert indptr.dtype == indices.dtype == np.int64
+            for asn, row in csr.index_of.items():
+                assert csr.as_ids[indices[indptr[row] : indptr[row + 1]]].tolist() == sorted(
+                    members(asn)
+                )
+
+    @given(annotated_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_tree_equals_the_dict_builder(self, g):
+        router = PolicyRouter(g)
+        for destination in g.ases():
+            assert_tree_matches_dict(
+                router.tree(destination), dict_routing_tree(g, destination)
+            )
+
+    @given(annotated_graphs(), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_partition_independence(self, g, cells_per_as):
+        ases = g.ases()
+        reference = {d: PolicyRouter(g).tree(d) for d in ases}
+
+        def check(trees, order):
+            trees = list(trees)
+            assert [t.destination for t in trees] == list(order)
+            for tree in trees:
+                assert_trees_equal(tree, reference[tree.destination])
+
+        router = PolicyRouter(g)
+        check(router.trees(ases), ases)
+        check(router.trees(reversed(ases)), ases[::-1])
+        for size in (1, 3):
+            for start in range(0, len(ases), size):
+                check(router.trees(ases[start : start + size]), ases[start : start + size])
+        # ... and whatever the router's own batch size is.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(routing, "CELLS", cells_per_as * len(ases))
+            check(router.trees(ases + ases[:1]), ases + ases[:1])
+
+    @given(annotated_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_array_output_invariants(self, g):
+        """Read off the arrays alone (no oracle): chains, valley-freeness
+        and Gao-Rexford preference — class first, then length."""
+        router = PolicyRouter(g)
+        ases = g.ases()
+        for tree in router.trees(ases):
+            index_of, dist, cls = tree.index_of, tree.distance, tree.route_class
+            assert dist[index_of[tree.destination]] == 0
+            assert cls[index_of[tree.destination]] == RouteClass.ORIGIN
+            exportable = (RouteClass.ORIGIN, RouteClass.CUSTOMER)
+
+            def offers(neighbours, classes=None):
+                """Path lengths ``asn`` would get through ``neighbours``."""
+                return [
+                    int(dist[index_of[n]]) + 1
+                    for n in neighbours
+                    if dist[index_of[n]] >= 0 and (classes is None or cls[index_of[n]] in classes)
+                ]
+
+            for asn in ases:
+                i = index_of[asn]
+                # The next-hop chain reaches the destination in exactly
+                # ``distance`` steps, one hop closer each step.
+                node, steps = i, 0
+                while tree.next_hop[node] >= 0:
+                    assert dist[tree.next_hop[node]] == dist[node] - 1
+                    node, steps = tree.next_hop[node], steps + 1
+                if dist[i] >= 0:
+                    assert tree.as_ids[node] == tree.destination and steps == dist[i]
+                    assert g.is_valley_free(tree.path_from(asn))
+                else:
+                    assert tree.next_hop[i] == -1 and cls[i] == UNROUTED
+                    assert tree.path_from(asn) is None and not tree.reaches(asn)
+                if asn == tree.destination:
+                    continue
+                # Best class on offer wins; within it, the shortest path.
+                customer = offers(g.customers(asn) | g.siblings(asn), exportable)
+                peer = offers(g.peers(asn), exportable)
+                provider = offers(g.providers(asn))
+                if customer:
+                    expected = (RouteClass.CUSTOMER, min(customer))
+                elif peer:
+                    expected = (RouteClass.PEER, min(peer))
+                elif provider:
+                    expected = (RouteClass.PROVIDER, min(provider))
+                else:
+                    expected = (UNROUTED, -1)
+                assert (cls[i], dist[i]) == expected

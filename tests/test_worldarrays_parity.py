@@ -21,11 +21,17 @@ from repro.core import ASAPConfig, ASAPSystem
 from repro.measurement.conditions import ConditionsConfig, generate_conditions
 from repro.measurement.latency import LatencyModel
 from repro.measurement.matrix import compute_delegate_matrices
-from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
+from repro.scenario import ScenarioConfig, build_scenario, small_scenario, tiny_scenario
 from repro.scenario import PopulationConfig, TopologyConfig
+from repro.storage.columns import ColumnStore
 from repro.topology.generator import generate_topology
 from repro.util.rng import derive_rng
-from repro.worldarrays import FlatCloseSetBuilder, FlatMatrixAssembler, WorldArrays
+from repro.worldarrays import (
+    FlatCloseSetBuilder,
+    FlatMatrixAssembler,
+    VirtualMatrices,
+    WorldArrays,
+)
 from tests.oracles import (
     assert_arrays_are_the_set,
     fill_destinations,
@@ -110,6 +116,79 @@ class TestMatrixParity:
         for got, expected in zip(flat, scalar):
             assert np.array_equal(got, expected)
         assert np.isfinite(flat[0]).any()  # the columns were actually filled
+
+
+def _with_failed_ases(scenario) -> LatencyModel:
+    """The scenario's latency model after two ASes went dark: the transit
+    AS with the most customers (routes detour or vanish) and one that
+    hosts clusters (dark rows and columns; the array universe is then
+    larger than the routing graph)."""
+    graph = scenario.topology.graph
+    transit = max(
+        scenario.topology.transit_ases(), key=lambda a: (len(graph.customers(a)), -a)
+    )
+    hosting = scenario.clusters.all_clusters()[0].asn
+    conditions = dataclasses.replace(
+        scenario.conditions, failed_ases=frozenset({transit, hosting})
+    )
+    return LatencyModel(
+        scenario.topology, conditions, scenario.population, seed=scenario.config.seed
+    )
+
+
+def _streamed(model, cluster_list, root, chunk):
+    store = ColumnStore(root, key="parity", n=len(cluster_list), chunk=chunk)
+    return VirtualMatrices(model, cluster_list, chunk_columns=chunk, store=store)
+
+
+def _assert_view_equals_dense(view, dense):
+    for cols, rtt, loss, hops in view.iter_column_blocks():
+        assert np.array_equal(rtt, dense.rtt_ms[:, cols])
+        assert np.array_equal(loss, dense.loss[:, cols])
+        assert np.array_equal(hops, dense.as_hops[:, cols])
+
+
+class TestEveryFillEqualsTheDictTreeOracle:
+    """The scalar oracle walks dict-built trees; dense (serial, pooled)
+    and streamed fills, all on batched array trees, reproduce it."""
+
+    @pytest.fixture(scope="class", params=["tiny", "tiny-failed", "small", "small-failed"])
+    def world(self, request):
+        name, _, failed = request.param.partition("-")
+        scenario = tiny_scenario(seed=5) if name == "tiny" else small_scenario(seed=1)
+        model = _with_failed_ases(scenario) if failed else scenario.latency
+        return model, scenario.clusters, scalar_delegate_matrices(model, scenario.clusters)
+
+    def test_dense_serial_and_pooled(self, world):
+        model, clusters, reference = world
+        if model.conditions.failed_ases:
+            assert np.isinf(reference.rtt_ms[:, 0]).sum() == reference.count - 1
+            assert np.isfinite(reference.rtt_ms).sum(axis=0).max() > reference.count // 2
+        _assert_matrices_identical(compute_delegate_matrices(model, clusters), reference)
+        _assert_matrices_identical(
+            compute_delegate_matrices(model, clusters, workers=2), reference
+        )
+
+    def test_streamed(self, world, tmp_path):
+        model, clusters, reference = world
+        view = _streamed(model, clusters.all_clusters(), tmp_path, chunk=64)
+        _assert_view_equals_dense(view, reference)
+
+
+def test_streamed_chunks_that_split_ases_equal_dense(tmp_path):
+    # Seven-column chunks on ``tiny``: clusters of one AS straddle chunk
+    # boundaries, so its tree is built in two faults — same cells.
+    scenario = tiny_scenario(seed=3)
+    cluster_list = scenario.clusters.all_clusters()
+    view = _streamed(scenario.latency, cluster_list, tmp_path, chunk=7)
+    chunk_of_as = {}
+    for column, cluster in enumerate(cluster_list):
+        chunk_of_as.setdefault(cluster.asn, set()).add(column // 7)
+    assert any(len(chunks) > 1 for chunks in chunk_of_as.values())
+    _assert_view_equals_dense(view, scenario.matrices)
+    rows, cols = np.arange(view.count)[:, None], np.arange(view.count)[None, :]
+    assert np.array_equal(view.gather_rtt(rows, cols), scenario.matrices.rtt_ms)
+    assert np.array_equal(view.gather_loss(rows, cols), scenario.matrices.loss)
 
 
 def _online_mask(seed: int, count: int) -> np.ndarray:
