@@ -25,7 +25,7 @@ from repro.scenario import (
     tiny_scenario,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "Experiment",

@@ -26,15 +26,15 @@ def csr_gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.
     in rows])`` without the python loop: the classic repeat/cumsum ragged
     gather.
     """
-    if len(rows) == 0:
-        return indices[:0]
-    counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    if total == 0:
+    if len(rows) == 0 or len(indices) == 0:
         return indices[:0]
     starts = indptr[rows]
-    exclusive = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    positions = np.repeat(starts - exclusive, counts) + np.arange(total)
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total == 0:
+        return indices[:0]
+    positions = np.repeat(starts - (ends - counts), counts) + np.arange(total)
     return indices[positions]
 
 

@@ -244,6 +244,8 @@ def emit_build_observability(result: CloseClusterSet, own_as: int) -> None:
     """
     from repro import obs
 
+    if not result.ases_visited:
+        return  # the owner's AS is unknown to the graph: nothing was built
     obs.counter("close_set.built").inc()
     obs.counter("close_set.probe_messages").inc(result.probe_messages)
     obs.histogram("close_set.size").observe(len(result))

@@ -8,9 +8,11 @@ built :class:`~repro.scenario.Scenario`:
 - every populated cluster elects its most capable host as surrogate;
 - close cluster sets are built lazily per cluster and cached (they are
   periodic maintenance state in the real system);
-- :meth:`ASAPSystem.call` runs one VoIP session: measure the direct
-  path, and when it misses the latency threshold run
-  select-close-relay and pick the best relay.
+- :meth:`ASAPSystem.call_many` runs a batch of VoIP sessions (``call``:
+  a batch of one): measure each direct path, and for those that miss
+  the latency threshold run select-close-relay phase by phase — the
+  close sets a phase needs are built in one multi-source sweep — and
+  pick the best relay.
 
 Surrogate-to-surrogate probes (``lat()``/``loss()`` of Fig. 9) read the
 scenario's delegate matrices — the same measured data the paper's
@@ -21,18 +23,19 @@ surrogate of the system.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.bootstrap import Bootstrap
-from repro.core.close_cluster import CloseClusterSet
+from repro.core.close_cluster import CloseClusterSet, emit_build_observability
 from repro.core.config import ASAPConfig
 from repro.core.endhost import EndHost
-from repro.core.relay_selection import RelaySelection, select_close_relay
+from repro.core.relay_selection import RelaySelection, select_one_hop, select_two_hop
 from repro.core.surrogate import Surrogate
 from repro.errors import ProtocolError
 from repro.netaddr import IPv4Address
@@ -146,15 +149,14 @@ class ASAPSystem:
 
     def _elect_group(self, idx: int, asn: int, hosts: List) -> List[Surrogate]:
         """Elect a cluster's surrogate group from ``hosts``, primary first."""
-        ranked = sorted(hosts, key=lambda h: (-h.info.capability(), h.ip))
         count = max(1, -(-len(hosts) // self._config.hosts_per_surrogate))
-        count = min(count, len(ranked))
+        ranked = heapq.nsmallest(count, hosts, key=lambda h: (-h.info.capability(), h.ip))
         group: List[Surrogate] = []
-        for position in range(count):
+        for host in ranked:
             member = Surrogate(
                 cluster=idx,
                 asn=asn,
-                host=ranked[position],
+                host=host,
                 build=self._builder.build,
             )
             if group:
@@ -293,48 +295,99 @@ class ASAPSystem:
         return self.surrogate(cluster_index).close_set()
 
     def call(self, caller_ip: IPv4Address, callee_ip: IPv4Address) -> ASAPSession:
-        """Run one VoIP session between two end hosts.
+        """Run one VoIP session between two end hosts: :meth:`call_many`
+        of one pair."""
+        return self.call_many([(caller_ip, callee_ip)])[0]
 
-        The caller pings the callee first; only when the direct RTT
-        misses the threshold does relay selection run (paper Fig. 8).
+    def call_many(
+        self, pairs: Iterable[Tuple[IPv4Address, IPv4Address]]
+    ) -> List[ASAPSession]:
+        """Run one VoIP session per ``(caller, callee)`` pair (paper Fig. 8),
+        phase by phase over the whole batch.
+
+        Every caller pings its callee first; only sessions whose direct
+        RTT misses the threshold run relay selection.  For those: the
+        endpoint close sets nobody has built yet are built in one batch,
+        the one-hop step runs per session, the close sets its first hops
+        name are built in one batch, the two-hop step runs per session.
+        Outcomes, request counts and observability are those of calling
+        session by session: a set built here is reported
+        (``close_set.build``) under the first session that asks for it,
+        in the order that session asks — S1, S2, first hops ascending.
         """
-        caller_cluster = self.cluster_of_ip(caller_ip)
-        callee_cluster = self.cluster_of_ip(callee_ip)
-        self.sessions_run += 1
-
-        direct = self._view.rtt_cell(caller_cluster, callee_cluster)
-        session = ASAPSession(
-            caller=caller_ip,
-            callee=callee_ip,
-            caller_cluster=caller_cluster,
-            callee_cluster=callee_cluster,
-            direct_rtt_ms=direct,
-            relay_needed=not (np.isfinite(direct) and direct < self._config.lat_threshold_ms),
-        )
-        obs.counter("asap.sessions").inc()
-        if not session.relay_needed:
-            return session
-
-        obs.counter("asap.sessions.relay_needed").inc()
-        with obs.span("asap.select_close_relay", level="debug"):
-            s1 = self.surrogate(caller_cluster, requester=caller_ip).serve_close_set()
-            s2 = self.surrogate(callee_cluster, requester=callee_ip).serve_close_set()
-            selection = select_close_relay(
-                s1,
-                s2,
-                cluster_size=self.online_size,
-                close_set_of=lambda idx: self.surrogate(
-                    idx, requester=caller_ip
-                ).serve_close_set(),
-                config=self._config,
+        config = self._config
+        sessions: List[ASAPSession] = []
+        for caller_ip, callee_ip in pairs:
+            caller_cluster = self.cluster_of_ip(caller_ip)
+            callee_cluster = self.cluster_of_ip(callee_ip)
+            self.sessions_run += 1
+            direct = self._view.rtt_cell(caller_cluster, callee_cluster)
+            sessions.append(
+                ASAPSession(
+                    caller=caller_ip,
+                    callee=callee_ip,
+                    caller_cluster=caller_cluster,
+                    callee_cluster=callee_cluster,
+                    direct_rtt_ms=direct,
+                    relay_needed=not (np.isfinite(direct) and direct < config.lat_threshold_ms),
+                )
             )
-        session.selection = selection
-        session.best_relay_rtt_ms = selection.best_rtt_ms()
-        obs.counter("asap.select.messages").inc(selection.messages)
-        obs.counter("asap.select.quality_paths").inc(selection.quality_paths)
-        obs.counter("asap.select.one_hop_ips").inc(selection.one_hop_ips)
-        obs.counter("asap.select.two_hop_pairs").inc(selection.two_hop_pairs)
-        return session
+            obs.counter("asap.sessions").inc()
+        latent = [session for session in sessions if session.relay_needed]
+        if not latent:
+            return sessions
+
+        unreported = self._build_missing(
+            c for session in latent for c in (session.caller_cluster, session.callee_cluster)
+        )
+        endpoints = []
+        for session in latent:
+            s1 = self.surrogate(session.caller_cluster, requester=session.caller).serve_close_set()
+            s2 = self.surrogate(session.callee_cluster, requester=session.callee).serve_close_set()
+            session.selection = select_one_hop(s1, s2, self.online_size, config)
+            endpoints.append((s1, s2))
+        unreported.update(
+            self._build_missing(
+                hop.cluster for session in latent for hop in session.selection.first_hops
+            )
+        )
+        for session, (s1, s2) in zip(latent, endpoints):
+            obs.counter("asap.sessions.relay_needed").inc()
+            selection = session.selection
+            with obs.span("asap.select_close_relay", level="debug"):
+                fetched = {
+                    hop.cluster: self.surrogate(
+                        hop.cluster, requester=session.caller
+                    ).serve_close_set()
+                    for hop in selection.first_hops
+                }
+                for cluster in (session.caller_cluster, session.callee_cluster, *fetched):
+                    if cluster in unreported:
+                        emit_build_observability(*unreported.pop(cluster))
+                select_two_hop(selection, s1, s2, fetched, self.online_size, config)
+            session.best_relay_rtt_ms = selection.best_rtt_ms()
+            obs.counter("asap.select.messages").inc(selection.messages)
+            obs.counter("asap.select.quality_paths").inc(selection.quality_paths)
+            obs.counter("asap.select.one_hop_ips").inc(selection.one_hop_ips)
+            obs.counter("asap.select.two_hop_pairs").inc(selection.two_hop_pairs)
+        return sessions
+
+    def _build_missing(self, clusters: Iterable[int]) -> Dict[int, Tuple[CloseClusterSet, int]]:
+        """Build, in one batch, the close set of every cluster among
+        ``clusters`` whose primary surrogate holds none, and install it
+        there.  Returns ``{cluster: (set, asn)}`` — the builds whose
+        observability is still to be reported."""
+        missing = {
+            primary.cluster: primary
+            for primary in map(self.surrogate, clusters)
+            if not primary.has_close_set
+        }
+        built = self._builder.build_many(
+            (cluster, primary.asn) for cluster, primary in missing.items()
+        )
+        for cluster, primary in missing.items():
+            primary.adopt(built[cluster])
+        return {cluster: (built[cluster], primary.asn) for cluster, primary in missing.items()}
 
     # -- accounting ------------------------------------------------------------------
 

@@ -46,6 +46,17 @@ class Surrogate:
             self._close_set = self.build(self.cluster, self.asn)
         return self._close_set
 
+    @property
+    def has_close_set(self) -> bool:
+        """Whether this surrogate holds a built close set (replicas hold
+        none: they serve their primary's)."""
+        return self._close_set is not None
+
+    def adopt(self, close_set: CloseClusterSet) -> None:
+        """Install a close set built elsewhere (a batch build) in place
+        of the one :meth:`close_set` would build on first use."""
+        self._close_set = close_set
+
     def serve_close_set(self) -> CloseClusterSet:
         """Answer a close-cluster-set request (from members or callers)."""
         self.close_set_requests += 1

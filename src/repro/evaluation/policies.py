@@ -54,25 +54,25 @@ class ASAPPolicy:
         *,
         session_ids: Optional[Sequence[int]] = None,
     ) -> List[MethodResult]:
-        """Place one call per session.  ``world`` is accepted for
+        """Place one call per session, as one phased batch
+        (:meth:`ASAPSystem.call_many`).  ``world`` is accepted for
         protocol uniformity and ignored — the system is already bound to
         its scenario's matrix view."""
         pairs, _ = session_batch(sessions, session_ids)
-        results: List[MethodResult] = []
-        for a, b in pairs:
-            session = self._system.call(self._member_ip(int(a)), self._member_ip(int(b)))
-            selection = session.selection
-            results.append(
-                MethodResult(
-                    method=self.name,
-                    quality_paths=session.quality_paths,
-                    best_rtt_ms=session.best_relay_rtt_ms,
-                    messages=session.messages,
-                    probed_nodes=0,  # close sets are maintenance, not per-session probes
-                    one_hop_quality_paths=selection.one_hop_ips if selection else 0,
-                )
+        placed = self._system.call_many(
+            (self._member_ip(int(a)), self._member_ip(int(b))) for a, b in pairs
+        )
+        return [
+            MethodResult(
+                method=self.name,
+                quality_paths=session.quality_paths,
+                best_rtt_ms=session.best_relay_rtt_ms,
+                messages=session.messages,
+                probed_nodes=0,  # close sets are maintenance, not per-session probes
+                one_hop_quality_paths=session.selection.one_hop_ips if session.selection else 0,
             )
-        return results
+            for session in placed
+        ]
 
     def _member_ip(self, cluster: int):
         """A member IP of the cluster (the primary surrogate's)."""

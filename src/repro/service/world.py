@@ -127,16 +127,13 @@ class ServiceWorld:
         relay machinery actually runs.  Worst direct RTT first."""
         rtt = self.scenario.matrices.rtt_ms
         threshold = self.config.lat_threshold_ms
-        candidates: List[Tuple[float, int, int]] = []
-        for a in range(rtt.shape[0]):
-            for b in range(a + 1, rtt.shape[1]):
-                value = float(rtt[a, b])
-                if np.isfinite(value) and value >= threshold:
-                    candidates.append((-value, a, b))
-        candidates.sort()
+        # Cluster pairs a < b in (-rtt, a, b) order: nonzero walks the
+        # upper triangle (a, b) ascending and the sort is stable.
+        first, second = np.nonzero(np.triu(np.isfinite(rtt) & (rtt >= threshold), k=1))
+        order = np.argsort(-rtt[first, second], kind="stable")
         reserved = self.surrogate_ips()
         pairs: List[Tuple[IPv4Address, IPv4Address]] = []
-        for _, a, b in candidates:
+        for a, b in zip(first[order].tolist(), second[order].tolist()):
             if len(pairs) >= count:
                 break
             caller = next(

@@ -7,14 +7,18 @@ the Fig. 9 transcription tests compare against) runs a level-synchronous
 valley-free BFS with python sets; this builder runs the same levels as
 arrays over the CSR step tables:
 
-- the frontier is the pair of (UP, DOWN) index arrays the previous level
+- many sources run as one BFS over the disjoint union of one copy of the
+  graph per source (state key ``slot * V + node``, the layout of
+  :func:`repro.bgp.routing._build_batch`), ``CELLS // V`` sources at a
+  time; one source is the one-slot case;
+- the frontier is the pair of (UP, DOWN) key arrays the previous level
   discovered; one level is four ragged CSR gathers (providers, peers,
-  customers, siblings) instead of per-AS python iteration;
-- expansion rights only matter at the *next* level, so the ASes a level
-  newly visits are one independent batch: their cluster rows come out of
-  one CSR gather, are probed with one ``gather_rtt`` and one
-  ``gather_loss`` from the owner, and the per-AS verdicts are two
-  ``np.bincount`` passes over the owning-AS index.
+  customers, siblings) for every source at once;
+- expansion rights only matter at the *next* level, so the (source, AS)
+  pairs a level newly visits are one independent batch: their cluster
+  rows come out of one CSR gather, are probed with one ``gather_rtt``
+  and one ``gather_loss`` from their owners, and the per-pair verdicts
+  are two ``np.bincount`` passes over the owning-pair index.
 
 It reproduces the reference *exactly*: same entries (cluster, rtt,
 loss, depth), same ``probe_messages`` / ``probes_by_as`` /
@@ -28,7 +32,7 @@ probe view; nothing is set up per source cluster.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +40,13 @@ from repro.bgp.asgraph import ASGraph
 from repro.core.close_cluster import CloseClusterSet, emit_build_observability
 from repro.core.config import ASAPConfig
 from repro.worldarrays.arrays import GraphCSR, bucket_csr, csr_gather
+
+#: (source × AS) cells of one multi-source sweep.  Measured, not tunable
+#: (docs/performance.md "1.9"): the per-source cost bottoms out here at
+#: ``small``, ``10k`` and ``evaluation`` alike — below 2^14 cells numpy
+#: call overhead per level dominates, above 2^17 the per-level masks and
+#: scatters fall out of cache.  Same value as ``bgp.routing.CELLS``.
+CELLS = 2**16
 
 
 class FlatCloseSetBuilder:
@@ -70,6 +81,11 @@ class FlatCloseSetBuilder:
                 if clusters_by_as.get(asn)
             },
         )
+        # The graph node hosting each cluster (-1: none).
+        self._home = np.full(world.count, -1, dtype=np.int64)
+        self._home[self._rows_flat] = np.repeat(
+            np.arange(self._csr.count), np.diff(self._rows_indptr)
+        )
 
     @property
     def config(self) -> ASAPConfig:
@@ -87,7 +103,8 @@ class FlatCloseSetBuilder:
         meta_out: Optional[dict] = None,
         online: Optional[np.ndarray] = None,
     ) -> CloseClusterSet:
-        """The close cluster set of one source cluster.
+        """The close cluster set of one source cluster: a one-source
+        sweep, plus the build's observability emission.
 
         ``meta_out`` mirrors the reference builder's hook: it receives
         ``{asn: (depth, expands)}`` for every visited AS, identical to
@@ -97,32 +114,74 @@ class FlatCloseSetBuilder:
         neither probed nor entered, exactly as if the reference's
         ``clusters_in_as`` had been filtered by the same mask.
         """
-        csr = self._csr
-        own_idx = csr.index_of.get(own_as)
-        if own_idx is None:
+        if own_as not in self._csr.index_of:
             # Matches the reference: an AS unknown to the inferred graph
             # yields an empty set with no emission.
             return CloseClusterSet(owner=own_cluster)
+        (result,) = self._sweep([(own_cluster, own_as)], online, meta_out)
+        emit_build_observability(result, own_as)
+        return result
 
-        # Members as (clusters, rtt, loss, depth) arrays per level.  The
-        # own cluster joins with a zero-cost entry and is never probed.
-        found: List[Tuple[np.ndarray, ...]] = []
-        own_rows = self._rows_flat[
-            self._rows_indptr[own_idx] : self._rows_indptr[own_idx + 1]
-        ]
-        if (online is None or online[own_cluster]) and np.any(own_rows == own_cluster):
-            found.append((np.array([own_cluster]), np.zeros(1), np.zeros(1), np.zeros(1, int)))
+    def build_many(
+        self, sources: Iterable[tuple], online: Optional[np.ndarray] = None
+    ) -> Dict[int, CloseClusterSet]:
+        """Close sets for many ``(own_cluster, own_as)`` sources, keyed by
+        cluster in first-occurrence order: one multi-source BFS per
+        ``CELLS // V`` sources, each set equal to :meth:`build`'s — arrays,
+        accounting, ``probes_by_as`` order.  A repeated source is built
+        once; one whose AS the graph does not know gets the empty set.
+        Nothing is emitted: the caller reports each set where it hands it
+        out as built (:func:`emit_build_observability`).
+        """
+        wanted = dict(sources)
+        known = [source for source in wanted.items() if source[1] in self._csr.index_of]
+        step = max(1, CELLS // self._csr.count)
+        built: Dict[int, CloseClusterSet] = {}
+        for start in range(0, len(known), step):
+            batch = known[start : start + step]
+            built.update(zip((cluster for cluster, _ in batch), self._sweep(batch, online)))
+        return {
+            cluster: built[cluster] if cluster in built else CloseClusterSet(owner=cluster)
+            for cluster in wanted
+        }
 
-        count = csr.count
-        up = np.zeros(count, dtype=bool)
-        down = np.zeros(count, dtype=bool)
-        expands = np.zeros(count, dtype=bool)
-        seen = np.zeros(count, dtype=bool)
-        fresh = front_up = np.array([own_idx], dtype=np.int64)
+    # -- internals ---------------------------------------------------------
+
+    def _sweep(
+        self,
+        sources: Sequence[tuple],
+        online: Optional[np.ndarray],
+        meta_out: Optional[dict] = None,
+    ) -> List[CloseClusterSet]:
+        """One level-synchronous BFS for every source at once, over state
+        keyed ``slot * V + node`` (module docstring).  Keys ascend, so a
+        level's records come out in (source, AS ascending, row ascending)
+        order and a stable sort by slot restores each source's own
+        (level, AS, row) order.  ``meta_out`` is :meth:`build`'s
+        one-source hook.
+        """
+        csr = self._csr
+        count, slots = csr.count, len(sources)
+        owners = np.array([cluster for cluster, _ in sources], dtype=np.int64)
+        home = np.array([csr.index_of[asn] for _, asn in sources], dtype=np.int64)
+        fresh = front_up = np.arange(slots, dtype=np.int64) * count + home
         front_down = fresh[:0]
-        up[own_idx] = seen[own_idx] = True
-        ases_visited = probe_messages = 0
-        probes_by_as: Dict[int, int] = {}
+        up = np.zeros(slots * count, dtype=bool)
+        down = np.zeros(slots * count, dtype=bool)
+        expands = np.zeros(slots * count, dtype=bool)
+        seen = np.zeros(slots * count, dtype=bool)
+        up[fresh] = seen[fresh] = True
+
+        # The own cluster joins with a zero-cost entry and is never probed.
+        own = self._home[owners] == home
+        if online is not None:
+            own &= online[owners]
+        own_slots = np.nonzero(own)[0]
+        zeros = np.zeros(len(own_slots))
+        # Per level: members as (slot, cluster, rtt, loss, depth) and the
+        # probe accounting as (slot, asn, messages).
+        members = [(own_slots, owners[own], zeros, zeros, np.zeros(len(own_slots), int))]
+        probes: List[Tuple[np.ndarray, ...]] = []
         for depth in range(self._config.k_hops + 1):
             if depth:
                 new_up, new_down = self._level(
@@ -137,44 +196,43 @@ class FlatCloseSetBuilder:
                 seen[fresh] = True
             # Probe the ASes this level newly visited as one batch.  The
             # accounting matches the reference ``_probe``/``_visit_as``
-            # pair — 2 messages per probed cluster, attributed to its AS —
-            # and is written in its order: AS ascending, row ascending.
-            verdict, probed, rows, rtt, lost = self._measure(
-                own_cluster, fresh, depth, online
+            # pair — 2 messages per probed cluster, attributed to its AS.
+            slot, node = np.divmod(fresh, count)
+            verdict, probed, at, rows, rtt, lost = self._measure(
+                owners[slot], node, depth, online
             )
             expands[fresh] = verdict
-            asns = csr.as_ids[fresh]
-            ases_visited += len(fresh)
-            probe_messages += 2 * int(probed.sum())
             hit = probed > 0
-            probes_by_as.update(zip(asns[hit].tolist(), (2 * probed[hit]).tolist()))
+            probes.append((slot[hit], csr.as_ids[node[hit]], 2 * probed[hit]))
+            members.append((slot[at], rows, rtt, lost, np.full(len(rows), depth)))
             if meta_out is not None:
-                for asn, rights in zip(asns.tolist(), verdict.tolist()):
+                for asn, rights in zip(csr.as_ids[node].tolist(), verdict.tolist()):
                     meta_out[asn] = (depth, rights)
-            found.append((rows, rtt, lost, np.full(len(rows), depth)))
 
-        # An AS is probed once, so no cluster repeats across levels.
-        columns = [np.concatenate(column) for column in zip(*found)]
-        order = np.argsort(columns[0])
-        result = CloseClusterSet(
-            own_cluster,
-            *(column[order] for column in columns),
-            probe_messages=probe_messages,
-            ases_visited=ases_visited,
-            probes_by_as=probes_by_as,
-        )
-        emit_build_observability(result, own_as)
-        return result
-
-    def build_many(self, sources: Iterable[tuple]) -> Dict[int, CloseClusterSet]:
-        """Close sets for many ``(own_cluster, own_as)`` sources, one
-        :meth:`build` each."""
-        return {
-            own_cluster: self.build(own_cluster, own_as)
-            for own_cluster, own_as in sources
-        }
-
-    # -- internals ---------------------------------------------------------
+        # An AS is probed once per source, so no (slot, cluster) repeats.
+        slot, *columns = (np.concatenate(column) for column in zip(*members))
+        order = np.lexsort((columns[0], slot))
+        columns = [column[order] for column in columns]
+        bounds = np.arange(slots + 1)
+        edges = np.searchsorted(slot[order], bounds).tolist()
+        slot, asns, messages = (np.concatenate(column) for column in zip(*probes))
+        order = np.argsort(slot, kind="stable")
+        asns, messages = asns[order].tolist(), messages[order].tolist()
+        probe_edges = np.searchsorted(slot[order], bounds).tolist()
+        ases_visited = seen.reshape(slots, count).sum(axis=1).tolist()
+        results = []
+        for i, owner in enumerate(owners.tolist()):
+            probed = slice(probe_edges[i], probe_edges[i + 1])
+            results.append(
+                CloseClusterSet(
+                    owner,
+                    *(column[edges[i] : edges[i + 1]] for column in columns),
+                    probe_messages=sum(messages[probed]),
+                    ases_visited=ases_visited[i],
+                    probes_by_as=dict(zip(asns[probed], messages[probed])),
+                )
+            )
+        return results
 
     def _level(
         self,
@@ -186,32 +244,39 @@ class FlatCloseSetBuilder:
         """One valley-free BFS level: the (UP, DOWN) states not yet in
         the visited masks ``up``/``down`` that one step reaches.
 
-        ``active_*`` are the states the previous level discovered — the
-        reference's ``frontier`` — whose AS holds expansion rights (a
+        ``active_*`` are the state keys the previous level discovered —
+        the reference's ``frontier`` — whose AS holds expansion rights (a
         property of the AS, its probe verdict).  Older states were
-        expanded at their own level and can reach nothing new.
+        expanded at their own level and can reach nothing new.  A step
+        stays inside its key's slot.
         """
         csr = self._csr
         count = csr.count
-        new_up = np.zeros(count, dtype=bool)
-        new_down = np.zeros(count, dtype=bool)
+        new_up = np.zeros(len(up), dtype=bool)
+        new_down = np.zeros(len(down), dtype=bool)
+        single = len(up) == count  # one slot: keys are nodes, no offset to add
+
+        def reach(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> np.ndarray:
+            if single:
+                return csr_gather(indptr, indices, keys)
+            nodes = keys % count
+            return csr_gather(indptr, indices, nodes) + np.repeat(
+                keys - nodes, indptr[nodes + 1] - indptr[nodes]
+            )
+
         if not self._config.valley_free:
             # Unconstrained BFS: every neighbor, phase preserved.
-            new_up[csr_gather(csr.neighbors_indptr, csr.neighbors_indices, active_up)] = True
-            new_down[
-                csr_gather(csr.neighbors_indptr, csr.neighbors_indices, active_down)
-            ] = True
+            new_up[reach(csr.neighbors_indptr, csr.neighbors_indices, active_up)] = True
+            new_down[reach(csr.neighbors_indptr, csr.neighbors_indices, active_down)] = True
         else:
             # UP frontier climbs providers (UP) and crosses peers (DOWN).
-            new_up[csr_gather(csr.providers_indptr, csr.providers_indices, active_up)] = True
-            new_down[csr_gather(csr.peers_indptr, csr.peers_indices, active_up)] = True
+            new_up[reach(csr.providers_indptr, csr.providers_indices, active_up)] = True
+            new_down[reach(csr.peers_indptr, csr.peers_indices, active_up)] = True
             # Both phases descend customers (DOWN) and keep phase on siblings.
             both = np.concatenate((active_up, active_down))
-            new_down[csr_gather(csr.customers_indptr, csr.customers_indices, both)] = True
-            new_up[csr_gather(csr.siblings_indptr, csr.siblings_indices, active_up)] = True
-            new_down[
-                csr_gather(csr.siblings_indptr, csr.siblings_indices, active_down)
-            ] = True
+            new_down[reach(csr.customers_indptr, csr.customers_indices, both)] = True
+            new_up[reach(csr.siblings_indptr, csr.siblings_indices, active_up)] = True
+            new_down[reach(csr.siblings_indptr, csr.siblings_indices, active_down)] = True
         new_up &= ~up
         new_down &= ~down
         return new_up, new_down
@@ -232,47 +297,51 @@ class FlatCloseSetBuilder:
         and patches go through.
         """
         nodes = np.array([self._csr.index_of[asn]], dtype=np.int64)
-        verdict, _, rows, rtt, lost = self._measure(own_cluster, nodes, depth, online)
+        verdict, _, _, rows, rtt, lost = self._measure(
+            np.array([own_cluster]), nodes, depth, online
+        )
         return bool(verdict[0]), rows, rtt, lost
 
     def _measure(
-        self, own_cluster: int, nodes: np.ndarray, depth: int, online: Optional[np.ndarray]
+        self, own: np.ndarray, nodes: np.ndarray, depth: int, online: Optional[np.ndarray]
     ):
-        """Probe every online cluster of the ASes ``nodes`` from
-        ``own_cluster`` with one ``gather_rtt`` and one ``gather_loss``.
+        """Probe every online cluster of each AS ``nodes[i]`` from the
+        cluster ``own[i]`` — every pair of the batch with one
+        ``gather_rtt`` and one ``gather_loss``.
 
-        Returns ``(expands, probed, rows, rtt, lost)``: per AS, its
+        Returns ``(expands, probed, at, rows, rtt, lost)``: per pair, its
         expansion rights and how many clusters were probed; then the
-        clusters that passed with their measurements, in (``nodes``
-        order, row ascending) order.  This is the one place the
-        close-set rule is written: a probe passes iff it was answered
-        and ``rtt < latT`` and ``loss < lossT``; a populated AS expands
-        iff any probe passed, while the own AS (``depth == 0``, where
-        the own cluster is never probed) and transit ASes (nothing to
-        probe) always expand.
+        clusters that passed with their measurements and the pair ``at``
+        which each was probed, in (pair, row ascending) order.  This is
+        the one place the close-set rule is written: a probe passes iff
+        it was answered and ``rtt < latT`` and ``loss < lossT``; a
+        populated AS expands iff any probe passed, while the own AS
+        (``depth == 0``, where the own cluster is never probed) and
+        transit ASes (nothing to probe) always expand.
         """
         indptr = self._rows_indptr
         rows = csr_gather(indptr, self._rows_flat, nodes)
-        owner = np.repeat(np.arange(len(nodes)), indptr[nodes + 1] - indptr[nodes])
+        at = np.repeat(np.arange(len(nodes)), indptr[nodes + 1] - indptr[nodes])
         if online is not None:
             keep = online[rows]
-            rows, owner = rows[keep], owner[keep]
+            rows, at = rows[keep], at[keep]
+        source = own[at]
         if depth == 0:
-            keep = rows != own_cluster
-            rows, owner = rows[keep], owner[keep]
-        probed = np.bincount(owner, minlength=len(nodes))
+            keep = rows != source
+            rows, at, source = rows[keep], at[keep], source[keep]
+        probed = np.bincount(at, minlength=len(nodes))
         if len(rows) == 0:
             rtt = lost = np.zeros(0)
         else:
-            rtt = self._world.gather_rtt(own_cluster, rows)
-            lost = self._world.gather_loss(own_cluster, rows)
+            rtt = self._world.gather_rtt(source, rows)
+            lost = self._world.gather_loss(source, rows)
             passed = (
                 np.isfinite(rtt)
                 & (rtt < self._config.lat_threshold_ms)
                 & (lost < self._config.loss_threshold)
             )
-            rows, owner, rtt, lost = rows[passed], owner[passed], rtt[passed], lost[passed]
-        expands = (probed == 0) | (np.bincount(owner, minlength=len(nodes)) > 0)
+            rows, at, rtt, lost = rows[passed], at[passed], rtt[passed], lost[passed]
+        expands = (probed == 0) | (np.bincount(at, minlength=len(nodes)) > 0)
         if depth == 0:
             expands[:] = True
-        return expands, probed, rows, rtt, lost
+        return expands, probed, at, rows, rtt, lost

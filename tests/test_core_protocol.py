@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.baselines.base import MethodResult
 from repro.core import ASAPConfig, ASAPSystem
 from repro.core.config import derive_k_hops
 from repro.errors import ConfigurationError, ProtocolError
+from repro.evaluation.policies import ASAPPolicy
 from repro.scenario import tiny_scenario
 from tests.oracles import dense_k_hops
 
@@ -187,3 +190,79 @@ class TestCalling:
             assert candidate.relay_rtt_ms < system.config.lat_threshold_ms
         for candidate in session.selection.two_hop:
             assert candidate.relay_rtt_ms < system.config.lat_threshold_ms
+
+
+def _per_call_results(system, pairs):
+    """The session-by-session loop ``ASAPPolicy.evaluate_sessions`` ran
+    before the evaluation had phases: the specification of the batch."""
+    results = []
+    for a, b in pairs:
+        session = system.call(system.surrogate(a).ip, system.surrogate(b).ip)
+        selection = session.selection
+        results.append(
+            MethodResult(
+                method="ASAP",
+                quality_paths=session.quality_paths,
+                best_rtt_ms=session.best_relay_rtt_ms,
+                messages=session.messages,
+                probed_nodes=0,
+                one_hop_quality_paths=selection.one_hop_ips if selection else 0,
+            )
+        )
+    return results
+
+
+def _observed(evaluate, scenario, config, pairs, obs_dir):
+    """Run ``evaluate(system, pairs)`` on a fresh system with tracing on;
+    everything an observer of the run can compare."""
+    system = ASAPSystem(scenario, config)
+    with obs.observe(obs_dir=obs_dir, trace=True) as run:
+        results = evaluate(system, pairs)
+        snapshot = run.registry.snapshot()
+    for name, histogram in snapshot["histograms"].items():
+        if name.startswith("span."):  # wall-clock seconds: only the count repeats
+            snapshot["histograms"][name] = histogram["count"]
+    requests = {
+        (cluster, position): member.close_set_requests
+        for cluster in range(scenario.matrix_view().count)
+        for position, member in enumerate(system.surrogate_group(cluster))
+    }
+    return {
+        "results": results,
+        "sessions_run": system.sessions_run,
+        "requests": requests,
+        "maintenance": system.maintenance_messages(),
+        "snapshot": snapshot,
+        "traces": (obs_dir / "traces.jsonl").read_bytes(),
+    }
+
+
+class TestPhasedEvaluation:
+    """``call_many`` (two batched builds) ≡ ``call`` session by session."""
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_phased_equals_per_call(self, seed, tmp_path):
+        scenario = tiny_scenario(seed=seed)
+        # Small surrogate groups, so replicas serve some of the requests.
+        config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices), hosts_per_surrogate=4)
+        rtt = scenario.matrices.rtt_ms
+        rng = np.random.default_rng(seed)
+        latent = np.argwhere(~(np.isfinite(rtt) & (rtt < config.lat_threshold_ms)))
+        mixed = np.concatenate((latent[:60], rng.integers(0, len(rtt), size=(40, 2))))
+        pairs = [(int(a), int(b)) for a, b in rng.permutation(mixed) if a != b]
+        phased = _observed(
+            lambda system, batch: ASAPPolicy(system).evaluate_sessions(None, batch),
+            scenario, config, pairs, tmp_path / "phased",
+        )
+        per_call = _observed(_per_call_results, scenario, config, pairs, tmp_path / "per-call")
+        assert phased == per_call
+        assert any(result.messages > 2 for result in phased["results"])  # two-hop ran
+        assert phased["traces"].count(b"close_set.build") > 2
+        assert any(count > 0 for (_, position), count in phased["requests"].items() if position)
+
+    def test_call_is_the_one_session_batch(self, scenario):
+        caller, callee = latent_pair(scenario)
+        config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
+        one, many = ASAPSystem(scenario, config), ASAPSystem(scenario, config)
+        assert [one.call(caller, callee)] == many.call_many([(caller, callee)])
+        assert one.maintenance_messages() == many.maintenance_messages() > 0

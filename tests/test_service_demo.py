@@ -165,6 +165,35 @@ class TestLoopbackDemo:
             assert caller not in reserved
             assert callee not in reserved
 
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    def test_latent_pairs_keep_the_scalar_loop_order(self, scale, cache_dir):
+        # The specification: every matrix cell above the diagonal in
+        # python, sorted as (-rtt, a, b) tuples.
+        world = ServiceWorld.from_scale(scale, SEED, cache_dir=cache_dir)
+        rtt = world.scenario.matrices.rtt_ms
+        candidates = []
+        for a in range(rtt.shape[0]):
+            for b in range(a + 1, rtt.shape[1]):
+                value = float(rtt[a, b])
+                if np.isfinite(value) and value >= world.config.lat_threshold_ms:
+                    candidates.append((-value, a, b))
+        candidates.sort()
+        reserved = world.surrogate_ips()
+        expected = []
+        for _, a, b in candidates:
+            ends = [
+                next((h.ip for h in world.hosts_in_cluster(c) if h.ip not in reserved), None)
+                for c in (a, b)
+            ]
+            if None in ends:
+                continue
+            selection = world.system.call(*ends).selection
+            if selection is not None and selection.quality_paths > 0:
+                expected.append(tuple(ends))
+        assert len(expected) > 5
+        for count in (1, 5, len(expected) + 1):
+            assert world.latent_pairs(count) == expected[:count]
+
 
 class TestBootstrapHardening:
     """Registration edge cases: duplicates, misses, deregistration."""

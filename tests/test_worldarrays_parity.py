@@ -26,6 +26,8 @@ from repro.scenario import PopulationConfig, TopologyConfig
 from repro.storage.columns import ColumnStore
 from repro.topology.generator import generate_topology
 from repro.util.rng import derive_rng
+from repro.core.close_cluster import CloseClusterSet
+from repro.worldarrays import closesets
 from repro.worldarrays import (
     FlatCloseSetBuilder,
     FlatMatrixAssembler,
@@ -238,34 +240,44 @@ class TestCloseSetParity:
 
 
 class CountingView:
-    """A dense view that records the columns of every gather."""
+    """A dense view that records the cells of every gather as
+    ``row * count + col`` keys."""
 
     def __init__(self, view):
         self._view = view
         self.count = view.count
         self.rtt_reads, self.loss_reads = [], []
 
+    def _cells(self, rows, cols):
+        rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+        return rows * self.count + cols
+
     def gather_rtt(self, rows, cols):
-        self.rtt_reads.append(np.asarray(cols))
+        self.rtt_reads.append(self._cells(rows, cols))
         return self._view.gather_rtt(rows, cols)
 
     def gather_loss(self, rows, cols):
-        self.loss_reads.append(np.asarray(cols))
+        self.loss_reads.append(self._cells(rows, cols))
         return self._view.gather_loss(rows, cols)
+
+
+def _counting_builder(scenario):
+    system = ASAPSystem(scenario, ASAPConfig())
+    view = scenario.matrix_view()
+    counting = CountingView(view)
+    builder = FlatCloseSetBuilder(
+        scenario.protocol_graph,
+        counting,
+        {asn: system.clusters_in_as(asn) for asn in set(view.asn_of.tolist())},
+        system.config,
+    )
+    return system, counting, builder
 
 
 class TestLevelProbe:
     def test_one_gather_pair_per_level_each_cluster_read_once(self, scenarios):
-        scenario = scenarios[-1]
-        system = ASAPSystem(scenario, ASAPConfig())
-        view = scenario.matrix_view()
-        counting = CountingView(view)
-        builder = FlatCloseSetBuilder(
-            scenario.protocol_graph,
-            counting,
-            {asn: system.clusters_in_as(asn) for asn in set(view.asn_of.tolist())},
-            system.config,
-        )
+        system, counting, builder = _counting_builder(scenarios[-1])
+        view = system.scenario.matrix_view()
         for cluster in range(view.count):
             counting.rtt_reads.clear()
             counting.loss_reads.clear()
@@ -276,6 +288,90 @@ class TestLevelProbe:
             for reads in (counting.rtt_reads, counting.loss_reads):
                 cells = np.concatenate(reads) if reads else np.zeros(0, dtype=np.int64)
                 assert len(cells) == len(set(cells.tolist())) == built.probe_messages // 2
+
+    def test_one_batch_one_gather_pair_per_level_each_cell_read_once(self, scenarios):
+        system, counting, builder = _counting_builder(scenarios[-1])
+        view = system.scenario.matrix_view()
+        sources = [(c, int(view.asn_of[c])) for c in range(view.count)]
+        assert view.count * builder._csr.count <= closesets.CELLS  # one sweep
+        built = builder.build_many(sources + sources[:5])  # repeats are built once
+        assert len(counting.rtt_reads) == len(counting.loss_reads)
+        assert len(counting.rtt_reads) <= system.config.k_hops + 1
+        probes = sum(close_set.probe_messages for close_set in built.values()) // 2
+        for reads in (counting.rtt_reads, counting.loss_reads):
+            cells = np.concatenate(reads)
+            assert len(cells) == len(set(cells.tolist())) == probes
+
+
+def _assert_bytes_identical(batch, single):
+    """Stricter than ``==``: array bytes and ``probes_by_as`` item order."""
+    assert batch == single
+    for name in ("ids", "rtt_ms", "loss", "as_hops"):
+        assert getattr(batch, name).dtype == getattr(single, name).dtype
+        assert getattr(batch, name).tobytes() == getattr(single, name).tobytes()
+    assert list(batch.probes_by_as.items()) == list(single.probes_by_as.items())
+
+
+class TestBatchBuilder:
+    """``build_many`` ≡ one ``build`` per source, however it is batched."""
+
+    def _assert_batch_equals_singles(self, system, online, rng, monkeypatch):
+        builder = system.close_set_builder
+        view = system.scenario.matrix_view()
+        sources = [(int(c), int(view.asn_of[c])) for c in rng.permutation(view.count)]
+        singles = {c: builder.build(c, asn, online=online) for c, asn in sources}
+        whole = builder.build_many(sources, online)
+        assert list(whole) == list(singles)
+        for cluster, single in singles.items():
+            _assert_bytes_identical(whole[cluster], single)
+        # Any partition of the sources, under any cell budget, builds the
+        # same sets.
+        cuts = sorted(rng.choice(len(sources), size=3, replace=False).tolist())
+        parts = [sources[a:b] for a, b in zip([0] + cuts, cuts + [len(sources)])]
+        for cells in (1, 3 * builder._csr.count + 1):
+            monkeypatch.setattr(closesets, "CELLS", cells)
+            for part in parts:
+                for cluster, built in builder.build_many(part, online).items():
+                    _assert_bytes_identical(built, singles[cluster])
+
+    def test_equals_build_across_seeds_scales_and_masks(self, scenarios, monkeypatch):
+        rng = np.random.default_rng(7)
+        for scenario in scenarios:
+            system = ASAPSystem(scenario, ASAPConfig())
+            count = scenario.matrix_view().count
+            for online in (None, _online_mask(int(rng.integers(10_000)), count)):
+                self._assert_batch_equals_singles(system, online, rng, monkeypatch)
+
+    def test_unconstrained_bfs(self, scenarios, monkeypatch):
+        system = ASAPSystem(scenarios[0], ASAPConfig(valley_free=False, k_hops=2))
+        rng = np.random.default_rng(8)
+        self._assert_batch_equals_singles(system, None, rng, monkeypatch)
+
+    def test_peer_and_sibling_steps(self, monkeypatch):
+        # The inferred protocol graph rarely has peer or sibling edges;
+        # the ground-truth graph has both.
+        scenario = build_scenario(
+            dataclasses.replace(ScenarioConfig.preset("tiny", 3), use_inferred_graph=False)
+        )
+        graph = scenario.protocol_graph
+        assert any(graph.peers(asn) for asn in graph.ases())
+        rng = np.random.default_rng(9)
+        self._assert_batch_equals_singles(
+            ASAPSystem(scenario, ASAPConfig()), None, rng, monkeypatch
+        )
+
+    def test_unknown_as_yields_the_empty_set_and_nothing_is_emitted(self, scenarios):
+        system = ASAPSystem(scenarios[0], ASAPConfig())
+        builder = system.close_set_builder
+        view = system.scenario.matrix_view()
+        unknown_as = max(system.scenario.protocol_graph.ases()) + 1
+        with obs.observe() as run:
+            built = builder.build_many([(0, int(view.asn_of[0])), (1, unknown_as)])
+            assert built[1] == builder.build(1, unknown_as) == CloseClusterSet(owner=1)
+            assert len(built[0]) > 0
+            assert run.registry.counter_value("close_set.built") == 0
+            builder.build(0, int(view.asn_of[0]))
+            assert run.registry.counter_value("close_set.built") == 1
 
 
 class TestObservabilityParity:
