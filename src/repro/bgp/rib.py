@@ -18,7 +18,8 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import AddressError, BGPParseError
 from repro.netaddr import IPv4Address, IPv4Prefix
@@ -71,8 +72,18 @@ class RIBEntry:
         return f"RIB|{self.timestamp}|{self.peer}|{self.prefix}|{path}|{self.origin}"
 
 
-def parse_rib_line(line: str) -> RIBEntry:
-    """Parse one dump line into a :class:`RIBEntry`."""
+def _as_path(text: str) -> Tuple[int, ...]:
+    return tuple(int(p) for p in text.split())
+
+
+#: Parsers of a dump line's peer, prefix and AS-path fields.
+_FIELD_PARSERS = (IPv4Address.from_string, IPv4Prefix.from_string, _as_path)
+
+
+def parse_rib_line(line: str, parsers: Tuple[Callable, ...] = _FIELD_PARSERS) -> RIBEntry:
+    """Parse one dump line into a :class:`RIBEntry` (``parsers``: see
+    :func:`parse_rib_dump`, which passes memoized ones)."""
+    parse_peer, parse_prefix, parse_path = parsers
     fields = line.strip().split("|")
     if len(fields) != 6 or fields[0] != "RIB":
         raise BGPParseError(f"malformed RIB line: {line!r}")
@@ -81,18 +92,17 @@ def parse_rib_line(line: str) -> RIBEntry:
         timestamp = int(ts)
     except ValueError as exc:
         raise BGPParseError(f"bad timestamp in {line!r}") from exc
-    path_parts = path.split()
-    if not path_parts:
+    if not path.strip():
         raise BGPParseError(f"empty AS path in {line!r}")
     try:
-        as_path = tuple(int(p) for p in path_parts)
+        as_path = parse_path(path)
     except ValueError as exc:
         raise BGPParseError(f"non-numeric ASN in {line!r}") from exc
     try:
         return RIBEntry(
             timestamp=timestamp,
-            peer=IPv4Address.from_string(peer),
-            prefix=IPv4Prefix.from_string(prefix),
+            peer=parse_peer(peer),
+            prefix=parse_prefix(prefix),
             as_path=as_path,
             origin=origin,
         )
@@ -101,13 +111,19 @@ def parse_rib_line(line: str) -> RIBEntry:
 
 
 def parse_rib_dump(lines: Iterable[str]) -> Iterator[RIBEntry]:
-    """Parse a dump (iterable of lines), skipping blanks and ``#`` comments."""
+    """Parse a dump (iterable of lines), skipping blanks and ``#`` comments.
+
+    A table seen from a few vantages repeats the same few peer, prefix
+    and path strings on thousands of lines: each distinct string is
+    parsed once per dump (a parse that raises is not remembered).
+    """
+    parsers = tuple(lru_cache(maxsize=None)(parse) for parse in _FIELD_PARSERS)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            yield parse_rib_line(line)
+            yield parse_rib_line(line, parsers)
         except BGPParseError as exc:
             raise BGPParseError(f"line {lineno}: {exc}") from exc
 

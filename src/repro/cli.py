@@ -75,8 +75,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the matrix fill "
                              "(0 = all CPUs; default: $REPRO_WORKERS or serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="artifact cache directory for built worlds + matrices "
-                             "(default: $REPRO_CACHE_DIR or no caching)")
+                        help="cache built worlds + matrices here; a cold run costs ~2x a plain "
+                             "build, so it pays from the second (default: $REPRO_CACHE_DIR or none)")
     parser.add_argument("--obs-dir", default=None, metavar="DIR",
                         help="enable observability: write run_manifest.json "
                              "and events.jsonl to this directory")

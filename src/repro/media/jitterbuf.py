@@ -1,13 +1,12 @@
 """Adaptive playout jitter buffer.
 
 Tracks smoothed one-way delay and delay variation with the classic
-RFC 3550-style EWMA estimators (the same pair
-:class:`repro.voip.stream.AdaptivePlayoutBuffer` uses analytically)
-and derives a per-frame playout deadline.  A frame that arrives after
-its deadline is *late* — reclassified as effective loss for the PLC
-and scoring stages — so buffer depth trades delay against loss exactly
-as in deployed stacks.  Pure function of the input trace: no RNG, no
-wall clock, deterministic replay.
+RFC 3550-style EWMA estimators and derives a per-frame playout
+deadline.  A frame that arrives after its deadline is *late* —
+reclassified as effective loss for the PLC and scoring stages — so
+buffer depth trades delay against loss exactly as in deployed stacks.
+Pure function of the input trace: no RNG, no wall clock, deterministic
+replay.
 """
 
 from __future__ import annotations
@@ -89,9 +88,11 @@ class AdaptiveJitterBuffer:
     The delay estimate seeds from the first arriving frame, then
     follows the EWMA; the deadline for frame *i* is
     ``sent_i + d_hat + depth`` with ``depth = clamp(factor * v_hat,
-    min_depth_ms, max_depth_ms)``.  Estimator state advances on every
-    *arriving* frame (late ones included — the receiver still observes
-    them), never on losses.
+    min_depth_ms, max_depth_ms)``, never earlier than frame *i-1*'s
+    playout instant (a fast-moving estimate cannot run the playout clock
+    backwards).  Estimator state advances on every *arriving* frame
+    (late ones included — the receiver still observes them), never on
+    losses.
     """
 
     def __init__(self, config: JitterBufferConfig = JitterBufferConfig()) -> None:
@@ -116,13 +117,16 @@ class AdaptiveJitterBuffer:
     def play(self, trace: ReceivedTrace) -> PlayoutResult:
         """Run the whole trace through the buffer."""
         out: List[PlayedFrame] = []
+        previous = float("-inf")  # playout instant of the frame before
         for frame in trace.frames:
             depth = self._depth_ms()
             deadline = frame.sent_ms + self._d_hat + depth
+            if deadline < previous:
+                deadline = previous
             if frame.arrival_ms is None:
                 # Nothing to observe; playout slot elapses silently.
                 status = "lost"
-                playout = deadline if self._seeded else frame.sent_ms + depth
+                playout = deadline  # unseeded, d_hat is 0: sent + depth
             else:
                 delay = frame.arrival_ms - frame.sent_ms
                 if not self._seeded:
@@ -130,11 +134,12 @@ class AdaptiveJitterBuffer:
                     # plays, at its own arrival plus the minimum depth.
                     self._observe(delay)
                     status = "played"
-                    playout = frame.arrival_ms + depth
+                    playout = max(frame.arrival_ms + depth, previous)
                 else:
                     status = "played" if frame.arrival_ms <= deadline else "late"
                     playout = deadline
                     self._observe(delay)
+            previous = playout
             out.append(
                 PlayedFrame(frame.sequence, status, round(playout, 3), round(depth, 3))
             )

@@ -2,8 +2,8 @@
 
 The substitution argument in DESIGN.md §2 rests on the generated
 topology preserving specific statistical properties of the real
-Internet.  This module measures them, tests assert them, and the
-microbench report prints them:
+Internet.  This module measures them, tests assert them, and
+``benchmarks/test_ext_maintenance.py`` prints them:
 
 - heavy-tailed AS degree distribution (power-law-ish tail);
 - short AS paths (real 2005 Internet: mean ≈ 3.7, our target ≤ ~6);

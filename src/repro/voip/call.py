@@ -3,13 +3,15 @@
 Section 6.2 of the paper: "Techniques such as path diversity ([15, 19])
 and path switching [20] can be used in combination with ASAP to
 transmit voice packets."  This module implements both on top of the
-relay candidates select-close-relay returns:
+relay candidates select-close-relay returns, with :mod:`repro.media`
+as the packet pipeline underneath:
 
 - **path switching** [Tao et al.]: monitor the active path's quality in
   windows; when its windowed MOS falls below a threshold, switch to the
   best alternate candidate;
 - **path diversity** [Liang et al.]: transmit every packet over the two
-  best candidate paths and keep the earlier surviving copy.
+  best candidate paths and keep the earlier surviving copy — or, as FEC
+  [Nguyen & Zakhor], only a parity packet per group on the second path.
 
 Paths degrade over time through an on/off congestion process
 (:class:`PathQualityProcess`), so a call that starts on a good relay
@@ -18,22 +20,18 @@ can sour mid-call — the scenario switching exists for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.media.frames import CODEC_WIRE_IDS, ReceivedTrace, trace_from_wire
+from repro.media.jitterbuf import JitterBufferConfig
+from repro.media.score import MeasuredScore, score_trace
+from repro.media.session import MediaPlaneConfig, MediaResult, PathWindow, run_media_session
 from repro.util.rng import derive_rng
 from repro.voip.codecs import Codec, G729A_VAD
-from repro.voip.stream import (
-    PacketArrival,
-    PlayoutBuffer,
-    StreamConfig,
-    merge_diverse_arrivals,
-    score_playout,
-    simulate_stream,
-)
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,10 @@ class VoiceCall:
 
     ``paths`` supplies (one-way delay ms, loss rate) per candidate, best
     first — in practice the relay paths select-close-relay returned,
-    each wrapped in a :class:`PathQualityProcess` for dynamics.
+    each wrapped in a :class:`PathQualityProcess` for dynamics.  Every
+    window is one :func:`repro.media.run_media_session` over the active
+    path's state, so frames, channel, playout, concealment and scoring
+    are the media plane's.
     """
 
     def __init__(
@@ -177,29 +178,30 @@ class VoiceCall:
             raise ConfigurationError("a call needs at least one candidate path")
         self._paths = list(paths)
         self._config = config
-        self._rng = derive_rng(config.seed, "voice-call")
+        depth = config.playout_depth_ms
+        # Fixed codec: both legs of a diverse send carry the same frames.
+        self._media = MediaPlaneConfig(
+            codec=config.codec,
+            jitter_mean_ms=config.jitter_mean_ms,
+            jitterbuf=JitterBufferConfig(min_depth_ms=depth, max_depth_ms=depth),
+            adaptation=None,
+            window_ms=config.window_ms,
+        )
 
     def run(self) -> CallOutcome:
         """Simulate the whole call window by window."""
         config = self._config
         outcome = CallOutcome()
         active = 0
-        buffer = PlayoutBuffer(config.playout_depth_ms)
-        stream_config = StreamConfig(
-            codec=config.codec,
-            duration_ms=config.window_ms,
-            jitter_mean_ms=config.jitter_mean_ms,
-            seed=config.seed,
-        )
         for window in range(config.windows):
             states = [p.step() for p in self._paths]
-            arrivals = self._window_arrivals(states, active, stream_config)
-            played = buffer.play(arrivals, config.codec)
-            mos = score_playout(played, config.codec)
+            score = self._window_score(window, states, active)
+            heard = score.windows[0]  # one call window = one scoring window
+            mouth_to_ear = heard.mean_delay_ms + config.codec.codec_delay_ms()
             switched = False
             if (
                 config.use_switching
-                and mos < config.switch_mos_threshold
+                and score.mos < config.switch_mos_threshold
                 and len(self._paths) > 1
             ):
                 active = self._best_alternate(states, active)
@@ -208,51 +210,38 @@ class VoiceCall:
                 WindowOutcome(
                     window=window,
                     active_path=active,
-                    mos=mos,
+                    mos=score.mos,
                     switched=switched,
-                    effective_loss=played.effective_loss,
-                    mouth_to_ear_ms=played.mouth_to_ear_ms,
+                    effective_loss=score.effective_loss,
+                    mouth_to_ear_ms=mouth_to_ear if heard.played else float("inf"),
                 )
             )
         return outcome
 
-    def _window_arrivals(
-        self,
-        states: Sequence[PathState],
-        active: int,
-        stream_config: StreamConfig,
-    ) -> List[PacketArrival]:
-        primary_state = states[active]
-        primary = simulate_stream(
-            primary_state.one_way_delay_ms,
-            primary_state.loss_rate,
-            stream_config,
-            rng=self._rng,
+    def _send(self, window: int, role: int, state: PathState) -> MediaResult:
+        """One window's frames over one path (role 0 active, 1 secondary)."""
+        return run_media_session(
+            call_id=2 * window + role,
+            duration_ms=self._config.window_ms,
+            path=[PathWindow(0.0, 2.0 * state.one_way_delay_ms, state.loss_rate)],
+            config=self._media,
+            seed=self._config.seed,
         )
-        wants_secondary = self._config.use_diversity or self._config.use_fec
-        if not wants_secondary or len(states) < 2:
-            return primary
-        backup_index = self._best_alternate(states, active)
-        backup_state = states[backup_index]
-        if self._config.use_diversity:
-            backup = simulate_stream(
-                backup_state.one_way_delay_ms,
-                backup_state.loss_rate,
-                stream_config,
-                rng=self._rng,
-            )
-            return merge_diverse_arrivals(primary, backup)
-        from repro.voip.stream import apply_fec_recovery, make_parity_stream
 
-        parity = make_parity_stream(
-            backup_state.one_way_delay_ms,
-            backup_state.loss_rate,
-            len(primary),
-            group_size=self._config.fec_group_size,
-            config=stream_config,
-            rng=self._rng,
-        )
-        return apply_fec_recovery(primary, parity, self._config.fec_group_size)
+    def _window_score(
+        self, window: int, states: Sequence[PathState], active: int
+    ) -> MeasuredScore:
+        config = self._config
+        primary = self._send(window, 0, states[active])
+        if not (config.use_diversity or config.use_fec) or len(states) < 2:
+            return primary.score
+        secondary = self._send(window, 1, states[self._best_alternate(states, active)])
+        if config.use_diversity:
+            trace = merge_diverse_traces(primary.trace, secondary.trace)
+        else:
+            trace = recover_with_parity(primary.trace, secondary.trace, config.fec_group_size)
+        media = self._media
+        return score_trace(trace, media.jitterbuf, media.plc, media.window_ms)
 
     def _best_alternate(self, states: Sequence[PathState], active: int) -> int:
         """The non-active path with the best instantaneous quality."""
@@ -266,6 +255,49 @@ class VoiceCall:
                 best_score = score
                 best_index = index
         return best_index
+
+
+def _require_same_frames(a: ReceivedTrace, b: ReceivedTrace) -> None:
+    sent_a, sent_b = ([(f.sent_ms, f.codec) for f in t.frames] for t in (a, b))
+    if sent_a != sent_b:
+        raise ConfigurationError("both paths must carry the same frames")
+
+
+def merge_diverse_traces(primary: ReceivedTrace, secondary: ReceivedTrace) -> ReceivedTrace:
+    """Path diversity [Liang/Steinbach/Girod]: every frame is sent on two
+    paths and the receiver keeps the earlier surviving copy — the wire
+    receiver's duplicate rule, so :func:`trace_from_wire` does the merge."""
+    _require_same_frames(primary, secondary)
+    receipts = [
+        (f.sequence, f.sent_ms, f.arrival_ms, CODEC_WIRE_IDS[f.codec])
+        for f in primary.frames + secondary.frames
+        if not f.lost
+    ]
+    return trace_from_wire(primary.call_id, receipts, len(primary.frames))
+
+
+def recover_with_parity(
+    voice: ReceivedTrace, secondary: ReceivedTrace, group_size: int = 4
+) -> ReceivedTrace:
+    """FEC over a diverse path [Nguyen & Zakhor]: one XOR parity packet
+    per ``group_size`` voice frames travels the secondary path in the
+    group's last send slot, so its fate is ``secondary``'s frame there.
+    A group missing exactly one voice frame recovers it when the parity
+    arrived, at the latest arrival among the parity and the survivors —
+    reconstruction needs every piece."""
+    if group_size < 2:
+        raise ConfigurationError("group_size must be >= 2")
+    _require_same_frames(voice, secondary)
+    frames = list(voice.frames)
+    for lo in range(0, len(frames), group_size):
+        group = voice.frames[lo : lo + group_size]
+        missing = [f for f in group if f.lost]
+        parity = secondary.frames[lo + len(group) - 1]
+        if len(missing) != 1 or parity.lost:
+            continue
+        pieces = [parity.arrival_ms] + [f.arrival_ms for f in group if not f.lost]
+        frames[missing[0].sequence] = replace(missing[0], arrival_ms=max(pieces))
+    return ReceivedTrace(voice.call_id, tuple(frames))
 
 
 def call_paths_from_selection(

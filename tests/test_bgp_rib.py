@@ -62,6 +62,47 @@ class TestDumpFormat:
         with pytest.raises(BGPParseError, match="line 2"):
             list(parse_rib_dump(text.splitlines()))
 
+    def test_repeated_strings_parse_once_and_compare_equal(self, monkeypatch):
+        """A dump repeats its few peer / prefix / path strings on every
+        line; each distinct one is validated once per dump."""
+        from repro.bgp import rib
+
+        expected = [entry()] * 5 + [entry(peer="10.0.0.2")] * 5
+        lines = [e.to_line() for e in expected]
+        calls = []
+
+        def counted(parse):
+            return lambda text: calls.append(text) or parse(text)
+
+        monkeypatch.setattr(
+            rib, "_FIELD_PARSERS", tuple(counted(parse) for parse in rib._FIELD_PARSERS)
+        )
+        assert list(parse_rib_dump(lines)) == expected
+        assert sorted(calls) == ["10.0.0.1", "10.0.0.2", "192.0.2.0/24", "7018 3356 64512"]
+        list(parse_rib_dump(lines[:1]))  # a new dump starts a new memo
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize(
+        "bad_peer",
+        ["10 20", "300.0.0.1"],  # the dump's own AS-path text; an out-of-range octet
+    )
+    def test_malformed_repeats_raise_every_time_with_their_line(self, bad_peer):
+        """A failed parse is never remembered as a success, and a peer
+        that reads like a cached AS path does not hit the path's memo."""
+        good = entry(path=(10, 20)).to_line()
+        bad = good.replace("|10.0.0.1|", f"|{bad_peer}|")
+        with pytest.raises(BGPParseError, match="line 3"):
+            list(parse_rib_dump([good, good, bad]))
+        from functools import lru_cache
+
+        from repro.bgp import rib
+
+        parsers = tuple(lru_cache(maxsize=None)(parse) for parse in rib._FIELD_PARSERS)
+        assert parse_rib_line(good, parsers) == entry(path=(10, 20))
+        for _ in range(2):
+            with pytest.raises(BGPParseError, match="bad address"):
+                parse_rib_line(bad, parsers)
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -2,6 +2,8 @@
 PLC, codec adaptation, trace scoring and the end-to-end session."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.media.adapt import AdaptationPolicy, CodecAdapter
@@ -159,6 +161,66 @@ class TestJitterBuffer:
             JitterBufferConfig(alpha=1.5)
         with pytest.raises(ConfigurationError):
             JitterBufferConfig(min_depth_ms=100.0, max_depth_ms=10.0)
+
+
+@st.composite
+def wire_receipts(draw):
+    """Receipts of one paced stream in any order: gaps, duplicate
+    copies, reordering and delay spikes (early arrivals included)."""
+    codec = draw(st.sampled_from(ALL_CODECS))
+    count = draw(st.integers(1, 40))
+    spike = st.one_of(st.floats(-20.0, 150.0), st.floats(150.0, 3_000.0))
+    receipts = draw(st.lists(
+        st.tuples(st.integers(0, count - 1), spike), max_size=3 * count
+    ))
+    interval = codec.packet_interval_ms()
+    wire_id = CODEC_WIRE_IDS[codec.name]
+    return count, [
+        (seq, seq * interval, seq * interval + delay, wire_id) for seq, delay in receipts
+    ]
+
+
+jitterbuf_configs = st.builds(
+    lambda alpha, factor, low, extra: JitterBufferConfig(alpha, factor, low, low + extra),
+    st.floats(0.01, 0.999), st.floats(0.1, 10.0), st.floats(0.0, 100.0), st.floats(0.0, 300.0),
+)
+
+
+class TestPlayoutProperties:
+    @given(wire_receipts(), jitterbuf_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_any_receipts_play_out_in_order_and_on_time(self, wire, config):
+        sent, receipts = wire
+        trace = trace_from_wire(3, receipts, expected_frames=sent)
+        earliest = {}
+        for seq, _, arrival, _ in receipts:
+            earliest[seq] = min(arrival, earliest.get(seq, arrival))
+        for frame in trace.frames:  # duplicates keep the earliest copy
+            assert frame.arrival_ms == (
+                round(earliest[frame.sequence], 3) if frame.sequence in earliest else None
+            )
+
+        result = AdaptiveJitterBuffer(config).play(trace)
+        assert [f.sequence for f in result.frames] == list(range(sent))
+        assert result.played + result.late + result.lost == sent
+        assert result.lost == sent - len(earliest)
+        instants = [f.playout_ms for f in result.frames]
+        assert instants == sorted(instants), "the playout clock ran backwards"
+        for frame, out in zip(trace.frames, result.frames):
+            if out.status == "played":
+                assert frame.arrival_ms <= out.playout_ms
+
+    def test_delay_spike_with_fast_estimator_keeps_clock_monotone(self):
+        """alpha=0.5 lets one 600 ms spike drag ``d_hat`` down by more
+        than a frame interval on the next arrival."""
+        arrivals = [i * 20.0 + 60.0 for i in range(12)]
+        arrivals[5] = 5 * 20.0 + 660.0
+        result = AdaptiveJitterBuffer(JitterBufferConfig(alpha=0.5, factor=1.0)).play(
+            _trace(arrivals)
+        )
+        instants = [f.playout_ms for f in result.frames]
+        assert instants == sorted(instants)
+        assert result.frames[5].status == "late"
 
 
 # -- PLC ----------------------------------------------------------------------

@@ -126,17 +126,27 @@ class TestEModel:
         mos = EModel().mos_from_rtt(rtt, loss)
         assert 1.0 <= mos <= 4.5
 
-    @given(st.floats(min_value=0.0, max_value=1500.0))
-    @settings(max_examples=100, deadline=None)
-    def test_mos_monotone_in_delay(self, rtt):
-        model = EModel()
-        assert model.mos_from_rtt(rtt, 0.005) >= model.mos_from_rtt(rtt + 50.0, 0.005)
+    @given(
+        st.sampled_from(ALL_CODECS),
+        st.floats(min_value=0.0, max_value=1500.0),
+        st.floats(min_value=0.0, max_value=200.0),
+        st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mos_monotone_in_delay(self, codec, rtt, extra_ms, loss):
+        model = EModel(EModelConfig(codec=codec))
+        assert model.mos_from_rtt(rtt, loss) >= model.mos_from_rtt(rtt + extra_ms, loss)
 
-    @given(st.floats(min_value=0.0, max_value=0.4))
-    @settings(max_examples=100, deadline=None)
-    def test_mos_monotone_in_loss(self, loss):
-        model = EModel()
-        assert model.mos_from_rtt(100.0, loss) >= model.mos_from_rtt(100.0, loss + 0.05)
+    @given(
+        st.sampled_from(ALL_CODECS),
+        st.floats(min_value=0.0, max_value=1500.0),
+        st.floats(min_value=0.0, max_value=0.5),
+        st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mos_monotone_in_loss(self, codec, rtt, loss, extra_loss):
+        model = EModel(EModelConfig(codec=codec))
+        assert model.mos_from_rtt(rtt, loss) >= model.mos_from_rtt(rtt, loss + extra_loss)
 
 
 class TestQualityPredicates:

@@ -1,4 +1,7 @@
-"""Tests for packet-level streams, playout buffering, and the call runtime."""
+"""Tests for the packet-level voice pipeline under the call runtime —
+media sessions over one path, the fixed-depth and adaptive playout
+buffer, the diversity merge and FEC recovery — and for the call runtime
+itself.  (Class names predate the move onto ``repro.media``.)"""
 
 import numpy as np
 import pytest
@@ -6,146 +9,157 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.media import (
+    AdaptiveJitterBuffer,
+    JitterBufferConfig,
+    MediaPlaneConfig,
+    PathWindow,
+    run_media_session,
+    score_trace,
+)
 from repro.voip.call import (
     CallConfig,
     PathQualityProcess,
     VoiceCall,
     call_paths_from_selection,
+    merge_diverse_traces,
+    recover_with_parity,
 )
-from repro.voip.codecs import G711, G729A_VAD
-from repro.voip.stream import (
-    PlayoutBuffer,
-    StreamConfig,
-    merge_diverse_arrivals,
-    score_playout,
-    simulate_stream,
-)
+from tests.test_media import _trace
+
+
+def stream(one_way_ms, loss, duration_ms=10_000.0, jitter=6.0, seed=0, call_id=1):
+    """One direction of a fixed-codec voice stream over a fixed path."""
+    return run_media_session(
+        call_id,
+        duration_ms,
+        [PathWindow(0.0, 2.0 * one_way_ms, loss)],
+        config=MediaPlaneConfig(jitter_mean_ms=jitter, adaptation=None),
+        seed=seed,
+    ).trace
+
+
+def fixed(depth_ms):
+    return JitterBufferConfig(min_depth_ms=depth_ms, max_depth_ms=depth_ms)
+
+
+def play(trace, config=JitterBufferConfig()):
+    return AdaptiveJitterBuffer(config).play(trace)
+
+
+def heard_loss(playout):
+    """Network loss plus late-discard loss — what reaches the decoder."""
+    return float(np.mean(playout.effective_loss_flags))
+
+
+def mean_delay(trace, playout):
+    return float(np.mean([
+        p.playout_ms - f.sent_ms
+        for f, p in zip(trace.frames, playout.frames) if p.status == "played"
+    ]))
+
 
 
 class TestSimulateStream:
     def test_packet_count_and_spacing(self):
-        config = StreamConfig(duration_ms=1000.0)
-        arrivals = simulate_stream(50.0, 0.0, config)
-        assert len(arrivals) == config.packet_count
-        gaps = {round(b.sent_ms - a.sent_ms, 6) for a, b in zip(arrivals, arrivals[1:])}
-        assert gaps == {config.codec.packet_interval_ms()}
+        trace = stream(50.0, 0.0, duration_ms=1000.0)
+        assert len(trace.frames) == 50
+        gaps = {round(b.sent_ms - a.sent_ms, 6) for a, b in zip(trace.frames, trace.frames[1:])}
+        assert gaps == {20.0}
 
     def test_zero_loss_all_arrive(self):
-        arrivals = simulate_stream(50.0, 0.0, StreamConfig(duration_ms=2000.0))
-        assert all(not p.lost for p in arrivals)
-        for p in arrivals:
-            assert p.arrival_ms >= p.sent_ms + 50.0
+        trace = stream(50.0, 0.0, duration_ms=2000.0)
+        assert all(not f.lost for f in trace.frames)
+        for f in trace.frames:
+            assert f.arrival_ms >= f.sent_ms + 50.0
 
     def test_full_loss(self):
-        arrivals = simulate_stream(50.0, 1.0, StreamConfig(duration_ms=1000.0))
-        assert all(p.lost for p in arrivals)
+        assert all(f.lost for f in stream(50.0, 1.0, duration_ms=1000.0).frames)
 
     def test_loss_rate_statistics(self):
-        arrivals = simulate_stream(50.0, 0.2, StreamConfig(duration_ms=60_000.0, seed=3))
-        observed = np.mean([p.lost for p in arrivals])
-        assert 0.15 < observed < 0.25
+        assert 0.15 < stream(50.0, 0.2, duration_ms=60_000.0, seed=3).loss_rate < 0.25
 
     def test_deterministic_by_seed(self):
-        a = simulate_stream(50.0, 0.1, StreamConfig(seed=5))
-        b = simulate_stream(50.0, 0.1, StreamConfig(seed=5))
-        assert a == b
+        assert stream(50.0, 0.1, seed=5) == stream(50.0, 0.1, seed=5)
+        assert stream(50.0, 0.1, seed=5) != stream(50.0, 0.1, seed=6)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            simulate_stream(-1.0, 0.0)
+            PathWindow(0.0, -1.0, 0.0)
         with pytest.raises(ConfigurationError):
-            simulate_stream(10.0, 1.5)
+            PathWindow(0.0, 10.0, 1.5)
         with pytest.raises(ConfigurationError):
-            StreamConfig(duration_ms=0)
+            stream(10.0, 0.0, duration_ms=0)
+        with pytest.raises(ConfigurationError):
+            MediaPlaneConfig(jitter_mean_ms=-1.0)
 
 
 class TestDiversity:
     def test_earlier_copy_wins(self):
-        fast = simulate_stream(30.0, 0.0, StreamConfig(duration_ms=1000.0, jitter_mean_ms=0.0))
-        slow = simulate_stream(90.0, 0.0, StreamConfig(duration_ms=1000.0, jitter_mean_ms=0.0))
-        merged = merge_diverse_arrivals(slow, fast)
-        for p in merged:
-            assert p.arrival_ms == pytest.approx(p.sent_ms + 30.0)
+        fast = stream(30.0, 0.0, duration_ms=1000.0, jitter=0.0)
+        slow = stream(90.0, 0.0, duration_ms=1000.0, jitter=0.0, call_id=2)
+        for f in merge_diverse_traces(slow, fast).frames:
+            assert f.arrival_ms == pytest.approx(f.sent_ms + 30.0)
 
     def test_survives_single_path_loss(self):
-        lossy = simulate_stream(30.0, 1.0, StreamConfig(duration_ms=1000.0))
-        clean = simulate_stream(90.0, 0.0, StreamConfig(duration_ms=1000.0))
-        merged = merge_diverse_arrivals(lossy, clean)
-        assert all(not p.lost for p in merged)
+        lossy = stream(30.0, 1.0, duration_ms=1000.0)
+        clean = stream(90.0, 0.0, duration_ms=1000.0, call_id=2)
+        assert all(not f.lost for f in merge_diverse_traces(lossy, clean).frames)
 
     def test_lost_on_both(self):
-        a = simulate_stream(30.0, 1.0, StreamConfig(duration_ms=500.0))
-        b = simulate_stream(60.0, 1.0, StreamConfig(duration_ms=500.0))
-        merged = merge_diverse_arrivals(a, b)
-        assert all(p.lost for p in merged)
+        a = stream(30.0, 1.0, duration_ms=500.0)
+        b = stream(60.0, 1.0, duration_ms=500.0, call_id=2)
+        merged = merge_diverse_traces(a, b)
+        assert len(merged.frames) == len(a.frames)
+        assert all(f.lost for f in merged.frames)
 
     def test_mismatched_streams_rejected(self):
-        a = simulate_stream(30.0, 0.0, StreamConfig(duration_ms=500.0))
-        b = simulate_stream(30.0, 0.0, StreamConfig(duration_ms=1000.0))
+        a = stream(30.0, 0.0, duration_ms=500.0)
+        b = stream(30.0, 0.0, duration_ms=1000.0)
         with pytest.raises(ConfigurationError):
-            merge_diverse_arrivals(a, b)
+            merge_diverse_traces(a, b)
 
     @given(st.floats(0.0, 0.6), st.floats(0.0, 0.6))
     @settings(max_examples=30, deadline=None)
     def test_diversity_never_increases_loss(self, loss_a, loss_b):
-        config = StreamConfig(duration_ms=5000.0, seed=1)
-        a = simulate_stream(40.0, loss_a, config, rng=np.random.default_rng(1))
-        b = simulate_stream(60.0, loss_b, config, rng=np.random.default_rng(2))
-        merged = merge_diverse_arrivals(a, b)
-        merged_loss = np.mean([p.lost for p in merged])
-        assert merged_loss <= min(
-            np.mean([p.lost for p in a]), np.mean([p.lost for p in b])
-        ) + 1e-12
+        a = stream(40.0, loss_a, duration_ms=5000.0, seed=1)
+        b = stream(60.0, loss_b, duration_ms=5000.0, seed=1, call_id=2)
+        assert merge_diverse_traces(a, b).loss_rate <= min(a.loss_rate, b.loss_rate)
 
 
 class TestPlayoutBuffer:
     def test_deep_buffer_plays_everything(self):
-        arrivals = simulate_stream(50.0, 0.0, StreamConfig(duration_ms=2000.0))
-        result = PlayoutBuffer(depth_ms=500.0).play(arrivals)
+        result = play(stream(50.0, 0.0, duration_ms=2000.0), fixed(500.0))
         assert result.late == 0
-        assert result.played == result.total
+        assert result.played == len(result.frames)
 
     def test_shallow_buffer_discards_late(self):
-        arrivals = simulate_stream(
-            50.0, 0.0, StreamConfig(duration_ms=5000.0, jitter_mean_ms=30.0)
-        )
-        result = PlayoutBuffer(depth_ms=1.0).play(arrivals)
+        result = play(stream(50.0, 0.0, duration_ms=5000.0, jitter=30.0), fixed(1.0))
         assert result.late > 0
-        assert result.played + result.late + result.network_lost == result.total
+        assert result.played + result.late + result.lost == len(result.frames)
 
     def test_effective_loss_combines(self):
-        arrivals = simulate_stream(
-            50.0, 0.1, StreamConfig(duration_ms=10_000.0, jitter_mean_ms=20.0, seed=2)
-        )
-        result = PlayoutBuffer(depth_ms=10.0).play(arrivals)
-        assert result.effective_loss > 0.1  # network loss plus late loss
+        trace = stream(50.0, 0.1, jitter=20.0, seed=2)
+        assert heard_loss(play(trace, fixed(10.0))) > max(0.1, trace.loss_rate)
 
     def test_all_lost_stream(self):
-        arrivals = simulate_stream(50.0, 1.0, StreamConfig(duration_ms=500.0))
-        result = PlayoutBuffer().play(arrivals)
-        assert result.played == 0
-        assert not np.isfinite(result.mouth_to_ear_ms)
-        assert score_playout(result) == 1.0
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PlayoutBuffer().play([])
+        trace = stream(50.0, 1.0, duration_ms=500.0)
+        assert play(trace).played == 0
+        assert score_trace(trace).mos == 1.0  # the floor of the scale
 
     def test_depth_delay_tradeoff(self):
         # A deeper buffer lowers loss but raises mouth-to-ear delay.
-        arrivals = simulate_stream(
-            60.0, 0.0, StreamConfig(duration_ms=10_000.0, jitter_mean_ms=25.0, seed=4)
+        trace = stream(60.0, 0.0, jitter=25.0, seed=4)
+        shallow, deep = play(trace, fixed(5.0)), play(trace, fixed(120.0))
+        assert heard_loss(deep) <= heard_loss(shallow)
+        assert mean_delay(trace, deep) > mean_delay(trace, shallow)
+        assert score_trace(trace, fixed(120.0)).effective_loss <= (
+            score_trace(trace, fixed(5.0)).effective_loss
         )
-        shallow = PlayoutBuffer(depth_ms=5.0).play(arrivals)
-        deep = PlayoutBuffer(depth_ms=120.0).play(arrivals)
-        assert deep.effective_loss <= shallow.effective_loss
-        assert deep.mouth_to_ear_ms > shallow.mouth_to_ear_ms
 
     def test_score_playout_reasonable(self):
-        arrivals = simulate_stream(40.0, 0.002, StreamConfig(duration_ms=5000.0, seed=5))
-        result = PlayoutBuffer(depth_ms=40.0).play(arrivals)
-        mos = score_playout(result)
-        assert 3.5 < mos <= 4.5
+        trace = stream(40.0, 0.002, duration_ms=5000.0, seed=5)
+        assert 3.5 < score_trace(trace, fixed(40.0)).mos <= 4.5
 
 
 class TestPathQualityProcess:
@@ -258,141 +272,99 @@ class TestCallPathsFromSelection:
 
 class TestAdaptivePlayoutBuffer:
     def _stream(self, jitter, duration=20_000.0, loss=0.0, seed=6):
-        from repro.voip.stream import simulate_stream, StreamConfig
-
-        return simulate_stream(
-            60.0, loss, StreamConfig(duration_ms=duration, jitter_mean_ms=jitter, seed=seed)
-        )
+        return stream(60.0, loss, duration_ms=duration, jitter=jitter, seed=seed)
 
     def test_low_jitter_tight_deadline(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer, PlayoutBuffer
-
-        arrivals = self._stream(jitter=1.0)
-        adaptive = AdaptivePlayoutBuffer().play(arrivals)
-        fixed_deep = PlayoutBuffer(depth_ms=120.0).play(arrivals)
+        trace = self._stream(jitter=1.0)
+        adaptive, fixed_deep = play(trace), play(trace, fixed(120.0))
         # On a calm path the adaptive buffer plays out far earlier.
-        assert adaptive.mouth_to_ear_ms < fixed_deep.mouth_to_ear_ms
-        assert adaptive.effective_loss < 0.05
+        assert mean_delay(trace, adaptive) < mean_delay(trace, fixed_deep)
+        assert heard_loss(adaptive) < 0.05
 
     def test_high_jitter_deepens(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer
-
-        calm = AdaptivePlayoutBuffer().play(self._stream(jitter=1.0))
-        jittery = AdaptivePlayoutBuffer().play(self._stream(jitter=40.0))
-        assert jittery.mouth_to_ear_ms > calm.mouth_to_ear_ms
+        calm, jittery = self._stream(jitter=1.0), self._stream(jitter=40.0)
+        assert play(jittery).mean_depth_ms > play(calm).mean_depth_ms
+        assert mean_delay(jittery, play(jittery)) > mean_delay(calm, play(calm))
 
     def test_beats_shallow_fixed_on_jitter(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer, PlayoutBuffer
-
-        arrivals = self._stream(jitter=30.0)
-        adaptive = AdaptivePlayoutBuffer().play(arrivals)
-        shallow = PlayoutBuffer(depth_ms=2.0).play(arrivals)
-        assert adaptive.effective_loss < shallow.effective_loss
+        trace = self._stream(jitter=30.0)
+        assert heard_loss(play(trace)) < heard_loss(play(trace, fixed(2.0)))
 
     def test_accounting_sums(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer
-
-        arrivals = self._stream(jitter=10.0, loss=0.1)
-        result = AdaptivePlayoutBuffer().play(arrivals)
-        assert result.played + result.late + result.network_lost == result.total
+        result = play(self._stream(jitter=10.0, loss=0.1))
+        assert result.lost > 0
+        assert result.played + result.late + result.lost == len(result.frames)
 
     def test_all_lost(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer
-
-        arrivals = self._stream(jitter=5.0, loss=1.0, duration=1_000.0)
-        result = AdaptivePlayoutBuffer().play(arrivals)
-        assert result.played == 0
-        assert not np.isfinite(result.mouth_to_ear_ms)
+        trace = self._stream(jitter=5.0, loss=1.0, duration=1_000.0)
+        assert play(trace).played == 0
+        assert score_trace(trace).mos == 1.0
 
     def test_invalid_params(self):
-        from repro.voip.stream import AdaptivePlayoutBuffer
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
-            AdaptivePlayoutBuffer(alpha=1.0)
+            JitterBufferConfig(alpha=1.0)
         with pytest.raises(ConfigurationError):
-            AdaptivePlayoutBuffer(factor=0.0)
+            JitterBufferConfig(factor=0.0)
         with pytest.raises(ConfigurationError):
-            AdaptivePlayoutBuffer().play([])
+            JitterBufferConfig(min_depth_ms=-1.0)
 
 
 class TestFECRecovery:
     def _voice(self, loss, duration=10_000.0, seed=9):
-        return simulate_stream(
-            50.0, loss, StreamConfig(duration_ms=duration, jitter_mean_ms=5.0, seed=seed)
-        )
+        return stream(50.0, loss, duration_ms=duration, jitter=5.0, seed=seed)
 
-    def _parity(self, voice, loss=0.0, seed=9):
-        from repro.voip.stream import make_parity_stream, StreamConfig as SC
-
-        return make_parity_stream(
-            70.0, loss, len(voice), group_size=4,
-            config=SC(duration_ms=10_000.0, jitter_mean_ms=5.0, seed=seed),
+    def _secondary(self, voice, loss=0.0, seed=9):
+        return stream(
+            70.0, loss, duration_ms=voice.duration_ms, jitter=5.0, seed=seed, call_id=2
         )
 
     def test_recovers_isolated_losses(self):
-        from repro.voip.stream import apply_fec_recovery
-
         voice = self._voice(loss=0.05)
-        parity = self._parity(voice)
-        recovered = apply_fec_recovery(voice, parity, group_size=4)
-        before = sum(1 for p in voice if p.lost)
-        after = sum(1 for p in recovered if p.lost)
+        recovered = recover_with_parity(voice, self._secondary(voice), group_size=4)
+        before = sum(1 for f in voice.frames if f.lost)
+        after = sum(1 for f in recovered.frames if f.lost)
         assert before > 0
         assert after < before
+        # Frames that arrived on their own are untouched.
+        for was, now in zip(voice.frames, recovered.frames):
+            assert was.lost or was == now
 
     def test_cannot_recover_double_loss_in_group(self):
-        from repro.voip.stream import apply_fec_recovery, PacketArrival
-
-        voice = [
-            PacketArrival(0, 0.0, None),
-            PacketArrival(1, 20.0, None),
-            PacketArrival(2, 40.0, 90.0),
-            PacketArrival(3, 60.0, 110.0),
-        ]
-        parity = [PacketArrival(0, 60.0, 130.0)]
-        recovered = apply_fec_recovery(voice, parity, group_size=4)
-        assert sum(1 for p in recovered if p.lost) == 2
+        voice = _trace([None, None, 90.0, 110.0])
+        secondary = _trace([50.0, 70.0, 90.0, 130.0])
+        recovered = recover_with_parity(voice, secondary, group_size=4)
+        assert recovered == voice
 
     def test_recovery_waits_for_all_pieces(self):
-        from repro.voip.stream import apply_fec_recovery, PacketArrival
-
-        voice = [
-            PacketArrival(0, 0.0, None),
-            PacketArrival(1, 20.0, 70.0),
-            PacketArrival(2, 40.0, 95.0),
-            PacketArrival(3, 60.0, 200.0),
-        ]
-        parity = [PacketArrival(0, 60.0, 130.0)]
-        recovered = apply_fec_recovery(voice, parity, group_size=4)
-        assert recovered[0].arrival_ms == 200.0  # last surviving piece
+        voice = _trace([None, 70.0, 95.0, 200.0])
+        secondary = _trace([None, None, None, 130.0])  # only the parity slot matters
+        recovered = recover_with_parity(voice, secondary, group_size=4)
+        assert recovered.frames[0].arrival_ms == 200.0  # last surviving piece
+        late_parity = _trace([None, None, None, 260.0])
+        assert recover_with_parity(voice, late_parity, 4).frames[0].arrival_ms == 260.0
 
     def test_lost_parity_recovers_nothing(self):
-        from repro.voip.stream import apply_fec_recovery, PacketArrival
-
-        voice = [PacketArrival(0, 0.0, None), PacketArrival(1, 20.0, 60.0)]
-        parity = [PacketArrival(0, 20.0, None)]
-        recovered = apply_fec_recovery(voice, parity, group_size=2)
-        assert recovered[0].lost
+        voice = _trace([None, 60.0])
+        secondary = _trace([50.0, None])  # the group's last slot carried the parity
+        assert recover_with_parity(voice, secondary, group_size=2).frames[0].lost
 
     def test_parity_count_validated(self):
-        from repro.voip.stream import apply_fec_recovery
-
         voice = self._voice(loss=0.0, duration=1000.0)
         with pytest.raises(ConfigurationError):
-            apply_fec_recovery(voice, [], group_size=4)
+            recover_with_parity(voice, _trace([]), group_size=4)
         with pytest.raises(ConfigurationError):
-            apply_fec_recovery(voice, voice, group_size=1)
+            recover_with_parity(voice, voice, group_size=1)
+
+    def test_short_last_group_uses_its_own_last_slot(self):
+        voice = _trace([40.0, 60.0, 80.0, 100.0, None, 140.0])
+        secondary = _trace([None, None, None, None, None, 190.0])
+        recovered = recover_with_parity(voice, secondary, group_size=4)
+        assert recovered.frames[4].arrival_ms == 190.0
 
     def test_fec_improves_playout_mos(self):
-        from repro.voip.stream import apply_fec_recovery
-
         voice = self._voice(loss=0.08, duration=30_000.0)
-        parity = self._parity(voice, loss=0.08)
-        recovered = apply_fec_recovery(voice, parity, group_size=4)
-        plain = score_playout(PlayoutBuffer(60.0).play(voice))
-        fec = score_playout(PlayoutBuffer(60.0).play(recovered))
-        assert fec > plain
+        recovered = recover_with_parity(voice, self._secondary(voice, loss=0.08), 4)
+        assert score_trace(recovered, fixed(60.0)).mos > score_trace(voice, fixed(60.0)).mos
 
 
 class TestVoiceCallFEC:
@@ -439,3 +411,26 @@ class TestVoiceCallFEC:
             single, CallConfig(windows=4, use_switching=False, use_fec=True, seed=2)
         ).run()
         assert len(outcome.windows) == 4
+
+
+class TestVoiceCallDeterminism:
+    VARIANTS = {
+        "static": dict(use_switching=False),
+        "switching": dict(use_switching=True),
+        "fec": dict(use_switching=False, use_fec=True),
+        "diversity": dict(use_switching=False, use_diversity=True),
+        "both": dict(use_switching=True, use_diversity=True),
+    }
+
+    def _run(self, seed, **variant):
+        paths = [
+            PathQualityProcess(60.0 + 10.0 * i, 0.04, congest_probability=0.3, seed=seed + i)
+            for i in range(3)
+        ]
+        return VoiceCall(paths, CallConfig(windows=6, seed=seed, **variant)).run()
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_same_seed_runs_equal_window_for_window(self, variant):
+        first = self._run(4, **self.VARIANTS[variant])
+        assert first.windows == self._run(4, **self.VARIANTS[variant]).windows
+        assert first.windows != self._run(5, **self.VARIANTS[variant]).windows
