@@ -79,6 +79,8 @@ class ShardedDirectory:
         self._shards: List[Dict[str, RegistryEntry]] = [
             {} for _ in range(ring.shard_count)
         ]
+        # Per-host placement, resolved once: (registry key, ring chain).
+        self._placement: Dict[IPv4Address, Tuple[str, Tuple[int, ...]]] = {}
         self._down: set = set()
         self.log: List[str] = []
         self.joins = 0
@@ -96,11 +98,18 @@ class ShardedDirectory:
     def shard_count(self) -> int:
         return self._ring.shard_count
 
+    def _place(self, ip: IPv4Address) -> Tuple[str, Tuple[int, ...]]:
+        placed = self._placement.get(ip)
+        if placed is None:
+            chain = self._ring.chain(self._cluster_of_ip(ip))
+            placed = self._placement[ip] = (str(ip), chain)
+        return placed
+
     def owner_of(self, ip: IPv4Address) -> int:
-        return self._ring.owner(self._cluster_of_ip(ip))
+        return self._place(ip)[1][0]
 
     def preference_of(self, ip: IPv4Address) -> List[int]:
-        return self._ring.preference(self._cluster_of_ip(ip))
+        return list(self._place(ip)[1])
 
     def is_up(self, shard: int) -> bool:
         return shard not in self._down
@@ -118,24 +127,33 @@ class ShardedDirectory:
         """Register (or refresh) a host's lease on the first live shard
         of its preference chain; returns the shard used, None when the
         whole chain is down.  Re-registration is idempotent: the lease
-        is replaced, the registry never grows for a repeated join."""
+        is renewed in place, the registry never grows for a repeated
+        join."""
         self.joins += 1
-        owner = self.owner_of(ip)
-        for shard in self.preference_of(ip):
+        text, chain = self._place(ip)
+        owner = chain[0]
+        for shard in chain:
             if not self.is_up(shard):
                 continue
-            self._shards[shard][str(ip)] = RegistryEntry(
-                ip=str(ip), registered_ms=at_ms, expires_ms=at_ms + self._ttl_ms
-            )
+            registry = self._shards[shard]
+            entry = registry.get(text)
+            if entry is None:
+                registry[text] = RegistryEntry(
+                    ip=text, registered_ms=at_ms, expires_ms=at_ms + self._ttl_ms
+                )
+                # Only an insertion can raise the total.
+                self.peak_total = max(self.peak_total, self.total())
+            else:
+                entry.registered_ms = at_ms
+                entry.expires_ms = at_ms + self._ttl_ms
             if shard != owner:
                 self.failover_joins += 1
                 obs.counter("control.directory.failover_joins").inc()
-                self._log(at_ms, "join-failover", ip=str(ip), owner=owner, shard=shard)
-            self.peak_total = max(self.peak_total, self.total())
+                self._log(at_ms, "join-failover", ip=text, owner=owner, shard=shard)
             return shard
         self.failed_joins += 1
         obs.counter("control.directory.failed_joins").inc()
-        self._log(at_ms, "join-failed", ip=str(ip), owner=owner)
+        self._log(at_ms, "join-failed", ip=text, owner=owner)
         return None
 
     def leave(self, ip: IPv4Address, at_ms: float) -> int:
@@ -143,12 +161,13 @@ class ShardedDirectory:
         on a down shard linger until its post-recovery sweep)."""
         self.leaves += 1
         removed = 0
-        for shard in self.preference_of(ip):
+        text, chain = self._place(ip)
+        for shard in chain:
             if not self.is_up(shard):
                 continue
-            if self._shards[shard].pop(str(ip), None) is not None:
+            if self._shards[shard].pop(text, None) is not None:
                 removed += 1
-        self._log(at_ms, "leave", ip=str(ip), removed=removed)
+        self._log(at_ms, "leave", ip=text, removed=removed)
         return removed
 
     def resolve(self, ip: IPv4Address, at_ms: float) -> Optional[Tuple[int, int]]:
@@ -159,11 +178,12 @@ class ShardedDirectory:
         """
         self.resolves += 1
         attempts = 0
-        for shard in self.preference_of(ip):
+        text, chain = self._place(ip)
+        for shard in chain:
             if not self.is_up(shard):
                 continue
             attempts += 1
-            entry = self._shards[shard].get(str(ip))
+            entry = self._shards[shard].get(text)
             if entry is not None and entry.expires_ms > at_ms:
                 return shard, attempts
         self.resolve_misses += 1

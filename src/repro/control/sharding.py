@@ -11,9 +11,9 @@ Python's randomized ``hash()``.
 Two moving parts:
 
 - :class:`HashRing` — ``shards × virtual_nodes`` points on a 64-bit
-  ring; ``owner(key)`` walks clockwise from the key's hash,
-  ``preference(key)`` lists distinct shards in successor order (the
-  failover chain when the owner is down);
+  ring; ``chain(key)`` walks clockwise from the key's hash once and
+  keeps the distinct shards in successor order (the failover chain when
+  the owner is down), ``owner(key)`` is its head;
 - :class:`BootstrapRouter` — the client-side view: cluster id → the
   wire addresses a host agent should try, owner first.  A plain
   single-bootstrap deployment is the degenerate one-shard router, so
@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.netaddr import IPv4Address
 
@@ -63,29 +64,33 @@ class HashRing:
         points.sort()
         self._hashes = [h for h, _ in points]
         self._shards = [s for _, s in points]
+        # Placement is static, so each key's chain is walked once.  Keyed
+        # by the hashed text, so keys that compare equal but format
+        # differently (1 and True) never share a chain.
+        self._chains: Dict[str, Tuple[int, ...]] = {}
+
+    def chain(self, key) -> Tuple[int, ...]:
+        """Every shard in clockwise order from the key, each once: the
+        owner, then its ring successors — the full failover chain."""
+        text = f"key:{key}"
+        chain = self._chains.get(text)
+        if chain is None:
+            start = bisect.bisect_right(self._hashes, _stable_hash(text))
+            clockwise = self._shards[start:] + self._shards[:start]
+            chain = self._chains[text] = tuple(dict.fromkeys(clockwise))
+            obs.counter("control.ring.chains").inc()
+        return chain
 
     def owner(self, key) -> int:
         """The shard owning a key (first ring point clockwise)."""
-        index = bisect.bisect_right(self._hashes, _stable_hash(f"key:{key}"))
-        if index == len(self._hashes):
-            index = 0
-        return self._shards[index]
+        return self.chain(key)[0]
 
-    def preference(self, key, count: int = None) -> List[int]:
-        """Distinct shards in clockwise order from the key: the owner,
-        then its ring successors — the failover chain."""
-        if count is None:
-            count = self.shard_count
-        count = min(count, self.shard_count)
-        start = bisect.bisect_right(self._hashes, _stable_hash(f"key:{key}"))
-        seen: List[int] = []
-        for offset in range(len(self._shards)):
-            shard = self._shards[(start + offset) % len(self._shards)]
-            if shard not in seen:
-                seen.append(shard)
-                if len(seen) >= count:
-                    break
-        return seen
+    def preference(self, key, count: Optional[int] = None) -> List[int]:
+        """The first ``count`` shards of the key's chain (all of them by
+        default) — the failover order."""
+        if count is not None and count < 1:
+            raise ConfigurationError(f"preference count must be >= 1, got {count}")
+        return list(self.chain(key)[:count])
 
 
 class BootstrapRouter:

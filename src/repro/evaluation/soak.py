@@ -269,6 +269,7 @@ def run_soak(
 
     hosts = scenario.population.hosts
     alive = {host.ip for host in hosts}
+    ip_text = {host.ip: str(host.ip) for host in hosts}
     system = runtime.system
     sim = runtime.sim
     staleness_samples: List[float] = []
@@ -319,7 +320,7 @@ def run_soak(
     def maintenance_tick() -> None:
         now = sim.now_ms
         # Lease refresh pass (deterministic host order) + TTL sweep.
-        for ip in sorted(alive, key=str):
+        for ip in sorted(alive, key=ip_text.__getitem__):
             directory.join(ip, now)
         directory.sweep(now)
         # Inter-tick close-set drift: snapshot, repair, compare against

@@ -61,6 +61,9 @@ class LatencyModel:
             effective = topology.graph.without(conditions.failed_ases)
         self._router = PolicyRouter(effective)
         self._jitter_cache: Dict[Tuple[int, int], float] = {}
+        # Conditions are frozen and the routing graph is fixed here, so
+        # a pair's first one-way delay (or None) is its value for good.
+        self._one_way: Dict[Tuple[int, int], Optional[float]] = {}
 
     @property
     def router(self) -> PolicyRouter:
@@ -142,12 +145,18 @@ class LatencyModel:
 
     def as_one_way_ms(self, src_as: int, dst_as: int) -> Optional[float]:
         """One-way latency between two AS border routers, or None."""
+        key = (src_as, dst_as)
+        try:
+            return self._one_way[key]
+        except KeyError:
+            pass
         if src_as == dst_as:
-            return self.endpoint_cost_ms(src_as)
-        path = self.as_path(src_as, dst_as)
-        if path is None:
-            return None
-        return self.path_one_way_ms(path)
+            one_way = self.endpoint_cost_ms(src_as)
+        else:
+            path = self.as_path(src_as, dst_as)
+            one_way = None if path is None else self.path_one_way_ms(path)
+        self._one_way[key] = one_way
+        return one_way
 
     def as_rtt_ms(self, src_as: int, dst_as: int) -> Optional[float]:
         """Round-trip latency between two ASes (symmetric model)."""

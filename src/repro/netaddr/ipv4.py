@@ -58,7 +58,8 @@ class IPv4Address:
         return (self.value >> (31 - index)) & 1
 
     def __str__(self) -> str:
-        return ".".join(str(o) for o in self.octets())
+        v = self.value
+        return f"{v >> 24}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
 
     def __repr__(self) -> str:
         return f"IPv4Address({str(self)!r})"

@@ -23,10 +23,14 @@
 - :func:`dense_k_hops`: ``np.percentile`` over the materialized hop
   multiset — the dense expression :func:`repro.core.config.derive_k_hops`
   had before the histogram fold became its only body.
+- :func:`ring_preference`: the clockwise ring walk
+  :meth:`repro.control.HashRing.preference` ran on every call before
+  each key's chain was memoized, verbatim.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass
@@ -37,6 +41,7 @@ import pytest
 
 from repro.bgp.asgraph import ASGraph
 from repro.bgp.routes import RouteClass
+from repro.control.sharding import HashRing, _stable_hash
 from repro.core import construct_close_cluster_set
 from repro.core.close_cluster import CloseClusterSet
 from repro.core.config import ASAPConfig
@@ -408,3 +413,21 @@ def dense_k_hops(
         return 4
     derived = int(np.percentile(hops, quantile))
     return max(minimum, min(maximum, derived))
+
+
+def ring_preference(ring: HashRing, key, count: Optional[int] = None) -> List[int]:
+    """Distinct shards clockwise from the key's hash, walked point by
+    point over ``ring``'s sorted points (the pre-memo ``preference``)."""
+    if count is None:
+        count = ring.shard_count
+    count = min(count, ring.shard_count)
+    hashes, shards = ring._hashes, ring._shards
+    start = bisect.bisect_right(hashes, _stable_hash(f"key:{key}"))
+    seen: List[int] = []
+    for offset in range(len(shards)):
+        shard = shards[(start + offset) % len(shards)]
+        if shard not in seen:
+            seen.append(shard)
+            if len(seen) >= count:
+                break
+    return seen

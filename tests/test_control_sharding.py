@@ -1,10 +1,15 @@
 """Tests for the sharded control plane: hash ring, router, directory."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.control import BootstrapRouter, HashRing, ShardedDirectory
+from repro.control.directory import RegistryEntry
 from repro.errors import ConfigurationError
 from repro.netaddr import IPv4Address
+from tests.oracles import ring_preference
 
 
 def _ip(value: int) -> IPv4Address:
@@ -36,6 +41,42 @@ class TestHashRing:
     def test_preference_count_truncates(self):
         ring = HashRing(4)
         assert len(ring.preference(7, count=2)) == 2
+
+    @pytest.mark.parametrize("count", [0, -1, -4])
+    def test_preference_count_below_one_rejected(self, count):
+        with pytest.raises(ConfigurationError):
+            HashRing(4).preference(7, count=count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shards=st.integers(1, 8),
+        virtual_nodes=st.integers(1, 24),
+        keys=st.lists(
+            st.one_of(st.integers(-(2**40), 2**40), st.text(max_size=12), st.booleans()),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_memoized_chain_matches_ring_walk(self, shards, virtual_nodes, keys):
+        ring = HashRing(shards, virtual_nodes)
+        for _ in range(2):  # first pass computes, second reads the memo
+            for key in keys:
+                walk = ring_preference(ring, key)
+                assert ring.chain(key) == tuple(walk)
+                assert ring.owner(key) == walk[0]
+                assert ring.preference(key) == walk
+                for count in range(1, shards + 2):
+                    assert ring.preference(key, count) == ring_preference(ring, key, count)
+
+    def test_each_key_chain_is_walked_once(self):
+        ring = HashRing(3)
+        with obs.observe() as run:
+            for _ in range(5):
+                for key in range(10):
+                    ring.owner(key)
+                    ring.preference(key, 2)
+            ring.chain("7")  # formats like 7: the same ring position
+            assert run.registry.counter_value("control.ring.chains") == 10
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -145,3 +186,83 @@ class TestShardedDirectory:
             return directory.log
 
         assert run() == run()
+
+
+class FreshEntryDirectory(ShardedDirectory):
+    """The model: every join stores a new ``RegistryEntry`` and re-reads
+    the total (the directory before refreshes renewed leases in place)."""
+
+    def join(self, ip, at_ms):
+        self.joins += 1
+        owner = self.owner_of(ip)
+        for shard in self.preference_of(ip):
+            if not self.is_up(shard):
+                continue
+            self._shards[shard][str(ip)] = RegistryEntry(
+                ip=str(ip), registered_ms=at_ms, expires_ms=at_ms + self._ttl_ms
+            )
+            if shard != owner:
+                self.failover_joins += 1
+                self._log(at_ms, "join-failover", ip=str(ip), owner=owner, shard=shard)
+            self.peak_total = max(self.peak_total, self.total())
+            return shard
+        self.failed_joins += 1
+        self._log(at_ms, "join-failed", ip=str(ip), owner=owner)
+        return None
+
+
+def _registries(directory):
+    return [list(registry.items()) for registry in directory._shards]
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["join", "join", "join", "leave", "resolve", "sweep", "down", "up"]),
+        st.integers(0, 11),  # host (or shard, mod 3)
+        st.floats(0.0, 60.0),  # time step; the TTL is 100 ms
+    ),
+    max_size=80,
+)
+
+
+class TestInPlaceRefresh:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS)
+    def test_matches_fresh_entry_model(self, ops):
+        ring = HashRing(3)
+        cluster_of = lambda ip: ip.value % 5  # noqa: E731
+        directory = ShardedDirectory(ring, cluster_of, ttl_ms=100.0)
+        model = FreshEntryDirectory(HashRing(3), cluster_of, ttl_ms=100.0)
+        now = 0.0
+        for kind, target, step in ops:
+            now += step
+            ip = _ip(target)
+            results = []
+            for d in (directory, model):
+                if kind == "join":
+                    results.append(d.join(ip, now))
+                elif kind == "leave":
+                    results.append(d.leave(ip, now))
+                elif kind == "resolve":
+                    results.append(d.resolve(ip, now))
+                elif kind == "sweep":
+                    results.append(d.sweep(now))
+                elif kind == "down":
+                    results.append(d.set_shard_down(target % 3, now))
+                else:
+                    results.append(d.set_shard_up(target % 3, now))
+            assert results[0] == results[1]
+            assert _registries(directory) == _registries(model)
+            assert directory.peak_total == model.peak_total
+        assert "\n".join(directory.log).encode() == "\n".join(model.log).encode()
+        assert directory.stats() == model.stats()
+
+    def test_refresh_renews_the_same_entry(self):
+        directory = _directory(ttl_ms=100.0)
+        ip = _ip(1)
+        shard = directory.join(ip, 0.0)
+        entry = directory._shards[shard][str(ip)]
+        assert directory.join(ip, 50.0) == shard
+        assert directory._shards[shard][str(ip)] is entry
+        assert (entry.registered_ms, entry.expires_ms) == (50.0, 150.0)
+        assert directory.sweep(120.0) == 0  # the renewed lease outlives t=100

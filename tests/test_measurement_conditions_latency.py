@@ -1,7 +1,11 @@
 """Tests for network conditions and the latency model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.measurement import (
@@ -12,6 +16,7 @@ from repro.measurement import (
     RELAY_DELAY_RTT_MS,
     generate_conditions,
 )
+from repro.scenario import ScenarioConfig, build_scenario
 from repro.topology import (
     PopulationConfig,
     TopologyConfig,
@@ -190,3 +195,64 @@ class TestLatencyModel:
         clone = LatencyModel(topo, conditions, population, seed=1)
         a, b = population.hosts[0], population.hosts[1]
         assert clone.host_rtt_ms(a, b) == model.host_rtt_ms(a, b)
+
+
+def _one_way_oracle(model, src_as, dst_as):
+    """The one-way delay recomputed from the policy path, never memoized."""
+    if src_as == dst_as:
+        return model.endpoint_cost_ms(src_as)
+    path = model.as_path(src_as, dst_as)
+    return None if path is None else model.path_one_way_ms(path)
+
+
+@pytest.fixture(scope="module")
+def small_models():
+    """The ``small`` world's model, plus one with a transit AS failed
+    that some healthy stub-to-stub path crosses."""
+    scenario = build_scenario(ScenarioConfig.preset("small", 0))
+    healthy = scenario.latency
+    stubs = scenario.topology.stub_ases()
+    through = {}
+    for a in stubs[:12]:
+        for b in stubs[-12:]:
+            path = healthy.as_path(a, b)
+            for asn in path[1:-1] if path else ():
+                through.setdefault(asn, []).append((a, b))
+    dead = max(through, key=lambda asn: len(through[asn]))
+    failed = LatencyModel(
+        scenario.topology,
+        dataclasses.replace(scenario.conditions, failed_ases=frozenset({dead})),
+        scenario.population,
+        seed=0,
+    )
+    return scenario, healthy, failed, dead, through[dead]
+
+
+class TestOneWayMemo:
+    def _check(self, model, pairs):
+        for _ in range(2):  # first pass fills the memo, second reads it
+            for a, b in pairs:
+                for src, dst in ((a, b), (b, a), (a, a)):
+                    assert model.as_one_way_ms(src, dst) == _one_way_oracle(model, src, dst)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_memo_equals_recomputed_path_delay(self, small_models, data):
+        scenario, healthy, failed, dead, _ = small_models
+        ases = sorted(scenario.topology.graph.ases())
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ases), st.sampled_from(ases)),
+                                   min_size=1, max_size=6))
+        self._check(healthy, pairs)
+        self._check(failed, pairs + [(dead, pairs[0][0])])
+
+    def test_pairs_through_a_failed_as(self, small_models):
+        scenario, healthy, failed, dead, crossing = small_models
+        self._check(failed, crossing)
+        for a, b in crossing:
+            assert dead in healthy.as_path(a, b)
+            path = failed.as_path(a, b)
+            assert path is None or dead not in path
+        for other in scenario.topology.stub_ases()[:5]:
+            assert failed.as_one_way_ms(other, dead) is None
+            assert failed.as_one_way_ms(dead, other) is None  # None stays None
+            assert failed.as_rtt_ms(dead, other) is None

@@ -1,6 +1,8 @@
 """Unit tests for IPv4 address and prefix value types."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AddressError
 from repro.netaddr import IPv4Address, IPv4Prefix, parse_address, parse_prefix
@@ -16,6 +18,22 @@ class TestIPv4Address:
 
     def test_octets(self):
         assert IPv4Address.from_string("1.2.3.4").octets() == (1, 2, 3, 4)
+
+    @staticmethod
+    def _joined_octets(address):
+        return ".".join(str(o) for o in address.octets())
+
+    @pytest.mark.parametrize("value", [0, 2**32 - 1, 0x0A000001, 0x00FF00FF, 0xFF00FF00])
+    def test_str_equals_joined_octets_at_edges(self, value):
+        address = IPv4Address(value)
+        assert str(address).encode() == self._joined_octets(address).encode()
+
+    @settings(max_examples=500)
+    @given(st.integers(0, 2**32 - 1))
+    def test_str_equals_joined_octets(self, value):
+        address = IPv4Address(value)
+        assert str(address) == self._joined_octets(address)
+        assert IPv4Address.from_string(str(address)) == address
 
     def test_ordering_matches_integer_order(self):
         a = IPv4Address.from_string("10.0.0.1")
