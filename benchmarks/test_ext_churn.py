@@ -47,10 +47,10 @@ def test_ext_churn(benchmark, eval_scenario):
     setups = runtime.setup_times_ms()
     sessions_with_relay = [
         r for r in runtime.call_setups
-        if r.session is not None and r.session.best_relay_rtt_ms is not None
+        if r.selection is not None and r.selection.best_rtt_ms() is not None
     ]
     rescued = sum(
-        1 for r in sessions_with_relay if r.session.best_relay_rtt_ms < 300.0
+        1 for r in sessions_with_relay if r.selection.best_rtt_ms() < 300.0
     )
 
     print()

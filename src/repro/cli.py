@@ -692,9 +692,9 @@ def cmd_dial(args: argparse.Namespace) -> int:
     selection, media, teardown."""
     import asyncio
 
-    from repro.core.runtime import RuntimePolicy
+    from repro.core.dial import RuntimePolicy
     from repro.errors import ServiceError
-    from repro.net.faulty import ShapedTransport
+    from repro.net.shaped import ShapedTransport
     from repro.net.sockets import TcpTransport
     from repro.service.demo import _relay_pool_ips
     from repro.service.host import HostAgent

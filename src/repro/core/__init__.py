@@ -22,19 +22,19 @@ from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet, constru
 from repro.core.relay_selection import RelaySelection, select_close_relay
 from repro.core.protocol import ASAPSession, ASAPSystem
 from repro.core.assignment import RelayAssignment, RelayAssignmentService
-from repro.core.runtime import (
-    ASAPRuntime,
-    CallSetupRecord,
+from repro.core.dial import (
+    DialResult,
     FailoverEvent,
     JoinRecord,
     MediaSessionRecord,
     RuntimePolicy,
 )
+from repro.core.runtime import ASAPRuntime
 
 __all__ = [
     "ASAPConfig",
     "ASAPRuntime",
-    "CallSetupRecord",
+    "DialResult",
     "FailoverEvent",
     "JoinRecord",
     "MediaSessionRecord",

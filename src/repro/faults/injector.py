@@ -179,7 +179,7 @@ class FaultInjector:
                 touch(call.trace, call.caller, call.callee, call.relay_ip)
         for media in runtime.media_sessions:
             if media.outcome == "active":
-                touch(media.call_trace, media.caller, media.callee, media.relay_ip)
+                touch(media.trace, media.caller, media.callee, media.relay_ip)
         return disrupted
 
     def _apply(self, event: FaultEvent):

@@ -14,9 +14,8 @@ here as real bytes on a wire:
   same codec deterministically under a virtual clock (byte-identical
   runs, CI-friendly);
 - :mod:`repro.net.sockets` — real asyncio TCP on localhost or anywhere;
-- :mod:`repro.net.faulty` — a seeded drop/latency-injecting wrapper
-  around any transport (the fault-injection story of :mod:`repro.faults`
-  extended to the wire).
+- :mod:`repro.net.shaped` — per-destination latency shaping, so real
+  localhost sockets pay the scenario's RTTs.
 """
 
 from repro.net.codec import (
@@ -51,10 +50,19 @@ from repro.net.codec import (
     decode_frame,
     encode_frame,
 )
-from repro.net.faulty import FaultyTransport, ShapedTransport
+from repro.net.shaped import ShapedTransport
 from repro.net.loopback import LoopbackHub, LoopbackTransport
-from repro.net.sockets import TcpTransport
 from repro.net.transport import Transport
+
+
+def __getattr__(name: str):
+    # The socket stack (asyncio) loads on first use, so importing the
+    # codec — as the call flow in repro.core.dial does — stays light.
+    if name == "TcpTransport":
+        from repro.net.sockets import TcpTransport
+
+        return TcpTransport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CODEC_SCHEMA_VERSION",
@@ -69,7 +77,6 @@ __all__ = [
     "CloseSetQuery",
     "CloseSetReply",
     "ErrorFrame",
-    "FaultyTransport",
     "Frame",
     "FrameDecoder",
     "Join",

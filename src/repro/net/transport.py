@@ -9,9 +9,6 @@ bytes).  Two implementations ship:
   clock, deterministic (same program + same seed → byte-identical runs);
 - :class:`repro.net.sockets.TcpTransport` — real asyncio TCP sockets.
 
-plus :class:`repro.net.faulty.FaultyTransport`, a seeded drop/latency
-wrapper around either.
-
 Handlers are async callables ``handler(sender_addr, frame) -> Message |
 None``; for ``REQUEST`` frames the returned message is sent back as the
 response (``None`` or a raised error becomes an ``ERROR`` frame).  Time

@@ -1,8 +1,9 @@
 """``repro.service`` — ASAP daemons over a real (or loopback) wire.
 
-The simulated runtime (:mod:`repro.core.runtime`) drives the protocol
-state machines through callback scheduling; this package runs the same
-flows as asyncio daemons exchanging :mod:`repro.net` frames:
+The simulated runtime (:mod:`repro.core.runtime`) runs the protocol's
+call flow (:mod:`repro.core.dial`) over a simulated network; this
+package runs the same flow, and the daemons that answer it, over
+:mod:`repro.net` frames:
 
 - :class:`BootstrapServer` — registration + the overlay's directory
   (ip → wire address, cluster → serving surrogate daemon);
@@ -18,7 +19,7 @@ flows as asyncio daemons exchanging :mod:`repro.net` frames:
 All daemons share :class:`ServiceWorld`, the deterministically built
 scenario both sides of a TCP deployment reconstruct from
 ``(scale, seed)``.  Timeouts, retries and backoff come from the same
-:class:`repro.core.runtime.RuntimePolicy` the simulator uses, and the
+:class:`repro.core.dial.RuntimePolicy` the simulator uses, and the
 agents emit the same trace-span vocabulary (``join``, ``call``,
 ``setup.ping``, ``setup.close_set``, ``setup.two_hop``,
 ``setup.relay_pick``, ``setup.done``, ``media``), so a call over real
@@ -28,7 +29,8 @@ simulated one.
 
 from repro.service.bootstrap import BootstrapServer
 from repro.service.demo import DemoResult, run_demo
-from repro.service.host import DialResult, HostAgent
+from repro.core.dial import DialResult
+from repro.service.host import HostAgent
 from repro.service.node import ServiceNode
 from repro.service.surrogate import SurrogateServer
 from repro.service.world import ServiceWorld

@@ -12,7 +12,7 @@ Two substrates, same daemons, same bytes:
   same ``(scale, seed)`` produces byte-identical ``traces.jsonl`` runs
   in milliseconds of wall time;
 - ``transport="tcp"`` — real asyncio sockets on 127.0.0.1, with
-  :class:`repro.net.faulty.ShapedTransport` injecting the scenario's
+  :class:`repro.net.shaped.ShapedTransport` injecting the scenario's
   RTTs so the latency threshold and relay decisions behave as in the
   simulated world.
 """
@@ -26,15 +26,15 @@ from typing import Callable, Dict, List, Optional
 from repro import obs
 from repro.control.sharding import BootstrapRouter, HashRing
 from repro.core.relay_selection import ranked_relay_clusters
-from repro.core.runtime import RuntimePolicy
+from repro.core.dial import DialResult, RuntimePolicy
 from repro.errors import ServiceError
-from repro.net.faulty import ShapedTransport
+from repro.net.shaped import ShapedTransport
 from repro.net.loopback import LoopbackHub, LoopbackTransport
 from repro.net.sockets import TcpTransport
 from repro.net.transport import Transport
 from repro.netaddr import IPv4Address
 from repro.service.bootstrap import BootstrapServer
-from repro.service.host import DialResult, HostAgent
+from repro.service.host import HostAgent
 from repro.service.surrogate import SurrogateServer
 from repro.service.world import ServiceWorld
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Coroutine, Deque, List, Optional
+from typing import Any, Callable, Coroutine, Deque, List, NamedTuple, Optional
 
 from repro.errors import ReproError
 
@@ -35,16 +34,13 @@ class SimulationError(ReproError):
     """The simulator was driven incorrectly (e.g. scheduling in the past)."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """A scheduled callback; compare by (time, seq) for heap ordering."""
+class Event(NamedTuple):
+    """A scheduled callback.  The heap orders events as tuples: by time,
+    then by ``seq`` — unique, so ``action`` is never compared."""
 
     time_ms: float
     seq: int
-    action: Callable[[], Any] = field(compare=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_ms, self.seq) < (other.time_ms, other.seq)
+    action: Callable[[], Any]
 
 
 class Wait:

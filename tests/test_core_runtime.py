@@ -75,19 +75,20 @@ class TestCallSetup:
         direct = scenario.latency.host_rtt_ms(
             scenario.population.by_ip(caller), scenario.population.by_ip(callee)
         )
-        assert record.setup_ms == pytest.approx(direct, rel=1e-6)
-        assert not record.session.relay_needed
+        # One measured ping; set-up times are reported to the microsecond.
+        assert record.setup_ms == pytest.approx(direct, abs=5e-4)
+        assert not record.relay_needed
 
     def test_latent_pair_setup_bounded_by_few_rtts(self, scenario, runtime):
         caller, callee = latent_host_pair(scenario)
         record = runtime.schedule_call(caller, callee)
         runtime.run()
         assert record.setup_ms is not None
-        assert record.session.relay_needed
+        assert record.relay_needed
         # Setup is a handful of RTTs — single-digit seconds even on a
         # terrible path, versus Skype's tens-to-hundreds of seconds.
         assert record.setup_ms < 10_000.0
-        assert record.setup_ms > record.session.direct_rtt_ms  # ping + fetches
+        assert record.setup_ms > record.direct_rtt_ms  # ping + fetches
 
     def test_callback_invoked(self, scenario, runtime):
         caller, callee = latent_host_pair(scenario)
@@ -115,7 +116,7 @@ class TestCallSetup:
         runtime.run(until_ms=1.0)
         assert runtime.sim.now_ms == 1.0
         assert runtime.pending_records() == [join, call]
-        assert call.attempts == 1 and call.session is None
+        assert call.attempts == 1 and call.selection is None
         # Stop again mid-call: setup is done, the keepalive loop is parked.
         runtime.run(until_ms=10_000.0)
         assert call.outcome == "completed" and join.outcome == "completed"

@@ -111,7 +111,7 @@ class TestRuntimeChurn:
         record = runtime.schedule_call(ca.hosts[0].ip, cb.hosts[0].ip, at_ms=100.0)
         runtime.run()
         assert record.setup_ms is not None
-        assert record.session is not None
+        assert record.outcome in ("completed", "degraded")
 
 
 class TestLeaveChurn:

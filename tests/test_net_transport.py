@@ -1,4 +1,4 @@
-"""Tests for the wire transports: loopback, TCP, fault and shaping wrappers.
+"""Tests for the wire transports: loopback, TCP, and latency shaping.
 
 The loopback's virtual clock must be exact and deterministic; the TCP
 transport must round-trip the same frames over real sockets and map
@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import RemoteError, TransportTimeout
 from repro.net.codec import ERR_INTERNAL, ERR_UNSUPPORTED, Ping, Pong
-from repro.net.faulty import FaultyTransport, ShapedTransport
+from repro.net.shaped import ShapedTransport
 from repro.net.loopback import LoopbackHub, LoopbackTransport
 from repro.net.sockets import TcpTransport
 
@@ -258,33 +258,6 @@ class TestTcp:
 
 
 class TestWrappers:
-    def test_faulty_drop_consumes_timeout_then_raises(self):
-        async def main(hub):
-            raw_a, b = _loopback_pair(hub)
-            a = FaultyTransport(raw_a, seed=0, drop_rate=1.0)
-            b.bind(_echo)
-            await a.start()
-            await b.start()
-            with pytest.raises(TransportTimeout):
-                await a.request("b", Ping(token=1), timeout_ms=60.0)
-            return hub.now_ms, a.dropped
-
-        hub, (now, dropped) = _run_loopback(main)
-        assert now == pytest.approx(60.0)  # silent peer: full timeout burned
-        assert dropped == 1
-
-    def test_faulty_zero_rate_is_transparent(self):
-        async def main(hub):
-            raw_a, b = _loopback_pair(hub)
-            a = FaultyTransport(raw_a, seed=0, drop_rate=0.0)
-            b.bind(_echo)
-            await a.start()
-            await b.start()
-            return await a.request("b", Ping(token=2), timeout_ms=60.0)
-
-        _, reply = _run_loopback(main)
-        assert reply == Pong(token=2)
-
     def test_shaped_injects_per_destination_rtt(self):
         async def main(hub):
             raw_a, b = _loopback_pair(hub)

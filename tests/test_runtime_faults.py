@@ -161,12 +161,14 @@ class TestRelayExclusion:
         config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
         runtime = ASAPRuntime(scenario, config)
         record = relayed_setup(runtime, scenario)
-        session = record.session
         first_choice = record.relay_ip
         runtime.system.leave(first_choice)
-        alt = runtime._pick_relay(session)
-        if alt is not None:
-            assert alt[1] != first_choice
+        again = runtime.schedule_call(
+            record.caller, record.callee, at_ms=runtime.sim.now_ms
+        )
+        runtime.run()
+        assert again.outcome in ("completed", "degraded")
+        assert again.relay_ip != first_choice
 
 
 class TestKeepaliveFailover:
@@ -209,7 +211,8 @@ class TestKeepaliveFailover:
         record = runtime.schedule_call(
             caller, callee, at_ms=60_000.0, media_duration_ms=8_000.0
         )
-        runtime.run(until_ms=62_000.0)
+        # Set-up, then the callee's admission, before media starts.
+        runtime.run(until_ms=64_000.0)
         if record.outcome != "completed" or record.relay_ip is None:
             pytest.skip("setup did not select a relay on this scenario")
         media = runtime.media_sessions[0]
@@ -236,12 +239,12 @@ class TestKeepaliveFailover:
         media = runtime.media_sessions[0]
         scheduled_end = media.ends_ms
         # No surviving relay candidate and no direct route: every other
-        # host goes dark and the latency model reports caller/callee as
+        # host goes dark and the latency model reports every pair as
         # unreachable, so the failover chain must end in a drop.
         for host in scenario.population.hosts:
             if host.ip not in (caller, callee):
                 runtime.network.set_host_down(host.ip)
-        monkeypatch.setattr(runtime, "_rtt_between", lambda a, b: None)
+        monkeypatch.setattr(scenario.latency, "host_rtt_ms", lambda a, b: None)
         runtime.run()
         assert media.outcome == "dropped"
         assert media.ends_ms == scheduled_end

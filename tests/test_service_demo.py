@@ -108,8 +108,7 @@ class TestLoopbackDemo:
         assert max(relayed.values()) >= 2  # the shape under test
 
     def test_relayed_dial_runs_each_selection_step_once(self, tmp_path, world, monkeypatch):
-        from repro.core import relay_selection
-        from repro.service import host
+        from repro.core import dial, relay_selection
 
         calls = {"select_close_relay": 0, "select_one_hop": 0, "select_two_hop": 0}
 
@@ -123,8 +122,8 @@ class TestLoopbackDemo:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(relay_selection, "select_close_relay")
-        counting(host, "select_one_hop")
-        counting(host, "select_two_hop")
+        counting(dial, "select_one_hop")
+        counting(dial, "select_two_hop")
         result, trace_bytes = _traced_demo(tmp_path / "t", world)
         assert result.relayed == 1
         assert calls == {"select_close_relay": 0, "select_one_hop": 1, "select_two_hop": 1}
