@@ -17,8 +17,8 @@ that regime first-class:
   :class:`CloseSetMaintainer` drains join/leave events and patches the
   affected close sets in place, falling back to a from-scratch build
   only when an expansion verdict flips, so the maintained sets stay
-  *parity-exact* with :func:`repro.core.close_cluster.
-  construct_close_cluster_set` on the same world state.
+  *parity-exact* with the Fig. 9 oracle (``tests/oracles.py``) on the
+  same world state.
 
 Everything is seed-deterministic: same seed → same shard placements,
 same repair sequence, same logs.

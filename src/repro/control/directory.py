@@ -15,13 +15,14 @@ the owner recovers: refreshes return to the owner, the successor's
 copies expire.
 
 Every mutation appends one canonical JSON line to the operation log —
-the byte-stable artifact the soak's determinism check diffs.
+the byte-stable artifact the soak's determinism check diffs.  The wire
+:class:`~repro.service.bootstrap.BootstrapServer` is a one-shard instance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -38,6 +39,7 @@ class RegistryEntry:
     ip: str
     registered_ms: float
     expires_ms: float
+    addr: str = ""  # the transport address advertised ("" in the simulator)
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,7 @@ class DirectoryStats:
     swept: int
 
     def to_dict(self) -> dict:
-        return {
-            "joins": self.joins,
-            "failover_joins": self.failover_joins,
-            "failed_joins": self.failed_joins,
-            "leaves": self.leaves,
-            "resolves": self.resolves,
-            "resolve_misses": self.resolve_misses,
-            "swept": self.swept,
-        }
+        return asdict(self)
 
 
 class ShardedDirectory:
@@ -87,6 +81,9 @@ class ShardedDirectory:
         self.failover_joins = 0
         self.failed_joins = 0
         self.leaves = 0
+        #: Joins that renewed a live lease / leases a leave removed.
+        self.refreshes = 0
+        self.removals = 0
         self.resolves = 0
         self.resolve_misses = 0
         self.swept = 0
@@ -123,12 +120,12 @@ class ShardedDirectory:
 
     # -- operations ------------------------------------------------------------
 
-    def join(self, ip: IPv4Address, at_ms: float) -> Optional[int]:
-        """Register (or refresh) a host's lease on the first live shard
-        of its preference chain; returns the shard used, None when the
-        whole chain is down.  Re-registration is idempotent: the lease
-        is renewed in place, the registry never grows for a repeated
-        join."""
+    def join(self, ip: IPv4Address, at_ms: float, addr: str = "") -> Optional[int]:
+        """Register (or refresh) a host's lease, advertising ``addr``, on
+        the first live shard of its preference chain; returns the shard
+        used, None when the whole chain is down.  Re-registration is
+        idempotent: the lease is renewed in place, the registry never
+        grows for a repeated join."""
         self.joins += 1
         text, chain = self._place(ip)
         owner = chain[0]
@@ -139,13 +136,15 @@ class ShardedDirectory:
             entry = registry.get(text)
             if entry is None:
                 registry[text] = RegistryEntry(
-                    ip=text, registered_ms=at_ms, expires_ms=at_ms + self._ttl_ms
+                    ip=text, registered_ms=at_ms, expires_ms=at_ms + self._ttl_ms, addr=addr
                 )
                 # Only an insertion can raise the total.
                 self.peak_total = max(self.peak_total, self.total())
             else:
+                self.refreshes += 1
                 entry.registered_ms = at_ms
                 entry.expires_ms = at_ms + self._ttl_ms
+                entry.addr = addr
             if shard != owner:
                 self.failover_joins += 1
                 obs.counter("control.directory.failover_joins").inc()
@@ -167,14 +166,15 @@ class ShardedDirectory:
                 continue
             if self._shards[shard].pop(text, None) is not None:
                 removed += 1
+        self.removals += removed
         self._log(at_ms, "leave", ip=text, removed=removed)
         return removed
 
-    def resolve(self, ip: IPv4Address, at_ms: float) -> Optional[Tuple[int, int]]:
+    def resolve(self, ip: IPv4Address, at_ms: float) -> Optional[Tuple[int, int, str]]:
         """Look a host up along its preference chain.
 
-        Returns ``(shard, attempts)`` for a live unexpired lease, None
-        on a miss — a *well-formed* not-found, never a hang.
+        Returns ``(shard, attempts, addr)`` for a live unexpired lease,
+        None on a miss — a *well-formed* not-found, never a hang.
         """
         self.resolves += 1
         attempts = 0
@@ -185,7 +185,7 @@ class ShardedDirectory:
             attempts += 1
             entry = self._shards[shard].get(text)
             if entry is not None and entry.expires_ms > at_ms:
-                return shard, attempts
+                return shard, attempts, entry.addr
         self.resolve_misses += 1
         return None
 

@@ -1,32 +1,24 @@
-"""``construct-close-cluster-set()`` — paper Fig. 9.
+"""The close cluster set of paper Fig. 9 — the types every builder fills.
 
-Runs on a cluster surrogate ``s``: breadth-first search from s's AS over
-the annotated AS graph under the valley-free constraint, up to ``k``
-hops.  Every cluster discovered in a visited AS is probed (surrogate to
-surrogate RTT and loss); clusters passing the thresholds join the close
-cluster set.  Expansion continues through an AS only while the
-measurements there still pass — latT/lossT "stop path expansion".
-
-ASes that host no online cluster (transit networks) cannot be probed and
-do not bound the search; only the hop limit stops expansion through them.
+``construct-close-cluster-set()`` runs on a cluster surrogate ``s``: a
+breadth-first search from s's AS over the annotated AS graph under the
+valley-free constraint, up to ``k`` hops, probing every cluster found in
+a visited AS; clusters passing the latency/loss thresholds join the set,
+and expansion continues through an AS only while its measurements pass.
+:class:`repro.worldarrays.FlatCloseSetBuilder` is the one implementation;
+``tests/oracles.py::construct_close_cluster_set`` is its scalar
+transcription of the figure, which the parity tests hold it to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.bgp.asgraph import ASGraph, _PHASE_DOWN, _PHASE_UP
-from repro.core.config import ASAPConfig
 from repro.errors import ProtocolError
-
-# lat(c_own, c_other) and loss(c_own, c_other) between cluster surrogates,
-# by cluster matrix index; None when the probe gets no answer.
-LatencyProbe = Callable[[int, int], Optional[float]]
-LossProbe = Callable[[int, int], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -145,102 +137,12 @@ class CloseClusterSet:
         return (len(self) + len(fresh) - 2 * int(same.sum())) / max(1, len(fresh))
 
 
-def construct_close_cluster_set(
-    own_cluster: int,
-    own_as: int,
-    graph: ASGraph,
-    clusters_in_as: Callable[[int], List[int]],
-    lat: LatencyProbe,
-    loss: LossProbe,
-    config: Optional[ASAPConfig] = None,
-    meta_out: Optional[Dict[int, Tuple[int, bool]]] = None,
-) -> CloseClusterSet:
-    """Build the close cluster set for ``own_cluster`` whose AS is ``own_as``.
-
-    ``clusters_in_as`` maps an AS number to the matrix indices of online
-    clusters it hosts.  ``lat``/``loss`` probe the direct path between
-    this surrogate and another cluster's surrogate (2 messages per
-    probed cluster are accounted).
-
-    The BFS is *level-synchronous*: each hop level discovers its new
-    (AS, phase) states as a set, probes newly seen ASes in ascending
-    ASN order, and only then expands.  Expansion rights are a property
-    of the AS — an AS whose probes all failed blocks every phase state
-    through it.  This makes the result independent of neighbor
-    iteration order, which is what lets the vectorized flat-array
-    builder (:mod:`repro.worldarrays.closesets`) reproduce it
-    bit-for-bit.
-
-    ``meta_out``, when given, receives ``{asn: (depth, expands)}`` for
-    every visited AS — the BFS state the incremental maintainer
-    (:mod:`repro.control.maintainer`) needs to patch the set in place
-    when cluster membership changes.
-    """
-    if config is None:
-        config = ASAPConfig()
-    result = CloseClusterSet(owner=own_cluster)  # carries the accounting
-    if own_as not in graph:
-        # The surrogate's AS is unknown to the (inferred) graph — can
-        # happen when inference dropped it; the close set is then empty.
-        return result
-
-    # Own cluster and co-located clusters are trivially close (intra-AS).
-    found: Dict[int, CloseClusterEntry] = {}
-    for cluster in clusters_in_as(own_as):
-        if cluster == own_cluster:
-            found[cluster] = CloseClusterEntry(cluster, 0.0, 0.0, 0)
-            continue
-        measured = _probe(result, own_cluster, cluster, own_as, lat, loss)
-        if measured is not None:
-            rtt, lost = measured
-            if rtt < config.lat_threshold_ms and lost < config.loss_threshold:
-                found[cluster] = CloseClusterEntry(cluster, rtt, lost, 0)
-    result.ases_visited = 1
-
-    # Valley-free BFS outward, level by level, with threshold-based
-    # pruning per visited AS (latT/lossT "stop path expansion").
-    expands: Dict[int, bool] = {own_as: True}
-    if meta_out is not None:
-        meta_out[own_as] = (0, True)
-    visited: Set[Tuple[int, int]] = {(own_as, _PHASE_UP)}
-    frontier: List[Tuple[int, int]] = [(own_as, _PHASE_UP)]
-    for depth in range(1, config.k_hops + 1):
-        discovered: Set[Tuple[int, int]] = set()
-        for node, phase in frontier:
-            if not expands[node]:
-                continue
-            for state in _steps(graph, node, phase, config.valley_free):
-                if state not in visited:
-                    visited.add(state)
-                    discovered.add(state)
-        if not discovered:
-            break
-        for asn in sorted({a for a, _ in discovered} - expands.keys()):
-            result.ases_visited += 1
-            expands[asn] = _visit_as(
-                result, found, asn, depth, own_cluster, clusters_in_as, lat, loss, config
-            )
-            if meta_out is not None:
-                meta_out[asn] = (depth, expands[asn])
-        frontier = sorted(discovered)
-
-    members = [found[cluster] for cluster in sorted(found)]
-    result = replace(
-        result,
-        ids=[m.cluster for m in members],
-        rtt_ms=[m.rtt_ms for m in members],
-        loss=[m.loss for m in members],
-        as_hops=[m.as_hops for m in members],
-    )
-    emit_build_observability(result, own_as)
-    return result
-
-
 def emit_build_observability(result: CloseClusterSet, own_as: int) -> None:
     """Counters, histograms, and the trace span of one close-set build.
 
-    Shared by the reference path above and the flat-array builder so the
-    two emit byte-identical observability for identical results.
+    Shared by the flat-array builder and the Fig. 9 oracle in
+    ``tests/oracles.py`` so the two emit byte-identical observability
+    for identical results.
     """
     from repro import obs
 
@@ -269,62 +171,3 @@ def emit_build_observability(result: CloseClusterSet, own_as: int) -> None:
             ases_visited=result.ases_visited,
             probes_by_as={str(k): v for k, v in sorted(result.probes_by_as.items())},
         )
-
-
-def _visit_as(
-    result: CloseClusterSet,
-    found: Dict[int, CloseClusterEntry],
-    asn: int,
-    depth: int,
-    own_cluster: int,
-    clusters_in_as: Callable[[int], List[int]],
-    lat: LatencyProbe,
-    loss: LossProbe,
-    config: ASAPConfig,
-) -> bool:
-    """Probe every cluster in a newly visited AS.
-
-    Returns whether the BFS may expand *through* this AS: transit ASes
-    (no clusters) always allow expansion; populated ASes allow it only
-    if at least one of their clusters passed the thresholds.
-    """
-    clusters = clusters_in_as(asn)
-    if not clusters:
-        return True
-    any_passed = False
-    for cluster in clusters:
-        measured = _probe(result, own_cluster, cluster, asn, lat, loss)
-        if measured is None:
-            continue
-        rtt, lost = measured
-        if rtt < config.lat_threshold_ms and lost < config.loss_threshold:
-            found.setdefault(cluster, CloseClusterEntry(cluster, rtt, lost, depth))
-            any_passed = True
-    return any_passed
-
-
-def _probe(
-    result: CloseClusterSet,
-    own_cluster: int,
-    other: int,
-    asn: int,
-    lat: LatencyProbe,
-    loss: LossProbe,
-) -> Optional[Tuple[float, float]]:
-    """One surrogate-to-surrogate measurement (request + response)."""
-    result.probe_messages += 2
-    result.probes_by_as[asn] = result.probes_by_as.get(asn, 0) + 2
-    rtt = lat(own_cluster, other)
-    lost = loss(own_cluster, other)
-    if rtt is None or lost is None:
-        return None
-    return rtt, lost
-
-
-def _steps(graph: ASGraph, node: int, phase: int, valley_free: bool):
-    """Neighbor moves; falls back to unconstrained BFS when disabled."""
-    if valley_free:
-        yield from graph._valley_free_steps(node, phase)
-        return
-    for neighbor in graph.neighbors(node):
-        yield neighbor, phase

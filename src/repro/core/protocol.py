@@ -1,10 +1,12 @@
 """The assembled ASAP system over a scenario.
 
-:class:`ASAPSystem` wires the three node roles together on top of a
-built :class:`~repro.scenario.Scenario`:
+:class:`ASAPSystem` wires the node roles together on top of a built
+:class:`~repro.scenario.Scenario`:
 
-- bootstraps get the prefix→AS table (from parsed BGP data) and the
-  protocol AS graph (Gao-inferred by default);
+- a join maps the host's IP to its prefix cluster and publishes its
+  nodal info to the cluster's serving surrogate (the bootstrap's §6.1
+  job; which bootstrap answers, and the retries, are
+  :func:`repro.core.dial.run_join`'s);
 - every populated cluster elects its most capable host as surrogate;
 - close cluster sets are built lazily per cluster and cached (they are
   periodic maintenance state in the real system);
@@ -31,13 +33,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.bootstrap import Bootstrap
 from repro.core.close_cluster import CloseClusterSet, emit_build_observability
 from repro.core.config import ASAPConfig
-from repro.core.endhost import EndHost
 from repro.core.relay_selection import RelaySelection, select_one_hop, select_two_hop
 from repro.core.surrogate import Surrogate
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, TopologyError
 from repro.netaddr import IPv4Address
 from repro.scenario import Scenario
 from repro.voip.quality import mos_of_path
@@ -104,25 +104,11 @@ class ASAPSystem:
         # clusters get several (§6.3 load sharing): one per
         # ``config.hosts_per_surrogate`` members; replicas serve the
         # primary's close set.
-        surrogate_of_prefix: Dict = {}
         self._surrogates: Dict[int, List[Surrogate]] = {}
         for cluster in self._clusters.all_clusters():
             idx = self._view.index_of[cluster.prefix]
-            group = self._elect_group(idx, cluster.asn, cluster.hosts)
-            self._surrogates[idx] = group
-            surrogate_of_prefix[cluster.prefix] = group[0].ip
+            self._surrogates[idx] = self._elect_group(idx, cluster.asn, cluster.hosts)
 
-        self._bootstraps = [
-            Bootstrap(
-                name=f"bootstrap-{i}",
-                prefix_table=scenario.prefix_table,
-                graph=graph,
-                surrogate_of=surrogate_of_prefix,
-            )
-            for i in range(config.bootstrap_count)
-        ]
-
-        self._endhosts: Dict[IPv4Address, EndHost] = {}
         self._offline: set = set()
         self._offline_in_cluster: Counter = Counter()
         self.sessions_run = 0
@@ -136,10 +122,6 @@ class ASAPSystem:
     @property
     def scenario(self) -> Scenario:
         return self._scenario
-
-    @property
-    def bootstraps(self) -> List[Bootstrap]:
-        return list(self._bootstraps)
 
     @property
     def close_set_builder(self):
@@ -225,16 +207,20 @@ class ASAPSystem:
         members.sort(key=lambda h: (-h.info.capability(), h.ip))
         return members
 
-    def join(self, ip: IPv4Address) -> EndHost:
-        """Join an end host: bootstrap lookup + nodal info publication."""
+    def join(self, ip: IPv4Address) -> Surrogate:
+        """Join an end host: map its IP to its cluster and publish its
+        nodal info to the serving surrogate, which is returned.
+
+        Raises :class:`ProtocolError` when no cluster covers the IP.
+        """
+        try:
+            cluster_index = self.cluster_of_ip(ip)
+        except TopologyError as exc:
+            raise ProtocolError(f"join from {ip}: {exc}") from None
         self._mark_online(ip)
-        host = self._scenario.population.by_ip(ip)
-        endhost = EndHost(host=host)
-        info = endhost.join(self._bootstraps)
-        idx = self._view.index_of[info.prefix]
-        endhost.publish_nodal_info(self.surrogate(idx, requester=ip))
-        self._endhosts[ip] = endhost
-        return endhost
+        surrogate = self.surrogate(cluster_index, requester=ip)
+        surrogate.accept_nodal_info(ip, self._scenario.population.by_ip(ip).info)
+        return surrogate
 
     def is_online(self, ip: IPv4Address) -> bool:
         return ip not in self._offline
@@ -243,8 +229,8 @@ class ASAPSystem:
         """An end host goes offline (churn).
 
         If the leaver serves as a surrogate, the cluster re-elects its
-        group from the remaining online members (and bootstraps learn
-        the new primary); returns the new primary in that case.  A
+        group from the remaining online members; returns the new
+        primary in that case.  A
         single-host cluster simply goes dark — its surrogate entry
         remains until a member returns, mirroring how a real system
         only notices on the next failed request.
@@ -253,7 +239,6 @@ class ASAPSystem:
             return None  # already gone; nothing further to tear down
         host = self._scenario.population.by_ip(ip)
         self._mark_offline(ip)
-        self._endhosts.pop(ip, None)
         cluster_index = self.cluster_of_ip(ip)
         group = self._surrogates[cluster_index]
         if all(member.ip != ip for member in group):
@@ -261,7 +246,7 @@ class ASAPSystem:
         return self._reelect(cluster_index, excluding=ip)
 
     def fail_surrogate(self, cluster_index: int) -> Surrogate:
-        """Kill a surrogate; bootstraps appoint the next most capable host.
+        """Kill a surrogate; the next most capable host takes over.
 
         Raises :class:`ProtocolError` for a single-host cluster (its only
         member *is* the surrogate).
@@ -276,16 +261,14 @@ class ASAPSystem:
 
     def _reelect(self, cluster_index: int, excluding: IPv4Address) -> Optional[Surrogate]:
         """Re-elect a cluster's surrogate group from its online members
-        other than ``excluding`` and tell the bootstraps; returns the new
-        primary, or None (nothing changed) when no such member exists."""
+        other than ``excluding``; returns the new primary, or None
+        (nothing changed) when no such member exists."""
         cluster = self._clusters.clusters[self._view.prefixes[cluster_index]]
         survivors = [h for h in cluster.hosts if h.ip != excluding and h.ip not in self._offline]
         if not survivors:
             return None
         group = self._elect_group(cluster_index, cluster.asn, survivors)
         self._surrogates[cluster_index] = group
-        for bootstrap in self._bootstraps:
-            bootstrap.register_surrogate(cluster.prefix, group[0].ip)
         return group[0]
 
     # -- calling ------------------------------------------------------------------

@@ -420,12 +420,11 @@ class _SimPort:
             with obs.tracer().scope(span):  # lazy builds nest under the query
                 return target.serves.serve_close_set()
         if kind is Join:
-            system, ip = self._runtime.system, self.host.ip
-            system.join(ip)
-            cluster = system.cluster_of_ip(ip)
-            surrogate = system.surrogate(cluster, requester=ip)
+            surrogate = self._runtime.system.join(self.host.ip)
             return JoinOk(
-                cluster=cluster, surrogate_ip=surrogate.ip, surrogate_addr=str(surrogate.ip)
+                cluster=surrogate.cluster,
+                surrogate_ip=surrogate.ip,
+                surrogate_addr=str(surrogate.ip),
             )
         return _REPLY[kind](message)
 

@@ -6,7 +6,8 @@ directory: nodes register their transport address at join time, and
 anyone can resolve ``ip → wire address`` later.  Host agents resolve
 relay candidates through it before attempting a relay setup, so only
 IPs with a *running* agent behind them are ever dialed — the wire
-analogue of the simulator's "is this host registered" check.
+analogue of the simulator's "is this host registered" check.  The
+registrations live in a one-shard :class:`~repro.control.ShardedDirectory`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro import obs
+from repro.control.directory import ShardedDirectory
 from repro.control.sharding import HashRing
+from repro.errors import TopologyError
 from repro.net.codec import (
     ERR_NOT_SERVING,
     ROLE_SURROGATE,
@@ -57,34 +60,33 @@ class BootstrapServer(ServiceNode):
         self._world = world
         self.shard_id = shard_id
         self.ring = ring
-        #: ip string -> advertised wire address, filled by joins.
-        self.directory: Dict[str, str] = {}
+        #: Every registration (ip -> advertised wire address).  The TTL is
+        #: unbounded: wire hosts do not refresh their leases.
+        self.registry = ShardedDirectory(HashRing(1), lambda ip: 0, ttl_ms=float("inf"))
         #: cluster index -> (surrogate ip, wire address) of the daemon
         #: that registered to serve it.
         self.surrogates: Dict[int, Tuple[IPv4Address, str]] = {}
-        self.joins = 0
-        self.duplicate_joins = 0
         self.foreign_joins = 0
-        self.leaves = 0
         self.handle(Join, self._on_join)
         self.handle(Leave, self._on_leave)
         self.handle(Resolve, self._on_resolve)
         self.handle(Ping, self._on_ping)
 
     async def _on_join(self, sender: str, message: Join) -> Message:
-        ip_key = str(message.ip)
-        duplicate = ip_key in self.directory
-        self.directory[ip_key] = message.wire_addr
-        self.joins += 1
+        if message.role == ROLE_SURROGATE and message.cluster >= 0:
+            cluster = message.cluster
+        else:
+            try:
+                cluster = self._world.cluster_of_ip(message.ip)
+            except TopologyError:
+                # Outside the world: answer, and register nothing.
+                return ErrorFrame(code=ERR_NOT_SERVING, detail=f"no cluster covers {message.ip}")
+        refreshes = self.registry.refreshes
+        self.registry.join(message.ip, self.now_ms(), message.wire_addr)
+        duplicate = self.registry.refreshes > refreshes
         if duplicate:
-            self.duplicate_joins += 1
             obs.counter("service.duplicate_joins").inc()
         obs.counter("service.joins").inc()
-        cluster = (
-            message.cluster
-            if message.role == ROLE_SURROGATE and message.cluster >= 0
-            else self._world.cluster_of_ip(message.ip)
-        )
         if self.ring is not None and self.ring.owner(cluster) != self.shard_id:
             self.foreign_joins += 1
             obs.counter("service.foreign_joins").inc()
@@ -104,28 +106,23 @@ class BootstrapServer(ServiceNode):
                 detail=f"no surrogate daemon serves cluster {cluster}",
             )
         surrogate_ip, surrogate_addr = serving
-        return JoinOk(
-            cluster=cluster,
-            surrogate_ip=surrogate_ip,
-            surrogate_addr=surrogate_addr,
-        )
+        return JoinOk(cluster=cluster, surrogate_ip=surrogate_ip, surrogate_addr=surrogate_addr)
 
     async def _on_leave(self, sender: str, message: Leave) -> Optional[Message]:
         """Best-effort deregistration (oneway, so no response frame).
 
         Unknown IPs are ignored — a Leave racing a TTL sweep or a
         duplicate Leave must not fault the directory."""
-        if self.directory.pop(str(message.ip), None) is not None:
-            self.leaves += 1
+        if self.registry.leave(message.ip, self.now_ms()):
             obs.counter("service.leaves").inc()
         return None
 
     async def _on_resolve(self, sender: str, message: Resolve) -> Message:
-        addr = self.directory.get(str(message.ip))
+        hit = self.registry.resolve(message.ip, self.now_ms())
         return ResolveOk(
             ip=message.ip,
-            found=1 if addr is not None else 0,
-            addr=addr if addr is not None else "",
+            found=1 if hit is not None else 0,
+            addr=hit[2] if hit is not None else "",
         )
 
     async def _on_ping(self, sender: str, message: Ping) -> Message:

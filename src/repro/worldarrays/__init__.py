@@ -17,8 +17,8 @@ close-set code production runs:
 
 Both are guarded by parity tests: for identical seeds they produce
 **bit-identical** results to their executable specifications — the
-scalar matrix walk in ``tests/oracles.py`` and the Fig. 9 transcription
-:func:`repro.core.close_cluster.construct_close_cluster_set` (same
+scalar matrix walk and the Fig. 9 transcription
+``construct_close_cluster_set``, both in ``tests/oracles.py`` (same
 matrices, same close sets, same ``traces.jsonl``).
 """
 

@@ -2,8 +2,8 @@
 
 This is the close-set code production runs: every surrogate build and
 every maintainer rebuild, verdict and patch.  The executable
-specification (:func:`repro.core.close_cluster.construct_close_cluster_set`,
-the Fig. 9 transcription tests compare against) runs a level-synchronous
+specification (``tests/oracles.py::construct_close_cluster_set``, the
+Fig. 9 transcription tests compare against) runs a level-synchronous
 valley-free BFS with python sets; this builder runs the same levels as
 arrays over the CSR step tables:
 
@@ -108,10 +108,10 @@ class FlatCloseSetBuilder:
 
         ``meta_out`` mirrors the reference builder's hook: it receives
         ``{asn: (depth, expands)}`` for every visited AS, identical to
-        what :func:`construct_close_cluster_set` records.  ``online`` is
-        the current membership as a boolean mask over cluster indices
-        (``None``: every cluster is online); offline clusters are
-        neither probed nor entered, exactly as if the reference's
+        what the Fig. 9 oracle's ``construct_close_cluster_set`` records.
+        ``online`` is the current membership as a boolean mask over
+        cluster indices (``None``: every cluster is online); offline
+        clusters are neither probed nor entered, exactly as if the reference's
         ``clusters_in_as`` had been filtered by the same mask.
         """
         if own_as not in self._csr.index_of:
@@ -195,7 +195,7 @@ class FlatCloseSetBuilder:
                 fresh = np.nonzero((new_up | new_down) & ~seen)[0]
                 seen[fresh] = True
             # Probe the ASes this level newly visited as one batch.  The
-            # accounting matches the reference ``_probe``/``_visit_as``
+            # accounting matches the oracle's ``_probe``/``_visit_as``
             # pair — 2 messages per probed cluster, attributed to its AS.
             slot, node = np.divmod(fresh, count)
             verdict, probed, at, rows, rtt, lost = self._measure(

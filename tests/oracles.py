@@ -10,9 +10,11 @@
   builder ``repro.bgp.routing.PolicyRouter`` had before trees became
   batched arrays, verbatim.  The scalar matrix fill above walks *these*
   trees, so it shares no code with the production path.
-- :func:`reference_close_set`: the Fig. 9 transcription
-  (:func:`repro.core.construct_close_cluster_set`) wired to a system's
-  world, which :class:`repro.worldarrays.FlatCloseSetBuilder` must match.
+- :func:`construct_close_cluster_set`: the readable Fig. 9 transcription
+  (a scalar, level-synchronous valley-free BFS), moved out of
+  ``repro.core.close_cluster`` because no production module runs it;
+  :func:`reference_close_set` wires it to a system's world, which
+  :class:`repro.worldarrays.FlatCloseSetBuilder` must match.
 - :func:`scalar_select_close_relay`: the Fig. 10 transcription over the
   close sets' ``entries`` views — the body
   :func:`repro.core.relay_selection.select_close_relay` had before it
@@ -33,17 +35,20 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
 
-from repro.bgp.asgraph import ASGraph
+from repro.bgp.asgraph import _PHASE_UP, ASGraph
 from repro.bgp.routes import RouteClass
 from repro.control.sharding import HashRing, _stable_hash
-from repro.core import construct_close_cluster_set
-from repro.core.close_cluster import CloseClusterSet
+from repro.core.close_cluster import (
+    CloseClusterEntry,
+    CloseClusterSet,
+    emit_build_observability,
+)
 from repro.core.config import ASAPConfig
 from repro.core.relay_selection import (
     OneHopCandidate,
@@ -271,6 +276,156 @@ def walk_tree(model: LatencyModel, tree, source_ases: List[int]):
             loss_out[asn] = 1.0 - survive[asn]
             hops_out[asn] = hops[asn]
     return lat_out, loss_out, hops_out
+
+
+def construct_close_cluster_set(
+    own_cluster: int,
+    own_as: int,
+    graph: ASGraph,
+    clusters_in_as: Callable[[int], List[int]],
+    lat: Callable[[int, int], Optional[float]],
+    loss: Callable[[int, int], Optional[float]],
+    config: Optional[ASAPConfig] = None,
+    meta_out: Optional[Dict[int, Tuple[int, bool]]] = None,
+) -> CloseClusterSet:
+    """Build the close cluster set for ``own_cluster`` whose AS is ``own_as``.
+
+    ``clusters_in_as`` maps an AS number to the matrix indices of online
+    clusters it hosts.  ``lat``/``loss`` probe the direct path between
+    this surrogate and another cluster's surrogate (2 messages per
+    probed cluster are accounted).
+
+    The BFS is *level-synchronous*: each hop level discovers its new
+    (AS, phase) states as a set, probes newly seen ASes in ascending
+    ASN order, and only then expands.  Expansion rights are a property
+    of the AS — an AS whose probes all failed blocks every phase state
+    through it.  This makes the result independent of neighbor
+    iteration order, which is what lets the vectorized flat-array
+    builder (:mod:`repro.worldarrays.closesets`) reproduce it
+    bit-for-bit.
+
+    ``meta_out``, when given, receives ``{asn: (depth, expands)}`` for
+    every visited AS — the BFS state the incremental maintainer
+    (:mod:`repro.control.maintainer`) needs to patch the set in place
+    when cluster membership changes.
+    """
+    if config is None:
+        config = ASAPConfig()
+    result = CloseClusterSet(owner=own_cluster)  # carries the accounting
+    if own_as not in graph:
+        # The surrogate's AS is unknown to the (inferred) graph — can
+        # happen when inference dropped it; the close set is then empty.
+        return result
+
+    # Own cluster and co-located clusters are trivially close (intra-AS).
+    found: Dict[int, CloseClusterEntry] = {}
+    for cluster in clusters_in_as(own_as):
+        if cluster == own_cluster:
+            found[cluster] = CloseClusterEntry(cluster, 0.0, 0.0, 0)
+            continue
+        measured = _probe(result, own_cluster, cluster, own_as, lat, loss)
+        if measured is not None:
+            rtt, lost = measured
+            if rtt < config.lat_threshold_ms and lost < config.loss_threshold:
+                found[cluster] = CloseClusterEntry(cluster, rtt, lost, 0)
+    result.ases_visited = 1
+
+    # Valley-free BFS outward, level by level, with threshold-based
+    # pruning per visited AS (latT/lossT "stop path expansion").
+    expands: Dict[int, bool] = {own_as: True}
+    if meta_out is not None:
+        meta_out[own_as] = (0, True)
+    visited: Set[Tuple[int, int]] = {(own_as, _PHASE_UP)}
+    frontier: List[Tuple[int, int]] = [(own_as, _PHASE_UP)]
+    for depth in range(1, config.k_hops + 1):
+        discovered: Set[Tuple[int, int]] = set()
+        for node, phase in frontier:
+            if not expands[node]:
+                continue
+            for state in _steps(graph, node, phase, config.valley_free):
+                if state not in visited:
+                    visited.add(state)
+                    discovered.add(state)
+        if not discovered:
+            break
+        for asn in sorted({a for a, _ in discovered} - expands.keys()):
+            result.ases_visited += 1
+            expands[asn] = _visit_as(
+                result, found, asn, depth, own_cluster, clusters_in_as, lat, loss, config
+            )
+            if meta_out is not None:
+                meta_out[asn] = (depth, expands[asn])
+        frontier = sorted(discovered)
+
+    members = [found[cluster] for cluster in sorted(found)]
+    result = replace(
+        result,
+        ids=[m.cluster for m in members],
+        rtt_ms=[m.rtt_ms for m in members],
+        loss=[m.loss for m in members],
+        as_hops=[m.as_hops for m in members],
+    )
+    emit_build_observability(result, own_as)
+    return result
+
+
+def _visit_as(
+    result: CloseClusterSet,
+    found: Dict[int, CloseClusterEntry],
+    asn: int,
+    depth: int,
+    own_cluster: int,
+    clusters_in_as: Callable[[int], List[int]],
+    lat: Callable[[int, int], Optional[float]],
+    loss: Callable[[int, int], Optional[float]],
+    config: ASAPConfig,
+) -> bool:
+    """Probe every cluster in a newly visited AS.
+
+    Returns whether the BFS may expand *through* this AS: transit ASes
+    (no clusters) always allow expansion; populated ASes allow it only
+    if at least one of their clusters passed the thresholds.
+    """
+    clusters = clusters_in_as(asn)
+    if not clusters:
+        return True
+    any_passed = False
+    for cluster in clusters:
+        measured = _probe(result, own_cluster, cluster, asn, lat, loss)
+        if measured is None:
+            continue
+        rtt, lost = measured
+        if rtt < config.lat_threshold_ms and lost < config.loss_threshold:
+            found.setdefault(cluster, CloseClusterEntry(cluster, rtt, lost, depth))
+            any_passed = True
+    return any_passed
+
+
+def _probe(
+    result: CloseClusterSet,
+    own_cluster: int,
+    other: int,
+    asn: int,
+    lat: Callable[[int, int], Optional[float]],
+    loss: Callable[[int, int], Optional[float]],
+) -> Optional[Tuple[float, float]]:
+    """One surrogate-to-surrogate measurement (request + response)."""
+    result.probe_messages += 2
+    result.probes_by_as[asn] = result.probes_by_as.get(asn, 0) + 2
+    rtt = lat(own_cluster, other)
+    lost = loss(own_cluster, other)
+    if rtt is None or lost is None:
+        return None
+    return rtt, lost
+
+
+def _steps(graph: ASGraph, node: int, phase: int, valley_free: bool):
+    """Neighbor moves; falls back to unconstrained BFS when disabled."""
+    if valley_free:
+        yield from graph._valley_free_steps(node, phase)
+        return
+    for neighbor in graph.neighbors(node):
+        yield neighbor, phase
 
 
 def reference_close_set(system, cluster: int, online=None, meta_out=None):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.bgp.asgraph import ASGraph
-from repro.core import ASAPConfig, ASAPSystem, construct_close_cluster_set
+from repro.core import ASAPConfig, ASAPSystem
 from repro.core.relay_selection import select_close_relay
 from repro.scenario import tiny_scenario
 

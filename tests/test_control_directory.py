@@ -1,0 +1,200 @@
+"""The one registration store, held to executable models.
+
+- Hypothesis-generated programs of join / leave / resolve / sweep /
+  shard-down / shard-up run against :class:`ShardedDirectory` and a
+  reference interpreter over plain ``{ip: (addr, expires_ms)}`` dicts,
+  one per shard.
+- The wire :class:`BootstrapServer` (whose registrations live in a
+  one-shard directory) and a bare directory answer the same
+  registration edge cases alike.
+"""
+
+import asyncio
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.control import HashRing, ShardedDirectory
+from repro.net.codec import ROLE_HOST, Join, Leave, Resolve
+from repro.net.loopback import LoopbackHub, LoopbackTransport
+from repro.netaddr import IPv4Address
+from repro.service import ServiceWorld
+from repro.service.bootstrap import BootstrapServer
+from repro.service.surrogate import SurrogateServer
+from tests.oracles import ring_preference
+
+SHARDS, TTL_MS, HOSTS = 3, 100.0, 12
+
+
+def _ip(value: int) -> IPv4Address:
+    return IPv4Address(0x0A000000 + value)  # 10.0.x.y
+
+
+def _cluster_of(ip: IPv4Address) -> int:
+    return ip.value % 5
+
+
+class DictDirectory:
+    """Reference interpreter: shard ``s`` is ``{ip: (addr, expires_ms)}``;
+    an operation walks the key's ring preference, skipping down shards."""
+
+    def __init__(self) -> None:
+        self.ring = HashRing(SHARDS)
+        self.shards = [{} for _ in range(SHARDS)]
+        self.down = set()
+
+    def _live_chain(self, ip):
+        chain = ring_preference(self.ring, _cluster_of(ip))
+        return [shard for shard in chain if shard not in self.down]
+
+    def join(self, ip, at_ms, addr):
+        for shard in self._live_chain(ip):
+            self.shards[shard][ip] = (addr, at_ms + TTL_MS)
+            return shard
+        return None
+
+    def leave(self, ip, at_ms):
+        return sum(self.shards[shard].pop(ip, None) is not None for shard in self._live_chain(ip))
+
+    def resolve(self, ip, at_ms):
+        for attempts, shard in enumerate(self._live_chain(ip), 1):
+            addr, expires_ms = self.shards[shard].get(ip, ("", at_ms))
+            if expires_ms > at_ms:
+                return shard, attempts, addr
+        return None
+
+    def sweep(self, at_ms):
+        dropped = 0
+        for shard, registry in enumerate(self.shards):
+            if shard not in self.down:
+                stale = [ip for ip, (_, expires_ms) in registry.items() if expires_ms <= at_ms]
+                for ip in stale:
+                    del registry[ip]
+                dropped += len(stale)
+        return dropped
+
+    def set_shard_down(self, shard, at_ms):
+        self.down.add(shard)
+
+    def set_shard_up(self, shard, at_ms):
+        if shard in self.down:
+            self.down.discard(shard)
+            self.shards[shard].clear()
+
+    def total(self):
+        return sum(len(registry) for registry in self.shards)
+
+
+_PROGRAMS = st.lists(
+    st.tuples(
+        st.sampled_from(["join", "join", "join", "leave", "resolve", "sweep", "down", "up"]),
+        st.integers(0, HOSTS - 1),  # host (or shard, mod SHARDS)
+        st.sampled_from(["", "a:1", "b:2"]),  # advertised address
+        st.floats(0.0, 60.0),  # time step; the TTL is 100 ms
+    ),
+    max_size=80,
+)
+
+
+class TestAgainstDictModel:
+    @settings(max_examples=150, deadline=None)
+    @given(program=_PROGRAMS)
+    def test_directory_matches_dict_model(self, program):
+        directory = ShardedDirectory(HashRing(SHARDS), _cluster_of, ttl_ms=TTL_MS)
+        model = DictDirectory()
+        joined, peak, now = set(), 0, 0.0
+        for kind, target, addr, step in program:
+            now += step
+            ip = _ip(target)
+            if kind == "join":
+                assert directory.join(ip, now, addr) == model.join(ip, now, addr)
+                joined.add(ip)
+                grown = directory.total()
+                assert directory.join(ip, now, addr) == model.join(ip, now, addr)
+                assert directory.total() == grown  # a repeated join never grows it
+            elif kind == "leave":
+                assert directory.leave(ip, now) == model.leave(ip, now)
+            elif kind == "resolve":
+                assert directory.resolve(ip, now) == model.resolve(ip, now)
+            elif kind == "sweep":
+                assert directory.sweep(now) == model.sweep(now)
+            elif kind == "down":
+                directory.set_shard_down(target % SHARDS, now)
+                model.set_shard_down(target % SHARDS, now)
+            else:
+                directory.set_shard_up(target % SHARDS, now)
+                model.set_shard_up(target % SHARDS, now)
+            # Resolve hits exactly the unexpired leases on a live shard
+            # of the chain, for every host, after every operation.
+            for value in range(HOSTS):
+                assert directory.resolve(_ip(value), now) == model.resolve(_ip(value), now)
+            assert directory.total() == model.total()
+            # A shard holds each host at most once; only failover copies
+            # (owner down, then back) put one host on two shards.
+            assert all(size <= len(joined) for size in directory.sizes())
+            assert directory.peak_total >= peak
+            peak = max(peak, model.total())
+            assert directory.peak_total == peak
+
+
+STRANGER = IPv4Address(0xDEADBEEF)
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    return ServiceWorld.from_scale("tiny", 0, cache_dir=str(tmp_path_factory.mktemp("cache")))
+
+
+def _wire(world, host):
+    """Through a loopback ``BootstrapServer`` with one surrogate daemon."""
+    hub = LoopbackHub(latency_ms_fn=lambda src, dst: 1.0)
+
+    async def main():
+        bootstrap = BootstrapServer(world, LoopbackTransport(hub, "boot"))
+        await bootstrap.start()
+        cluster = world.cluster_of_ip(host.ip)
+        surrogate = SurrogateServer(
+            world, cluster, LoopbackTransport(hub, "surr"), bootstrap.address
+        )
+        await surrogate.start()
+        await surrogate.register()
+        client = LoopbackTransport(hub, "client")
+        await client.start()
+        join = Join(ip=host.ip, role=ROLE_HOST, cluster=-1, wire_addr="client")
+        sizes = []
+        for _ in range(2):
+            await client.request("boot", join, timeout_ms=1_000.0)
+            sizes.append(bootstrap.registry.total())
+        await client.send("boot", Leave(ip=STRANGER))
+        await client.sleep_ms(10.0)
+        sizes.append(bootstrap.registry.total())
+        answers = [
+            await client.request("boot", Resolve(ip=ip), timeout_ms=1_000.0)
+            for ip in (STRANGER, host.ip)
+        ]
+        return sizes, [(answer.found, answer.addr) for answer in answers]
+
+    return asyncio.run(hub.run(main()))
+
+
+def _bare(world, host):
+    """Straight into a one-shard ``ShardedDirectory``."""
+    directory = ShardedDirectory(HashRing(1), lambda ip: 0)
+    sizes = []
+    for _ in range(2):
+        directory.join(host.ip, 0.0, "client")
+        sizes.append(directory.total())
+    assert directory.leave(STRANGER, 0.0) == 0
+    sizes.append(directory.total())
+    hits = [directory.resolve(ip, 0.0) for ip in (STRANGER, host.ip)]
+    return sizes, [(0, "") if hit is None else (1, hit[2]) for hit in hits]
+
+
+@pytest.mark.parametrize("run", [_wire, _bare], ids=["wire", "directory"])
+def test_duplicate_join_unknown_leave_and_resolve_miss(run, world):
+    cluster = world.populated_clusters()[0]
+    host = next(h for h in world.hosts_in_cluster(cluster) if h.ip != world.surrogate_ip(cluster))
+    sizes, answers = run(world, host)
+    assert sizes[0] == sizes[1] == sizes[2]  # neither a rejoin nor a stray leave changes it
+    assert answers == [(0, ""), (1, "client")]

@@ -13,10 +13,10 @@ import pytest
 
 from repro.bgp import ASGraph
 from repro.control import ClusterMembership, CloseSetMaintainer, MembershipEvent
-from repro.core import ASAPConfig, construct_close_cluster_set
+from repro.core import ASAPConfig
 from repro.errors import ProtocolError
 from repro.worldarrays import FlatCloseSetBuilder
-from tests.oracles import assert_arrays_are_the_set
+from tests.oracles import assert_arrays_are_the_set, construct_close_cluster_set
 
 
 def diamond():

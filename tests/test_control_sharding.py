@@ -116,10 +116,10 @@ class TestShardedDirectory:
     def test_join_then_resolve_hits_owner_first_try(self):
         directory = _directory()
         ip = _ip(1)
-        shard = directory.join(ip, 0.0)
+        shard = directory.join(ip, 0.0, "host-1:7000")
         assert shard == directory.owner_of(ip)
         resolved = directory.resolve(ip, 1.0)
-        assert resolved == (shard, 1)
+        assert resolved == (shard, 1, "host-1:7000")
 
     def test_rejoin_is_idempotent(self):
         directory = _directory()

@@ -1,20 +1,28 @@
-"""Unit tests for Bootstrap, Surrogate and EndHost node classes."""
+"""Unit tests for the node roles: the bootstrap's join (``ASAPSystem.join``
+and the wire ``BootstrapServer``), Surrogate, and the end host's join
+(``run_join`` over the simulated runtime's port)."""
+
+import asyncio
 
 import pytest
 
-from repro.bgp import ASGraph, PrefixOriginTable
-from repro.core import construct_close_cluster_set
-from repro.core.bootstrap import Bootstrap
+from repro.bgp import ASGraph
+from repro.core import ASAPSystem
 from repro.core.config import ASAPConfig
-from repro.core.endhost import EndHost
+from repro.core.runtime import ASAPRuntime, _SimPort
 from repro.core.surrogate import Surrogate
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RemoteError
+from repro.net.codec import ERR_NOT_SERVING, ROLE_HOST, Join
+from repro.net.loopback import LoopbackHub, LoopbackTransport
 from repro.netaddr import IPv4Address, IPv4Prefix
+from repro.scenario import tiny_scenario
+from repro.service import ServiceWorld
+from repro.service.bootstrap import BootstrapServer
 from repro.topology.population import Host, NodalInfo
+from tests.oracles import construct_close_cluster_set
 
 
 PFX = IPv4Prefix.from_string("10.0.0.0/24")
-SURR_IP = IPv4Address.from_string("10.0.0.5")
 
 
 def make_host(ip="10.0.0.9", asn=7, bandwidth=500.0):
@@ -27,45 +35,63 @@ def make_host(ip="10.0.0.9", asn=7, bandwidth=500.0):
     )
 
 
-def make_bootstrap(with_surrogate=True):
-    table = PrefixOriginTable()
-    table.add(PFX, 7)
-    graph = ASGraph()
-    graph.add_as(7)
-    surrogates = {PFX: SURR_IP} if with_surrogate else {}
-    return Bootstrap(name="b0", prefix_table=table, graph=graph, surrogate_of=surrogates)
+@pytest.fixture(scope="module")
+def scenario():
+    return tiny_scenario(seed=2)
+
+
+def multi_host_cluster(scenario):
+    cluster = max(scenario.clusters.all_clusters(), key=len)
+    if len(cluster) < 2:
+        pytest.skip("no multi-host cluster")
+    return scenario.matrices.index_of[cluster.prefix], cluster
 
 
 class TestBootstrap:
-    def test_join_resolves_prefix_and_surrogate(self):
-        bootstrap = make_bootstrap()
-        info = bootstrap.join(IPv4Address.from_string("10.0.0.77"))
-        assert info.asn == 7
-        assert info.prefix == PFX
-        assert info.surrogate_ip == SURR_IP
-        assert bootstrap.join_requests == 1
-        assert bootstrap.messages == 2
+    def test_join_resolves_prefix_and_surrogate(self, scenario):
+        system = ASAPSystem(scenario)
+        host = scenario.population.hosts[3]
+        surrogate = system.join(host.ip)
+        idx = system.cluster_of_ip(host.ip)
+        assert scenario.matrices.prefixes[idx].contains(host.ip)
+        assert surrogate is system.surrogate(idx, requester=host.ip)
+        assert surrogate.asn == host.asn
+        assert surrogate.published_info[host.ip] == host.info
 
-    def test_join_unrouted_ip_rejected(self):
-        bootstrap = make_bootstrap()
+    def test_join_unrouted_ip_rejected(self, scenario):
+        system = ASAPSystem(scenario)
         with pytest.raises(ProtocolError):
-            bootstrap.join(IPv4Address.from_string("203.0.113.1"))
+            system.join(IPv4Address.from_string("203.0.113.1"))
 
-    def test_join_without_surrogate_rejected(self):
-        bootstrap = make_bootstrap(with_surrogate=False)
-        with pytest.raises(ProtocolError):
-            bootstrap.join(IPv4Address.from_string("10.0.0.77"))
+    def test_join_without_surrogate_rejected(self, scenario):
+        """On the wire, a cluster no surrogate daemon registered for
+        cannot be joined: the bootstrap answers ``ERR_NOT_SERVING``."""
+        world = ServiceWorld(scenario)
+        host = scenario.population.hosts[0]
+        hub = LoopbackHub(latency_ms_fn=lambda src, dst: 1.0)
 
-    def test_register_surrogate(self):
-        bootstrap = make_bootstrap(with_surrogate=False)
-        bootstrap.register_surrogate(PFX, SURR_IP)
-        assert bootstrap.surrogate_for(PFX) == SURR_IP
+        async def main():
+            server = BootstrapServer(world, LoopbackTransport(hub, "boot"))
+            await server.start()
+            client = LoopbackTransport(hub, "client")
+            await client.start()
+            join = Join(ip=host.ip, role=ROLE_HOST, cluster=-1, wire_addr="client")
+            return await client.request("boot", join, timeout_ms=1_000.0)
 
-    def test_disseminate_graph_counts_message(self):
-        bootstrap = make_bootstrap()
-        graph = bootstrap.disseminate_graph()
-        assert 7 in graph
-        assert bootstrap.messages == 1
+        with pytest.raises(RemoteError) as raised:
+            asyncio.run(hub.run(main()))
+        assert raised.value.code == ERR_NOT_SERVING
+
+    def test_register_surrogate(self, scenario):
+        """A failed surrogate's replacement is what later joins learn."""
+        runtime = ASAPRuntime(scenario)
+        idx, cluster = multi_host_cluster(scenario)
+        promoted = runtime.system.fail_surrogate(idx)
+        assert runtime.system.surrogate(idx).ip == promoted.ip
+        joiner = next(h for h in cluster.hosts if h.ip != promoted.ip)
+        serving = runtime.system.join(joiner.ip)
+        assert serving in runtime.system.surrogate_group(idx)
+        assert serving.published_info[joiner.ip] == joiner.info
 
 
 def make_surrogate(host=None):
@@ -126,41 +152,39 @@ class TestSurrogate:
 
 
 class TestEndHost:
-    def test_join_picks_bootstrap_by_ip_hash(self):
-        bootstraps = [make_bootstrap(), make_bootstrap()]
-        endhost = EndHost(host=make_host("10.0.0.9"))
-        info = endhost.join(bootstraps)
-        assert info.prefix == PFX
-        assert endhost.joined
-        assert endhost.messages == 2
-        assert sum(b.join_requests for b in bootstraps) == 1
+    """The end host's side of a join is ``run_join`` over a runtime port.
+    Its bootstrap ladder — falling through a dead bootstrap, failing once
+    every one is down — is ``tests/test_runtime_faults.py::TestJoinFaults``."""
 
-    def test_join_falls_through_failing_bootstraps(self):
-        broken = make_bootstrap(with_surrogate=False)
-        working = make_bootstrap()
-        endhost = EndHost(host=make_host("10.0.0.8"))  # .8 % 2 picks index 0
-        info = endhost.join([broken, working])
-        assert info.surrogate_ip == SURR_IP
-        assert endhost.messages == 2 * 2  # two attempts
+    def test_join_picks_bootstrap_by_ip_hash(self, scenario):
+        runtime = ASAPRuntime(scenario, ASAPConfig(bootstrap_count=3))
+        fleet = runtime.bootstrap_hosts
+        host = scenario.population.hosts[0]
+        port = _SimPort(runtime, host)
+        for attempt in range(4):
+            expected = fleet[(host.ip.value + attempt) % len(fleet)]
+            assert port.bootstrap(attempt).host is expected
+        record = runtime.schedule_join(host.ip)
+        runtime.run()
+        assert (record.outcome, record.attempts) == ("completed", 1)
 
-    def test_join_no_bootstraps(self):
-        endhost = EndHost(host=make_host())
-        with pytest.raises(ProtocolError):
-            endhost.join([])
+    def test_publish_requires_join(self, scenario):
+        runtime = ASAPRuntime(scenario)
+        for bootstrap in runtime.bootstrap_hosts:
+            runtime.network.set_host_down(bootstrap.ip)
+        host = scenario.population.hosts[0]
+        record = runtime.schedule_join(host.ip)
+        runtime.run()
+        assert record.outcome == "failed"
+        surrogate = runtime.system.surrogate(runtime.system.cluster_of_ip(host.ip))
+        assert host.ip not in surrogate.published_info
 
-    def test_join_all_fail(self):
-        endhost = EndHost(host=make_host())
-        with pytest.raises(ProtocolError):
-            endhost.join([make_bootstrap(with_surrogate=False)])
-
-    def test_publish_requires_join(self):
-        endhost = EndHost(host=make_host())
-        with pytest.raises(ProtocolError):
-            endhost.publish_nodal_info(make_surrogate())
-
-    def test_publish_after_join(self):
-        endhost = EndHost(host=make_host("10.0.0.9"))
-        endhost.join([make_bootstrap()])
-        surrogate = make_surrogate()
-        endhost.publish_nodal_info(surrogate)
-        assert endhost.ip in surrogate.published_info
+    def test_publish_after_join(self, scenario):
+        runtime = ASAPRuntime(scenario)
+        host = scenario.population.hosts[0]
+        record = runtime.schedule_join(host.ip)
+        runtime.run()
+        assert record.outcome == "completed"
+        system = runtime.system
+        surrogate = system.surrogate(system.cluster_of_ip(host.ip), requester=host.ip)
+        assert host.ip in surrogate.published_info

@@ -1,5 +1,7 @@
 """Integration tests for the assembled ASAP system."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import obs
 from repro.baselines.base import MethodResult
 from repro.core import ASAPConfig, ASAPSystem
 from repro.core.config import derive_k_hops
+from repro.core.runtime import ASAPRuntime, _SimPort
 from repro.errors import ConfigurationError, ProtocolError
 from repro.evaluation.policies import ASAPPolicy
 from repro.scenario import tiny_scenario
@@ -85,10 +88,10 @@ class TestConfig:
 class TestMembership:
     def test_join_returns_correct_mapping(self, scenario, system):
         host = scenario.population.hosts[0]
-        endhost = system.join(host.ip)
-        assert endhost.joined
-        assert endhost.join_info.asn == host.asn
-        assert endhost.join_info.prefix.contains(host.ip)
+        surrogate = system.join(host.ip)
+        assert surrogate.asn == host.asn
+        assert scenario.matrices.prefixes[surrogate.cluster].contains(host.ip)
+        assert system.is_online(host.ip)
 
     def test_join_registers_nodal_info(self, scenario, system):
         host = scenario.population.hosts[1]
@@ -97,12 +100,13 @@ class TestMembership:
         assert host.ip in system.surrogate(idx).published_info
 
     def test_join_load_spreads_over_bootstraps(self, scenario):
-        fresh = ASAPSystem(scenario, ASAPConfig(bootstrap_count=3))
-        for host in scenario.population.hosts[:30]:
-            fresh.join(host.ip)
-        counts = [b.join_requests for b in fresh.bootstraps]
-        assert sum(counts) == 30
-        assert sum(1 for c in counts if c > 0) >= 2
+        runtime = ASAPRuntime(scenario, ASAPConfig(bootstrap_count=3))
+        first = Counter(
+            _SimPort(runtime, host).bootstrap(0).host.ip
+            for host in scenario.population.hosts[:30]
+        )
+        assert sum(first.values()) == 30
+        assert len(first) >= 2
 
     def test_surrogate_is_most_capable(self, scenario, system):
         cluster = max(scenario.clusters.all_clusters(), key=len)
@@ -126,9 +130,7 @@ class TestSurrogateFailover:
         new = fresh.fail_surrogate(idx)
         assert new.host.ip != old.host.ip
         assert new.host in cluster.hosts
-        # Bootstraps updated.
-        for bootstrap in fresh.bootstraps:
-            assert bootstrap.surrogate_for(cluster.prefix) == new.host.ip
+        assert fresh.surrogate(idx).ip == new.host.ip
 
     def test_failover_single_host_cluster_raises(self, scenario):
         fresh = ASAPSystem(scenario)

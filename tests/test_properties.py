@@ -9,7 +9,7 @@ from repro.baselines import BaselineConfig, OPTMethod
 from repro.bgp.asgraph import ASGraph
 from repro.bgp.pathinfer import infer_as_path
 from repro.bgp.routing import PolicyRouter
-from repro.core import ASAPConfig, ASAPSystem, construct_close_cluster_set
+from repro.core import ASAPConfig, ASAPSystem
 from repro.core.close_cluster import CloseClusterSet
 from repro.core.relay_selection import select_close_relay
 from repro.core.close_cluster import CloseClusterEntry
@@ -17,6 +17,7 @@ from repro.evaluation.sessions import generate_workload
 from repro.scenario import tiny_scenario
 from repro.topology import TopologyConfig, generate_topology
 from repro.util.rng import derive_rng
+from tests.oracles import construct_close_cluster_set
 
 
 def random_annotated_graph(seed: int, n: int = 12) -> ASGraph:

@@ -17,8 +17,9 @@ import pytest
 from repro import obs
 from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
 from repro.core.runtime import RuntimePolicy
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RemoteError
 from repro.net.codec import (
+    ERR_NOT_SERVING,
     ROLE_HOST,
     CloseSetReply,
     Join,
@@ -223,14 +224,34 @@ class TestBootstrapHardening:
             join = Join(ip=host.ip, role=ROLE_HOST, cluster=-1, wire_addr="client")
             first = await client.request("boot", join, timeout_ms=1_000.0)
             second = await client.request("boot", join, timeout_ms=1_000.0)
-            return bootstrap, first, second
+            return bootstrap, host, first, second
 
         hub = LoopbackHub(latency_ms_fn=lambda s, d: 1.0)
-        bootstrap, first, second = asyncio.run(hub.run(main(hub)))
+        bootstrap, host, first, second = asyncio.run(hub.run(main(hub)))
         assert isinstance(first, JoinOk)
         assert second == first  # same cluster, same surrogate
-        assert bootstrap.duplicate_joins == 1
-        assert list(bootstrap.directory.values()).count("client") == 1
+        assert (bootstrap.registry.joins, bootstrap.registry.refreshes) == (3, 1)
+        assert bootstrap.registry.total() == 2  # the surrogate daemon + the host
+        assert bootstrap.registry.resolve(host.ip, 0.0)[2] == "client"
+
+    def test_join_from_outside_the_world_registers_nothing(self, world):
+        stranger = IPv4Address(0xDEADBEEF)
+
+        async def main(hub):
+            bootstrap, client, _ = await self._overlay(world, hub)()
+            join = Join(ip=stranger, role=ROLE_HOST, cluster=-1, wire_addr="client")
+            try:
+                await client.request("boot", join, timeout_ms=1_000.0)
+            except RemoteError as exc:
+                refused = exc
+            found = await client.request("boot", Resolve(ip=stranger), timeout_ms=1_000.0)
+            return bootstrap, refused, found
+
+        hub = LoopbackHub(latency_ms_fn=lambda s, d: 1.0)
+        bootstrap, refused, found = asyncio.run(hub.run(main(hub)))
+        assert (refused.code, refused.detail) == (ERR_NOT_SERVING, f"no cluster covers {stranger}")
+        assert found.found == 0
+        assert bootstrap.registry.joins == 1  # the surrogate daemon's registration only
 
     def test_resolve_unknown_host_is_well_formed_not_found(self, world):
         async def main(hub):
@@ -262,7 +283,7 @@ class TestBootstrapHardening:
         hub = LoopbackHub(latency_ms_fn=lambda s, d: 1.0)
         bootstrap, gone = asyncio.run(hub.run(main(hub)))
         assert gone.found == 0
-        assert bootstrap.leaves == 1
+        assert bootstrap.registry.removals == 1
 
 
 class TestCloseSetWire:
