@@ -42,7 +42,7 @@ class CloseClusterSet:
     """
 
     owner: int
-    ids: np.ndarray = ()          # member clusters: int64, strictly ascending
+    ids: np.ndarray = ()          # member clusters: int64, ≥ 0, strictly ascending
     rtt_ms: np.ndarray = ()       # measured surrogate-to-surrogate RTT (float64)
     loss: np.ndarray = ()         # measured one-way loss rate (float64)
     as_hops: np.ndarray = ()      # valley-free BFS depth of discovery (int64)
@@ -58,8 +58,10 @@ class CloseClusterSet:
         self.loss = np.asarray(self.loss, dtype=np.float64)
         self.as_hops = np.asarray(self.as_hops, dtype=np.int64)
         shapes = {self.ids.shape, self.rtt_ms.shape, self.loss.shape, self.as_hops.shape}
-        if len(shapes) != 1 or self.ids.ndim != 1 or np.any(self.ids[1:] <= self.ids[:-1]):
-            raise ProtocolError(f"close set of {self.owner}: arrays unaligned or ids not ascending")
+        ids = self.ids
+        unsorted = ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]) or np.any(ids[:1] < 0)
+        if len(shapes) != 1 or unsorted:
+            raise ProtocolError(f"close set of {self.owner}: arrays unaligned, ids unsorted or < 0")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CloseClusterSet):
@@ -88,7 +90,7 @@ class CloseClusterSet:
 
     def rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(ids, rtt_ms)`` as stored: the form select-close-relay
-        intersects.  Read-only by convention."""
+        reads.  Read-only by convention."""
         return self.ids, self.rtt_ms
 
     def clusters(self) -> List[int]:

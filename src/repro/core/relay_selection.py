@@ -143,18 +143,17 @@ def select_one_hop(
     messages, and name in ``first_hops`` the candidates whose close sets
     :func:`select_two_hop` needs.
 
-    Works on the sets' sorted :meth:`CloseClusterSet.rows`: a
-    sorted-array intersection whose sum keeps the scalar specification's
-    left-to-right operand order (``tests/oracles.py``), so every relay
-    RTT is the same float.
+    Reads S2's leg for every row of S1 out of one dense table
+    (:func:`_leg_table`); a cluster off S2 reads +inf and fails the
+    threshold.  The sum keeps the scalar specification's left-to-right
+    operand order (``tests/oracles.py``), so every relay RTT is the same
+    float, and S1's rows ascend, so candidates come out by cluster.
     """
     result = RelaySelection(messages=2)  # h1 obtains S2 from h2 (request + response)
     c1, rtt1 = s1.rows()
-    c2, rtt2 = s2.rows()
-    common, at1, at2 = np.intersect1d(c1, c2, assume_unique=True, return_indices=True)
-    relay_rtt = rtt1[at1] + rtt2[at2] + config.relay_delay_rtt_ms
+    relay_rtt = rtt1 + _legs(_leg_table(s2), c1) + config.relay_delay_rtt_ms
     close = relay_rtt < config.lat_threshold_ms
-    for cluster, rtt in zip(common[close].tolist(), relay_rtt[close].tolist()):
+    for cluster, rtt in zip(c1[close].tolist(), relay_rtt[close].tolist()):
         size = cluster_size(cluster)
         if size <= 0:
             continue  # churned dark: no hosts left to relay through
@@ -182,29 +181,50 @@ def select_two_hop(
 
     Every named first hop is billed its query (2 messages) whether or
     not its set arrived; one that did not contributes no candidates.
-    Each expansion is a ``searchsorted`` membership test of the fetched
-    set in S2.  First hops ascend and each fetched set's rows ascend, so
-    candidates come out in (r1, r2) order.  Returns ``selection``.
+    The arrived sets' rows are concatenated and scored in one pass: the
+    first legs come from one lookup of the first hops in S1, the last
+    legs from S2's dense table.  First hops ascend and each fetched
+    set's rows ascend, so candidates come out in (r1, r2) order.
+    Returns ``selection``.
     """
-    c2, rtt2 = s2.rows()
-    both_delays = 2.0 * config.relay_delay_rtt_ms
-    for first in selection.first_hops:
-        selection.messages += 2
-        selection.two_hop_queries += 1
-        r1 = first.cluster
-        if r1 not in fetched:
-            continue
-        via, via_rtt = fetched[r1].rows()
-        # r1 is in S2, so S2 is not empty and the clipped index is valid.
-        at2 = np.minimum(np.searchsorted(c2, via), len(c2) - 1)
-        keep = (c2[at2] == via) & (via != r1)
-        relay_rtt = s1.rtt_to(r1) + via_rtt[keep] + rtt2[at2[keep]] + both_delays
-        close = relay_rtt < config.lat_threshold_ms
-        for r2, rtt in zip(via[keep][close].tolist(), relay_rtt[close].tolist()):
-            pairs = first.member_ips * cluster_size(r2)
-            if pairs <= 0:
-                continue  # the second leg's cluster has churned dark
-            selection.two_hop.append(
-                TwoHopCandidate(first=r1, second=r2, relay_rtt_ms=rtt, member_pairs=pairs)
-            )
+    firsts = selection.first_hops
+    selection.messages += 2 * len(firsts)
+    selection.two_hop_queries += len(firsts)
+    arrived = [first for first in firsts if first.cluster in fetched]
+    if not arrived:
+        return selection
+    rows = [fetched[first.cluster].rows() for first in arrived]
+    via = np.concatenate([ids for ids, _ in rows])
+    via_rtt = np.concatenate([rtt for _, rtt in rows])
+    owner = np.repeat(np.arange(len(arrived)), [len(ids) for ids, _ in rows])
+    r1 = np.array([first.cluster for first in arrived], dtype=np.int64)
+    c1, rtt1 = s1.rows()
+    lead = rtt1[np.searchsorted(c1, r1)]  # every first hop is a member of S1
+    relay_rtt = (
+        lead[owner] + via_rtt + _legs(_leg_table(s2), via) + 2.0 * config.relay_delay_rtt_ms
+    )
+    close = (relay_rtt < config.lat_threshold_ms) & (via != r1[owner])
+    for at, r2, rtt in zip(owner[close].tolist(), via[close].tolist(), relay_rtt[close].tolist()):
+        first = arrived[at]
+        pairs = first.member_ips * cluster_size(r2)
+        if pairs <= 0:
+            continue  # the second leg's cluster has churned dark
+        selection.two_hop.append(
+            TwoHopCandidate(first=first.cluster, second=r2, relay_rtt_ms=rtt, member_pairs=pairs)
+        )
     return selection
+
+
+def _leg_table(s2: CloseClusterSet) -> np.ndarray:
+    """S2's leg RTT indexed by cluster id: +inf for a cluster off S2,
+    and one +inf sentinel slot past S2's largest member, onto which
+    :func:`_legs` clips every larger id.  Its width depends on S2 alone."""
+    ids, rtt_ms = s2.rows()
+    table = np.full(int(ids[-1]) + 2 if len(ids) else 1, np.inf)
+    table[ids] = rtt_ms
+    return table
+
+
+def _legs(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``table`` read at cluster ``ids`` (ids are non-negative)."""
+    return table[np.minimum(ids, len(table) - 1)]

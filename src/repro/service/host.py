@@ -101,6 +101,7 @@ class HostAgent(ServiceNode):
     ) -> None:
         super().__init__(transport, name=f"host-{ip}")
         self._world = world
+        self._cluster_count = world.scenario.matrix_view().count
         self.config = world.config
         self.ip = ip
         self.host = world.host(ip)
@@ -340,7 +341,7 @@ class HostAgent(ServiceNode):
     def close_set(self, reply):
         if not isinstance(reply, CloseSetReply):
             return None
-        return pairs_to_close_set(reply.owner, reply.entries)
+        return pairs_to_close_set(reply.owner, reply.entries, self._cluster_count)
 
     def cluster_size(self, cluster: int) -> int:
         return self._world.cluster_size(cluster)

@@ -47,17 +47,22 @@ def close_set_to_pairs(close_set) -> list:
     return list(zip(clusters.tolist(), rtt_ms.tolist()))
 
 
-def pairs_to_close_set(owner: int, pairs) -> CloseClusterSet:
+def pairs_to_close_set(owner: int, pairs, cluster_count: int) -> CloseClusterSet:
     """Rebuild a usable close set from its wire pairs.
 
     Only membership and RTT travel (all select-close-relay needs);
     loss and hop depth are measurement-side detail that stays with the
     owning surrogate (zeros here).  The pairs must be what
     :func:`close_set_to_pairs` emits — strictly ascending cluster ids
-    (the set's own constructor checks that), finite non-negative RTTs —
-    and anything else raises :class:`ProtocolError`.
+    (the set's own constructor checks that) below the world's
+    ``cluster_count``, finite non-negative RTTs — and anything else
+    raises :class:`ProtocolError`.  Selection sizes a table by the
+    largest member id, so the id bound keeps that size the world's, not
+    the sender's.
     """
     table = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    if np.any(table[:, 0] >= cluster_count):
+        raise ProtocolError(f"close set of {owner}: member id beyond {cluster_count} clusters")
     rtt_ms = np.ascontiguousarray(table[:, 1])
     if not np.all(np.isfinite(rtt_ms) & (rtt_ms >= 0.0)):
         raise ProtocolError(f"close set of {owner}: negative or non-finite RTT")

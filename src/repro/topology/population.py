@@ -33,12 +33,20 @@ class NodalInfo:
     cpu_score: float
 
     def capability(self) -> float:
-        """Scalar surrogate-election score; higher is more capable."""
-        return (
-            0.5 * np.log1p(self.bandwidth_kbps)
-            + 0.3 * np.log1p(self.uptime_hours)
-            + 0.2 * np.log1p(self.cpu_score)
-        )
+        """Scalar surrogate-election score; higher is more capable.
+
+        Computed on first use and kept in the instance ``__dict__``,
+        outside the fields: equality and hashing see only the three
+        published numbers."""
+        score = self.__dict__.get("_capability")
+        if score is None:
+            score = (
+                0.5 * np.log1p(self.bandwidth_kbps)
+                + 0.3 * np.log1p(self.uptime_hours)
+                + 0.2 * np.log1p(self.cpu_score)
+            )
+            object.__setattr__(self, "_capability", score)
+        return score
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,8 @@ class TestRows:
             CloseClusterSet(0, [1, 1], [1.0, 2.0], [0.0, 0.0], [0, 0])
         with pytest.raises(ProtocolError):
             CloseClusterSet(0, [1, 2], [1.0], [0.0, 0.0], [0, 0])
+        with pytest.raises(ProtocolError):  # ids index select-close-relay's leg table
+            CloseClusterSet(0, [-1, 2], [1.0, 2.0], [0.0, 0.0], [0, 0])
 
     def test_equality_compares_members_and_values(self):
         def build(rtt):

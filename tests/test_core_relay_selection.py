@@ -1,18 +1,22 @@
 """Tests for select-close-relay (paper Fig. 10)."""
 
+import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ASAPConfig, select_close_relay
+from repro.core import ASAPConfig, ASAPSystem, select_close_relay
 from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.core.config import derive_k_hops
 from repro.core.relay_selection import (
     ranked_relay_clusters,
     select_one_hop,
     select_two_hop,
 )
+from repro.scenario import small_scenario
 from tests.oracles import scalar_select_close_relay
 
 
@@ -170,6 +174,15 @@ class TestTwoHop:
 # both sides of latT = 300.
 UNIVERSE = range(8)
 FILL = st.sampled_from([0.0, 0.5, 0.9])  # 0.0: an empty set
+#: "one": a single-member set.
+SPARSE_FILL = st.sampled_from([0.0, "one", 0.5, 0.9])
+
+
+def draw_config(draw):
+    return ASAPConfig(
+        size_threshold=draw(st.sampled_from([0, 3, 10**9])),
+        max_two_hop_queries=draw(st.sampled_from([None, 0, 2])),
+    )
 
 
 @st.composite
@@ -185,11 +198,31 @@ def selection_worlds(draw):
     answered, fill = draw(FILL), draw(FILL)
     fetched = {c: rtt_map(fill) for c in UNIVERSE if rng.random() < answered}
     sizes_of = [rng.choice((0, 1, 1, 2, 4)) for _ in UNIVERSE]  # 0: churned dark
-    config = ASAPConfig(
-        size_threshold=draw(st.sampled_from([0, 3, 10**9])),
-        max_two_hop_queries=draw(st.sampled_from([None, 0, 2])),
-    )
-    return s1, s2, fetched, sizes_of, config
+    return s1, s2, fetched, sizes_of.__getitem__, draw_config(draw)
+
+
+@st.composite
+def sparse_selection_worlds(draw):
+    """Fourteen ids out of a few thousand, so S2's leg table is mostly
+    +inf: S1 reaches past S2's largest member, the fetched sets hold ids
+    past both (reads of the table's sentinel slot), and any set may be
+    empty or hold a single member."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ids = sorted(rng.sample(range(4000), 14))
+    shared, s1_top = ids[:10], ids[10:12]
+
+    def rtt_map(pool, fill):
+        chosen = [rng.choice(pool)] if fill == "one" else [c for c in pool if rng.random() < fill]
+        return {c: rng.uniform(0.0, 150.0) for c in chosen}
+
+    s2 = rtt_map(shared, draw(SPARSE_FILL))
+    s1 = rtt_map(shared, draw(SPARSE_FILL))
+    if s1:
+        s1.update(rtt_map(s1_top, "one"))
+    answered, fill = draw(FILL), draw(SPARSE_FILL)
+    fetched = {c: rtt_map(ids, fill) for c in ids if rng.random() < answered}
+    sizes_of = {c: rng.choice((0, 1, 1, 2, 4)) for c in ids}
+    return s1, s2, fetched, sizes_of.__getitem__, draw_config(draw)
 
 
 def stepwise_select(s1, s2, cluster_size, close_set_of, config):
@@ -207,45 +240,108 @@ def stepwise_select(s1, s2, cluster_size, close_set_of, config):
     return selection
 
 
+def assert_same_selection(got, want, asked):
+    """``got`` is the oracle's ``want``: exact floats, order, bill, and
+    the named first hops are exactly the ``asked`` queries, in fetch order."""
+    assert got.one_hop == want.one_hop
+    assert got.two_hop == want.two_hop
+    assert got.messages == want.messages
+    assert got.two_hop_queries == want.two_hop_queries
+    assert got.best_rtt_ms() == want.best_rtt_ms()
+    assert ranked_relay_clusters(got) == ranked_relay_clusters(want)
+    assert [c.cluster for c in got.first_hops] == asked
+    assert got.first_hops == got.one_hop[: len(asked)]
+
+
+def check_against_oracle(world):
+    s1, s2, fetched, cluster_size, config = world
+    results, asked = [], []
+    for select in (select_close_relay, scalar_select_close_relay, stepwise_select):
+        # Fresh sets per implementation: none shares arrays with another.
+        sets = {r1: close_set(r1, rtts) for r1, rtts in fetched.items()}
+        # The composition and the specification see a first hop that
+        # never answers as an empty set; the steps see no set at all.
+        missing = None if select is stepwise_select else CloseClusterSet(owner=-1)
+        order = []
+
+        def close_set_of(idx):
+            order.append(idx)
+            return sets.get(idx, missing)
+
+        results.append(
+            select(close_set(100, s1), close_set(101, s2), cluster_size, close_set_of, config)
+        )
+        asked.append(order)
+    for got in (results[0], results[2]):
+        assert_same_selection(got, results[1], asked[1])
+    assert asked[0] == asked[1] == asked[2]
+    if config.size_threshold == 0 or config.max_two_hop_queries == 0:
+        assert asked[1] == []
+
+
 class TestMatchesScalarOracle:
     @given(selection_worlds())
     @settings(max_examples=300, deadline=None)
     def test_array_selection_equals_scalar_oracle(self, world):
-        s1, s2, fetched, sizes_of, config = world
-        results, asked = [], []
-        for select in (select_close_relay, scalar_select_close_relay, stepwise_select):
-            # Fresh sets per implementation: none shares arrays with another.
-            sets = {r1: close_set(r1, rtts) for r1, rtts in fetched.items()}
-            # The composition and the specification see a first hop that
-            # never answers as an empty set; the steps see no set at all.
-            missing = None if select is stepwise_select else CloseClusterSet(owner=-1)
-            order = []
+        check_against_oracle(world)
 
-            def close_set_of(idx):
-                order.append(idx)
-                return sets.get(idx, missing)
+    @given(sparse_selection_worlds())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_ids_equal_scalar_oracle(self, world):
+        check_against_oracle(world)
 
-            results.append(
-                select(
-                    close_set(100, s1),
-                    close_set(101, s2),
-                    sizes_of.__getitem__,
-                    close_set_of,
-                    config,
-                )
+
+class EntriesSnapshot(CloseClusterSet):
+    """A close set whose ``entries`` view is derived once: the scalar
+    oracle reads S2's entries once per two-hop candidate."""
+
+    @functools.cached_property
+    def entries(self):
+        return CloseClusterSet.entries.fget(self)
+
+
+def snapshot(close_set):
+    return EntriesSnapshot(
+        close_set.owner, close_set.ids, close_set.rtt_ms, close_set.loss, close_set.as_hops
+    )
+
+
+class TestBatchPathMatchesOracle:
+    """``ASAPSystem.call_many`` on the ``small`` world ≡ the scalar
+    oracle run session by session on the same close sets."""
+
+    def test_call_many_equals_scalar_oracle(self):
+        scenario = small_scenario(seed=0)
+        config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
+        system = ASAPSystem(scenario, config)
+        rtt = scenario.matrices.rtt_ms
+        hosts = [cluster.hosts for cluster in scenario.clusters.all_clusters()]
+        latent = [
+            (hosts[a][0].ip, hosts[b][-1].ip)
+            for a, b in np.argwhere(~(np.isfinite(rtt) & (rtt < config.lat_threshold_ms))).tolist()
+            if a < b and hosts[a] and hosts[b]
+        ]
+        order = np.random.default_rng(0).permutation(len(latent))[:100]
+        sessions = system.call_many([latent[i] for i in order])
+        assert len(sessions) == 100 and all(s.relay_needed for s in sessions)
+        two_hop = 0
+        for session in sessions:
+
+            def serve(cluster, requester):
+                return snapshot(system.surrogate(cluster, requester=requester).serve_close_set())
+
+            want = scalar_select_close_relay(
+                serve(session.caller_cluster, session.caller),
+                serve(session.callee_cluster, session.callee),
+                system.online_size,
+                lambda cluster: serve(cluster, session.caller),
+                config,
             )
-            asked.append(order)
-        want = results[1]
-        for got in (results[0], results[2]):
-            assert got.one_hop == want.one_hop          # exact floats, same order
-            assert got.two_hop == want.two_hop
-            assert got.messages == want.messages
-            assert got.two_hop_queries == want.two_hop_queries
-            assert got.best_rtt_ms() == want.best_rtt_ms()
-            assert ranked_relay_clusters(got) == ranked_relay_clusters(want)
-            # The named first hops are exactly the billed queries, in fetch order.
-            assert [c.cluster for c in got.first_hops] == asked[1]
-            assert got.first_hops == got.one_hop[: len(asked[1])]
-        assert asked[0] == asked[1] == asked[2]
-        if config.size_threshold == 0 or config.max_two_hop_queries == 0:
-            assert asked[1] == []
+            got = session.selection
+            assert (got.one_hop, got.two_hop, got.messages) == (
+                want.one_hop,
+                want.two_hop,
+                want.messages,
+            )
+            two_hop += bool(got.two_hop)
+        assert two_hop > 10  # the two-hop step ran on many sessions

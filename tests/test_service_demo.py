@@ -291,13 +291,15 @@ class TestCloseSetWire:
 
     def test_pairs_round_trip_the_rows(self, world):
         built = world.close_set(world.populated_clusters()[0])
+        clusters = world.scenario.matrix_view().count
         unsorted = CloseClusterSet(owner=7)
         for cluster, rtt in ((9, 1.5), (2, 0.25)):  # added out of order
             unsorted.add(CloseClusterEntry(cluster, rtt, 0.0, 1))
         for close_set in (built, unsorted, CloseClusterSet(owner=3)):
             pairs = close_set_to_pairs(close_set)
             assert pairs == [(c, close_set.entries[c].rtt_ms) for c in sorted(close_set.entries)]
-            decoded = pairs_to_close_set(close_set.owner, CloseSetReply(close_set.owner, pairs).entries)
+            entries = CloseSetReply(close_set.owner, pairs).entries
+            decoded = pairs_to_close_set(close_set.owner, entries, clusters)
             for got, want in zip(decoded.rows(), close_set.rows()):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert list(decoded.entries) == decoded.clusters() == close_set.clusters()
@@ -311,11 +313,13 @@ class TestCloseSetWire:
             ((4, -1.0),),                       # negative RTT
             ((4, float("nan")),),
             ((4, 10.0), (6, float("inf"))),
+            ((4, 10.0), (100, 1.0)),            # id beyond the world's 100 clusters
+            ((2**32 - 1, 1.0),),
         ],
     )
     def test_malformed_pairs_are_a_protocol_error(self, pairs):
         with pytest.raises(ProtocolError):
-            pairs_to_close_set(1, pairs)
+            pairs_to_close_set(1, pairs, 100)
 
     def _demo_with_corrupt_replies(self, out_dir, world, monkeypatch, corrupts):
         """A traced one-call demo whose surrogates answer the queries
@@ -357,6 +361,42 @@ class TestCloseSetWire:
         select = next(r for r in records if r.get("name") == "setup.select")
         assert select["attrs"]["two_hop"] == 0 and select["attrs"]["one_hop"] > 0
         assert call.outcome == "completed"
+
+
+    def test_forged_member_id_on_the_peer_leg_is_malformed(self, tmp_path, world, monkeypatch):
+        """A peer-leg reply naming cluster 2**32 - 1 (ids still ascending)
+        ends that leg malformed; the retry's honest set carries the dial,
+        and no leg table is sized by the forged id."""
+        from repro.core import relay_selection
+        from repro.service.host import HostAgent
+
+        genuine_reply, genuine_table = HostAgent._on_close_set_query, relay_selection._leg_table
+        forged, widths = [], []
+
+        async def answer(agent, sender, message):
+            reply = await genuine_reply(agent, sender, message)
+            if forged:
+                return reply
+            forged.append(reply.owner)
+            return CloseSetReply(reply.owner, reply.entries + ((2**32 - 1, 1.0),))
+
+        def leg_table(s2):
+            table = genuine_table(s2)
+            widths.append(len(table))
+            return table
+
+        monkeypatch.setattr(HostAgent, "_on_close_set_query", answer)
+        monkeypatch.setattr(relay_selection, "_leg_table", leg_table)
+        result, trace_bytes = _traced_demo(tmp_path, world)
+        records = [json.loads(line) for line in trace_bytes.splitlines() if line]
+        peer = [
+            r["attrs"]["outcome"]
+            for r in records
+            if r.get("name") == "setup.close_set" and r["attrs"]["leg"] == "peer"
+        ]
+        assert forged and peer == ["malformed", "ok"]
+        assert result.calls[0].outcome in ("completed", "degraded", "failed")
+        assert widths and max(widths) <= world.scenario.matrix_view().count + 1
 
 
 class TestShardedDemo:

@@ -146,6 +146,50 @@ class TestGeneratePopulation:
             assert host.info.capability() > 0
 
 
+class TestCapabilityMemo:
+    """``NodalInfo.capability()`` is computed once per record and the
+    memo stays out of equality and hashing."""
+
+    @staticmethod
+    def formula(info):
+        return (
+            0.5 * np.log1p(info.bandwidth_kbps)
+            + 0.3 * np.log1p(info.uptime_hours)
+            + 0.2 * np.log1p(info.cpu_score)
+        )
+
+    def test_memo_equals_the_formula_and_election_is_unchanged(self):
+        from repro.core import ASAPSystem
+        from repro.scenario import small_scenario
+
+        scenario = small_scenario(seed=0)
+        system = ASAPSystem(scenario)
+        for host in scenario.population.hosts:
+            assert host.info.capability() == self.formula(host.info)
+            assert host.info.__dict__["_capability"] == self.formula(host.info)
+        per_surrogate = system.config.hosts_per_surrogate
+        for cluster in scenario.clusters.all_clusters():
+            count = max(1, -(-len(cluster.hosts) // per_surrogate))
+            ranked = sorted(cluster.hosts, key=lambda h: (-self.formula(h.info), h.ip))
+            group = system.surrogate_group(scenario.matrices.index_of[cluster.prefix])
+            assert [member.host.ip for member in group] == [h.ip for h in ranked[:count]]
+
+    def test_memo_is_invisible_to_equality_and_hash(self):
+        import pickle
+
+        from repro.topology.population import NodalInfo
+
+        fresh = NodalInfo(bandwidth_kbps=800.0, uptime_hours=12.5, cpu_score=3.0)
+        scored = NodalInfo(bandwidth_kbps=800.0, uptime_hours=12.5, cpu_score=3.0)
+        scored.capability()
+        assert "_capability" in vars(scored) and "_capability" not in vars(fresh)
+        assert scored == fresh and hash(scored) == hash(fresh)
+        # A record pickled before it was ever scored (every scenario-cache
+        # entry) loads and scores lazily.
+        loaded = pickle.loads(pickle.dumps(fresh))
+        assert loaded == fresh and loaded.capability() == self.formula(fresh)
+
+
 class TestHierarchicalAllocation:
     def _world(self, seed=1):
         from repro.topology.prefixes import allocate_prefixes_hierarchical
