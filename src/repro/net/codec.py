@@ -47,6 +47,7 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import starmap
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CodecError, FrameError
@@ -218,6 +219,15 @@ def _unpack_bytes(data: bytes, offset: int):
 
 
 def _pack_pairs(out: List[bytes], value) -> None:
+    # One C-level pass packing pair after pair with the compiled ``_PAIR``
+    # (no per-length format); anything it refuses goes the checked way.
+    try:
+        out.append(_U32.pack(len(value)) + b"".join(starmap(_PAIR.pack, value)))
+    except (struct.error, TypeError, ValueError):
+        _pack_pairs_checked(out, value)
+
+
+def _pack_pairs_checked(out: List[bytes], value) -> None:
     try:
         pairs = [(int(c), float(r)) for c, r in value]
     except (TypeError, ValueError) as exc:
@@ -500,57 +510,17 @@ MESSAGE_TYPES: Dict[int, type] = {}
 class Message:
     """Base for wire messages; subclasses declare ``TYPE`` and ``FIELDS``.
 
-    The payload hot path runs over the class's compiled segment plan
-    (:func:`_compile_segments`): every run of fixed-width fields is one
-    combined struct call.  Per-field value checks still run before each
+    :func:`_register` compiles each class's segment plan
+    (:func:`_compile_segments`) into its ``pack_payload`` /
+    ``unpack_payload`` (the latter takes ``bytes`` or a zero-copy
+    ``memoryview``): every run of fixed-width fields is one combined
+    struct call, and per-field value checks still run before each
     combined pack, so the error contract of the per-kind reference path
-    is preserved exactly.
+    is preserved exactly.  Only registered classes travel.
     """
 
     TYPE: int = -1
     FIELDS: Tuple[Tuple[str, str], ...] = ()
-
-    @classmethod
-    def _segments(cls):
-        """The compiled segment plan (built once per class, cached)."""
-        plan = cls.__dict__.get("_SEGMENT_PLAN")
-        if plan is None:
-            plan = _compile_segments(cls.FIELDS)
-            cls._SEGMENT_PLAN = plan
-        return plan
-
-    def pack_payload(self) -> bytes:
-        # Registered classes get a specialized override compiled by
-        # ``_register``; this generic fallback serves unregistered ones.
-        return _compile_pack(self._segments())(self)
-
-    @classmethod
-    def unpack_payload(cls, data) -> "Message":
-        """Decode a payload (``bytes`` or ``memoryview`` — zero-copy)."""
-        try:
-            plan = cls._SEGMENT_PLAN
-        except AttributeError:
-            plan = cls._segments()
-        offset = 0
-        values = {}
-        for segment in plan:
-            if segment[0] == "fixed":
-                _, fmt, names, checks, ip_positions = segment
-                _need(data, offset, fmt.size, f"{cls.__name__} fixed fields")
-                unpacked = fmt.unpack_from(data, offset)
-                for name, value in zip(names, unpacked):
-                    values[name] = value
-                for position in ip_positions:
-                    values[names[position]] = IPv4Address(unpacked[position])
-                offset += fmt.size
-            else:
-                _, name, kind = segment
-                values[name], offset = kind.unpack(data, offset)
-        if offset != len(data):
-            raise CodecError(
-                f"{cls.__name__} payload has {len(data) - offset} trailing bytes"
-            )
-        return cls(**values)
 
 
 def _register(cls):

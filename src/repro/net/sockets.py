@@ -6,12 +6,15 @@ encode_frame` and reassembled from the byte stream with
 socket are exactly the bytes the loopback transport moves in-process.
 
 Endpoint addresses are ``"host:port"`` strings.  Outbound connections
-are pooled per destination and reused for every subsequent send or
-request; responses are correlated back to their requests by the frame
-header's ``request_id``.  A peer that is down surfaces as
-:class:`repro.errors.TransportTimeout` (fast on connection refusal,
-after ``timeout_ms`` on silence), mirroring the loopback's unreachable
-semantics so retry policies behave identically on both substrates.
+are pooled per destination.  Every connection, accepted or dialled, is
+one :class:`_Conn` protocol whose ``data_received`` decodes frames: a
+response completes the request with its ``request_id`` there, and any
+other frame is answered inline — only a handler that suspends becomes a
+task.  A peer that is down surfaces as
+:class:`repro.errors.TransportTimeout` (at once on refusal or a lost
+connection, after ``timeout_ms`` on silence), mirroring the loopback's
+unreachable semantics so retry policies behave identically on both
+substrates.  :meth:`TcpTransport.close` closes every connection.
 
 Each pooled connection caps its in-flight requests (``max_in_flight``)
 with a bounded wait queue behind it (``max_waiters``): a full queue
@@ -25,11 +28,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
+import types
 from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro import obs
-from repro.errors import FrameError, RemoteError, TransportTimeout
+from repro.errors import RemoteError, TransportTimeout, WireError
 from repro.net.codec import (
     ERROR,
     ONEWAY,
@@ -45,30 +49,110 @@ from repro.net.transport import Handler, TraceContext, Transport, answer_frame
 
 __all__ = ["TcpTransport"]
 
-_READ_CHUNK = 65536
+_ANSWERS = frozenset((RESPONSE, ERROR))
 
 
-class _Conn:
-    """One pooled outbound connection and its response-pump task."""
+def _expire(future: asyncio.Future, what: str, addr: str, timeout_ms: float) -> None:
+    if not future.done():
+        future.set_exception(TransportTimeout(f"{what} {addr} within {timeout_ms} ms"))
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        max_in_flight: int = 64,
-        max_waiters: int = 128,
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
+
+@types.coroutine
+def _resume(coro, yielded):
+    """Carry on a coroutine that suspended outside any task: hand what
+    it yielded to the running task and feed each wake-up back in."""
+    while True:
+        try:
+            value = yield yielded
+            step = coro.send
+        except BaseException as exc:  # cancellation, close, a failed wait
+            step, value = coro.throw, exc
+        try:
+            yielded = step(value)
+        except StopIteration as stop:
+            return stop.value
+
+
+async def _finish(coro, yielded):
+    """``_resume`` as a native coroutine, which ``create_task`` needs."""
+    return await _resume(coro, yielded)
+
+
+class _Conn(asyncio.Protocol):
+    """One TCP connection, accepted or dialled: frames in, writes out."""
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        self.owner = owner
         self.decoder = FrameDecoder()
-        self.task: Optional[asyncio.Task] = None
-        self.max_in_flight = max_in_flight
-        self.max_waiters = max_waiters
+        self.sock: Optional[asyncio.Transport] = None
+        self.sender = "?"
+        self.closed = False
+        # Set while paused; resolved on resume, and on loss (whose
+        # requests ``fail`` has already answered).
+        self.drained: Optional[asyncio.Future] = None
+        self.pending: Dict[int, asyncio.Future] = {}
+        self.max_in_flight = owner._max_in_flight
+        self.max_waiters = owner._max_waiters
         self.in_flight = 0
         self.waiters: Deque[asyncio.Future] = deque()
 
-    def alive(self) -> bool:
-        return not self.writer.is_closing()
+    # -- asyncio.Protocol ---------------------------------------------------
+
+    def connection_made(self, sock: asyncio.Transport) -> None:
+        self.sock = sock
+        peername = sock.get_extra_info("peername")
+        self.sender = f"{peername[0]}:{peername[1]}" if peername else "?"
+        self.owner._open.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            frames = self.decoder.feed(data)
+        except WireError:  # a desynchronized stream is dropped, alone
+            self.close("corrupt frame")
+            return
+        for frame in frames:
+            if frame.flags in _ANSWERS:
+                future = self.pending.get(frame.request_id)
+                if future is not None and not future.done():
+                    future.set_result(frame)
+            else:
+                self.owner._dispatch(self, frame)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closed = True
+        self.owner._open.discard(self)
+        self.fail("connection lost")
+        if self.drained is not None and not self.drained.done():
+            self.drained.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.drained = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        drained, self.drained = self.drained, None
+        if not drained.done():
+            drained.set_result(None)
+
+    def write(self, data: bytes) -> None:
+        if self.closed:
+            raise TransportTimeout("connection lost")
+        self.sock.write(data)
+
+    def close(self, reason: str) -> None:
+        self.closed = True
+        self.sock.close()
+        self.fail(reason)
+
+    def fail(self, reason: str) -> None:
+        """Fail the requests and slot waiters now, not at their timeouts."""
+        for future in self.pending.values():
+            if not future.done():
+                future.set_exception(TransportTimeout(reason))
+        self.pending.clear()
+        while self.waiters:
+            waiter = self.waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(TransportTimeout(reason))
 
     # -- backpressure -------------------------------------------------------
 
@@ -97,13 +181,6 @@ class _Conn:
                 return
         self.in_flight = max(0, self.in_flight - 1)
 
-    def fail_waiters(self) -> None:
-        """Connection died: every queued waiter times out now."""
-        while self.waiters:
-            waiter = self.waiters.popleft()
-            if not waiter.done():
-                waiter.set_exception(TransportTimeout("connection closed"))
-
 
 class TcpTransport(Transport):
     """A TCP endpoint: one listening socket plus pooled client sockets."""
@@ -121,11 +198,11 @@ class TcpTransport(Transport):
         self._max_waiters = max_waiters
         self._handler: Optional[Handler] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._conns: Dict[str, _Conn] = {}
+        self._conns: Dict[str, _Conn] = {}  # the outbound pool
+        self._open: set = set()  # every live connection, both directions
         self._connect_locks: Dict[str, asyncio.Lock] = {}
-        self._pending: Dict[int, asyncio.Future] = {}
         self._request_seq = itertools.count(1)
-        self._inbound_tasks: set = set()
+        self._inbound_tasks: set = set()  # answers whose handler suspended
 
     @property
     def local_address(self) -> str:
@@ -137,31 +214,27 @@ class TcpTransport(Transport):
     async def start(self) -> None:
         if self._server is not None:
             return
-        self._server = await asyncio.start_server(
-            self._on_client, self._host, self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Conn(self), self._host, self._port
         )
         # Port 0 asks the kernel for a free port; advertise what we got.
         self._port = self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for conn in self._conns.values():
-            if conn.task is not None:
-                conn.task.cancel()
-            conn.fail_waiters()
-            conn.writer.close()
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for conn in list(self._open):
+            conn.close("transport closed")
         self._conns.clear()
         self._connect_locks.clear()
-        for task in list(self._inbound_tasks):
+        tasks = self._inbound_tasks - {asyncio.current_task()}
+        for task in tasks:
             task.cancel()
-        self._inbound_tasks.clear()
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(TransportTimeout("transport closed"))
-        self._pending.clear()
+        if tasks:
+            await asyncio.wait(tasks)
+        if server is not None:
+            await server.wait_closed()
 
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
@@ -176,55 +249,32 @@ class TcpTransport(Transport):
 
     async def _get_conn(self, addr: str) -> _Conn:
         conn = self._conns.get(addr)
-        if conn is not None and conn.alive():
+        if conn is not None and not conn.closed:
             return conn
-        # One connect per address at a time.  Lanes racing here on an
-        # empty pool would each open a connection and all but the last
-        # stored would be orphaned — a socket and a pump task close()
-        # never sees; the losers wait and find the winner's connection.
+        # One connect per address at a time: lanes racing here on an empty
+        # pool would each open a connection, orphaning all but the last
+        # stored; the losers wait and find the winner's connection.
         async with self._connect_locks.setdefault(addr, asyncio.Lock()):
             conn = self._conns.get(addr)
-            if conn is not None and conn.alive():
+            if conn is not None and not conn.closed:
                 return conn
             host, _, port = addr.rpartition(":")
             try:
-                reader, writer = await asyncio.open_connection(host, int(port))
+                _, conn = await asyncio.get_running_loop().create_connection(
+                    lambda: _Conn(self), host, int(port)
+                )
             except (OSError, ValueError) as exc:
                 raise TransportTimeout(f"cannot connect to {addr}: {exc}") from exc
-            conn = _Conn(reader, writer, self._max_in_flight, self._max_waiters)
-            conn.task = asyncio.get_running_loop().create_task(self._pump(conn))
             self._conns[addr] = conn
             return conn
-
-    async def _pump(self, conn: _Conn) -> None:
-        """Read frames off a pooled connection until it dies."""
-        try:
-            while True:
-                data = await conn.reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                for frame in conn.decoder.feed(data):
-                    if frame.flags in (RESPONSE, ERROR):
-                        self._complete(frame)
-                    elif self._handler is not None:
-                        self._spawn_inbound(conn.writer, "peer", frame)
-        except (asyncio.CancelledError, FrameError, OSError):
-            pass
-        finally:
-            conn.fail_waiters()
-            conn.writer.close()
-
-    def _complete(self, frame: Frame) -> None:
-        future = self._pending.get(frame.request_id)
-        if future is not None and not future.done():
-            future.set_result(frame)
 
     async def send(self, addr: str, message: Message) -> None:
         obs.counter("wire.sent").inc()
         try:
             conn = await self._get_conn(addr)
-            conn.writer.write(encode_frame(message, ONEWAY, 0))
-            await conn.writer.drain()
+            conn.write(encode_frame(message, ONEWAY, 0))
+            if conn.drained is not None:
+                await asyncio.shield(conn.drained)
         except (TransportTimeout, OSError):
             obs.counter("wire.dropped").inc()
 
@@ -234,29 +284,30 @@ class TcpTransport(Transport):
             return
         waiter = conn.enqueue_waiter()
         if waiter is None:
-            obs.counter("wire.backpressure_rejected").inc()
+            rejected = obs.counter("wire.backpressure_rejected")
+            rejected.inc()
             obs.counter("wire.timeouts").inc()
             obs.timeline().sample(
-                "net.backpressure_rejected",
-                self.now_ms(),
-                obs.counter("wire.backpressure_rejected").value,
-                wall=True,
+                "net.backpressure_rejected", self.now_ms(), rejected.value, wall=True
             )
             raise TransportTimeout(
                 f"{addr} backpressure: {conn.in_flight} in flight, "
                 f"{conn.max_waiters} waiting"
             )
+        expiry = asyncio.get_running_loop().call_later(
+            timeout_ms / 1000.0, _expire, waiter, "no free slot to", addr, timeout_ms
+        )
         try:
-            await asyncio.wait_for(asyncio.shield(waiter), timeout_ms / 1000.0)
-        except asyncio.TimeoutError:
-            if waiter.done() and not waiter.cancelled() and waiter.exception() is None:
-                conn.release()  # the slot arrived exactly as we gave up
-            else:
-                waiter.cancel()
+            await waiter
+        except TransportTimeout:
             obs.counter("wire.timeouts").inc()
-            raise TransportTimeout(
-                f"no free slot to {addr} within {timeout_ms} ms"
-            ) from None
+            raise
+        except BaseException:
+            if waiter.done() and not waiter.cancelled() and waiter.exception() is None:
+                conn.release()  # the slot arrived as we were cancelled
+            raise
+        finally:
+            expiry.cancel()
 
     async def request(
         self,
@@ -270,27 +321,27 @@ class TcpTransport(Transport):
         obs.counter("wire.sent").inc()
         conn = await self._get_conn(addr)
         await self._acquire_slot(conn, addr, timeout_ms)
-        obs.timeline().sample(
-            "net.pool_in_flight", self.now_ms(), conn.in_flight, wall=True
-        )
+        timeline = obs.timeline()
+        timeline.sample("net.pool_in_flight", self.now_ms(), conn.in_flight, wall=True)
         if conn.waiters:
-            obs.timeline().sample(
-                "net.pool_waiters", self.now_ms(), len(conn.waiters), wall=True
-            )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
+            timeline.sample("net.pool_waiters", self.now_ms(), len(conn.waiters), wall=True)
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        expiry = loop.call_later(
+            timeout_ms / 1000.0, _expire, future, "no response from", addr, timeout_ms
+        )
         try:
-            conn.writer.write(data)
-            await conn.writer.drain()
-            try:
-                frame: Frame = await asyncio.wait_for(future, timeout_ms / 1000.0)
-            except asyncio.TimeoutError:
-                obs.counter("wire.timeouts").inc()
-                raise TransportTimeout(
-                    f"no response from {addr} within {timeout_ms} ms"
-                ) from None
+            conn.write(data)
+            conn.pending[request_id] = future
+            if conn.drained is not None:
+                await asyncio.shield(conn.drained)
+            frame: Frame = await future
+        except TransportTimeout:
+            obs.counter("wire.timeouts").inc()
+            raise
         finally:
-            self._pending.pop(request_id, None)
+            expiry.cancel()
+            conn.pending.pop(request_id, None)
             conn.release()
         if frame.flags == ERROR:
             assert isinstance(frame.message, ErrorFrame)
@@ -299,45 +350,22 @@ class TcpTransport(Transport):
 
     # -- inbound -----------------------------------------------------------
 
-    async def _on_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        sender = f"{peername[0]}:{peername[1]}" if peername else "?"
-        decoder = FrameDecoder()
+    def _dispatch(self, conn: _Conn, frame: Frame) -> None:
+        """Answer an inbound frame inline, outside any task; a handler
+        that suspends carries on as one (eager tasks, on any asyncio)."""
+        obs.counter("wire.delivered").inc()
+        coro = self._answer(conn, frame)
         try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                for frame in decoder.feed(data):
-                    if frame.flags in (RESPONSE, ERROR):
-                        self._complete(frame)
-                    else:
-                        self._spawn_inbound(writer, sender, frame)
-        except (asyncio.CancelledError, FrameError, OSError):
-            pass
-        finally:
-            writer.close()
-
-    def _spawn_inbound(
-        self, writer: asyncio.StreamWriter, sender: str, frame: Frame
-    ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._dispatch(writer, sender, frame)
-        )
+            yielded = coro.send(None)
+        except StopIteration:
+            return
+        task = asyncio.get_running_loop().create_task(_finish(coro, yielded))
         self._inbound_tasks.add(task)
         task.add_done_callback(self._inbound_tasks.discard)
 
-    async def _dispatch(
-        self, writer: asyncio.StreamWriter, sender: str, frame: Frame
-    ) -> None:
-        obs.counter("wire.delivered").inc()
-        out = await answer_frame(self._handler, sender, frame)
-        if out is None:
-            return
-        try:
-            writer.write(out)
-            await writer.drain()
-        except OSError:
-            pass  # requester is gone; its timeout handles the rest
+    async def _answer(self, conn: _Conn, frame: Frame) -> None:
+        out = await answer_frame(self._handler, conn.sender, frame)
+        if out is not None and not conn.closed:
+            conn.sock.write(out)
+            if conn.drained is not None:
+                await asyncio.shield(conn.drained)

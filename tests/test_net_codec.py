@@ -9,9 +9,13 @@ total over arbitrary bytes.
 import random
 import string
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CodecError, FrameError, WireError
+from repro.net import codec
 from repro.net.codec import (
     CODEC_SCHEMA_VERSION,
     ERROR,
@@ -161,6 +165,85 @@ class TestRejection:
             encode_frame(Ping(token=1 << 32))
         with pytest.raises(CodecError):
             encode_frame(Media(call_id=1, seq=2, payload="not-bytes"))
+
+
+def _pack_outcome(pack, value):
+    """The bytes a pairs packer writes, or the error it raises."""
+    out = []
+    try:
+        pack(out, value)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return b"".join(out)
+
+
+_scalars = st.one_of(
+    st.integers(min_value=-(1 << 33), max_value=1 << 33),
+    st.integers(min_value=0, max_value=(1 << 32) - 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.integers(min_value=-(1 << 40), max_value=1 << 40).map(np.int64),
+    st.integers(min_value=0, max_value=(1 << 32) - 1).map(np.uint32),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.sampled_from(["7", "2.5", "x", None]),
+)
+_pairs = st.one_of(
+    st.lists(
+        st.one_of(
+            st.tuples(_scalars, _scalars),
+            st.lists(_scalars, min_size=2, max_size=2),
+            st.lists(_scalars, max_size=3),  # wrong arity, alone or mixed
+            _scalars,  # not a pair at all
+        ),
+        max_size=12,
+    ),
+    _scalars,  # not a list at all
+)
+
+
+class TestPairsFastPath:
+    """``_pack_pairs`` packs a close set in one C-level pass and falls
+    back to the coercing, per-pair checked path for everything else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=_pairs)
+    def test_fast_path_matches_the_checked_path(self, value):
+        expected = _pack_outcome(codec._pack_pairs_checked, value)
+        assert _pack_outcome(codec._pack_pairs, value) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        value=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 32) - 1),
+                st.floats(min_value=0.0, max_value=5000.0),
+            ),
+            min_size=150,
+            max_size=335,
+        )
+    )
+    def test_close_set_sized_replies_are_byte_identical(self, value):
+        fast = _pack_outcome(codec._pack_pairs, tuple(value))
+        assert isinstance(fast, bytes) and len(fast) == 4 + 12 * len(value)
+        assert fast == _pack_outcome(codec._pack_pairs_checked, value)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([(-1, 1.0)], "pair cluster -1 out of u32 range"),
+            ([(1 << 32, 1.0)], f"pair cluster {1 << 32} out of u32 range"),
+            ([(1, "fast")], "pairs field needs an iterable of (int, float)"),
+            ([(1, 2.0, 3)], "pairs field needs an iterable of (int, float)"),
+            ([(1, 2.0, 3), (4.0,)], "pairs field needs an iterable of (int, float)"),
+            (7, "pairs field needs an iterable of (int, float)"),
+        ],
+    )
+    def test_rejections_keep_their_errors(self, value, message):
+        with pytest.raises(CodecError) as err:
+            codec._pack_pairs([], value)
+        assert str(err.value) == message
 
 
 class TestFrameDecoder:

@@ -7,11 +7,24 @@ every failure (silence, refusal, handler crash) onto the same
 """
 
 import asyncio
+import socket
+import time
 
 import pytest
 
 from repro.errors import RemoteError, TransportTimeout
-from repro.net.codec import ERR_INTERNAL, ERR_UNSUPPORTED, Ping, Pong
+from repro.net import sockets
+from repro.net.codec import (
+    ERR_INTERNAL,
+    ERR_UNSUPPORTED,
+    REQUEST,
+    RESPONSE,
+    FrameDecoder,
+    Media,
+    Ping,
+    Pong,
+    encode_frame,
+)
 from repro.net.shaped import ShapedTransport
 from repro.net.loopback import LoopbackHub, LoopbackTransport
 from repro.net.sockets import TcpTransport
@@ -27,6 +40,25 @@ async def _crash(sender, frame):
 
 async def _silent(sender, frame):
     return None
+
+
+def _leftover_tasks(before):
+    """Live tasks the code under test started (none may survive close)."""
+    return asyncio.all_tasks() - before - {asyncio.current_task()}
+
+
+def _split(address):
+    host, _, port = address.rpartition(":")
+    return host, int(port)
+
+
+async def _read_frames(reader, count):
+    decoder, frames = FrameDecoder(), []
+    while len(frames) < count:
+        data = await asyncio.wait_for(reader.read(65536), 2.0)
+        assert data, "connection closed before every answer arrived"
+        frames.extend(decoder.feed(data))
+    return frames
 
 
 def _loopback_pair(hub, shape=lambda t: t):
@@ -216,8 +248,9 @@ class TestTcp:
     def test_concurrent_first_requests_share_one_connection(self):
         # Regression: lanes racing through ``_get_conn`` on an empty pool
         # each opened a connection; the pool kept the last and ``close()``
-        # never saw the others (a leaked socket + pump task per race).
+        # never saw the others (a leaked socket per race).
         async def main():
+            before = asyncio.all_tasks()
             senders = []
 
             async def echo(sender, frame):
@@ -242,19 +275,191 @@ class TestTcp:
             finally:
                 await client.close()
                 await server.close()
-            await asyncio.sleep(0)  # let the cancelled pump finish
-            pending = [
-                task
-                for task in asyncio.all_tasks()
-                if task.get_coro().__qualname__ == "TcpTransport._pump"
-            ]
-            return replies, pooled, senders, pending
+            return replies, pooled, senders, _leftover_tasks(before)
 
-        replies, pooled, senders, pending = asyncio.run(main())
+        replies, pooled, senders, leftover = asyncio.run(main())
         assert replies == [Pong(token=i) for i in range(8)]
         assert pooled == 1
         assert len(senders) == 8 and len(set(senders)) == 1  # one accept
-        assert not pending
+        assert not leftover
+
+    def test_closed_server_stops_answering_its_pooled_connections(self):
+        # Regression: close() stopped listening but kept serving accepted
+        # connections, and left their tasks behind.
+        async def main():
+            before = asyncio.all_tasks()
+            gate = asyncio.Event()
+
+            async def handler(sender, frame):
+                if frame.message.token == 1:
+                    await gate.wait()  # an answer still suspended at close
+                return Pong(token=frame.message.token)
+
+            server = TcpTransport()
+            server.bind(handler)
+            await server.start()
+            client = TcpTransport()
+            addr = server.local_address
+            try:
+                assert await client.request(addr, Ping(token=0), 2_000.0) == Pong(token=0)
+                stuck = asyncio.ensure_future(client.request(addr, Ping(token=1), 5_000.0))
+                await asyncio.sleep(0.05)
+                await server.close()
+                started = time.monotonic()
+                with pytest.raises(TransportTimeout):
+                    await stuck
+                with pytest.raises(TransportTimeout):
+                    await client.request(addr, Ping(token=2), 5_000.0)
+                elapsed = time.monotonic() - started
+            finally:
+                await client.close()
+            return elapsed, _leftover_tasks(before)
+
+        elapsed, leftover = asyncio.run(main())
+        assert elapsed < 1.0  # failed at once, not after the 5 s timeout
+        assert not leftover
+
+    def test_peer_closing_mid_request_fails_it_at_once(self):
+        async def main():
+            async def hang_up(reader, writer):
+                await reader.read(1)  # the request is arriving
+                writer.close()
+
+            peer = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = peer.sockets[0].getsockname()[1]
+            client = TcpTransport()
+            started = time.monotonic()
+            try:
+                with pytest.raises(TransportTimeout, match="connection lost"):
+                    await client.request(f"127.0.0.1:{port}", Ping(token=1), 5_000.0)
+            finally:
+                await client.close()
+                peer.close()
+                await peer.wait_closed()
+            return time.monotonic() - started
+
+        assert asyncio.run(main()) < 1.0
+
+    def test_glued_requests_fed_one_byte_at_a_time_are_both_answered(self):
+        async def main():
+            server = TcpTransport()
+            server.bind(_echo)
+            await server.start()
+            reader, writer = await asyncio.open_connection(*_split(server.local_address))
+            stream = encode_frame(Ping(token=5), REQUEST, 11) + encode_frame(
+                Ping(token=6), REQUEST, 12
+            )
+            try:
+                for index in range(len(stream)):
+                    writer.write(stream[index:index + 1])
+                    await writer.drain()
+                    await asyncio.sleep(0.001)
+                frames = await _read_frames(reader, 2)
+            finally:
+                writer.close()
+                await server.close()
+            return [(f.request_id, f.flags, f.message) for f in frames]
+
+        assert asyncio.run(main()) == [
+            (11, RESPONSE, Pong(token=5)),
+            (12, RESPONSE, Pong(token=6)),
+        ]
+
+    def test_corrupt_frame_closes_only_its_own_connection(self):
+        async def main():
+            server = TcpTransport()
+            server.bind(_echo)
+            await server.start()
+            addr = server.local_address
+            client = TcpTransport()
+            try:
+                await client.request(addr, Ping(token=1), 2_000.0)
+                pooled = client._conns[addr]
+                reader, writer = await asyncio.open_connection(*_split(addr))
+                writer.write(b"XX" + encode_frame(Ping(token=2), REQUEST, 1)[2:])
+                await writer.drain()
+                eof = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                reply = await client.request(addr, Ping(token=3), 2_000.0)
+                kept = client._conns[addr] is pooled and not pooled.closed
+            finally:
+                await client.close()
+                await server.close()
+            return eof, reply, kept
+
+        assert asyncio.run(main()) == (b"", Pong(token=3), True)
+
+    def test_suspending_and_inline_answers_interleave_on_one_connection(self):
+        async def main():
+            async def mixed(sender, frame):
+                token = frame.message.token
+                if token % 2:
+                    await asyncio.sleep(0.002 * (8 - token))  # suspends
+                return Pong(token=token)
+
+            server = TcpTransport()
+            server.bind(mixed)
+            await server.start()
+            reader, writer = await asyncio.open_connection(*_split(server.local_address))
+            try:
+                writer.write(
+                    b"".join(
+                        encode_frame(Ping(token=t), REQUEST, 100 + t) for t in range(8)
+                    )
+                )
+                await writer.drain()
+                frames = await _read_frames(reader, 8)
+            finally:
+                writer.close()
+                await server.close()
+            return [(f.request_id, f.message.token) for f in frames]
+
+        answered = asyncio.run(main())
+        assert sorted(answered) == [(100 + t, t) for t in range(8)]
+        # inline answers leave first, in order; the suspended ones follow
+        assert [token for _, token in answered[:4]] == [0, 2, 4, 6]
+        assert [token for _, token in answered[4:]] == [7, 5, 3, 1]
+
+    def test_reply_over_the_write_high_water_mark_round_trips(self, monkeypatch):
+        pauses = []
+        pause = sockets._Conn.pause_writing
+
+        def counted(conn):
+            pauses.append(conn)
+            pause(conn)
+
+        monkeypatch.setattr(sockets._Conn, "pause_writing", counted)
+        payload = bytes(range(256)) * 3_000  # 768,000 B, far over 64 KiB
+
+        async def main():
+            async def big(sender, frame):
+                return Media(call_id=1, seq=frame.message.token, payload=payload)
+
+            server = TcpTransport()
+            server.bind(big)
+            await server.start()
+            client = TcpTransport()
+            addr = server.local_address
+            try:
+                await client.request(addr, Ping(token=0), 2_000.0)
+                # Small kernel buffers make the write queue in asyncio.
+                (accepted,) = server._open
+                accepted.sock.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                client._conns[addr].sock.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF, 4096
+                )
+                reply = await client.request(addr, Ping(token=7), 5_000.0)
+                resumed = accepted.drained is None
+            finally:
+                await client.close()
+                await server.close()
+            return reply, resumed
+
+        reply, resumed = asyncio.run(main())
+        assert reply == Media(call_id=1, seq=7, payload=payload)
+        assert pauses and resumed
 
 
 class TestWrappers:
