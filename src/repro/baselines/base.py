@@ -168,26 +168,5 @@ class RelayMethod(ABC):
         b = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
         return a, b
 
-    def _score_probes(
-        self, world, a: int, b: int, relay_clusters: Sequence[int]
-    ) -> Tuple[int, Optional[float]]:
-        """Count quality relay paths / best RTT over probed relay nodes.
-
-        Each probed node lives in some cluster; its relay-path RTT is the
-        cluster-granularity estimate plus the relay delay.
-        """
-        if len(relay_clusters) == 0:
-            return 0, None
-        relays = np.asarray(relay_clusters, dtype=int)
-        path = (
-            world.gather_rtt(a, relays)
-            + world.gather_rtt(relays, b)
-            + self._config.relay_delay_rtt_ms
-        )
-        finite = np.isfinite(path)
-        quality = int(np.sum(finite & (path < self._config.lat_threshold_ms)))
-        best = float(np.min(path[finite])) if np.any(finite) else None
-        return quality, best
-
     def _session_rng(self, session_id: int) -> np.random.Generator:
         return derive_rng(self._config.seed, self.name, str(session_id))

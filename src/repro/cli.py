@@ -1,34 +1,14 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Commands mirror the paper's workflow:
-
-- ``generate``   build a scenario and export its artifacts (RIB dump,
-                 update stream, measured matrices) to a directory;
-- ``section3``   the measurement-foundation experiment (Figs. 2-3);
-- ``section5``   the 14-session Skype study (Tables 1-2, Figs. 6-7);
-- ``section7``   ASAP vs baselines on latent sessions (Figs. 11-16, 18);
-- ``experiment`` the unified experiment engine — section7 on the dense
-                 or streamed substrate at any tier, with stage and
-                 per-policy timings and peak-RSS accounting;
-- ``scalability``the two-population experiment (Fig. 17);
-- ``call``       one ASAP call on the worst direct pair (or an explicit
-                 ``--src``/``--dst`` host pair), verbosely;
-- ``trace``      a traced chaos + Skype-baseline run, rendered as
-                 per-call timelines and the L1-L4 limits report;
-- ``soak``       long-horizon churn soak over the sharded control plane
-                 (steady-state gates; exits 1 when a gate fails);
-- ``report``     render a finished run directory — manifest summary,
-                 per-subsystem telemetry timelines, trace self-time
-                 profile, critical path — and optionally export a
-                 flamegraph JSON document;
-- ``serve``      run the bootstrap + surrogate daemons on real TCP
-                 sockets;
-- ``dial``       join host agents against a running ``serve`` and place
-                 one call over the wire (prints MOS and the setup
-                 critical path);
-- ``demo``       the whole overlay in one process — bootstrap,
-                 surrogates, hosts — over the deterministic loopback
-                 transport or real localhost sockets.
+Commands mirror the paper's workflow: the measurement foundation
+(``section3``), the Skype study (``section5``, ``limits``), the
+evaluation (``section7``, ``experiment``, ``scalability``, ``figures``,
+``robustness``), single calls and conferences (``call``,
+``conference``), runs under faults and churn (``chaos``, ``soak``,
+``trace``, ``report``), scenario export (``generate``) and the wire
+overlay (``serve``, ``dial``, ``demo``, all assembled by
+:mod:`repro.service.demo`); ``--help`` describes each.  This module
+holds only argument handling and printing.
 
 Every subcommand is registered through :func:`_subcommand`, the single
 place the uniform flags (``--scale``/``--seed``/``--workers``/
@@ -47,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import obs
+from repro import __version__, obs
 from repro.scenario import SCALES, Scenario, ScenarioConfig, build_scenario
 
 
@@ -56,7 +36,6 @@ def _build_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def _version_string() -> str:
-    from repro import __version__
     from repro.net.codec import CODEC_SCHEMA_VERSION
 
     return (
@@ -100,6 +79,47 @@ def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser
     _add_common(parser)
     parser.set_defaults(func=func)
     return parser
+
+
+def _add_fault_flags(p: argparse.ArgumentParser, crash_rate: float, churn_rate: float) -> None:
+    """The fault-schedule flags :func:`_fault_config` reads."""
+    p.add_argument("--duration-ms", type=float, default=60_000.0,
+                   help="fault schedule window (simulated ms)")
+    p.add_argument("--fault-seed", type=int, default=0,
+                   help="seed of the fault schedule (independent of --seed)")
+    p.add_argument("--crash-rate", type=float, default=crash_rate,
+                   help="surrogate crashes per simulated minute")
+    p.add_argument("--churn-rate", type=float, default=churn_rate,
+                   help="host departures per simulated minute")
+
+
+class _UsageError(Exception):
+    """Flags that cannot run together: ``main`` prints it and returns 2."""
+
+
+def _host_pair(args: argparse.Namespace, hosts) -> Optional[tuple]:
+    """The ``--src``/``--dst`` host pair's IPs, or None when neither is given."""
+    if (args.src is None) != (args.dst is None):
+        raise _UsageError("--src and --dst must be given together")
+    if args.src is None:
+        return None
+    for index in (args.src, args.dst):
+        if not 0 <= index < len(hosts):
+            raise _UsageError(
+                f"host index {index} out of range (population has {len(hosts)} hosts)"
+            )
+    return hosts[args.src].ip, hosts[args.dst].ip
+
+
+def _print_measured_mos(closed: Optional[float], score) -> None:
+    """The closed-form vs measured MOS line, then one line per window."""
+    closed_str = f"{closed:.3f}" if closed is not None else "n/a"
+    print(f"  closed-form MOS: {closed_str}   measured MOS: {score.mos:.3f}")
+    for w in score.windows:
+        mos_str = "outage" if w.is_outage else f"{w.mos:.3f}"
+        print(f"  [{w.start_ms:7.0f}..{w.end_ms:7.0f} ms] "
+              f"measured {mos_str}  loss {w.effective_loss:.3f}  "
+              f"codec {w.codec}")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -269,20 +289,9 @@ def cmd_call(args: argparse.Namespace) -> int:
     scenario = _build_from_args(args)
     matrices = scenario.matrices
     system = ASAPSystem(scenario, ASAPConfig(k_hops=derive_k_hops(matrices)))
-    if (args.src is None) != (args.dst is None):
-        print("error: --src and --dst must be given together", file=sys.stderr)
-        return 2
-    if args.src is not None:
-        hosts = scenario.population.hosts
-        for index in (args.src, args.dst):
-            if not 0 <= index < len(hosts):
-                print(
-                    f"error: host index {index} out of range "
-                    f"(population has {len(hosts)} hosts)",
-                    file=sys.stderr,
-                )
-                return 2
-        caller_ip, callee_ip = hosts[args.src].ip, hosts[args.dst].ip
+    pair = _host_pair(args, scenario.population.hosts)
+    if pair is not None:
+        caller_ip, callee_ip = pair
     else:
         rtt = matrices.rtt_ms.copy()
         rtt[~np.isfinite(rtt)] = -1.0
@@ -314,17 +323,11 @@ def cmd_call(args: argparse.Namespace) -> int:
             config=MediaPlaneConfig(burst_frames=4.0),
             seed=args.seed,
         )
-        closed = mos_of_path(float(rtt))
         print(f"media: {len(result.trace.frames)} frames over best path "
               f"({rtt:.0f} ms RTT), {result.score.late_frames} late, "
               f"{result.score.lost_frames} lost, "
               f"{len(result.switches)} codec switches")
-        print(f"  closed-form MOS: {closed:.3f}   measured MOS: {result.score.mos:.3f}")
-        for w in result.score.windows:
-            mos_str = "outage" if w.is_outage else f"{w.mos:.3f}"
-            print(f"  [{w.start_ms:7.0f}..{w.end_ms:7.0f} ms] "
-                  f"measured {mos_str}  loss {w.effective_loss:.3f}  "
-                  f"codec {w.codec}")
+        _print_measured_mos(mos_of_path(float(rtt)), result.score)
     return 0
 
 
@@ -371,6 +374,29 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fault_config(args: argparse.Namespace, **extra):
+    from repro.faults import FaultScheduleConfig
+
+    return FaultScheduleConfig(
+        seed=args.fault_seed,
+        duration_ms=args.duration_ms,
+        surrogate_crash_rate_per_min=args.crash_rate,
+        host_churn_rate_per_min=args.churn_rate,
+        **extra,
+    )
+
+
+def _flushed_trace_path():
+    """The active run's ``traces.jsonl``, flushed; None unless tracing
+    is on and writing to disk."""
+    observer = obs.active()
+    tracer = observer.trace if observer is not None else None
+    if tracer is None or tracer.path is None:
+        return None
+    tracer.flush()
+    return tracer.path
+
+
 def _print_traced_failovers(limit: int = 5) -> int:
     """Render the failover timelines captured by the active run's trace.
 
@@ -380,20 +406,12 @@ def _print_traced_failovers(limit: int = 5) -> int:
     """
     from repro.obs import trace_analysis as ta
 
-    observer = obs.active()
-    tracer = observer.trace if observer is not None else None
-    if tracer is None or tracer.path is None:
+    path = _flushed_trace_path()
+    if path is None:
         return 0
-    tracer.flush()
-    trees = ta.build_trees(obs.load_trace_file(tracer.path))
+    trees = ta.build_trees(obs.load_trace_file(path))
     faults = ta.fault_links(trees)
-    interesting = [
-        tree
-        for tree in trees.values()
-        if tree.root is not None
-        and tree.root.name == "call"
-        and (tree.root.find("media.failover") or tree.root.find("media.relay_lost"))
-    ]
+    interesting = [tree for tree in ta.call_trees(trees) if ta.relay_losses(tree)]
     if not interesting:
         return 0
     print(f"traced failover timelines ({len(interesting)} calls):")
@@ -409,20 +427,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.evaluation.chaos import run_chaos
     from repro.evaluation.report import render_kv_table
     from repro.evaluation.sessions import generate_workload
-    from repro.faults import FaultScheduleConfig
     from repro.obs import trace_analysis as ta
     from repro.skype.session import run_skype_session
 
     scenario = _build_from_args(args)
-    fault_config = FaultScheduleConfig(
-        seed=args.fault_seed,
-        duration_ms=args.duration_ms,
-        surrogate_crash_rate_per_min=args.crash_rate,
-        host_churn_rate_per_min=args.churn_rate,
-    )
     run_chaos(
         scenario,
-        fault_config,
+        _fault_config(args),
         sessions=args.sessions,
         joins=args.joins,
         media_duration_ms=args.media_ms,
@@ -444,34 +455,23 @@ def cmd_trace(args: argparse.Namespace) -> int:
             session_id=index,
         )
 
-    observer = obs.active()
-    tracer = observer.trace if observer is not None else None
-    if tracer is None or tracer.path is None:
-        print("error: the trace command needs an active traced run", file=sys.stderr)
-        return 2
-    tracer.flush()
+    path = _flushed_trace_path()
+    if path is None:
+        raise _UsageError("the trace command needs an active traced run")
     # Everything below is derived purely from the trace file on disk —
     # never from live runtime state — so the same report reproduces
     # offline from traces.jsonl alone.
-    records = obs.load_trace_file(tracer.path)
+    records = obs.load_trace_file(path)
     trees = ta.build_trees(records)
     calls = ta.analyze_calls(trees)
     skypes = ta.analyze_skype_calls(trees)
     faults = ta.fault_links(trees)
 
-    call_trees = [
-        tree for tree in trees.values()
-        if tree.root is not None and tree.root.name == "call"
-    ]
-
-    def interest(tree) -> int:
-        return (
-            len(tree.root.find("media.failover"))
-            + len(tree.root.find("media.relay_lost"))
-            + len(faults.get(tree.trace_id, ()))
-        )
-
-    call_trees.sort(key=lambda tree: (-interest(tree), tree.trace_id))
+    # Most disrupted first: relay losses plus the faults that hit the call.
+    call_trees = sorted(
+        ta.call_trees(trees),
+        key=lambda t: (-ta.relay_losses(t) - len(faults.get(t.trace_id, ())), t.trace_id),
+    )
     for tree in call_trees[: args.timelines]:
         print()
         for line in ta.render_timeline(tree, faults):
@@ -480,23 +480,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
     report = ta.limits_report(calls, skypes)
     print()
     print(render_kv_table("Skype limits, ASAP vs Skype-like baseline:", report.rows()))
-    print(f"trace records: {len(records)} in {tracer.path}")
+    print(f"trace records: {len(records)} in {path}")
     return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.evaluation.chaos import run_chaos, sweep_chaos
     from repro.evaluation.report import render_kv_table
-    from repro.faults import FaultScheduleConfig
 
     scenario = _build_from_args(args)
-    fault_config = FaultScheduleConfig(
-        seed=args.fault_seed,
-        duration_ms=args.duration_ms,
-        surrogate_crash_rate_per_min=args.crash_rate,
-        host_churn_rate_per_min=args.churn_rate,
-        random_as_outages=args.as_failures,
-        message_loss_rate=args.loss_rate,
+    fault_config = _fault_config(
+        args, random_as_outages=args.as_failures, message_loss_rate=args.loss_rate
     )
     kwargs = dict(
         sessions=args.sessions,
@@ -530,12 +524,10 @@ def cmd_soak(args: argparse.Namespace) -> int:
     from repro.faults import ChurnWave
 
     scenario = _build_from_args(args)
-    waves = ()
-    if args.wave_fraction > 0:
-        waves = tuple(
-            ChurnWave(at_ms=round(at, 3), fraction=args.wave_fraction)
-            for at in args.wave_at_ms
-        )
+    waves = tuple(
+        ChurnWave(at_ms=round(at, 3), fraction=args.wave_fraction)
+        for at in (args.wave_at_ms if args.wave_fraction > 0 else ())
+    )
     config = SoakConfig(
         seed=args.soak_seed,
         sim_minutes=args.minutes,
@@ -608,9 +600,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def _service_world(args: argparse.Namespace):
     from repro.service.world import ServiceWorld
 
-    return ServiceWorld.from_scale(
-        args.scale, args.seed, workers=args.workers, cache_dir=args.cache_dir
-    )
+    return ServiceWorld.from_scale(args.scale, args.seed, workers=args.workers,
+                                  cache_dir=args.cache_dir)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -619,40 +610,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.net.sockets import TcpTransport
-    from repro.service.bootstrap import BootstrapServer
-    from repro.service.surrogate import SurrogateServer
+    from repro.service.demo import start_servers
 
     world = _service_world(args)
     # Distinct node prefix: a traced serve+dial pair must never mint
     # colliding span/trace ids, so each side's ids carry its own tag.
     obs.tracer().set_node("s")
+    bootstrap_key = str(world.bootstrap_host.ip)
 
     async def serve() -> None:
-        bootstrap = BootstrapServer(world, TcpTransport(args.host, args.port))
-        await bootstrap.start()
-        surrogates = []
-        for cluster in world.populated_clusters():
-            server = SurrogateServer(
-                world, cluster, TcpTransport(args.host, 0), bootstrap.address
-            )
-            await server.start()
-            await server.register()
-            surrogates.append(server)
+        servers = await start_servers(
+            world,
+            lambda key: TcpTransport(args.host, args.port if key == bootstrap_key else 0),
+        )
         print(
-            f"bootstrap on {bootstrap.address}; "
-            f"{len(surrogates)} surrogate daemons registered "
+            f"bootstrap on {servers.address}; "
+            f"{len(servers.surrogates)} surrogate daemons registered "
             f"(scale={args.scale} seed={args.seed})"
         )
         sys.stdout.flush()
         try:
-            if args.duration_s is not None:
-                await asyncio.sleep(args.duration_s)
-            else:
-                await asyncio.Event().wait()
+            forever = args.duration_s is None
+            await (asyncio.Event().wait() if forever else asyncio.sleep(args.duration_s))
         finally:
-            for server in surrogates:
-                await server.close()
-            await bootstrap.close()
+            await servers.close()
 
     try:
         asyncio.run(serve())
@@ -689,97 +670,43 @@ def _print_dial_result(result, media_received: int) -> None:
 def cmd_dial(args: argparse.Namespace) -> int:
     """Join host agents against a running ``serve`` bootstrap and place
     one call end-to-end over TCP: join, close-set exchange, relay
-    selection, media, teardown."""
+    selection, voice frames, teardown."""
     import asyncio
 
-    from repro.core.dial import RuntimePolicy
-    from repro.errors import ServiceError
-    from repro.net.shaped import ShapedTransport
-    from repro.net.sockets import TcpTransport
-    from repro.service.demo import _relay_pool_ips
-    from repro.service.host import HostAgent
+    from repro.media.frames import trace_from_wire
+    from repro.media.score import score_trace
+    from repro.service.demo import shaped_tcp, start_agents
 
     world = _service_world(args)
     obs.tracer().set_node("d")  # distinct ids vs the serve side's "s"
-    if (args.src is None) != (args.dst is None):
-        print("error: --src and --dst must be given together", file=sys.stderr)
-        return 2
-    if args.src is not None:
-        hosts = world.scenario.population.hosts
-        caller_ip, callee_ip = hosts[args.src].ip, hosts[args.dst].ip
-    else:
+    pair = _host_pair(args, world.scenario.population.hosts)
+    if pair is None:
         pairs = world.latent_pairs(1)
         if not pairs:
-            print("error: no latent call pair in this scenario", file=sys.stderr)
-            return 2
-        caller_ip, callee_ip = pairs[0]
-    pair = (caller_ip, callee_ip)
+            raise _UsageError("no latent call pair in this scenario")
+        pair = pairs[0]
+    caller_ip, callee_ip = pair
 
     async def dial():
-        agents = {}
-        for ip in [caller_ip, callee_ip] + _relay_pool_ips(
-            world, [pair], {caller_ip, callee_ip}
-        ):
-            agent = HostAgent(
-                world,
-                ip,
-                ShapedTransport(TcpTransport()),
-                args.bootstrap,
-                RuntimePolicy(),
-            )
-            await agent.start()
-            agents[ip] = agent
-        # Shape the wire among the agents this process runs (the media
-        # path: caller, callee, relay candidates) with the scenario's
-        # ground-truth RTTs; control traffic to the remote bootstrap
-        # and surrogates stays unshaped.
-        for ip, agent in agents.items():
-            for other_ip, other in agents.items():
-                if other_ip == ip:
-                    continue
-                rtt = world.rtt_ms(ip, other_ip)
-                if rtt is not None:
-                    agent.transport.set_rtt_ms(other.address, rtt)
+        # The agents this process runs (caller, callee, relay candidates)
+        # shape the wire among themselves with the scenario's RTTs;
+        # control traffic to the remote bootstrap and surrogates does not.
+        agents = await start_agents(world, shaped_tcp(world), args.bootstrap, [pair])
         try:
-            for ip in sorted(agents, key=lambda a: a.value):
-                if not await agents[ip].join():
-                    raise ServiceError(f"agent {ip} failed to join the overlay")
-            result = await agents[caller_ip].dial(
-                callee_ip, media_ms=args.media_ms, media_frames=args.media
-            )
-            received = sum(agents[callee_ip].media_received.values())
-            traces = (
-                {
-                    call_id: agents[callee_ip].received_trace(call_id)
-                    for call_id in sorted(agents[callee_ip].frame_traces)
-                }
-                if args.media
-                else {}
-            )
+            result = await agents[caller_ip].dial(callee_ip, media_ms=args.media_ms)
         finally:
             for agent in agents.values():
                 await agent.close()
-        return result, received, traces
+        return result, agents[callee_ip]
 
-    result, received, traces = asyncio.run(dial())
-    _print_dial_result(result, received)
-    if args.media:
-        from repro.media.score import score_trace
-
-        for call_id, trace in traces.items():
-            if not trace.frames:
-                continue
-            score = score_trace(trace)
-            print(f"measured media (call {call_id}): "
-                  f"{len(trace.frames)} frames, "
-                  f"{score.late_frames} late, {score.lost_frames} lost")
-            closed = f"{result.mos:.3f}" if result.mos is not None else "n/a"
-            print(f"  closed-form MOS: {closed}   measured MOS: {score.mos:.3f}")
-            for w in score.windows:
-                mos_str = "outage" if w.is_outage else f"{w.mos:.3f}"
-                print(f"  [{w.start_ms:7.0f}..{w.end_ms:7.0f} ms] "
-                      f"measured {mos_str}  loss {w.effective_loss:.3f}  "
-                      f"codec {w.codec}")
+    result, callee = asyncio.run(dial())
+    _print_dial_result(result, sum(callee.media_received.values()))
+    for call_id, receipts in sorted(callee.frame_traces.items()):
+        trace = trace_from_wire(call_id, receipts)
+        score = score_trace(trace)
+        print(f"measured media (call {call_id}): {len(trace.frames)} frames, "
+              f"{score.late_frames} late, {score.lost_frames} lost")
+        _print_measured_mos(result.mos, score)
     return 0 if result.outcome in ("completed", "degraded") else 1
 
 
@@ -807,12 +734,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             f"  virtual time: {result.virtual_ms:.1f} ms; wire deliveries "
             f"{result.wire_deliveries}, drops {result.wire_drops}"
         )
-    for index, call in enumerate(result.calls):
-        received = (
-            result.media_delivered[index]
-            if index < len(result.media_delivered)
-            else 0
-        )
+    for call, received in zip(result.calls, result.media_delivered):
         print()
         _print_dial_result(call, received)
     return 0 if result.completed == len(result.calls) else 1
@@ -942,18 +864,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--joins", type=int, default=10, help="hosts that join")
     p.add_argument("--skype-sessions", type=int, default=4,
                    help="Skype-like baseline sessions to trace")
-    p.add_argument("--duration-ms", type=float, default=60_000.0,
-                   help="fault schedule window (simulated ms)")
+    _add_fault_flags(p, crash_rate=4.0, churn_rate=0.0)
     p.add_argument("--media-ms", type=float, default=20_000.0,
                    help="voice duration per completed call (simulated ms)")
     p.add_argument("--skype-ms", type=float, default=120_000.0,
                    help="duration of each Skype-like session (simulated ms)")
-    p.add_argument("--fault-seed", type=int, default=0,
-                   help="seed of the fault schedule (independent of --seed)")
-    p.add_argument("--crash-rate", type=float, default=4.0,
-                   help="surrogate crashes per simulated minute")
-    p.add_argument("--churn-rate", type=float, default=0.0,
-                   help="host departures per simulated minute")
     p.add_argument("--timelines", type=int, default=3,
                    help="full per-call timelines to print")
     p.set_defaults(trace=True)
@@ -966,16 +881,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--latent", type=int, default=None, metavar="N",
                    help="prefer latent (relay-needing) sessions: keep "
                         "generating until N exist and place those first")
-    p.add_argument("--duration-ms", type=float, default=60_000.0,
-                   help="fault schedule window (simulated ms)")
+    _add_fault_flags(p, crash_rate=2.0, churn_rate=10.0)
     p.add_argument("--media-ms", type=float, default=10_000.0,
                    help="voice duration per completed call (simulated ms)")
-    p.add_argument("--fault-seed", type=int, default=0,
-                   help="seed of the fault schedule (independent of --seed)")
-    p.add_argument("--crash-rate", type=float, default=2.0,
-                   help="surrogate crashes per simulated minute")
-    p.add_argument("--churn-rate", type=float, default=10.0,
-                   help="host departures per simulated minute")
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="uniform background message-loss probability")
     p.add_argument("--as-failures", type=int, default=0,
@@ -1061,11 +969,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dst", type=int, default=None, metavar="J",
                    help="callee host index into the population")
     p.add_argument("--media-ms", type=float, default=2_000.0,
-                   help="voice duration (default: 2000 ms)")
-    p.add_argument("--media", action="store_true",
-                   help="send real timestamped MediaFrames instead of "
-                        "abstract media packets and print per-window "
-                        "measured MOS beside the closed form")
+                   help="voice duration; the received frames are scored "
+                        "per window (default: 2000 ms)")
 
     p = _subcommand(sub, "demo", cmd_demo,
                     "whole overlay in one process (loopback or TCP)")
@@ -1099,6 +1004,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -1112,7 +1025,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --trace requires --obs-dir", file=sys.stderr)
         return 2
     if obs_dir is None:
-        return args.func(args)
+        return _run(args)
     obs.start_run(
         obs_dir=obs_dir,
         command=args.command,
@@ -1120,13 +1033,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         log_level=getattr(args, "log_level", "info"),
         trace=trace,
     )
-    from repro import __version__
     from repro.net.codec import CODEC_SCHEMA_VERSION
 
     obs.annotate(scale=getattr(args, "scale", None), seed=getattr(args, "seed", None))
     obs.annotate(package_version=__version__, codec_schema=CODEC_SCHEMA_VERSION)
     try:
-        return args.func(args)
+        return _run(args)
     finally:
         manifest = obs.finish_run()
         if manifest is not None:

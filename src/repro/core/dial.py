@@ -207,12 +207,10 @@ class MediaSessionRecord:
     relay_cluster: Optional[int] = None
     relay_ip: Optional[IPv4Address] = None
     base_rtt_ms: float = 0.0
-    #: On the wire: timestamped codec frames instead of abstract packets.
-    frames: bool = False
     outcome: str = "active"           # active | finished | dropped
     degraded_to_direct: bool = False
     keepalives: int = 0
-    packets: int = 0                  # voice packets sent (wire)
+    packets: int = 0                  # voice frames sent (wire)
     failovers: List[FailoverEvent] = field(default_factory=list)
     outage_windows: List[OutageWindow] = field(default_factory=list)
     impact: Optional[OutageImpact] = None  # once scored
@@ -364,7 +362,6 @@ async def run_dial(
     call: DialResult,
     callee,
     media_ms: Optional[float] = None,
-    media_frames: bool = False,
 ) -> DialResult:
     """Place ``call`` to the ``callee`` host, Fig. 8 top to bottom.
 
@@ -414,7 +411,7 @@ async def run_dial(
     accept = await port.exchange(call.trace, target, admission, port.policy.ping_timeout_ms)
     if isinstance(accept, CallAccept) and accept.accept:
         if media_ms is not None:
-            relay = await _media(port, call, target, relay, media_ms, media_frames)
+            relay = await _media(port, call, target, relay, media_ms)
         call.mos = round(mos_of_path(call.path_rtt_ms), 3)
         call.trace.end(now(), outcome=call.outcome)
     else:
@@ -638,7 +635,7 @@ async def _establish_relay(port, call: DialResult, span, exclude: Set[IPv4Addres
 # -- media (§6.5) -----------------------------------------------------------------
 
 
-async def _media(port, call: DialResult, callee, relay, media_ms: float, frames: bool):
+async def _media(port, call: DialResult, callee, relay, media_ms: float):
     """Voice and keepalives side by side until the call ends; the relay
     target the media ended on (None when it ended direct)."""
     now = port.now_ms()
@@ -650,7 +647,6 @@ async def _media(port, call: DialResult, callee, relay, media_ms: float, frames:
         relay_cluster=call.relay_cluster,
         relay_ip=call.relay_ip,
         base_rtt_ms=call.path_rtt_ms,
-        frames=frames,
         target=relay if relay is not None else callee,
     )
     media.trace = call.trace.child(

@@ -68,7 +68,29 @@ from repro.topology.population import Host, NodalInfo
 from repro.voip.outage import OutageWindow, account_outages
 from repro.voip.quality import mos_of_path
 
-__all__ = ["ASAPRuntime", "RuntimePolicy"]
+__all__ = ["ASAPRuntime", "RuntimePolicy", "make_bootstrap_hosts"]
+
+
+def make_bootstrap_hosts(scenario: Scenario, count: int) -> List[Host]:
+    """Synthesize ``count`` dedicated bootstrap servers inside transit
+    ASes (the simulated runtime's fleet; the wire overlay runs the first)."""
+    hosts: List[Host] = []
+    transit = scenario.topology.transit_ases()
+    for index in range(count):
+        asn = transit[index % len(transit)]
+        prefixes = scenario.allocation.prefixes_of.get(asn)
+        if not prefixes:
+            raise ProtocolError(f"transit AS {asn} has no prefix for a bootstrap")
+        hosts.append(
+            Host(
+                ip=prefixes[0].nth_address(10 + index),
+                asn=asn,
+                prefix=prefixes[0],
+                access_delay_ms=1.0,
+                info=NodalInfo(bandwidth_kbps=10**6, uptime_hours=10**4, cpu_score=100.0),
+            )
+        )
+    return hosts
 
 
 def _ignore(message) -> None:
@@ -115,7 +137,7 @@ class ASAPRuntime:
         self._system = ASAPSystem(scenario, config)
         self.sim = Simulator()
         self.network = SimNetwork(self.sim, scenario.latency)
-        self._bootstrap_hosts = self._make_bootstrap_hosts()
+        self._bootstrap_hosts = make_bootstrap_hosts(scenario, config.bootstrap_count)
         self.joins: List[JoinRecord] = []
         self.call_setups: List[DialResult] = []
         self.media_sessions: List[MediaSessionRecord] = []
@@ -134,27 +156,6 @@ class ASAPRuntime:
     @property
     def bootstrap_hosts(self) -> List[Host]:
         return list(self._bootstrap_hosts)
-
-    def _make_bootstrap_hosts(self) -> List[Host]:
-        """Synthesize dedicated bootstrap servers inside transit ASes."""
-        hosts: List[Host] = []
-        transit = self._scenario.topology.transit_ases()
-        for index in range(self._config.bootstrap_count):
-            asn = transit[index % len(transit)]
-            prefixes = self._scenario.allocation.prefixes_of.get(asn)
-            if not prefixes:
-                raise ProtocolError(f"transit AS {asn} has no prefix for a bootstrap")
-            ip = prefixes[0].nth_address(10 + index)
-            hosts.append(
-                Host(
-                    ip=ip,
-                    asn=asn,
-                    prefix=prefixes[0],
-                    access_delay_ms=1.0,
-                    info=NodalInfo(bandwidth_kbps=10**6, uptime_hours=10**4, cpu_score=100.0),
-                )
-            )
-        return hosts
 
     def _host(self, ip: IPv4Address) -> Host:
         """An end host, registered with the network on first use."""

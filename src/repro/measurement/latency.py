@@ -170,15 +170,6 @@ class LatencyModel:
             return None
         return core + 2.0 * (a.access_delay_ms + b.access_delay_ms)
 
-    def host_loss_rate(self, a: Host, b: Host) -> Optional[float]:
-        """One-way packet loss rate of the direct path between two hosts."""
-        if a.asn == b.asn:
-            return self._conditions.loss_of(a.asn)
-        path = self.as_path(a.asn, b.asn)
-        if path is None:
-            return None
-        return self.path_loss_rate(path)
-
     # -- relayed paths ---------------------------------------------------------
 
     def one_hop_relay_rtt_ms(self, a: Host, relay: Host, b: Host) -> Optional[float]:

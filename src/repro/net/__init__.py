@@ -38,7 +38,6 @@ from repro.net.codec import (
     Keepalive,
     KeepaliveAck,
     Leave,
-    Media,
     MediaFrame,
     NodalPublish,
     Ping,
@@ -86,7 +85,6 @@ __all__ = [
     "Leave",
     "LoopbackHub",
     "LoopbackTransport",
-    "Media",
     "MediaFrame",
     "NodalPublish",
     "Ping",

@@ -74,7 +74,6 @@ __all__ = [
     "Keepalive",
     "KeepaliveAck",
     "Leave",
-    "Media",
     "MediaFrame",
     "Message",
     "NodalPublish",
@@ -92,7 +91,7 @@ __all__ = [
 
 #: Bump when the frame layout or any message schema changes; decoders
 #: reject every other version.
-CODEC_SCHEMA_VERSION = 1
+CODEC_SCHEMA_VERSION = 2
 
 #: Hard cap on a declared payload length — a corrupt length field must
 #: never trigger an unbounded read or allocation.
@@ -440,8 +439,8 @@ def _compile_unpack(segments, cls):
 
     ``_register`` verifies the wire schema matches the dataclass field
     order, so decoded values feed the constructor positionally — no
-    kwargs dict on the hot path.  The all-fixed messages (Ping, Media
-    envelope-free frames, ...) collapse to one exact-length check and
+    kwargs dict on the hot path.  The all-fixed messages (Ping,
+    Keepalive, ...) collapse to one exact-length check and
     one combined struct unpack.
     """
     if len(segments) == 1 and segments[0][0] == "fixed":
@@ -720,25 +719,13 @@ class RelayOk(Message):
 
 @_register
 @dataclass(frozen=True)
-class Media(Message):
-    """One media packet; relays forward it toward the callee."""
-
-    TYPE = 0x0E
-    FIELDS = (("call_id", "u64"), ("seq", "u32"), ("payload", "bytes"))
-
-    call_id: int
-    seq: int
-    payload: bytes
-
-
-@_register
-@dataclass(frozen=True)
 class MediaFrame(Message):
-    """One timestamped codec frame of real media (the `repro.media` plane).
+    """One timestamped codec frame of voice (the `repro.media` plane);
+    relays forward it toward the callee.
 
-    Unlike the abstract :class:`Media` packet, a frame carries its send
-    timestamp (sim-time ms) and the wire id of the codec that produced
-    it, so the receiver can reconstruct a playout-scoreable trace."""
+    A frame carries its send timestamp (sim-time ms) and the wire id of
+    the codec that produced it, so the receiver can reconstruct a
+    playout-scoreable trace."""
 
     TYPE = 0x14
     FIELDS = (

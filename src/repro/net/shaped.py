@@ -9,7 +9,7 @@ does not need it — its hub models latency natively under virtual time.)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.net.codec import Message
 from repro.net.transport import Handler, TraceContext, Transport
@@ -20,37 +20,19 @@ __all__ = ["ShapedTransport"]
 class ShapedTransport(Transport):
     """Per-destination latency injection for real sockets.
 
-    Each *request* to a registered destination is held back by that
-    destination's RTT before entering the inner transport, so the round
-    trip observed by the caller matches the scenario's ground truth.
-    One-way sends and unregistered destinations pass through unshaped
-    (directory and control traffic stays fast; only measured paths need
-    realism).
+    Each *request* is held back by ``rtt_ms_of(destination)`` before
+    entering the inner transport, so the round trip observed by the
+    caller matches the scenario's ground truth.  One-way sends, and
+    destinations the function answers ``None`` for, pass through
+    unshaped (directory and control traffic stays fast; only measured
+    paths need realism).
     """
 
     def __init__(
-        self,
-        inner: Transport,
-        rtt_ms_of: Optional[Callable[[str], Optional[float]]] = None,
+        self, inner: Transport, rtt_ms_of: Callable[[str], Optional[float]]
     ) -> None:
         self._inner = inner
         self._rtt_ms_of = rtt_ms_of
-        self._rtt_table: Dict[str, float] = {}
-
-    @property
-    def inner(self) -> Transport:
-        return self._inner
-
-    def set_rtt_ms(self, addr: str, rtt_ms: float) -> None:
-        """Register the RTT to one destination address."""
-        self._rtt_table[addr] = rtt_ms
-
-    def _rtt(self, addr: str) -> Optional[float]:
-        if addr in self._rtt_table:
-            return self._rtt_table[addr]
-        if self._rtt_ms_of is not None:
-            return self._rtt_ms_of(addr)
-        return None
 
     @property
     def local_address(self) -> str:
@@ -84,7 +66,7 @@ class ShapedTransport(Transport):
         timeout_ms: float,
         trace: Optional[TraceContext] = None,
     ) -> Message:
-        rtt = self._rtt(addr)
+        rtt = self._rtt_ms_of(addr)
         if rtt is not None and rtt > 0.0:
             await self._inner.sleep_ms(rtt)
         return await self._inner.request(addr, message, timeout_ms, trace=trace)

@@ -55,7 +55,6 @@ from repro.obs.timeseries import (
     TELEMETRY_FILENAME,
     TELEMETRY_SCHEMA_VERSION,
     TimeSeries,
-    WindowSampler,
     load_telemetry_file,
     validate_telemetry_records,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "TimeSeries",
     "Tracer",
     "TraceSpan",
-    "WindowSampler",
     "active",
     "annotate",
     "begin_forked_child",

@@ -24,27 +24,22 @@ repair-vs-rebuild rates.  The design constraints mirror the trace layer:
   module-level ``repro.obs.timeline()`` hook returns it when no run is
   active.
 
-:class:`WindowSampler` derives a fixed sample cadence from the virtual
-clock: watches registered on counters emit per-window deltas, gauges and
-callables emit current values, histograms emit a chosen quantile — all at
-exact multiples of the cadence, so the sample grid itself is a pure
-function of the clock.
+Periodic samplers schedule their own ticks on the virtual clock (see
+:func:`repro.evaluation.chaos.schedule_telemetry_ticks`), so the sample
+grid itself is a pure function of the clock.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-from repro.obs.registry import Counter, Gauge, Histogram
+from typing import List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "TELEMETRY_FILENAME",
     "TELEMETRY_SCHEMA_VERSION",
     "NULL_TIMELINE",
     "TimeSeries",
-    "WindowSampler",
     "load_telemetry_file",
     "validate_telemetry_records",
 ]
@@ -55,7 +50,7 @@ TELEMETRY_SCHEMA_VERSION = 1
 #: Canonical file name inside an observability directory.
 TELEMETRY_FILENAME = "telemetry.jsonl"
 
-#: Default sample cadence (sim milliseconds) for :class:`WindowSampler`.
+#: Default sample cadence (sim milliseconds) recorded in the file header.
 DEFAULT_CADENCE_MS = 1000.0
 
 
@@ -175,88 +170,6 @@ class _NullTimeline:
 
 
 NULL_TIMELINE = _NullTimeline()
-
-
-class WindowSampler:
-    """Emit registered watches at a fixed cadence of a virtual clock.
-
-    The sample grid is ``start_ms + k * cadence_ms`` for integer ``k >= 1``
-    — a pure function of the clock, never of host speed.  Call
-    :meth:`advance` from any periodic hook (a maintenance tick, a
-    scheduled sim event); every grid point passed since the last call is
-    emitted, so irregular advance() calls still produce a regular grid.
-    """
-
-    __slots__ = ("timeline", "cadence_ms", "_next_ms", "_watches", "_last_counts")
-
-    def __init__(
-        self,
-        timeline: TimeSeries,
-        cadence_ms: float = DEFAULT_CADENCE_MS,
-        start_ms: float = 0.0,
-    ) -> None:
-        if cadence_ms <= 0:
-            raise ValueError(f"cadence_ms must be positive, got {cadence_ms}")
-        self.timeline = timeline
-        self.cadence_ms = float(cadence_ms)
-        self._next_ms = float(start_ms) + self.cadence_ms
-        #: (series, emit(t_ms) -> None) in registration order
-        self._watches: List[Tuple[str, Callable[[float], None]]] = []
-        self._last_counts: Dict[int, float] = {}
-
-    # -- watch registration ------------------------------------------------
-
-    def watch_counter(self, series: str, counter: Counter, **tags: str) -> None:
-        """Emit the counter's per-window delta (a windowed rate)."""
-        slot = len(self._watches)
-        self._last_counts[slot] = counter.value
-
-        def emit(t_ms: float) -> None:
-            delta = counter.value - self._last_counts[slot]
-            self._last_counts[slot] = counter.value
-            self.timeline.sample(series, t_ms, delta, **tags)
-
-        self._watches.append((series, emit))
-
-    def watch_gauge(self, series: str, gauge: Gauge, **tags: str) -> None:
-        def emit(t_ms: float) -> None:
-            if gauge.value is not None:
-                self.timeline.sample(series, t_ms, gauge.value, **tags)
-
-        self._watches.append((series, emit))
-
-    def watch_histogram(
-        self, series: str, histogram: Histogram, q: float = 0.95, **tags: str
-    ) -> None:
-        def emit(t_ms: float) -> None:
-            value = histogram.quantile(q)
-            if value is not None:
-                self.timeline.sample(series, t_ms, value, **tags)
-
-        self._watches.append((series, emit))
-
-    def watch(self, series: str, fn: Callable[[], Optional[float]], **tags: str) -> None:
-        """Emit ``fn()`` each window (skipped when it returns None)."""
-
-        def emit(t_ms: float) -> None:
-            value = fn()
-            if value is not None:
-                self.timeline.sample(series, t_ms, value, **tags)
-
-        self._watches.append((series, emit))
-
-    # -- clock -------------------------------------------------------------
-
-    def advance(self, now_ms: float) -> int:
-        """Emit every grid point passed up to ``now_ms``; returns count."""
-        emitted = 0
-        while self._next_ms <= now_ms:
-            t_ms = self._next_ms
-            for _series, emit in self._watches:
-                emit(t_ms)
-            self._next_ms += self.cadence_ms
-            emitted += 1
-        return emitted
 
 
 # -- file side -------------------------------------------------------------

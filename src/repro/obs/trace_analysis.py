@@ -37,9 +37,11 @@ __all__ = [
     "analyze_calls",
     "analyze_skype_calls",
     "build_trees",
+    "call_trees",
     "fault_links",
     "limits_report",
     "probe_messages_by_as",
+    "relay_losses",
     "render_timeline",
 ]
 
@@ -335,6 +337,16 @@ def analyze_skype_calls(trees: Dict[str, TraceTree]) -> List[SkypeSummary]:
             )
         summaries.append(summary)
     return summaries
+
+
+def call_trees(trees: Dict[str, TraceTree]) -> List[TraceTree]:
+    """The ASAP call traces, in file order."""
+    return [tree for tree in trees.values() if tree.name == "call"]
+
+
+def relay_losses(tree: TraceTree) -> int:
+    """Relays one call trace lost mid-call, plus the failovers that followed."""
+    return len(tree.root.find("media.failover")) + len(tree.root.find("media.relay_lost"))
 
 
 def fault_links(trees: Dict[str, TraceTree]) -> Dict[str, List[TraceNode]]:

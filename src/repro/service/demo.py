@@ -1,33 +1,41 @@
 """A whole ASAP overlay in one process: the service-layer demo harness.
 
-``run_demo`` spins up one bootstrap, a surrogate daemon per populated
-cluster, host agents for the calling pairs plus a pool of relay-capable
-agents, joins everyone, and places the requested number of *latent*
-calls (direct path over the latency threshold — the calls where relay
-selection actually matters) concurrently.
+This module is where overlay daemons are assembled.  :func:`start_servers`
+starts the server half — the bootstrap shard(s), then one registered
+:class:`SurrogateServer` per populated cluster — and :func:`start_agents`
+starts and joins the host agents of a set of calling pairs plus a pool
+of relay-capable agents.  ``run_demo``, ``repro serve``, ``repro dial``
+and the dial-core tests all build their overlays with these two.
 
-Two substrates, same daemons, same bytes:
+``run_demo`` runs both halves and places the requested number of
+*latent* calls (direct path over the latency threshold — the calls
+where relay selection actually matters) concurrently.  Two substrates,
+same daemons, same bytes:
 
 - ``transport="loopback"`` — virtual clock, fully deterministic: the
   same ``(scale, seed)`` produces byte-identical ``traces.jsonl`` runs
   in milliseconds of wall time;
-- ``transport="tcp"`` — real asyncio sockets on 127.0.0.1, with
-  :class:`repro.net.shaped.ShapedTransport` injecting the scenario's
-  RTTs so the latency threshold and relay decisions behave as in the
-  simulated world.
+- ``transport="tcp"`` — real asyncio sockets on 127.0.0.1, shaped with
+  the scenario's RTTs (:func:`shaped_tcp`) so the latency threshold and
+  relay decisions behave as in the simulated world.
+
+Both wires pay :meth:`ServiceWorld.wire_rtt_ms` between the addresses
+the world models; the loopback hub charges 1.0 ms between any others,
+and shaped TCP leaves them unshaped.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro import obs
 from repro.control.sharding import BootstrapRouter, HashRing
 from repro.core.relay_selection import ranked_relay_clusters
 from repro.core.dial import DialResult, RuntimePolicy
 from repro.errors import ServiceError
+from repro.media.frames import trace_from_wire
 from repro.net.shaped import ShapedTransport
 from repro.net.loopback import LoopbackHub, LoopbackTransport
 from repro.net.sockets import TcpTransport
@@ -38,12 +46,27 @@ from repro.service.host import HostAgent
 from repro.service.surrogate import SurrogateServer
 from repro.service.world import ServiceWorld
 
-__all__ = ["DemoResult", "run_demo"]
+__all__ = [
+    "DemoResult",
+    "Servers",
+    "loopback_hub",
+    "run_demo",
+    "shaped_tcp",
+    "start_agents",
+    "start_servers",
+]
 
 #: Relay-capable agents spun up per candidate cluster.
 _RELAYS_PER_CLUSTER = 2
 #: Candidate clusters (per call pair) that get relay agents.
 _CANDIDATE_CLUSTERS_PER_PAIR = 2
+#: What the loopback wire charges between addresses the world does not
+#: model (extra bootstrap shards): a nominal localhost-ish round trip.
+_UNMODELED_RTT_MS = 1.0
+
+#: Builds the transport a daemon listens on, from its address key: the
+#: dotted scenario IP it serves (``"<bootstrap ip>+<n>"`` for shard n > 0).
+TransportFactory = Callable[[str], Transport]
 
 
 @dataclass
@@ -81,6 +104,95 @@ class DemoResult:
         return max(scores) if scores else None
 
 
+@dataclass
+class Servers:
+    """The server half of a running overlay."""
+
+    bootstraps: List[BootstrapServer]
+    #: cluster index -> its registered surrogate daemon.
+    surrogates: Dict[int, SurrogateServer]
+    #: What host agents join through: shard 0's address, or the router
+    #: over every shard.
+    router: Union[str, BootstrapRouter]
+
+    @property
+    def address(self) -> str:
+        return self.bootstraps[0].address
+
+    async def close(self) -> None:
+        for server in self.surrogates.values():
+            await server.close()
+        for server in self.bootstraps:
+            await server.close()
+
+
+def loopback_hub(world: ServiceWorld) -> LoopbackHub:
+    """A virtual-clock wire paying the world's host-to-host RTTs."""
+    rtt_ms = world.wire_rtt_ms
+    return LoopbackHub(latency_ms_fn=lambda src, dst: rtt_ms(src, dst, _UNMODELED_RTT_MS))
+
+
+class _RegisteringShaped(ShapedTransport):
+    """A shaped TCP transport that files its bound address under its key."""
+
+    def __init__(self, world: ServiceWorld, key: str, key_at: Dict[str, str]) -> None:
+        super().__init__(TcpTransport(), self._rtt_ms)
+        self._world = world
+        self._key = key
+        self._key_at = key_at
+
+    async def start(self) -> None:
+        await super().start()
+        self._key_at[self.local_address] = self._key
+
+    def _rtt_ms(self, dst_addr: str) -> Optional[float]:
+        return self._world.wire_rtt_ms(self._key, self._key_at.get(dst_addr))
+
+
+def shaped_tcp(world: ServiceWorld) -> TransportFactory:
+    """A factory of localhost TCP transports shaped by the world's RTTs.
+
+    Socket ports are kernel-assigned, so each transport files the
+    address it bound under its key as it starts; a request to an address
+    no transport of this factory filed (a daemon in another process)
+    passes unshaped.
+    """
+    key_at: Dict[str, str] = {}
+    return lambda key: _RegisteringShaped(world, key, key_at)
+
+
+async def start_servers(
+    world: ServiceWorld, make_transport: TransportFactory, shards: int = 1
+) -> Servers:
+    """Start the bootstrap shard(s), then one surrogate daemon per
+    populated cluster, each registered with the shard owning its cluster."""
+    # Shard 0 keeps the single-shard address (and the plain "bootstrap"
+    # node name) so shards=1 runs are byte-identical to the pre-sharding
+    # harness.
+    ring = HashRing(shards) if shards > 1 else None
+    bootstraps: List[BootstrapServer] = []
+    for shard in range(shards):
+        key = str(world.bootstrap_host.ip) + (f"+{shard}" if shard else "")
+        server = BootstrapServer(world, make_transport(key), shard_id=shard, ring=ring)
+        await server.start()
+        bootstraps.append(server)
+    surrogates: Dict[int, SurrogateServer] = {}
+    for cluster in world.populated_clusters():
+        owner = bootstraps[ring.owner(cluster)] if ring is not None else bootstraps[0]
+        server = SurrogateServer(
+            world, cluster, make_transport(str(world.surrogate_ip(cluster))), owner.address
+        )
+        await server.start()
+        await server.register()
+        surrogates[cluster] = server
+    router = (
+        BootstrapRouter(ring, [s.address for s in bootstraps], world.cluster_of_ip)
+        if ring is not None
+        else bootstraps[0].address
+    )
+    return Servers(bootstraps, surrogates, router)
+
+
 def _relay_pool_ips(
     world: ServiceWorld, pairs: List, exclude: set
 ) -> List[IPv4Address]:
@@ -100,100 +212,62 @@ def _relay_pool_ips(
     return ips
 
 
+async def start_agents(
+    world: ServiceWorld,
+    make_transport: TransportFactory,
+    bootstrap: Union[str, BootstrapRouter],
+    pairs: List,
+    policy: Optional[RuntimePolicy] = None,
+) -> Dict[IPv4Address, HostAgent]:
+    """Start a host agent for every endpoint of ``pairs`` and for their
+    relay pool, then join them all in address order; closes them and
+    raises :class:`ServiceError` when one cannot join."""
+    endpoint_ips = {ip for pair in pairs for ip in pair}
+    agents: Dict[IPv4Address, HostAgent] = {}
+    for ip in list(endpoint_ips) + _relay_pool_ips(world, pairs, endpoint_ips):
+        agent = HostAgent(world, ip, make_transport(str(ip)), bootstrap, policy)
+        await agent.start()
+        agents[ip] = agent
+    for ip in sorted(agents, key=lambda a: a.value):
+        if not await agents[ip].join():
+            for agent in agents.values():
+                await agent.close()
+            raise ServiceError(f"agent {ip} failed to join the overlay")
+    return agents
+
+
 async def _demo_main(
     world: ServiceWorld,
-    make_transport: Callable[[str], Transport],
+    make_transport: TransportFactory,
     pairs: List,
     media_ms: float,
     policy: RuntimePolicy,
     result: DemoResult,
-    shards: int = 1,
-    media_frames: bool = False,
-) -> None:
-    # One bootstrap per shard; shard 0 keeps the single-shard address
-    # (and the plain "bootstrap" node name) so shards=1 runs are
-    # byte-identical to the pre-sharding harness.
-    ring = HashRing(shards) if shards > 1 else None
-    bootstraps: List[BootstrapServer] = []
-    for shard in range(shards):
-        addr_key = (
-            str(world.bootstrap_host.ip)
-            if shard == 0
-            else f"{world.bootstrap_host.ip}+{shard}"
-        )
-        server = BootstrapServer(
-            world, make_transport(addr_key), shard_id=shard, ring=ring
-        )
-        await server.start()
-        bootstraps.append(server)
+    shards: int,
+) -> List[Dict]:
+    servers = await start_servers(world, make_transport, shards)
     result.shard_count = shards
-    router = (
-        BootstrapRouter(ring, [s.address for s in bootstraps], world.cluster_of_ip)
-        if ring is not None
-        else None
-    )
-
-    def bootstrap_for(cluster: int) -> BootstrapServer:
-        return bootstraps[ring.owner(cluster)] if ring is not None else bootstraps[0]
-
-    surrogates: List[SurrogateServer] = []
-    for cluster in world.populated_clusters():
-        server = SurrogateServer(
-            world,
-            cluster,
-            make_transport(str(world.surrogate_ip(cluster))),
-            bootstrap_for(cluster).address,
-        )
-        await server.start()
-        await server.register()
-        surrogates.append(server)
-    result.surrogate_count = len(surrogates)
-
-    endpoint_ips = {ip for pair in pairs for ip in pair}
-    relay_ips = _relay_pool_ips(world, pairs, endpoint_ips)
-    agents: Dict[IPv4Address, HostAgent] = {}
-    for ip in list(endpoint_ips) + relay_ips:
-        agent = HostAgent(
-            world,
-            ip,
-            make_transport(str(ip)),
-            router if router is not None else bootstraps[0].address,
-            policy,
-        )
-        await agent.start()
-        agents[ip] = agent
+    result.surrogate_count = len(servers.surrogates)
+    agents = await start_agents(world, make_transport, servers.router, pairs, policy)
     result.host_count = len(agents)
 
-    for ip in sorted(agents, key=lambda a: a.value):
-        if not await agents[ip].join():
-            raise ServiceError(f"agent {ip} failed to join the overlay")
-
-    callers = [agents[caller] for caller, _ in pairs]
-    dials = [
-        agents[caller].dial(callee, media_ms=media_ms, media_frames=media_frames)
-        for caller, callee in pairs
+    dials = [agents[caller].dial(callee, media_ms=media_ms) for caller, callee in pairs]
+    result.calls = await agents[pairs[0][0]].transport.gather(*dials)
+    result.media_delivered = [
+        sum(agents[callee].media_received.values()) for _, callee in pairs
     ]
-    result.calls = await callers[0].transport.gather(*dials)
-
-    for index, (_, callee) in enumerate(pairs):
-        received = sum(agents[callee].media_received.values())
-        result.media_delivered.append(received)
-        if media_frames:
-            agent = agents[callee]
-            traces = {
-                call_id: agent.received_trace(call_id)
-                for call_id in sorted(agent.frame_traces)
-            }
-            result.frame_traces.append(traces)
-
-    result.foreign_joins = [server.foreign_joins for server in bootstraps]
+    # Each callee's frame receipts as the dials returned, copied: frames
+    # still in flight keep landing until the agents close.
+    receipts = [
+        {call_id: list(got) for call_id, got in agents[callee].frame_traces.items()}
+        for _, callee in pairs
+    ]
+    result.foreign_joins = [server.foreign_joins for server in servers.bootstraps]
 
     for agent in agents.values():
         await agent.close()
-    for server in surrogates:
-        await server.close()
-    for server in bootstraps:
-        await server.close()
+    await servers.close()
+    return receipts
 
 
 def run_demo(
@@ -209,7 +283,11 @@ def run_demo(
     shards: int = 1,
     media_frames: bool = False,
 ) -> DemoResult:
-    """Build a world, run a full overlay in-process, place latent calls."""
+    """Build a world, run a full overlay in-process, place latent calls.
+
+    Voice is always real frames; ``media_frames`` only decides whether
+    the callees' received traces are rebuilt into ``frame_traces``.
+    """
     if world is None:
         world = ServiceWorld.from_scale(scale, seed, workers=workers, cache_dir=cache_dir)
     if policy is None:
@@ -222,63 +300,24 @@ def run_demo(
     result = DemoResult(transport=transport)
 
     if transport == "loopback":
-        host_of_addr = {str(world.bootstrap_host.ip): world.bootstrap_host}
-        for host in (world.host(ip) for ip in world.scenario.population.ips()):
-            host_of_addr[str(host.ip)] = host
-
-        def latency_ms(src: str, dst: str) -> Optional[float]:
-            a, b = host_of_addr.get(src), host_of_addr.get(dst)
-            if a is None or b is None:
-                return 1.0  # unmodeled pair: nominal localhost-ish delay
-            return world.scenario.latency.host_rtt_ms(a, b)
-
-        hub = LoopbackHub(latency_ms_fn=latency_ms)
+        hub = loopback_hub(world)
         make = lambda addr: LoopbackTransport(hub, addr)
         obs.tracer().clock = lambda: hub.now_ms
-        asyncio.run(
-            hub.run(
-                _demo_main(
-                    world, make, pairs, media_ms, policy, result, shards, media_frames
-                )
-            )
-        )
+        main = _demo_main(world, make, pairs, media_ms, policy, result, shards)
+        receipts = asyncio.run(hub.run(main))
         result.virtual_ms = hub.now_ms
         result.wire_deliveries = hub.deliveries
         result.wire_drops = hub.drops
     elif transport == "tcp":
-        # Socket addresses are dynamic (kernel-assigned ports), so the
-        # shaping registry maps them back to scenario IPs as each
-        # transport binds.  Every node starts before any join or dial,
-        # so the registry is complete by the time any RTT matters.
-        addr_to_ip: Dict[str, str] = {}
-        ip_of = {str(world.bootstrap_host.ip): world.bootstrap_host}
-        for host in (world.host(ip) for ip in world.scenario.population.ips()):
-            ip_of[str(host.ip)] = host
-
-        class _RegisteringShaped(ShapedTransport):
-            def __init__(self, inner: Transport, ip_key: str) -> None:
-                super().__init__(inner, rtt_ms_of=self._lookup)
-                self._ip_key = ip_key
-
-            async def start(self) -> None:
-                await super().start()
-                addr_to_ip[self.local_address] = self._ip_key
-
-            def _lookup(self, dst_addr: str) -> Optional[float]:
-                dst_key = addr_to_ip.get(dst_addr)
-                if dst_key is None:
-                    return None
-                a, b = ip_of.get(self._ip_key), ip_of.get(dst_key)
-                if a is None or b is None:
-                    return None
-                return world.scenario.latency.host_rtt_ms(a, b)
-
-        make = lambda addr_key: _RegisteringShaped(TcpTransport(), addr_key)
-        asyncio.run(
-            _demo_main(
-                world, make, pairs, media_ms, policy, result, shards, media_frames
-            )
-        )
+        # Every node starts before any join or dial, so the shaping
+        # registry is complete by the time any RTT matters.
+        main = _demo_main(world, shaped_tcp(world), pairs, media_ms, policy, result, shards)
+        receipts = asyncio.run(main)
     else:
         raise ServiceError(f"unknown transport {transport!r} (loopback|tcp)")
+    if media_frames:
+        result.frame_traces = [
+            {call_id: trace_from_wire(call_id, got[call_id]) for call_id in sorted(got)}
+            for got in receipts
+        ]
     return result

@@ -15,8 +15,8 @@ simulated runtime runs — with the agent as its port over real frames:
 - both close-set legs retry the one address they have (the agent's
   surrogate; the callee), and relay candidates are a cluster's hosts in
   cluster order;
-- media is paced ``Media`` packets, or timestamped ``MediaFrame``\\ s at
-  the codec's packetization when dialed with ``media_frames=True``.
+- voice is timestamped ``MediaFrame``\\ s at the codec's packetization,
+  which the callee keeps as a scoreable received-frame trace.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.net.codec import (
     Keepalive,
     KeepaliveAck,
     Leave,
-    Media,
     MediaFrame,
     Message,
     Ping,
@@ -65,10 +64,6 @@ from repro.service.world import ServiceWorld
 
 __all__ = ["DialResult", "HostAgent"]
 
-#: Voice-frame pacing of the media loop (coarser than real 20 ms G.729
-#: framing to keep packet counts CI-friendly; quality scoring uses the
-#: path RTT, not the pacing).
-MEDIA_PACKET_INTERVAL_MS = 200.0
 _MEDIA_PAYLOAD = bytes(20)  # one compressed voice frame's worth
 
 #: Exchanges with the call's far-end hosts (ping, admission, relay
@@ -127,14 +122,14 @@ class HostAgent(ServiceNode):
         #: call_id -> media frames received as the callee.
         self.media_received: Dict[int, int] = {}
         #: call_id -> raw MediaFrame receipts as the callee:
-        #: (seq, sender timestamp_ms, arrival now_ms, codec wire id).
+        #: (seq, sender timestamp_ms, arrival now_ms, codec wire id), what
+        #: :func:`repro.media.frames.trace_from_wire` scores.
         self.frame_traces: Dict[int, List[Tuple[int, float, float, int]]] = {}
         self.relayed_calls = 0
         self.handle(Ping, self._on_ping)
         self.handle(CloseSetQuery, self._on_close_set_query)
         self.handle(CallSetup, self._on_call_setup)
         self.handle(RelaySetup, self._on_relay_setup)
-        self.handle(Media, self._on_media)
         self.handle(MediaFrame, self._on_media_frame)
         self.handle(Keepalive, self._on_keepalive)
         self.handle(Bye, self._on_bye)
@@ -175,20 +170,9 @@ class HostAgent(ServiceNode):
         obs.counter("service.relays_accepted").inc()
         return RelayOk(call_id=message.call_id)
 
-    async def _on_media(self, sender: str, message: Media) -> None:
-        state = self._relaying.get(message.call_id)
-        if state is not None:
-            state.forwarded += 1
-            obs.counter("service.media_forwarded").inc()
-            await self.transport.send(state.callee_addr, message)
-            return None
-        if message.call_id in self.media_received:
-            self.media_received[message.call_id] += 1
-        return None
-
     async def _on_media_frame(self, sender: str, message: MediaFrame) -> None:
-        """Real codec frames (the `repro.media` plane): relays forward,
-        the callee records a scoreable receipt per frame."""
+        """Voice frames: relays forward, the callee records a scoreable
+        receipt per frame."""
         state = self._relaying.get(message.call_id)
         if state is not None:
             state.forwarded += 1
@@ -201,15 +185,6 @@ class HostAgent(ServiceNode):
                 (message.seq, message.timestamp_ms, self.now_ms(), message.codec)
             )
         return None
-
-    def received_trace(self, call_id: int, expected_frames: Optional[int] = None):
-        """The callee's :class:`repro.media.frames.ReceivedTrace` for a
-        call dialed with ``media_frames=True`` (gaps become losses)."""
-        from repro.media.frames import trace_from_wire
-
-        return trace_from_wire(
-            call_id, self.frame_traces.get(call_id, []), expected_frames
-        )
 
     async def _on_keepalive(self, sender: str, message: Keepalive) -> Message:
         return KeepaliveAck(call_id=message.call_id, seq=message.seq)
@@ -244,12 +219,7 @@ class HostAgent(ServiceNode):
         self.joined = False
         self._joined_addr = None
 
-    async def dial(
-        self,
-        callee_ip: IPv4Address,
-        media_ms: Optional[float] = None,
-        media_frames: bool = False,
-    ) -> DialResult:
+    async def dial(self, callee_ip: IPv4Address, media_ms: Optional[float] = None) -> DialResult:
         """Place one call (:func:`repro.core.dial.run_dial`)."""
         if not self.joined:
             raise ServiceError(f"host {self.ip} must join before dialing")
@@ -258,7 +228,7 @@ class HostAgent(ServiceNode):
             callee=callee_ip,
             call_id=(self.ip.value << 16) | next(self._call_seq),
         )
-        return await run_dial(self, call, self._world.host(callee_ip), media_ms, media_frames)
+        return await run_dial(self, call, self._world.host(callee_ip), media_ms)
 
     # -- the call flow's port (see repro.core.dial) --------------------------
 
@@ -350,30 +320,23 @@ class HostAgent(ServiceNode):
         return self._world.hosts_in_cluster(cluster)
 
     async def voice(self, call: DialResult, media: MediaSessionRecord) -> None:
-        """Paced voice toward ``media.target`` for the media's duration:
-        abstract packets, or real timestamped codec frames so the callee
-        accumulates a scoreable received-frame trace."""
-        if media.frames:
-            from repro.media.frames import CODEC_WIRE_IDS
-            from repro.voip.codecs import G729A_VAD
+        """Voice toward ``media.target`` for the media's duration: one
+        timestamped codec frame per packetization interval."""
+        from repro.media.frames import CODEC_WIRE_IDS
+        from repro.voip.codecs import G729A_VAD
 
-            interval_ms = G729A_VAD.packet_interval_ms()
-            codec_id = CODEC_WIRE_IDS[G729A_VAD.name]
-        else:
-            interval_ms = MEDIA_PACKET_INTERVAL_MS
+        interval_ms = G729A_VAD.packet_interval_ms()
+        codec_id = CODEC_WIRE_IDS[G729A_VAD.name]
         for seq in range(math.ceil(media.duration_ms / interval_ms)):
             if media.outcome != "active":
                 return
-            if media.frames:
-                message = MediaFrame(
-                    call_id=call.call_id,
-                    seq=seq,
-                    timestamp_ms=self.now_ms(),
-                    codec=codec_id,
-                    payload=_MEDIA_PAYLOAD,
-                )
-            else:
-                message = Media(call_id=call.call_id, seq=seq, payload=_MEDIA_PAYLOAD)
+            message = MediaFrame(
+                call_id=call.call_id,
+                seq=seq,
+                timestamp_ms=self.now_ms(),
+                codec=codec_id,
+                payload=_MEDIA_PAYLOAD,
+            )
             await self.transport.send(media.target, message)
             media.packets += 1
             await self.transport.sleep_ms(interval_ms)

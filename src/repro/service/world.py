@@ -12,17 +12,18 @@ wraps that shared construction plus the lookups daemons need.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import ASAPConfig, derive_k_hops
 from repro.core.close_cluster import CloseClusterSet
 from repro.core.protocol import ASAPSystem
-from repro.errors import ServiceError
+from repro.core.runtime import make_bootstrap_hosts
 from repro.netaddr import IPv4Address
 from repro.scenario import Scenario, ScenarioConfig, build_scenario
-from repro.topology.population import Host, NodalInfo
+from repro.topology.population import Host
 
 __all__ = ["ServiceWorld"]
 
@@ -46,7 +47,9 @@ class ServiceWorld:
             scenario.matrix_view().index_of[cluster.prefix]: cluster
             for cluster in scenario.clusters.all_clusters()
         }
-        self.bootstrap_host = self._make_bootstrap_host()
+        #: The bootstrap's host identity: the simulated runtime's first
+        #: dedicated bootstrap server.
+        self.bootstrap_host = make_bootstrap_hosts(scenario, 1)[0]
 
     @classmethod
     def from_scale(
@@ -60,22 +63,6 @@ class ServiceWorld:
             ScenarioConfig.preset(scale, seed), workers=workers, cache_dir=cache_dir
         )
         return cls(build_scenario(config))
-
-    def _make_bootstrap_host(self) -> Host:
-        """Synthesize the bootstrap's host identity (transit AS, like
-        the simulated runtime's dedicated bootstrap servers)."""
-        transit = self.scenario.topology.transit_ases()
-        asn = transit[0]
-        prefixes = self.scenario.allocation.prefixes_of.get(asn)
-        if not prefixes:
-            raise ServiceError(f"transit AS {asn} has no prefix for a bootstrap")
-        return Host(
-            ip=prefixes[0].nth_address(10),
-            asn=asn,
-            prefix=prefixes[0],
-            access_delay_ms=1.0,
-            info=NodalInfo(bandwidth_kbps=10**6, uptime_hours=10**4, cpu_score=100.0),
-        )
 
     # -- lookups -----------------------------------------------------------
 
@@ -115,9 +102,23 @@ class ServiceWorld:
     def close_set(self, cluster_index: int) -> CloseClusterSet:
         return self.system.close_set(cluster_index)
 
-    def rtt_ms(self, a: IPv4Address, b: IPv4Address) -> Optional[float]:
-        """Ground-truth host RTT, used to shape transports."""
-        return self.scenario.latency.host_rtt_ms(self.host(a), self.host(b))
+    @cached_property
+    def _host_at(self) -> Dict[str, Host]:
+        """Wire address key (a scenario IP in dotted form) -> host."""
+        host_at = {str(self.bootstrap_host.ip): self.bootstrap_host}
+        host_at.update((str(host.ip), host) for host in self.scenario.population.hosts)
+        return host_at
+
+    def wire_rtt_ms(
+        self, src: str, dst: str, unmodeled: Optional[float] = None
+    ) -> Optional[float]:
+        """Ground-truth RTT between two wire address keys (scenario IPs in
+        dotted form): the one rule every overlay transport is shaped by.
+        ``unmodeled`` answers for an address the world has no host at."""
+        a, b = self._host_at.get(src), self._host_at.get(dst)
+        if a is None or b is None:
+            return unmodeled
+        return self.scenario.latency.host_rtt_ms(a, b)
 
     # -- workload ----------------------------------------------------------
 

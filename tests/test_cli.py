@@ -133,6 +133,20 @@ class TestCommands:
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["call", "dial"])
+    @pytest.mark.parametrize("src, dst", [("0", "10000000"), ("-1", "0")])
+    def test_host_pair_is_range_checked_alike(self, capsys, command, src, dst):
+        # Checked before anything is dialled: no overlay needs to run.
+        rc = main([command, "--scale", "tiny", "--seed", "11", "--src", src, "--dst", dst])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: host index {src if src == '-1' else dst} out of range" in err
+
+    def test_dial_src_without_dst_is_an_error(self, capsys):
+        rc = main(["dial", "--scale", "tiny", "--seed", "11", "--dst", "3"])
+        assert rc == 2
+        assert "--src and --dst must be given together" in capsys.readouterr().err
+
     def test_version_reports_package_and_schema_versions(self, capsys):
         from repro import __version__
 
@@ -255,6 +269,38 @@ class TestExtendedCommands:
         manifest = obs.load_manifest(tmp_path / obs.MANIFEST_FILENAME)
         assert manifest["annotations"]["package_version"] == __version__
         assert manifest["annotations"]["codec_schema"] == CODEC_SCHEMA_VERSION
+
+    def test_serve_and_dial_over_tcp_in_one_process(self, tmp_path, capsys):
+        """The server half of ``repro serve`` on real sockets, served from
+        a background event loop; ``repro dial`` joins and calls through it."""
+        import asyncio
+        import threading
+
+        from repro.net.sockets import TcpTransport
+        from repro.service import ServiceWorld
+        from repro.service.demo import start_servers
+
+        cache = str(tmp_path / "cache")
+        world = ServiceWorld.from_scale("tiny", 0, cache_dir=cache)
+        loop = asyncio.new_event_loop()
+        servers = loop.run_until_complete(start_servers(world, lambda key: TcpTransport()))
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        try:
+            rc = main(["dial", "--scale", "tiny", "--seed", "0", "--cache-dir", cache,
+                       "--bootstrap", servers.address, "--media-ms", "1000"])
+        finally:
+            asyncio.run_coroutine_threadsafe(servers.close(), loop).result(timeout=30)
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=30)
+            loop.close()
+        assert not thread.is_alive()
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert ": completed" in out and "path: relay via" in out
+        assert "setup critical path" in out and "relay_setup" in out
+        assert "measured media (call " in out and "measured MOS" in out
+        assert "] measured " in out  # one line per scored window
 
     def test_chaos_sweep(self, capsys):
         rc = main([

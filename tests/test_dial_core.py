@@ -14,11 +14,9 @@ from repro import obs
 from repro.core.relay_selection import ranked_relay_clusters
 from repro.core.runtime import ASAPRuntime
 from repro.net.codec import CallAccept, CallSetup
-from repro.net.loopback import LoopbackHub, LoopbackTransport
-from repro.service import HostAgent, ServiceWorld, run_demo
-from repro.service.bootstrap import BootstrapServer
-from repro.service.demo import _relay_pool_ips
-from repro.service.surrogate import SurrogateServer
+from repro.net.loopback import LoopbackTransport
+from repro.service import ServiceWorld, run_demo
+from repro.service.demo import _relay_pool_ips, loopback_hub, start_agents, start_servers
 from repro.voip.codecs import G729A_VAD
 
 #: A call long enough for keepalives after the relay dies mid-call.
@@ -37,39 +35,13 @@ def _world(scale, cache_dir):
     return ServiceWorld.from_scale(scale, 0, cache_dir=cache_dir)
 
 
-def _hub(world):
-    """A loopback wire paying the scenario's host-to-host RTTs."""
-    hosts = {str(world.bootstrap_host.ip): world.bootstrap_host}
-    hosts.update((str(host.ip), host) for host in world.scenario.population.hosts)
-
-    def rtt_ms(src, dst):
-        a, b = hosts.get(src), hosts.get(dst)
-        return 1.0 if a is None or b is None else world.scenario.latency.host_rtt_ms(a, b)
-
-    return LoopbackHub(latency_ms_fn=rtt_ms)
-
-
 async def _overlay(world, hub, caller, callee):
-    """Bootstrap, every surrogate daemon, and joined agents for the pair
-    plus its relay pool; (surrogates by cluster, agents by ip)."""
-    bootstrap = BootstrapServer(world, LoopbackTransport(hub, str(world.bootstrap_host.ip)))
-    await bootstrap.start()
-    surrogates = {}
-    for cluster in world.populated_clusters():
-        address = str(world.surrogate_ip(cluster))
-        transport = LoopbackTransport(hub, address)
-        server = SurrogateServer(world, cluster, transport, bootstrap.address)
-        await server.start()
-        await server.register()
-        surrogates[cluster] = server
-    agents = {}
-    for ip in [caller, callee] + _relay_pool_ips(world, [(caller, callee)], {caller, callee}):
-        agent = HostAgent(world, ip, LoopbackTransport(hub, str(ip)), bootstrap.address)
-        await agent.start()
-        agents[ip] = agent
-    for ip in sorted(agents, key=lambda a: a.value):
-        assert await agents[ip].join()
-    return surrogates, agents
+    """The demo's overlay for one pair on ``hub``: (surrogates by
+    cluster, joined agents by ip)."""
+    make = lambda address: LoopbackTransport(hub, address)
+    servers = await start_servers(world, make)
+    agents = await start_agents(world, make, servers.router, [(caller, callee)])
+    return servers.surrogates, agents
 
 
 def _sim_call(world, fault, caller, callee):
@@ -91,7 +63,7 @@ def _sim_call(world, fault, caller, callee):
 
 
 def _loopback_call(world, fault, caller, callee):
-    hub = _hub(world)
+    hub = loopback_hub(world)
 
     async def main():
         surrogates, agents = await _overlay(world, hub, caller, callee)
@@ -170,7 +142,7 @@ def test_zero_fault_latent_call_decides_alike_on_both_substrates(cache_dir):
 def test_every_exit_after_relay_setup_tears_the_relay_down(cache_dir):
     world = _world("tiny", cache_dir)
     caller, callee = world.latent_pairs(1)[0]
-    hub = _hub(world)
+    hub = loopback_hub(world)
 
     async def reject(sender, message):
         return CallAccept(call_id=message.call_id, accept=0)
@@ -190,7 +162,7 @@ def test_every_exit_after_relay_setup_tears_the_relay_down(cache_dir):
 
 def test_voice_never_pauses_for_a_keepalive(cache_dir):
     world = _world("small", cache_dir)
-    result = run_demo(world=world, calls=16, media_ms=4_000.0, media_frames=True)
+    result = run_demo(world=world, calls=16, media_ms=4_000.0)
     frames = 4_000.0 / G729A_VAD.packet_interval_ms()
     assert frames == 200
     assert {call.path for call in result.calls} == {"relay", "direct"}

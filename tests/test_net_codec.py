@@ -31,7 +31,7 @@ from repro.net.codec import (
     Frame,
     FrameDecoder,
     Join,
-    Media,
+    MediaFrame,
     Ping,
     decode_frame,
     encode_frame,
@@ -94,10 +94,10 @@ class TestRoundTrip:
     def test_every_protocol_message_is_registered(self):
         # 19 messages: the full §6 vocabulary, the error frame, and the
         # best-effort Leave deregistration.
-        assert len(MESSAGE_TYPES) == 20
+        assert len(MESSAGE_TYPES) == 19
         names = {cls.__name__ for cls in MESSAGE_TYPES.values()}
         assert {"Join", "Leave", "CloseSetQuery", "CallSetup", "RelaySetup",
-                "Media", "Keepalive", "Bye", "ErrorFrame"} <= names
+                "MediaFrame", "Keepalive", "Bye", "ErrorFrame"} <= names
 
 
 class TestRejection:
@@ -140,6 +140,14 @@ class TestRejection:
             except WireError:
                 pass
 
+    def test_retired_media_type_is_an_unknown_type(self):
+        # Schema 2 retired the untimed Media packet (type 0x0E).
+        assert 0x0E not in MESSAGE_TYPES
+        data = bytearray(encode_frame(Ping(token=1)))
+        data[3] = 0x0E
+        with pytest.raises(FrameError, match="unknown"):
+            decode_frame(bytes(data))
+
     def test_wrong_schema_version_rejected(self):
         data = bytearray(encode_frame(Ping(token=1)))
         data[2] = CODEC_SCHEMA_VERSION + 1
@@ -164,7 +172,9 @@ class TestRejection:
         with pytest.raises(CodecError):
             encode_frame(Ping(token=1 << 32))
         with pytest.raises(CodecError):
-            encode_frame(Media(call_id=1, seq=2, payload="not-bytes"))
+            encode_frame(
+                MediaFrame(call_id=1, seq=2, timestamp_ms=0.0, codec=0, payload="not-bytes")
+            )
 
 
 def _pack_outcome(pack, value):

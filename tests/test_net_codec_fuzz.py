@@ -29,7 +29,7 @@ from repro.net.codec import (
     FrameDecoder,
     Join,
     Keepalive,
-    Media,
+    MediaFrame,
     NodalPublish,
     ONEWAY,
     Ping,
@@ -59,7 +59,13 @@ def _corpus():
             0,
         ),
         (CallSetup(101, IPv4Address(0x0A000004), IPv4Address(0x0A000005)), REQUEST, 3),
-        (Media(call_id=101, seq=5, payload=b"\x00\x01voice\xff" * 3), ONEWAY, 0),
+        (
+            MediaFrame(
+                call_id=101, seq=5, timestamp_ms=100.0, codec=0, payload=b"\x00\x01voice\xff" * 3
+            ),
+            ONEWAY,
+            0,
+        ),
         (Keepalive(call_id=101, seq=6), REQUEST, 4),
         (Bye(call_id=101, reason="done"), ONEWAY, 0),
     ]

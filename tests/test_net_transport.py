@@ -20,7 +20,7 @@ from repro.net.codec import (
     REQUEST,
     RESPONSE,
     FrameDecoder,
-    Media,
+    MediaFrame,
     Ping,
     Pong,
     encode_frame,
@@ -431,9 +431,12 @@ class TestTcp:
         monkeypatch.setattr(sockets._Conn, "pause_writing", counted)
         payload = bytes(range(256)) * 3_000  # 768,000 B, far over 64 KiB
 
+        def _frame(seq, payload):
+            return MediaFrame(call_id=1, seq=seq, timestamp_ms=0.0, codec=0, payload=payload)
+
         async def main():
             async def big(sender, frame):
-                return Media(call_id=1, seq=frame.message.token, payload=payload)
+                return _frame(frame.message.token, payload)
 
             server = TcpTransport()
             server.bind(big)
@@ -458,7 +461,7 @@ class TestTcp:
             return reply, resumed
 
         reply, resumed = asyncio.run(main())
-        assert reply == Media(call_id=1, seq=7, payload=payload)
+        assert reply == _frame(7, payload)
         assert pauses and resumed
 
 
@@ -466,8 +469,7 @@ class TestWrappers:
     def test_shaped_injects_per_destination_rtt(self):
         async def main(hub):
             raw_a, b = _loopback_pair(hub)
-            a = ShapedTransport(raw_a)
-            a.set_rtt_ms("b", 120.0)
+            a = ShapedTransport(raw_a, {"b": 120.0}.get)
             b.bind(_echo)
             await a.start()
             await b.start()
@@ -481,7 +483,7 @@ class TestWrappers:
     def test_shaped_unregistered_destination_passes_through(self):
         async def main(hub):
             raw_a, b = _loopback_pair(hub)
-            a = ShapedTransport(raw_a)
+            a = ShapedTransport(raw_a, {"c": 120.0}.get)
             b.bind(_echo)
             await a.start()
             await b.start()

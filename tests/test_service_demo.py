@@ -129,10 +129,12 @@ class TestLoopbackDemo:
         assert result.relayed == 1
         assert calls == {"select_close_relay": 0, "select_one_hop": 1, "select_two_hop": 1}
         # Recorded from the two-pass dial this one replaced (same scale and
-        # seed): the bill and every span are unchanged.
+        # seed): the bill and every span are unchanged, except the media
+        # span's packet count — voice is codec frames now, 100 per 2 s
+        # call where the retired Media packets were 10.
         assert result.calls[0].selection_messages == 60
         assert hashlib.sha256(trace_bytes).hexdigest() == (
-            "bdc63b19d13b5b8fb625658befa6e51b6f6f9be71e6964315f39bcfa506cc720"
+            "11d338e8283c135827ff2cc60716211cbc0002dd6d4406a5b0770f12055599a0"
         )
 
     def test_span_vocabulary_matches_the_runtime(self, tmp_path, world):

@@ -4,8 +4,6 @@ The contract under test (see ``repro/obs/timeseries.py``):
 
 - sample buffers sort deterministically and write canonical JSONL, so
   identical sample streams produce byte-identical ``telemetry.jsonl``;
-- :class:`WindowSampler` emits on an exact cadence grid driven by a
-  virtual clock, never by host speed;
 - histogram raw-sample retention is bounded by a deterministic
   reservoir, surfaced as the ``telemetry.samples_dropped`` counter;
 - forked workers' timeline samples merge back into the parent run;
@@ -38,7 +36,6 @@ from repro.obs.timeseries import (
     TELEMETRY_FILENAME,
     TELEMETRY_SCHEMA_VERSION,
     TimeSeries,
-    WindowSampler,
     load_telemetry_file,
     validate_telemetry_records,
 )
@@ -165,69 +162,6 @@ class TestTimeSeries:
         path.write_text('{"kind":"blob"}\n', encoding="utf-8")
         with pytest.raises(ValueError):
             load_telemetry_file(path)
-
-
-class TestWindowSampler:
-    def test_counter_watch_emits_per_window_deltas(self):
-        timeline = TimeSeries()
-        registry = MetricsRegistry()
-        counter = registry.counter("msgs")
-        counter.inc(10)  # pre-registration counts are the baseline
-        sampler = WindowSampler(timeline, cadence_ms=1000.0)
-        sampler.watch_counter("rate.msgs", counter, category="all")
-        counter.inc(3)
-        sampler.advance(1000.0)
-        counter.inc(5)
-        sampler.advance(2000.0)
-        sampler.advance(3000.0)
-        records = timeline.snapshot()
-        assert [(r["t_ms"], r["value"]) for r in records] == [
-            (1000.0, 3),
-            (2000.0, 5),
-            (3000.0, 0),
-        ]
-        assert all(r["tags"] == {"category": "all"} for r in records)
-
-    def test_irregular_advance_still_fills_the_grid(self):
-        timeline = TimeSeries()
-        sampler = WindowSampler(timeline, cadence_ms=500.0)
-        sampler.watch("g", lambda: 1.0)
-        assert sampler.advance(499.9) == 0
-        assert sampler.advance(2600.0) == 5  # 500..2500 all emitted at once
-        assert [r["t_ms"] for r in timeline.snapshot()] == [
-            500.0, 1000.0, 1500.0, 2000.0, 2500.0,
-        ]
-
-    def test_gauge_histogram_and_callable_watches(self):
-        timeline = TimeSeries()
-        registry = MetricsRegistry()
-        gauge = registry.gauge("pool.open")
-        histogram = registry.histogram("rtt")
-        sampler = WindowSampler(timeline, cadence_ms=1000.0)
-        sampler.watch_gauge("pool", gauge)
-        sampler.watch_histogram("rtt.p95", histogram, q=0.95)
-        values = iter([None, 7.0])
-        sampler.watch("fn", lambda: next(values))
-        sampler.advance(1000.0)  # gauge unset, histogram empty, fn None
-        assert timeline.sample_count == 0
-        gauge.set(4)
-        histogram.observe(120.0)
-        sampler.advance(2000.0)
-        emitted = {r["series"]: r["value"] for r in timeline.snapshot()}
-        assert emitted["pool"] == 4
-        assert emitted["fn"] == 7.0
-        assert emitted["rtt.p95"] is not None
-
-    def test_rejects_non_positive_cadence(self):
-        with pytest.raises(ValueError):
-            WindowSampler(TimeSeries(), cadence_ms=0)
-
-    def test_start_offset_shifts_the_grid(self):
-        timeline = TimeSeries()
-        sampler = WindowSampler(timeline, cadence_ms=1000.0, start_ms=250.0)
-        sampler.watch("g", lambda: 1.0)
-        sampler.advance(2300.0)
-        assert [r["t_ms"] for r in timeline.snapshot()] == [1250.0, 2250.0]
 
 
 class TestHistogramReservoir:
