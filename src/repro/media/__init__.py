@@ -6,7 +6,7 @@ quality from actual received frames, the way deployed VoIP stacks do.
 Five stages, each its own module:
 
 - :mod:`frames <repro.media.frames>` — sequence-numbered, sim-timestamped
-  codec frame generation and canonical received-frame traces;
+  canonical received-frame traces;
 - :mod:`jitterbuf <repro.media.jitterbuf>` — adaptive playout buffering
   (late frames become effective loss);
 - :mod:`plc <repro.media.plc>` — packet-loss concealment accounting
@@ -24,10 +24,8 @@ runtime, the conference scenario and the CLI.
 from repro.media.adapt import AdaptationPolicy, CodecAdapter, CodecSwitch
 from repro.media.frames import (
     CODEC_WIRE_IDS,
-    FrameSource,
     ReceivedFrame,
     ReceivedTrace,
-    SentFrame,
     codec_by_wire_id,
     trace_from_wire,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "CodecAdapter",
     "CodecSwitch",
     "ConcealmentReport",
-    "FrameSource",
     "JitterBufferConfig",
     "MEASURED_MOS_TOLERANCE",
     "MeasuredScore",
@@ -70,7 +67,6 @@ __all__ = [
     "PlayoutResult",
     "ReceivedFrame",
     "ReceivedTrace",
-    "SentFrame",
     "WindowScore",
     "codec_by_wire_id",
     "conceal",

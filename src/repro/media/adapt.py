@@ -60,21 +60,26 @@ class CodecAdapter:
         self.codec: Codec = policy.primary
         self.switches: List[CodecSwitch] = []
         self._window: Deque[bool] = deque(maxlen=policy.window_frames)
+        self._lost = 0  # losses inside the window, kept as frames enter and leave
         self._dwell = 0
 
     @property
     def window_loss(self) -> float:
         if not self._window:
             return 0.0
-        return sum(self._window) / len(self._window)
+        return self._lost / len(self._window)
 
     def observe(self, sequence: int, at_ms: float, lost: bool) -> Optional[CodecSwitch]:
         """Feed one frame outcome; returns the switch if one fired."""
-        self._window.append(lost)
+        window = self._window
+        if len(window) == window.maxlen:
+            self._lost -= window[0]  # about to be evicted by the append
+        window.append(lost)
+        self._lost += lost
         if self._dwell > 0:
             self._dwell -= 1
             return None
-        if len(self._window) < self.policy.window_frames:
+        if len(window) < window.maxlen:
             return None
         loss = self.window_loss
         target: Optional[Codec] = None

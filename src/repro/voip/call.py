@@ -20,7 +20,7 @@ can sour mid-call — the scenario switching exists for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -296,7 +296,7 @@ def recover_with_parity(
         if len(missing) != 1 or parity.lost:
             continue
         pieces = [parity.arrival_ms] + [f.arrival_ms for f in group if not f.lost]
-        frames[missing[0].sequence] = replace(missing[0], arrival_ms=max(pieces))
+        frames[missing[0].sequence] = missing[0]._replace(arrival_ms=max(pieces))
     return ReceivedTrace(voice.call_id, tuple(frames))
 
 
