@@ -84,6 +84,8 @@ def session_batch(
     come from the objects' ``session_id``, the explicit ``session_ids``
     sequence, or enumeration order, in that priority.
     """
+    if session_ids is not None and len(session_ids) != len(sessions):
+        raise ConfigurationError("session_ids must match sessions in length")
     pairs: List[Tuple[int, int]] = []
     ids: List[int] = []
     for index, item in enumerate(sessions):
@@ -94,8 +96,6 @@ def session_batch(
             a, b = item
             pairs.append((int(a), int(b)))
             ids.append(int(session_ids[index]) if session_ids is not None else index)
-    if session_ids is not None and len(session_ids) != len(pairs):
-        raise ConfigurationError("session_ids must match sessions in length")
     return pairs, ids
 
 
@@ -167,6 +167,39 @@ class RelayMethod(ABC):
         a = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
         b = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
         return a, b
+
+    def _probe_results(
+        self, world, pairs: Sequence[Tuple[int, int]], candidates: np.ndarray
+    ) -> List[MethodResult]:
+        """Score each session's probed relay candidates.
+
+        ``candidates`` broadcasts against the sessions: ``(1, F)`` probes
+        one fleet from every session, ``(S, P)`` gives each session its
+        own draws.  A candidate in an endpoint's cluster is not probed.
+        """
+        if candidates.shape[1] == 0:
+            return [MethodResult(self.name, 0, None, 0, 0) for _ in pairs]
+        a_arr, b_arr = self._pair_arrays(pairs)
+        valid = (candidates != a_arr[:, None]) & (candidates != b_arr[:, None])
+        path = (
+            world.gather_rtt(a_arr[:, None], candidates)
+            + world.gather_rtt(candidates, b_arr[:, None])
+            + self._config.relay_delay_rtt_ms
+        )
+        path[~valid] = np.inf
+        quality = (path < self._config.lat_threshold_ms).sum(axis=1)
+        best = np.min(path, axis=1)
+        probed = valid.sum(axis=1)
+        return [
+            MethodResult(
+                method=self.name,
+                quality_paths=int(quality[k]),
+                best_rtt_ms=float(best[k]) if np.isfinite(best[k]) else None,
+                messages=int(2 * probed[k]),
+                probed_nodes=int(probed[k]),
+            )
+            for k in range(len(pairs))
+        ]
 
     def _session_rng(self, session_id: int) -> np.random.Generator:
         return derive_rng(self._config.seed, self.name, str(session_id))

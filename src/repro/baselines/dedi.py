@@ -54,39 +54,11 @@ class DEDIMethod(RelayMethod):
         *,
         session_ids: Optional[Sequence[int]] = None,
     ) -> List[MethodResult]:
-        """Vectorized batch evaluation: the fixed fleet makes all
-        sessions' probe scores one pair of gather operations."""
+        """Every session probes the same fleet: one ``(1, F)`` candidate
+        row broadcast over the batch."""
         pairs, _ = session_batch(sessions, session_ids)
-        if len(pairs) == 0:
-            return []
         fleet = np.asarray(self.fleet_for(world), dtype=np.int64)
-        if fleet.size == 0:
-            return [
-                MethodResult(self.name, 0, None, 0, 0) for _ in range(len(pairs))
-            ]
-        a_arr, b_arr = self._pair_arrays(pairs)
-        path = (
-            world.gather_rtt(a_arr[:, None], fleet[None, :])
-            + world.gather_rtt(fleet[None, :], b_arr[:, None])
-            + self._config.relay_delay_rtt_ms
-        )
-        excluded = (fleet[None, :] == a_arr[:, None]) | (fleet[None, :] == b_arr[:, None])
-        path[excluded] = np.inf
-        finite = np.isfinite(path)
-        quality = (finite & (path < self._config.lat_threshold_ms)).sum(axis=1)
-        has_finite = finite.any(axis=1)
-        best = np.min(path, axis=1)
-        probed = fleet.size - excluded.sum(axis=1)
-        return [
-            MethodResult(
-                method=self.name,
-                quality_paths=int(quality[k]),
-                best_rtt_ms=float(best[k]) if has_finite[k] else None,
-                messages=int(2 * probed[k]),
-                probed_nodes=int(probed[k]),
-            )
-            for k in range(len(pairs))
-        ]
+        return self._probe_results(world, pairs, fleet[None, :])
 
 
 def _top_degree_clusters(world, graph: ASGraph, count: int) -> List[int]:

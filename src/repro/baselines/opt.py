@@ -4,16 +4,13 @@
 latency.  This is an offline method with all latency data on hand
 through one-hop and two-hop relay paths iterations."
 
-One-hop optimum is a vectorized min over all clusters; the two-hop
-optimum is a min-plus product over the matrix, evaluated lazily per
-session (O(N²), numpy-vectorized).
-
-Worlds without dense arrays (streamed views) are evaluated over
-``iter_column_blocks``: session rows/columns are collected in one sweep
-and the min-plus product folds block by block.  Every elementwise
-expression keeps the dense path's operand order, and mins/integer sums
-over a partition equal mins/sums over the whole, so the streamed results
-are bit-identical to the dense ones.
+One kernel, :meth:`OPTMethod._score`, reads any world view — dense
+``DelegateMatrices`` or streamed ``VirtualMatrices`` — through
+``iter_column_blocks`` alone, :data:`SESSION_BATCH` sessions per sweep:
+sweep 1 collects each caller's row and callee's column (the one-hop
+path matrix and its quality counts), sweep 2 folds the two-hop min-plus
+product block by block.  Mins and integer sums over a column partition
+equal those over the whole, so no result depends on the block width.
 """
 
 from __future__ import annotations
@@ -24,9 +21,9 @@ import numpy as np
 
 from repro.baselines.base import BaselineConfig, MethodResult, RelayMethod, session_batch
 
-#: Sessions scored per streamed sweep — bounds the (sessions × clusters)
+#: Sessions scored per sweep — bounds the (sessions × clusters)
 #: row/column buffers regardless of batch size.
-STREAM_SESSION_BATCH = 128
+SESSION_BATCH = 128
 
 
 class OPTMethod(RelayMethod):
@@ -43,18 +40,11 @@ class OPTMethod(RelayMethod):
         self._include_two_hop = include_two_hop
 
     def best_one_hop(self, world, a: int, b: int) -> Tuple[Optional[int], Optional[float]]:
-        """(relay cluster, RTT) of the optimal one-hop relay path."""
-        if hasattr(world, "rtt_ms"):
-            rtt = world.rtt_ms
-            path = rtt[a, :] + rtt[:, b] + self._config.relay_delay_rtt_ms
-            path = path.copy()
-        else:
-            rows, cols = _session_rows_cols(world, np.array([a]), np.array([b]))
-            path = rows[0] + cols[:, 0] + self._config.relay_delay_rtt_ms
-        path[a] = np.inf  # relaying through an endpoint's own cluster
-        path[b] = np.inf  # is the direct path, not an overlay
-        idx = int(np.argmin(path))
-        value = float(path[idx])
+        """(relay cluster, RTT) of the optimal one-hop relay path; an
+        endpoint's own cluster is the direct path, never a relay."""
+        path, _, _ = self._score(world, np.array([a]), np.array([b]), two_hop=False)
+        idx = int(np.argmin(path[0]))
+        value = float(path[0, idx])
         if not np.isfinite(value):
             return None, None
         return idx, value
@@ -67,22 +57,8 @@ class OPTMethod(RelayMethod):
         endpoint's own cluster is really a one-hop or direct path (e.g.
         ``rtt[a, j] + rtt[j, b] + rtt[b, b]``), not a two-hop overlay.
         """
-        if hasattr(world, "rtt_ms"):
-            rtt = world.rtt_ms
-            second_leg = rtt[:, b].copy()
-            second_leg[[a, b]] = np.inf  # r2 may not be an endpoint cluster
-            # w[i] = min_{j ∉ {a,b}} ( rtt[i, j] + rtt[j, b] )
-            w = np.min(rtt + second_leg[np.newaxis, :], axis=1)
-            first_leg = rtt[a, :].copy()
-        else:
-            rows, cols = _session_rows_cols(world, np.array([a]), np.array([b]))
-            second_leg = cols[:, 0].copy()
-            second_leg[[a, b]] = np.inf
-            w = _min_plus_fold(world, second_leg[:, None])[:, 0]
-            first_leg = rows[0].copy()
-        first_leg[[a, b]] = np.inf  # r1 may not be an endpoint cluster
-        path = first_leg + w + 2.0 * self._config.relay_delay_rtt_ms
-        best = float(np.min(path))
+        _, _, two_hop = self._score(world, np.array([a]), np.array([b]), two_hop=True)
+        best = float(two_hop[0])
         return best if np.isfinite(best) else None
 
     def evaluate_sessions(
@@ -92,133 +68,72 @@ class OPTMethod(RelayMethod):
         *,
         session_ids: Optional[Sequence[int]] = None,
     ) -> List[MethodResult]:
-        """Vectorized batch evaluation: one-hop minima and quality counts
-        for all sessions in a few numpy operations (the two-hop min-plus
-        product stays per-session — it is already an O(N²) numpy kernel)."""
+        """One- (and two-) hop optima and quality counts, scored
+        :data:`SESSION_BATCH` sessions per sweep."""
         pairs, _ = session_batch(sessions, session_ids)
-        if len(pairs) == 0:
-            return []
-        if hasattr(world, "rtt_ms"):
-            return self._evaluate_dense(world, pairs)
         results: List[MethodResult] = []
-        for start in range(0, len(pairs), STREAM_SESSION_BATCH):
+        for start in range(0, len(pairs), SESSION_BATCH):
+            a_arr, b_arr = self._pair_arrays(pairs[start : start + SESSION_BATCH])
+            path, quality, two_hop = self._score(
+                world, a_arr, b_arr, two_hop=self._include_two_hop
+            )
+            best = np.min(path, axis=1)
+            if two_hop is not None:
+                best = np.minimum(best, two_hop)
             results.extend(
-                self._evaluate_streamed(world, pairs[start : start + STREAM_SESSION_BATCH])
-            )
-        return results
-
-    def _evaluate_dense(self, world, pairs: Sequence[Tuple[int, int]]) -> List[MethodResult]:
-        a_arr, b_arr = self._pair_arrays(pairs)
-        rtt = world.rtt_ms
-        rows = np.arange(len(pairs))
-        path = rtt[a_arr, :] + rtt[:, b_arr].T + self._config.relay_delay_rtt_ms
-        path[rows, a_arr] = np.inf
-        path[rows, b_arr] = np.inf
-        one_hop_best = np.min(path, axis=1)
-        finite = np.isfinite(path)
-        quality_mask = finite & (path < self._config.lat_threshold_ms)
-        quality = quality_mask.astype(np.int64) @ world.sizes
-
-        results: List[MethodResult] = []
-        for k in range(len(pairs)):
-            candidates = []
-            if np.isfinite(one_hop_best[k]):
-                candidates.append(float(one_hop_best[k]))
-            if self._include_two_hop:
-                two_hop = self.best_two_hop(world, int(a_arr[k]), int(b_arr[k]))
-                if two_hop is not None:
-                    candidates.append(two_hop)
-            results.append(
                 MethodResult(
                     method=self.name,
                     quality_paths=int(quality[k]),
-                    best_rtt_ms=min(candidates) if candidates else None,
+                    best_rtt_ms=float(best[k]) if np.isfinite(best[k]) else None,
                     messages=0,
                     probed_nodes=0,
                 )
+                for k in range(len(a_arr))
             )
         return results
 
-    def _evaluate_streamed(
-        self, world, pairs: Sequence[Tuple[int, int]]
-    ) -> List[MethodResult]:
-        """Score one sub-batch over a streamed view without dense arrays.
+    def _score(
+        self, world, a_arr: np.ndarray, b_arr: np.ndarray, *, two_hop: bool
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Score one session batch: ``(path, quality, two_hop_best)``.
 
-        Sweep 1 collects each session's caller row and callee column;
-        the one-hop scoring then runs the dense expressions on the
-        (sessions × clusters) buffers.  Sweep 2 folds the two-hop
-        min-plus product for all sessions of the sub-batch at once.
+        ``path[k, r]`` is session k's one-hop RTT through cluster r
+        (``inf`` at both endpoint clusters), ``quality[k]`` the hosts in
+        clusters whose relay path is below the latency threshold, and
+        ``two_hop_best[k]`` the masked two-hop minimum (``None`` unless
+        ``two_hop``).
         """
-        a_arr, b_arr = self._pair_arrays(pairs)
-        rows_mat, cols_mat = _session_rows_cols(world, a_arr, b_arr)
-        rows = np.arange(len(pairs))
-        path = rows_mat + cols_mat.T + self._config.relay_delay_rtt_ms
-        path[rows, a_arr] = np.inf
-        path[rows, b_arr] = np.inf
-        one_hop_best = np.min(path, axis=1)
-        finite = np.isfinite(path)
-        quality_mask = finite & (path < self._config.lat_threshold_ms)
-        quality = quality_mask.astype(np.int64) @ world.sizes
-
-        two_hop_best: Optional[np.ndarray] = None
-        if self._include_two_hop:
-            second_legs = cols_mat.copy()
-            for k in range(len(pairs)):
-                second_legs[[int(a_arr[k]), int(b_arr[k])], k] = np.inf
-            w_mat = _min_plus_fold(world, second_legs)
-            first_legs = rows_mat.copy()
-            for k in range(len(pairs)):
-                first_legs[k, [int(a_arr[k]), int(b_arr[k])]] = np.inf
-            paths = first_legs + w_mat.T + 2.0 * self._config.relay_delay_rtt_ms
-            two_hop_best = np.min(paths, axis=1)
-
-        results: List[MethodResult] = []
-        for k in range(len(pairs)):
-            candidates = []
-            if np.isfinite(one_hop_best[k]):
-                candidates.append(float(one_hop_best[k]))
-            if two_hop_best is not None and np.isfinite(two_hop_best[k]):
-                candidates.append(float(two_hop_best[k]))
-            results.append(
-                MethodResult(
-                    method=self.name,
-                    quality_paths=int(quality[k]),
-                    best_rtt_ms=min(candidates) if candidates else None,
-                    messages=0,
-                    probed_nodes=0,
-                )
-            )
-        return results
+        first, second = _session_legs(world, a_arr, b_arr)
+        rows = np.arange(len(a_arr))
+        for legs in (first, second):  # no relay hop in an endpoint's cluster
+            legs[rows, a_arr] = np.inf
+            legs[rows, b_arr] = np.inf
+        delay = self._config.relay_delay_rtt_ms
+        path = first + second + delay
+        quality = (path < self._config.lat_threshold_ms).astype(np.int64) @ world.sizes
+        if not two_hop:
+            return path, quality, None
+        w = _min_plus_fold(world, second)
+        return path, quality, np.min(first + w + 2.0 * delay, axis=1)
 
 
-def _session_rows_cols(
-    world, a_arr: np.ndarray, b_arr: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Collect ``rtt[a_k, :]`` rows and ``rtt[:, b_k]`` columns of a
-    session batch in one pass over the view's column blocks."""
-    n = world.count
-    rows_mat = np.empty((len(a_arr), n), dtype=np.float64)
-    cols_mat = np.empty((n, len(b_arr)), dtype=np.float64)
-    wanted: dict = {}
-    for k, b in enumerate(b_arr):
-        wanted.setdefault(int(b), []).append(k)
+def _session_legs(world, a_arr: np.ndarray, b_arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``first[k] = rtt[a_k, :]`` and ``second[k] = rtt[:, b_k]`` for a
+    session batch, collected in one pass over the view's column blocks."""
+    first = np.empty((len(a_arr), world.count), dtype=np.float64)
+    second = np.empty_like(first)
     for cols, rtt_block, _, _ in world.iter_column_blocks():
-        rows_mat[:, cols] = rtt_block[a_arr, :]
-        base = int(cols[0])
-        for j in cols:
-            for k in wanted.get(int(j), ()):
-                cols_mat[:, k] = rtt_block[:, int(j) - base]
-    return rows_mat, cols_mat
+        first[:, cols] = rtt_block[a_arr, :]
+        hit = (b_arr >= cols[0]) & (b_arr <= cols[-1])  # blocks are contiguous
+        second[hit] = rtt_block[:, b_arr[hit] - cols[0]].T
+    return first, second
 
 
-def _min_plus_fold(world, second_legs: np.ndarray) -> np.ndarray:
-    """``w[i, k] = min_j ( rtt[i, j] + second_legs[j, k] )`` folded block
-    by block — the dense ``np.min(rtt + leg[None, :], axis=1)`` with the
-    min taken over column partitions (exact: min is order-free)."""
-    n, batch = second_legs.shape
-    w = np.full((n, batch), np.inf, dtype=np.float64)
+def _min_plus_fold(world, second: np.ndarray) -> np.ndarray:
+    """``w[k, i] = min_j ( rtt[i, j] + second[k, j] )`` folded block by
+    block (exact: min is order-free)."""
+    w = np.full(second.shape, np.inf, dtype=np.float64)
     for cols, rtt_block, _, _ in world.iter_column_blocks():
-        for k in range(batch):
-            contrib = rtt_block + second_legs[cols, k][None, :]
-            np.minimum(w[:, k], np.min(contrib, axis=1), out=w[:, k])
+        for k in range(len(w)):
+            np.minimum(w[k], np.min(rtt_block + second[k, cols], axis=1), out=w[k])
     return w

@@ -40,45 +40,18 @@ class RANDMethod(RelayMethod):
 
         The per-session RNG draws are kept in a (cheap) Python loop so
         each session's probe set matches :meth:`evaluate_session` draw
-        for draw; all scoring is then two gather operations.
+        for draw; the ``(S, P)`` draws are then scored together.
         """
         pairs, ids = session_batch(sessions, session_ids)
-        if len(pairs) == 0:
-            return []
-        n = world.count
         # Node draws are weighted by cluster occupancy: probing a random
         # *peer* lands in a cluster with probability ∝ its population.
         sizes = world.sizes.astype(float)
         total = sizes.sum()
-        weights = sizes / total if total > 0 else None
-        if weights is None or n == 0 or self._probes == 0:
-            return [
-                MethodResult(self.name, 0, None, 0, 0) for _ in range(len(pairs))
-            ]
-        draws = np.empty((len(pairs), self._probes), dtype=np.int64)
-        for k, sid in zip(range(len(pairs)), ids):
-            rng = self._session_rng(int(sid))
-            draws[k] = rng.choice(n, size=self._probes, replace=True, p=weights)
-        a_arr, b_arr = self._pair_arrays(pairs)
-        valid = (draws != a_arr[:, None]) & (draws != b_arr[:, None])
-        path = (
-            world.gather_rtt(a_arr[:, None], draws)
-            + world.gather_rtt(draws, b_arr[:, None])
-            + self._config.relay_delay_rtt_ms
-        )
-        path[~valid] = np.inf
-        finite = np.isfinite(path)
-        quality = (finite & (path < self._config.lat_threshold_ms)).sum(axis=1)
-        has_finite = finite.any(axis=1)
-        best = np.min(path, axis=1)
-        probed = valid.sum(axis=1)
-        return [
-            MethodResult(
-                method=self.name,
-                quality_paths=int(quality[k]),
-                best_rtt_ms=float(best[k]) if has_finite[k] else None,
-                messages=int(2 * probed[k]),
-                probed_nodes=int(probed[k]),
-            )
-            for k in range(len(pairs))
-        ]
+        probes = self._probes if total > 0 else 0
+        draws = np.empty((len(pairs), probes), dtype=np.int64)
+        if probes:
+            weights = sizes / total
+            for k, sid in enumerate(ids):
+                rng = self._session_rng(int(sid))
+                draws[k] = rng.choice(world.count, size=probes, replace=True, p=weights)
+        return self._probe_results(world, pairs, draws)

@@ -72,13 +72,9 @@ def run_section3(
     opt = OPTMethod(BaselineConfig(), include_two_hop=False)
 
     direct = workload.direct_rtts()
-    optimal = np.empty(len(workload))
     with obs.span("section3.optimal_one_hop", sessions=len(workload)):
-        for idx, session in enumerate(workload.sessions):
-            _, best = opt.best_one_hop(
-                world, session.caller_cluster, session.callee_cluster
-            )
-            optimal[idx] = best if best is not None else np.inf
+        results = opt.evaluate_sessions(world, workload.sessions)
+    optimal = np.array([np.inf if r.best_rtt_ms is None else r.best_rtt_ms for r in results])
     obs.counter("section3.sessions").inc(len(workload))
 
     finite = np.isfinite(direct) & np.isfinite(optimal)

@@ -151,7 +151,7 @@ class DelegateMatrices:
     def iter_column_blocks(self, chunk: int = 256):
         """Yield ``(cols, rtt_block, loss_block, hops_block)`` over all
         destination columns in ascending order; blocks are (N, len(cols))
-        views of the dense arrays."""
+        copies of the dense arrays (``cols`` is an index array)."""
         n = self.count
         for start in range(0, n, chunk):
             cols = np.arange(start, min(start + chunk, n), dtype=np.int64)

@@ -10,6 +10,7 @@ from repro.baselines import (
     OPTMethod,
     RANDMethod,
 )
+from repro.baselines.base import session_batch
 from repro.errors import ConfigurationError
 from repro.scenario import tiny_scenario
 
@@ -36,6 +37,11 @@ class TestBaselineConfig:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ConfigurationError):
             BaselineConfig(lat_threshold_ms=0)
+
+    @pytest.mark.parametrize("ids", [[5], [5, 6, 7]], ids=["short", "long"])
+    def test_session_batch_rejects_mismatched_ids(self, ids):
+        with pytest.raises(ConfigurationError, match="session_ids"):
+            session_batch([(0, 1), (2, 3)], session_ids=ids)
 
 
 class TestDEDI:

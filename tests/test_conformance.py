@@ -4,6 +4,8 @@ Each test re-implements a core algorithm in the most obviously-correct
 (and slow) way and checks the production code agrees on real scenarios.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,23 +113,66 @@ def reference_opt_one_hop(matrices, a, b, relay_delay=40.0):
     return best
 
 
-class TestOptConformance:
-    def test_matches_reference(self, scenario):
-        from repro.baselines import BaselineConfig, OPTMethod
+#: Session pairs each OPT conformance test scores in one batch: more than
+#: one sweep's worth, so the batch crosses the kernel's sweep boundary.
+_OPT_PAIRS = 140
+#: The cluster whose row the "unreachable" world cuts to ``inf``.
+_CUT = 3
 
-        matrices = scenario.matrices
-        opt = OPTMethod(BaselineConfig())
-        rng = np.random.default_rng(3)
-        for _ in range(15):
-            a, b = (int(x) for x in rng.integers(0, matrices.count, 2))
-            if a == b:
-                continue
-            _, fast = opt.best_one_hop(matrices, a, b)
-            slow = reference_opt_one_hop(matrices, a, b)
-            if slow is None:
-                assert fast is None
-            else:
-                assert fast == pytest.approx(slow)
+
+@pytest.fixture(scope="module")
+def opt_worlds(scenario, tmp_path_factory):
+    """``(matrices the oracles read, view OPT reads, session pairs)`` per
+    world: dense; the streamed view at a chunk width that does not
+    divide N; and dense with cluster ``_CUT``'s row cut to ``inf``,
+    calling from it first."""
+    from repro.storage.columns import ColumnStore
+    from repro.worldarrays.virtual import VirtualMatrices
+
+    matrices = scenario.matrices
+    rng = np.random.default_rng(3)
+    pairs = [
+        (int(a), int(b))
+        for a, b in rng.integers(0, matrices.count, (_OPT_PAIRS, 2))
+        if a != b
+    ]
+    clusters = scenario.clusters.all_clusters()
+    chunk = 7
+    assert len(clusters) % chunk != 0
+    store = ColumnStore(tmp_path_factory.mktemp("opt"), key="opt", n=len(clusters), chunk=chunk)
+    view = VirtualMatrices(scenario.latency, clusters, chunk_columns=chunk, store=store)
+    rtt = matrices.rtt_ms.copy()
+    rtt[_CUT, :] = np.inf
+    cut = dataclasses.replace(matrices, rtt_ms=rtt)
+    return [
+        (matrices, matrices, pairs),
+        (matrices, view, pairs),
+        (cut, cut, [(_CUT, 0)] + pairs),
+    ]
+
+
+def _assert_best(fast, slow):
+    if slow is None:
+        assert fast is None
+    else:
+        assert fast == pytest.approx(slow)
+
+
+class TestOptConformance:
+    def test_matches_reference(self, opt_worlds):
+        from repro.baselines import BaselineConfig, OPTMethod
+        from repro.baselines.opt import SESSION_BATCH
+
+        opt = OPTMethod(BaselineConfig(), include_two_hop=False)
+        for matrices, view, pairs in opt_worlds:
+            assert len(pairs) > SESSION_BATCH
+            batch = opt.evaluate_sessions(view, pairs)
+            assert len(batch) == len(pairs)
+            for (a, b), result in zip(pairs, batch):
+                _assert_best(result.best_rtt_ms, reference_opt_one_hop(matrices, a, b))
+            for a, b in pairs[:15]:
+                _, fast = opt.best_one_hop(view, a, b)
+                _assert_best(fast, reference_opt_one_hop(matrices, a, b))
 
 
 def reference_two_hop(matrices, a, b, relay_delay=40.0):
@@ -154,19 +199,20 @@ def reference_two_hop(matrices, a, b, relay_delay=40.0):
 
 
 class TestTwoHopConformance:
-    def test_matches_reference(self, scenario):
+    def test_matches_reference(self, opt_worlds):
         from repro.baselines import BaselineConfig, OPTMethod
 
-        matrices = scenario.matrices
         opt = OPTMethod(BaselineConfig())
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            a, b = (int(x) for x in rng.integers(0, matrices.count, 2))
-            if a == b:
-                continue
-            fast = opt.best_two_hop(matrices, a, b)
-            slow = reference_two_hop(matrices, a, b)
-            assert fast == pytest.approx(slow)
+        for matrices, view, pairs in opt_worlds:
+            batch = opt.evaluate_sessions(view, pairs)
+            assert len(batch) == len(pairs)
+            for (a, b), result in zip(pairs, batch):
+                one = reference_opt_one_hop(matrices, a, b)
+                two = reference_two_hop(matrices, a, b)
+                bests = [r for r in (one, two) if r is not None]
+                _assert_best(result.best_rtt_ms, min(bests) if bests else None)
+            for a, b in pairs[:20]:
+                _assert_best(opt.best_two_hop(view, a, b), reference_two_hop(matrices, a, b))
 
 
 def reference_valley_free_distance(graph: ASGraph, src: int, dst: int, cap: int = 8):
