@@ -151,17 +151,12 @@ class DelegateMatrices:
     def iter_column_blocks(self, chunk: int = 256):
         """Yield ``(cols, rtt_block, loss_block, hops_block)`` over all
         destination columns in ascending order; blocks are (N, len(cols))
-        contiguous copies of the dense arrays, which numpy adds and
-        reduces faster than strided views."""
+        contiguous copies, which numpy adds and reduces faster than views."""
         n = self.count
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            yield (
-                np.arange(start, stop, dtype=np.int64),
-                self.rtt_ms[:, start:stop].copy(),
-                self.loss[:, start:stop].copy(),
-                self.as_hops[:, start:stop].copy(),
-            )
+            blocks = (m[:, start:stop].copy() for m in (self.rtt_ms, self.loss, self.as_hops))
+            yield (np.arange(start, stop, dtype=np.int64), *blocks)
 
     def finite_row_fractions(self) -> np.ndarray:
         """Per-row fraction of finite RTT entries (workload online test)."""
