@@ -22,13 +22,17 @@ cross-process ``serve`` + ``dial`` run yields one connected trace tree;
 frames without the bit are byte-identical to the pre-extension wire
 format, so old captures decode unchanged.
 
-Message payloads are packed field-by-field from each message class's
-``FIELDS`` declaration — a table of ``(name, kind)`` pairs over a small
-set of primitive kinds (fixed-width integers, IEEE-754 doubles,
-length-prefixed strings/bytes, and ``(u32, f64)`` pair lists for close
-sets).  The table is the single schema source: encoding, decoding, the
-round-trip property tests and the microbenchmarks all derive from it,
-so a message class cannot drift from its wire form.
+A message class's ``FIELDS`` table — ``(name, kind)`` pairs — is the
+single schema source for its payload.  Every payload has one shape: a
+*head* of fixed-width fields (``u8``…``u64``, ``i32``, ``f64``, ``ip``),
+then at most one variable *tail* (a ``u16``-prefixed UTF-8 ``str``, a
+``u32``-prefixed ``bytes``, or ``pairs``: a ``u32`` count of
+``(u32 cluster, f64 rtt)`` entries — a close set).  Registration rejects
+any other shape and compiles one ``struct.Struct`` per message covering
+the frame header, the head and the tail's length prefix, so encoding a
+frame is one check pass, one ``pack`` and the tail bytes.  A ``pairs``
+tail decodes to a read-only :data:`PAIR_DTYPE` array (the wire layout
+itself, 12 bytes per entry) and such an array encodes as its own bytes.
 
 Strictness guarantees (the contract :mod:`tests.test_net_codec` pins):
 
@@ -44,11 +48,13 @@ Strictness guarantees (the contract :mod:`tests.test_net_codec` pins):
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass, fields as dataclass_fields
 from itertools import starmap
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import CodecError, FrameError
 from repro.netaddr import IPv4Address
@@ -59,6 +65,7 @@ __all__ = [
     "MAX_PAYLOAD_BYTES",
     "MESSAGE_TYPES",
     "ONEWAY",
+    "PAIR_DTYPE",
     "REQUEST",
     "RESPONSE",
     "Bye",
@@ -87,6 +94,7 @@ __all__ = [
     "TRACE_FLAG",
     "decode_frame",
     "encode_frame",
+    "pairs_table",
 ]
 
 #: Bump when the frame layout or any message schema changes; decoders
@@ -119,134 +127,12 @@ TRACE_EXT_VERSION = 1
 
 _FLAGS = frozenset((ONEWAY, REQUEST, RESPONSE, ERROR))
 
-# -- primitive field kinds ----------------------------------------------------
+# -- field kinds --------------------------------------------------------------
 
-_U8 = struct.Struct("!B")
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
-_I32 = struct.Struct("!i")
-_F64 = struct.Struct("!d")
 _PAIR = struct.Struct("!Id")
 
-
-def _need(data: bytes, offset: int, count: int, what: str) -> None:
-    if offset + count > len(data):
-        raise CodecError(f"payload truncated reading {what}")
-
-
-class _Kind:
-    """One primitive wire kind: pack into a buffer / unpack at an offset."""
-
-    __slots__ = ("name", "pack", "unpack")
-
-    def __init__(self, name, pack, unpack) -> None:
-        self.name = name
-        self.pack = pack        # (out: List[bytes], value) -> None
-        self.unpack = unpack    # (data, offset) -> (value, new_offset)
-
-
-def _fixed_kind(name: str, fmt: struct.Struct, check=None) -> _Kind:
-    def pack(out: List[bytes], value) -> None:
-        if check is not None:
-            check(value)
-        try:
-            out.append(fmt.pack(value))
-        except (struct.error, TypeError) as exc:
-            raise CodecError(f"cannot pack {name} value {value!r}") from exc
-
-    def unpack(data: bytes, offset: int):
-        _need(data, offset, fmt.size, name)
-        return fmt.unpack_from(data, offset)[0], offset + fmt.size
-
-    return _Kind(name, pack, unpack)
-
-
-def _check_ip(value) -> None:
-    if not isinstance(value, IPv4Address):
-        raise CodecError(f"ip field needs an IPv4Address, got {type(value).__name__}")
-
-
-def _pack_ip(out: List[bytes], value) -> None:
-    _check_ip(value)
-    out.append(_U32.pack(value.value))
-
-
-def _unpack_ip(data: bytes, offset: int):
-    _need(data, offset, 4, "ip")
-    return IPv4Address(_U32.unpack_from(data, offset)[0]), offset + 4
-
-
-def _pack_str(out: List[bytes], value) -> None:
-    if not isinstance(value, str):
-        raise CodecError(f"str field needs a str, got {type(value).__name__}")
-    raw = value.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise CodecError(f"string too long for the wire ({len(raw)} bytes)")
-    out.append(_U16.pack(len(raw)))
-    out.append(raw)
-
-
-def _unpack_str(data: bytes, offset: int):
-    _need(data, offset, 2, "str length")
-    size = _U16.unpack_from(data, offset)[0]
-    offset += 2
-    _need(data, offset, size, "str body")
-    try:
-        return bytes(data[offset:offset + size]).decode("utf-8"), offset + size
-    except UnicodeDecodeError as exc:
-        raise CodecError("string field is not valid UTF-8") from exc
-
-
-def _pack_bytes(out: List[bytes], value) -> None:
-    if not isinstance(value, (bytes, bytearray)):
-        raise CodecError(f"bytes field needs bytes, got {type(value).__name__}")
-    if len(value) > MAX_PAYLOAD_BYTES:
-        raise CodecError(f"bytes field too long ({len(value)} bytes)")
-    out.append(_U32.pack(len(value)))
-    out.append(bytes(value))
-
-
-def _unpack_bytes(data: bytes, offset: int):
-    _need(data, offset, 4, "bytes length")
-    size = _U32.unpack_from(data, offset)[0]
-    offset += 4
-    if size > MAX_PAYLOAD_BYTES:
-        raise CodecError(f"bytes field declares {size} bytes (cap {MAX_PAYLOAD_BYTES})")
-    _need(data, offset, size, "bytes body")
-    return bytes(data[offset:offset + size]), offset + size
-
-
-def _pack_pairs(out: List[bytes], value) -> None:
-    # One C-level pass packing pair after pair with the compiled ``_PAIR``
-    # (no per-length format); anything it refuses goes the checked way.
-    try:
-        out.append(_U32.pack(len(value)) + b"".join(starmap(_PAIR.pack, value)))
-    except (struct.error, TypeError, ValueError):
-        _pack_pairs_checked(out, value)
-
-
-def _pack_pairs_checked(out: List[bytes], value) -> None:
-    try:
-        pairs = [(int(c), float(r)) for c, r in value]
-    except (TypeError, ValueError) as exc:
-        raise CodecError("pairs field needs an iterable of (int, float)") from exc
-    out.append(_U32.pack(len(pairs)))
-    for cluster, rtt in pairs:
-        if cluster < 0 or cluster > 0xFFFFFFFF:
-            raise CodecError(f"pair cluster {cluster} out of u32 range")
-        out.append(_PAIR.pack(cluster, rtt))
-
-
-def _unpack_pairs(data: bytes, offset: int):
-    _need(data, offset, 4, "pairs count")
-    count = _U32.unpack_from(data, offset)[0]
-    offset += 4
-    if count * _PAIR.size > MAX_PAYLOAD_BYTES:
-        raise CodecError(f"pairs field declares {count} entries")
-    _need(data, offset, count * _PAIR.size, "pairs body")
-    end = offset + count * _PAIR.size
-    return tuple(_PAIR.iter_unpack(bytes(data[offset:end]))), end
+#: One ``pairs`` entry as a numpy record: exactly its wire bytes.
+PAIR_DTYPE = np.dtype([("cluster", ">u4"), ("rtt_ms", ">f8")])
 
 
 def _check_unsigned(bits: int):
@@ -273,253 +159,224 @@ def _check_f64(value) -> None:
         raise CodecError(f"f64 field needs a number, got {type(value).__name__}")
 
 
-_CHECK_U8 = _check_unsigned(8)
-_CHECK_U16 = _check_unsigned(16)
-_CHECK_U32 = _check_unsigned(32)
-_CHECK_U64 = _check_unsigned(64)
+def _check_ip(value) -> None:
+    if not isinstance(value, IPv4Address):
+        raise CodecError(f"ip field needs an IPv4Address, got {type(value).__name__}")
 
-KINDS: Dict[str, _Kind] = {
-    "u8": _fixed_kind("u8", _U8, _CHECK_U8),
-    "u16": _fixed_kind("u16", _U16, _CHECK_U16),
-    "u32": _fixed_kind("u32", _U32, _CHECK_U32),
-    "u64": _fixed_kind("u64", _U64, _CHECK_U64),
-    "i32": _fixed_kind("i32", _I32, _check_i32),
-    "f64": _fixed_kind("f64", _F64, _check_f64),
-    "ip": _Kind("ip", _pack_ip, _unpack_ip),
-    "str": _Kind("str", _pack_str, _unpack_str),
-    "bytes": _Kind("bytes", _pack_bytes, _unpack_bytes),
-    "pairs": _Kind("pairs", _pack_pairs, _unpack_pairs),
+
+def _pack_str(value) -> bytes:
+    if not isinstance(value, str):
+        raise CodecError(f"str field needs a str, got {type(value).__name__}")
+    raw = value.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise CodecError(f"string too long for the wire ({len(raw)} bytes)")
+    return raw
+
+
+def _read_str(data, start: int, end: int) -> str:
+    try:
+        return str(data[start:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError("string field is not valid UTF-8") from exc
+
+
+def _pack_bytes(value) -> bytes:
+    if not isinstance(value, (bytes, bytearray)):
+        raise CodecError(f"bytes field needs bytes, got {type(value).__name__}")
+    if len(value) > MAX_PAYLOAD_BYTES:
+        raise CodecError(f"bytes field too long ({len(value)} bytes)")
+    return bytes(value)
+
+
+def _read_bytes(data, start: int, end: int) -> bytes:
+    return bytes(data[start:end])
+
+
+def _is_table(value) -> bool:
+    return type(value) is np.ndarray and value.dtype == PAIR_DTYPE and value.ndim == 1
+
+
+def _pack_pairs(value) -> bytes:
+    # A wire table is its own bytes; anything else is coerced and
+    # checked pair by pair (its errors are the contract).
+    return value.tobytes() if _is_table(value) else _pack_pairs_checked(value)
+
+
+def _pack_pairs_checked(value) -> bytes:
+    try:
+        pairs = [(int(c), float(r)) for c, r in value]
+    except (TypeError, ValueError) as exc:
+        raise CodecError("pairs field needs an iterable of (int, float)") from exc
+    for cluster, _ in pairs:
+        if cluster < 0 or cluster > 0xFFFFFFFF:
+            raise CodecError(f"pair cluster {cluster} out of u32 range")
+    return b"".join(starmap(_PAIR.pack, pairs))
+
+
+def _read_pairs(data, start: int, end: int) -> np.ndarray:
+    # A private copy: the table never aliases a stream decoder's buffer.
+    return np.frombuffer(bytes(data[start:end]), PAIR_DTYPE)
+
+
+def pairs_table(value) -> np.ndarray:
+    """``value`` as a :data:`PAIR_DTYPE` table: a table as it is, any
+    other ``(cluster, rtt)`` pairs through the wire's checked packer
+    (:class:`~repro.errors.CodecError` on what the wire refuses)."""
+    return value if _is_table(value) else np.frombuffer(_pack_pairs(value), PAIR_DTYPE)
+
+
+#: Head kinds: struct format character, value check, and the one type
+#: whose values need no check because ``struct`` enforces the same
+#: range (``ip`` packs as a u32 of the address value).
+_HEAD_KINDS = {
+    "u8": ("B", _check_unsigned(8), int),
+    "u16": ("H", _check_unsigned(16), int),
+    "u32": ("I", _check_unsigned(32), int),
+    "u64": ("Q", _check_unsigned(64), int),
+    "i32": ("i", _check_i32, int),
+    "f64": ("d", _check_f64, float),
+    "ip": ("I", _check_ip, IPv4Address),
 }
 
-# -- compiled per-message segment plans ---------------------------------------
-
-#: Fixed-width kinds foldable into one combined struct per run, with
-#: their format characters and value checks.  ``ip`` packs as a u32 of
-#: the address value.
-_FIXED_SEGMENT_KINDS = {
-    "u8": ("B", _CHECK_U8),
-    "u16": ("H", _CHECK_U16),
-    "u32": ("I", _CHECK_U32),
-    "u64": ("Q", _CHECK_U64),
-    "i32": ("i", _check_i32),
-    "f64": ("d", _check_f64),
-    "ip": ("I", _check_ip),
+#: Tail kinds: length-prefix format, payload bytes per counted unit,
+#: packer (value -> body bytes, checked) and reader (data, start, end).
+_TAIL_KINDS = {
+    "str": ("H", 1, _pack_str, _read_str),
+    "bytes": ("I", 1, _pack_bytes, _read_bytes),
+    "pairs": ("I", _PAIR.size, _pack_pairs, _read_pairs),
 }
 
-
-def _compile_segments(fields: Tuple[Tuple[str, str], ...]):
-    """Compile a FIELDS table into a segment plan.
-
-    Consecutive fixed-width fields collapse into one precompiled
-    ``struct.Struct`` — one pack/unpack call instead of one per field —
-    while variable-length fields keep their per-kind codecs.  Segments
-    are ``("fixed", struct, names, checks, ip_positions)`` (parallel
-    tuples, with ``ip_positions`` indexing the IPv4 members needing
-    value conversion) or ``("var", name, kind_codec)`` holding the
-    :class:`_Kind` object itself — everything the hot path touches is
-    resolved at compile time, not per call.
-    """
-    segments = []
-    run: List[Tuple[str, str]] = []
-
-    def flush() -> None:
-        if not run:
-            return
-        fmt = struct.Struct("!" + "".join(_FIXED_SEGMENT_KINDS[kind][0] for _, kind in run))
-        names = tuple(name for name, _ in run)
-        checks = tuple(_FIXED_SEGMENT_KINDS[kind][1] for _, kind in run)
-        ip_positions = tuple(
-            index for index, (_, kind) in enumerate(run) if kind == "ip"
-        )
-        segments.append(("fixed", fmt, names, checks, ip_positions))
-        run.clear()
-
-    for name, kind in fields:
-        if kind not in KINDS:
-            raise ValueError(f"unknown wire kind {kind!r} for field {name!r}")
-        if kind in _FIXED_SEGMENT_KINDS:
-            run.append((name, kind))
-        else:
-            flush()
-            segments.append(("var", name, KINDS[kind]))
-    flush()
-    return tuple(segments)
-
-
-def _compile_pack(segments):
-    """Compile a segment plan into a specialized ``pack_payload``.
-
-    Each segment becomes a closure with its struct, checks, and field
-    getters already bound; the common single-fixed-segment messages
-    (Ping, Keepalive, CallSetup, ...) collapse to a single check+pack
-    call with no intermediate list at all.
-    """
-
-    def fixed_step(fmt, names, checks, ip_positions):
-        pack = fmt.pack
-
-        if len(names) == 1:
-            name, check = names[0], checks[0]
-            if ip_positions:
-
-                def step(message) -> bytes:
-                    value = getattr(message, name)
-                    check(value)
-                    return pack(value.value)
-
-            else:
-
-                def step(message) -> bytes:
-                    value = getattr(message, name)
-                    check(value)
-                    return pack(value)
-
-            return step
-
-        getter = operator.attrgetter(*names)
-
-        if ip_positions:
-            # A second getter reaches straight through to the packed
-            # ``.value`` ints; the checks above guarantee it resolves.
-            wire_getter = operator.attrgetter(
-                *(
-                    f"{name}.value" if position in ip_positions else name
-                    for position, name in enumerate(names)
-                )
-            )
-
-            def step(message) -> bytes:
-                for check, value in zip(checks, getter(message)):
-                    check(value)
-                return pack(*wire_getter(message))
-
-        else:
-
-            def step(message) -> bytes:
-                values = getter(message)
-                for check, value in zip(checks, values):
-                    check(value)
-                return pack(*values)
-
-        return step
-
-    steps = []
-    for segment in segments:
-        if segment[0] == "fixed":
-            steps.append(fixed_step(*segment[1:]))
-        else:
-            _, name, kind = segment
-            kind_pack = kind.pack
-
-            def step(message, name=name, kind_pack=kind_pack) -> bytes:
-                out: List[bytes] = []
-                kind_pack(out, getattr(message, name))
-                return b"".join(out)
-
-            steps.append(step)
-
-    if len(steps) == 1:
-        return steps[0]
-    if len(steps) == 2:
-        first, second = steps
-
-        def pack_payload(self) -> bytes:
-            return first(self) + second(self)
-
-        return pack_payload
-
-    def pack_payload(self) -> bytes:
-        return b"".join([step(self) for step in steps])
-
-    return pack_payload
-
-
-def _compile_unpack(segments, cls):
-    """Compile a segment plan into a specialized ``unpack_payload``.
-
-    ``_register`` verifies the wire schema matches the dataclass field
-    order, so decoded values feed the constructor positionally — no
-    kwargs dict on the hot path.  The all-fixed messages (Ping,
-    Keepalive, ...) collapse to one exact-length check and
-    one combined struct unpack.
-    """
-    if len(segments) == 1 and segments[0][0] == "fixed":
-        _, fmt, names, checks, ip_positions = segments[0]
-        size = fmt.size
-        unpack = fmt.unpack
-        label = cls.__name__
-
-        if ip_positions:
-
-            def unpack_payload(data) -> "Message":
-                if len(data) != size:
-                    raise CodecError(
-                        f"{label} payload is {len(data)} bytes, expected {size}"
-                    )
-                values = list(unpack(data))
-                for position in ip_positions:
-                    values[position] = IPv4Address(values[position])
-                return cls(*values)
-
-        else:
-
-            def unpack_payload(data) -> "Message":
-                if len(data) != size:
-                    raise CodecError(
-                        f"{label} payload is {len(data)} bytes, expected {size}"
-                    )
-                return cls(*unpack(data))
-
-        return staticmethod(unpack_payload)
-
-    plan = segments
-    label = cls.__name__
-
-    def unpack_payload(data) -> "Message":
-        offset = 0
-        values: List = []
-        for segment in plan:
-            if segment[0] == "fixed":
-                _, fmt, _names, _checks, ip_positions = segment
-                _need(data, offset, fmt.size, f"{label} fixed fields")
-                unpacked = fmt.unpack_from(data, offset)
-                if ip_positions:
-                    unpacked = list(unpacked)
-                    for position in ip_positions:
-                        unpacked[position] = IPv4Address(unpacked[position])
-                values.extend(unpacked)
-                offset += fmt.size
-            else:
-                value, offset = segment[2].unpack(data, offset)
-                values.append(value)
-        if offset != len(data):
-            raise CodecError(
-                f"{label} payload has {len(data) - offset} trailing bytes"
-            )
-        return cls(*values)
-
-    return staticmethod(unpack_payload)
-
-# -- message classes ----------------------------------------------------------
+# -- per-message compiled codecs ----------------------------------------------
 
 #: wire type byte -> message class (filled by ``_register``).
 MESSAGE_TYPES: Dict[int, type] = {}
+#: message class -> ``encode(message, flags, request_id) -> frame bytes``.
+_ENCODERS: Dict[type, Callable] = {}
+#: wire type byte -> ``decode(data, start, end) -> message`` over a payload.
+_DECODERS: Dict[int, Callable] = {}
+
+_new = object.__new__
+
+
+def _getter(names: List[str]) -> Callable:
+    """An attribute getter that always returns a tuple."""
+    if not names:
+        return lambda message: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda message: (get(message),)
+    return attrgetter(*names)
+
+
+def _check_all(checks, values) -> None:
+    for check, value in zip(checks, values):
+        check(value)
+
+
+def _compile(cls) -> None:
+    """Compile ``cls.FIELDS`` into its frame encoder and body decoder."""
+    names = tuple(name for name, _ in cls.FIELDS)
+    kinds = [kind for _, kind in cls.FIELDS]
+    tail = kinds.pop() if kinds and kinds[-1] in _TAIL_KINDS else None
+    if any(kind not in _HEAD_KINDS for kind in kinds):
+        raise ValueError(
+            f"{cls.__name__}: wire schema must be fixed-width fields then at most "
+            f"one str/bytes/pairs field, got {[kind for _, kind in cls.FIELDS]}"
+        )
+    head = "".join(_HEAD_KINDS[kind][0] for kind in kinds)
+    prefix, unit, pack_tail, read_tail = _TAIL_KINDS[tail] if tail else ("", 0, None, None)
+    frame = struct.Struct(_HEADER.format + head + prefix)
+    body = struct.Struct("!" + head + prefix)
+    checks = tuple(_HEAD_KINDS[kind][1] for kind in kinds)
+    types = tuple(_HEAD_KINDS[kind][2] for kind in kinds)
+    values_of = _getter(names)
+    types_of = _getter([f"{name}.__class__" for name in names[:len(kinds)]])
+    # The head as packed: an ip field reaches through to its ``.value``;
+    # the checks run first, so that attribute always resolves.
+    wire_of = _getter(
+        [f"{name}.value" if kind == "ip" else name for name, kind in zip(names, kinds)]
+    )
+    ips = tuple(index for index, kind in enumerate(kinds) if kind == "ip")
+    pack, unpack_from, size = frame.pack, body.unpack_from, body.size
+    msg_type, label = cls.TYPE, cls.__name__
+
+    if tail is None:
+
+        def encode(message, flags: int, request_id: int) -> bytes:
+            # One check pass: exactly typed heads go straight to ``pack``,
+            # and the checks name whatever it (or the type test) refuses.
+            if types_of(message) != types:
+                _check_all(checks, values_of(message))
+            try:
+                return pack(
+                    _MAGIC, CODEC_SCHEMA_VERSION, msg_type, flags, request_id, size,
+                    *wire_of(message),
+                )
+            except struct.error:
+                _check_all(checks, values_of(message))
+                raise
+
+    else:
+
+        def encode(message, flags: int, request_id: int) -> bytes:
+            values = values_of(message)
+            if types_of(message) != types:
+                _check_all(checks, values)
+            data = pack_tail(values[-1])
+            length = size + len(data)
+            if length > MAX_PAYLOAD_BYTES:
+                raise CodecError(f"payload too large ({length} bytes)")
+            try:
+                packed = pack(
+                    _MAGIC, CODEC_SCHEMA_VERSION, msg_type, flags, request_id, length,
+                    *wire_of(message), len(data) // unit,
+                )
+            except struct.error:
+                _check_all(checks, values)
+                raise
+            return packed + data
+
+    def decode(data, start: int, end: int) -> Message:
+        if end - start < size or (tail is None and end - start != size):
+            raise CodecError(f"{label} payload is {end - start} bytes; fixed fields take {size}")
+        values = list(unpack_from(data, start))
+        for index in ips:
+            values[index] = IPv4Address(values[index])
+        if tail is not None:
+            start += size
+            # Exact length, so a count can never outrun the (capped) payload.
+            if values[-1] * unit != end - start:
+                raise CodecError(
+                    f"{label} {tail} field declares {values[-1]} units, "
+                    f"{end - start} bytes follow"
+                )
+            values[-1] = read_tail(data, start, end)
+        message = _new(cls)
+        message.__dict__.update(zip(names, values))
+        return message
+
+    _ENCODERS[cls] = encode
+    _DECODERS[msg_type] = decode
+
+
+# -- message classes ----------------------------------------------------------
 
 
 class Message:
     """Base for wire messages; subclasses declare ``TYPE`` and ``FIELDS``.
 
-    :func:`_register` compiles each class's segment plan
-    (:func:`_compile_segments`) into its ``pack_payload`` /
-    ``unpack_payload`` (the latter takes ``bytes`` or a zero-copy
-    ``memoryview``): every run of fixed-width fields is one combined
-    struct call, and per-field value checks still run before each
-    combined pack, so the error contract of the per-kind reference path
-    is preserved exactly.  Only registered classes travel.
+    :func:`_register` compiles each class's ``FIELDS`` into its encoder
+    and decoder (see the module docstring); a field whose value is not
+    exactly of its kind's type is checked before the one combined pack.
+    Only registered classes travel.
     """
 
     TYPE: int = -1
     FIELDS: Tuple[Tuple[str, str], ...] = ()
+
+    def pack_payload(self) -> bytes:
+        """This message's payload bytes: its frame minus the header."""
+        return encode_frame(self)[_HEADER.size:]
 
 
 def _register(cls):
@@ -532,9 +389,7 @@ def _register(cls):
         raise ValueError(
             f"{cls.__name__}: dataclass fields {declared} != wire schema {schema}"
         )
-    cls._SEGMENT_PLAN = _compile_segments(cls.FIELDS)
-    cls.pack_payload = _compile_pack(cls._SEGMENT_PLAN)
-    cls.unpack_payload = _compile_unpack(cls._SEGMENT_PLAN, cls)
+    _compile(cls)
     MESSAGE_TYPES[cls.TYPE] = cls
     return cls
 
@@ -644,13 +499,24 @@ class CloseSetQuery(Message):
 @_register
 @dataclass(frozen=True)
 class CloseSetReply(Message):
-    """A close cluster set on the wire: (cluster index, RTT ms) pairs."""
+    """A close cluster set on the wire: (cluster index, RTT ms) entries.
+
+    ``entries`` is a :data:`PAIR_DTYPE` table — what decoding yields —
+    or any sequence of ``(cluster, rtt)`` pairs; replies compare by the
+    owner and the entries' wire values."""
 
     TYPE = 0x08
     FIELDS = (("owner", "i32"), ("entries", "pairs"))
 
     owner: int
-    entries: Tuple[Tuple[int, float], ...]
+    entries: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CloseSetReply:
+            return NotImplemented
+        return self.owner == other.owner and np.array_equal(
+            pairs_table(self.entries), pairs_table(other.entries)
+        )
 
 
 @_register
@@ -827,6 +693,18 @@ class Frame:
     parent_span: "Optional[str]" = None
 
 
+def _frame(message, flags, request_id, trace_id, parent_span) -> Frame:
+    """A decoded :class:`Frame`, filled without the frozen ``__init__``."""
+    frame = _new(Frame)
+    fields = frame.__dict__
+    fields["message"] = message
+    fields["flags"] = flags
+    fields["request_id"] = request_id
+    fields["trace_id"] = trace_id
+    fields["parent_span"] = parent_span
+    return frame
+
+
 def _encode_trace_ext(trace) -> bytes:
     """Pack a ``(trace_id, parent_span_id)`` context into its segment."""
     trace_id, parent_span = trace
@@ -883,29 +761,21 @@ def encode_frame(
     and the versioned trace segment.  Without it the bytes are identical
     to the pre-extension wire format.
     """
-    if type(message).TYPE not in MESSAGE_TYPES:
+    encode = _ENCODERS.get(type(message))
+    if encode is None:
         raise CodecError(f"unregistered message type {type(message).__name__}")
-    if flags not in _FLAGS:
+    # Plain ints only: a bool or a float must not pass as a flag or an id.
+    if type(flags) is not int or flags not in _FLAGS:
         raise CodecError(f"invalid frame flags {flags!r}")
-    if not 0 <= request_id <= 0xFFFFFFFF:
-        raise CodecError(f"request_id {request_id} out of u32 range")
-    payload = message.pack_payload()
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise CodecError(f"payload too large ({len(payload)} bytes)")
+    if type(request_id) is not int or not 0 <= request_id <= 0xFFFFFFFF:
+        raise CodecError(f"request_id {request_id!r} is not a u32")
     if trace is None:
-        header = _HEADER.pack(
-            _MAGIC, CODEC_SCHEMA_VERSION, type(message).TYPE, flags,
-            request_id, len(payload),
-        )
-        return header + payload
-    header = _HEADER.pack(
-        _MAGIC, CODEC_SCHEMA_VERSION, type(message).TYPE, flags | TRACE_FLAG,
-        request_id, len(payload),
-    )
-    return header + _encode_trace_ext(trace) + payload
+        return encode(message, flags, request_id)
+    frame = encode(message, flags | TRACE_FLAG, request_id)
+    return frame[:_HEADER.size] + _encode_trace_ext(trace) + frame[_HEADER.size:]
 
 
-def _decode_header(data: bytes, offset: int = 0) -> Tuple[int, int, int, int, bool]:
+def _decode_header(data, offset: int = 0) -> Tuple[int, int, int, int, bool]:
     """Validate a header at ``offset``.
 
     Returns ``(type, base_flags, req_id, payload_length, has_trace)``;
@@ -969,14 +839,8 @@ def decode_frame(data: bytes) -> Frame:
         )
     if len(data) > body_end:
         raise FrameError(f"{len(data) - body_end} trailing bytes after frame")
-    # One-shot decode: a plain bytes slice beats a memoryview here (the
-    # view's create/release overhead outweighs the single small copy);
-    # the streaming FrameDecoder is where views pay off.
-    message = MESSAGE_TYPES[msg_type].unpack_payload(data[body_start:body_end])
-    return Frame(
-        message=message, flags=flags, request_id=request_id,
-        trace_id=trace_id, parent_span=parent_span,
-    )
+    message = _DECODERS[msg_type](data, body_start, body_end)
+    return _frame(message, flags, request_id, trace_id, parent_span)
 
 
 class FrameDecoder:
@@ -1004,63 +868,41 @@ class FrameDecoder:
     def feed(self, data: bytes) -> List[Frame]:
         """Add bytes; return every frame completed by them.
 
-        The loop decodes straight out of a ``memoryview`` over the
-        buffer — no per-frame copy of the pending bytes; consumed frames
-        are trimmed once at the end (views are released first, since a
-        ``bytearray`` cannot shrink while exports exist).
+        Frames decode in place, by offset into the buffer (the body
+        decoders copy only what a message keeps); consumed frames are
+        trimmed once at the end.
         """
         if self._poisoned:
             raise FrameError("decoder poisoned by an earlier corrupt frame")
-        self._buffer.extend(data)
-        frames: List[Frame] = []
         buffer = self._buffer
+        buffer.extend(data)
+        frames: List[Frame] = []
         consumed = 0
-        view = memoryview(buffer)
         try:
             while len(buffer) - consumed >= _HEADER.size:
-                try:
-                    msg_type, flags, request_id, length, has_trace = _decode_header(
-                        view, consumed
-                    )
-                except FrameError:
-                    self._poisoned = True
-                    raise
+                msg_type, flags, request_id, length, has_trace = _decode_header(
+                    buffer, consumed
+                )
                 body_start = consumed + _HEADER.size
                 trace_id = parent_span = None
                 if has_trace:
                     if len(buffer) < body_start + 1:
                         break  # the extension length byte is still in flight
-                    ext_len = buffer[body_start]
-                    body_start += 1 + ext_len
+                    body_start += 1 + buffer[body_start]
                 end = body_start + length
                 if len(buffer) < end:
                     break
                 if has_trace:
-                    ext = view[consumed + _HEADER.size + 1:body_start]
-                    try:
-                        trace_id, parent_span = _parse_trace_ext(ext)
-                    except FrameError:
-                        self._poisoned = True
-                        raise
-                    finally:
-                        ext.release()
-                payload = view[body_start:end]
-                try:
-                    message = MESSAGE_TYPES[msg_type].unpack_payload(payload)
-                except (FrameError, CodecError):
-                    self._poisoned = True
-                    raise
-                finally:
-                    payload.release()
-                frames.append(
-                    Frame(
-                        message=message, flags=flags, request_id=request_id,
-                        trace_id=trace_id, parent_span=parent_span,
+                    trace_id, parent_span = _parse_trace_ext(
+                        buffer[consumed + _HEADER.size + 1:body_start]
                     )
-                )
+                message = _DECODERS[msg_type](buffer, body_start, end)
+                frames.append(_frame(message, flags, request_id, trace_id, parent_span))
                 consumed = end
+        except (FrameError, CodecError):
+            self._poisoned = True
+            raise
         finally:
-            view.release()
             if consumed:
                 del buffer[:consumed]
         return frames

@@ -29,6 +29,7 @@ therefore only suspend through transport primitives (``request``,
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Awaitable, Callable, Dict, Optional
 
 from repro import obs
@@ -37,7 +38,6 @@ from repro.net.codec import (
     ERROR,
     ONEWAY,
     REQUEST,
-    RESPONSE,
     ErrorFrame,
     Frame,
     Message,
@@ -174,38 +174,32 @@ class LoopbackTransport(Transport):
         self._pending.clear()
 
     def now_ms(self) -> float:
-        return self._hub.now_ms
+        return self._hub.sim.now_ms
 
-    async def sleep_ms(self, ms: float) -> None:
-        await self._hub.sleep_ms(ms)
+    def sleep_ms(self, ms: float) -> Wait:
+        return self._hub.sim.sleep(max(ms, 0.0))
 
     async def gather(self, *coros):
         return await self._hub.gather(*coros)
 
     # -- delivery ----------------------------------------------------------
 
-    def _schedule_inbound(self, dst: str, data: bytes, rtt: float) -> bool:
-        """Schedule ``data`` to arrive at ``dst`` half an RTT from now."""
-        dest = self._hub._endpoints.get(dst)
-        if dest is None:
-            self._hub.drops += 1
+    def _transmit(self, dst: str, data: bytes) -> None:
+        """Put ``data`` on the wire: it arrives at ``dst`` half an RTT
+        from now, or drops (no route, or nothing bound at ``dst``)."""
+        hub = self._hub
+        rtt = hub.rtt_ms(self._address, dst)
+        dest = hub._endpoints.get(dst)
+        if rtt is None or dest is None:
+            hub.drops += 1
             obs.counter("wire.dropped").inc()
-            return False
-        self._hub._at(
-            rtt / 2.0,
-            lambda: self._hub.sim.spawn(dest._handle_inbound(self._address, data, rtt)),
-        )
-        return True
+            return
+        hub._at(rtt / 2.0, partial(dest._arrive, self._address, data, rtt))
 
     async def send(self, addr: str, message: Message) -> None:
         data = encode_frame(message, ONEWAY, 0)
         obs.counter("wire.sent").inc()
-        rtt = self._hub.rtt_ms(self._address, addr)
-        if rtt is None:
-            self._hub.drops += 1
-            obs.counter("wire.dropped").inc()
-            return
-        self._schedule_inbound(addr, data, rtt)
+        self._transmit(addr, data)
 
     async def request(
         self,
@@ -218,14 +212,9 @@ class LoopbackTransport(Transport):
         data = encode_frame(message, REQUEST, request_id, trace=trace)
         obs.counter("wire.sent").inc()
         wait = self._pending[request_id] = self._hub.sim.wait()
-        rtt = self._hub.rtt_ms(self._address, addr)
-        if rtt is not None:
-            self._schedule_inbound(addr, data, rtt)
-        else:
-            self._hub.drops += 1
-            obs.counter("wire.dropped").inc()
+        self._transmit(addr, data)
         # Undelivered, the timeout below is the only way the wait ends.
-        self._hub._at(timeout_ms, lambda: self._fire_timeout(request_id, timeout_ms))
+        self._hub._at(timeout_ms, partial(self._fire_timeout, request_id, timeout_ms))
         try:
             frame: Frame = await wait
         finally:
@@ -259,17 +248,26 @@ class LoopbackTransport(Transport):
             return  # raced its own timeout; drop the late response
         wait.resolve(decode_frame(data))
 
-    async def _handle_inbound(self, sender: str, data: bytes, rtt: float) -> None:
-        """Decode, dispatch, and (for requests) schedule the response."""
+    def _arrive(self, sender: str, data: bytes, rtt: float) -> None:
+        """One delivery: decode, then answer a request or run a one-way
+        frame's handler (whose error has nobody to go to)."""
         frame = decode_frame(data)
         self._hub.deliveries += 1
         obs.counter("wire.delivered").inc()
-        if frame.flags in (RESPONSE, ERROR):
-            self._complete(frame.request_id, data)
-            return
+        if frame.flags == REQUEST:
+            self._hub.sim.spawn(self._answer(sender, frame, rtt))
+        elif self._handler is not None:
+            self._hub.sim.spawn(_swallow(self._handler(sender, frame)))
+
+    async def _answer(self, sender: str, frame: Frame, rtt: float) -> None:
         out = await answer_frame(self._handler, sender, frame)
         origin = self._hub._endpoints.get(sender)
-        if out is not None and origin is not None:
-            self._hub._at(
-                rtt / 2.0, lambda: origin._complete(frame.request_id, out)
-            )
+        if origin is not None:
+            self._hub._at(rtt / 2.0, partial(origin._complete, frame.request_id, out))
+
+
+async def _swallow(handled: Awaitable) -> None:
+    try:
+        await handled
+    except Exception:  # a one-way frame is never answered, not even with an error
+        pass

@@ -4,8 +4,8 @@ A surrogate (§6.2) maintains its cluster's close cluster set and serves
 it to members and callers.  The daemon reuses the simulator's
 :class:`repro.core.surrogate.Surrogate` state (via the world's
 ``ASAPSystem``) for set construction — the wire layer changes how the
-set *travels*, not how it is *built* — and serializes it as
-``(cluster, rtt)`` pairs, exactly the fields select-close-relay
+set *travels*, not how it is *built* — and serializes it as one
+table of ``(cluster, rtt)`` entries, exactly the fields select-close-relay
 consumes.  Nodal-information publishes (§6.1) land in the same election
 state the simulator uses.
 """
@@ -21,6 +21,7 @@ from repro.core.close_cluster import CloseClusterSet
 from repro.errors import ProtocolError, ServiceError
 from repro.net.codec import (
     ERR_NOT_SERVING,
+    PAIR_DTYPE,
     ROLE_SURROGATE,
     CloseSetQuery,
     CloseSetReply,
@@ -31,6 +32,7 @@ from repro.net.codec import (
     NodalPublish,
     Ping,
     Pong,
+    pairs_table,
 )
 from repro.net.transport import Transport
 from repro.service.node import ServiceNode
@@ -40,11 +42,14 @@ from repro.topology.population import NodalInfo
 __all__ = ["SurrogateServer", "close_set_to_pairs", "pairs_to_close_set"]
 
 
-def close_set_to_pairs(close_set) -> list:
-    """Wire form of a close cluster set: (cluster, rtt) pairs, cluster
-    ids strictly ascending."""
+def close_set_to_pairs(close_set) -> np.ndarray:
+    """Wire form of a close cluster set: a :data:`PAIR_DTYPE` table of
+    (cluster, rtt) entries, cluster ids strictly ascending."""
     clusters, rtt_ms = close_set.rows()
-    return list(zip(clusters.tolist(), rtt_ms.tolist()))
+    table = np.empty(len(clusters), dtype=PAIR_DTYPE)
+    table["cluster"] = clusters
+    table["rtt_ms"] = rtt_ms
+    return table
 
 
 def pairs_to_close_set(owner: int, pairs, cluster_count: int) -> CloseClusterSet:
@@ -52,7 +57,8 @@ def pairs_to_close_set(owner: int, pairs, cluster_count: int) -> CloseClusterSet
 
     Only membership and RTT travel (all select-close-relay needs);
     loss and hop depth are measurement-side detail that stays with the
-    owning surrogate (zeros here).  The pairs must be what
+    owning surrogate (zeros here).  ``pairs`` is a wire table (or any
+    ``(cluster, rtt)`` pairs the codec accepts) and must be what
     :func:`close_set_to_pairs` emits — strictly ascending cluster ids
     (the set's own constructor checks that) below the world's
     ``cluster_count``, finite non-negative RTTs — and anything else
@@ -60,14 +66,14 @@ def pairs_to_close_set(owner: int, pairs, cluster_count: int) -> CloseClusterSet
     largest member id, so the id bound keeps that size the world's, not
     the sender's.
     """
-    table = np.array(pairs, dtype=np.float64).reshape(-1, 2)
-    if np.any(table[:, 0] >= cluster_count):
+    table = pairs_table(pairs)
+    if np.any(table["cluster"] >= cluster_count):
         raise ProtocolError(f"close set of {owner}: member id beyond {cluster_count} clusters")
-    rtt_ms = np.ascontiguousarray(table[:, 1])
+    rtt_ms = table["rtt_ms"].astype(np.float64)
     if not np.all(np.isfinite(rtt_ms) & (rtt_ms >= 0.0)):
         raise ProtocolError(f"close set of {owner}: negative or non-finite RTT")
     unmeasured = np.zeros(len(table))
-    return CloseClusterSet(owner, table[:, 0], rtt_ms, unmeasured, unmeasured)
+    return CloseClusterSet(owner, table["cluster"], rtt_ms, unmeasured, unmeasured)
 
 
 class SurrogateServer(ServiceNode):

@@ -29,6 +29,8 @@ from typing import Any, Callable, Coroutine, Deque, List, NamedTuple, Optional
 
 from repro.errors import ReproError
 
+_INF = float("inf")
+
 
 class SimulationError(ReproError):
     """The simulator was driven incorrectly (e.g. scheduling in the past)."""
@@ -115,20 +117,20 @@ class Simulator:
         return len(self._queue)
 
     def schedule(self, delay_ms: float, action: Callable[[], Any]) -> Event:
-        """Schedule ``action`` to run ``delay_ms`` from now."""
-        if delay_ms < 0:
-            raise SimulationError(f"cannot schedule into the past (delay {delay_ms})")
-        event = Event(time_ms=self._now_ms + delay_ms, seq=next(self._seq), action=action)
+        """Schedule ``action`` to run ``delay_ms`` (finite, ≥ 0) from now."""
+        if not 0.0 <= delay_ms < _INF:
+            raise SimulationError(f"cannot schedule {delay_ms} ms from now (past or non-finite)")
+        event = Event(self._now_ms + delay_ms, next(self._seq), action)
         heapq.heappush(self._queue, event)
         return event
 
     def schedule_at(self, time_ms: float, action: Callable[[], Any]) -> Event:
-        """Schedule ``action`` at an absolute simulated time."""
-        if time_ms < self._now_ms:
+        """Schedule ``action`` at an absolute, finite simulated time."""
+        if not self._now_ms <= time_ms < _INF:
             raise SimulationError(
-                f"cannot schedule at {time_ms} before now ({self._now_ms})"
+                f"cannot schedule at {time_ms} (now {self._now_ms}): past or non-finite"
             )
-        event = Event(time_ms=time_ms, seq=next(self._seq), action=action)
+        event = Event(time_ms, next(self._seq), action)
         heapq.heappush(self._queue, event)
         return event
 

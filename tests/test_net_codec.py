@@ -6,6 +6,7 @@ the :class:`repro.errors.WireError` family (or hang): the decoder is
 total over arbitrary bytes.
 """
 
+import dataclasses
 import random
 import string
 
@@ -24,17 +25,34 @@ from repro.net.codec import (
     MAX_PAYLOAD_BYTES,
     MESSAGE_TYPES,
     ONEWAY,
+    PAIR_DTYPE,
     REQUEST,
     RESPONSE,
+    ROLE_HOST,
+    Bye,
+    CallAccept,
+    CallSetup,
+    CloseSetQuery,
     CloseSetReply,
     ErrorFrame,
     Frame,
     FrameDecoder,
     Join,
+    JoinOk,
+    Keepalive,
+    KeepaliveAck,
+    Leave,
     MediaFrame,
+    NodalPublish,
     Ping,
+    Pong,
+    RelayOk,
+    RelaySetup,
+    Resolve,
+    ResolveOk,
     decode_frame,
     encode_frame,
+    pairs_table,
 )
 from repro.netaddr import IPv4Address
 
@@ -168,6 +186,27 @@ class TestRejection:
         with pytest.raises(CodecError):
             encode_frame(Ping(token=1), request_id=1 << 32)
 
+    @pytest.mark.parametrize(
+        "flags, request_id",
+        [(REQUEST, 1.5), (REQUEST, None), (True, 0), (False, 0)],
+        ids=["float-request-id", "none-request-id", "bool-flags-true", "bool-flags-false"],
+    )
+    def test_encode_rejects_a_non_int_envelope(self, flags, request_id):
+        with pytest.raises(CodecError):
+            encode_frame(Ping(token=1), flags, request_id)
+
+    @pytest.mark.parametrize("msg_type", sorted(MESSAGE_TYPES))
+    def test_every_fixed_field_rejects_a_bad_value(self, msg_type):
+        cls = MESSAGE_TYPES[msg_type]
+        message = _random_message(cls, random.Random(msg_type))
+        bad = {"f64": ["1.5", True, None], "ip": [1, None]}
+        for name, kind in cls.FIELDS:
+            if kind in ("str", "bytes", "pairs"):
+                continue
+            for value in bad.get(kind, [True, 1.5, None, -(1 << 64), 1 << 64]):
+                with pytest.raises(CodecError):
+                    encode_frame(dataclasses.replace(message, **{name: value}))
+
     def test_encode_rejects_out_of_range_field(self):
         with pytest.raises(CodecError):
             encode_frame(Ping(token=1 << 32))
@@ -178,13 +217,11 @@ class TestRejection:
 
 
 def _pack_outcome(pack, value):
-    """The bytes a pairs packer writes, or the error it raises."""
-    out = []
+    """The bytes a pairs packer returns, or the error it raises."""
     try:
-        pack(out, value)
+        return pack(value)
     except Exception as exc:
         return type(exc), str(exc)
-    return b"".join(out)
 
 
 _scalars = st.one_of(
@@ -213,9 +250,17 @@ _pairs = st.one_of(
 )
 
 
+def _table(pairs):
+    """A PAIR_DTYPE table built column-wise with numpy, not by the codec."""
+    table = np.empty(len(pairs), dtype=PAIR_DTYPE)
+    table["cluster"] = [cluster for cluster, _ in pairs]
+    table["rtt_ms"] = [rtt for _, rtt in pairs]
+    return table
+
+
 class TestPairsFastPath:
-    """``_pack_pairs`` packs a close set in one C-level pass and falls
-    back to the coercing, per-pair checked path for everything else."""
+    """``_pack_pairs`` packs a wire table as its own bytes and sends
+    everything else down the coercing, per-pair checked path."""
 
     @settings(max_examples=400, deadline=None)
     @given(value=_pairs)
@@ -235,9 +280,25 @@ class TestPairsFastPath:
         )
     )
     def test_close_set_sized_replies_are_byte_identical(self, value):
-        fast = _pack_outcome(codec._pack_pairs, tuple(value))
-        assert isinstance(fast, bytes) and len(fast) == 4 + 12 * len(value)
+        fast = _pack_outcome(codec._pack_pairs, _table(value))
+        assert isinstance(fast, bytes) and len(fast) == 12 * len(value)
         assert fast == _pack_outcome(codec._pack_pairs_checked, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        value=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 32) - 1),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=20,
+        )
+    )
+    def test_a_table_packs_like_the_checked_path(self, value):
+        table = _table(value)
+        assert codec._pack_pairs(table) == codec._pack_pairs_checked(value)
+        assert codec.pairs_table(table) is table
+        assert codec.pairs_table(value).tobytes() == table.tobytes()
 
     @pytest.mark.parametrize(
         "value, message",
@@ -252,8 +313,105 @@ class TestPairsFastPath:
     )
     def test_rejections_keep_their_errors(self, value, message):
         with pytest.raises(CodecError) as err:
-            codec._pack_pairs([], value)
+            codec._pack_pairs(value)
         assert str(err.value) == message
+
+
+_CALL = (1 << 40) + 101
+
+#: One fixed message per registered type (plus one traced frame) and the
+#: frame bytes the field-by-field codec wrote for it, as hex: the fused
+#: codec must write and read exactly these.
+PINNED_FRAMES = [
+    (Join(IPv4Address(0x0A000001), ROLE_HOST, -1, "10.0.0.1:4000"), REQUEST, 7, None,
+     "415302010100000007000000180a00000100ffffffff000d31302e302e302e313a34303030"),
+    (JoinOk(5, IPv4Address(0x0A000101), "10.0.1.1:5000"), RESPONSE, 7, None,
+     "41530202020000000700000017000000050a000101000d31302e302e312e313a35303030"),
+    (Resolve(IPv4Address(0xC0A80001)), REQUEST, 2, None,
+     "41530203010000000200000004c0a80001"),
+    (ResolveOk(IPv4Address(0xC0A80001), 1, "lo:3"), RESPONSE, 2, None,
+     "4153020402000000020000000bc0a800010100046c6f3a33"),
+    (Ping(token=0xDEADBEEF), REQUEST, 1, None, "41530205010000000100000004deadbeef"),
+    (Pong(token=0xDEADBEEF), RESPONSE, 1, None, "41530206020000000100000004deadbeef"),
+    (CloseSetQuery(-1, IPv4Address(0x0A000002)), REQUEST, 3, None,
+     "41530207010000000300000008ffffffff0a000002"),
+    (CloseSetReply(12, ((3, 17.5), (9, 80.25), (41, 119.0))), RESPONSE, 3, None,
+     "4153020802000000030000002c0000000c00000003000000034031800000000000"
+     "00000009405410000000000000000029405dc00000000000"),
+    (NodalPublish(IPv4Address(0x0A000003), 1536.0, 72.5, 1.25), ONEWAY, 0, None,
+     "4153020900000000000000001c0a000003409800000000000040522000000000003ff4000000000000"),
+    (CallSetup(_CALL, IPv4Address(0x0A000004), IPv4Address(0x0A000005)), REQUEST, 4, None,
+     "4153020a01000000040000001000000100000000650a0000040a000005"),
+    (CallAccept(_CALL, 1), RESPONSE, 4, None, "4153020b020000000400000009000001000000006501"),
+    (RelaySetup(_CALL, IPv4Address(0x0A000004), IPv4Address(0x0A000005)), REQUEST, 5, None,
+     "4153020c01000000050000001000000100000000650a0000040a000005"),
+    (RelayOk(_CALL), RESPONSE, 5, None, "4153020d0200000005000000080000010000000065"),
+    (MediaFrame(_CALL, 5, 100.125, 2, b"\x00\x01voice\xff"), ONEWAY, 0, None,
+     "41530214000000000000000021000001000000006500000005405908000000000002000000080001"
+     "766f696365ff"),
+    (Keepalive(_CALL, 6), REQUEST, 6, None,
+     "4153020f01000000060000000c000001000000006500000006"),
+    (KeepaliveAck(_CALL, 6), RESPONSE, 6, None,
+     "4153021002000000060000000c000001000000006500000006"),
+    (Bye(_CALL, "done §"), ONEWAY, 0, None,
+     "4153021100000000000000001100000100000000650007646f6e6520c2a7"),
+    (Leave(IPv4Address(0x0A000001)), ONEWAY, 0, None, "415302130000000000000000040a000001"),
+    (ErrorFrame(3, "not serving"), ERROR, 8, None,
+     "4153021203000000080000000f0003000b6e6f742073657276696e67"),
+    (Ping(token=9), REQUEST, 7, ("d-0001.2a", "d-000001"),
+     "41530205810000000700000004140109642d303030312e326108642d30303030303100000009"),
+]
+
+
+class TestPinnedFrames:
+    def test_every_registered_type_is_pinned(self):
+        assert sorted({type(m).TYPE for m, *_ in PINNED_FRAMES}) == sorted(MESSAGE_TYPES)
+
+    @pytest.mark.parametrize(
+        "message, flags, request_id, trace, pinned",
+        PINNED_FRAMES,
+        ids=[type(m).__name__ + ("-traced" if t else "") for m, _, _, t, _ in PINNED_FRAMES],
+    )
+    def test_bytes_and_both_decoders(self, message, flags, request_id, trace, pinned):
+        raw = encode_frame(message, flags, request_id, trace=trace)
+        assert raw.hex() == pinned
+        decoder = FrameDecoder()
+        fed = [frame for i in range(len(raw)) for frame in decoder.feed(raw[i:i + 1])]
+        frame = decode_frame(raw)
+        assert fed == [frame]
+        assert frame == Frame(message, flags, request_id, *(trace or (None, None)))
+        assert type(frame.message) is type(message)
+        assert encode_frame(frame.message, flags, request_id, trace=trace) == raw
+
+
+class TestCloseSetTable:
+    def test_decoded_entries_are_a_private_read_only_table(self):
+        reply = CloseSetReply(owner=4, entries=[(1, 10.0), (9, 250.5)])
+        raw = encode_frame(reply, RESPONSE, 5)
+        decoder = FrameDecoder()
+        (frame,) = decoder.feed(raw + raw[:3])
+        entries = frame.message.entries
+        assert entries.dtype == PAIR_DTYPE and not entries.flags.writeable
+        assert entries.tolist() == [(1, 10.0), (9, 250.5)]
+        assert isinstance(entries.base, bytes)  # a copy, not the decoder's buffer
+        decoder.feed(raw[3:])
+        assert entries.tolist() == [(1, 10.0), (9, 250.5)]
+
+    def test_a_table_encodes_as_the_pairs_do(self):
+        pairs = [(1, 10.0), (9, 250.5)]
+        table = pairs_table(pairs)
+        assert encode_frame(CloseSetReply(4, table)) == encode_frame(CloseSetReply(4, pairs))
+        assert encode_frame(CloseSetReply(4, table[::-1])) == encode_frame(
+            CloseSetReply(4, pairs[::-1])
+        )
+
+    def test_replies_compare_by_value(self):
+        table = pairs_table([(1, 10.0), (9, 250.5)])
+        assert CloseSetReply(4, table) == CloseSetReply(4, ((1, 10.0), (9, 250.5)))
+        assert CloseSetReply(4, table) == CloseSetReply(4, table.copy())
+        assert CloseSetReply(4, table) != CloseSetReply(5, table)
+        assert CloseSetReply(4, table) != CloseSetReply(4, [(1, 10.0), (9, 250.25)])
+        assert CloseSetReply(4, table) != CloseSetReply(4, table[:1])
 
 
 class TestFrameDecoder:

@@ -17,6 +17,7 @@ from repro.net import sockets
 from repro.net.codec import (
     ERR_INTERNAL,
     ERR_UNSUPPORTED,
+    ONEWAY,
     REQUEST,
     RESPONSE,
     FrameDecoder,
@@ -117,6 +118,33 @@ class TestLoopback:
 
         _, code = _run_loopback(main)
         assert code == ERR_INTERNAL
+
+    def test_raising_oneway_handler_gets_no_answer_and_the_hub_runs_on(self):
+        handled, answers = [], []
+
+        async def crash_oneway(sender, frame):
+            handled.append((frame.flags, frame.message.token))
+            if frame.flags != REQUEST:
+                raise RuntimeError("one-way handler bug")
+            return Pong(token=frame.message.token)
+
+        async def record(sender, frame):
+            answers.append(frame)
+
+        async def main(hub):
+            a, b = _loopback_pair(hub)
+            a.bind(record)
+            b.bind(crash_oneway)
+            await a.start()
+            await b.start()
+            await a.send("b", Ping(token=1))
+            await a.sleep_ms(10.0)
+            return await a.request("b", Ping(token=2), timeout_ms=50.0)
+
+        hub, reply = _run_loopback(main, latency_ms_fn=lambda s, d: 2.0)
+        assert handled == [(ONEWAY, 1), (REQUEST, 2)]
+        assert reply == Pong(token=2) and answers == []
+        assert hub.deliveries == 2 and hub.now_ms == pytest.approx(50.0 + 10.0)
 
     def test_gather_runs_branches_concurrently(self):
         async def main(hub):

@@ -20,6 +20,7 @@ from repro.core.runtime import RuntimePolicy
 from repro.errors import ProtocolError, RemoteError
 from repro.net.codec import (
     ERR_NOT_SERVING,
+    PAIR_DTYPE,
     ROLE_HOST,
     CloseSetReply,
     Join,
@@ -27,6 +28,9 @@ from repro.net.codec import (
     Leave,
     Resolve,
     ResolveOk,
+    decode_frame,
+    encode_frame,
+    pairs_table,
 )
 from repro.net.loopback import LoopbackHub, LoopbackTransport
 from repro.netaddr import IPv4Address
@@ -299,8 +303,13 @@ class TestCloseSetWire:
             unsorted.add(CloseClusterEntry(cluster, rtt, 0.0, 1))
         for close_set in (built, unsorted, CloseClusterSet(owner=3)):
             pairs = close_set_to_pairs(close_set)
-            assert pairs == [(c, close_set.entries[c].rtt_ms) for c in sorted(close_set.entries)]
-            entries = CloseSetReply(close_set.owner, pairs).entries
+            assert pairs.dtype == PAIR_DTYPE
+            assert pairs.tolist() == [
+                (c, close_set.entries[c].rtt_ms) for c in sorted(close_set.entries)
+            ]
+            wire = encode_frame(CloseSetReply(close_set.owner, pairs))
+            entries = decode_frame(wire).message.entries
+            assert not entries.flags.writeable and entries.tobytes() == pairs.tobytes()
             decoded = pairs_to_close_set(close_set.owner, entries, clusters)
             for got, want in zip(decoded.rows(), close_set.rows()):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -331,7 +340,7 @@ class TestCloseSetWire:
         async def answer(server, sender, message):
             reply = await genuine(server, sender, message)
             if isinstance(reply, CloseSetReply) and corrupts(message):
-                return CloseSetReply(reply.owner, tuple(reversed(reply.entries)))
+                return CloseSetReply(reply.owner, reply.entries[::-1])
             return reply
 
         monkeypatch.setattr(SurrogateServer, "_on_close_set_query", answer)
@@ -380,7 +389,8 @@ class TestCloseSetWire:
             if forged:
                 return reply
             forged.append(reply.owner)
-            return CloseSetReply(reply.owner, reply.entries + ((2**32 - 1, 1.0),))
+            forged_entry = pairs_table([(2**32 - 1, 1.0)])
+            return CloseSetReply(reply.owner, np.concatenate([reply.entries, forged_entry]))
 
         def leg_table(s2):
             table = genuine_table(s2)

@@ -74,6 +74,17 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("time_ms", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_times_are_rejected(self, time_ms):
+        sim = Simulator()
+        for schedule in (sim.schedule, sim.schedule_at):
+            with pytest.raises(SimulationError):
+                schedule(time_ms, lambda: None)
+        for sleep in (sim.sleep, sim.sleep_until):
+            with pytest.raises(SimulationError):
+                sleep(time_ms)
+        assert sim.pending_events == 0 and sim.now_ms == 0.0
+
     def test_step_returns_false_on_empty(self):
         assert not Simulator().step()
 
