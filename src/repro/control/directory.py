@@ -31,6 +31,10 @@ from repro.netaddr import IPv4Address
 
 __all__ = ["DirectoryStats", "RegistryEntry", "ShardedDirectory"]
 
+#: ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call (a shard outage logs every refresh).
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 @dataclass
 class RegistryEntry:
@@ -73,8 +77,9 @@ class ShardedDirectory:
         self._shards: List[Dict[str, RegistryEntry]] = [
             {} for _ in range(ring.shard_count)
         ]
-        # Per-host placement, resolved once: (registry key, ring chain).
-        self._placement: Dict[IPv4Address, Tuple[str, Tuple[int, ...]]] = {}
+        # Per-host placement, resolved once: (registry key, ring chain),
+        # keyed by the address's int (hashed in C, unlike the dataclass).
+        self._placement: Dict[int, Tuple[str, Tuple[int, ...]]] = {}
         self._down: set = set()
         self.log: List[str] = []
         self.joins = 0
@@ -96,10 +101,10 @@ class ShardedDirectory:
         return self._ring.shard_count
 
     def _place(self, ip: IPv4Address) -> Tuple[str, Tuple[int, ...]]:
-        placed = self._placement.get(ip)
+        placed = self._placement.get(ip.value)
         if placed is None:
             chain = self._ring.chain(self._cluster_of_ip(ip))
-            placed = self._placement[ip] = (str(ip), chain)
+            placed = self._placement[ip.value] = (str(ip), chain)
         return placed
 
     def owner_of(self, ip: IPv4Address) -> int:
@@ -116,7 +121,7 @@ class ShardedDirectory:
     def _log(self, at_ms: float, kind: str, **fields) -> None:
         doc = {"at_ms": round(at_ms, 3), "kind": kind}
         doc.update(fields)
-        self.log.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        self.log.append(_canonical_json(doc))
 
     # -- operations ------------------------------------------------------------
 
@@ -130,7 +135,7 @@ class ShardedDirectory:
         text, chain = self._place(ip)
         owner = chain[0]
         for shard in chain:
-            if not self.is_up(shard):
+            if shard in self._down:
                 continue
             registry = self._shards[shard]
             entry = registry.get(text)
@@ -226,7 +231,7 @@ class ShardedDirectory:
         return tuple(len(registry) for registry in self._shards)
 
     def total(self) -> int:
-        return sum(len(registry) for registry in self._shards)
+        return sum(map(len, self._shards))
 
     def stats(self) -> DirectoryStats:
         return DirectoryStats(

@@ -63,6 +63,31 @@ class CloseClusterSet:
         if len(shapes) != 1 or unsorted:
             raise ProtocolError(f"close set of {self.owner}: arrays unaligned, ids unsorted or < 0")
 
+    @classmethod
+    def assembled(
+        cls,
+        owner: int,
+        ids: np.ndarray,
+        rtt_ms: np.ndarray,
+        loss: np.ndarray,
+        as_hops: np.ndarray,
+        probe_messages: int,
+        ases_visited: int,
+        probes_by_as: Dict[int, int],
+    ) -> "CloseClusterSet":
+        """A set from columns that already hold the stored-array
+        invariants — ``int64`` / ``float64``, aligned, ids strictly
+        ascending and ≥ 0 — taken as they are, unchecked.  For the
+        builder's sweep, which sorted them itself; every other caller
+        goes through the validating constructor."""
+        built = cls.__new__(cls)
+        built.owner = owner
+        built.ids, built.rtt_ms, built.loss, built.as_hops = ids, rtt_ms, loss, as_hops
+        built.probe_messages = probe_messages
+        built.ases_visited = ases_visited
+        built.probes_by_as = probes_by_as
+        return built
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CloseClusterSet):
             return NotImplemented

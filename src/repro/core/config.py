@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an integer —
+    numpy integers are, ``bool`` and ``float`` are not — of at least
+    ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -41,22 +52,20 @@ class ASAPConfig:
     hosts_per_surrogate: int = 500
 
     def __post_init__(self) -> None:
-        if self.k_hops < 0:
-            raise ConfigurationError("k_hops must be >= 0")
-        if self.lat_threshold_ms <= 0:
+        # Each range test is negated so that NaN, which fails every
+        # comparison, fails it too.
+        require_count("k_hops", self.k_hops, 0)
+        if not self.lat_threshold_ms > 0:
             raise ConfigurationError("lat_threshold_ms must be positive")
         if not 0.0 < self.loss_threshold <= 1.0:
             raise ConfigurationError("loss_threshold must be in (0, 1]")
-        if self.size_threshold < 0:
-            raise ConfigurationError("size_threshold must be >= 0")
-        if self.relay_delay_rtt_ms < 0:
+        require_count("size_threshold", self.size_threshold, 0)
+        if not self.relay_delay_rtt_ms >= 0:
             raise ConfigurationError("relay_delay_rtt_ms must be >= 0")
-        if self.bootstrap_count < 1:
-            raise ConfigurationError("bootstrap_count must be >= 1")
-        if self.max_two_hop_queries is not None and self.max_two_hop_queries < 0:
-            raise ConfigurationError("max_two_hop_queries must be >= 0 or None")
-        if self.hosts_per_surrogate < 1:
-            raise ConfigurationError("hosts_per_surrogate must be >= 1")
+        require_count("bootstrap_count", self.bootstrap_count, 1)
+        if self.max_two_hop_queries is not None:
+            require_count("max_two_hop_queries", self.max_two_hop_queries, 0)
+        require_count("hosts_per_surrogate", self.hosts_per_surrogate, 1)
 
 
 def derive_k_hops(

@@ -8,8 +8,11 @@
   job; which bootstrap answers, and the retries, are
   :func:`repro.core.dial.run_join`'s);
 - every populated cluster elects its most capable host as surrogate;
-- close cluster sets are built lazily per cluster and cached (they are
-  periodic maintenance state in the real system);
+- close cluster sets are computed in batches and reported when first
+  served: a surrogate "builds" its set (``close_set.build``) on its
+  first query, but the set usually comes out of a multi-source sweep
+  that also computed every other set the run is about to ask for (they
+  are periodic maintenance state in the real system);
 - :meth:`ASAPSystem.call_many` runs a batch of VoIP sessions (``call``:
   a batch of one): measure each direct path, and for those that miss
   the latency threshold run select-close-relay phase by phase — the
@@ -79,6 +82,46 @@ class ASAPSession:
         return mos_of_path(self.best_path_rtt_ms, loss_rate)
 
 
+class _ComputedSets:
+    """Close sets a sweep computed that no surrogate has built yet, plus
+    the wanted clusters (``{cluster: asn}``) the next sweep computes too.
+
+    A computed set is a pure function of ``(cluster, asn)``, so when it
+    was computed never shows.  The table holds no surrogate: surrogates
+    hold its :meth:`build`, and a reference back would put every system
+    on a cycle that only the cyclic collector frees.
+    """
+
+    def __init__(self, builder) -> None:
+        self._builder = builder
+        self._sets: Dict[int, CloseClusterSet] = {}
+        self._wanted: Dict[int, int] = {}
+
+    def want(self, cluster: int, asn: int) -> None:
+        """Have the next sweep compute ``cluster``'s set, unless it holds
+        one already."""
+        if cluster not in self._sets:
+            self._wanted[cluster] = asn
+
+    def build(self, cluster: int, asn: int) -> CloseClusterSet:
+        """Every surrogate's ``build``: the set, and the observability,
+        of a one-source :meth:`FlatCloseSetBuilder.build`."""
+        result = self.take({cluster: asn})[cluster]
+        emit_build_observability(result, asn)
+        return result
+
+    def take(self, sources: Dict[int, int]) -> Dict[int, CloseClusterSet]:
+        """The sets of ``sources`` (``{cluster: asn}``), removed from the
+        table.  Those not in it are computed first, with every wanted
+        cluster, in one :meth:`FlatCloseSetBuilder.build_many`."""
+        missing = {cluster: asn for cluster, asn in sources.items() if cluster not in self._sets}
+        if missing:
+            missing.update(self._wanted)
+            self._wanted.clear()
+            self._sets.update(self._builder.build_many(missing.items()))
+        return {cluster: self._sets.pop(cluster) for cluster in sources}
+
+
 class ASAPSystem:
     """A running ASAP deployment over one scenario."""
 
@@ -99,6 +142,8 @@ class ASAPSystem:
         self._builder = FlatCloseSetBuilder(
             graph, self._view, self._clusters_by_as, config
         )
+
+        self._computed = _ComputedSets(self._builder)
 
         # Elect surrogates: the most capable hosts per cluster.  Large
         # clusters get several (§6.3 load sharing): one per
@@ -139,7 +184,7 @@ class ASAPSystem:
                 cluster=idx,
                 asn=asn,
                 host=host,
-                build=self._builder.build,
+                build=self._computed.build,
             )
             if group:
                 member.close_set_source = group[0]
@@ -271,6 +316,16 @@ class ASAPSystem:
         self._surrogates[cluster_index] = group
         return group[0]
 
+    # -- close sets -----------------------------------------------------------------
+
+    def want(self, clusters: Iterable[int]) -> None:
+        """Name clusters whose close sets are about to be asked for: the
+        next sweep also computes each whose primary holds no set now."""
+        for cluster in clusters:
+            primary = self.surrogate(cluster)
+            if not primary.has_close_set:
+                self._computed.want(cluster, primary.asn)
+
     # -- calling ------------------------------------------------------------------
 
     def close_set(self, cluster_index: int) -> CloseClusterSet:
@@ -365,9 +420,7 @@ class ASAPSystem:
             for primary in map(self.surrogate, clusters)
             if not primary.has_close_set
         }
-        built = self._builder.build_many(
-            (cluster, primary.asn) for cluster, primary in missing.items()
-        )
+        built = self._computed.take({cluster: primary.asn for cluster, primary in missing.items()})
         for cluster, primary in missing.items():
             primary.adopt(built[cluster])
         return {cluster: (built[cluster], primary.asn) for cluster, primary in missing.items()}

@@ -11,7 +11,11 @@ what is particular to the simulator:
 - *where answers come from*: an end host is located by its registration
   (no message); a close-set query is answered with the serving
   surrogate's set, built on first request; the callee forwards the peer
-  leg's query to its own surrogate, so that exchange pays both legs;
+  leg's query to its own surrogate, so that exchange pays both legs.
+  The sets themselves are computed in batches: :meth:`ASAPRuntime.run`
+  names both endpoint clusters of every pending call and each sent
+  close-set query names its serving cluster (:meth:`ASAPSystem.want`),
+  so the first build computes every named set in one sweep;
 - *which targets a retry tries*: close-set legs walk the cluster's
   surrogate group (§6.3's replicas), relays are the cluster's online
   hosts, most capable first, and selection counts online hosts only;
@@ -350,7 +354,18 @@ class ASAPRuntime:
     # -- driving -----------------------------------------------------------------
 
     def run(self, until_ms: Optional[float] = None) -> None:
-        """Drain the event queue (optionally bounded in simulated time)."""
+        """Drain the event queue (optionally bounded in simulated time).
+
+        Both endpoint clusters of every pending call are named as wanted
+        first, so their close sets are computed in one sweep."""
+        population, system = self._scenario.population, self._system
+        system.want(
+            system.cluster_of_ip(ip)
+            for record in self.call_setups
+            if record.outcome == "pending"
+            for ip in (record.caller, record.callee)
+            if ip in population
+        )
         self.sim.run(until_ms=until_ms)
 
     def setup_times_ms(self) -> List[float]:
@@ -394,10 +409,13 @@ class _SimPort:
     async def exchange(self, span, target: _Peer, message, timeout_ms: float):
         host, serves = target
         rtt = self._latency.host_rtt_ms(self.host, host)
-        if rtt is not None and serves is not None and serves.ip.value != host.ip.value:
-            # The callee forwards the peer leg's query to its surrogate.
-            onward = self._latency.host_rtt_ms(host, serves.host)
-            rtt = None if onward is None else rtt + onward
+        if serves is not None:
+            # A close-set query: its set joins the next batch computed.
+            self._runtime.system.want((serves.cluster,))
+            if rtt is not None and serves.ip.value != host.ip.value:
+                # The callee forwards the peer leg's query to its surrogate.
+                onward = self._latency.host_rtt_ms(host, serves.host)
+                rtt = None if onward is None else rtt + onward
         wait = self._sim.wait()
         answered = self._network.request(
             self.host,

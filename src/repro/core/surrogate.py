@@ -24,8 +24,10 @@ class Surrogate:
     cluster: int                 # matrix index of the cluster
     asn: int
     host: Host
-    #: ``build(cluster, asn)`` constructs the close cluster set — in a
-    #: running system, :meth:`FlatCloseSetBuilder.build`.
+    #: ``build(cluster, asn)`` returns the close cluster set and reports
+    #: it as built (``close_set.build``) — in a running system,
+    #: :class:`ASAPSystem`'s, which hands out a set its batch sweep
+    #: computed, equal to :meth:`FlatCloseSetBuilder.build`'s.
     build: Callable[[int, int], CloseClusterSet] = field(repr=False)
     close_set_requests: int = 0
     published_info: Dict[IPv4Address, NodalInfo] = field(default_factory=dict)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro import obs
 from repro.control import CloseSetMaintainer, HashRing, MembershipEvent, ShardedDirectory
-from repro.core.config import ASAPConfig
+from repro.core.config import ASAPConfig, require_count
 from repro.core.runtime import ASAPRuntime, RuntimePolicy
 from repro.errors import ConfigurationError
 from repro.evaluation.chaos import (
@@ -100,15 +101,29 @@ class SoakConfig:
     staleness_p95_max: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sim_minutes <= 0:
-            raise ConfigurationError("sim_minutes must be positive")
-        if self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
-        if self.rejoin_delay_ms < 0:
-            raise ConfigurationError("rejoin_delay_ms must be >= 0")
-        if self.maintenance_interval_ms <= 0:
+        # Range tests are negated so that NaN, which fails every
+        # comparison, fails them too.  The run must end: its ticks are
+        # counted from the duration.
+        if not (math.isfinite(self.sim_minutes) and self.sim_minutes > 0):
+            raise ConfigurationError("sim_minutes must be positive and finite")
+        require_count("shards", self.shards, 1)
+        require_count("virtual_nodes", self.virtual_nodes, 1)
+        require_count("sessions", self.sessions, 0)
+        require_count("joins", self.joins, 0)
+        if self.latent_target is not None:
+            require_count("latent_target", self.latent_target, 0)
+        require_count("tracked_surrogates", self.tracked_surrogates, 0)
+        for name in (
+            "media_duration_ms",
+            "churn_rate_per_min",
+            "rejoin_delay_ms",
+            "staleness_p95_max",
+        ):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"{name} must be >= 0")
+        if not self.maintenance_interval_ms > 0:
             raise ConfigurationError("maintenance_interval_ms must be positive")
-        if self.registry_ttl_ms <= self.maintenance_interval_ms:
+        if not self.registry_ttl_ms > self.maintenance_interval_ms:
             raise ConfigurationError(
                 "registry_ttl_ms must exceed maintenance_interval_ms "
                 "(a lease must survive one refresh interval)"
@@ -269,7 +284,8 @@ def run_soak(
 
     hosts = scenario.population.hosts
     alive = {host.ip for host in hosts}
-    ip_text = {host.ip: str(host.ip) for host in hosts}
+    # The lease refresh order: every host by address text, sorted once.
+    refresh_order = sorted((host.ip for host in hosts), key=str)
     system = runtime.system
     sim = runtime.sim
     staleness_samples: List[float] = []
@@ -320,8 +336,9 @@ def run_soak(
     def maintenance_tick() -> None:
         now = sim.now_ms
         # Lease refresh pass (deterministic host order) + TTL sweep.
-        for ip in sorted(alive, key=ip_text.__getitem__):
-            directory.join(ip, now)
+        for ip in refresh_order:
+            if ip in alive:
+                directory.join(ip, now)
         directory.sweep(now)
         # Inter-tick close-set drift: snapshot, repair, compare against
         # the repaired truth (parity-exact with a fresh build).

@@ -209,9 +209,12 @@ class FlatCloseSetBuilder:
                 for asn, rights in zip(csr.as_ids[node].tolist(), verdict.tolist()):
                     meta_out[asn] = (depth, rights)
 
-        # An AS is probed once per source, so no (slot, cluster) repeats.
+        # An AS is probed once per source, so no (slot, cluster) pair
+        # repeats and one stable sort on ``slot * N + cluster`` orders
+        # each source's members by cluster.  The first level's own-cluster
+        # arrays fix the dtypes (int64 ids and depths, float64 metrics).
         slot, *columns = (np.concatenate(column) for column in zip(*members))
-        order = np.lexsort((columns[0], slot))
+        order = np.argsort(slot * self._world.count + columns[0], kind="stable")
         columns = [column[order] for column in columns]
         bounds = np.arange(slots + 1)
         edges = np.searchsorted(slot[order], bounds).tolist()
@@ -224,7 +227,7 @@ class FlatCloseSetBuilder:
         for i, owner in enumerate(owners.tolist()):
             probed = slice(probe_edges[i], probe_edges[i + 1])
             results.append(
-                CloseClusterSet(
+                CloseClusterSet.assembled(
                     owner,
                     *(column[edges[i] : edges[i + 1]] for column in columns),
                     probe_messages=sum(messages[probed]),

@@ -68,6 +68,28 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ASAPConfig(bootstrap_count=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lat_threshold_ms", float("nan")),
+            ("relay_delay_rtt_ms", float("nan")),
+            ("size_threshold", float("nan")),
+            ("size_threshold", 300.0),
+            ("k_hops", 2.5),
+            ("k_hops", True),
+            ("bootstrap_count", 2.0),
+            ("max_two_hop_queries", 1.5),
+            ("hosts_per_surrogate", 1.5),
+        ],
+    )
+    def test_rejects_nan_and_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ASAPConfig(**{field: value})
+
+    def test_numpy_integers_are_counts(self):
+        config = ASAPConfig(k_hops=np.int64(5), hosts_per_surrogate=np.int32(7))
+        assert (config.k_hops, config.hosts_per_surrogate) == (5, 7)
+
     def test_derive_k_hops_in_bounds(self, scenario):
         k = derive_k_hops(scenario.matrices)
         assert 2 <= k <= 8

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import ASAPConfig
+from repro import obs
+from repro.core import ASAPConfig, ASAPSystem
+from repro.core.close_cluster import CloseClusterSet
 from repro.core.config import derive_k_hops
 from repro.core.runtime import ASAPRuntime
 from repro.scenario import tiny_scenario
+from repro.worldarrays import FlatCloseSetBuilder
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +184,90 @@ class TestMultiSurrogate:
         single.close_set(idx)
         # Replicas share the primary's probes — no duplicate traffic.
         assert multi.maintenance_messages() == single.maintenance_messages()
+
+
+class TestBatchedCloseSets:
+    """Sets are computed a sweep at a time and reported when first served."""
+
+    @staticmethod
+    def _spy_sweeps(monkeypatch):
+        sweeps = []
+        build_many = FlatCloseSetBuilder.build_many
+
+        def spy(self, sources, online=None):
+            sources = list(sources)
+            sweeps.append([cluster for cluster, _ in sources])
+            return build_many(self, sources, online)
+
+        monkeypatch.setattr(FlatCloseSetBuilder, "build_many", spy)
+        return sweeps
+
+    def test_reelected_surrogate_reports_its_build_when_first_served(
+        self, scenario, monkeypatch
+    ):
+        config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
+        system = ASAPSystem(scenario, config)
+        view = scenario.matrix_view()
+        cluster = next(
+            c for c in range(view.count) if len(system.online_hosts_in_cluster(c)) > 1
+        )
+        other = next(c for c in range(view.count) if c != cluster)
+        expected = system.close_set_builder.build(cluster, int(view.asn_of[cluster]))
+        sweeps = self._spy_sweeps(monkeypatch)
+        system.want([cluster])
+        with obs.observe() as run:
+            count = run.registry.counter_value
+            system.surrogate(other).serve_close_set()
+            assert sweeps == [[other, cluster]]
+            assert count("close_set.built") == 1  # computed, not yet reported
+            promoted = system.fail_surrogate(cluster)
+            served = promoted.serve_close_set()
+            assert (sweeps, count("close_set.built")) == ([[other, cluster]], 2)
+            assert served == expected
+            refreshed = promoted.refresh()
+            assert (sweeps[-1], count("close_set.built")) == ([cluster], 3)
+            assert refreshed == expected and refreshed is not served
+
+    def test_run_names_the_endpoint_clusters_of_pending_calls(
+        self, scenario, runtime, monkeypatch
+    ):
+        clusters = scenario.clusters.all_clusters()
+        first = latent_host_pair(scenario)
+        taken = {runtime.system.cluster_of_ip(ip) for ip in first}
+        later = next(
+            (clusters[int(a)].hosts[0].ip, clusters[int(b)].hosts[0].ip)
+            for a, b in np.argwhere(scenario.matrices.rtt_ms > 300)
+            if clusters[int(a)].hosts and clusters[int(b)].hosts and not {a, b} & taken
+        )
+        sweeps = self._spy_sweeps(monkeypatch)
+        records = [
+            runtime.schedule_call(*first),
+            runtime.schedule_call(*later, at_ms=60_000.0),
+        ]
+        runtime.run()
+        assert all(record.outcome != "pending" for record in records)
+        # The first build already computed the later call's endpoints.
+        endpoints = {runtime.system.cluster_of_ip(ip) for ip in (*first, *later)}
+        assert endpoints <= set(sweeps[0])
+
+    def test_assembled_sets_pass_the_validating_constructor(self, scenario):
+        system = ASAPSystem(scenario, ASAPConfig(k_hops=derive_k_hops(scenario.matrices)))
+        view = scenario.matrix_view()
+        built = system.close_set_builder.build_many(
+            (c, int(view.asn_of[c])) for c in range(view.count)
+        )
+        assert any(len(close_set) > 1 for close_set in built.values())
+        for close_set in built.values():
+            checked = CloseClusterSet(
+                close_set.owner,
+                close_set.ids,
+                close_set.rtt_ms,
+                close_set.loss,
+                close_set.as_hops,
+                probe_messages=close_set.probe_messages,
+                ases_visited=close_set.ases_visited,
+                probes_by_as=dict(close_set.probes_by_as),
+            )
+            assert checked == close_set
+            for name in ("ids", "rtt_ms", "loss", "as_hops"):
+                assert getattr(checked, name).dtype == getattr(close_set, name).dtype

@@ -4,12 +4,14 @@ import dataclasses
 
 import pytest
 
+from repro.core.protocol import ASAPSystem
 from repro.errors import ConfigurationError
 from repro.evaluation.chaos import run_chaos
 from repro.evaluation.soak import SoakConfig, default_shard_outage, run_soak
 from repro.faults import ChurnWave, FaultScheduleConfig, ShardOutage
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, validate_manifest
-from repro.scenario import tiny_scenario
+from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
+from repro.worldarrays import FlatCloseSetBuilder
 
 SOAK_SEED = 3
 
@@ -66,6 +68,28 @@ class TestSoakConfig:
         config = SoakConfig(sim_minutes=10.0)
         outage = default_shard_outage(config)
         assert outage.start_ms + outage.duration_ms < config.duration_ms
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sim_minutes", float("nan")),
+            ("sim_minutes", float("inf")),
+            ("shards", 2.5),
+            ("virtual_nodes", 0),
+            ("sessions", -1),
+            ("joins", -1),
+            ("latent_target", -1),
+            ("tracked_surrogates", -1),
+            ("media_duration_ms", -1.0),
+            ("churn_rate_per_min", -0.5),
+            ("rejoin_delay_ms", float("nan")),
+            ("maintenance_interval_ms", float("nan")),
+            ("staleness_p95_max", float("nan")),
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SoakConfig(**{field: value})
 
 
 class TestChurnSoak:
@@ -152,3 +176,46 @@ class TestZeroChurnEquivalence:
         assert report.workload == static.to_dict()
         assert report.ok
         assert report.maintainer["events_seen"] == 0
+
+
+class TestBatchedCloseSets:
+    """A ``small`` soak serves every surrogate's set out of multi-source
+    sweeps over clusters the run named; one-source builds are the
+    maintainer's alone."""
+
+    def test_served_sets_come_from_sweeps_over_named_clusters(self, monkeypatch):
+        scenario = build_scenario(ScenarioConfig.preset("small", 3))
+        config = SoakConfig(seed=3, sim_minutes=20.0, churn_rate_per_min=2.0)
+        config = dataclasses.replace(
+            config, shard_outages=(default_shard_outage(config, shard=0),)
+        )
+        singles, sweeps, named = [], [], set()
+        build = FlatCloseSetBuilder.build
+        build_many = FlatCloseSetBuilder.build_many
+        want = ASAPSystem.want
+
+        def spy_build(self, own_cluster, own_as, meta_out=None, online=None):
+            singles.append(online)
+            return build(self, own_cluster, own_as, meta_out, online)
+
+        def spy_build_many(self, sources, online=None):
+            sources = list(sources)
+            sweeps.append(([cluster for cluster, _ in sources], online))
+            return build_many(self, sources, online)
+
+        def spy_want(self, clusters):
+            clusters = list(clusters)
+            named.update(clusters)
+            want(self, clusters)
+
+        monkeypatch.setattr(FlatCloseSetBuilder, "build", spy_build)
+        monkeypatch.setattr(FlatCloseSetBuilder, "build_many", spy_build_many)
+        monkeypatch.setattr(ASAPSystem, "want", spy_want)
+        report = run_soak(scenario, config)
+
+        assert report.ok
+        assert singles and all(online is not None for online in singles)
+        assert max(len(clusters) for clusters, _ in sweeps) > 1
+        assert all(online is None for _, online in sweeps)
+        # Sweeps are the only thing that fills the computed table.
+        assert {c for clusters, _ in sweeps for c in clusters} <= named
