@@ -31,6 +31,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.config import require_count
 from repro.errors import ConfigurationError
 from repro.util.rng import derive_rng
 
@@ -50,10 +51,13 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Each range test is negated so that NaN, which fails every
+        # comparison, fails it too.
         for name in ("dedicated_count", "random_probes", "mix_dedicated", "mix_random"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.lat_threshold_ms <= 0:
+            require_count(name, getattr(self, name), 0)
+        if not self.relay_delay_rtt_ms >= 0:
+            raise ConfigurationError("relay_delay_rtt_ms must be >= 0")
+        if not self.lat_threshold_ms > 0:
             raise ConfigurationError("lat_threshold_ms must be positive")
 
 

@@ -11,6 +11,16 @@ sweep 1 collects each caller's row and callee's column (the one-hop
 path matrix and its quality counts), sweep 2 folds the two-hop min-plus
 product block by block.  Mins and integer sums over a column partition
 equal those over the whole, so no result depends on the block width.
+
+Sweep 2 folds only the cells that can matter.  RTTs are ``>= 0`` and
+float rounding is monotone, so the two-hop candidate through ``(i, j)``,
+``(first[i] + (rtt[i, j] + second[j])) + 2δ``, is at least
+``(first[i] + min(second)) + 2δ`` and at least
+``(min(first) + second[j]) + 2δ``.  A row or column whose bound is not
+below the session's bound (its best one-hop RTT in
+:meth:`OPTMethod.evaluate_sessions`, ``inf`` in
+:meth:`OPTMethod.best_two_hop`) cannot lower the result, so it is never
+read: every result equals the full fold's, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.baselines.base import BaselineConfig, MethodResult, RelayMethod, session_batch
 
 #: Sessions scored per sweep — bounds the (sessions × clusters)
@@ -50,14 +61,17 @@ class OPTMethod(RelayMethod):
         return idx, value
 
     def best_two_hop(self, world, a: int, b: int) -> Optional[float]:
-        """RTT of the optimal two-hop relay path (min-plus product).
+        """RTT of the optimal two-hop relay path (min-plus product), exact
+        whatever the one-hop optimum: the fold's bound is ``inf``.
 
         Both endpoint clusters are masked out of the intermediate-hop
         positions, mirroring :meth:`best_one_hop`: a path "through" an
         endpoint's own cluster is really a one-hop or direct path (e.g.
         ``rtt[a, j] + rtt[j, b] + rtt[b, b]``), not a two-hop overlay.
         """
-        _, _, two_hop = self._score(world, np.array([a]), np.array([b]), two_hop=True)
+        _, _, two_hop = self._score(
+            world, np.array([a]), np.array([b]), two_hop=True, prune=False
+        )
         best = float(two_hop[0])
         return best if np.isfinite(best) else None
 
@@ -69,7 +83,8 @@ class OPTMethod(RelayMethod):
         session_ids: Optional[Sequence[int]] = None,
     ) -> List[MethodResult]:
         """One- (and two-) hop optima and quality counts, scored
-        :data:`SESSION_BATCH` sessions per sweep."""
+        :data:`SESSION_BATCH` sessions per sweep; the two-hop fold reads
+        only the cells that could beat a session's best one-hop RTT."""
         pairs, _ = session_batch(sessions, session_ids)
         results: List[MethodResult] = []
         for start in range(0, len(pairs), SESSION_BATCH):
@@ -93,7 +108,7 @@ class OPTMethod(RelayMethod):
         return results
 
     def _score(
-        self, world, a_arr: np.ndarray, b_arr: np.ndarray, *, two_hop: bool
+        self, world, a_arr: np.ndarray, b_arr: np.ndarray, *, two_hop: bool, prune: bool = True
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Score one session batch: ``(path, quality, two_hop_best)``.
 
@@ -101,7 +116,9 @@ class OPTMethod(RelayMethod):
         (``inf`` at both endpoint clusters), ``quality[k]`` the hosts in
         clusters whose relay path is below the latency threshold, and
         ``two_hop_best[k]`` the masked two-hop minimum (``None`` unless
-        ``two_hop``).
+        ``two_hop``).  With ``prune`` that minimum is exact only where it
+        is below the best one-hop RTT (``inf`` otherwise), which is all
+        ``min(best one-hop, two-hop)`` needs.
         """
         first, second = _session_legs(world, a_arr, b_arr)
         rows = np.arange(len(a_arr))
@@ -113,8 +130,8 @@ class OPTMethod(RelayMethod):
         quality = (path < self._config.lat_threshold_ms).astype(np.int64) @ world.sizes
         if not two_hop:
             return path, quality, None
-        w = _min_plus_fold(world, second)
-        return path, quality, np.min(first + w + 2.0 * delay, axis=1)
+        bound = np.min(path, axis=1) if prune else np.full(len(a_arr), np.inf)
+        return path, quality, _two_hop_below(world, first, second, 2.0 * delay, bound)
 
 
 def _session_legs(world, a_arr: np.ndarray, b_arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -129,11 +146,33 @@ def _session_legs(world, a_arr: np.ndarray, b_arr: np.ndarray) -> Tuple[np.ndarr
     return first, second
 
 
-def _min_plus_fold(world, second: np.ndarray) -> np.ndarray:
-    """``w[k, i] = min_j ( rtt[i, j] + second[k, j] )`` folded block by
-    block (exact: min is order-free)."""
-    w = np.full(second.shape, np.inf, dtype=np.float64)
-    for cols, rtt_block, _, _ in world.iter_column_blocks():
-        for k in range(len(w)):
-            np.minimum(w[k], np.min(rtt_block + second[k, cols], axis=1), out=w[k])
-    return w
+def _two_hop_below(
+    world, first: np.ndarray, second: np.ndarray, two_delay: float, bound: np.ndarray
+) -> np.ndarray:
+    """``min_{i,j} (first[k, i] + (rtt[i, j] + second[k, j])) + two_delay``
+    over the rows ``i`` and columns ``j`` whose lower bound (module
+    docstring) is below ``bound[k]``; ``inf`` where none survive.
+
+    Each session's surviving rows × columns are read block by block and
+    folded into ``w[k, i] = min_j (rtt[i, j] + second[k, j])`` (exact:
+    min is order-free).
+    """
+    limit = bound[:, None]
+    row_keep = first + np.min(second, axis=1, keepdims=True) + two_delay < limit
+    col_keep = np.min(first, axis=1, keepdims=True) + second + two_delay < limit
+    rows = [np.flatnonzero(keep) for keep in row_keep]
+    cols = [np.flatnonzero(keep) for keep in col_keep]
+    obs.counter("opt.two_hop_cells").inc(sum(len(r) * len(c) for r, c in zip(rows, cols)))
+    w = np.full(first.shape, np.inf, dtype=np.float64)
+    done = [0] * len(cols)  # columns of each session already folded
+    for block, rtt_block, _, _ in world.iter_column_blocks():
+        start, stop = int(block[0]), int(block[-1]) + 1  # blocks are contiguous
+        for k, r in enumerate(rows):
+            c = cols[k]
+            end = int(c.searchsorted(stop))
+            keep = c[done[k] : end]
+            done[k] = end
+            if len(r) and len(keep):
+                folded = np.min(rtt_block[r][:, keep - start] + second[k, keep], axis=1)
+                w[k, r] = np.minimum(w[k, r], folded)
+    return np.min(first + w + two_delay, axis=1)

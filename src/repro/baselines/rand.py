@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import BaselineConfig, MethodResult, RelayMethod, session_batch
+from repro.core.config import require_count
 
 
 class RANDMethod(RelayMethod):
@@ -27,6 +28,8 @@ class RANDMethod(RelayMethod):
         probes: Optional[int] = None,
     ) -> None:
         super().__init__(config)
+        if probes is not None:
+            require_count("probes", probes, 0)
         self._probes = self._config.random_probes if probes is None else probes
 
     def evaluate_sessions(
@@ -43,15 +46,23 @@ class RANDMethod(RelayMethod):
         for draw; the ``(S, P)`` draws are then scored together.
         """
         pairs, ids = session_batch(sessions, session_ids)
+        return self._probe_results(world, pairs, self._draws(world, ids))
+
+    def _draws(self, world, ids: Sequence[int]) -> np.ndarray:
+        """``(S, P)`` probed clusters: session ``ids[k]``'s ``P`` draws."""
         # Node draws are weighted by cluster occupancy: probing a random
         # *peer* lands in a cluster with probability ∝ its population.
         sizes = world.sizes.astype(float)
         total = sizes.sum()
         probes = self._probes if total > 0 else 0
-        draws = np.empty((len(pairs), probes), dtype=np.int64)
+        draws = np.empty((len(ids), probes), dtype=np.int64)
         if probes:
-            weights = sizes / total
+            # ``rng.choice(count, probes, replace=True, p=sizes / total)``
+            # draw for draw: numpy builds this CDF and searches it with
+            # ``probes`` uniforms — here the CDF is built once per batch.
+            cdf = (sizes / total).cumsum()
+            cdf /= cdf[-1]
             for k, sid in enumerate(ids):
-                rng = self._session_rng(int(sid))
-                draws[k] = rng.choice(world.count, size=probes, replace=True, p=weights)
-        return self._probe_results(world, pairs, draws)
+                uniforms = self._session_rng(int(sid)).random(probes)
+                draws[k] = cdf.searchsorted(uniforms, side="right")
+        return draws

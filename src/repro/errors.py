@@ -39,6 +39,11 @@ class EvaluationError(ReproError):
     """An experiment harness was invoked with an inconsistent setup."""
 
 
+class ArtifactError(ReproError, ValueError):
+    """A stored artifact (a matrix archive) is unreadable or inconsistent;
+    the message names the file and the array."""
+
+
 class WireError(ReproError):
     """Base class for wire-protocol problems (codec and transports)."""
 

@@ -90,7 +90,11 @@ def run_section7(
         asap_config = ASAPConfig(k_hops=derive_k_hops(scenario.matrix_view()))
     if workload is None:
         workload = generate_workload(
-            scenario, session_count, seed=seed, latent_target=latent_target
+            scenario,
+            session_count,
+            seed=seed,
+            latent_target=latent_target,
+            threshold_ms=asap_config.lat_threshold_ms,
         )
     latent = workload.latent(asap_config.lat_threshold_ms)
     if max_latent_sessions is not None:

@@ -9,6 +9,7 @@ delegate matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -69,8 +70,9 @@ def generate_workload(
     """Generate ``count`` random sessions between distinct hosts.
 
     When ``latent_target`` is given, generation continues past ``count``
-    until at least that many latent sessions exist (or a hard cap is
-    hit) — convenient for experiments that only study latent sessions.
+    until at least that many sessions are latent at ``threshold_ms`` (or
+    a hard cap is hit) — convenient for experiments that only study
+    latent sessions.
     """
     if count < 1:
         raise EvaluationError("count must be >= 1")
@@ -84,15 +86,16 @@ def generate_workload(
     # it, and King would get no answers for it.  The view computes the
     # fractions densely or streamed; the numbers are identical.
     finite_fraction = view.finite_row_fractions()
-    online_clusters = {
-        i for i in range(view.count) if finite_fraction[i] >= 0.5
-    }
-    hosts = [
-        h
-        for h in scenario.population.hosts
-        if view.index_of[clusters.cluster_of(h.ip).prefix] in online_clusters
-    ]
-    if len(hosts) < 2:
+    online = (finite_fraction >= 0.5).tolist()
+    index_of = view.index_of
+    host_ips: List[IPv4Address] = []
+    host_cluster: List[int] = []
+    for h in scenario.population.hosts:
+        cluster = index_of[clusters.cluster_of(h.ip).prefix]
+        if online[cluster]:
+            host_ips.append(h.ip)
+            host_cluster.append(cluster)
+    if len(host_ips) < 2:
         raise EvaluationError("population too small for sessions")
 
     workload = SessionWorkload()
@@ -102,21 +105,20 @@ def generate_workload(
     while generated < count or (latent_target is not None and latent_found < latent_target):
         if generated >= cap:
             break
-        i, j = rng.choice(len(hosts), size=2, replace=False)
-        caller, callee = hosts[int(i)], hosts[int(j)]
-        ca = view.index_of[clusters.cluster_of(caller.ip).prefix]
-        cb = view.index_of[clusters.cluster_of(callee.ip).prefix]
+        i, j = rng.choice(len(host_ips), size=2, replace=False).tolist()
+        ca, cb = host_cluster[i], host_cluster[j]
         direct = view.rtt_cell(ca, cb)
-        session = Session(
-            session_id=generated,
-            caller=caller.ip,
-            callee=callee.ip,
-            caller_cluster=ca,
-            callee_cluster=cb,
-            direct_rtt_ms=direct,
+        workload.sessions.append(
+            Session(
+                session_id=generated,
+                caller=host_ips[i],
+                callee=host_ips[j],
+                caller_cluster=ca,
+                callee_cluster=cb,
+                direct_rtt_ms=direct,
+            )
         )
-        workload.sessions.append(session)
         generated += 1
-        if session.is_latent:
+        if not (math.isfinite(direct) and direct < threshold_ms):
             latent_found += 1
     return workload

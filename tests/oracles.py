@@ -28,6 +28,14 @@
 - :func:`ring_preference`: the clockwise ring walk
   :meth:`repro.control.HashRing.preference` ran on every call before
   each key's chain was memoized, verbatim.
+- :func:`min_plus_fold` / :func:`reference_opt_scores`: OPT's two-hop
+  min-plus product over every cell, as ``OPTMethod`` folded it before
+  the one-hop bound pruned its rows and columns; ``evaluate_sessions``
+  must match ``min(best one-hop, two-hop)`` and the quality counts bit
+  for bit, ``best_two_hop`` the two-hop minimum.
+- :func:`reference_generate_workload`: the session draw loop with a
+  cluster lookup per endpoint, verbatim; ``generate_workload`` must
+  return the same sessions at the default threshold.
 - :func:`reference_media_session`: the per-frame media pipeline
   :func:`repro.media.run_media_session` ran before it became one pass
   over locals — a :class:`FrameSource` of :class:`SentFrame` rows, a
@@ -606,6 +614,86 @@ def ring_preference(ring: HashRing, key, count: Optional[int] = None) -> List[in
             if len(seen) >= count:
                 break
     return seen
+
+
+
+# -- Section 7 scoring ---------------------------------------------------------
+
+
+def min_plus_fold(world, second: np.ndarray) -> np.ndarray:
+    """``w[k, i] = min_j ( rtt[i, j] + second[k, j] )`` folded block by
+    block over every cell (the unpruned fold ``OPTMethod`` ran before it
+    read only the cells that can beat a session's one-hop optimum)."""
+    w = np.full(second.shape, np.inf, dtype=np.float64)
+    for cols, rtt_block, _, _ in world.iter_column_blocks():
+        for k in range(len(w)):
+            np.minimum(w[k], np.min(rtt_block + second[k, cols], axis=1), out=w[k])
+    return w
+
+
+def reference_opt_scores(world, pairs, relay_delay_rtt_ms: float, lat_threshold_ms: float):
+    """``(quality, best_one_hop, best_two_hop)`` per session, the two-hop
+    optimum from :func:`min_plus_fold` over every cell.  The legs are read
+    with ``gather_rtt`` and scored with ``OPTMethod``'s float association."""
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    every = np.arange(world.count, dtype=np.int64)
+    first = world.gather_rtt(a[:, None], every[None, :])
+    second = world.gather_rtt(every[:, None], b[None, :]).T.copy()
+    rows = np.arange(len(pairs))
+    for legs in (first, second):
+        legs[rows, a] = np.inf
+        legs[rows, b] = np.inf
+    path = first + second + relay_delay_rtt_ms
+    quality = (path < lat_threshold_ms).astype(np.int64) @ world.sizes
+    w = min_plus_fold(world, second)
+    two_hop = np.min(first + w + 2.0 * relay_delay_rtt_ms, axis=1)
+    return quality, np.min(path, axis=1), two_hop
+
+
+def reference_generate_workload(
+    scenario, count: int, seed: int = 0, latent_target: Optional[int] = None
+):
+    """The session draw loop :func:`repro.evaluation.sessions.generate_workload`
+    ran before it looked each online host's cluster up once, verbatim
+    (it counts ``latent_target`` at ``Session.is_latent``'s 300 ms)."""
+    from repro.evaluation.sessions import Session, SessionWorkload
+
+    rng = derive_rng(seed, "workload")
+    view = scenario.matrix_view()
+    clusters = scenario.clusters
+    finite_fraction = view.finite_row_fractions()
+    online_clusters = {i for i in range(view.count) if finite_fraction[i] >= 0.5}
+    hosts = [
+        h
+        for h in scenario.population.hosts
+        if view.index_of[clusters.cluster_of(h.ip).prefix] in online_clusters
+    ]
+    workload = SessionWorkload()
+    latent_found = 0
+    cap = count * 50
+    generated = 0
+    while generated < count or (latent_target is not None and latent_found < latent_target):
+        if generated >= cap:
+            break
+        i, j = rng.choice(len(hosts), size=2, replace=False)
+        caller, callee = hosts[int(i)], hosts[int(j)]
+        ca = view.index_of[clusters.cluster_of(caller.ip).prefix]
+        cb = view.index_of[clusters.cluster_of(callee.ip).prefix]
+        direct = view.rtt_cell(ca, cb)
+        session = Session(
+            session_id=generated,
+            caller=caller.ip,
+            callee=callee.ip,
+            caller_cluster=ca,
+            callee_cluster=cb,
+            direct_rtt_ms=direct,
+        )
+        workload.sessions.append(session)
+        generated += 1
+        if session.is_latent:
+            latent_found += 1
+    return workload
 
 
 # -- media plane ---------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for the DEDI / RAND / MIX / OPT baselines."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines import (
     BaselineConfig,
     DEDIMethod,
@@ -12,7 +15,10 @@ from repro.baselines import (
 )
 from repro.baselines.base import session_batch
 from repro.errors import ConfigurationError
+from repro.measurement.matrix import DelegateMatrices
+from repro.netaddr.ipv4 import IPv4Prefix
 from repro.scenario import tiny_scenario
+from tests.oracles import reference_opt_scores
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +43,30 @@ class TestBaselineConfig:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ConfigurationError):
             BaselineConfig(lat_threshold_ms=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dedicated_count", True),
+            ("random_probes", 2.5),
+            ("mix_dedicated", 1.5),
+            ("mix_random", "120"),
+            ("relay_delay_rtt_ms", float("nan")),
+            ("relay_delay_rtt_ms", -1.0),
+            ("lat_threshold_ms", float("nan")),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            BaselineConfig(**{field: value})
+
+    def test_accepts_numpy_counts(self):
+        config = BaselineConfig(random_probes=np.int64(7), relay_delay_rtt_ms=0.0)
+        assert config.random_probes == 7
+
+    def test_rand_rejects_fractional_probe_override(self):
+        with pytest.raises(ConfigurationError, match="probes"):
+            RANDMethod(probes=2.5)
 
     @pytest.mark.parametrize("ids", [[5], [5, 6, 7]], ids=["short", "long"])
     def test_session_batch_rejects_mismatched_ids(self, ids):
@@ -126,6 +156,24 @@ class TestRAND:
         big = int(np.argmax(matrices.sizes))
         small = int(np.argmin(matrices.sizes))
         assert counts[big] >= counts[small]
+
+
+    @pytest.mark.parametrize("weights", ["cluster_sizes", "skewed"])
+    def test_cdf_draws_equal_generator_choice(self, world, weights):
+        # One CDF per batch must reproduce numpy's Generator.choice(...,
+        # p=...) draw for draw (this pins numpy's algorithm).
+        _, matrices, _ = world
+        if weights == "cluster_sizes":
+            sizes = matrices.sizes
+        else:  # zero weights inside and at the end, one dominant cluster
+            sizes = np.array([0, 1, 0, 1000, 3, 0, 7, 0, 0], dtype=np.int64)
+        view = SimpleNamespace(count=len(sizes), sizes=sizes)
+        rand = RANDMethod(BaselineConfig(random_probes=200))
+        draws = rand._draws(view, list(range(50)))
+        p = sizes / sizes.sum()
+        for sid in range(50):
+            expected = rand._session_rng(sid).choice(len(sizes), size=200, replace=True, p=p)
+            assert np.array_equal(draws[sid], expected)
 
 
 class TestMIX:
@@ -247,3 +295,54 @@ class TestOPT:
                 other = method.evaluate_session(matrices, a, b, sid).best_rtt_ms
                 if other is not None and best_opt is not None:
                     assert best_opt <= other + 1e-9
+
+
+def _four_cluster_world(r31: float) -> DelegateMatrices:
+    """Caller 0, callee 1, relays 2 and 3: the best one-hop path is
+    0 → 2 → 1 at (0 + 60) + 40 = 100 ms, the best two-hop path
+    0 → 2 → 3 → 1 at (0 + (0 + r31)) + 80 ms; every other path is slower."""
+    n = 4
+    rtt = np.full((n, n), 500.0)
+    np.fill_diagonal(rtt, 0.0)
+    rtt[0, 2] = 0.0
+    rtt[2, 1] = 60.0
+    rtt[2, 3] = 0.0
+    rtt[3, 1] = r31
+    prefixes = [IPv4Prefix(i << 24, 8) for i in range(1, n + 1)]
+    return DelegateMatrices(
+        prefixes=prefixes,
+        index_of={p: i for i, p in enumerate(prefixes)},
+        asn_of=np.arange(n, dtype=np.int64),
+        sizes=np.ones(n, dtype=np.int64),
+        rtt_ms=rtt,
+        loss=np.zeros((n, n)),
+        as_hops=np.ones((n, n), dtype=np.int64),
+    )
+
+
+class TestOPTPruningBoundary:
+    """The one-hop bound prunes a two-hop cell only when it cannot win:
+    a two-hop path one ulp faster survives, a tying one may go."""
+
+    def _score(self, matrices):
+        opt = OPTMethod(BaselineConfig())
+        with obs.observe() as run:
+            result = opt.evaluate_session(matrices, 0, 1)
+            cells = run.registry.counter_value("opt.two_hop_cells")
+        quality, one, two = reference_opt_scores(matrices, [(0, 1)], 40.0, 300.0)
+        assert result.quality_paths == int(quality[0])
+        assert result.best_rtt_ms == float(min(one[0], two[0]))
+        return result, opt.best_two_hop(matrices, 0, 1), cells
+
+    def test_two_hop_one_ulp_faster_survives(self):
+        ulp_below = float(np.nextafter(100.0, 0.0))
+        result, two_hop, cells = self._score(_four_cluster_world(ulp_below - 80.0))
+        assert result.best_rtt_ms == ulp_below
+        assert two_hop == ulp_below
+        assert cells == 1  # row 2 x column 3 only
+
+    def test_two_hop_tie_is_pruned_without_changing_the_result(self):
+        result, two_hop, cells = self._score(_four_cluster_world(20.0))
+        assert result.best_rtt_ms == 100.0
+        assert two_hop == 100.0  # best_two_hop folds with an infinite bound
+        assert cells == 0

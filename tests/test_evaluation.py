@@ -67,6 +67,28 @@ class TestWorkload:
         workload = generate_workload(scenario, 50, seed=5, latent_target=10)
         assert len(workload.latent()) >= 10 or len(workload) >= 50 * 50
 
+    def test_latent_target_counts_at_threshold(self, scenario):
+        # Generation stops at the 20th session latent at 150 ms, not once
+        # 20 sessions are latent at the default 300 ms.
+        workload = generate_workload(
+            scenario, 10, seed=0, latent_target=20, threshold_ms=150.0
+        )
+        latent = workload.latent(150.0)
+        assert len(latent) == 20
+        assert workload.sessions[-1] is latent[-1]
+
+    def test_section7_draws_at_the_asap_threshold(self, scenario):
+        from repro.core import ASAPConfig
+
+        result = run_section7(
+            scenario,
+            session_count=10,
+            latent_target=20,
+            asap_config=ASAPConfig(lat_threshold_ms=150.0),
+            methods=("OPT",),
+        )
+        assert len(result.latent_sessions) == 20
+
     def test_rejects_zero_count(self, scenario):
         with pytest.raises(EvaluationError):
             generate_workload(scenario, 0)

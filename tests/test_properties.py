@@ -1,5 +1,7 @@
 """Cross-module property tests (hypothesis) on core invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,17 @@ from repro.core.close_cluster import CloseClusterSet
 from repro.core.relay_selection import select_close_relay
 from repro.core.close_cluster import CloseClusterEntry
 from repro.evaluation.sessions import generate_workload
-from repro.scenario import tiny_scenario
+from repro.baselines.opt import SESSION_BATCH
+from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
+from repro.storage.columns import ColumnStore
 from repro.topology import TopologyConfig, generate_topology
 from repro.util.rng import derive_rng
-from tests.oracles import construct_close_cluster_set
+from repro.worldarrays.virtual import VirtualMatrices
+from tests.oracles import (
+    construct_close_cluster_set,
+    reference_generate_workload,
+    reference_opt_scores,
+)
 
 
 def random_annotated_graph(seed: int, n: int = 12) -> ASGraph:
@@ -260,3 +269,95 @@ class TestOptLowerBoundsAsap:
             bounds = (opt.best_one_hop(matrices, a, b)[1], opt.best_two_hop(matrices, a, b))
             best = min(bound for bound in bounds if bound is not None)
             assert best <= min(realized) + 1e-9
+
+
+#: Columns per streamed chunk: divides neither world's N, so the last
+#: block is short and every session's columns span several blocks.
+_STREAM_CHUNK = 64
+
+
+@pytest.fixture(scope="module")
+def scenarios(tmp_path_factory):
+    """``get(scale, seed, streamed)``: a scenario whose matrix view is the
+    dense fill or a streamed ``VirtualMatrices`` (built once each)."""
+    built = {}
+
+    def get(scale: str, seed: int, streamed: bool):
+        key = (scale, seed, streamed)
+        if key not in built:
+            scenario = build_scenario(ScenarioConfig.preset(scale, seed))
+            if streamed:
+                clusters = scenario.clusters.all_clusters()
+                store = ColumnStore(
+                    tmp_path_factory.mktemp("stream"),
+                    key=f"{scale}-{seed}",
+                    n=len(clusters),
+                    chunk=_STREAM_CHUNK,
+                )
+                scenario.attach_virtual_matrices(
+                    VirtualMatrices(
+                        scenario.latency, clusters, chunk_columns=_STREAM_CHUNK, store=store
+                    )
+                )
+            built[key] = scenario
+        return built[key]
+
+    return get
+
+
+class TestOptPrunedFoldIsExact:
+    """OPT's two-hop fold reads only the cells the one-hop bound keeps;
+    every record must equal the full min-plus fold's, float for float."""
+
+    @given(
+        world=st.sampled_from([("tiny", 0), ("tiny", 3), ("small", 0)]),
+        kind=st.sampled_from(["dense", "streamed", "cut"]),
+        size=st.sampled_from([1, 5, SESSION_BATCH + 1]),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_full_fold(self, scenarios, world, kind, size, draw_seed):
+        scale, seed = world
+        view = scenarios(scale, seed, kind == "streamed").matrix_view()
+        n = view.count
+        rng = np.random.default_rng(draw_seed)
+        pairs = [tuple(int(x) for x in pair) for pair in rng.integers(0, n, (size, 2))]
+        pairs[0] = (pairs[0][0], pairs[0][0])  # a same-cluster pair
+        if kind == "cut":  # one unreachable row and one unreachable column
+            row, col = (int(x) for x in rng.integers(0, n, 2))
+            rtt = view.rtt_ms.copy()
+            rtt[row, :] = np.inf
+            rtt[:, col] = np.inf
+            view = dataclasses.replace(view, rtt_ms=rtt)
+            pairs[-1] = (row, col)
+        config = BaselineConfig()
+        opt = OPTMethod(config)
+        results = opt.evaluate_sessions(view, pairs)
+        quality, one, two = reference_opt_scores(
+            view, pairs, config.relay_delay_rtt_ms, config.lat_threshold_ms
+        )
+        best = np.minimum(one, two)
+        assert [r.quality_paths for r in results] == quality.tolist()
+        assert [r.best_rtt_ms for r in results] == [
+            float(x) if np.isfinite(x) else None for x in best
+        ]
+        for k, (a, b) in enumerate(pairs[:3]):
+            exact = float(two[k]) if np.isfinite(two[k]) else None
+            assert opt.best_two_hop(view, a, b) == exact
+
+
+class TestWorkloadMatchesOracle:
+    """One cluster lookup per online host draws the same sessions as a
+    lookup per endpoint of every pair."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    @pytest.mark.parametrize("streamed", [False, True], ids=["dense", "streamed"])
+    @pytest.mark.parametrize("latent_target", [None, 15])
+    def test_same_sessions(self, scenarios, scale, streamed, latent_target):
+        scenario = scenarios(scale, 0, streamed)
+        count = 300 if latent_target is None else 10  # the target drives the loop
+        fast = generate_workload(scenario, count, seed=4, latent_target=latent_target)
+        slow = reference_generate_workload(scenario, count, seed=4, latent_target=latent_target)
+        assert len(fast.sessions) > count or latent_target is None
+        assert fast.sessions == slow.sessions
+        assert [type(s.direct_rtt_ms) for s in fast.sessions[:3]] == [float] * 3

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import BGPParseError, ReproError
+from repro.errors import ArtifactError, BGPParseError, ReproError
 from repro.evaluation.metrics import MethodRecord
 from repro.scenario import tiny_scenario
 from repro.storage import (
@@ -91,6 +91,101 @@ class TestMatrixArchive:
         np.savez(path, **data)
         with pytest.raises(ReproError):
             load_matrices(path)
+
+
+def _rewrite(path, **changes):
+    """Re-save the archive at ``path`` with arrays replaced (``None``
+    drops one)."""
+    with np.load(path) as archive:
+        data = {k: archive[k] for k in archive.files}
+    for name, value in changes.items():
+        if value is None:
+            del data[name]
+        else:
+            data[name] = value
+    np.savez(path, **data)
+
+
+def _with_cell(value):
+    def mutate(path):
+        with np.load(path) as archive:
+            rtt = archive["rtt_ms"].copy()
+        rtt[1, 2] = value
+        _rewrite(path, rtt_ms=rtt)
+
+    return mutate
+
+
+def _trim_rtt_row(path):
+    with np.load(path) as archive:
+        rtt = archive["rtt_ms"][:-1].copy()
+    _rewrite(path, rtt_ms=rtt)
+
+
+def _bare_npy(path):
+    with path.open("wb") as handle:
+        np.save(handle, np.zeros(3))
+
+
+def _flip_middle_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+class TestMatrixArchiveValidation:
+    """A damaged or inconsistent archive raises ArtifactError naming the
+    file and the array — never numpy's ValueError / KeyError, and never
+    NaN or negative RTTs, which OPT's pruned fold cannot score."""
+
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        return tiny_scenario(seed=2).matrices
+
+    @pytest.mark.parametrize(
+        "mutate, array",
+        [
+            (lambda path: path.write_text("not an archive"), None),
+            (_bare_npy, None),
+            (_flip_middle_byte, None),
+            (lambda path: _rewrite(path, loss=None), "loss"),
+            (lambda path: _rewrite(path, version=np.array([], dtype=np.int64)), "version"),
+            (lambda path: _rewrite(path, prefixes=np.array(["10.0.0.0/33"])), "prefixes"),
+            (_with_cell(np.nan), "rtt_ms"),
+            (_with_cell(-1.0), "rtt_ms"),
+            (_trim_rtt_row, "rtt_ms"),
+            (lambda path: _rewrite(path, sizes=np.zeros(3, dtype=np.int64)), "sizes"),
+            (lambda path: _rewrite(path, as_hops=np.zeros((2, 2))), "as_hops"),
+        ],
+        ids=[
+            "text-file",
+            "bare-npy",
+            "corrupt-member",
+            "missing-array",
+            "empty-version",
+            "bad-prefix",
+            "nan-rtt",
+            "negative-rtt",
+            "rtt-shape",
+            "sizes-shape",
+            "hops-dtype",
+        ],
+    )
+    def test_rejects(self, tmp_path, matrices, mutate, array):
+        path = tmp_path / "m.npz"
+        save_matrices(path, matrices)
+        mutate(path)
+        with pytest.raises(ArtifactError) as info:
+            load_matrices(path)
+        assert str(path) in str(info.value)
+        if array is not None:
+            assert repr(array) in str(info.value)
+
+    def test_inf_rtt_cells_load(self, tmp_path, matrices):
+        path = tmp_path / "m.npz"
+        save_matrices(path, matrices)
+        _with_cell(np.inf)(path)
+        assert load_matrices(path).rtt_ms[1, 2] == np.inf
 
 
 def sample_records():
