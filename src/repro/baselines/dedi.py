@@ -62,11 +62,14 @@ class DEDIMethod(RelayMethod):
 
 
 def _top_degree_clusters(world, graph: ASGraph, count: int) -> List[int]:
-    """Clusters ranked by their AS's connection degree, highest first."""
-
-    def degree_of(idx: int) -> int:
-        asn = int(world.asn_of[idx])
-        return graph.degree(asn) if asn in graph else 0
-
-    ranked = sorted(range(world.count), key=lambda i: (-degree_of(i), i))
-    return ranked[:count]
+    """Clusters ranked by their AS's connection degree, highest first,
+    ties by index (an AS outside the graph has degree 0): one lexsort
+    over the degree array the graph's CSR export holds."""
+    csr = graph.csr()
+    asn_of = np.asarray(world.asn_of, dtype=np.int64)
+    degree = np.zeros(len(asn_of), dtype=np.int64)
+    if csr.count:
+        node = np.minimum(np.searchsorted(csr.as_ids, asn_of), csr.count - 1)
+        known = csr.as_ids[node] == asn_of
+        degree[known] = np.diff(csr.neighbors_indptr)[node[known]]
+    return np.lexsort((np.arange(len(degree)), -degree))[:count].tolist()

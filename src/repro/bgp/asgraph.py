@@ -20,9 +20,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
+
+if TYPE_CHECKING:
+    from repro.bgp.csr import GraphCSR
 
 
 class Relationship(Enum):
@@ -40,7 +43,12 @@ _PHASE_DOWN = 1  # crossed the ridge (peer edge or first downhill edge)
 
 @dataclass
 class ASGraph:
-    """Undirected AS-level topology with per-edge relationship annotations."""
+    """Undirected AS-level topology with per-edge relationship annotations.
+
+    The graph keeps its one CSR export (:meth:`csr`) beside its fields:
+    every array consumer of one graph shares it, any ``add_*`` drops it,
+    and it is never compared, printed or pickled.
+    """
 
     _providers: Dict[int, Set[int]] = field(default_factory=dict)
     _customers: Dict[int, Set[int]] = field(default_factory=dict)
@@ -53,6 +61,9 @@ class ASGraph:
         """Register an AS with no edges (idempotent)."""
         if asn <= 0:
             raise TopologyError(f"ASN must be positive, got {asn}")
+        # Every add_* registers its endpoints here first, so this is the
+        # one place a mutation drops the export.
+        self.__dict__.pop("_export", None)
         for table in (self._providers, self._customers, self._peers, self._siblings):
             table.setdefault(asn, set())
 
@@ -89,6 +100,23 @@ class ASGraph:
     def _check_new_edge(self, a: int, b: int) -> None:
         if self.relationship(a, b) is not None:
             raise TopologyError(f"edge {a}-{b} already annotated")
+
+    def csr(self) -> "GraphCSR":
+        """The graph's :class:`~repro.bgp.csr.GraphCSR` export, built on
+        first use and shared until the next ``add_*``.  Treat it as
+        read-only: every router and close-set builder on this graph
+        reads the same arrays."""
+        export = self.__dict__.get("_export")
+        if export is None:
+            from repro.bgp.csr import GraphCSR
+
+            export = self.__dict__["_export"] = GraphCSR.from_asgraph(self)
+        return export
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_export", None)
+        return state
 
     # -- basic queries -----------------------------------------------------
 

@@ -163,7 +163,7 @@ class PolicyRouter:
         ``CELLS // V`` at a time and never cached (a cached row would pin
         its whole batch): hold a tree only as long as it is read."""
         if self._csr is None:
-            self._csr = GraphCSR.from_asgraph(self._graph)
+            self._csr = self._graph.csr()
         csr = self._csr
         wanted = list(destinations)
         for destination in wanted:
@@ -188,8 +188,9 @@ class PolicyRouter:
         return None if route is None else route.as_path
 
     def invalidate(self) -> None:
-        """Drop the graph export and all cached trees (call after
-        mutating the graph)."""
+        """Drop the held graph export and all cached trees (call after
+        mutating the graph; its ``add_*`` already dropped the graph's own
+        export, so the next sweep reads a fresh one)."""
         self._csr = None
         self._cache.clear()
 

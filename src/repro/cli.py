@@ -676,6 +676,7 @@ def cmd_dial(args: argparse.Namespace) -> int:
     from repro.media.frames import trace_from_wire
     from repro.media.score import score_trace
     from repro.service.demo import shaped_tcp, start_agents
+    from repro.service.host import media_frame_budget
 
     world = _service_world(args)
     obs.tracer().set_node("d")  # distinct ids vs the serve side's "s"
@@ -701,8 +702,9 @@ def cmd_dial(args: argparse.Namespace) -> int:
 
     result, callee = asyncio.run(dial())
     _print_dial_result(result, sum(callee.media_received.values()))
+    budget = media_frame_budget(args.media_ms)
     for call_id, receipts in sorted(callee.frame_traces.items()):
-        trace = trace_from_wire(call_id, receipts)
+        trace = trace_from_wire(call_id, receipts, budget=budget)
         score = score_trace(trace)
         print(f"measured media (call {call_id}): {len(trace.frames)} frames, "
               f"{score.late_frames} late, {score.lost_frames} lost")

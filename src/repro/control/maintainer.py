@@ -31,12 +31,16 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.core.close_cluster import (
+    CloseClusterEntry,
+    CloseClusterSet,
+    emit_build_observability,
+)
 from repro.errors import ProtocolError
 from repro.worldarrays.closesets import FlatCloseSetBuilder
 
@@ -176,9 +180,24 @@ class CloseSetMaintainer:
 
     def track(self, owner: int) -> CloseClusterSet:
         """Start maintaining a cluster's close set (fresh build now)."""
-        if not self._membership.is_online(owner):
-            raise ProtocolError(f"cluster {owner} is offline; cannot track")
-        return self._build(owner)
+        return self.track_many([owner])[0]
+
+    def track_many(self, owners: Sequence[int]) -> List[CloseClusterSet]:
+        """Start maintaining several clusters' close sets: one
+        multi-source sweep builds them all, then each is reported as
+        built (:func:`emit_build_observability`) in ``owners`` order —
+        what :meth:`track` owner by owner reports.  Raises
+        :class:`ProtocolError`, tracking none, if any owner is offline."""
+        for owner in owners:
+            if not self._membership.is_online(owner):
+                raise ProtocolError(f"cluster {owner} is offline; cannot track")
+        sources = [(owner, int(self._asn_of_cluster(owner))) for owner in owners]
+        metas: Dict[int, Dict[int, Tuple[int, bool]]] = {}
+        built = self._builder.build_many(sources, online=self._online(), meta_out=metas)
+        for owner, asn in sources:
+            emit_build_observability(built[owner], asn)
+            self._tracked[owner] = (built[owner], metas[owner])
+        return [built[owner] for owner in owners]
 
     def enqueue(self, event: MembershipEvent) -> None:
         self._queue.append(event)

@@ -7,7 +7,9 @@
   nodal info to the cluster's serving surrogate (the bootstrap's §6.1
   job; which bootstrap answers, and the retries, are
   :func:`repro.core.dial.run_join`'s);
-- every populated cluster elects its most capable host as surrogate;
+- every populated cluster elects its most capable host as surrogate,
+  on the cluster's first touch (a round pays only for the clusters it
+  uses);
 - close cluster sets are computed in batches and reported when first
   served: a surrogate "builds" its set (``close_set.build``) on its
   first query, but the set usually comes out of a multi-source sweep
@@ -145,14 +147,12 @@ class ASAPSystem:
 
         self._computed = _ComputedSets(self._builder)
 
-        # Elect surrogates: the most capable hosts per cluster.  Large
+        # Surrogate groups, elected on a cluster's first touch
+        # (:meth:`_group`): the most capable hosts per cluster.  Large
         # clusters get several (§6.3 load sharing): one per
         # ``config.hosts_per_surrogate`` members; replicas serve the
         # primary's close set.
         self._surrogates: Dict[int, List[Surrogate]] = {}
-        for cluster in self._clusters.all_clusters():
-            idx = self._view.index_of[cluster.prefix]
-            self._surrogates[idx] = self._elect_group(idx, cluster.asn, cluster.hosts)
 
         self._offline: set = set()
         self._offline_in_cluster: Counter = Counter()
@@ -191,6 +191,26 @@ class ASAPSystem:
             group.append(member)
         return group
 
+    def _group(self, cluster_index: int) -> List[Surrogate]:
+        """A cluster's surrogate group, primary first.
+
+        The first touch elects it from the cluster's full host list,
+        exactly as electing every cluster up front would: nothing changes
+        a group except re-election, and every membership change touches
+        the group (and so elects it) before it re-elects.
+        """
+        group = self._surrogates.get(cluster_index)
+        if group is None:
+            view = self._view
+            cluster = None
+            if isinstance(cluster_index, (int, np.integer)) and 0 <= cluster_index < view.count:
+                cluster = self._clusters.clusters.get(view.prefixes[cluster_index])
+            if cluster is None:
+                raise ProtocolError(f"no surrogate for cluster {cluster_index}")
+            index = int(cluster_index)
+            group = self._surrogates[index] = self._elect_group(index, cluster.asn, cluster.hosts)
+        return group
+
     def surrogate(
         self, cluster_index: int, requester: Optional[IPv4Address] = None
     ) -> Surrogate:
@@ -199,20 +219,14 @@ class ASAPSystem:
         Without a requester, the primary.  With one, requests spread
         over the group by IP hash (§6.3 load sharing).
         """
-        try:
-            group = self._surrogates[cluster_index]
-        except KeyError:
-            raise ProtocolError(f"no surrogate for cluster {cluster_index}") from None
+        group = self._group(cluster_index)
         if requester is None or len(group) == 1:
             return group[0]
         return group[requester.value % len(group)]
 
     def surrogate_group(self, cluster_index: int) -> List[Surrogate]:
         """All surrogates of a cluster (primary first)."""
-        try:
-            return list(self._surrogates[cluster_index])
-        except KeyError:
-            raise ProtocolError(f"no surrogate for cluster {cluster_index}") from None
+        return list(self._group(cluster_index))
 
     def clusters_in_as(self, asn: int) -> List[int]:
         """Matrix indices of every cluster hosted by an AS, online or not."""
@@ -282,10 +296,10 @@ class ASAPSystem:
         """
         if ip in self._offline:
             return None  # already gone; nothing further to tear down
-        host = self._scenario.population.by_ip(ip)
-        self._mark_offline(ip)
+        self._scenario.population.by_ip(ip)  # an unknown IP raises here
         cluster_index = self.cluster_of_ip(ip)
-        group = self._surrogates[cluster_index]
+        group = self._group(cluster_index)  # elected before the host goes
+        self._mark_offline(ip)
         if all(member.ip != ip for member in group):
             return None
         return self._reelect(cluster_index, excluding=ip)
@@ -428,7 +442,8 @@ class ASAPSystem:
     # -- accounting ------------------------------------------------------------------
 
     def maintenance_messages(self) -> int:
-        """Total probe traffic spent building all materialized close sets."""
+        """Total probe traffic spent building all materialized close sets
+        (an unelected group holds none)."""
         return sum(
             member.maintenance_messages
             for group in self._surrogates.values()

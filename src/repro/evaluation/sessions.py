@@ -10,6 +10,7 @@ delegate matrices.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -84,17 +85,14 @@ def generate_workload(
     # cannot reach most of the network (stub behind a failed provider) is
     # effectively offline — the paper's crawler would never have collected
     # it, and King would get no answers for it.  The view computes the
-    # fractions densely or streamed; the numbers are identical.
-    finite_fraction = view.finite_row_fractions()
-    online = (finite_fraction >= 0.5).tolist()
-    index_of = view.index_of
-    host_ips: List[IPv4Address] = []
-    host_cluster: List[int] = []
-    for h in scenario.population.hosts:
-        cluster = index_of[clusters.cluster_of(h.ip).prefix]
-        if online[cluster]:
-            host_ips.append(h.ip)
-            host_cluster.append(cluster)
+    # fractions densely or streamed; the numbers are identical.  Each
+    # host's matrix cluster index is world-static, looked up once per
+    # world (``ClusterIndex.host_table``).
+    online = view.finite_row_fractions() >= 0.5
+    ips, clusters_of_hosts = clusters.host_table(scenario.population.hosts, view.index_of)
+    keep = online[clusters_of_hosts]
+    host_ips: List[IPv4Address] = list(compress(ips, keep.tolist()))
+    host_cluster: List[int] = clusters_of_hosts[keep].tolist()
     if len(host_ips) < 2:
         raise EvaluationError("population too small for sessions")
 

@@ -304,8 +304,7 @@ def run_soak(
             if maintainer.membership.is_online(idx)
         ]
         step = max(1, len(online) // max(1, config.tracked_surrogates))
-        for owner in online[::step][: config.tracked_surrogates]:
-            maintainer.track(owner)
+        maintainer.track_many(online[::step][: config.tracked_surrogates])
 
     def on_leave(ip: IPv4Address) -> None:
         # Runs after the injector's fail_host at the same instant (FIFO

@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.voip.codecs import ALL_CODECS, Codec
 
 #: Stable codec → wire-id table (u8 on the MediaFrame message).  Ids
@@ -193,6 +193,7 @@ def trace_from_wire(
     call_id: int,
     received: Sequence[Tuple[int, float, float, int]],
     expected_frames: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> ReceivedTrace:
     """Build a gap-free trace from wire-level ``MediaFrame`` receipts.
 
@@ -201,9 +202,19 @@ def trace_from_wire(
     receiver never saw become lost frames.  A lost frame's send time is
     interpolated from its neighbours' pacing (last known codec), since
     the wire carries send times only on frames that arrived.
+
+    ``budget`` is the most frames the call can have sent: a receipt at
+    or beyond it (a forged or corrupt seq, which would otherwise ask for
+    every frame up to it) raises :class:`ProtocolError` naming the call
+    and the seq.  It bounds the receipts only; the trace still ends at
+    the largest seq received (or ``expected_frames``).
     """
     by_seq: Dict[int, Tuple[float, float, int]] = {}
     for seq, ts, arr, wire_id in received:
+        if budget is not None and seq >= budget:
+            raise ProtocolError(
+                f"call {call_id}: frame seq {seq} is beyond its budget of {budget} frames"
+            )
         # Duplicates (relay re-forwarding): keep the earliest arrival.
         if seq not in by_seq or arr < by_seq[seq][1]:
             by_seq[seq] = (ts, arr, wire_id)

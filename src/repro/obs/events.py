@@ -16,14 +16,30 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, List, Optional, Union
 
-__all__ = ["EventSink", "LOG_LEVELS"]
+from repro.errors import ArtifactError
+
+__all__ = ["EventSink", "LOG_LEVELS", "read_jsonl"]
 
 #: Recognised levels, least to most severe.
 LOG_LEVELS = ("debug", "info", "warn")
 
 _LEVEL_RANK = {name: rank for rank, name in enumerate(LOG_LEVELS)}
+
+
+def read_jsonl(path: Union[str, Path]) -> List[dict]:
+    """The records of a JSONL artifact, blank lines skipped.  A line that
+    is not JSON raises :class:`ArtifactError` naming the file and line."""
+    records = []
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"{path}: line {number} is not JSON ({exc.msg})") from None
+    return records
 
 
 class EventSink:

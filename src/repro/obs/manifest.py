@@ -21,6 +21,8 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.errors import ArtifactError
+
 __all__ = [
     "MANIFEST_FILENAME",
     "MANIFEST_SCHEMA",
@@ -191,8 +193,11 @@ def write_manifest(path: Union[str, Path], document: dict) -> Path:
 
 def load_manifest(path: Union[str, Path]) -> dict:
     """Read and validate a manifest document from disk."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{path}: not JSON at line {exc.lineno} ({exc.msg})") from None
     problems = validate_manifest(document)
     if problems:
-        raise ValueError(f"invalid run manifest at {path}: " + "; ".join(problems))
+        raise ArtifactError(f"invalid run manifest at {path}: " + "; ".join(problems))
     return document

@@ -32,6 +32,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.errors import ArtifactError
 from repro.obs.manifest import MANIFEST_FILENAME, load_manifest, validate_manifest
 from repro.obs.timeseries import TELEMETRY_FILENAME, load_telemetry_file
 from repro.obs.trace import TRACES_FILENAME, load_trace_files
@@ -77,7 +78,8 @@ def load_run(
     """Load a run directory's manifest + telemetry + (merged) traces.
 
     Every artifact is optional — a run without ``--trace`` has no
-    traces.jsonl; the report renders whatever exists.  ``extra_traces``
+    traces.jsonl; the report renders whatever exists — but a directory
+    holding none of them raises :class:`ArtifactError`.  ``extra_traces``
     are additional trace files (e.g. the ``serve`` side of a
     cross-process run) merged with the run's own before analysis.
     """
@@ -97,6 +99,11 @@ def load_run(
     if own_traces.is_file():
         trace_files.append(own_traces)
     trace_files.extend(Path(p) for p in extra_traces)
+    if manifest is None and not telemetry_path.is_file() and not trace_files:
+        raise ArtifactError(
+            f"run directory {run_dir} holds no {MANIFEST_FILENAME} "
+            f"(nor {TELEMETRY_FILENAME} or {TRACES_FILENAME})"
+        )
     traces: List[dict] = []
     if trace_files:
         traces = load_trace_files(trace_files)

@@ -35,6 +35,9 @@ import json
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.errors import ArtifactError
+from repro.obs.events import read_jsonl
+
 __all__ = [
     "TELEMETRY_FILENAME",
     "TELEMETRY_SCHEMA_VERSION",
@@ -182,6 +185,9 @@ def validate_telemetry_records(records: Sequence[dict]) -> List[str]:
     problems: List[str] = []
     if not records:
         return ["telemetry file is empty (expected a header record)"]
+    strays = [i for i, record in enumerate(records, 1) if not isinstance(record, dict)]
+    if strays:
+        return [f"line {index}: not an object" for index in strays]
     header = records[0]
     if header.get("kind") != "header":
         problems.append("first record must be the header")
@@ -213,12 +219,8 @@ def validate_telemetry_records(records: Sequence[dict]) -> List[str]:
 
 def load_telemetry_file(path: Union[str, Path]) -> List[dict]:
     """Read and validate a ``telemetry.jsonl`` file."""
-    records = [
-        json.loads(line)
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    records = read_jsonl(path)
     problems = validate_telemetry_records(records)
     if problems:
-        raise ValueError(f"invalid telemetry file {path}: " + "; ".join(problems))
+        raise ArtifactError(f"invalid telemetry file {path}: " + "; ".join(problems))
     return records

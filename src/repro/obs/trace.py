@@ -42,6 +42,9 @@ import json
 from pathlib import Path
 from typing import IO, Callable, Dict, List, Optional, Union
 
+from repro.errors import ArtifactError
+from repro.obs.events import read_jsonl
+
 __all__ = [
     "NULL_TRACER",
     "NULL_TRACE_SPAN",
@@ -458,11 +461,10 @@ def validate_trace_records(records: List[dict]) -> List[str]:
 
 def load_trace_file(path: Union[str, Path]) -> List[dict]:
     """Read and validate ``traces.jsonl``; returns the record list."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines if line.strip()]
+    records = read_jsonl(path)
     problems = validate_trace_records(records)
     if problems:
-        raise ValueError(f"invalid trace file {path}: " + "; ".join(problems[:5]))
+        raise ArtifactError(f"invalid trace file {path}: " + "; ".join(problems[:5]))
     return records
 
 
@@ -480,21 +482,21 @@ def load_trace_files(paths: List[Union[str, Path]]) -> List[dict]:
         raise ValueError("load_trace_files needs at least one path")
     merged: List[dict] = []
     for path in paths:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        records = [json.loads(line) for line in lines if line.strip()]
-        if not records or records[0].get("kind") != "header":
-            raise ValueError(f"invalid trace file {path}: missing header record")
-        if records[0].get("schema") != TRACE_SCHEMA_VERSION:
-            raise ValueError(
+        records = read_jsonl(path)
+        header = records[0] if records else None
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            raise ArtifactError(f"invalid trace file {path}: missing header record")
+        if header.get("schema") != TRACE_SCHEMA_VERSION:
+            raise ArtifactError(
                 f"invalid trace file {path}: schema "
-                f"{records[0].get('schema')!r} != {TRACE_SCHEMA_VERSION}"
+                f"{header.get('schema')!r} != {TRACE_SCHEMA_VERSION}"
             )
         if not merged:
-            merged.append(records[0])
+            merged.append(header)
         merged.extend(records[1:])
     problems = validate_trace_records(merged)
     if problems:
-        raise ValueError(
+        raise ArtifactError(
             "invalid merged trace set: " + "; ".join(problems[:5])
         )
     return merged

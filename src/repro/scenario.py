@@ -28,6 +28,7 @@ runtime knobs that never change results:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import List, Optional
 
 from repro.bgp.asgraph import ASGraph
@@ -35,6 +36,7 @@ from repro.bgp.prefix_table import PrefixOriginTable
 from repro.bgp.relationships import infer_relationships
 from repro.bgp.rib import RoutingTable, format_rib_dump, parse_rib_dump
 from repro.bgp.updates import apply_updates
+from repro.errors import ConfigurationError
 from repro.measurement.conditions import (
     ConditionsConfig,
     NetworkConditions,
@@ -111,11 +113,15 @@ class ScenarioConfig:
 
         ``tiny``/``small``/``evaluation`` produce byte-identical configs
         to the old helpers, so existing artifact-cache keys stay valid.
+        An unknown scale or a seed that is not a non-negative integer
+        raises :class:`~repro.errors.ConfigurationError`.
         """
         try:
             factory = _PRESETS[scale]
-        except KeyError:
-            raise ValueError(f"unknown scale {scale!r}; choose from {SCALES}") from None
+        except (KeyError, TypeError):
+            raise ConfigurationError(f"unknown scale {scale!r}; choose from {SCALES}") from None
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
         return factory(seed)
 
     @classmethod

@@ -42,7 +42,7 @@ from repro.net.sockets import TcpTransport
 from repro.net.transport import Transport
 from repro.netaddr import IPv4Address
 from repro.service.bootstrap import BootstrapServer
-from repro.service.host import HostAgent
+from repro.service.host import HostAgent, media_frame_budget
 from repro.service.surrogate import SurrogateServer
 from repro.service.world import ServiceWorld
 
@@ -316,8 +316,12 @@ def run_demo(
     else:
         raise ServiceError(f"unknown transport {transport!r} (loopback|tcp)")
     if media_frames:
+        budget = media_frame_budget(media_ms)
         result.frame_traces = [
-            {call_id: trace_from_wire(call_id, got[call_id]) for call_id in sorted(got)}
+            {
+                call_id: trace_from_wire(call_id, got[call_id], budget=budget)
+                for call_id in sorted(got)
+            }
             for got in receipts
         ]
     return result

@@ -62,13 +62,21 @@ from repro.service.node import ServiceNode
 from repro.service.surrogate import pairs_to_close_set
 from repro.service.world import ServiceWorld
 
-__all__ = ["DialResult", "HostAgent"]
+__all__ = ["DialResult", "HostAgent", "media_frame_budget"]
 
 _MEDIA_PAYLOAD = bytes(20)  # one compressed voice frame's worth
 
 #: Exchanges with the call's far-end hosts (ping, admission, relay
 #: set-up) tag their ``net.request`` span with the peer's AS.
 _PEER_TAGGED = (Ping, CallSetup, RelaySetup)
+
+
+def media_frame_budget(media_ms: float) -> int:
+    """Frames one call's voice sends over ``media_ms``: one per
+    packetization interval — the bound a receiver holds seqs to."""
+    from repro.voip.codecs import G729A_VAD
+
+    return math.ceil(media_ms / G729A_VAD.packet_interval_ms())
 
 
 class _RelayState:
@@ -327,7 +335,7 @@ class HostAgent(ServiceNode):
 
         interval_ms = G729A_VAD.packet_interval_ms()
         codec_id = CODEC_WIRE_IDS[G729A_VAD.name]
-        for seq in range(math.ceil(media.duration_ms / interval_ms)):
+        for seq in range(media_frame_budget(media.duration_ms)):
             if media.outcome != "active":
                 return
             message = MediaFrame(

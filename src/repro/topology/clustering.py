@@ -11,7 +11,7 @@ data rather than by generator-internal knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,35 @@ class ClusterIndex:
 
     def all_clusters(self) -> List[Cluster]:
         return [self.clusters[p] for p in sorted(self.clusters)]
+
+    def host_table(
+        self, hosts: Sequence[Host], index_of: Dict[IPv4Prefix, int]
+    ) -> Tuple[List[IPv4Address], np.ndarray]:
+        """``(ips, clusters)``: each of ``hosts``' IP and the matrix index
+        (under ``index_of``) of its cluster.
+
+        World-static, so it is computed once per ``(hosts, index_of)``
+        pair and kept beside the fields (never compared or pickled).
+        Raises :class:`TopologyError` for a host in no cluster.
+        """
+        cached = self.__dict__.get("_host_table")
+        if (
+            cached is None
+            or cached[0] is not hosts
+            or cached[1] is not index_of
+            or len(cached[2]) != len(hosts)
+        ):
+            ips = [host.ip for host in hosts]
+            clusters = np.array(
+                [index_of[self.cluster_of(ip).prefix] for ip in ips], dtype=np.int64
+            )
+            cached = self.__dict__["_host_table"] = (hosts, index_of, ips, clusters)
+        return cached[2], cached[3]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_host_table", None)
+        return state
 
     def delegates(self) -> List[Host]:
         return [c.delegate for c in self.all_clusters() if c.delegate is not None]

@@ -26,8 +26,10 @@ loss, depth), same ``probe_messages`` / ``probes_by_as`` /
 (counters, histograms, and the ``close_set.build`` trace span), so
 ``traces.jsonl`` is byte-identical whichever path built the set.
 
-Every build shares the builder's one CSR export, cluster-row table and
-probe view; nothing is set up per source cluster.
+Every build shares the graph's one CSR export (:meth:`ASGraph.csr`,
+also shared with every other builder and router on that graph), the
+builder's cluster-row table and its probe view; nothing is set up per
+source cluster.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from repro.bgp.asgraph import ASGraph
 from repro.core.close_cluster import CloseClusterSet, emit_build_observability
 from repro.core.config import ASAPConfig
-from repro.worldarrays.arrays import GraphCSR, bucket_csr, csr_gather
+from repro.worldarrays.arrays import csr_gather
 
 #: (source × AS) cells of one multi-source sweep.  Measured, not tunable
 #: (docs/performance.md "1.9"): the per-source cost bottoms out here at
@@ -68,23 +70,30 @@ class FlatCloseSetBuilder:
         config: Optional[ASAPConfig] = None,
     ) -> None:
         self._config = config if config is not None else ASAPConfig()
-        self._csr = GraphCSR.from_asgraph(graph)
+        self._csr = csr = graph.csr()
         self._world = world
         # Clusters per graph node as one CSR, ascending within each AS
         # (ASes outside the graph are unreachable by the BFS and need no
-        # rows).
-        self._rows_indptr, self._rows_flat = bucket_csr(
-            self._csr.count,
-            {
-                node: np.array(sorted(clusters_by_as[asn]), dtype=np.int64)
-                for asn, node in self._csr.index_of.items()
-                if clusters_by_as.get(asn)
-            },
+        # rows): one lexsort over every (node, cluster) pair.
+        node_of = csr.index_of.get
+        nodes = np.repeat(
+            np.array([node_of(asn, -1) for asn in clusters_by_as], dtype=np.int64),
+            [len(members) for members in clusters_by_as.values()],
         )
+        flat = np.fromiter(
+            (c for members in clusters_by_as.values() for c in members),
+            dtype=np.int64,
+            count=len(nodes),
+        )
+        keep = nodes >= 0
+        nodes, flat = nodes[keep], flat[keep]
+        self._rows_flat = flat[np.lexsort((flat, nodes))]
+        self._rows_indptr = np.zeros(csr.count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nodes, minlength=csr.count), out=self._rows_indptr[1:])
         # The graph node hosting each cluster (-1: none).
         self._home = np.full(world.count, -1, dtype=np.int64)
         self._home[self._rows_flat] = np.repeat(
-            np.arange(self._csr.count), np.diff(self._rows_indptr)
+            np.arange(csr.count), np.diff(self._rows_indptr)
         )
 
     @property
@@ -118,28 +127,40 @@ class FlatCloseSetBuilder:
             # Matches the reference: an AS unknown to the inferred graph
             # yields an empty set with no emission.
             return CloseClusterSet(owner=own_cluster)
-        (result,) = self._sweep([(own_cluster, own_as)], online, meta_out)
+        metas = None if meta_out is None else [meta_out]
+        (result,) = self._sweep([(own_cluster, own_as)], online, metas)
         emit_build_observability(result, own_as)
         return result
 
     def build_many(
-        self, sources: Iterable[tuple], online: Optional[np.ndarray] = None
+        self,
+        sources: Iterable[tuple],
+        online: Optional[np.ndarray] = None,
+        meta_out: Optional[Dict[int, dict]] = None,
     ) -> Dict[int, CloseClusterSet]:
         """Close sets for many ``(own_cluster, own_as)`` sources, keyed by
         cluster in first-occurrence order: one multi-source BFS per
         ``CELLS // V`` sources, each set equal to :meth:`build`'s — arrays,
         accounting, ``probes_by_as`` order.  A repeated source is built
         once; one whose AS the graph does not know gets the empty set.
-        Nothing is emitted: the caller reports each set where it hands it
-        out as built (:func:`emit_build_observability`).
+        ``meta_out`` receives ``{cluster: {asn: (depth, expands)}}``, each
+        source's :meth:`build` hook.  Nothing is emitted: the caller
+        reports each set where it hands it out as built
+        (:func:`emit_build_observability`).
         """
         wanted = dict(sources)
+        if meta_out is not None:
+            for cluster in wanted:
+                meta_out[cluster] = {}
         known = [source for source in wanted.items() if source[1] in self._csr.index_of]
         step = max(1, CELLS // self._csr.count)
         built: Dict[int, CloseClusterSet] = {}
         for start in range(0, len(known), step):
             batch = known[start : start + step]
-            built.update(zip((cluster for cluster, _ in batch), self._sweep(batch, online)))
+            metas = None if meta_out is None else [meta_out[cluster] for cluster, _ in batch]
+            built.update(
+                zip((cluster for cluster, _ in batch), self._sweep(batch, online, metas))
+            )
         return {
             cluster: built[cluster] if cluster in built else CloseClusterSet(owner=cluster)
             for cluster in wanted
@@ -151,14 +172,14 @@ class FlatCloseSetBuilder:
         self,
         sources: Sequence[tuple],
         online: Optional[np.ndarray],
-        meta_out: Optional[dict] = None,
+        metas: Optional[List[dict]] = None,
     ) -> List[CloseClusterSet]:
         """One level-synchronous BFS for every source at once, over state
         keyed ``slot * V + node`` (module docstring).  Keys ascend, so a
         level's records come out in (source, AS ascending, row ascending)
         order and a stable sort by slot restores each source's own
-        (level, AS, row) order.  ``meta_out`` is :meth:`build`'s
-        one-source hook.
+        (level, AS, row) order.  ``metas`` holds one :meth:`build`
+        ``meta_out`` hook per source.
         """
         csr = self._csr
         count, slots = csr.count, len(sources)
@@ -205,9 +226,11 @@ class FlatCloseSetBuilder:
             hit = probed > 0
             probes.append((slot[hit], csr.as_ids[node[hit]], 2 * probed[hit]))
             members.append((slot[at], rows, rtt, lost, np.full(len(rows), depth)))
-            if meta_out is not None:
-                for asn, rights in zip(csr.as_ids[node].tolist(), verdict.tolist()):
-                    meta_out[asn] = (depth, rights)
+            if metas is not None:
+                for i, asn, rights in zip(
+                    slot.tolist(), csr.as_ids[node].tolist(), verdict.tolist()
+                ):
+                    metas[i][asn] = (depth, rights)
 
         # An AS is probed once per source, so no (slot, cluster) pair
         # repeats and one stable sort on ``slot * N + cluster`` orders

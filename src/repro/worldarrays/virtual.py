@@ -114,7 +114,11 @@ class VirtualMatrices:
                 self._store.save(
                     start, *self._compute_block(self._store.columns_of(start))
                 )
-            arrays = self._mmap_cache[start] = self._store.load(start)
+            # Plain ndarray views of the maps: reads skip the memmap
+            # subclass's per-result wrapping.
+            arrays = self._mmap_cache[start] = tuple(
+                array.view(np.ndarray) for array in self._store.load(start)
+            )
         return arrays
 
     def _compute_block(self, cols: np.ndarray):
@@ -174,19 +178,30 @@ class VirtualMatrices:
         return self._gather(1, rows, cols)
 
     def _gather(self, which: int, rows, cols) -> np.ndarray:
-        """``matrix[rows, cols]`` with numpy broadcasting, one fancy
-        index per chunk the columns touch."""
+        """``matrix[rows, cols]`` with numpy broadcasting: one fancy index
+        when every column falls in one chunk, else one per chunk over the
+        cells one stable argsort groups by chunk."""
         rows_b, cols_b = np.broadcast_arrays(
             np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         )
         i_flat = rows_b.reshape(-1)
         j_flat = cols_b.reshape(-1)
+        if len(j_flat) == 0:
+            return np.empty(rows_b.shape, dtype=float)
+        chunk = self._chunk
+        chunk_of = j_flat // chunk
+        first, last = int(chunk_of.min()), int(chunk_of.max())
+        if first == last:
+            block = self._chunk_arrays(first * chunk)[which]
+            return block[i_flat, j_flat - first * chunk].reshape(rows_b.shape)
         out = np.empty(len(i_flat), dtype=float)
-        chunk_of = (j_flat // self._chunk) * self._chunk
-        for start in np.unique(chunk_of):
-            sel = chunk_of == start
-            block = self._chunk_arrays(int(start))[which]
-            out[sel] = block[i_flat[sel], j_flat[sel] - int(start)]
+        order = np.argsort(chunk_of, kind="stable")
+        grouped = chunk_of[order]
+        edges = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+        for sel in np.split(order, edges):
+            start = int(chunk_of[sel[0]]) * chunk
+            block = self._chunk_arrays(start)[which]
+            out[sel] = block[i_flat[sel], j_flat[sel] - start]
         return out.reshape(rows_b.shape)
 
     def finite_row_fractions(self) -> np.ndarray:

@@ -36,6 +36,12 @@
 - :func:`reference_generate_workload`: the session draw loop with a
   cluster lookup per endpoint, verbatim; ``generate_workload`` must
   return the same sessions at the default threshold.
+- Section-7 set-up, as it was before a round paid only for what it
+  touched: :func:`elect_every_group` (every cluster's surrogate group
+  elected in ``ASAPSystem.__init__``, in prefix order),
+  :func:`reference_top_degree_clusters` (the DEDI / MIX fleet ranked by
+  ``sorted`` with a python key) and :func:`reference_host_table` (one
+  ``cluster_of`` + prefix lookup per host, per call).
 - :func:`reference_media_session`: the per-frame media pipeline
   :func:`repro.media.run_media_session` ran before it became one pass
   over locals — a :class:`FrameSource` of :class:`SentFrame` rows, a
@@ -694,6 +700,34 @@ def reference_generate_workload(
         if session.is_latent:
             latent_found += 1
     return workload
+
+
+def elect_every_group(system) -> None:
+    """Elect every cluster's surrogate group from its full host list, in
+    prefix order — what ``ASAPSystem.__init__`` did before a group was
+    elected on its cluster's first touch.  Call it on a fresh system."""
+    view = system.scenario.matrix_view()
+    for cluster in system.scenario.clusters.all_clusters():
+        idx = view.index_of[cluster.prefix]
+        system._surrogates[idx] = system._elect_group(idx, cluster.asn, cluster.hosts)
+
+
+def reference_top_degree_clusters(world, graph: ASGraph, count: int) -> List[int]:
+    """Clusters ranked by their AS's connection degree, highest first,
+    verbatim from ``repro.baselines.dedi`` before the degree array."""
+
+    def degree_of(idx: int) -> int:
+        asn = int(world.asn_of[idx])
+        return graph.degree(asn) if asn in graph else 0
+
+    ranked = sorted(range(world.count), key=lambda i: (-degree_of(i), i))
+    return ranked[:count]
+
+
+def reference_host_table(clusters: ClusterIndex, hosts, index_of) -> Tuple[list, List[int]]:
+    """Each host's IP and matrix cluster index: the per-host loop
+    ``generate_workload`` ran on every call."""
+    return [h.ip for h in hosts], [index_of[clusters.cluster_of(h.ip).prefix] for h in hosts]
 
 
 # -- media plane ---------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.media.adapt import AdaptationPolicy, CodecAdapter
 from repro.media.frames import (
     CODEC_WIRE_IDS,
@@ -159,6 +159,18 @@ class TestFrames:
         assert trace.frames[1].lost and trace.frames[3].lost
         assert trace.frames[2].arrival_ms == 95.0
         assert trace.frames[1].sent_ms == 20.0  # interpolated pacing
+
+
+    def test_trace_from_wire_bounds_receipts_by_the_budget(self):
+        # One forged frame would otherwise ask for 2**32 phantom frames.
+        wire_id = CODEC_WIRE_IDS["G.729A+VAD"]
+        receipts = [(0, 0.0, 60.0, wire_id), (2**32 - 1, 40.0, 100.0, wire_id)]
+        with pytest.raises(ProtocolError, match=r"call 7: frame seq 4294967295 .* 100 frames"):
+            trace_from_wire(7, receipts, budget=100)
+        in_budget = trace_from_wire(7, receipts[:1] + [(99, 40.0, 100.0, wire_id)], budget=100)
+        assert len(in_budget.frames) == 100  # largest seq + 1, as without a budget
+        with pytest.raises(ProtocolError, match="seq 100 "):
+            trace_from_wire(7, [(100, 0.0, 1.0, wire_id)], budget=100)
 
 
 # -- jitter buffer ------------------------------------------------------------

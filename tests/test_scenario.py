@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Scenario, ScenarioConfig, build_scenario, tiny_scenario
+from repro.errors import ConfigurationError
 from repro.scenario import subsample_scenario
 from repro.topology import PopulationConfig, TopologyConfig
 
@@ -99,6 +100,13 @@ class TestSubsample:
         small_val = small.matrices.rtt_ms[i2, j2]
         if np.isfinite(big_val):
             assert abs(big_val - small_val) < 80.0  # access-delay slack
+
+    @pytest.mark.parametrize(
+        "scale, seed", [("huge", 0), ("tiny", float("nan")), ("tiny", -1), ("tiny", 1.5)]
+    )
+    def test_preset_rejects_bad_scale_and_seed(self, scale, seed):
+        with pytest.raises(ConfigurationError, match=repr(scale) if scale == "huge" else "seed"):
+            ScenarioConfig.preset(scale, seed)
 
     def test_invalid_fraction(self, scenario):
         with pytest.raises(ValueError):

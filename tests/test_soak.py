@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.control.maintainer import CloseSetMaintainer
 from repro.core.protocol import ASAPSystem
 from repro.errors import ConfigurationError
 from repro.evaluation.chaos import run_chaos
@@ -180,8 +181,8 @@ class TestZeroChurnEquivalence:
 
 class TestBatchedCloseSets:
     """A ``small`` soak serves every surrogate's set out of multi-source
-    sweeps over clusters the run named; one-source builds are the
-    maintainer's alone."""
+    sweeps over clusters the run named; the maintainer starts tracking
+    in one masked sweep, and one-source builds are its repairs alone."""
 
     def test_served_sets_come_from_sweeps_over_named_clusters(self, monkeypatch):
         scenario = build_scenario(ScenarioConfig.preset("small", 3))
@@ -189,19 +190,24 @@ class TestBatchedCloseSets:
         config = dataclasses.replace(
             config, shard_outages=(default_shard_outage(config, shard=0),)
         )
-        singles, sweeps, named = [], [], set()
+        singles, sweeps, named, tracked = [], [], set(), []
         build = FlatCloseSetBuilder.build
         build_many = FlatCloseSetBuilder.build_many
+        track_many = CloseSetMaintainer.track_many
         want = ASAPSystem.want
 
         def spy_build(self, own_cluster, own_as, meta_out=None, online=None):
             singles.append(online)
             return build(self, own_cluster, own_as, meta_out, online)
 
-        def spy_build_many(self, sources, online=None):
+        def spy_build_many(self, sources, online=None, meta_out=None):
             sources = list(sources)
             sweeps.append(([cluster for cluster, _ in sources], online))
-            return build_many(self, sources, online)
+            return build_many(self, sources, online, meta_out)
+
+        def spy_track_many(self, owners):
+            tracked.append(list(owners))
+            return track_many(self, owners)
 
         def spy_want(self, clusters):
             clusters = list(clusters)
@@ -210,12 +216,17 @@ class TestBatchedCloseSets:
 
         monkeypatch.setattr(FlatCloseSetBuilder, "build", spy_build)
         monkeypatch.setattr(FlatCloseSetBuilder, "build_many", spy_build_many)
+        monkeypatch.setattr(CloseSetMaintainer, "track_many", spy_track_many)
         monkeypatch.setattr(ASAPSystem, "want", spy_want)
         report = run_soak(scenario, config)
 
         assert report.ok
-        assert singles and all(online is not None for online in singles)
-        assert max(len(clusters) for clusters, _ in sweeps) > 1
-        assert all(online is None for _, online in sweeps)
+        assert all(online is not None for online in singles)
+        # The maintainer's tracked owners: one masked sweep, the only one.
+        masked = [clusters for clusters, online in sweeps if online is not None]
+        assert len(tracked) == 1 and len(tracked[0]) == config.tracked_surrogates
+        assert masked == tracked
+        served = [clusters for clusters, online in sweeps if online is None]
+        assert max(len(clusters) for clusters in served) > 1
         # Sweeps are the only thing that fills the computed table.
-        assert {c for clusters, _ in sweeps for c in clusters} <= named
+        assert {c for clusters in served for c in clusters} <= named

@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.errors import ArtifactError
 from repro.obs.manifest import load_manifest, validate_manifest
 from repro.obs.registry import RESERVOIR_SIZE, MetricsRegistry
 from repro.obs.report import (
@@ -368,3 +369,32 @@ class TestReport:
     def test_load_run_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_run(tmp_path / "nope")
+
+    def test_line_that_is_no_object_is_a_typed_error(self, tmp_path):
+        path = tmp_path / obs.TELEMETRY_FILENAME
+        path.write_text("[1]\n", encoding="utf-8")
+        with pytest.raises(ArtifactError, match="line 1: not an object"):
+            load_telemetry_file(path)
+        path = tmp_path / obs.TRACES_FILENAME
+        path.write_text("[1]\n", encoding="utf-8")
+        with pytest.raises(ArtifactError, match="missing header record"):
+            obs.load_trace_files([path])
+
+    def test_load_run_empty_dir_names_the_missing_artifact(self, tmp_path):
+        with pytest.raises(ArtifactError, match=obs.MANIFEST_FILENAME):
+            load_run(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name", [obs.TRACES_FILENAME, obs.TELEMETRY_FILENAME, obs.MANIFEST_FILENAME]
+    )
+    def test_corrupt_line_names_file_and_line(self, tmp_path, name):
+        run_dir = self._run_dir(tmp_path)
+        path = run_dir / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][:-3]  # a truncated write
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # The manifest is one indented document: its decoder stops on the
+        # line after the cut.
+        where = "not JSON at line 3" if name == obs.MANIFEST_FILENAME else "line 2 is not JSON"
+        with pytest.raises(ArtifactError, match=rf"{name}: {where}"):
+            load_run(run_dir)
