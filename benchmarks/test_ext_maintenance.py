@@ -9,7 +9,7 @@ refreshed sets deliver on the same latent sessions.
 
 import numpy as np
 
-from repro.core.maintenance import run_maintenance_study, reweather, staleness
+from repro.evaluation.maintenance import run_maintenance_study, reweather, staleness
 from repro.core.protocol import ASAPSystem
 from repro.core.config import ASAPConfig, derive_k_hops
 from repro.evaluation.report import render_kv_table

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from repro.core import ASAPConfig, ASAPSystem
-from repro.core.assignment import RelayAssignmentService
+from repro.evaluation.assignment import RelayAssignmentService
 from repro.core.config import derive_k_hops
 from repro.baselines import BaselineConfig, DEDIMethod
 from repro.evaluation.report import render_kv_table

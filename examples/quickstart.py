@@ -45,11 +45,8 @@ def main() -> None:
     print(f"\ncaller {caller.ip} (AS {caller.asn})  →  callee {callee.ip} (AS {callee.asn})")
 
     # End hosts join through a bootstrap (prefix → ASN + surrogate).
-    joined = system.join(caller.ip)
-    print(
-        f"  join: prefix {joined.join_info.prefix}, "
-        f"surrogate {joined.join_info.surrogate_ip}"
-    )
+    serving = system.join(caller.ip)
+    print(f"  join: prefix {matrices.prefixes[serving.cluster]}, surrogate {serving.ip}")
 
     session = system.call(caller.ip, callee.ip)
     print(f"  direct RTT: {session.direct_rtt_ms:.0f} ms "

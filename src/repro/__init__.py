@@ -20,7 +20,6 @@ from repro.scenario import (
     Scenario,
     ScenarioConfig,
     build_scenario,
-    default_scenario,
     small_scenario,
     tiny_scenario,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "build_scenario",
-    "default_scenario",
     "run_experiment",
     "small_scenario",
     "tiny_scenario",

@@ -132,9 +132,9 @@ class RelayPolicy(Protocol):
 class RelayMethod(ABC):
     """A relay node selection method evaluated at cluster granularity.
 
-    The batch :meth:`evaluate_sessions` is the abstract primitive —
-    subclasses implement it (vectorized where possible); the per-session
-    :meth:`evaluate_session` is a thin delegating wrapper over it.
+    The batch :meth:`evaluate_sessions` is the one entry point —
+    subclasses implement it (vectorized where possible); one session is
+    a one-element batch.
     """
 
     name: str = "abstract"
@@ -145,15 +145,6 @@ class RelayMethod(ABC):
     @property
     def config(self) -> BaselineConfig:
         return self._config
-
-    def evaluate_session(
-        self, world, a: int, b: int, session_id: int = 0
-    ) -> MethodResult:
-        """Evaluate one calling session between clusters ``a`` and ``b``
-        (delegates to the batch primitive)."""
-        return self.evaluate_sessions(
-            world, [(int(a), int(b))], session_ids=[int(session_id)]
-        )[0]
 
     @abstractmethod
     def evaluate_sessions(

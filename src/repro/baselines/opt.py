@@ -18,9 +18,9 @@ float rounding is monotone, so the two-hop candidate through ``(i, j)``,
 ``(first[i] + min(second)) + 2δ`` and at least
 ``(min(first) + second[j]) + 2δ``.  A row or column whose bound is not
 below the session's bound (its best one-hop RTT in
-:meth:`OPTMethod.evaluate_sessions`, ``inf`` in
-:meth:`OPTMethod.best_two_hop`) cannot lower the result, so it is never
-read: every result equals the full fold's, bit for bit.
+:meth:`OPTMethod.evaluate_sessions`, ``inf`` with ``prune=False``)
+cannot lower the result, so it is never read: every result equals the
+full fold's, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,31 +49,6 @@ class OPTMethod(RelayMethod):
     ) -> None:
         super().__init__(config)
         self._include_two_hop = include_two_hop
-
-    def best_one_hop(self, world, a: int, b: int) -> Tuple[Optional[int], Optional[float]]:
-        """(relay cluster, RTT) of the optimal one-hop relay path; an
-        endpoint's own cluster is the direct path, never a relay."""
-        path, _, _ = self._score(world, np.array([a]), np.array([b]), two_hop=False)
-        idx = int(np.argmin(path[0]))
-        value = float(path[0, idx])
-        if not np.isfinite(value):
-            return None, None
-        return idx, value
-
-    def best_two_hop(self, world, a: int, b: int) -> Optional[float]:
-        """RTT of the optimal two-hop relay path (min-plus product), exact
-        whatever the one-hop optimum: the fold's bound is ``inf``.
-
-        Both endpoint clusters are masked out of the intermediate-hop
-        positions, mirroring :meth:`best_one_hop`: a path "through" an
-        endpoint's own cluster is really a one-hop or direct path (e.g.
-        ``rtt[a, j] + rtt[j, b] + rtt[b, b]``), not a two-hop overlay.
-        """
-        _, _, two_hop = self._score(
-            world, np.array([a]), np.array([b]), two_hop=True, prune=False
-        )
-        best = float(two_hop[0])
-        return best if np.isfinite(best) else None
 
     def evaluate_sessions(
         self,

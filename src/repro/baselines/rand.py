@@ -42,8 +42,8 @@ class RANDMethod(RelayMethod):
         """Vectorized batch evaluation.
 
         The per-session RNG draws are kept in a (cheap) Python loop so
-        each session's probe set matches :meth:`evaluate_session` draw
-        for draw; the ``(S, P)`` draws are then scored together.
+        each session's probe set matches a one-session batch draw for
+        draw; the ``(S, P)`` draws are then scored together.
         """
         pairs, ids = session_batch(sessions, session_ids)
         return self._probe_results(world, pairs, self._draws(world, ids))

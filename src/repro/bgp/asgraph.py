@@ -185,14 +185,6 @@ class ASGraph:
     def is_provider_of(self, a: int, b: int) -> bool:
         return b in self._customers.get(a, ())
 
-    def multihomed_ases(self) -> List[int]:
-        """ASes with two or more providers — the paper's Fig. 4 shortcut case."""
-        return sorted(a for a, provs in self._providers.items() if len(provs) >= 2)
-
-    def top_degree_ases(self, count: int) -> List[int]:
-        """The ``count`` highest-degree ASes (DEDI places relays here)."""
-        return sorted(self.ases(), key=lambda a: (-self.degree(a), a))[:count]
-
     def without(self, excluded: Iterable[int]) -> "ASGraph":
         """A copy of the graph with the given ASes (and their edges) removed.
 
@@ -231,36 +223,6 @@ class ASGraph:
         return clone
 
     # -- valley-free search -------------------------------------------------
-
-    def valley_free_ball(self, start: int, max_hops: int) -> Dict[int, int]:
-        """Minimum valley-free hop count to every AS within ``max_hops``.
-
-        This is the search order of ``construct-close-cluster-set()``:
-        breadth-first from ``start`` under the valley-free constraint.
-        The start AS itself is included with distance 0.
-        """
-        if start not in self:
-            raise TopologyError(f"unknown AS {start}")
-        if max_hops < 0:
-            raise TopologyError(f"max_hops must be >= 0, got {max_hops}")
-        best: Dict[int, int] = {start: 0}
-        # state: (asn, phase); visited per state to allow a node reached
-        # downhill to later be reached uphill with further expansion rights.
-        visited: Set[Tuple[int, int]] = {(start, _PHASE_UP)}
-        queue = deque([(start, _PHASE_UP, 0)])
-        while queue:
-            node, phase, dist = queue.popleft()
-            if dist == max_hops:
-                continue
-            for nxt, nxt_phase in self._valley_free_steps(node, phase):
-                state = (nxt, nxt_phase)
-                if state in visited:
-                    continue
-                visited.add(state)
-                if nxt not in best or dist + 1 < best[nxt]:
-                    best[nxt] = dist + 1
-                queue.append((nxt, nxt_phase, dist + 1))
-        return best
 
     def valley_free_distance(self, src: int, dst: int, max_hops: int = 32) -> Optional[int]:
         """Shortest valley-free hop distance src→dst, or None if unreachable."""

@@ -64,11 +64,6 @@ class PrefixOriginTable:
         match = self.lookup(address)
         return None if match is None else match[1]
 
-    def matched_prefix(self, address: IPv4Address) -> Optional[IPv4Prefix]:
-        """The longest announced prefix covering an address, or None."""
-        match = self.lookup(address)
-        return None if match is None else match[0]
-
     def prefixes_of(self, asn: int) -> List[IPv4Prefix]:
         """All prefixes originated by an AS (an AS can announce several)."""
         return sorted(self._prefixes_by_as.get(asn, []))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import AddressError, BGPParseError
 from repro.netaddr import IPv4Address, IPv4Prefix
@@ -164,23 +164,6 @@ class RoutingTable:
     def prefixes(self) -> List[IPv4Prefix]:
         """Distinct prefixes present in the table."""
         return sorted({prefix for (_, prefix) in self.routes})
-
-    def routes_for_prefix(self, prefix: IPv4Prefix) -> List[RIBEntry]:
-        return [e for (_, p), e in self.routes.items() if p == prefix]
-
-    def best_route(self, prefix: IPv4Prefix) -> Optional[RIBEntry]:
-        """Pick the table's best route for a prefix: shortest AS path wins.
-
-        Tie-break on (origin attribute order, lowest peer address) so the
-        choice is deterministic across runs.
-        """
-        candidates = self.routes_for_prefix(prefix)
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda e: (len(e.as_path), VALID_ORIGINS.index(e.origin), e.peer),
-        )
 
     def __len__(self) -> int:
         return len(self.routes)

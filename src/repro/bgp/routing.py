@@ -95,11 +95,6 @@ class RoutingTree:
     # tree allocates no ints of its own.
     _walk: Optional[Tuple[List[int], List[int]]] = field(default=None, repr=False)
 
-    def reaches(self, source: int) -> bool:
-        """True if ``source`` has any route to the destination."""
-        index = self.index_of.get(source)
-        return index is not None and self.distance[index] >= 0
-
     def path_from(self, source: int) -> Optional[Tuple[int, ...]]:
         """AS path source→destination, or None if unreachable."""
         index = self.index_of.get(source)
@@ -187,13 +182,6 @@ class PolicyRouter:
         route = self.route(source, destination)
         return None if route is None else route.as_path
 
-    def invalidate(self) -> None:
-        """Drop the held graph export and all cached trees (call after
-        mutating the graph; its ``add_*`` already dropped the graph's own
-        export, so the next sweep reads a fresh one)."""
-        self._csr = None
-        self._cache.clear()
-
 
 # -- batched tree construction -------------------------------------------------
 
@@ -278,12 +266,3 @@ def _build_batch(csr: GraphCSR, destinations: Sequence[int]) -> List[RoutingTree
         )
         for slot, destination in enumerate(destinations)
     ]
-
-
-def reachable_pairs_fraction(router: PolicyRouter, sample: Iterable[Tuple[int, int]]) -> float:
-    """Fraction of (src, dst) pairs with a selected route — a health probe."""
-    pairs = list(sample)
-    if not pairs:
-        return 1.0
-    ok = sum(1 for s, d in pairs if router.tree(d).reaches(s))
-    return ok / len(pairs)

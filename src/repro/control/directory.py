@@ -107,12 +107,6 @@ class ShardedDirectory:
             placed = self._placement[ip.value] = (str(ip), chain)
         return placed
 
-    def owner_of(self, ip: IPv4Address) -> int:
-        return self._place(ip)[1][0]
-
-    def preference_of(self, ip: IPv4Address) -> List[int]:
-        return list(self._place(ip)[1])
-
     def is_up(self, shard: int) -> bool:
         return shard not in self._down
 

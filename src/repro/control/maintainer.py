@@ -84,9 +84,6 @@ class ClusterMembership:
             int(cluster): int(count) for cluster, count in online_counts.items()
         }
 
-    def online_count(self, cluster: int) -> int:
-        return self._counts.get(cluster, 0)
-
     def is_online(self, cluster: int) -> bool:
         return self._counts.get(cluster, 0) > 0
 
@@ -222,7 +219,7 @@ class CloseSetMaintainer:
         """Divergence of the maintained set from a fresh build *right
         now* — ``|maintained Δ fresh| / max(1, |fresh|)``.  Zero after a
         drain; positive while repair events are still queued.  This is
-        the soak's convergence gauge (cf. :mod:`repro.core.maintenance`).
+        the soak's convergence gauge (cf. :mod:`repro.evaluation.maintenance`).
         """
         return self.current(owner).drift_from(self._fresh(owner))
 

@@ -24,7 +24,6 @@ from repro.core.config import ASAPConfig, derive_k_hops
 from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
 from repro.core.relay_selection import RelaySelection, select_close_relay
 from repro.core.protocol import ASAPSession, ASAPSystem
-from repro.core.assignment import RelayAssignment, RelayAssignmentService
 from repro.core.dial import (
     DialResult,
     FailoverEvent,
@@ -46,8 +45,6 @@ __all__ = [
     "ASAPSystem",
     "CloseClusterEntry",
     "CloseClusterSet",
-    "RelayAssignment",
-    "RelayAssignmentService",
     "RelaySelection",
     "derive_k_hops",
     "select_close_relay",

@@ -107,12 +107,6 @@ class CloseClusterSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def rtt_to(self, cluster: int) -> float:
-        at, member = self._slot(cluster)
-        if not member:
-            raise ProtocolError(f"cluster {cluster} not in close set of {self.owner}")
-        return float(self.rtt_ms[at])
-
     def rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(ids, rtt_ms)`` as stored: the form select-close-relay
         reads.  Read-only by convention."""

@@ -45,7 +45,6 @@ from repro.core.surrogate import Surrogate
 from repro.errors import ProtocolError, TopologyError
 from repro.netaddr import IPv4Address
 from repro.scenario import Scenario
-from repro.voip.quality import mos_of_path
 
 
 @dataclass
@@ -78,10 +77,6 @@ class ASAPSession:
         if self.best_relay_rtt_ms is not None:
             candidates.append(self.best_relay_rtt_ms)
         return min(candidates)
-
-    def best_path_mos(self, loss_rate: float = 0.005) -> float:
-        """MOS of the best usable path (paper's Figs. 15-16 metric)."""
-        return mos_of_path(self.best_path_rtt_ms, loss_rate)
 
 
 class _ComputedSets:
@@ -228,10 +223,6 @@ class ASAPSystem:
         """All surrogates of a cluster (primary first)."""
         return list(self._group(cluster_index))
 
-    def clusters_in_as(self, asn: int) -> List[int]:
-        """Matrix indices of every cluster hosted by an AS, online or not."""
-        return list(self._clusters_by_as.get(asn, ()))
-
     def cluster_of_ip(self, ip: IPv4Address) -> int:
         """Matrix index of the cluster containing an end-host IP."""
         cluster = self._clusters.cluster_of(ip)
@@ -303,20 +294,6 @@ class ASAPSystem:
         if all(member.ip != ip for member in group):
             return None
         return self._reelect(cluster_index, excluding=ip)
-
-    def fail_surrogate(self, cluster_index: int) -> Surrogate:
-        """Kill a surrogate; the next most capable host takes over.
-
-        Raises :class:`ProtocolError` for a single-host cluster (its only
-        member *is* the surrogate).
-        """
-        old = self.surrogate(cluster_index)
-        promoted = self._reelect(cluster_index, excluding=old.host.ip)
-        if promoted is None:
-            prefix = self._view.prefixes[cluster_index]
-            raise ProtocolError(f"cluster {prefix} has no other host to promote")
-        self._mark_offline(old.host.ip)
-        return promoted
 
     def _reelect(self, cluster_index: int, excluding: IPv4Address) -> Optional[Surrogate]:
         """Re-elect a cluster's surrogate group from its online members

@@ -334,23 +334,6 @@ class ASAPRuntime:
         """
         self.sim.schedule_at(at_ms, lambda: self.fail_host(ip))
 
-    def schedule_surrogate_failure(self, cluster_index: int, at_ms: float) -> None:
-        """Kill a cluster's primary surrogate at a simulated time.
-
-        Bootstraps appoint the next most capable host (§6.1's surrogate
-        replacement); single-host clusters are left alone (their only
-        member *is* the surrogate).
-        """
-
-        def fail() -> None:
-            try:
-                fresh = self._system.fail_surrogate(cluster_index)
-            except ProtocolError:
-                return
-            self.surrogate_failures.append((self.sim.now_ms, cluster_index, fresh.ip))
-
-        self.sim.schedule_at(at_ms, fail)
-
     # -- driving -----------------------------------------------------------------
 
     def run(self, until_ms: Optional[float] = None) -> None:

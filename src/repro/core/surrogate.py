@@ -75,22 +75,6 @@ class Surrogate:
         """Record a cluster member's published capability record."""
         self.published_info[ip] = info
 
-    def recommend_handoff(self) -> Optional[IPv4Address]:
-        """The IP of a strictly more capable published host, if any.
-
-        Per the paper, a surrogate that learns of a better end host
-        recommends it as the new surrogate and steps down.
-        """
-        own_score = self.host.info.capability()
-        best_ip: Optional[IPv4Address] = None
-        best_score = own_score
-        for ip, info in sorted(self.published_info.items()):
-            score = info.capability()
-            if score > best_score:
-                best_score = score
-                best_ip = ip
-        return best_ip
-
     @property
     def maintenance_messages(self) -> int:
         """Probe traffic spent building the current close set."""

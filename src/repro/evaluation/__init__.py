@@ -16,6 +16,10 @@
   scalability, overhead).
 - :mod:`repro.evaluation.ablations` — parameter sweeps for the design
   choices (k, sizeT, latT, valley-free constraint).
+- :mod:`repro.evaluation.maintenance` — close-set staleness under
+  re-weathered conditions and the refresh remedy (extension study).
+- :mod:`repro.evaluation.assignment` — load-aware relay assignment over
+  the selection's candidates (relay-load extension study).
 - :mod:`repro.evaluation.report` — fixed-width report rendering used by
   the benchmark harness.
 """

@@ -33,7 +33,7 @@ from typing import Dict, Optional, Sequence, Union
 
 from repro import obs
 from repro.baselines.base import BaselineConfig
-from repro.core.config import ASAPConfig, derive_k_hops
+from repro.core.config import ASAPConfig, derive_k_hops, require_count
 from repro.errors import ConfigurationError
 from repro.evaluation.policies import METHOD_NAMES, default_policies
 from repro.evaluation.section7 import Section7Result, run_section7
@@ -91,10 +91,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown scale {self.scale!r}; choose from {SCALES}"
             )
-        if self.session_count < 1:
-            raise ConfigurationError("session_count must be >= 1")
-        if self.chunk_columns < 1:
-            raise ConfigurationError("chunk_columns must be >= 1")
+        require_count("seed", self.seed, 0)
+        require_count("session_count", self.session_count, 1)
+        require_count("latent_target", self.latent_target, 0)
+        require_count("chunk_columns", self.chunk_columns, 1)
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown:
             raise ConfigurationError(

@@ -40,14 +40,6 @@ class MethodRecord:
             return self.one_hop_quality_paths
         return self.quality_paths
 
-    @property
-    def found_quality_path(self) -> bool:
-        return (
-            self.best_rtt_ms is not None
-            and np.isfinite(self.best_rtt_ms)
-            and self.best_rtt_ms < RTT_THRESHOLD_MS
-        )
-
 
 def record_from_baseline(
     session_id: int, result: MethodResult, loss_rate: float = DEFAULT_EVAL_LOSS_RATE

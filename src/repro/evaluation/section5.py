@@ -78,9 +78,6 @@ class Section5Result:
             for a in self.analyses
         ]
 
-    def asymmetric_sessions(self) -> List[int]:
-        return [a.session_id for a in self.analyses if a.asymmetric]
-
     def same_as_table(self) -> List[Tuple[int, int, List[IPv4Address]]]:
         """Table 2 rows: (session, AS, relay IPs probed in that AS)."""
         rows: List[Tuple[int, int, List[IPv4Address]]] = []

@@ -34,11 +34,6 @@ class Session:
     callee_cluster: int
     direct_rtt_ms: float
 
-    @property
-    def is_latent(self) -> bool:
-        """Direct path misses the VoIP RTT requirement."""
-        return not (np.isfinite(self.direct_rtt_ms) and self.direct_rtt_ms < RTT_THRESHOLD_MS)
-
 
 @dataclass
 class SessionWorkload:

@@ -16,9 +16,11 @@ exactly across invocations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
+from repro.core.config import require_count
 from repro.errors import ConfigurationError
 
 
@@ -134,16 +136,16 @@ class FaultScheduleConfig:
     shard_outages: Tuple[ShardOutage, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
-            raise ConfigurationError("duration_ms must be positive")
-        if self.surrogate_crash_rate_per_min < 0:
-            raise ConfigurationError("surrogate_crash_rate_per_min must be >= 0")
-        if self.host_churn_rate_per_min < 0:
-            raise ConfigurationError("host_churn_rate_per_min must be >= 0")
-        if self.random_as_outages < 0:
-            raise ConfigurationError("random_as_outages must be >= 0")
-        if self.as_outage_duration_ms <= 0:
-            raise ConfigurationError("as_outage_duration_ms must be positive")
+        require_count("seed", self.seed, 0)
+        if not 0 < self.duration_ms < math.inf:
+            raise ConfigurationError("duration_ms must be positive and finite")
+        if not 0 <= self.surrogate_crash_rate_per_min < math.inf:
+            raise ConfigurationError("surrogate_crash_rate_per_min must be finite and >= 0")
+        if not 0 <= self.host_churn_rate_per_min < math.inf:
+            raise ConfigurationError("host_churn_rate_per_min must be finite and >= 0")
+        require_count("random_as_outages", self.random_as_outages, 0)
+        if not 0 < self.as_outage_duration_ms < math.inf:
+            raise ConfigurationError("as_outage_duration_ms must be positive and finite")
         if not 0.0 <= self.message_loss_rate < 1.0:
             raise ConfigurationError("message_loss_rate must be in [0, 1)")
 
@@ -161,11 +163,6 @@ class FaultScheduleConfig:
             and self.message_loss_rate == 0.0
             and not self.shard_outages
         )
-
-    @classmethod
-    def zeroed(cls, duration_ms: float = 60_000.0, seed: int = 0) -> "FaultScheduleConfig":
-        """A schedule that injects no faults (the parity baseline)."""
-        return cls(seed=seed, duration_ms=duration_ms)
 
     def scaled(self, intensity: float) -> "FaultScheduleConfig":
         """Scale every stochastic fault rate by ``intensity``.

@@ -81,16 +81,6 @@ class NetworkConditions:
     failed_ases: FrozenSet[int] = frozenset()
     loss_rate: Dict[int, float] = field(default_factory=dict)
 
-    def is_congested(self, asn: int) -> bool:
-        """True when the AS itself carries a whole-AS penalty."""
-        return asn in self.congestion_penalty_ms
-
-    def is_congested_link(self, a: int, b: int) -> bool:
-        return _link_key(a, b) in self.link_penalty
-
-    def is_failed(self, asn: int) -> bool:
-        return asn in self.failed_ases
-
     def penalty_ms(self, asn: int) -> float:
         """One-way whole-AS congestion penalty (0 if clear)."""
         return self.congestion_penalty_ms.get(asn, 0.0)
@@ -102,12 +92,6 @@ class NetworkConditions:
     def loss_of(self, asn: int) -> float:
         """Per-traversal packet loss probability of an AS."""
         return self.loss_rate.get(asn, 0.0)
-
-    def congested_ases(self) -> List[int]:
-        return sorted(self.congestion_penalty_ms)
-
-    def congested_links(self) -> List[Tuple[int, int]]:
-        return sorted(self.link_penalty)
 
 
 def _transit_links(topology: Topology) -> List[Tuple[int, int]]:

@@ -134,13 +134,6 @@ class LatencyModel:
             total += self.link_delay_ms(a, b)
         return total
 
-    def path_loss_rate(self, as_path: Sequence[int]) -> float:
-        """End-to-end loss of an explicit AS path (independent per AS)."""
-        survive = 1.0
-        for asn in as_path:
-            survive *= 1.0 - self._conditions.loss_of(asn)
-        return 1.0 - survive
-
     # -- AS-to-AS and host-to-host RTT ----------------------------------------
 
     def as_one_way_ms(self, src_as: int, dst_as: int) -> Optional[float]:
@@ -179,19 +172,6 @@ class LatencyModel:
         if first is None or second is None:
             return None
         return first + second + RELAY_DELAY_RTT_MS
-
-    def two_hop_relay_rtt_ms(
-        self, a: Host, relay1: Host, relay2: Host, b: Host
-    ) -> Optional[float]:
-        """RTT of the overlay path a→relay1→relay2→b."""
-        legs = (
-            self.host_rtt_ms(a, relay1),
-            self.host_rtt_ms(relay1, relay2),
-            self.host_rtt_ms(relay2, b),
-        )
-        if any(leg is None for leg in legs):
-            return None
-        return sum(legs) + 2.0 * RELAY_DELAY_RTT_MS
 
     def routing_trees(self, dst_ases: Sequence[int]) -> Iterator[Optional[RoutingTree]]:
         """The policy routing tree toward each AS in order (``None`` if

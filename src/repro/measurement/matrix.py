@@ -36,7 +36,6 @@ from repro.errors import MeasurementError
 from repro.netaddr import IPv4Address, IPv4Prefix
 from repro.measurement.latency import LatencyModel
 from repro.topology.clustering import Cluster, ClusterIndex
-from repro.topology.population import Host
 from repro.util.parallel import (
     fork_available,
     plan_chunks,
@@ -51,26 +50,8 @@ UNREACHABLE = np.inf
 #: Assembly statistics (chunk plan and per-chunk wall times) of every
 #: parallel assembly this process ran, in order; each dict carries its
 #: ``assembly`` index.  Private: read it through the obs registry
-#: (``obs.annotations["parallel"]`` / the manifest ``parallel`` block),
-#: :func:`last_parallel_stats` or :func:`parallel_stats_history`.
+#: (``obs.annotations["parallel"]`` / the manifest ``parallel`` block).
 _PARALLEL_STATS_HISTORY: List[Dict] = []
-
-
-def last_parallel_stats() -> Optional[Dict]:
-    """Chunk plan and per-chunk wall times of the most recent parallel
-    assembly in this process (``None`` if none ran).  Runs with
-    observability enabled also record the same document in the run
-    manifest's ``parallel`` block."""
-    return _PARALLEL_STATS_HISTORY[-1] if _PARALLEL_STATS_HISTORY else None
-
-
-def parallel_stats_history() -> List[Dict]:
-    """All parallel assemblies this process ran, oldest first.
-
-    Unlike :func:`last_parallel_stats` (latest only), the history
-    survives repeated assemblies in one process — each entry carries an
-    ``assembly`` sequence number matching its telemetry tags."""
-    return list(_PARALLEL_STATS_HISTORY)
 
 
 @dataclass
@@ -95,30 +76,9 @@ class DelegateMatrices:
     def count(self) -> int:
         return len(self.prefixes)
 
-    def index_of_host(self, clusters: ClusterIndex, host: Host) -> int:
-        """Matrix index of the cluster containing ``host``."""
-        cluster = clusters.cluster_of(host.ip)
-        return self.index_of[cluster.prefix]
-
-    def estimate_host_rtt(self, clusters: ClusterIndex, a: Host, b: Host) -> float:
-        """Host-to-host RTT estimated by the delegate matrix entry —
-        the paper's property (1) used throughout the evaluation."""
-        return float(self.rtt_ms[self.index_of_host(clusters, a), self.index_of_host(clusters, b)])
-
     def one_hop_rtt(self, a: int, relay: int, b: int, relay_delay_rtt_ms: float = 40.0) -> float:
         """RTT of the a→relay→b overlay path at cluster granularity."""
         return float(self.rtt_ms[a, relay] + self.rtt_ms[relay, b] + relay_delay_rtt_ms)
-
-    def two_hop_rtt(
-        self, a: int, r1: int, r2: int, b: int, relay_delay_rtt_ms: float = 40.0
-    ) -> float:
-        """RTT of the a→r1→r2→b overlay path at cluster granularity."""
-        return float(
-            self.rtt_ms[a, r1]
-            + self.rtt_ms[r1, r2]
-            + self.rtt_ms[r2, b]
-            + 2.0 * relay_delay_rtt_ms
-        )
 
     def one_hop_path_loss(self, a: int, relay: int, b: int) -> float:
         """One-way loss of the relayed path (independent segments)."""
@@ -135,10 +95,6 @@ class DelegateMatrices:
     def rtt_cell(self, i: int, j: int) -> float:
         """One RTT cell (same float the dense array holds)."""
         return float(self.rtt_ms[i, j])
-
-    def loss_cell(self, i: int, j: int) -> float:
-        """One loss cell (same float the dense array holds)."""
-        return float(self.loss[i, j])
 
     def gather_rtt(self, rows, cols) -> np.ndarray:
         """``rtt_ms[rows, cols]`` with numpy broadcasting semantics."""

@@ -1,83 +1,22 @@
-"""Simulated measurement tools: ping, traceroute, and King.
+"""Simulated King measurement.
 
-Each tool samples the hidden :class:`~repro.measurement.latency.LatencyModel`
-with its own error process, mirroring how the paper's pipeline never sees
-ground truth directly:
-
-- :class:`Ping` — ICMP-style RTT with small additive noise and timeouts on
-  unreachable destinations;
-- :class:`Traceroute` — the AS-level path of the selected policy route
-  (used by the paper to detect same-AS relay probes, Limit 2);
-- :class:`KingEstimator` — DNS-based RTT estimation between *arbitrary*
-  hosts: multiplicative error plus a non-response fraction (the paper got
-  answers for only 1,498,749 of 2,130,140 delegate pairs).
+:class:`KingEstimator` samples the hidden
+:class:`~repro.measurement.latency.LatencyModel` with its own error
+process, mirroring how the paper's pipeline never sees ground truth
+directly: DNS-based RTT estimation between *arbitrary* hosts, with a
+multiplicative error plus a non-response fraction (the paper got answers
+for only 1,498,749 of 2,130,140 delegate pairs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import MeasurementError
 from repro.measurement.latency import LatencyModel
 from repro.topology.population import Host
-from repro.util.rng import derive_rng
-
-
-@dataclass
-class PingResult:
-    """Outcome of one ping measurement."""
-
-    rtt_ms: Optional[float]  # None means timeout
-
-    @property
-    def responded(self) -> bool:
-        return self.rtt_ms is not None
-
-
-class Ping:
-    """RTT measurement directly between two hosts (both must cooperate)."""
-
-    def __init__(self, model: LatencyModel, seed: int = 0, noise_ms: float = 1.0) -> None:
-        if noise_ms < 0:
-            raise MeasurementError("noise_ms must be non-negative")
-        self._model = model
-        self._rng = derive_rng(seed, "ping")
-        self._noise_ms = noise_ms
-
-    def measure(self, a: Host, b: Host) -> PingResult:
-        """One ping exchange; timeout when no route exists."""
-        truth = self._model.host_rtt_ms(a, b)
-        if truth is None:
-            return PingResult(rtt_ms=None)
-        noisy = truth + abs(float(self._rng.normal(0.0, self._noise_ms)))
-        return PingResult(rtt_ms=noisy)
-
-    def measure_min_of(self, a: Host, b: Host, probes: int = 3) -> PingResult:
-        """Min of several probes — standard practice to strip queueing noise."""
-        if probes < 1:
-            raise MeasurementError("probes must be >= 1")
-        best: Optional[float] = None
-        for _ in range(probes):
-            result = self.measure(a, b)
-            if result.rtt_ms is not None and (best is None or result.rtt_ms < best):
-                best = result.rtt_ms
-        return PingResult(rtt_ms=best)
-
-
-class Traceroute:
-    """AS-level traceroute between two hosts."""
-
-    def __init__(self, model: LatencyModel) -> None:
-        self._model = model
-
-    def as_path(self, a: Host, b: Host) -> Optional[Tuple[int, ...]]:
-        """The AS path packets actually take, or None if unreachable."""
-        if a.asn == b.asn:
-            return (a.asn,)
-        return self._model.as_path(a.asn, b.asn)
 
 
 class KingEstimator:
@@ -118,39 +57,7 @@ class KingEstimator:
         factor = float(pair_rng.lognormal(mean=0.0, sigma=self._error_sigma))
         return truth * factor
 
-    def estimate_many(self, pairs: List[Tuple[Host, Host]]) -> List[Optional[float]]:
-        """Vector form of :meth:`estimate` for measurement campaigns."""
-        return [self.estimate(a, b) for a, b in pairs]
-
     def _pair_rng(self, a: Host, b: Host) -> np.random.Generator:
         lo, hi = sorted((a.ip.value, b.ip.value))
         mix = (lo * 2_654_435_761 + hi * 40_503 + self._seed) % (2**32)
         return np.random.default_rng(mix)
-
-
-def run_king_campaign(
-    king: "KingEstimator",
-    clusters,
-    max_pairs: Optional[int] = None,
-):
-    """A King measurement campaign over cluster delegates (paper Fig. 1).
-
-    Probes every delegate pair (optionally capped) through the estimator
-    and returns ``(estimates, responded, attempted)`` where ``estimates``
-    is a dict ``{(i, j): rtt_ms}`` over responding pairs, keyed by
-    cluster list indices with i < j.  This is the measured counterpart
-    of :func:`~repro.measurement.matrix.compute_delegate_matrices` — the
-    paper attempted 2,130,140 pairs and got 1,498,749 answers.
-    """
-    delegates = [c.delegate for c in clusters.all_clusters()]
-    estimates = {}
-    attempted = 0
-    for i in range(len(delegates)):
-        for j in range(i + 1, len(delegates)):
-            if max_pairs is not None and attempted >= max_pairs:
-                return estimates, len(estimates), attempted
-            attempted += 1
-            value = king.estimate(delegates[i], delegates[j])
-            if value is not None:
-                estimates[(i, j)] = value
-    return estimates, len(estimates), attempted

@@ -81,12 +81,6 @@ class PlayoutResult:
         """Per-frame loss after reclassification (late counts as lost)."""
         return tuple([f.status != "played" for f in self.frames])
 
-    @property
-    def mean_depth_ms(self) -> float:
-        if not self.frames:
-            return 0.0
-        return sum(f.depth_ms for f in self.frames) / len(self.frames)
-
 
 class AdaptiveJitterBuffer:
     """Streamed playout over a received trace.

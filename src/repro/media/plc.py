@@ -40,10 +40,6 @@ class ConcealmentReport:
     revealed: int                 # loss frames PLC could not mask
 
     @property
-    def total_lost(self) -> int:
-        return self.concealed + self.revealed
-
-    @property
     def concealed_rate(self) -> float:
         """Fraction of the stream's frames concealed by PLC."""
         if not self.weights:

@@ -6,13 +6,12 @@ dependency-free IPv4 machinery for that: value types for addresses and
 prefixes plus a binary trie supporting longest-prefix match.
 """
 
-from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix, parse_address, parse_prefix
+from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix, parse_prefix
 from repro.netaddr.trie import PrefixTrie
 
 __all__ = [
     "IPv4Address",
     "IPv4Prefix",
     "PrefixTrie",
-    "parse_address",
     "parse_prefix",
 ]

@@ -46,11 +46,6 @@ class IPv4Address:
             value = (value << 8) | octet
         return cls(value)
 
-    def octets(self) -> tuple:
-        """Return the four octets, most significant first."""
-        v = self.value
-        return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
-
     def bit(self, index: int) -> int:
         """Return bit ``index`` counted from the most significant bit (0-31)."""
         if not 0 <= index <= 31:
@@ -107,25 +102,9 @@ class IPv4Prefix:
             return 0
         return (_MAX_IPV4 << (32 - self.length)) & _MAX_IPV4
 
-    def contains(self, address: IPv4Address) -> bool:
-        """Return True if ``address`` falls inside this prefix."""
-        return (address.value & self.netmask_int()) == self.network
-
-    def contains_prefix(self, other: "IPv4Prefix") -> bool:
-        """Return True if ``other`` is equal to or more specific than self."""
-        if other.length < self.length:
-            return False
-        return (other.network & self.netmask_int()) == self.network
-
     def size(self) -> int:
         """Number of addresses covered by the prefix."""
         return 1 << (32 - self.length)
-
-    def first_address(self) -> IPv4Address:
-        return IPv4Address(self.network)
-
-    def last_address(self) -> IPv4Address:
-        return IPv4Address(self.network | (self.size() - 1))
 
     def nth_address(self, n: int) -> IPv4Address:
         """Return the n-th address inside the prefix (0-based)."""
@@ -138,27 +117,11 @@ class IPv4Prefix:
         for n in range(self.size()):
             yield IPv4Address(self.network + n)
 
-    def subnets(self) -> tuple:
-        """Split into the two prefixes one bit longer; errors at /32."""
-        if self.length == 32:
-            raise AddressError("cannot subnet a /32")
-        child_len = self.length + 1
-        half = 1 << (32 - child_len)
-        return (
-            IPv4Prefix(self.network, child_len),
-            IPv4Prefix(self.network + half, child_len),
-        )
-
     def __str__(self) -> str:
         return f"{IPv4Address(self.network)}/{self.length}"
 
     def __repr__(self) -> str:
         return f"IPv4Prefix({str(self)!r})"
-
-
-def parse_address(text: str) -> IPv4Address:
-    """Module-level convenience wrapper for :meth:`IPv4Address.from_string`."""
-    return IPv4Address.from_string(text)
 
 
 def parse_prefix(text: str) -> IPv4Prefix:

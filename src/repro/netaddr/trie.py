@@ -29,7 +29,7 @@ class PrefixTrie(Generic[V]):
     """Map from :class:`IPv4Prefix` to arbitrary values, with LPM lookup.
 
     Supports exact insert/get/delete plus :meth:`longest_match` for an
-    address and :meth:`all_matches` (every covering prefix, shortest first).
+    address.
     """
 
     def __init__(self) -> None:
@@ -92,22 +92,6 @@ class PrefixTrie(Generic[V]):
             if node.has_value:
                 best = (node.prefix, node.value)  # type: ignore[assignment]
         return best
-
-    def all_matches(self, address: IPv4Address) -> List[Tuple[IPv4Prefix, V]]:
-        """Every stored prefix covering ``address``, shortest prefix first."""
-        matches: List[Tuple[IPv4Prefix, V]] = []
-        node = self._root
-        if node.has_value:
-            matches.append((node.prefix, node.value))  # type: ignore[arg-type]
-        for depth in range(32):
-            bit = address.bit(depth)
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.has_value:
-                matches.append((node.prefix, node.value))  # type: ignore[arg-type]
-        return matches
 
     def items(self) -> Iterator[Tuple[IPv4Prefix, V]]:
         """Iterate over ``(prefix, value)`` pairs in trie (DFS) order."""

@@ -458,8 +458,3 @@ def tiny_scenario(seed: int = 0) -> Scenario:
 def small_scenario(seed: int = 0) -> Scenario:
     """A mid-size world (~350 clusters, ~3k hosts): examples, quick runs."""
     return build_scenario(ScenarioConfig.preset("small", seed))
-
-
-def default_scenario(seed: int = 0) -> Scenario:
-    """The standard world used by benchmarks (evaluation scale)."""
-    return build_scenario(ScenarioConfig.preset("evaluation", seed))

@@ -99,10 +99,6 @@ class DemoResult:
     def relayed(self) -> int:
         return sum(1 for call in self.calls if call.path == "relay")
 
-    def best_mos(self) -> Optional[float]:
-        scores = [call.mos for call in self.calls if call.mos is not None]
-        return max(scores) if scores else None
-
 
 @dataclass
 class Servers:

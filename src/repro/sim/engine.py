@@ -107,15 +107,6 @@ class Simulator:
         """Current simulated time in milliseconds."""
         return self._now_ms
 
-    @property
-    def processed_events(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
-
     def schedule(self, delay_ms: float, action: Callable[[], Any]) -> Event:
         """Schedule ``action`` to run ``delay_ms`` (finite, ≥ 0) from now."""
         if not 0.0 <= delay_ms < _INF:

@@ -83,9 +83,6 @@ class SimNetwork:
         self._hosts[host.ip] = host
         self._handlers[host.ip] = handler
 
-    def is_registered(self, ip: IPv4Address) -> bool:
-        return ip in self._hosts
-
     # -- fault state (driven by repro.faults.FaultInjector) -----------------
 
     def reseed_loss(self, seed: int) -> None:
@@ -98,9 +95,6 @@ class SimNetwork:
 
     def set_host_up(self, ip: IPv4Address) -> None:
         self._down_hosts.discard(ip)
-
-    def is_host_down(self, ip: IPv4Address) -> bool:
-        return ip in self._down_hosts
 
     def set_as_down(self, asn: int) -> None:
         """Fail a whole AS: traffic to or from it drops."""
@@ -275,11 +269,6 @@ class SimNetwork:
 
         self._sim.schedule(rtt, respond)
         return True
-
-    def one_way_ms(self, a: Host, b: Host) -> Optional[float]:
-        """One-way delay between two registered hosts (None if unreachable)."""
-        rtt = self._latency.host_rtt_ms(a, b)
-        return None if rtt is None else rtt / 2.0
 
     def host(self, ip: IPv4Address) -> Optional[Host]:
         return self._hosts.get(ip)

@@ -10,7 +10,7 @@ the same information boundary as the original methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.netaddr import IPv4Address
 
@@ -47,13 +47,6 @@ class SessionTrace:
     def record_at_callee(self, packet: PacketRecord) -> None:
         self.callee_packets.append(packet)
 
-    def all_packets(self) -> Iterator[PacketRecord]:
-        """Both capture points merged, time-ordered."""
-        merged = sorted(
-            self.caller_packets + self.callee_packets, key=lambda p: p.time_ms
-        )
-        return iter(merged)
-
     def duration_ms(self) -> float:
         packets = self.caller_packets + self.callee_packets
         if not packets:
@@ -65,13 +58,3 @@ class SessionTrace:
         """Packets originated by one endpoint (seen at its capture point)."""
         source = self.caller_packets if ip == self.caller else self.callee_packets
         return [p for p in source if p.src_ip == ip]
-
-    def contacted_ips(self, ip: IPv4Address) -> List[IPv4Address]:
-        """Distinct destination IPs this endpoint sent voice/probe data to."""
-        seen = []
-        found = set()
-        for packet in self.packets_sent_by(ip):
-            if packet.dst_ip not in found:
-                found.add(packet.dst_ip)
-                seen.append(packet.dst_ip)
-        return seen

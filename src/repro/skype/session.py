@@ -53,13 +53,6 @@ class SkypeSessionResult:
     forward_probes: List[Tuple[float, IPv4Address]]
     backward_probes: List[Tuple[float, IPv4Address]]
 
-    def forward_major(self) -> Optional[IPv4Address]:
-        """Ground-truth final carrier of the forward direction."""
-        return self.forward_intervals[-1].relay_ip if self.forward_intervals else None
-
-    def backward_major(self) -> Optional[IPv4Address]:
-        return self.backward_intervals[-1].relay_ip if self.backward_intervals else None
-
 
 class _DirectionMachine:
     """Probe/switch state machine for one traffic direction."""

@@ -102,10 +102,6 @@ class SupernodeOverlay:
         weights = np.power(np.maximum(capabilities, 1e-9), config.popularity_bias)
         self._weights = weights / weights.sum()
 
-    @property
-    def supernodes(self) -> List[Host]:
-        return list(self._supernodes)
-
     def __len__(self) -> int:
         return len(self._supernodes)
 

@@ -4,7 +4,7 @@ The paper's workflow is file-driven — collected BGP tables, measured
 RTT datasets, analysis outputs.  This package gives the library the
 same shape: scenarios can export their BGP feed and measured matrices
 to disk and reload them later, and experiment records serialize to
-CSV/JSON for external analysis.
+CSV for external analysis.
 """
 
 from repro.storage.dumps import (
@@ -20,7 +20,6 @@ from repro.storage.artifacts import (
     load_records_csv,
     save_matrices,
     save_records_csv,
-    save_records_json,
 )
 from repro.storage.cache import (
     SCHEMA_VERSION,
@@ -44,7 +43,6 @@ __all__ = [
     "save_matrices",
     "scenario_cache_key",
     "save_records_csv",
-    "save_records_json",
     "write_asgraph_file",
     "write_rib_file",
     "write_update_file",

@@ -3,14 +3,12 @@
 - Delegate matrices round-trip through ``.npz`` (prefixes stored as
   strings, arrays natively) so a measured dataset can be reused across
   runs, like the paper replaying its King measurements.
-- Per-session method records round-trip through CSV (external analysis)
-  and export to JSON (structured archives).
+- Per-session method records round-trip through CSV (external analysis).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import zipfile
 import zlib
 from pathlib import Path
@@ -176,21 +174,3 @@ def load_records_csv(path: PathLike) -> List["MethodRecord"]:
                 )
             )
     return records
-
-
-def save_records_json(path: PathLike, records: Sequence[MethodRecord]) -> int:
-    """Write method records as a JSON array; returns the row count."""
-    payload = [
-        {
-            "method": r.method,
-            "session_id": r.session_id,
-            "quality_paths": r.quality_paths,
-            "best_rtt_ms": r.best_rtt_ms,
-            "highest_mos": r.highest_mos,
-            "messages": r.messages,
-            "one_hop_quality_paths": r.one_hop_quality_paths,
-        }
-        for r in records
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    return len(records)

@@ -37,12 +37,6 @@ class Cluster:
     def member_ips(self) -> List[IPv4Address]:
         return [h.ip for h in self.hosts]
 
-    def most_capable_host(self) -> Host:
-        """Highest capability score — ASAP's surrogate pick."""
-        if not self.hosts:
-            raise TopologyError(f"cluster {self.prefix} is empty")
-        return max(self.hosts, key=lambda h: (h.info.capability(), h.ip))
-
 
 @dataclass
 class ClusterIndex:
@@ -98,9 +92,6 @@ class ClusterIndex:
 
     def delegates(self) -> List[Host]:
         return [c.delegate for c in self.all_clusters() if c.delegate is not None]
-
-    def clusters_in_as(self, asn: int) -> List[Cluster]:
-        return [c for c in self.all_clusters() if c.asn == asn]
 
     def occupancy_distribution(self) -> List[int]:
         """Cluster sizes, descending — §6.3's '90% hold ≤100 hosts' check."""

@@ -70,10 +70,6 @@ class TopologyConfig:
         if self.max_stub_providers < 2:
             raise ConfigurationError("max_stub_providers must be >= 2")
 
-    @property
-    def total_ases(self) -> int:
-        return self.tier1_count + self.tier2_count + self.tier3_count
-
 
 @dataclass
 class Topology:

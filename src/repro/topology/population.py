@@ -36,8 +36,8 @@ class NodalInfo:
         """Scalar surrogate-election score; higher is more capable.
 
         Computed on first use and kept in the instance ``__dict__``,
-        outside the fields: equality and hashing see only the three
-        published numbers."""
+        outside the fields: equality, hashing and pickling see only the
+        three published numbers."""
         score = self.__dict__.get("_capability")
         if score is None:
             score = (
@@ -47,6 +47,11 @@ class NodalInfo:
             )
             object.__setattr__(self, "_capability", score)
         return score
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_capability", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -111,12 +116,6 @@ class PeerPopulation:
 
     def ips(self) -> List[IPv4Address]:
         return [h.ip for h in self.hosts]
-
-    def hosts_in_prefix(self, prefix: IPv4Prefix) -> List[Host]:
-        return [h for h in self.hosts if h.prefix == prefix]
-
-    def hosts_in_as(self, asn: int) -> List[Host]:
-        return [h for h in self.hosts if h.asn == asn]
 
 
 def generate_population(

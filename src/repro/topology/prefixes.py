@@ -31,12 +31,6 @@ class PrefixAllocation:
                 return asn
         return None
 
-    def all_prefixes(self) -> List[IPv4Prefix]:
-        out: List[IPv4Prefix] = []
-        for prefixes in self.prefixes_of.values():
-            out.extend(prefixes)
-        return sorted(out)
-
     def __len__(self) -> int:
         return sum(len(p) for p in self.prefixes_of.values())
 
@@ -60,9 +54,6 @@ class PrefixAllocator:
             raise TopologyError(f"address space of {self._super} exhausted")
         self._cursor = aligned + size
         return IPv4Prefix(aligned, length)
-
-    def remaining_addresses(self) -> int:
-        return self._limit - self._cursor
 
 
 def allocate_prefixes(

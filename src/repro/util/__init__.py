@@ -8,9 +8,8 @@ from repro.util.parallel import (
     resolve_workers,
     shared_ndarray,
 )
-from repro.util.rng import derive_rng, spawn_rngs
+from repro.util.rng import derive_rng
 from repro.util.stats import (
-    ccdf_points,
     cdf_points,
     percentile,
     summarize,
@@ -19,7 +18,6 @@ from repro.util.stats import (
 
 __all__ = [
     "DistributionSummary",
-    "ccdf_points",
     "cdf_points",
     "chunked",
     "derive_rng",
@@ -28,6 +26,5 @@ __all__ = [
     "plan_chunks",
     "resolve_workers",
     "shared_ndarray",
-    "spawn_rngs",
     "summarize",
 ]

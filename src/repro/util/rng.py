@@ -9,7 +9,7 @@ and sub-systems cannot perturb each other's streams.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
@@ -34,13 +34,6 @@ def derive_rng(seed: SeedLike, *labels: str) -> np.random.Generator:
         root = int(seed)
     mixed = np.random.SeedSequence([root] + [_label_to_int(lbl) for lbl in labels])
     return np.random.default_rng(mixed)
-
-
-def spawn_rngs(seed: SeedLike, count: int, *labels: str) -> List[np.random.Generator]:
-    """Derive ``count`` mutually independent generators."""
-    parent = derive_rng(seed, *labels)
-    seeds = parent.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def _label_to_int(label: str) -> int:

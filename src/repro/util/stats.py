@@ -71,19 +71,6 @@ def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
     return [(float(v), (i + 1) / n) for i, v in enumerate(arr)]
 
 
-def ccdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CCDF as (value, P[X > value]) points, sorted by value."""
-    return [(v, 1.0 - p) for v, p in cdf_points(samples)]
-
-
-def fraction_below(samples: Sequence[float], threshold: float) -> float:
-    """P[X < threshold] over the sample; 0.0 for empty input."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.mean(arr < threshold))
-
-
 def fraction_above(samples: Sequence[float], threshold: float) -> float:
     """P[X > threshold] over the sample; 0.0 for empty input."""
     arr = np.asarray(samples, dtype=float)

@@ -18,8 +18,6 @@ from repro.voip.outage import (
 from repro.voip.quality import (
     MOS_THRESHOLD,
     RTT_THRESHOLD_MS,
-    is_quality_mos,
-    is_quality_rtt,
     mos_of_path,
 )
 
@@ -39,7 +37,5 @@ __all__ = [
     "RTT_THRESHOLD_MS",
     "account_outages",
     "merge_windows",
-    "is_quality_mos",
-    "is_quality_rtt",
     "mos_of_path",
 ]

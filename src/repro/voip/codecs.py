@@ -33,9 +33,6 @@ class Codec:
         """Packetization interval (one packet per this many ms of speech)."""
         return self.frame_ms * self.frames_per_packet
 
-    def packets_per_second(self) -> float:
-        return 1000.0 / self.packet_interval_ms()
-
 
 G711 = Codec(
     name="G.711",

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.voip.emodel import EModel
 
 #: RTT threshold for a quality path (= 2 × ITU G.114's 150 ms one-way cap).
@@ -19,16 +17,6 @@ RTT_THRESHOLD_MS = 300.0
 MOS_THRESHOLD = 3.6
 #: The evaluation's fixed average path loss rate (paper §7.2, from [20]).
 DEFAULT_EVAL_LOSS_RATE = 0.005
-
-
-def is_quality_rtt(rtt_ms: Optional[float], threshold_ms: float = RTT_THRESHOLD_MS) -> bool:
-    """True when the RTT meets the quality-path requirement."""
-    return rtt_ms is not None and np.isfinite(rtt_ms) and rtt_ms < threshold_ms
-
-
-def is_quality_mos(mos: float, threshold: float = MOS_THRESHOLD) -> bool:
-    """True when the MOS meets the satisfaction requirement."""
-    return mos > threshold
 
 
 def mos_of_path(

@@ -73,10 +73,6 @@ class WorldArrays:
             raise MeasurementError("routing tree crossed an edge missing from the graph")
         return self.edge_cost[positions]
 
-    def rows_of_as_idx(self, as_idx: int) -> np.ndarray:
-        """Matrix rows of the clusters hosted by universe AS ``as_idx``."""
-        return self.rows_indices[self.rows_indptr[as_idx] : self.rows_indptr[as_idx + 1]]
-
     @classmethod
     def from_clusters(cls, model: LatencyModel, cluster_list: Sequence) -> "WorldArrays":
         """Export from a list of :class:`~repro.topology.clustering.Cluster`."""

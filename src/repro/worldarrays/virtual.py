@@ -164,9 +164,6 @@ class VirtualMatrices:
     def rtt_cell(self, i: int, j: int) -> float:
         return float(self._cell(0, int(i), int(j)))
 
-    def loss_cell(self, i: int, j: int) -> float:
-        return float(self._cell(1, int(i), int(j)))
-
     def _cell(self, which: int, i: int, j: int):
         start = (j // self._chunk) * self._chunk
         return self._chunk_arrays(start)[which][i, j - start]

@@ -20,6 +20,11 @@
   :func:`repro.core.relay_selection.select_close_relay` had before it
   went array-native, which it (and its two steps) must reproduce float
   for float.
+- :func:`valley_free_ball`: the close-set property's reference — the
+  minimum valley-free hop count to every AS within a radius, moved out of
+  ``ASGraph`` because only tests compare against it.
+- :func:`rtt_to`: one close-set member's RTT, read through the set's
+  sorted-id lookup (the scalar selection above reads its legs with it).
 - :func:`assert_arrays_are_the_set`: the invariants of the arrays a
   :class:`CloseClusterSet` stores, and of the views it derives.
 - :func:`dense_k_hops`: ``np.percentile`` over the materialized hop
@@ -32,7 +37,9 @@
   min-plus product over every cell, as ``OPTMethod`` folded it before
   the one-hop bound pruned its rows and columns; ``evaluate_sessions``
   must match ``min(best one-hop, two-hop)`` and the quality counts bit
-  for bit, ``best_two_hop`` the two-hop minimum.
+  for bit, :func:`best_two_hop` the two-hop minimum.  :func:`best_one_hop`
+  / :func:`best_two_hop` / :func:`evaluate_session` are one-session
+  probes into the production kernels, for the tests that pick one pair.
 - :func:`reference_generate_workload`: the session draw loop with a
   cluster lookup per endpoint, verbatim; ``generate_workload`` must
   return the same sessions at the default threshold.
@@ -42,6 +49,9 @@
   :func:`reference_top_degree_clusters` (the DEDI / MIX fleet ranked by
   ``sorted`` with a python key) and :func:`reference_host_table` (one
   ``cluster_of`` + prefix lookup per host, per call).
+- :func:`prefix_contains` / :func:`prefix_contains_prefix`: CIDR
+  containment, which the placement tests check addresses and prefixes
+  against.
 - :func:`reference_media_session`: the per-frame media pipeline
   :func:`repro.media.run_media_session` ran before it became one pass
   over locals — a :class:`FrameSource` of :class:`SentFrame` rows, a
@@ -79,7 +89,7 @@ from repro.core.relay_selection import (
     RelaySelection,
     TwoHopCandidate,
 )
-from repro.errors import TopologyError
+from repro.errors import ProtocolError, TopologyError
 from repro.measurement.latency import LatencyModel
 from repro.measurement.matrix import UNREACHABLE, DelegateMatrices, cluster_headers
 from repro.media.adapt import AdaptationPolicy, CodecSwitch
@@ -88,11 +98,13 @@ from repro.media.jitterbuf import JitterBufferConfig
 from repro.media.plc import PLCConfig, conceal
 from repro.media.score import MeasuredScore, WindowScore
 from repro.media.session import MediaPlaneConfig, PathWindow
+from repro.netaddr import IPv4Address, IPv4Prefix
 from repro.topology.clustering import ClusterIndex
 from repro.util.rng import derive_rng
 from repro.voip.codecs import Codec
 from repro.voip.emodel import EModel, EModelConfig
 from repro.voip.outage import OutageWindow, account_outages
+from repro.voip.quality import RTT_THRESHOLD_MS
 
 
 @dataclass
@@ -462,6 +474,37 @@ def _steps(graph: ASGraph, node: int, phase: int, valley_free: bool):
         yield neighbor, phase
 
 
+def valley_free_ball(graph: ASGraph, start: int, max_hops: int) -> Dict[int, int]:
+    """Minimum valley-free hop count to every AS within ``max_hops``.
+
+    This is the search order of ``construct-close-cluster-set()``:
+    breadth-first from ``start`` under the valley-free constraint.
+    The start AS itself is included with distance 0.
+    """
+    if start not in graph:
+        raise TopologyError(f"unknown AS {start}")
+    if max_hops < 0:
+        raise TopologyError(f"max_hops must be >= 0, got {max_hops}")
+    best: Dict[int, int] = {start: 0}
+    # state: (asn, phase); visited per state to allow a node reached
+    # downhill to later be reached uphill with further expansion rights.
+    visited: Set[Tuple[int, int]] = {(start, _PHASE_UP)}
+    queue = deque([(start, _PHASE_UP, 0)])
+    while queue:
+        node, phase, dist = queue.popleft()
+        if dist == max_hops:
+            continue
+        for nxt, nxt_phase in graph._valley_free_steps(node, phase):
+            state = (nxt, nxt_phase)
+            if state in visited:
+                continue
+            visited.add(state)
+            if nxt not in best or dist + 1 < best[nxt]:
+                best[nxt] = dist + 1
+            queue.append((nxt, nxt_phase, dist + 1))
+    return best
+
+
 def reference_close_set(system, cluster: int, online=None, meta_out=None):
     """Fig. 9 (:func:`construct_close_cluster_set`) over an
     :class:`ASAPSystem`'s world — scalar probes of the same matrix view,
@@ -473,10 +516,11 @@ def reference_close_set(system, cluster: int, online=None, meta_out=None):
         return value if np.isfinite(value) else None
 
     def loss(own: int, other: int) -> Optional[float]:
-        return view.loss_cell(own, other) if lat(own, other) is not None else None
+        return float(view.gather_loss(own, other)) if lat(own, other) is not None else None
 
     def clusters_in_as(asn: int) -> List[int]:
-        return [c for c in system.clusters_in_as(asn) if online is None or online[c]]
+        in_as = np.flatnonzero(view.asn_of == asn).tolist()
+        return [c for c in in_as if online is None or online[c]]
 
     return construct_close_cluster_set(
         cluster,
@@ -512,6 +556,14 @@ def assert_arrays_are_the_set(close_set: CloseClusterSet) -> None:
         entries[-1] = None
 
 
+def rtt_to(close_set: CloseClusterSet, cluster: int) -> float:
+    """RTT of one close-set member; :class:`ProtocolError` when absent."""
+    at, member = close_set._slot(cluster)
+    if not member:
+        raise ProtocolError(f"cluster {cluster} not in close set of {close_set.owner}")
+    return float(close_set.rtt_ms[at])
+
+
 def scalar_select_close_relay(
     s1: CloseClusterSet,
     s2: CloseClusterSet,
@@ -536,7 +588,7 @@ def scalar_select_close_relay(
         size = cluster_size(cluster)
         if size <= 0:
             continue  # churned dark: no hosts left to relay through
-        relay_rtt = s1.rtt_to(cluster) + s2.rtt_to(cluster) + config.relay_delay_rtt_ms
+        relay_rtt = rtt_to(s1, cluster) + rtt_to(s2, cluster) + config.relay_delay_rtt_ms
         if relay_rtt < config.lat_threshold_ms:
             result.one_hop.append(
                 OneHopCandidate(
@@ -563,9 +615,9 @@ def scalar_select_close_relay(
             if r2 not in s2.entries or r2 == r1:
                 continue
             relay_rtt = (
-                s1.rtt_to(r1)
-                + os1.rtt_to(r2)
-                + s2.rtt_to(r2)
+                rtt_to(s1, r1)
+                + rtt_to(os1, r2)
+                + rtt_to(s2, r2)
                 + 2.0 * config.relay_delay_rtt_ms
             )
             if relay_rtt < config.lat_threshold_ms:
@@ -657,12 +709,37 @@ def reference_opt_scores(world, pairs, relay_delay_rtt_ms: float, lat_threshold_
     return quality, np.min(path, axis=1), two_hop
 
 
+def evaluate_session(method, world, a: int, b: int, session_id: int = 0):
+    """One session through a method's batch primitive."""
+    return method.evaluate_sessions(world, [(int(a), int(b))], session_ids=[int(session_id)])[0]
+
+
+def best_one_hop(opt, world, a: int, b: int) -> Tuple[Optional[int], Optional[float]]:
+    """(relay cluster, RTT) of OPT's one-hop optimum for one session; an
+    endpoint's own cluster is the direct path, never a relay."""
+    path, _, _ = opt._score(world, np.array([a]), np.array([b]), two_hop=False)
+    idx = int(np.argmin(path[0]))
+    value = float(path[0, idx])
+    if not np.isfinite(value):
+        return None, None
+    return idx, value
+
+
+def best_two_hop(opt, world, a: int, b: int) -> Optional[float]:
+    """OPT's two-hop optimum for one session, exact whatever the one-hop
+    optimum: the fold's bound is ``inf``.  Both endpoint clusters are
+    masked out of the intermediate hops, as in :func:`best_one_hop`."""
+    _, _, two_hop = opt._score(world, np.array([a]), np.array([b]), two_hop=True, prune=False)
+    best = float(two_hop[0])
+    return best if np.isfinite(best) else None
+
+
 def reference_generate_workload(
     scenario, count: int, seed: int = 0, latent_target: Optional[int] = None
 ):
     """The session draw loop :func:`repro.evaluation.sessions.generate_workload`
     ran before it looked each online host's cluster up once, verbatim
-    (it counts ``latent_target`` at ``Session.is_latent``'s 300 ms)."""
+    (it counts ``latent_target`` at the 300 ms RTT threshold)."""
     from repro.evaluation.sessions import Session, SessionWorkload
 
     rng = derive_rng(seed, "workload")
@@ -697,7 +774,8 @@ def reference_generate_workload(
         )
         workload.sessions.append(session)
         generated += 1
-        if session.is_latent:
+        direct = session.direct_rtt_ms
+        if not (np.isfinite(direct) and direct < RTT_THRESHOLD_MS):
             latent_found += 1
     return workload
 
@@ -1010,3 +1088,18 @@ def reference_media_session(
     playout = ReferenceJitterBuffer(config.jitterbuf).play(trace)
     score = reference_score_trace(trace, playout, config.plc, config.window_ms)
     return ReferenceMedia(trace, playout, score, tuple(switches))
+
+
+# -- CIDR containment -----------------------------------------------------------
+
+
+def prefix_contains(prefix: IPv4Prefix, address: IPv4Address) -> bool:
+    """True if ``address`` falls inside ``prefix``."""
+    return (address.value & prefix.netmask_int()) == prefix.network
+
+
+def prefix_contains_prefix(outer: IPv4Prefix, inner: IPv4Prefix) -> bool:
+    """True if ``inner`` is equal to or more specific than ``outer``."""
+    if inner.length < outer.length:
+        return False
+    return (inner.network & outer.netmask_int()) == outer.network

@@ -25,12 +25,6 @@ class TestPrefixOriginTable:
         assert table.origin_of(IPv4Address.from_string("10.2.2.3")) == 1
         assert table.origin_of(IPv4Address.from_string("11.0.0.1")) is None
 
-    def test_matched_prefix(self):
-        table = PrefixOriginTable()
-        p = IPv4Prefix.from_string("10.1.0.0/16")
-        table.add(p, 2)
-        assert table.matched_prefix(IPv4Address.from_string("10.1.2.3")) == p
-
     def test_rejects_bad_origin(self):
         table = PrefixOriginTable()
         with pytest.raises(BGPParseError):

@@ -129,7 +129,7 @@ class TestRoutingTable:
         table.install(entry(path=(1, 2)))
         table.install(entry(path=(3, 4)))
         assert len(table) == 1
-        assert table.best_route(entry().prefix).as_path == (3, 4)
+        assert [e.as_path for e in table.entries()] == [(3, 4)]
 
     def test_withdraw(self):
         table = RoutingTable.from_entries([entry()])
@@ -143,19 +143,3 @@ class TestRoutingTable:
             [entry(), entry(peer="10.0.0.2"), entry(prefix="198.51.100.0/24")]
         )
         assert len(table.prefixes()) == 2
-
-    def test_best_route_prefers_shortest_path(self):
-        table = RoutingTable.from_entries(
-            [entry(peer="10.0.0.1", path=(1, 2, 3)), entry(peer="10.0.0.2", path=(9, 3))]
-        )
-        assert table.best_route(entry().prefix).as_path == (9, 3)
-
-    def test_best_route_tie_break_deterministic(self):
-        table = RoutingTable.from_entries(
-            [entry(peer="10.0.0.2", path=(1, 3)), entry(peer="10.0.0.1", path=(2, 3))]
-        )
-        best = table.best_route(entry().prefix)
-        assert best.peer == IPv4Address.from_string("10.0.0.1")
-
-    def test_best_route_missing_prefix(self):
-        assert RoutingTable().best_route(entry().prefix) is None

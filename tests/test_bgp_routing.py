@@ -124,26 +124,6 @@ class TestPolicyRoutesOnDiamond:
             (1, 3, 5), (2, 4, 5), (3, 5), (4, 5), (5,)
         ]
 
-    def test_invalidate_clears_cache(self):
-        router = PolicyRouter(diamond())
-        t1 = router.tree(5)
-        router.invalidate()
-        assert router.tree(5) is not t1
-
-    def test_invalidate_drops_the_graph_export(self):
-        # The router reads a CSR snapshot, not the live graph: a new edge
-        # is invisible until ``invalidate()`` and used right after it.
-        g = diamond()
-        router = PolicyRouter(g)
-        assert router.as_path(1, 5) == (1, 3, 5)
-        g.add_provider_customer(1, 5)
-        router.invalidate()
-        assert router.as_path(1, 5) == (1, 5)
-        g.add_provider_customer(6, 5)  # a new AS changes the index space
-        router.invalidate()
-        assert router.as_path(5, 6) == (5, 6)
-        assert_tree_matches_dict(router.tree(6), dict_routing_tree(g, 6))
-
     def test_trees_rejects_unknown_destination_before_building(self):
         router = PolicyRouter(diamond())
         with obs.observe() as run:
@@ -157,7 +137,7 @@ class TestPolicyRoutesOnDiamond:
         g = diamond()
         g.add_as(42)
         tree = PolicyRouter(g).tree(42)
-        assert [a for a in g.ases() if tree.reaches(a)] == [42]
+        assert [a for a in g.ases() if tree.path_from(a) is not None] == [42]
         assert tree.path_from(42) == (42,)
         assert tree.route_from(42).route_class is RouteClass.ORIGIN
         assert tree.route_class[tree.index_of[1]] == UNROUTED
@@ -270,28 +250,6 @@ class TestPolicyRoutesOnGeneratedTopologies:
         for g in (topo.graph, topo.graph.without(topo.transit_ases()[1:2])):
             for tree in PolicyRouter(g).trees(g.ases()):
                 assert_tree_matches_dict(tree, dict_routing_tree(g, tree.destination))
-
-
-class TestReachableFraction:
-    def test_fully_reachable_diamond(self):
-        from repro.bgp.routing import reachable_pairs_fraction
-
-        router = PolicyRouter(diamond())
-        pairs = [(3, 4), (5, 1), (1, 5)]
-        assert reachable_pairs_fraction(router, pairs) == 1.0
-
-    def test_counts_unreachable(self):
-        from repro.bgp.routing import reachable_pairs_fraction
-
-        g = diamond()
-        g.add_as(42)
-        router = PolicyRouter(g)
-        assert reachable_pairs_fraction(router, [(3, 4), (42, 5)]) == 0.5
-
-    def test_empty_sample(self):
-        from repro.bgp.routing import reachable_pairs_fraction
-
-        assert reachable_pairs_fraction(PolicyRouter(diamond()), []) == 1.0
 
 
 # -- array trees ≡ the dict oracle, on random annotated graphs ------------------
@@ -427,7 +385,7 @@ class TestArrayTreesMatchTheDictOracle:
                     assert g.is_valley_free(tree.path_from(asn))
                 else:
                     assert tree.next_hop[i] == -1 and cls[i] == UNROUTED
-                    assert tree.path_from(asn) is None and not tree.reaches(asn)
+                    assert tree.path_from(asn) is None
                 if asn == tree.destination:
                     continue
                 # Best class on offer wins; within it, the shortest path.

@@ -93,4 +93,4 @@ class TestApplyUpdates:
     def test_reannounce_replaces_path(self):
         table = RoutingTable()
         apply_updates(table, [announce(ts=1, path=(1, 2)), announce(ts=2, path=(3, 4))])
-        assert table.best_route(PFX).as_path == (3, 4)
+        assert [e.as_path for e in table.entries()] == [(3, 4)]

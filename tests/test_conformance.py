@@ -13,6 +13,7 @@ from repro.bgp.asgraph import ASGraph
 from repro.core import ASAPConfig, ASAPSystem
 from repro.core.relay_selection import select_close_relay
 from repro.scenario import tiny_scenario
+from tests.oracles import best_one_hop, best_two_hop
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ class TestOptConformance:
             for (a, b), result in zip(pairs, batch):
                 _assert_best(result.best_rtt_ms, reference_opt_one_hop(matrices, a, b))
             for a, b in pairs[:15]:
-                _, fast = opt.best_one_hop(view, a, b)
+                _, fast = best_one_hop(opt, view, a, b)
                 _assert_best(fast, reference_opt_one_hop(matrices, a, b))
 
 
@@ -212,7 +213,7 @@ class TestTwoHopConformance:
                 bests = [r for r in (one, two) if r is not None]
                 _assert_best(result.best_rtt_ms, min(bests) if bests else None)
             for a, b in pairs[:20]:
-                _assert_best(opt.best_two_hop(view, a, b), reference_two_hop(matrices, a, b))
+                _assert_best(best_two_hop(opt, view, a, b), reference_two_hop(matrices, a, b))
 
 
 def reference_valley_free_distance(graph: ASGraph, src: int, dst: int, cap: int = 8):

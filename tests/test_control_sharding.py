@@ -117,7 +117,7 @@ class TestShardedDirectory:
         directory = _directory()
         ip = _ip(1)
         shard = directory.join(ip, 0.0, "host-1:7000")
-        assert shard == directory.owner_of(ip)
+        assert shard == directory._place(ip)[1][0]
         resolved = directory.resolve(ip, 1.0)
         assert resolved == (shard, 1, "host-1:7000")
 
@@ -147,7 +147,7 @@ class TestShardedDirectory:
     def test_down_shard_fails_over_to_ring_successor(self):
         directory = _directory()
         ip = _ip(6)
-        owner = directory.owner_of(ip)
+        owner = directory._place(ip)[1][0]
         directory.set_shard_down(owner, 10.0)
         shard = directory.join(ip, 11.0)
         assert shard is not None and shard != owner
@@ -165,7 +165,7 @@ class TestShardedDirectory:
     def test_recovered_shard_restarts_empty(self):
         directory = _directory()
         ip = _ip(8)
-        owner = directory.owner_of(ip)
+        owner = directory._place(ip)[1][0]
         directory.join(ip, 0.0)
         directory.set_shard_down(owner, 1.0)
         directory.set_shard_up(owner, 2.0)
@@ -194,8 +194,8 @@ class FreshEntryDirectory(ShardedDirectory):
 
     def join(self, ip, at_ms):
         self.joins += 1
-        owner = self.owner_of(ip)
-        for shard in self.preference_of(ip):
+        owner = self._place(ip)[1][0]
+        for shard in self._place(ip)[1]:
             if not self.is_up(shard):
                 continue
             self._shards[shard][str(ip)] = RegistryEntry(

@@ -9,7 +9,7 @@ from repro.bgp import ASGraph
 from repro.core import ASAPConfig
 from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
 from repro.errors import ProtocolError
-from tests.oracles import assert_arrays_are_the_set, construct_close_cluster_set
+from tests.oracles import assert_arrays_are_the_set, construct_close_cluster_set, rtt_to
 
 
 def diamond():
@@ -135,7 +135,7 @@ class TestConstructCloseClusterSet:
     def test_rtt_to_missing_raises(self):
         cs = CloseClusterSet(owner=0)
         with pytest.raises(ProtocolError):
-            cs.rtt_to(3)
+            rtt_to(cs, 3)
 
     def test_clusters_sorted(self):
         lat, loss, cin = make_world(
@@ -174,7 +174,7 @@ class TestRows:
                 c: CloseClusterEntry(c, r, 0.5, 2) for c, r in sorted(model.items())
             }
             assert cs.clusters() == sorted(model) and len(cs) == len(model)
-            assert all(c in cs and cs.rtt_to(c) == model[c] for c in model)
+            assert all(c in cs and rtt_to(cs, c) == model[c] for c in model)
             assert not any(c in cs for c in range(8) if c not in model)
             # Arrays handed out earlier are snapshots: never written into.
             for before, held in zip(*handed_out):

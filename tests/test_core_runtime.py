@@ -220,7 +220,7 @@ class TestBatchedCloseSets:
             system.surrogate(other).serve_close_set()
             assert sweeps == [[other, cluster]]
             assert count("close_set.built") == 1  # computed, not yet reported
-            promoted = system.fail_surrogate(cluster)
+            promoted = system.leave(system.surrogate(cluster).ip)
             served = promoted.serve_close_set()
             assert (sweeps, count("close_set.built")) == ([[other, cluster]], 2)
             assert served == expected

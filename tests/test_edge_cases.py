@@ -11,6 +11,7 @@ from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
 from repro.topology import PopulationConfig, TopologyConfig
 from repro.topology.clustering import ClusterIndex
 from repro.evaluation.sessions import generate_workload
+from tests.oracles import rtt_to
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,7 @@ class TestConfigInteractions:
                     s1 = system.close_set(call.caller_cluster)
                     s2 = system.close_set(call.callee_cluster)
                     assert cand.relay_rtt_ms == pytest.approx(
-                        s1.rtt_to(cand.cluster) + s2.rtt_to(cand.cluster)
+                        rtt_to(s1, cand.cluster) + rtt_to(s2, cand.cluster)
                     )
 
     def test_huge_k_saturates_at_reachability(self, scenario):

@@ -56,11 +56,10 @@ class TestWorkload:
 
     def test_latent_subset(self, scenario):
         workload = generate_workload(scenario, 300, seed=4)
-        for session in workload.latent():
-            assert session.is_latent
-        total = len(workload.latent()) + sum(
-            1 for s in workload.sessions if not s.is_latent
-        )
+        latent = workload.latent()
+        for session in latent:
+            assert not session.direct_rtt_ms < 300.0
+        total = len(latent) + sum(1 for s in workload.sessions if s.direct_rtt_ms < 300.0)
         assert total == len(workload)
 
     def test_latent_target_extends_generation(self, scenario):
@@ -100,13 +99,13 @@ class TestMetrics:
         record = record_from_baseline(3, result)
         assert record.method == "DEDI"
         assert record.session_id == 3
-        assert record.found_quality_path
+        assert record.best_rtt_ms < 300.0
         assert record.highest_mos is not None and record.highest_mos > 3.6
 
     def test_record_no_path(self):
         result = MethodResult("RAND", 0, None, 400, 200)
         record = record_from_baseline(1, result)
-        assert not record.found_quality_path
+        assert record.best_rtt_ms is None
         assert record.highest_mos is None
 
     def test_summary_requires_single_method(self):

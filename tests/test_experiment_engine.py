@@ -62,6 +62,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(chunk_columns=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", -1),
+            ("session_count", float("nan")),
+            ("latent_target", -1),
+            ("chunk_columns", float("nan")),
+        ],
+    )
+    def test_rejects_negative_or_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**{field: value})
+
     def test_substrate_follows_tier(self):
         for scale in SCALES:
             assert ExperimentConfig(scale=scale).streamed == (scale in STREAM_SCALES)
@@ -302,7 +315,7 @@ class TestVirtualReads:
         assert np.array_equal(spilled6.gather_loss(rows, cols), dense.loss[rows, cols])
         for i, j in zip(*(np.ravel(a) for a in np.broadcast_arrays(rows, cols))):
             assert spilled6.rtt_cell(i, j) == dense.rtt_ms[i, j]
-            assert spilled6.loss_cell(i, j) == dense.loss[i, j]
+            assert float(spilled6.gather_loss(i, j)) == dense.loss[i, j]
 
     def test_read_faults_in_exactly_the_chunk_it_touches(self, world6, tmp_path):
         dense = world6[2]
@@ -336,7 +349,7 @@ class TestVirtualReads:
             spilled6.gather_rtt(rows, cols)
             spilled6.gather_loss(rows[:, None], cols[None, :])
             spilled6.rtt_cell(rows[0], cols[0])
-            spilled6.loss_cell(rows[1], cols[1])
+            spilled6.gather_loss(rows[1], cols[1])
         assert polls == []
 
     def test_store_is_required(self, world6):

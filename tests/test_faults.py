@@ -26,7 +26,6 @@ def scenario():
 class TestFaultConfig:
     def test_defaults_are_zero(self):
         assert FaultScheduleConfig().is_zero
-        assert FaultScheduleConfig.zeroed().is_zero
 
     def test_nonzero_detection(self):
         assert not FaultScheduleConfig(host_churn_rate_per_min=1.0).is_zero
@@ -49,6 +48,26 @@ class TestFaultConfig:
         with pytest.raises(ConfigurationError):
             BootstrapOutage(index=-1, start_ms=0.0, duration_ms=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", -1),
+            ("seed", 1.5),
+            ("duration_ms", float("nan")),
+            ("duration_ms", float("inf")),
+            ("surrogate_crash_rate_per_min", float("nan")),
+            ("surrogate_crash_rate_per_min", float("inf")),
+            ("host_churn_rate_per_min", float("nan")),
+            ("host_churn_rate_per_min", float("inf")),
+            ("random_as_outages", 2.5),
+            ("as_outage_duration_ms", float("nan")),
+            ("as_outage_duration_ms", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_or_non_integer(self, field, value):
+        with pytest.raises(ConfigurationError):
+            FaultScheduleConfig(**{field: value})
+
     def test_scaled(self):
         config = FaultScheduleConfig(
             surrogate_crash_rate_per_min=2.0,
@@ -64,7 +83,7 @@ class TestFaultConfig:
 
 class TestCompileSchedule:
     def test_zero_config_compiles_empty(self, scenario):
-        schedule = compile_schedule(FaultScheduleConfig.zeroed(), scenario)
+        schedule = compile_schedule(FaultScheduleConfig(), scenario)
         assert len(schedule) == 0
 
     def test_deterministic(self, scenario):
@@ -248,14 +267,14 @@ class TestInjector:
         injector.install()
         ip = runtime.bootstrap_hosts[0].ip
         runtime.run(until_ms=50.0)
-        assert runtime.network.is_host_down(ip)
+        assert ip in runtime.network._down_hosts
         runtime.run()
-        assert not runtime.network.is_host_down(ip)
+        assert ip not in runtime.network._down_hosts
 
     def test_double_install_rejected(self, scenario):
         runtime = ASAPRuntime(scenario, ASAPConfig())
         injector = FaultInjector(
-            runtime, compile_schedule(FaultScheduleConfig.zeroed(), scenario)
+            runtime, compile_schedule(FaultScheduleConfig(), scenario)
         )
         injector.install()
         with pytest.raises(RuntimeError):
@@ -282,5 +301,5 @@ class TestInjector:
         runtime.run()
         after = runtime.system.surrogate(idx).ip
         assert after != before
-        assert runtime.network.is_host_down(before)
+        assert before in runtime.network._down_hosts
         assert injector.log[0].outcome == "applied"

@@ -71,7 +71,7 @@ class TestRuntimeChurn:
             pytest.skip("no multi-host cluster")
         idx = scenario.matrices.index_of[big.prefix]
         before = runtime.system.surrogate(idx).ip
-        runtime.schedule_surrogate_failure(idx, at_ms=50.0)
+        runtime.sim.schedule_at(50.0, lambda: runtime.fail_host(before))
         runtime.run()
         assert len(runtime.surrogate_failures) == 1
         time_ms, cluster, new_ip = runtime.surrogate_failures[0]
@@ -88,9 +88,11 @@ class TestRuntimeChurn:
         if single is None:
             pytest.skip("no single-host cluster")
         idx = scenario.matrices.index_of[single.prefix]
-        runtime.schedule_surrogate_failure(idx, at_ms=10.0)
+        ip = single.hosts[0].ip
+        runtime.sim.schedule_at(10.0, lambda: runtime.fail_host(ip))
         runtime.run()
         assert runtime.surrogate_failures == []
+        assert runtime.system.online_size(idx) == 0
 
     def test_calls_succeed_after_failover(self, scenario):
         import numpy as np
@@ -107,9 +109,12 @@ class TestRuntimeChurn:
         if pair is None:
             pytest.skip("no latent pair with multi-host caller cluster")
         idx, ca, cb = pair
-        runtime.schedule_surrogate_failure(idx, at_ms=10.0)
-        record = runtime.schedule_call(ca.hosts[0].ip, cb.hosts[0].ip, at_ms=100.0)
+        primary = runtime.system.surrogate(idx).ip
+        runtime.sim.schedule_at(10.0, lambda: runtime.fail_host(primary))
+        caller = next(h.ip for h in ca.hosts if h.ip != primary)
+        record = runtime.schedule_call(caller, cb.hosts[0].ip, at_ms=100.0)
         runtime.run()
+        assert [(t, c) for t, c, _ in runtime.surrogate_failures] == [(10.0, idx)]
         assert record.setup_ms is not None
         assert record.outcome in ("completed", "degraded")
 

@@ -68,7 +68,7 @@ class TestGenerateConditions:
     def test_congested_links_are_transit_transit(self, world):
         topo, _, conditions, _ = world
         transit = set(topo.transit_ases())
-        for a, b in conditions.congested_links():
+        for a, b in sorted(conditions.link_penalty):
             assert a in transit and b in transit
 
     def test_failed_are_transit_not_tier1(self, world):
@@ -83,7 +83,7 @@ class TestGenerateConditions:
 
     def test_loss_raised_near_congestion(self, world):
         topo, _, conditions, _ = world
-        hot = {a for link in conditions.congested_links() for a in link}
+        hot = {a for link in sorted(conditions.link_penalty) for a in link}
         if not hot:
             pytest.skip("no congested links drawn")
         cold = [a for a in topo.graph.ases() if a not in hot]
@@ -96,8 +96,8 @@ class TestGenerateConditions:
         conditions = generate_conditions(
             topo, ConditionsConfig(congested_as_fraction=0.5, congested_link_fraction=0.0, seed=2)
         )
-        assert conditions.congested_ases()
-        for asn in conditions.congested_ases():
+        assert sorted(conditions.congestion_penalty_ms)
+        for asn in sorted(conditions.congestion_penalty_ms):
             assert conditions.penalty_ms(asn) > 0
 
 
@@ -110,7 +110,7 @@ class TestLatencyModel:
 
     def test_link_delay_includes_congestion(self, world):
         topo, _, conditions, model = world
-        links = conditions.congested_links()
+        links = sorted(conditions.link_penalty)
         if not links:
             pytest.skip("no congested links drawn")
         a, b = links[0]
@@ -162,33 +162,8 @@ class TestLatencyModel:
             sum(direct_legs) + RELAY_DELAY_RTT_MS
         )
 
-    def test_two_hop_relay_rtt(self, world):
-        _, population, _, model = world
-        hosts = population.hosts
-        a, r1, r2, b = hosts[0], hosts[3], hosts[6], hosts[9]
-        legs = (
-            model.host_rtt_ms(a, r1),
-            model.host_rtt_ms(r1, r2),
-            model.host_rtt_ms(r2, b),
-        )
-        if any(leg is None for leg in legs):
-            pytest.skip("legs unreachable")
-        assert model.two_hop_relay_rtt_ms(a, r1, r2, b) == pytest.approx(
-            sum(legs) + 2 * RELAY_DELAY_RTT_MS
-        )
-
     def test_relay_delay_constants(self):
         assert RELAY_DELAY_RTT_MS == 2 * RELAY_DELAY_ONE_WAY_MS == 40.0
-
-    def test_loss_accumulates_along_path(self, world):
-        topo, _, conditions, model = world
-        stubs = topo.stub_ases()
-        path = model.as_path(stubs[0], stubs[1])
-        if path is None:
-            pytest.skip("unreachable")
-        loss = model.path_loss_rate(path)
-        assert 0.0 <= loss < 1.0
-        assert loss >= max(conditions.loss_of(asn) for asn in path) - 1e-12
 
     def test_deterministic_across_instances(self, world):
         topo, population, conditions, model = world

@@ -1,4 +1,4 @@
-"""Tests for measurement tools (ping/traceroute/King) and delegate matrices."""
+"""Tests for the King estimator and delegate matrices."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.errors import MeasurementError
 from repro.measurement import (
     KingEstimator,
-    Ping,
-    Traceroute,
     apply_king_noise,
     compute_delegate_matrices,
 )
@@ -22,56 +20,6 @@ def scenario():
 @pytest.fixture(scope="module")
 def matrices(scenario):
     return scenario.matrices
-
-
-class TestPing:
-    def test_noise_is_additive_positive(self, scenario):
-        ping = Ping(scenario.latency, seed=1, noise_ms=2.0)
-        a, b = scenario.population.hosts[0], scenario.population.hosts[1]
-        truth = scenario.latency.host_rtt_ms(a, b)
-        result = ping.measure(a, b)
-        assert result.responded
-        assert result.rtt_ms >= truth
-
-    def test_min_of_probes_tightens(self, scenario):
-        ping = Ping(scenario.latency, seed=1, noise_ms=5.0)
-        a, b = scenario.population.hosts[0], scenario.population.hosts[1]
-        single = ping.measure(a, b).rtt_ms
-        best = ping.measure_min_of(a, b, probes=10).rtt_ms
-        assert best <= single + 5.0  # min over probes can't be much worse
-
-    def test_rejects_bad_params(self, scenario):
-        with pytest.raises(MeasurementError):
-            Ping(scenario.latency, noise_ms=-1.0)
-        ping = Ping(scenario.latency)
-        a, b = scenario.population.hosts[0], scenario.population.hosts[1]
-        with pytest.raises(MeasurementError):
-            ping.measure_min_of(a, b, probes=0)
-
-
-class TestTraceroute:
-    def test_path_endpoints(self, scenario):
-        tr = Traceroute(scenario.latency)
-        a, b = scenario.population.hosts[0], scenario.population.hosts[-1]
-        path = tr.as_path(a, b)
-        if path is None:
-            pytest.skip("unreachable")
-        assert path[0] == a.asn and path[-1] == b.asn
-
-    def test_same_as_single_hop(self, scenario):
-        tr = Traceroute(scenario.latency)
-        hosts = scenario.population.hosts
-        same = None
-        for x in hosts:
-            for y in hosts:
-                if x.ip != y.ip and x.asn == y.asn:
-                    same = (x, y)
-                    break
-            if same:
-                break
-        if same is None:
-            pytest.skip("no same-AS host pair")
-        assert tr.as_path(*same) == (same[0].asn,)
 
 
 class TestKing:
@@ -103,12 +51,6 @@ class TestKing:
             KingEstimator(scenario.latency, non_response_rate=1.0)
         with pytest.raises(MeasurementError):
             KingEstimator(scenario.latency, error_sigma=-0.1)
-
-    def test_estimate_many(self, scenario):
-        king = KingEstimator(scenario.latency, seed=2)
-        hosts = scenario.population.hosts
-        pairs = [(hosts[0], hosts[1]), (hosts[2], hosts[3])]
-        assert len(king.estimate_many(pairs)) == 2
 
 
 class TestDelegateMatrices:
@@ -168,29 +110,11 @@ class TestDelegateMatrices:
         expected = matrices.rtt_ms[a, r] + matrices.rtt_ms[r, b] + 40.0
         assert matrices.one_hop_rtt(a, r, b) == pytest.approx(expected)
 
-    def test_two_hop_rtt_helper(self, matrices):
-        a, r1, r2, b = 0, 1, 2, 3
-        expected = (
-            matrices.rtt_ms[a, r1]
-            + matrices.rtt_ms[r1, r2]
-            + matrices.rtt_ms[r2, b]
-            + 80.0
-        )
-        assert matrices.two_hop_rtt(a, r1, r2, b) == pytest.approx(expected)
-
     def test_one_hop_path_loss(self, matrices):
         a, r, b = 0, 1, 2
         loss = matrices.one_hop_path_loss(a, r, b)
         assert 0.0 <= loss <= 1.0
         assert loss >= max(matrices.loss[a, r], matrices.loss[r, b]) - 1e-12
-
-    def test_estimate_host_rtt(self, scenario, matrices):
-        hosts = scenario.population.hosts
-        a, b = hosts[0], hosts[-1]
-        est = matrices.estimate_host_rtt(scenario.clusters, a, b)
-        ia = matrices.index_of_host(scenario.clusters, a)
-        ib = matrices.index_of_host(scenario.clusters, b)
-        assert est == matrices.rtt_ms[ia, ib]
 
 
 class TestKingNoiseMatrix:

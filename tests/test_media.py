@@ -190,7 +190,7 @@ class TestJitterBuffer:
         trace = _trace([i * 20.0 + 60.0 for i in range(50)])
         result = AdaptiveJitterBuffer().play(trace)
         assert result.played == 50 and result.late == 0 and result.lost == 0
-        assert result.mean_depth_ms == pytest.approx(20.0)
+        assert all(f.depth_ms == pytest.approx(20.0) for f in result.frames)
         # Playout = sent + delay + depth on a jitter-free path.
         assert result.frames[10].playout_ms == pytest.approx(10 * 20.0 + 60.0 + 20.0)
 

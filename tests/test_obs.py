@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.baselines import OPTMethod, RANDMethod, RelayPolicy
+from repro.baselines import OPTMethod, RelayPolicy
 from repro.evaluation.policies import ASAPPolicy, default_policies
 from repro.evaluation.section7 import run_section7
 from repro.measurement.matrix import compute_delegate_matrices
@@ -345,15 +345,8 @@ class TestRelayPolicyProtocol:
             assert isinstance(policy, RelayPolicy)
         assert isinstance(policies[1], ASAPPolicy)
 
-    def test_evaluate_session_delegates_to_batch(self, scenario):
-        engine = RANDMethod()
-        matrices = scenario.matrices
-        single = engine.evaluate_session(matrices, 0, 1, session_id=5)
-        batch = engine.evaluate_sessions(matrices, [(0, 1)], session_ids=[5])[0]
-        assert single == batch
-
     def test_opt_reports_no_one_hop_split(self, scenario):
-        result = OPTMethod().evaluate_session(scenario.matrices, 0, 1)
+        result = OPTMethod().evaluate_sessions(scenario.matrices, [(0, 1)])[0]
         assert result.one_hop_quality_paths is None
 
 

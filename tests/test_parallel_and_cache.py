@@ -37,7 +37,7 @@ from repro.storage import SCHEMA_VERSION, ScenarioCache, scenario_cache_key
 from repro.storage.cache import CACHE_DIR_ENV, resolve_cache_dir
 from repro.util import chunked, plan_chunks, resolve_workers, shared_ndarray
 from repro.util.parallel import WORKERS_ENV, run_forked
-from tests.oracles import scalar_delegate_matrices
+from tests.oracles import evaluate_session, scalar_delegate_matrices
 
 
 @pytest.fixture(scope="module")
@@ -195,10 +195,9 @@ class TestMatrixParallelParity:
         assert np.array_equal(flat.loss, obj.loss)
 
     def test_parallel_run_records_chunk_stats(self, scenario):
-        from repro.measurement import matrix as matrix_module
-
-        compute_delegate_matrices(scenario.latency, scenario.clusters, workers=2)
-        stats = matrix_module.last_parallel_stats()
+        with obs.observe() as run:
+            compute_delegate_matrices(scenario.latency, scenario.clusters, workers=2)
+            stats = run.annotations.get("parallel")
         assert stats is not None
         assert stats["workers"] == 2
         assert sum(stats["chunk_sizes"]) == scenario.matrices.count
@@ -370,7 +369,7 @@ class TestBatchEvaluationParity:
         session_ids = [100 + k for k in range(len(pairs))]
         batch = engine.evaluate_sessions(matrices, pairs, session_ids=session_ids)
         loop = [
-            engine.evaluate_session(matrices, a, b, sid)
+            evaluate_session(engine, matrices, a, b, sid)
             for (a, b), sid in zip(pairs, session_ids)
         ]
         _assert_results_equal(batch, loop)
@@ -397,7 +396,7 @@ class TestBatchEvaluationParity:
         pairs = _some_pairs(matrices, count=4)
         batch = engine.evaluate_sessions(matrices, pairs)
         loop = [
-            engine.evaluate_session(matrices, a, b, k)
+            evaluate_session(engine, matrices, a, b, k)
             for k, (a, b) in enumerate(pairs)
         ]
         _assert_results_equal(batch, loop)

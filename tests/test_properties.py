@@ -23,9 +23,13 @@ from repro.topology import TopologyConfig, generate_topology
 from repro.util.rng import derive_rng
 from repro.worldarrays.virtual import VirtualMatrices
 from tests.oracles import (
+    best_one_hop,
+    best_two_hop,
     construct_close_cluster_set,
     reference_generate_workload,
     reference_opt_scores,
+    rtt_to,
+    valley_free_ball,
 )
 
 
@@ -57,7 +61,7 @@ class TestGraphProperties:
         start = 3
         previous = set()
         for k in range(0, 5):
-            ball = set(g.valley_free_ball(start, k))
+            ball = set(valley_free_ball(g, start, k))
             assert previous <= ball, "ball must grow monotonically with k"
             previous = ball
 
@@ -65,7 +69,7 @@ class TestGraphProperties:
     @settings(max_examples=25, deadline=None)
     def test_ball_distances_match_pairwise_distance(self, seed):
         g = random_annotated_graph(seed)
-        ball = g.valley_free_ball(3, 4)
+        ball = valley_free_ball(g, 3, 4)
         for node, dist in ball.items():
             direct = g.valley_free_distance(3, node)
             assert direct is not None
@@ -155,7 +159,7 @@ class TestCloseSetProperties:
         result = construct_close_cluster_set(
             own, own, graph, cin, lat, loss, ASAPConfig(k_hops=k)
         )
-        ball = graph.valley_free_ball(own, k)
+        ball = valley_free_ball(graph, own, k)
         for cluster in result.entries:
             assert cluster in ball
 
@@ -213,8 +217,8 @@ class TestRelaySelectionProperties:
             assert candidate.cluster in common
             assert candidate.relay_rtt_ms < config.lat_threshold_ms
             assert candidate.relay_rtt_ms == pytest.approx(
-                s1.rtt_to(candidate.cluster)
-                + s2.rtt_to(candidate.cluster)
+                rtt_to(s1, candidate.cluster)
+                + rtt_to(s2, candidate.cluster)
                 + config.relay_delay_rtt_ms
             )
 
@@ -266,7 +270,7 @@ class TestOptLowerBoundsAsap:
             ]
             if not realized:
                 continue
-            bounds = (opt.best_one_hop(matrices, a, b)[1], opt.best_two_hop(matrices, a, b))
+            bounds = (best_one_hop(opt, matrices, a, b)[1], best_two_hop(opt, matrices, a, b))
             best = min(bound for bound in bounds if bound is not None)
             assert best <= min(realized) + 1e-9
 
@@ -343,7 +347,7 @@ class TestOptPrunedFoldIsExact:
         ]
         for k, (a, b) in enumerate(pairs[:3]):
             exact = float(two[k]) if np.isfinite(two[k]) else None
-            assert opt.best_two_hop(view, a, b) == exact
+            assert best_two_hop(opt, view, a, b) == exact
 
 
 class TestWorkloadMatchesOracle:

@@ -6,7 +6,7 @@ import pytest
 from repro.core import ASAPConfig
 from repro.core.config import derive_k_hops
 from repro.core.runtime import ASAPRuntime, RuntimePolicy
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.evaluation.chaos import run_chaos, sweep_chaos
 from repro.faults import FaultScheduleConfig
 from repro.scenario import tiny_scenario
@@ -280,36 +280,24 @@ class TestRepeatedChurn:
         idx = scenario.matrices.index_of[big.prefix]
         seen = [runtime.system.surrogate(idx).ip]
         for round_no in range(2):
-            fresh = runtime.system.fail_surrogate(idx)
+            fresh = runtime.system.leave(runtime.system.surrogate(idx).ip)
             assert fresh.ip not in seen, "re-election must not resurrect the dead"
             seen.append(fresh.ip)
             assert runtime.system.surrogate(idx).ip == fresh.ip
+            online = {h.ip for h in runtime.system.online_hosts_in_cluster(idx)}
+            assert fresh.ip in online and not online & set(seen[:-1])
 
-    def test_exhausting_cluster_raises(self, scenario):
+    def test_exhausting_cluster_goes_dark(self, scenario):
         runtime = ASAPRuntime(scenario, ASAPConfig())
         sized = sorted(scenario.clusters.all_clusters(), key=len)
         cluster = next((c for c in sized if len(c) == 2), None)
         if cluster is None:
             pytest.skip("no 2-host cluster")
         idx = scenario.matrices.index_of[cluster.prefix]
-        runtime.system.fail_surrogate(idx)
-        with pytest.raises(ProtocolError):
-            runtime.system.fail_surrogate(idx)
-
-    def test_leave_then_fail_surrogate_consistent(self, scenario):
-        runtime = ASAPRuntime(scenario, ASAPConfig())
-        big = max(scenario.clusters.all_clusters(), key=len)
-        if len(big) < 3:
-            pytest.skip("need a cluster with >= 3 hosts")
-        idx = scenario.matrices.index_of[big.prefix]
-        runtime.schedule_leave(runtime.system.surrogate(idx).ip, at_ms=10.0)
-        runtime.run()
-        second = runtime.system.surrogate(idx).ip
-        fresh = runtime.system.fail_surrogate(idx)
-        assert fresh.ip != second
-        online = {h.ip for h in runtime.system.online_hosts_in_cluster(idx)}
-        assert fresh.ip in online
-        assert second not in online
+        last = runtime.system.leave(runtime.system.surrogate(idx).ip)
+        assert last is not None
+        assert runtime.system.leave(last.ip) is None
+        assert runtime.system.online_size(idx) == 0
 
 
 class TestChaosRuns:
@@ -345,7 +333,7 @@ class TestChaosRuns:
     def test_zero_fault_chaos_all_clean(self, scenario):
         result = run_chaos(
             scenario,
-            FaultScheduleConfig.zeroed(duration_ms=20_000),
+            FaultScheduleConfig(duration_ms=20_000),
             sessions=15,
             joins=15,
             seed=2,

@@ -1,5 +1,7 @@
 """Tests for end-to-end scenario assembly and subsampling."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,26 @@ class TestSubsample:
         a = subsample_scenario(scenario, 0.3, seed=2)
         b = subsample_scenario(scenario, 0.3, seed=2)
         assert a.population.ips() == b.population.ips()
+
+
+class TestPickleIsHistoryFree:
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    def test_section7_run_leaves_the_pickle_unchanged(self, scale):
+        # The state ScenarioCache.save pickles: matrices materialized.
+        # Electing surrogates memoizes capability scores, which must not
+        # travel with the world.
+        from repro.evaluation.section7 import run_section7
+
+        world = build_scenario(ScenarioConfig.preset(scale, 0))
+        world.matrices
+        before = pickle.dumps(world)
+        run_section7(world)
+        assert pickle.dumps(world) == before
+
+    def test_capability_memo_keeps_equality_and_hash(self, scenario):
+        info = scenario.population.hosts[0].info
+        fresh = pickle.loads(pickle.dumps(info))
+        score = info.capability()
+        assert "_capability" not in vars(pickle.loads(pickle.dumps(info)))
+        assert fresh == info and hash(fresh) == hash(info)
+        assert fresh.capability() == score

@@ -53,11 +53,10 @@ def _apply(system, op):
     try:
         if kind == "join":
             return system.join(hosts[args % len(hosts)].ip).ip
-        if kind == "leave":
-            left = system.leave(hosts[args % len(hosts)].ip)
+        if kind in ("leave", "fail"):
+            ip = hosts[args % len(hosts)].ip if kind == "leave" else system.surrogate(args).ip
+            left = system.leave(ip)
             return None if left is None else left.ip
-        if kind == "fail":
-            return system.fail_surrogate(args).ip
         pairs = [(hosts[a % len(hosts)].ip, hosts[b % len(hosts)].ip) for a, b in args]
         return [
             (
@@ -89,7 +88,8 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("join"), st.integers(0, 10**6)),
         st.tuples(st.just("leave"), st.integers(0, 10**6)),
-        # One past each end of the index range: both must raise alike.
+        # A primary leaves; one past each end of the index range: both
+        # must raise alike.
         st.tuples(st.just("fail"), st.integers(-1, _TINY_CLUSTERS)),
         st.tuples(
             st.just("call"),

@@ -71,7 +71,7 @@ class TestLoopbackDemo:
         result = run_demo(world=world, calls=1, media_ms=2_000.0)
         assert result.completed == 1
         assert result.relayed == 1
-        assert result.best_mos() > 3.5
+        assert result.calls[0].mos > 3.5
         assert result.media_delivered[0] > 0
         assert result.wire_drops == 0
         call = result.calls[0]
@@ -426,7 +426,7 @@ class TestTcpDemo:
         tcp = run_demo(world=world, calls=1, media_ms=1_000.0, transport="tcp")
         assert tcp.completed == 1
         assert tcp.relayed == 1
-        assert tcp.best_mos() > 3.5
+        assert tcp.calls[0].mos > 3.5
         # the relay decision agrees with a loopback run of the same world
         loop = run_demo(
             world=ServiceWorld.from_scale(SCALE, SEED, cache_dir=cache_dir),

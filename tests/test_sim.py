@@ -63,7 +63,7 @@ class TestSimulator:
             sim.schedule(1.0, lambda: None)
         executed = sim.run(max_events=3)
         assert executed == 3
-        assert sim.pending_events == 2
+        assert len(sim._queue) == 2
 
     def test_cannot_schedule_into_past(self):
         sim = Simulator()
@@ -83,7 +83,7 @@ class TestSimulator:
         for sleep in (sim.sleep, sim.sleep_until):
             with pytest.raises(SimulationError):
                 sleep(time_ms)
-        assert sim.pending_events == 0 and sim.now_ms == 0.0
+        assert not sim._queue and sim.now_ms == 0.0
 
     def test_step_returns_false_on_empty(self):
         assert not Simulator().step()
@@ -92,8 +92,8 @@ class TestSimulator:
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert sim.processed_events == 2
+        assert sim.run() == 2
+        assert sim.run() == 0
 
 
 class TestCoroutines:
@@ -275,7 +275,7 @@ class TestCoroutines:
         assert [e.seq for e in events] == list(range(6))
         assert sim.run() == 6
         assert fired == [(0.0, 3), (1.0, 1), (1.0, 4), (4.0, 0), (4.0, 2), (4.0, 5)]
-        assert sim.processed_events == 6 and sim.pending_events == 0
+        assert not sim._queue
 
 
 class TestSimNetwork:
@@ -344,8 +344,6 @@ class TestSessionTrace:
         trace.record_at_callee(_packet(50.0, "10.0.0.2", "10.0.0.1", 160))
         trace.record_at_caller(_packet(100.0, "10.0.0.1", "10.0.0.9", 48))
         assert trace.duration_ms() == 100.0
-        merged = list(trace.all_packets())
-        assert [p.time_ms for p in merged] == [0.0, 50.0, 100.0]
 
     def test_packets_sent_by(self):
         trace = SessionTrace(
@@ -358,14 +356,3 @@ class TestSessionTrace:
         sent = trace.packets_sent_by(IPv4Address.from_string("10.0.0.1"))
         assert len(sent) == 1
         assert str(sent[0].dst_ip) == "10.0.0.9"
-
-    def test_contacted_ips_ordered_distinct(self):
-        trace = SessionTrace(
-            session_id=1,
-            caller=IPv4Address.from_string("10.0.0.1"),
-            callee=IPv4Address.from_string("10.0.0.2"),
-        )
-        for dst in ("10.0.0.5", "10.0.0.6", "10.0.0.5"):
-            trace.record_at_caller(_packet(0.0, "10.0.0.1", dst, 48))
-        contacted = trace.contacted_ips(IPv4Address.from_string("10.0.0.1"))
-        assert [str(ip) for ip in contacted] == ["10.0.0.5", "10.0.0.6"]

@@ -58,11 +58,11 @@ class TestSupernodeOverlay:
             key=lambda h: (-h.info.capability(), h.ip),
         )
         expected = {h.ip for h in ranked[: len(overlay)]}
-        assert {h.ip for h in overlay.supernodes} == expected
+        assert {h.ip for h in overlay._supernodes} == expected
 
     def test_discover_respects_exclusions(self, scenario, overlay):
         rng = derive_rng(0, "t")
-        exclude = {h.ip for h in overlay.supernodes[:5]}
+        exclude = {h.ip for h in overlay._supernodes[:5]}
         found = overlay.discover(rng, 10, exclude)
         assert all(h.ip not in exclude for h in found)
 

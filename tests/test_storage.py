@@ -1,6 +1,4 @@
-"""Tests for BGP dump files, matrix archives, and record CSV/JSON."""
-
-import json
+"""Tests for BGP dump files, matrix archives, and record CSV."""
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from repro.storage import (
     read_update_file,
     save_matrices,
     save_records_csv,
-    save_records_json,
     write_rib_file,
     write_update_file,
 )
@@ -209,14 +206,6 @@ class TestRecordFiles:
         with pytest.raises(ReproError):
             load_records_csv(path)
 
-    def test_json_export(self, tmp_path):
-        path = tmp_path / "records.json"
-        assert save_records_json(path, sample_records()) == 3
-        payload = json.loads(path.read_text())
-        assert len(payload) == 3
-        assert payload[0]["method"] == "ASAP"
-        assert payload[2]["best_rtt_ms"] is None
-
 
 class TestASGraphFile:
     def _graph(self):
@@ -266,32 +255,3 @@ class TestASGraphFile:
         path.write_text("P2C|one|two\n")
         with pytest.raises(BGPParseError):
             read_asgraph_file(path)
-
-
-class TestKingCampaign:
-    def test_campaign_response_rate(self):
-        from repro.measurement.tools import KingEstimator, run_king_campaign
-
-        scenario = tiny_scenario(seed=2)
-        king = KingEstimator(scenario.latency, seed=1, non_response_rate=0.3)
-        estimates, responded, attempted = run_king_campaign(
-            king, scenario.clusters, max_pairs=500
-        )
-        assert attempted == 500
-        assert responded == len(estimates)
-        # ~70% answer rate, like the paper's campaign.
-        assert 0.55 < responded / attempted < 0.85
-
-    def test_estimates_are_near_truth(self):
-        from repro.measurement.tools import KingEstimator, run_king_campaign
-
-        scenario = tiny_scenario(seed=2)
-        king = KingEstimator(scenario.latency, seed=1, non_response_rate=0.0)
-        estimates, _, _ = run_king_campaign(king, scenario.clusters, max_pairs=200)
-        matrices = scenario.matrices
-        errors = []
-        for (i, j), est in estimates.items():
-            truth = matrices.rtt_ms[i, j]
-            if np.isfinite(truth):
-                errors.append(abs(est - truth) / truth)
-        assert errors and np.median(errors) < 0.15

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util import (
-    ccdf_points,
     cdf_points,
     derive_rng,
     percentile,
-    spawn_rngs,
     summarize,
 )
-from repro.util.stats import fraction_above, fraction_below
+from repro.util.stats import fraction_above
 
 
 class TestDeriveRng:
@@ -39,17 +37,6 @@ class TestDeriveRng:
 
     def test_none_seed_nondeterministic_type(self):
         assert isinstance(derive_rng(None), np.random.Generator)
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(5, 3, "pool")
-        assert len(rngs) == 3
-        draws = [r.integers(0, 10**9, 4) for r in rngs]
-        assert not np.array_equal(draws[0], draws[1])
-
-    def test_spawn_rngs_deterministic(self):
-        a = [r.integers(0, 100, 3).tolist() for r in spawn_rngs(5, 2, "pool")]
-        b = [r.integers(0, 100, 3).tolist() for r in spawn_rngs(5, 2, "pool")]
-        assert a == b
 
 
 class TestStats:
@@ -78,17 +65,9 @@ class TestStats:
     def test_cdf_points_empty(self):
         assert cdf_points([]) == []
 
-    def test_ccdf_complements_cdf(self):
-        samples = [1.0, 5.0, 9.0, 9.0]
-        for (v1, p), (v2, q) in zip(cdf_points(samples), ccdf_points(samples)):
-            assert v1 == v2
-            assert p + q == pytest.approx(1.0)
-
     def test_fractions(self):
         samples = [1.0, 2.0, 3.0, 4.0]
-        assert fraction_below(samples, 2.5) == 0.5
         assert fraction_above(samples, 2.5) == 0.5
-        assert fraction_below([], 1.0) == 0.0
         assert fraction_above([], 1.0) == 0.0
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))

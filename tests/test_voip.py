@@ -15,8 +15,6 @@ from repro.voip import (
     G729A_VAD,
     MOS_THRESHOLD,
     RTT_THRESHOLD_MS,
-    is_quality_mos,
-    is_quality_rtt,
     mos_of_path,
 )
 from repro.voip.codecs import ALL_CODECS
@@ -33,7 +31,6 @@ class TestCodecs:
         for codec in ALL_CODECS:
             assert codec.codec_delay_ms() > 0
             assert codec.packet_interval_ms() > 0
-            assert codec.packets_per_second() > 0
 
     def test_g711_higher_quality_floor_than_g723(self):
         e711 = EModel(EModelConfig(codec=G711))
@@ -150,15 +147,6 @@ class TestEModel:
 
 
 class TestQualityPredicates:
-    def test_rtt_threshold(self):
-        assert is_quality_rtt(299.9)
-        assert not is_quality_rtt(300.0)
-        assert not is_quality_rtt(None)
-        assert not is_quality_rtt(float("inf"))
-
-    def test_mos_threshold(self):
-        assert is_quality_mos(3.61)
-        assert not is_quality_mos(3.6)
 
     def test_constants(self):
         assert RTT_THRESHOLD_MS == 300.0

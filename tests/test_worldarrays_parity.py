@@ -268,7 +268,7 @@ def _counting_builder(scenario):
     builder = FlatCloseSetBuilder(
         scenario.protocol_graph,
         counting,
-        {asn: system.clusters_in_as(asn) for asn in set(view.asn_of.tolist())},
+        {asn: np.flatnonzero(view.asn_of == asn).tolist() for asn in set(view.asn_of.tolist())},
         system.config,
     )
     return system, counting, builder
