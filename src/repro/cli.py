@@ -11,8 +11,8 @@ overlay (``serve``, ``dial``, ``demo``, all assembled by
 holds only argument handling and printing.
 
 Every subcommand is registered through :func:`_subcommand`, the single
-place the uniform flags (``--scale``/``--seed``/``--workers``/
-``--cache-dir``/``--obs-dir``/``--log-level``/``--trace``) are wired —
+place the uniform flags (``--scale``/``--seed``/``--cache-dir``/
+``--obs-dir``/``--log-level``/``--trace``) are wired —
 a new subcommand cannot drift from the shared interface, and the CLI
 tests enumerate the registered parsers to enforce it.
 """
@@ -28,6 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import __version__, obs
+from repro.errors import ConfigurationError
 from repro.scenario import SCALES, Scenario, ScenarioConfig, build_scenario
 
 
@@ -50,9 +51,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=SCALES, default="small",
                         help="scenario size (default: small)")
     parser.add_argument("--seed", type=int, default=0, help="scenario seed")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for the matrix fill "
-                             "(0 = all CPUs; default: $REPRO_WORKERS or serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="cache built worlds + matrices here; a cold run costs ~2x a plain "
                              "build, so it pays from the second (default: $REPRO_CACHE_DIR or none)")
@@ -72,8 +70,8 @@ def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser
 
     The only sanctioned way to add a subparser: common flags are wired
     here and nowhere else, so every present and future subcommand
-    accepts the same ``--scale``/``--seed``/``--workers``/``--cache-dir``/
-    ``--obs-dir``/``--log-level``/``--trace`` interface.
+    accepts the same ``--scale``/``--seed``/``--cache-dir``/``--obs-dir``/
+    ``--log-level``/``--trace`` interface.
     """
     parser = sub.add_parser(name, help=help_text)
     _add_common(parser)
@@ -94,7 +92,9 @@ def _add_fault_flags(p: argparse.ArgumentParser, crash_rate: float, churn_rate: 
 
 
 class _UsageError(Exception):
-    """Flags that cannot run together: ``main`` prints it and returns 2."""
+    """Flags that cannot run together: ``_run`` prints it and returns 2,
+    as it does a :class:`~repro.errors.ConfigurationError` (a flag value
+    the config rejects)."""
 
 
 def _host_pair(args: argparse.Namespace, hosts) -> Optional[tuple]:
@@ -363,7 +363,6 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     base = ScenarioConfig(
         topology=TopologyConfig(tier1_count=5, tier2_count=40, tier3_count=250),
         population=PopulationConfig(host_count=2000),
-        workers=args.workers,
         cache_dir=args.cache_dir,
     )
     seeds = tuple(range(args.seed, args.seed + args.worlds))
@@ -600,8 +599,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def _service_world(args: argparse.Namespace):
     from repro.service.world import ServiceWorld
 
-    return ServiceWorld.from_scale(args.scale, args.seed, workers=args.workers,
-                                  cache_dir=args.cache_dir)
+    return ServiceWorld.from_scale(args.scale, args.seed, cache_dir=args.cache_dir)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -723,7 +721,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         calls=args.calls,
         media_ms=args.media_ms,
         transport=args.transport,
-        workers=args.workers,
         cache_dir=args.cache_dir,
     )
     print(
@@ -1009,7 +1006,7 @@ def make_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,21 +14,12 @@ Assembly exports the world once into contiguous arrays
 (:mod:`repro.worldarrays`) and fills it with vectorized
 per-destination-AS broadcasts; ``tests/oracles.py`` keeps the scalar
 walk as the executable specification the parity tests compare against.
-
-Destination columns are mutually independent, so assembly optionally
-fans out over a fork-start process pool (``workers > 1``): columns are
-grouped by destination AS (one tree resolution per AS total), chunks
-are cost-balanced via :func:`repro.util.parallel.plan_chunks`, and
-workers write their columns straight into fork-inherited shared-memory
-arrays — no result pickling.  Output is bit-for-bit identical to the
-serial path.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -36,22 +27,9 @@ from repro.errors import MeasurementError
 from repro.netaddr import IPv4Address, IPv4Prefix
 from repro.measurement.latency import LatencyModel
 from repro.topology.clustering import Cluster, ClusterIndex
-from repro.util.parallel import (
-    fork_available,
-    plan_chunks,
-    resolve_workers,
-    run_forked,
-    shared_ndarray,
-)
 from repro.util.rng import derive_rng
 
 UNREACHABLE = np.inf
-
-#: Assembly statistics (chunk plan and per-chunk wall times) of every
-#: parallel assembly this process ran, in order; each dict carries its
-#: ``assembly`` index.  Private: read it through the obs registry
-#: (``obs.annotations["parallel"]`` / the manifest ``parallel`` block).
-_PARALLEL_STATS_HISTORY: List[Dict] = []
 
 
 @dataclass
@@ -119,11 +97,6 @@ class DelegateMatrices:
         return np.mean(np.isfinite(self.rtt_ms), axis=1)
 
 
-#: Shared read-only state published for fork-start workers (see
-#: :mod:`repro.util.parallel`); ``None`` outside a parallel assembly.
-_ASSEMBLY_STATE: Optional[tuple] = None
-
-
 def cluster_headers(cluster_list: Sequence[Cluster]):
     """Per-cluster header arrays shared by every matrix representation.
 
@@ -145,16 +118,8 @@ def cluster_headers(cluster_list: Sequence[Cluster]):
 def compute_delegate_matrices(
     model: LatencyModel,
     clusters: ClusterIndex,
-    workers: Optional[int] = None,
 ) -> DelegateMatrices:
-    """Compute RTT / loss / hop matrices between all cluster delegates.
-
-    ``workers`` controls the fan-out over destination clusters: ``1``
-    (or ``None`` without ``$REPRO_WORKERS``) runs serially, ``<= 0``
-    uses all CPUs, and any higher count chunks the destination columns
-    across a fork-start process pool writing into shared memory.
-    Output is identical bit-for-bit regardless of worker count.
-    """
+    """Compute RTT / loss / hop matrices between all cluster delegates."""
     from repro import obs
     from repro.worldarrays import FlatMatrixAssembler, WorldArrays
 
@@ -165,68 +130,17 @@ def compute_delegate_matrices(
     obs.gauge("matrix.clusters").set(n)
     prefixes, index_of, asn_of, sizes, access = cluster_headers(cluster_list)
 
-    worker_count = resolve_workers(workers)
-    parallel = worker_count > 1 and n > 1 and fork_available()
+    rtt = np.full((n, n), UNREACHABLE, dtype=float)
+    loss = np.full((n, n), 1.0, dtype=float)
+    hops = np.full((n, n), -1, dtype=np.int64)
 
-    if parallel:
-        # Workers write their columns into these in place (fork children
-        # inherit the mapping) — results never cross a pickle boundary.
-        rtt = shared_ndarray((n, n), float, fill=UNREACHABLE)
-        loss = shared_ndarray((n, n), float, fill=1.0)
-        hops = shared_ndarray((n, n), np.int64, fill=-1)
-    else:
-        rtt = np.full((n, n), UNREACHABLE, dtype=float)
-        loss = np.full((n, n), 1.0, dtype=float)
-        hops = np.full((n, n), -1, dtype=np.int64)
-
-    with obs.span("matrix.assemble", clusters=n, workers=worker_count):
+    with obs.span("matrix.assemble", clusters=n):
         assembler = FlatMatrixAssembler(
             model, WorldArrays.from_clusters(model, cluster_list)
         )
-        if parallel:
-            chunks = _grouped_column_chunks(
-                asn_of, worker_count * 4, tree_cost=float(len(model.router.graph))
-            )
-            global _ASSEMBLY_STATE
-            _ASSEMBLY_STATE = (assembler, rtt, loss, hops)
-            try:
-                timings = run_forked(
-                    _fill_shared_chunk, chunks, processes=worker_count
-                )
-            finally:
-                _ASSEMBLY_STATE = None
-            stats = {
-                "assembly": len(_PARALLEL_STATS_HISTORY),
-                "chunk_sizes": [len(c) for c in chunks],
-                "chunk_seconds": [seconds for _, seconds in timings],
-                "workers": worker_count,
-            }
-            _PARALLEL_STATS_HISTORY.append(stats)
-            # The durable record: the obs registry (and hence the run
-            # manifest's ``parallel`` block) rather than a module global.
-            obs.annotate(parallel=stats)
-            obs.gauge("matrix.parallel.workers").set(worker_count)
-            timeline = obs.timeline()
-            elapsed_ms = 0.0
-            for index, seconds in enumerate(stats["chunk_seconds"]):
-                obs.histogram("matrix.parallel.chunk_seconds").observe(seconds)
-                if timeline:
-                    # Wall timing, excluded from the byte-stability
-                    # contract; stamped at the chunk's cumulative offset
-                    # so the report renders a per-assembly timeline.
-                    elapsed_ms += seconds * 1000.0
-                    timeline.sample(
-                        "matrix.chunk_seconds",
-                        elapsed_ms,
-                        seconds,
-                        wall=True,
-                        assembly=str(stats["assembly"]),
-                        chunk=str(index),
-                    )
-        else:
-            assembler.fill_columns(
-                list(range(n)), rtt, loss, hops, positions=list(range(n))
-            )
+        assembler.fill_columns(
+            list(range(n)), rtt, loss, hops, positions=list(range(n))
+        )
 
     # Diagonal / same-cluster entries: intra-cluster latency only.
     for i in range(n):
@@ -245,42 +159,6 @@ def compute_delegate_matrices(
         loss=loss,
         as_hops=hops,
     )
-
-
-def _grouped_column_chunks(
-    asn_of: np.ndarray, chunk_count: int, tree_cost: float
-) -> List[List[int]]:
-    """Cost-balanced column chunks that never split a destination AS.
-
-    Keeping an AS's columns together means each routing tree is resolved
-    by exactly one worker (the old evenly-sliced chunks re-walked shared
-    trees in several workers — a large part of the recorded parallel
-    regression).  Per-group cost models one tree resolution plus the
-    broadcast fill of the group's columns.
-    """
-    n = len(asn_of)
-    groups: Dict[int, List[int]] = {}
-    for j, asn in enumerate(asn_of):
-        groups.setdefault(int(asn), []).append(j)
-    ordered = [groups[asn] for asn in sorted(groups)]
-    costs = [tree_cost + len(cols) * n for cols in ordered]
-    plan = plan_chunks(costs, chunk_count)
-    return [
-        [j for group_index in chunk for j in ordered[group_index]] for chunk in plan
-    ]
-
-
-def _fill_shared_chunk(columns: List[int]) -> Tuple[int, float]:
-    """Pool worker: fill one chunk of global columns into shared memory.
-
-    Returns (column count, wall seconds) — the matrices themselves
-    travel through the fork-inherited shared mapping, not the pickle
-    channel.
-    """
-    assembler, rtt, loss, hops = _ASSEMBLY_STATE
-    started = time.perf_counter()
-    assembler.fill_columns(columns, rtt, loss, hops, positions=columns)
-    return len(columns), time.perf_counter() - started
 
 
 def apply_king_noise(

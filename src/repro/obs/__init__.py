@@ -11,7 +11,7 @@ layer.  Three pieces:
   JSONL :class:`~repro.obs.events.EventSink`;
 - a per-run :mod:`manifest <repro.obs.manifest>` — canonical config
   hash (shared with :mod:`repro.storage.cache`), seed, wall times,
-  cache hit/miss counts, worker fan-out and the final counter snapshot
+  cache hit/miss counts and the final counter snapshot
   — written next to every result directory.
 
 **Off by default, near-zero overhead.**  Instrumented code calls the
@@ -22,12 +22,6 @@ read and an attribute call.  A run is activated explicitly::
     with obs.observe(obs_dir="out/obs", command="section7") as run:
         ...                      # counters/spans/events accumulate
     # run_manifest.json + events.jsonl now exist under out/obs
-
-**Fork-safe.**  :func:`repro.util.parallel.run_forked` gives each pool
-task a fresh child registry (:func:`begin_forked_child`) and merges the
-returned snapshots into the parent (:func:`merge_child_snapshot`), so
-counters from worker processes sum exactly once and the serial path is
-never double-counted.
 """
 
 from __future__ import annotations
@@ -93,8 +87,6 @@ __all__ = [
     "TraceSpan",
     "active",
     "annotate",
-    "begin_forked_child",
-    "collect_forked_child",
     "counter",
     "enabled",
     "event",
@@ -105,7 +97,6 @@ __all__ = [
     "load_telemetry_file",
     "load_trace_file",
     "load_trace_files",
-    "merge_child_snapshot",
     "observe",
     "span",
     "start_run",
@@ -180,7 +171,7 @@ class RunObserver:
         """The run manifest as a plain dict (see :mod:`repro.obs.manifest`)."""
         snapshot = self.registry.snapshot()
         counters = snapshot["counters"]
-        known = {"seed", "scale", "config_key", "workers", "parallel", "soak"}
+        known = {"seed", "scale", "config_key", "soak"}
         return {
             "schema": MANIFEST_SCHEMA_VERSION,
             "run_id": self.run_id,
@@ -193,8 +184,6 @@ class RunObserver:
             "seed": self.annotations.get("seed"),
             "scale": self.annotations.get("scale"),
             "config_key": self.annotations.get("config_key"),
-            "workers": self.annotations.get("workers"),
-            "parallel": self.annotations.get("parallel"),
             "soak": self.annotations.get("soak"),
             "cache": {
                 "scenario_hits": counters.get("cache.scenario.hits", 0),
@@ -411,44 +400,3 @@ def observe(
         yield observer
     finally:
         finish_run()
-
-
-# -- fork fan-out support ----------------------------------------------------
-
-
-def begin_forked_child() -> None:
-    """Reset the inherited observer inside a forked pool task.
-
-    The child keeps accumulating metrics, but into a fresh registry (so
-    the parent's pre-fork totals are not re-counted on merge) and with
-    the event sink and tracer detached (children must not interleave
-    writes on the parent's file handles, and trace ids are a parent-run
-    sequence that forked work must not race).
-    """
-    observer = _ACTIVE
-    if observer is not None:
-        observer.registry = MetricsRegistry()
-        observer.timeline = TimeSeries(cadence_ms=observer.timeline.cadence_ms)
-        observer.sink = None
-        observer.trace = None
-
-
-def collect_forked_child() -> Optional[dict]:
-    """Snapshot of the child-side registry (plus any timeline samples the
-    task emitted), for the parent to merge."""
-    observer = _ACTIVE
-    if observer is None:
-        return None
-    snapshot = observer.registry.snapshot()
-    samples = observer.timeline.snapshot()
-    if samples:
-        snapshot["timeline"] = samples
-    return snapshot
-
-
-def merge_child_snapshot(snapshot: Optional[dict]) -> None:
-    """Merge one pool task's snapshot into the parent registry/timeline."""
-    observer = _ACTIVE
-    if observer is not None and snapshot is not None:
-        observer.registry.merge_snapshot(snapshot)
-        observer.timeline.merge_samples(snapshot.get("timeline", ()))

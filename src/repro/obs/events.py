@@ -70,8 +70,7 @@ class EventSink:
             return
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            # Line-buffered: an event is on disk once emitted, so a forked
-            # pool worker inherits no unflushed lines to write a second time.
+            # Line-buffered: an event is on disk once emitted.
             self._handle = self.path.open("a", encoding="utf-8", buffering=1)
         record = {
             "t": round(time.time() - self._start, 6),

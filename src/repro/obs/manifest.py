@@ -7,7 +7,7 @@ records everything needed to account for — and re-produce — the run:
 - the command and argv that ran;
 - the canonical scenario config hash (the same content hash
   :mod:`repro.storage.cache` keys artifacts on), seed and scale;
-- wall-clock timings, resolved worker fan-out, cache hit/miss counts;
+- wall-clock timings and cache hit/miss counts;
 - the final snapshot of every metric instrument.
 
 The schema is versioned and validated by hand (zero dependencies):
@@ -45,7 +45,9 @@ __all__ = [
 #: carry a bounded raw-sample reservoir (``samples``/``dropped``).
 #: v6: the ``cache`` block lost its close-set hit/miss counts (close
 #: sets are built on first use, never cached on disk).
-MANIFEST_SCHEMA_VERSION = 6
+#: v7: the ``workers`` and ``parallel`` fields are gone (the matrix
+#: fill is serial; there is no worker count to record).
+MANIFEST_SCHEMA_VERSION = 7
 
 #: Canonical file name of a run manifest inside an observability directory.
 MANIFEST_FILENAME = "run_manifest.json"
@@ -64,8 +66,6 @@ MANIFEST_SCHEMA: Dict[str, Tuple[tuple, bool]] = {
     "seed": ((int, _NoneType), True),
     "scale": ((str, _NoneType), True),
     "config_key": ((str, _NoneType), True),
-    "workers": ((int, _NoneType), True),
-    "parallel": ((dict, _NoneType), False),
     "soak": ((dict, _NoneType), False),
     "telemetry": ((dict, _NoneType), False),
     "cache": ((dict,), True),

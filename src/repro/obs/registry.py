@@ -4,20 +4,16 @@ Three instrument kinds, mirroring the paper's accounting needs:
 
 - :class:`Counter` — monotonically increasing totals (probe messages,
   sessions run, cache hits);
-- :class:`Gauge` — last-written values (cluster count, worker fan-out);
+- :class:`Gauge` — last-written values (cluster count, median MOS);
 - :class:`Histogram` — value distributions with power-of-two buckets
-  (span durations, per-chunk wall times).
+  (span durations).
 
-A :class:`MetricsRegistry` creates instruments on demand by name and can
-render itself to a plain-dict :meth:`~MetricsRegistry.snapshot` (what the
-run manifest embeds) or absorb another registry's snapshot with
-:meth:`~MetricsRegistry.merge_snapshot` — the primitive behind fork-safe
-aggregation: each pool worker accumulates into a fresh child registry and
-the parent merges the returned snapshots, so counters sum exactly once.
+A :class:`MetricsRegistry` creates instruments on demand by name and
+renders itself to a plain-dict :meth:`~MetricsRegistry.snapshot` (what
+the run manifest embeds).
 
 Everything here is zero-dependency plain Python; instruments use
-``__slots__`` and do no locking (the repro is single-threaded per
-process; cross-process aggregation goes through snapshots).
+``__slots__`` and do no locking (the repro is single-threaded).
 """
 
 from __future__ import annotations
@@ -117,12 +113,9 @@ class Histogram:
             slot = _reservoir_slot(self.count)
             if slot < RESERVOIR_SIZE:
                 self.samples[slot] = value
-            self._drop()
-
-    def _drop(self, amount: int = 1) -> None:
-        self.dropped += amount
-        if self._on_drop is not None:
-            self._on_drop(amount)
+            self.dropped += 1
+            if self._on_drop is not None:
+                self._on_drop(1)
 
     @property
     def mean(self) -> Optional[float]:
@@ -225,51 +218,3 @@ class MetricsRegistry:
                 for n, h in sorted(self._histograms.items())
             },
         }
-
-    # -- merge (fork fan-out) ----------------------------------------------
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Absorb a child registry's snapshot.
-
-        Counters and histogram contents sum; gauges take the child's
-        value only when the parent never wrote one (a child gauge is a
-        report of shared state, not an increment).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            if gauge.value is None:
-                gauge.value = value
-        for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            count = data.get("count", 0)
-            if not count:
-                continue
-            histogram.count += count
-            histogram.total += data.get("sum", 0.0)
-            for bound_name in ("min", "max"):
-                value = data.get(bound_name)
-                if value is None:
-                    continue
-                current = getattr(histogram, bound_name)
-                better = (
-                    value
-                    if current is None
-                    else (min if bound_name == "min" else max)(current, value)
-                )
-                setattr(histogram, bound_name, better)
-            for index, bucket in enumerate(data.get("buckets", ())):
-                if index < len(histogram.buckets):
-                    histogram.buckets[index] += bucket
-            dropped = data.get("dropped", 0)
-            if dropped:
-                histogram.dropped += dropped
-            histogram.samples.extend(data.get("samples", ()))
-            overflow = len(histogram.samples) - RESERVOIR_SIZE
-            if overflow > 0:
-                # Deterministic truncation: keep the head.  The parent's
-                # shared counter is bumped here (the child already counted
-                # its own drops before snapshotting).
-                del histogram.samples[RESERVOIR_SIZE:]
-                histogram._drop(overflow)

@@ -9,17 +9,13 @@ repair-vs-rebuild rates.  The design constraints mirror the trace layer:
   caller supplies from a virtual clock (``Simulator.now_ms``,
   ``LoopbackHub.now_ms``), never the wall clock, so same-seed runs emit
   byte-identical ``telemetry.jsonl``.  Sample values that are *inherently*
-  machine timings (stage seconds, rows/s, peak RSS, per-chunk wall times)
-  are flagged ``"wall": true`` and excluded from the byte-stability
-  contract; sim-driven runs (chaos, soak, loopback demos) emit only
+  machine timings (stage seconds, rows/s, peak RSS) are flagged
+  ``"wall": true`` and excluded from the byte-stability contract;
+  sim-driven runs (chaos, soak, loopback demos) emit only
   deterministic samples so CI can byte-diff their full files.
 - **Deterministic byte order.**  Records buffer in memory and are written
   once at run close, sorted by ``(t_ms, series, tags)`` with insertion
   order breaking ties, in canonical JSON (sorted keys, no spaces).
-- **Fork safety.**  A forked worker's samples ride home inside the same
-  snapshot dict the metrics registry already returns through
-  :func:`repro.obs.collect_forked_child`; the parent merges them in
-  ``pool.map`` order, which is deterministic.
 - **Zero cost when off.**  :data:`NULL_TIMELINE` absorbs every call; the
   module-level ``repro.obs.timeline()`` hook returns it when no run is
   active.
@@ -116,25 +112,9 @@ class TimeSeries:
         self._samples.append((record["t_ms"], series, key, self._seq, record))
         self._seq += 1
 
-    # -- fork fan-out ------------------------------------------------------
-
     def snapshot(self) -> List[dict]:
         """The buffered records, in deterministic output order."""
         return [entry[4] for entry in sorted(self._samples, key=lambda e: e[:4])]
-
-    def merge_samples(self, records: Sequence[dict]) -> None:
-        """Absorb a child's :meth:`snapshot` (fork-safe aggregation)."""
-        for record in records:
-            if record.get("kind") != "sample":
-                continue
-            tags = record.get("tags", {})
-            self.sample(
-                record["series"],
-                record["t_ms"],
-                record["value"],
-                wall=bool(record.get("wall")),
-                **tags,
-            )
 
     # -- read side ---------------------------------------------------------
 

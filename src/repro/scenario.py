@@ -15,14 +15,11 @@ A :class:`Scenario` is the reproduction of the paper's data pipeline
    the all-pairs delegate RTT/loss/hop matrices.
 
 Every stochastic choice derives from ``ScenarioConfig.seed``, so a config
-value uniquely determines the world.  That determinism powers two
-runtime knobs that never change results:
-
-- ``workers`` — fan matrix assembly out over a fork-start process
-  pool; output is bit-for-bit identical to the serial path;
-- ``cache_dir`` — a content-addressed artifact cache
-  (:mod:`repro.storage.cache`): warm :func:`build_scenario` calls load
-  the world and its matrices from disk instead of regenerating them.
+value uniquely determines the world.  That determinism powers one
+runtime knob that never changes results: ``cache_dir``, a
+content-addressed artifact cache (:mod:`repro.storage.cache`) — warm
+:func:`build_scenario` calls load the world and its matrices from disk
+instead of regenerating them.
 """
 
 from __future__ import annotations
@@ -73,11 +70,9 @@ class ScenarioConfig:
     # otherwise.
     hierarchical_prefixes: bool = False
     seed: int = 0
-    # Runtime-only knobs — they control how a world is built, never what
-    # is built, and are excluded from artifact-cache keys.  ``workers``:
-    # None defers to $REPRO_WORKERS (else serial), <= 0 means all CPUs.
-    # ``cache_dir``: None defers to $REPRO_CACHE_DIR (else no caching).
-    workers: Optional[int] = None
+    # Runtime-only knob — it controls how a world is built, never what
+    # is built, and is excluded from artifact-cache keys.  None defers
+    # to $REPRO_CACHE_DIR (else no caching).
     cache_dir: Optional[str] = None
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
@@ -129,18 +124,14 @@ class ScenarioConfig:
         """The scenario config described by parsed CLI arguments.
 
         Reads the common knobs every ``repro.cli`` command declares —
-        ``--scale``, ``--seed``, ``--workers``, ``--cache-dir`` — from an
+        ``--scale``, ``--seed``, ``--cache-dir`` — from an
         ``argparse.Namespace`` (missing attributes fall back to their CLI
         defaults), so commands build scenarios with one call and a new
         knob is declared in exactly one place.
         """
         scale = getattr(args, "scale", "small")
         config = cls.preset(scale, getattr(args, "seed", 0))
-        return replace(
-            config,
-            workers=getattr(args, "workers", None),
-            cache_dir=getattr(args, "cache_dir", None),
-        )
+        return replace(config, cache_dir=getattr(args, "cache_dir", None))
 
 
 @dataclass
@@ -182,9 +173,7 @@ class Scenario:
                 "the dense N×N arrays"
             )
         if self._matrices is None:
-            self._matrices = compute_delegate_matrices(
-                self.latency, self.clusters, workers=self.config.workers
-            )
+            self._matrices = compute_delegate_matrices(self.latency, self.clusters)
         return self._matrices
 
     def attach_virtual_matrices(self, virtual) -> None:
@@ -253,15 +242,10 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
     """
     from repro import obs
     from repro.storage.cache import ScenarioCache, resolve_cache_dir, scenario_cache_key
-    from repro.util.parallel import resolve_workers
 
     if config is None:
         config = ScenarioConfig()
-    obs.annotate(
-        config_key=scenario_cache_key(config),
-        seed=config.seed,
-        workers=resolve_workers(config.workers),
-    )
+    obs.annotate(config_key=scenario_cache_key(config), seed=config.seed)
     cache_root = resolve_cache_dir(config.cache_dir)
     cache = ScenarioCache(cache_root) if cache_root is not None else None
     with obs.span("scenario.build", cached=cache is not None):

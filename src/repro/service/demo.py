@@ -274,7 +274,6 @@ def run_demo(
     media_ms: float = 2_000.0,
     transport: str = "loopback",
     policy: Optional[RuntimePolicy] = None,
-    workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     shards: int = 1,
     media_frames: bool = False,
@@ -285,7 +284,7 @@ def run_demo(
     the callees' received traces are rebuilt into ``frame_traces``.
     """
     if world is None:
-        world = ServiceWorld.from_scale(scale, seed, workers=workers, cache_dir=cache_dir)
+        world = ServiceWorld.from_scale(scale, seed, cache_dir=cache_dir)
     if policy is None:
         policy = RuntimePolicy()
     pairs = world.latent_pairs(calls)

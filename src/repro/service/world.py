@@ -56,12 +56,9 @@ class ServiceWorld:
         cls,
         scale: str = "tiny",
         seed: int = 0,
-        workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
     ) -> "ServiceWorld":
-        config = replace(
-            ScenarioConfig.preset(scale, seed), workers=workers, cache_dir=cache_dir
-        )
+        config = replace(ScenarioConfig.preset(scale, seed), cache_dir=cache_dir)
         return cls(build_scenario(config))
 
     # -- lookups -----------------------------------------------------------

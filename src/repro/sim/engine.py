@@ -99,7 +99,6 @@ class Simulator:
         self._now_ms = 0.0
         self._queue: List[Event] = []
         self._seq = itertools.count()
-        self._processed = 0
         self._ready: Deque[Coroutine] = deque()
 
     @property
@@ -211,7 +210,6 @@ class Simulator:
         event = heapq.heappop(self._queue)
         self._now_ms = event.time_ms
         event.action()
-        self._processed += 1
         if self._ready:
             self._drain()
         return True

@@ -13,7 +13,7 @@ Layout, under a cache root (``--cache-dir`` / ``$REPRO_CACHE_DIR``)::
     <root>/<key>/matrices.npz         # delegate matrices (npz archive)
 
 ``<key>`` is a SHA-256 digest over the canonical JSON of the scenario
-config (runtime-only fields — worker count, cache directory — excluded)
+config (the runtime-only cache directory excluded)
 plus :data:`SCHEMA_VERSION`.  Any change to what a config value means
 must bump the schema version, which invalidates every existing entry;
 changing any world-determining config field changes the key, so stale
@@ -53,7 +53,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Config fields that do not determine the world and are excluded from
 #: cache keys (they only control how the build is executed).
-_RUNTIME_FIELDS = ("workers", "cache_dir")
+_RUNTIME_FIELDS = ("cache_dir",)
 
 
 def resolve_cache_dir(cache_dir: Optional[PathLike] = None) -> Optional[Path]:
@@ -106,7 +106,7 @@ class ScenarioCache:
         """The cached scenario for ``config``; ``None`` when there is no whole entry.
 
         The returned scenario carries the *requested* config object, so
-        runtime fields (worker count, cache directory) follow the caller
+        runtime fields (the cache directory) follow the caller
         rather than whatever run populated the cache.
         """
         entry = self.dir_for(config)

@@ -1,13 +1,5 @@
-"""Shared utilities: deterministic RNG plumbing, distribution helpers,
-and multiprocess fan-out support."""
+"""Shared utilities: deterministic RNG plumbing and distribution helpers."""
 
-from repro.util.parallel import (
-    chunked,
-    fork_available,
-    plan_chunks,
-    resolve_workers,
-    shared_ndarray,
-)
 from repro.util.rng import derive_rng
 from repro.util.stats import (
     cdf_points,
@@ -19,12 +11,7 @@ from repro.util.stats import (
 __all__ = [
     "DistributionSummary",
     "cdf_points",
-    "chunked",
     "derive_rng",
-    "fork_available",
     "percentile",
-    "plan_chunks",
-    "resolve_workers",
-    "shared_ndarray",
     "summarize",
 ]

@@ -35,11 +35,8 @@ from repro.worldarrays.arrays import WorldArrays
 
 
 class FlatMatrixAssembler:
-    """Fills destination columns of the delegate matrices from flat arrays.
-
-    Stateless between calls, so instances are safe to fork: workers
-    inherit the arrays copy-on-write.
-    """
+    """Fills destination columns of the delegate matrices from flat arrays;
+    stateless between calls."""
 
     def __init__(self, model: LatencyModel, world: WorldArrays) -> None:
         self._model = model

@@ -8,7 +8,7 @@ from repro.cli import main, make_parser
 #: The uniform interface every subcommand must accept (wired once in
 #: ``_subcommand``; this test file is the drift alarm).
 COMMON_FLAGS = (
-    "--scale", "--seed", "--workers", "--cache-dir",
+    "--scale", "--seed", "--cache-dir",
     "--obs-dir", "--log-level", "--trace",
 )
 
@@ -146,6 +146,17 @@ class TestCommands:
         rc = main(["dial", "--scale", "tiny", "--seed", "11", "--dst", "3"])
         assert rc == 2
         assert "--src and --dst must be given together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--crash-rate", "-1"],
+        ["chaos", "--crash-rate", "nan"],
+        ["experiment", "--seed", "-1"],
+    ], ids=["negative-crash-rate", "nan-crash-rate", "negative-seed"])
+    def test_config_errors_are_usage_errors(self, capsys, argv):
+        rc = main([*argv, "--scale", "tiny"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_version_reports_package_and_schema_versions(self, capsys):
         from repro import __version__

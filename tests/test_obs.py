@@ -2,10 +2,8 @@
 
 Covers the four contracts the layer makes:
 
-- the metrics registry (create-on-demand instruments, snapshot/merge);
-- fork-safe aggregation: counters incremented inside ``run_forked``
-  pool workers sum into the parent exactly once, and the serial path
-  is never double-counted;
+- the metrics registry (create-on-demand instruments, snapshots) and
+  the module-level hooks, which count each matrix column exactly once;
 - the run manifest round-trips through write/load and its hand-rolled
   validator catches malformed documents;
 - observability is invisible to results: section 7 produces identical
@@ -24,7 +22,6 @@ from repro.evaluation.section7 import run_section7
 from repro.measurement.matrix import compute_delegate_matrices
 from repro.obs.registry import MetricsRegistry
 from repro.scenario import tiny_scenario
-from repro.util.parallel import chunked, fork_available, run_forked
 
 
 @pytest.fixture(scope="module")
@@ -64,31 +61,6 @@ class TestRegistry:
         assert snap["histograms"]["h"]["count"] == 1
         assert snap["histograms"]["h"]["sum"] == 0.25
         assert json.dumps(snap)  # JSON-serializable
-
-    def test_merge_sums_counters_and_histograms(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        parent.counter("c").inc(1)
-        child.counter("c").inc(2)
-        child.counter("only-child").inc(3)
-        for value in (0.1, 0.4):
-            child.histogram("h").observe(value)
-        parent.histogram("h").observe(0.2)
-        parent.merge_snapshot(child.snapshot())
-        assert parent.counter_value("c") == 3
-        assert parent.counter_value("only-child") == 3
-        histogram = parent.histogram("h")
-        assert histogram.count == 3
-        assert histogram.min == 0.1 and histogram.max == 0.4
-        assert histogram.total == pytest.approx(0.7)
-
-    def test_merge_gauge_fills_only_when_parent_unset(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        child.gauge("fresh").set(1.0)
-        parent.gauge("held").set(5.0)
-        child.gauge("held").set(9.0)
-        parent.merge_snapshot(child.snapshot())
-        assert parent.gauge("fresh").value == 1.0
-        assert parent.gauge("held").value == 5.0
 
 
 class TestHistogramQuantiles:
@@ -132,16 +104,6 @@ class TestHistogramQuantiles:
             assert key in entry
         assert entry["p50"] <= entry["p95"] <= entry["p99"]
 
-    def test_quantiles_survive_merge(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        for value in (1.0, 2.0):
-            parent.histogram("h").observe(value)
-        for value in (3.0, 4.0):
-            child.histogram("h").observe(value)
-        parent.merge_snapshot(child.snapshot())
-        assert parent.histogram("h").quantile(1.0) == pytest.approx(4.0)
-        assert parent.histogram("h").quantile(0.0) == pytest.approx(1.0)
-
 
 # -- module-level hooks --------------------------------------------------------
 
@@ -169,102 +131,10 @@ class TestHooks:
             assert run.registry.counter_value("hit") == 2
         assert not obs.enabled()
 
-
-# -- fork-safe aggregation -----------------------------------------------------
-
-
-def _counting_worker(chunk):
-    for item in chunk:
-        obs.counter("test.items").inc()
-        obs.histogram("test.item_value").observe(float(item))
-    return sum(chunk)
-
-
-class TestForkedMerge:
-    def test_child_counters_sum_exactly_once(self):
-        if not fork_available():
-            pytest.skip("no fork start method on this platform")
-        items = list(range(20))
+    def test_matrix_fill_counts_each_column_once(self, scenario):
         with obs.observe() as run:
-            results = run_forked(_counting_worker, chunked(items, 6), processes=2)
-            assert sum(results) == sum(items)
-            assert run.registry.counter_value("test.items") == len(items)
-            assert run.registry.counter_value("parallel.chunk_items") == len(items)
-            assert run.registry.counter_value("parallel.chunks") == len(
-                chunked(items, 6)
-            )
-            assert run.registry.histogram("test.item_value").count == len(items)
-
-    def test_serial_and_parallel_paths_count_columns_identically(self, scenario):
-        with obs.observe() as run:
-            serial = compute_delegate_matrices(
-                scenario.latency, scenario.clusters, workers=1
-            )
-            serial_columns = run.registry.counter_value("matrix.columns")
-        assert serial_columns == serial.count
-        if not fork_available():
-            return
-        with obs.observe() as run:
-            compute_delegate_matrices(scenario.latency, scenario.clusters, workers=2)
-            assert run.registry.counter_value("matrix.columns") == serial.count
-
-    def test_fork_merge_exact_once_with_tracing_active(self, tmp_path):
-        """Tracing must not change fork-merge semantics: metrics from
-        workers still sum exactly once, and only the parent writes trace
-        records (children are detached, so ids never race)."""
-        if not fork_available():
-            pytest.skip("no fork start method on this platform")
-        items = list(range(12))
-        with obs.observe(obs_dir=tmp_path, command="unit", trace=True) as run:
-            root = obs.tracer().begin("call", 0.0)
-            results = run_forked(_counting_worker, chunked(items, 4), processes=2)
-            root.end(1.0)
-            assert sum(results) == sum(items)
-            assert run.registry.counter_value("test.items") == len(items)
-            assert run.registry.histogram("test.item_value").count == len(items)
-            assert run.trace is not None  # the parent tracer stays attached
-            written = run.trace.records_written
-        records = obs.load_trace_file(tmp_path / obs.TRACES_FILENAME)
-        assert len(records) == written == 2  # header + root span, nothing forked
-
-    def test_pooled_matrix_fill_writes_each_sink_line_once(self, scenario, tmp_path):
-        """The real ``--trace --workers 2`` path, holding no reference to
-        the tracer: forked workers inherit the sinks' file objects and
-        must find nothing unflushed in them to write a second time."""
-        if not fork_available():
-            pytest.skip("no fork start method on this platform")
-        with obs.observe(obs_dir=tmp_path, command="unit", trace=True):
-            compute_delegate_matrices(scenario.latency, scenario.clusters, workers=2)
-        records = obs.load_trace_file(tmp_path / obs.TRACES_FILENAME)  # validates
-        assert [r["kind"] for r in records].count("header") == 1
-        events = [
-            json.loads(line)
-            for line in (tmp_path / obs.EVENTS_FILENAME).read_text().splitlines()
-        ]
-        assert [e["name"] for e in events].count("run.start") == 1
-
-    def test_fork_merge_identical_with_and_without_tracing(self):
-        if not fork_available():
-            pytest.skip("no fork start method on this platform")
-        items = list(range(15))
-        snapshots = []
-        for trace in (False, True):
-            with obs.observe(trace=trace) as run:
-                run_forked(_counting_worker, chunked(items, 5), processes=2)
-                snapshot = run.registry.snapshot()
-                snapshots.append(
-                    (snapshot["counters"], snapshot["histograms"]["test.item_value"])
-                )
-        # Wall-clock timing histograms differ run to run; the worker-fed
-        # metrics must be identical whether or not tracing was active.
-        assert snapshots[0] == snapshots[1]
-
-    def test_run_forked_untouched_when_disabled(self):
-        if not fork_available():
-            pytest.skip("no fork start method on this platform")
-        assert not obs.enabled()
-        results = run_forked(_counting_worker, chunked(list(range(6)), 2), processes=2)
-        assert sum(results) == sum(range(6))
+            matrices = compute_delegate_matrices(scenario.latency, scenario.clusters)
+            assert run.registry.counter_value("matrix.columns") == matrices.count
 
 
 # -- events and manifest -------------------------------------------------------
@@ -273,7 +143,7 @@ class TestForkedMerge:
 class TestEventsAndManifest:
     def test_manifest_round_trip(self, tmp_path):
         with obs.observe(obs_dir=tmp_path, command="unit", argv=["--flag"]) as run:
-            obs.annotate(seed=3, scale="tiny", config_key="abc", workers=1)
+            obs.annotate(seed=3, scale="tiny", config_key="abc")
             obs.annotate(custom="kept")
             obs.counter("cache.scenario.hits").inc()
             obs.event("marker", payload=7)
@@ -284,7 +154,7 @@ class TestEventsAndManifest:
         assert manifest["seed"] == 3
         assert manifest["scale"] == "tiny"
         assert manifest["config_key"] == "abc"
-        assert manifest["workers"] == 1
+        assert "workers" not in manifest and "parallel" not in manifest
         assert manifest["cache"]["scenario_hits"] == 1
         assert manifest["counters"]["cache.scenario.hits"] == 1
         assert manifest["annotations"] == {"custom": "kept"}

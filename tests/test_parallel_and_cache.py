@@ -1,19 +1,18 @@
-"""Tests for the parallel/cached evaluation substrate.
+"""Tests for the cached evaluation substrate.
 
-Covers the three pillars added for fast repeated evaluation:
+Covers the three pillars of fast repeated evaluation:
 
-- fork-pool matrix assembly is *bit-for-bit* identical to the serial
-  reference path;
+- matrix assembly is *bit-for-bit* identical to the scalar oracle;
 - the content-addressed scenario cache round-trips a world exactly,
-  treats a damaged entry as a miss, never serves derived (subsampled /
-  measured-view) worlds, and changes nothing a run measures;
+  keys it by a pinned digest, treats a damaged entry as a miss, never
+  serves derived (subsampled / measured-view) worlds, and changes
+  nothing a run measures;
 - the vectorized ``evaluate_sessions`` batch API agrees with the
   per-session ``evaluate_session`` loop for every baseline method.
 """
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from repro.baselines import (
 )
 from repro.measurement.matrix import compute_delegate_matrices
 from repro.scenario import (
+    SCALES,
     ScenarioConfig,
     build_scenario,
     subsample_scenario,
@@ -35,8 +35,6 @@ from repro.scenario import (
 )
 from repro.storage import SCHEMA_VERSION, ScenarioCache, scenario_cache_key
 from repro.storage.cache import CACHE_DIR_ENV, resolve_cache_dir
-from repro.util import chunked, plan_chunks, resolve_workers, shared_ndarray
-from repro.util.parallel import WORKERS_ENV, run_forked
 from tests.oracles import evaluate_session, scalar_delegate_matrices
 
 
@@ -45,148 +43,12 @@ def scenario():
     return tiny_scenario(seed=11)
 
 
-# -- worker resolution ---------------------------------------------------------
-
-
-class TestResolveWorkers:
-    def test_explicit_value(self):
-        assert resolve_workers(3) == 3
-
-    def test_none_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_workers(None) == 1
-
-    def test_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_workers(None) == 5
-
-    def test_zero_means_all_cpus(self):
-        assert resolve_workers(0) == (os.cpu_count() or 1)
-
-    def test_garbage_env_is_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "not-a-number")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-
-
-class TestChunked:
-    def test_covers_all_items_in_order(self):
-        items = list(range(17))
-        chunks = chunked(items, 4)
-        assert [x for chunk in chunks for x in chunk] == items
-
-    def test_no_empty_chunks(self):
-        assert all(chunked(list(range(3)), 8))
-
-    def test_empty_input(self):
-        assert chunked([], 4) == []
-
-
-class TestPlanChunks:
-    def test_covers_all_items_in_order(self):
-        costs = [5.0, 1.0, 1.0, 1.0, 9.0, 2.0, 2.0]
-        chunks = plan_chunks(costs, 3)
-        assert [i for chunk in chunks for i in chunk] == list(range(len(costs)))
-        assert all(chunks)
-
-    def test_balances_cost_not_length(self):
-        # One huge item followed by many tiny ones: length-balanced
-        # chunking would put the huge item with a third of the tail;
-        # cost-balanced chunking isolates it.
-        costs = [90.0] + [1.0] * 9
-        chunks = plan_chunks(costs, 3)
-        assert chunks[0] == [0]
-
-    def test_bounded_imbalance(self):
-        rng = np.random.default_rng(2)
-        costs = rng.uniform(0.5, 20.0, 97)
-        chunk_count = 8
-        chunks = plan_chunks(list(costs), chunk_count)
-        total = float(costs.sum())
-        worst = max(float(costs[chunk].sum()) for chunk in chunks)
-        # No chunk exceeds its fair share by more than one item's cost.
-        assert worst <= total / chunk_count + float(costs.max())
-
-    def test_more_chunks_than_items(self):
-        chunks = plan_chunks([1.0, 1.0], 8)
-        assert chunks == [[0], [1]]
-
-    def test_zero_total_cost_falls_back_to_length_balance(self):
-        assert plan_chunks([0.0] * 6, 3) == chunked(list(range(6)), 3)
-
-    def test_empty_input(self):
-        assert plan_chunks([], 4) == []
-
-    def test_deterministic(self):
-        costs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-        assert plan_chunks(costs, 3) == plan_chunks(costs, 3)
-
-
-def _stamp_shared(indices):
-    """Pool worker: write into the inherited shared array (no return)."""
-    array = _SHARED_TARGET[0]
-    for i in indices:
-        array[i] = i * 10.0
-    return len(indices)
-
-
-_SHARED_TARGET = [None]
-
-
-class TestSharedNdarray:
-    def test_shape_dtype_fill(self):
-        array = shared_ndarray((3, 4), np.float64, fill=2.5)
-        assert array.shape == (3, 4)
-        assert array.dtype == np.float64
-        assert np.all(array == 2.5)
-
-    def test_backed_by_shared_mmap(self):
-        import mmap as mmap_module
-
-        array = shared_ndarray((2, 2), np.int32)
-        base = array
-        while base is not None and not isinstance(base, mmap_module.mmap):
-            if isinstance(base, memoryview):
-                base = base.obj
-            else:
-                base = getattr(base, "base", None)
-        assert isinstance(base, mmap_module.mmap)
-
-    def test_fork_children_write_through(self):
-        if not hasattr(os, "fork"):
-            pytest.skip("fork unavailable")
-        array = shared_ndarray((8,), np.float64, fill=-1.0)
-        _SHARED_TARGET[0] = array
-        try:
-            counts = run_forked(
-                _stamp_shared, [[0, 1, 2, 3], [4, 5, 6, 7]], processes=2
-            )
-        finally:
-            _SHARED_TARGET[0] = None
-        assert counts == [4, 4]
-        assert np.array_equal(array, np.arange(8) * 10.0)
-
-
-# -- parallel parity -----------------------------------------------------------
+# -- matrix fill ---------------------------------------------------------------
 
 
 class TestMatrixParallelParity:
-    def test_bit_identical_to_serial(self, scenario):
-        serial = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, workers=1
-        )
-        parallel = compute_delegate_matrices(
-            scenario.latency, scenario.clusters, workers=2
-        )
-        assert np.array_equal(serial.rtt_ms, parallel.rtt_ms)
-        assert np.array_equal(serial.loss, parallel.loss)
-        assert np.array_equal(serial.as_hops, parallel.as_hops)
-        assert serial.prefixes == parallel.prefixes
-
-    def test_lazy_property_respects_config_workers(self):
-        world = build_scenario(dataclasses.replace(ScenarioConfig.preset("tiny", 11), workers=2))
-        reference = tiny_scenario(seed=11)
-        assert np.array_equal(world.matrices.rtt_ms, reference.matrices.rtt_ms)
+    """The one (serial) fill against the scalar oracle; the pooled
+    fill this class also held until 1.20 is gone."""
 
     def test_matches_scalar_oracle(self, scenario):
         flat = compute_delegate_matrices(scenario.latency, scenario.clusters)
@@ -194,24 +56,39 @@ class TestMatrixParallelParity:
         assert np.array_equal(flat.rtt_ms, obj.rtt_ms)
         assert np.array_equal(flat.loss, obj.loss)
 
-    def test_parallel_run_records_chunk_stats(self, scenario):
-        with obs.observe() as run:
-            compute_delegate_matrices(scenario.latency, scenario.clusters, workers=2)
-            stats = run.annotations.get("parallel")
-        assert stats is not None
-        assert stats["workers"] == 2
-        assert sum(stats["chunk_sizes"]) == scenario.matrices.count
-        assert len(stats["chunk_seconds"]) == len(stats["chunk_sizes"])
-        assert all(s >= 0.0 for s in stats["chunk_seconds"])
-
 
 # -- scenario cache ------------------------------------------------------------
 
+#: On-disk scenario caches and ``ColumnStore`` spill directories are
+#: named by these keys: a config change that moves one orphans them.
+PINNED_KEYS = {
+    ("tiny", 0): "a0accf23fc7971cae088",
+    ("tiny", 1): "6f79e4424715958c246b",
+    ("small", 0): "8bf9f2c39acb9f01c692",
+    ("small", 1): "f8e17f904d110acb6fc7",
+    ("10k", 0): "226d55c08dcb20b6ca31",
+    ("10k", 1): "4a850c24aa46c71563bb",
+    ("evaluation", 0): "652985def29c06cdccb4",
+    ("evaluation", 1): "4ab0de9dd53ee44cf83a",
+    ("100k", 0): "f17429f5d4987febf695",
+    ("100k", 1): "44ed1548e7b3e8c915a0",
+    ("1m", 0): "12a92c400ef77edfcddd",
+    ("1m", 1): "825919586240bbd363a7",
+}
+
 
 class TestScenarioCacheKey:
+    def test_pins_cover_every_scale(self):
+        assert {scale for scale, _ in PINNED_KEYS} == set(SCALES)
+
+    @pytest.mark.parametrize("scale, seed", sorted(PINNED_KEYS))
+    def test_key_is_pinned(self, scale, seed):
+        key = scenario_cache_key(ScenarioConfig.preset(scale, seed))
+        assert key == PINNED_KEYS[scale, seed]
+
     def test_stable_across_runtime_knobs(self):
         base = ScenarioConfig.preset("tiny", 3)
-        tuned = dataclasses.replace(base, workers=8, cache_dir="/somewhere")
+        tuned = dataclasses.replace(base, cache_dir="/somewhere")
         assert scenario_cache_key(base) == scenario_cache_key(tuned)
 
     def test_differs_across_seeds(self):

@@ -135,7 +135,6 @@ class TestChurnSoak:
             "seed": report.seed,
             "scale": "tiny",
             "config_key": None,
-            "workers": None,
             "soak": report.manifest_block(),
             "cache": {
                 "scenario_hits": 0,

@@ -6,7 +6,6 @@ The contract under test (see ``repro/obs/timeseries.py``):
   identical sample streams produce byte-identical ``telemetry.jsonl``;
 - histogram raw-sample retention is bounded by a deterministic
   reservoir, surfaced as the ``telemetry.samples_dropped`` counter;
-- forked workers' timeline samples merge back into the parent run;
 - trace context carried over the wire (two tracers, two files) merges
   into one connected causal tree;
 - ``repro report`` renders timelines, a self-time profile and a
@@ -42,7 +41,6 @@ from repro.obs.timeseries import (
 )
 from repro.obs.trace import Tracer, load_trace_files
 from repro.obs.trace_analysis import build_trees
-from repro.util.parallel import chunked, fork_available, run_forked
 
 
 @pytest.fixture(autouse=True)
@@ -119,19 +117,6 @@ class TestTimeSeries:
         b.write(tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
-    def test_merge_samples_reproduces_direct_emission(self):
-        direct, child, parent = TimeSeries(), TimeSeries(), TimeSeries()
-        _fill(direct)
-        _fill(child)
-        parent.merge_samples(child.snapshot())
-        assert parent.snapshot() == direct.snapshot()
-        assert parent.series_names() == direct.series_names()
-
-    def test_merge_ignores_foreign_record_kinds(self):
-        parent = TimeSeries()
-        parent.merge_samples([{"kind": "header", "schema": 99}])
-        assert parent.sample_count == 0
-
     def test_null_timeline_is_falsy_and_inert(self):
         assert not NULL_TIMELINE
         NULL_TIMELINE.sample("s", 1.0, 2, tag="x")  # must not raise
@@ -199,56 +184,6 @@ class TestHistogramReservoir:
         assert histogram.samples == [float(i) for i in range(10)]
         assert histogram.dropped == 0
         assert registry.counter_value("telemetry.samples_dropped") == 0
-
-    def test_merge_snapshot_keeps_the_bound(self):
-        child = MetricsRegistry()
-        h = child.histogram("h")
-        for i in range(RESERVOIR_SIZE):
-            h.observe(float(i))
-        parent = MetricsRegistry()
-        g = parent.histogram("h")
-        for i in range(RESERVOIR_SIZE):
-            g.observe(float(i + 1000))
-        parent.merge_snapshot(child.snapshot())
-        merged = parent.histogram("h")
-        assert len(merged.samples) == RESERVOIR_SIZE
-        assert merged.count == 2 * RESERVOIR_SIZE
-        assert merged.dropped >= RESERVOIR_SIZE
-
-
-def _timeline_worker(chunk):
-    """Emit one deterministic timeline sample per item (fork target)."""
-    for item in chunk:
-        obs.timeline().sample("fork.item", float(item), item, worker="pool")
-    return len(chunk)
-
-
-class TestForkedTimeline:
-    def test_child_samples_merge_into_parent(self):
-        if not fork_available():
-            pytest.skip("no fork start method on this platform")
-        items = list(range(24))
-        with obs.observe(command="unit") as run:
-            run.timeline.sample("parent.marker", 0.0, 1)
-            results = run_forked(_timeline_worker, chunked(items, 6), processes=2)
-            assert sum(results) == len(items)
-            records = run.timeline.snapshot()
-        fork_records = [r for r in records if r["series"] == "fork.item"]
-        assert [r["value"] for r in fork_records] == items
-        assert all(r["tags"] == {"worker": "pool"} for r in fork_records)
-        assert sum(r["series"] == "parent.marker" for r in records) == 1
-
-    def test_fork_merge_is_deterministic(self):
-        if not fork_available():
-            pytest.skip("no fork start method on this platform")
-
-        def one_run():
-            items = list(range(18))
-            with obs.observe(command="unit") as run:
-                run_forked(_timeline_worker, chunked(items, 5), processes=2)
-                return run.timeline.snapshot()
-
-        assert one_run() == one_run()
 
 
 class TestTelemetryFileAndManifest:

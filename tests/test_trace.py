@@ -10,7 +10,7 @@ Covers the tracer's four contracts:
 - records validate: header-first schema, field shapes, unique span ids,
   parent referential integrity across out-of-order emission;
 - the tracer integrates with the observer: manifest accounting,
-  fork-child detachment, ambient scoping.
+  ambient scoping.
 """
 
 import json
@@ -235,10 +235,3 @@ class TestObserverIntegration:
         assert manifest["traces_file"] is None
         assert manifest["traces_written"] == 0
         assert not (tmp_path / obs.TRACES_FILENAME).exists()
-
-    def test_forked_child_detaches_tracer(self):
-        with obs.observe(trace=True) as run:
-            assert run.trace is not None
-            obs.begin_forked_child()
-            assert run.trace is None
-            assert obs.tracer() is NULL_TRACER
