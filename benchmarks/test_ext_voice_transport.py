@@ -14,7 +14,7 @@ from repro.core import ASAPConfig, ASAPSystem
 from repro.core.config import derive_k_hops
 from repro.evaluation.report import render_kv_table
 from repro.evaluation.sessions import generate_workload
-from repro.voip.call import CallConfig, VoiceCall, call_paths_from_selection
+from repro.media.call import CallConfig, VoiceCall, call_paths_from_selection
 
 
 def _run_calls(eval_scenario, use_switching, use_diversity, sessions, use_fec=False):

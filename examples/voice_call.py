@@ -15,7 +15,7 @@ from repro import small_scenario
 from repro.core import ASAPConfig, ASAPSystem
 from repro.core.config import derive_k_hops
 from repro.evaluation.sessions import generate_workload
-from repro.voip.call import CallConfig, VoiceCall, call_paths_from_selection
+from repro.media.call import CallConfig, VoiceCall, call_paths_from_selection
 
 
 def main() -> None:

@@ -211,7 +211,7 @@ def cmd_section7(args: argparse.Namespace) -> int:
         total = sum(r.messages for r in result.records["ASAP"])
         print(f"ASAP relay-selection messages (total): {total}")
     if args.records:
-        from repro.storage import save_records_csv
+        from repro.evaluation.metrics import save_records_csv
 
         rows = [r for records in result.records.values() for r in records]
         save_records_csv(args.records, rows)

@@ -36,13 +36,13 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.close_cluster import (
+from repro.errors import ProtocolError
+from repro.worldarrays.closesets import (
     CloseClusterEntry,
     CloseClusterSet,
+    FlatCloseSetBuilder,
     emit_build_observability,
 )
-from repro.errors import ProtocolError
-from repro.worldarrays.closesets import FlatCloseSetBuilder
 
 __all__ = ["CloseSetMaintainer", "ClusterMembership", "MembershipEvent"]
 
@@ -260,7 +260,7 @@ class CloseSetMaintainer:
             return
         depth, old_verdict = meta[asn]
         new_verdict, passing, rtt, lost = self._builder.probe_as(owner, asn, depth, online)
-        if new_verdict != old_verdict and depth < self._builder.config.k_hops:
+        if new_verdict != old_verdict and depth < self._builder.k_hops:
             # Expansion rights through this AS flipped: reachability
             # downstream may change arbitrarily — rebuild from scratch.
             self._build(owner)

@@ -21,7 +21,6 @@ The two algorithms from the paper's Figs. 9-10:
 """
 
 from repro.core.config import ASAPConfig, derive_k_hops
-from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
 from repro.core.relay_selection import RelaySelection, select_close_relay
 from repro.core.protocol import ASAPSession, ASAPSystem
 from repro.core.dial import (
@@ -43,8 +42,6 @@ __all__ = [
     "RuntimePolicy",
     "ASAPSession",
     "ASAPSystem",
-    "CloseClusterEntry",
-    "CloseClusterSet",
     "RelaySelection",
     "derive_k_hops",
     "select_close_relay",

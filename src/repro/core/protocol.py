@@ -32,19 +32,23 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.close_cluster import CloseClusterSet, emit_build_observability
 from repro.core.config import ASAPConfig
 from repro.core.relay_selection import RelaySelection, select_one_hop, select_two_hop
 from repro.core.surrogate import Surrogate
 from repro.errors import ProtocolError, TopologyError
 from repro.netaddr import IPv4Address
 from repro.scenario import Scenario
+from repro.worldarrays.closesets import (
+    CloseClusterSet,
+    FlatCloseSetBuilder,
+    emit_build_observability,
+)
 
 
 @dataclass
@@ -123,8 +127,6 @@ class ASAPSystem:
     """A running ASAP deployment over one scenario."""
 
     def __init__(self, scenario: Scenario, config: Optional[ASAPConfig] = None) -> None:
-        from repro.worldarrays import FlatCloseSetBuilder
-
         self._scenario = scenario
         self._config = config = config if config is not None else ASAPConfig()
         self._view = scenario.matrix_view()
@@ -137,7 +139,13 @@ class ASAPSystem:
             self._clusters_by_as.setdefault(int(asn), []).append(idx)
         # One CSR graph export + probe view, shared by every surrogate.
         self._builder = FlatCloseSetBuilder(
-            graph, self._view, self._clusters_by_as, config
+            graph,
+            self._view,
+            self._clusters_by_as,
+            k_hops=config.k_hops,
+            lat_threshold_ms=config.lat_threshold_ms,
+            loss_threshold=config.loss_threshold,
+            valley_free=config.valley_free,
         )
 
         self._computed = _ComputedSets(self._builder)

@@ -27,8 +27,8 @@ from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.close_cluster import CloseClusterSet
 from repro.core.config import ASAPConfig
+from repro.worldarrays.closesets import CloseClusterSet
 
 
 @dataclass(frozen=True)

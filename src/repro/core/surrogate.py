@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.core.close_cluster import CloseClusterSet
 from repro.netaddr import IPv4Address
 from repro.topology.population import Host, NodalInfo
+from repro.worldarrays.closesets import CloseClusterSet
 
 
 @dataclass

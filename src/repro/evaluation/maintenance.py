@@ -19,18 +19,18 @@ description: surrogates "periodically" rebuild their sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import ASAPConfig
+from repro.core.config import ASAPConfig, derive_k_hops
 from repro.core.protocol import ASAPSystem
+from repro.core.relay_selection import select_close_relay
 from repro.errors import EvaluationError
 from repro.evaluation.sessions import Session
-from repro.measurement.conditions import ConditionsConfig, generate_conditions
+from repro.measurement.conditions import generate_conditions
 from repro.measurement.latency import LatencyModel
-from repro.measurement.matrix import compute_delegate_matrices
 from repro.scenario import Scenario
 
 
@@ -135,8 +135,6 @@ def run_maintenance_study(
     (the upper bound).
     """
     if config is None:
-        from repro.core.config import derive_k_hops
-
         config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
     fresh_scenario = reweather(scenario, weather_seed)
 
@@ -155,8 +153,6 @@ def run_maintenance_study(
         believed-best relay realized under the fresh weather — meets
         the threshold.
         """
-        from repro.core.relay_selection import select_close_relay
-
         rescued = 0
         bests: List[float] = []
         for session in sessions:

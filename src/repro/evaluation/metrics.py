@@ -1,19 +1,25 @@
 """Per-session per-method metric records and summaries (Section 7.1).
 
 The paper's three metrics: (1) number of quality paths, (2) shortest
-RTT / highest MOS of those paths, (3) overhead in messages.
+RTT / highest MOS of those paths, (3) overhead in messages.  Records
+round-trip through CSV for external analysis (:func:`save_records_csv`).
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.baselines.base import MethodResult
 from repro.core.protocol import ASAPSession
+from repro.errors import ReproError
 from repro.voip.quality import DEFAULT_EVAL_LOSS_RATE, RTT_THRESHOLD_MS, mos_of_path
+
+PathLike = Union[str, Path]
 
 
 @dataclass(frozen=True)
@@ -129,3 +135,64 @@ def summarize_method(records: Sequence[MethodRecord]) -> MethodSummary:
         messages_median=float(np.median(msgs)),
         messages_p90=float(np.percentile(msgs, 90)),
     )
+
+
+_CSV_FIELDS = (
+    "method",
+    "session_id",
+    "quality_paths",
+    "best_rtt_ms",
+    "highest_mos",
+    "messages",
+    "one_hop_quality_paths",
+)
+
+
+def save_records_csv(path: PathLike, records: Sequence[MethodRecord]) -> int:
+    """Write method records to CSV; returns the row count."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=_CSV_FIELDS)
+        writer.writeheader()
+        for record in records:
+            writer.writerow(
+                {
+                    "method": record.method,
+                    "session_id": record.session_id,
+                    "quality_paths": record.quality_paths,
+                    "best_rtt_ms": "" if record.best_rtt_ms is None else record.best_rtt_ms,
+                    "highest_mos": "" if record.highest_mos is None else record.highest_mos,
+                    "messages": record.messages,
+                    "one_hop_quality_paths": (
+                        "" if record.one_hop_quality_paths is None
+                        else record.one_hop_quality_paths
+                    ),
+                }
+            )
+    return len(records)
+
+
+def load_records_csv(path: PathLike) -> List[MethodRecord]:
+    """Read method records written by :func:`save_records_csv`."""
+    records: List[MethodRecord] = []
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        missing = set(_CSV_FIELDS) - set(reader.fieldnames or ())
+        if missing:
+            raise ReproError(f"records CSV missing columns: {sorted(missing)}")
+        for row in reader:
+            records.append(
+                MethodRecord(
+                    method=row["method"],
+                    session_id=int(row["session_id"]),
+                    quality_paths=int(row["quality_paths"]),
+                    best_rtt_ms=float(row["best_rtt_ms"]) if row["best_rtt_ms"] else None,
+                    highest_mos=float(row["highest_mos"]) if row["highest_mos"] else None,
+                    messages=int(row["messages"]),
+                    one_hop_quality_paths=(
+                        int(row["one_hop_quality_paths"])
+                        if row["one_hop_quality_paths"]
+                        else None
+                    ),
+                )
+            )
+    return records

@@ -19,9 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.baselines.base import BaselineConfig
 from repro.core.config import ASAPConfig
 from repro.evaluation.section7 import Section7Result, run_section7
+from repro.evaluation.sessions import Session, SessionWorkload, generate_workload
 from repro.scenario import Scenario, subsample_scenario
 
 #: The paper's population ratio: 103,625 / 23,366.
@@ -108,9 +110,6 @@ def run_scalability(
     measure the identical calling pattern — only the relay population
     changes, which is exactly the variable Fig. 17 isolates.
     """
-    from repro import obs
-    from repro.evaluation.sessions import Session, SessionWorkload, generate_workload
-
     small_scenario = subsample_scenario(scenario, 1.0 / ratio, seed=seed)
     large_workload = generate_workload(
         scenario, session_count, seed=seed, latent_target=latent_target

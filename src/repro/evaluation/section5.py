@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import EvaluationError
 from repro.measurement.tools import KingEstimator
 from repro.netaddr import IPv4Address
@@ -152,8 +153,6 @@ def run_section5(
     session_plan: Optional[List[Tuple[int, int]]] = None,
 ) -> Section5Result:
     """Run the 14-session Skype study end to end."""
-    from repro import obs
-
     if config is None:
         config = SkypeConfig()
     plan = build_site_plan(scenario, seed=seed)

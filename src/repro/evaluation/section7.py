@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import obs
 from repro.baselines import BaselineConfig, RelayPolicy
-from repro.core import ASAPConfig
+from repro.core import ASAPConfig, derive_k_hops
 from repro.evaluation.metrics import (
     MethodRecord,
     MethodSummary,
@@ -85,8 +85,6 @@ def run_section7(
     :func:`~repro.evaluation.policies.default_policies` over ``methods``.
     """
     if asap_config is None:
-        from repro.core.config import derive_k_hops
-
         asap_config = ASAPConfig(k_hops=derive_k_hops(scenario.matrix_view()))
     if workload is None:
         workload = generate_workload(

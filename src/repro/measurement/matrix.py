@@ -11,7 +11,7 @@ cluster's AS we walk every source AS's next-hop chain once with
 memoization, so the full N×N matrix costs O(N·V) instead of O(N²·path).
 
 Assembly exports the world once into contiguous arrays
-(:mod:`repro.worldarrays`) and fills it with vectorized
+(:mod:`repro.measurement.matrixfill`) and fills it with vectorized
 per-destination-AS broadcasts; ``tests/oracles.py`` keeps the scalar
 walk as the executable specification the parity tests compare against.
 """
@@ -23,9 +23,11 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.errors import MeasurementError
-from repro.netaddr import IPv4Address, IPv4Prefix
+from repro.netaddr import IPv4Prefix
 from repro.measurement.latency import LatencyModel
+from repro.measurement.matrixfill import FlatMatrixAssembler, WorldArrays
 from repro.topology.clustering import Cluster, ClusterIndex
 from repro.util.rng import derive_rng
 
@@ -120,9 +122,6 @@ def compute_delegate_matrices(
     clusters: ClusterIndex,
 ) -> DelegateMatrices:
     """Compute RTT / loss / hop matrices between all cluster delegates."""
-    from repro import obs
-    from repro.worldarrays import FlatMatrixAssembler, WorldArrays
-
     cluster_list = clusters.all_clusters()
     if not cluster_list:
         raise MeasurementError("no clusters to measure")

@@ -18,7 +18,9 @@ Five stages, each its own module:
 
 :mod:`session <repro.media.session>` wires the stages into one
 seed-deterministic in-call media session, consumable by the sim
-runtime, the conference scenario and the CLI.
+runtime, the conference scenario and the CLI; :mod:`call
+<repro.media.call>` runs §6.2's path switching / diversity / FEC over
+relay candidates as a sequence of such sessions.
 """
 
 from repro.media.adapt import AdaptationPolicy, CodecAdapter, CodecSwitch

@@ -28,6 +28,7 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "MANIFEST_SCHEMA_VERSION",
     "load_manifest",
+    "read_manifest",
     "validate_manifest",
     "write_manifest",
 ]
@@ -191,12 +192,22 @@ def write_manifest(path: Union[str, Path], document: dict) -> Path:
     return path
 
 
-def load_manifest(path: Union[str, Path]) -> dict:
-    """Read and validate a manifest document from disk."""
+def read_manifest(path: Union[str, Path]) -> dict:
+    """Read a manifest document from disk without checking its schema —
+    ``repro report`` renders one from an older schema with its problems.
+    A file that is not a JSON object raises :class:`ArtifactError`."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path}: not JSON at line {exc.lineno} ({exc.msg})") from None
+    if not isinstance(document, dict):
+        raise ArtifactError(f"{path}: not a JSON object")
+    return document
+
+
+def load_manifest(path: Union[str, Path]) -> dict:
+    """Read and validate a manifest document from disk."""
+    document = read_manifest(path)
     problems = validate_manifest(document)
     if problems:
         raise ArtifactError(f"invalid run manifest at {path}: " + "; ".join(problems))

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ArtifactError
-from repro.obs.manifest import MANIFEST_FILENAME, load_manifest, validate_manifest
+from repro.obs.manifest import MANIFEST_FILENAME, read_manifest, validate_manifest
 from repro.obs.timeseries import TELEMETRY_FILENAME, load_telemetry_file
 from repro.obs.trace import TRACES_FILENAME, load_trace_files
 from repro.obs.trace_analysis import TraceNode, TraceTree, build_trees
@@ -79,7 +79,9 @@ def load_run(
 
     Every artifact is optional — a run without ``--trace`` has no
     traces.jsonl; the report renders whatever exists — but a directory
-    holding none of them raises :class:`ArtifactError`.  ``extra_traces``
+    holding none of them raises :class:`ArtifactError`.  The manifest is
+    read unvalidated (:func:`render_report` names its problems), so a run
+    directory from before a schema bump still renders.  ``extra_traces``
     are additional trace files (e.g. the ``serve`` side of a
     cross-process run) merged with the run's own before analysis.
     """
@@ -89,7 +91,7 @@ def load_run(
     manifest: Optional[dict] = None
     manifest_path = run_dir / MANIFEST_FILENAME
     if manifest_path.is_file():
-        manifest = load_manifest(manifest_path)
+        manifest = read_manifest(manifest_path)
     telemetry: List[dict] = []
     telemetry_path = run_dir / TELEMETRY_FILENAME
     if telemetry_path.is_file():

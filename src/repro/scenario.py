@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from numbers import Integral
-from typing import List, Optional
+from typing import Optional
 
+from repro import obs
 from repro.bgp.asgraph import ASGraph
 from repro.bgp.prefix_table import PrefixOriginTable
 from repro.bgp.relationships import infer_relationships
@@ -40,7 +41,11 @@ from repro.measurement.conditions import (
     generate_conditions,
 )
 from repro.measurement.latency import LatencyModel
-from repro.measurement.matrix import DelegateMatrices, compute_delegate_matrices
+from repro.measurement.matrix import (
+    DelegateMatrices,
+    apply_king_noise,
+    compute_delegate_matrices,
+)
 from repro.topology.bgpfeed import generate_rib_entries, generate_update_stream
 from repro.topology.clustering import ClusterIndex, build_clusters
 from repro.topology.generator import Topology, TopologyConfig, generate_topology
@@ -49,7 +54,12 @@ from repro.topology.population import (
     PopulationConfig,
     generate_population,
 )
-from repro.topology.prefixes import PrefixAllocation, allocate_prefixes
+from repro.topology.prefixes import (
+    PrefixAllocation,
+    allocate_prefixes,
+    allocate_prefixes_hierarchical,
+)
+from repro.util.rng import derive_rng
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -207,8 +217,6 @@ class Scenario:
         measured rather than omniscient view run on this copy.  The
         latency ground truth is unchanged — only what the protocol and
         methods *believe* about it."""
-        from repro.measurement.matrix import apply_king_noise
-
         noisy = apply_king_noise(
             self.matrices,
             seed=seed,
@@ -240,7 +248,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
     disk instead of regenerating anything; a cold call builds, computes
     the matrices, and persists the artifacts for the next run.
     """
-    from repro import obs
     from repro.storage.cache import ScenarioCache, resolve_cache_dir, scenario_cache_key
 
     if config is None:
@@ -273,8 +280,6 @@ def build_scenario_from_topology(
     if config is None:
         config = ScenarioConfig()
     if config.hierarchical_prefixes:
-        from repro.topology.prefixes import allocate_prefixes_hierarchical
-
         allocation = allocate_prefixes_hierarchical(topology, seed=config.seed)
     else:
         allocation = allocate_prefixes(topology, seed=config.seed)
@@ -325,9 +330,6 @@ def subsample_scenario(scenario: Scenario, fraction: float, seed: int = 0) -> Sc
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    from repro.topology.population import PeerPopulation  # local: avoid cycle
-    from repro.util.rng import derive_rng
-
     rng = derive_rng(seed, "subsample")
     hosts = scenario.population.hosts
     keep = max(2, int(round(fraction * len(hosts))))

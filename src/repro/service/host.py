@@ -37,6 +37,7 @@ from repro.core.dial import (
     run_join,
 )
 from repro.errors import RemoteError, ServiceError, TransportError, TransportTimeout
+from repro.media.frames import CODEC_WIRE_IDS
 from repro.net.codec import (
     Bye,
     CallAccept,
@@ -61,6 +62,7 @@ from repro.netaddr import IPv4Address
 from repro.service.node import ServiceNode
 from repro.service.surrogate import pairs_to_close_set
 from repro.service.world import ServiceWorld
+from repro.voip.codecs import G729A_VAD
 
 __all__ = ["DialResult", "HostAgent", "media_frame_budget"]
 
@@ -74,8 +76,6 @@ _PEER_TAGGED = (Ping, CallSetup, RelaySetup)
 def media_frame_budget(media_ms: float) -> int:
     """Frames one call's voice sends over ``media_ms``: one per
     packetization interval — the bound a receiver holds seqs to."""
-    from repro.voip.codecs import G729A_VAD
-
     return math.ceil(media_ms / G729A_VAD.packet_interval_ms())
 
 
@@ -330,9 +330,6 @@ class HostAgent(ServiceNode):
     async def voice(self, call: DialResult, media: MediaSessionRecord) -> None:
         """Voice toward ``media.target`` for the media's duration: one
         timestamped codec frame per packetization interval."""
-        from repro.media.frames import CODEC_WIRE_IDS
-        from repro.voip.codecs import G729A_VAD
-
         interval_ms = G729A_VAD.packet_interval_ms()
         codec_id = CODEC_WIRE_IDS[G729A_VAD.name]
         for seq in range(media_frame_budget(media.duration_ms)):

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.core.close_cluster import CloseClusterSet
 from repro.errors import ProtocolError, ServiceError
 from repro.net.codec import (
     ERR_NOT_SERVING,
@@ -38,6 +37,7 @@ from repro.net.transport import Transport
 from repro.service.node import ServiceNode
 from repro.service.world import ServiceWorld
 from repro.topology.population import NodalInfo
+from repro.worldarrays.closesets import CloseClusterSet
 
 __all__ = ["SurrogateServer", "close_set_to_pairs", "pairs_to_close_set"]
 

@@ -18,12 +18,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import ASAPConfig, derive_k_hops
-from repro.core.close_cluster import CloseClusterSet
 from repro.core.protocol import ASAPSystem
 from repro.core.runtime import make_bootstrap_hosts
 from repro.netaddr import IPv4Address
 from repro.scenario import Scenario, ScenarioConfig, build_scenario
 from repro.topology.population import Host
+from repro.worldarrays.closesets import CloseClusterSet
 
 __all__ = ["ServiceWorld"]
 

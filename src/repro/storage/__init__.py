@@ -1,10 +1,10 @@
-"""Persistence: BGP dump files, matrix archives, experiment records.
+"""Persistence: BGP dump files, matrix archives, the artifact cache.
 
 The paper's workflow is file-driven — collected BGP tables, measured
 RTT datasets, analysis outputs.  This package gives the library the
 same shape: scenarios can export their BGP feed and measured matrices
-to disk and reload them later, and experiment records serialize to
-CSV for external analysis.
+to disk and reload them later.  (Experiment records serialize to CSV
+next to their type, in :mod:`repro.evaluation.metrics`.)
 """
 
 from repro.storage.dumps import (
@@ -15,12 +15,7 @@ from repro.storage.dumps import (
     write_rib_file,
     write_update_file,
 )
-from repro.storage.artifacts import (
-    load_matrices,
-    load_records_csv,
-    save_matrices,
-    save_records_csv,
-)
+from repro.storage.artifacts import load_matrices, save_matrices
 from repro.storage.cache import (
     SCHEMA_VERSION,
     ScenarioCache,
@@ -35,14 +30,12 @@ __all__ = [
     "SCHEMA_VERSION",
     "ScenarioCache",
     "load_matrices",
-    "load_records_csv",
     "read_asgraph_file",
     "read_rib_file",
     "read_update_file",
     "resolve_cache_dir",
     "save_matrices",
     "scenario_cache_key",
-    "save_records_csv",
     "write_asgraph_file",
     "write_rib_file",
     "write_update_file",

@@ -1,27 +1,22 @@
-"""Binary/tabular artifact persistence: matrices and experiment records.
-
-- Delegate matrices round-trip through ``.npz`` (prefixes stored as
-  strings, arrays natively) so a measured dataset can be reused across
-  runs, like the paper replaying its King measurements.
-- Per-session method records round-trip through CSV (external analysis).
+"""Binary artifact persistence: delegate matrices round-trip through
+``.npz`` (prefixes stored as strings, arrays natively) so a measured
+dataset can be reused across runs, like the paper replaying its King
+measurements.  (Per-session method records round-trip through CSV next
+to their type, in :mod:`repro.evaluation.metrics`.)
 """
 
 from __future__ import annotations
 
-import csv
 import zipfile
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from repro.errors import ArtifactError, ReproError
 from repro.measurement.matrix import DelegateMatrices
 from repro.netaddr import IPv4Prefix
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.evaluation.metrics import MethodRecord
 
 PathLike = Union[str, Path]
 
@@ -111,66 +106,3 @@ def load_matrices(path: PathLike) -> DelegateMatrices:
         index_of={p: i for i, p in enumerate(prefixes)},
         **arrays,
     )
-
-
-_CSV_FIELDS = (
-    "method",
-    "session_id",
-    "quality_paths",
-    "best_rtt_ms",
-    "highest_mos",
-    "messages",
-    "one_hop_quality_paths",
-)
-
-
-def save_records_csv(path: PathLike, records: Sequence[MethodRecord]) -> int:
-    """Write method records to CSV; returns the row count."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_CSV_FIELDS)
-        writer.writeheader()
-        for record in records:
-            writer.writerow(
-                {
-                    "method": record.method,
-                    "session_id": record.session_id,
-                    "quality_paths": record.quality_paths,
-                    "best_rtt_ms": "" if record.best_rtt_ms is None else record.best_rtt_ms,
-                    "highest_mos": "" if record.highest_mos is None else record.highest_mos,
-                    "messages": record.messages,
-                    "one_hop_quality_paths": (
-                        "" if record.one_hop_quality_paths is None
-                        else record.one_hop_quality_paths
-                    ),
-                }
-            )
-    return len(records)
-
-
-def load_records_csv(path: PathLike) -> List["MethodRecord"]:
-    """Read method records written by :func:`save_records_csv`."""
-    from repro.evaluation.metrics import MethodRecord
-
-    records: List[MethodRecord] = []
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(_CSV_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise ReproError(f"records CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            records.append(
-                MethodRecord(
-                    method=row["method"],
-                    session_id=int(row["session_id"]),
-                    quality_paths=int(row["quality_paths"]),
-                    best_rtt_ms=float(row["best_rtt_ms"]) if row["best_rtt_ms"] else None,
-                    highest_mos=float(row["highest_mos"]) if row["highest_mos"] else None,
-                    messages=int(row["messages"]),
-                    one_hop_quality_paths=(
-                        int(row["one_hop_quality_paths"])
-                        if row["one_hop_quality_paths"]
-                        else None
-                    ),
-                )
-            )
-    return records

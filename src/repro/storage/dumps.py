@@ -6,8 +6,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, List, Union
 
+from repro.bgp.asgraph import ASGraph
 from repro.bgp.rib import RIBEntry, format_rib_dump, parse_rib_dump
 from repro.bgp.updates import BGPUpdate, parse_update_stream
+from repro.errors import BGPParseError
 
 PathLike = Union[str, Path]
 
@@ -80,9 +82,6 @@ def write_asgraph_file(path: PathLike, graph) -> int:
 
 def read_asgraph_file(path: PathLike):
     """Parse an AS graph file written by :func:`write_asgraph_file`."""
-    from repro.bgp.asgraph import ASGraph
-    from repro.errors import BGPParseError
-
     graph = ASGraph()
     with Path(path).open(encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):

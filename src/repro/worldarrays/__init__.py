@@ -1,39 +1,28 @@
-"""Flat, int-indexed world representation for the substrate hot paths.
+"""Flat, int-indexed close sets and the streamed matrix view.
 
-This package exports the object world
-(:class:`~repro.topology.clustering.ClusterIndex`; the
-:class:`~repro.bgp.asgraph.ASGraph` export lives in
-:mod:`repro.bgp.csr`) once into contiguous numpy arrays and computes
-the two hottest products against them — the only matrix-fill and
-close-set code production runs:
+The layer between the delegate matrices and the protocol that reads
+them:
 
-- :mod:`repro.worldarrays.matrixfill` — delegate-matrix assembly as
-  vectorized per-destination column fills (the memoized next-hop chain
-  walk becomes one array pass per distance level over a batch of
-  routing trees, the per-row python loop a single gather);
-- :mod:`repro.worldarrays.closesets` — ``construct-close-cluster-set``
-  as a vectorized valley-free BFS over int frontiers that probes each
-  BFS level with one gather pair.
+- :mod:`repro.worldarrays.closesets` — the close cluster set of Fig. 9
+  (:class:`~repro.worldarrays.closesets.CloseClusterSet`) and
+  ``construct-close-cluster-set`` as a vectorized valley-free BFS over
+  int frontiers that probes each BFS level with one gather pair — the
+  only close-set code production runs;
+- :mod:`repro.worldarrays.virtual` — the delegate matrices as a
+  column-chunked view over a :class:`~repro.storage.columns.ColumnStore`
+  that never materializes N×N.  Import it by its module path: it loads
+  :mod:`repro.storage`, which ``import repro.core`` does not need.
 
-Both are guarded by parity tests: for identical seeds they produce
-**bit-identical** results to their executable specifications — the
-scalar matrix walk and the Fig. 9 transcription
-``construct_close_cluster_set``, both in ``tests/oracles.py`` (same
-matrices, same close sets, same ``traces.jsonl``).
+The builder is guarded by parity tests: for identical seeds it
+produces **bit-identical** close sets (and ``traces.jsonl``) to the
+Fig. 9 transcription ``construct_close_cluster_set`` in
+``tests/oracles.py``.  The matrix fill lives with
+:func:`~repro.measurement.matrix.compute_delegate_matrices` in
+:mod:`repro.measurement.matrixfill`.
 """
 
 from __future__ import annotations
 
-from repro.worldarrays.arrays import GraphCSR, WorldArrays, csr_gather
-from repro.worldarrays.closesets import FlatCloseSetBuilder
-from repro.worldarrays.matrixfill import FlatMatrixAssembler
-from repro.worldarrays.virtual import VirtualMatrices
+from repro.worldarrays.closesets import CloseClusterEntry, CloseClusterSet, FlatCloseSetBuilder
 
-__all__ = [
-    "FlatCloseSetBuilder",
-    "FlatMatrixAssembler",
-    "GraphCSR",
-    "VirtualMatrices",
-    "WorldArrays",
-    "csr_gather",
-]
+__all__ = ["CloseClusterEntry", "CloseClusterSet", "FlatCloseSetBuilder"]

@@ -7,8 +7,8 @@ finite-row fractions — over a chunked
 :class:`~repro.storage.columns.ColumnStore`.  Every read is a *chunk
 fault*: the first touch of a chunk adopts it from disk, or assembles it
 column-at-a-time with a
-:class:`~repro.worldarrays.matrixfill.FlatMatrixAssembler` over
-:class:`~repro.worldarrays.arrays.WorldArrays`, spills it, and maps it;
+:class:`~repro.measurement.matrixfill.FlatMatrixAssembler` over
+:class:`~repro.measurement.matrixfill.WorldArrays`, spills it, and maps it;
 every later read indexes the memory-mapped arrays.  There is no second
 way to answer a read.
 
@@ -35,9 +35,8 @@ import numpy as np
 from repro import obs
 from repro.measurement.latency import LatencyModel
 from repro.measurement.matrix import UNREACHABLE, cluster_headers
+from repro.measurement.matrixfill import FlatMatrixAssembler, WorldArrays
 from repro.storage.columns import ColumnStore
-from repro.worldarrays.arrays import WorldArrays
-from repro.worldarrays.matrixfill import FlatMatrixAssembler
 
 __all__ = ["VirtualMatrices"]
 

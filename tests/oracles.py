@@ -78,7 +78,7 @@ import pytest
 from repro.bgp.asgraph import _PHASE_UP, ASGraph
 from repro.bgp.routes import RouteClass
 from repro.control.sharding import HashRing, _stable_hash
-from repro.core.close_cluster import (
+from repro.worldarrays.closesets import (
     CloseClusterEntry,
     CloseClusterSet,
     emit_build_observability,

@@ -106,7 +106,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ASAP" in out and "OPT" in out
         assert records.exists()
-        from repro.storage import load_records_csv
+        from repro.evaluation.metrics import load_records_csv
 
         assert load_records_csv(records)
 

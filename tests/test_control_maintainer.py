@@ -64,8 +64,15 @@ def make_maintainer(graph, lat_map, clusters_map, asn_of, counts, config=None):
         return 0.0 if lat(own, other) is not None else None
 
     membership = ClusterMembership(counts)
+    config = config if config is not None else ASAPConfig()
     builder = FlatCloseSetBuilder(
-        graph, ArrayView(lat_map, max(asn_of) + 1), clusters_map, config
+        graph,
+        ArrayView(lat_map, max(asn_of) + 1),
+        clusters_map,
+        k_hops=config.k_hops,
+        lat_threshold_ms=config.lat_threshold_ms,
+        loss_threshold=config.loss_threshold,
+        valley_free=config.valley_free,
     )
     maintainer = CloseSetMaintainer(
         builder=builder,
@@ -84,7 +91,7 @@ def make_maintainer(graph, lat_map, clusters_map, asn_of, counts, config=None):
             ],
             lat,
             loss,
-            builder.config,
+            config,
         )
 
     maintainer.reference = reference

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.bgp import ASGraph
 from repro.core import ASAPConfig
-from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.worldarrays.closesets import CloseClusterEntry, CloseClusterSet
 from repro.errors import ProtocolError
 from tests.oracles import assert_arrays_are_the_set, construct_close_cluster_set, rtt_to
 

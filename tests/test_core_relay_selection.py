@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ASAPConfig, ASAPSystem, select_close_relay
-from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.worldarrays.closesets import CloseClusterEntry, CloseClusterSet
 from repro.core.config import derive_k_hops
 from repro.core.relay_selection import (
     ranked_relay_clusters,

@@ -5,7 +5,7 @@ import pytest
 
 from repro import obs
 from repro.core import ASAPConfig, ASAPSystem
-from repro.core.close_cluster import CloseClusterSet
+from repro.worldarrays.closesets import CloseClusterSet
 from repro.core.config import derive_k_hops
 from repro.core.runtime import ASAPRuntime
 from repro.scenario import tiny_scenario

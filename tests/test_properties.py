@@ -12,15 +12,15 @@ from repro.bgp.asgraph import ASGraph
 from repro.bgp.pathinfer import infer_as_path
 from repro.bgp.routing import PolicyRouter
 from repro.core import ASAPConfig, ASAPSystem
-from repro.core.close_cluster import CloseClusterSet
+from repro.core.protocol import _ComputedSets
 from repro.core.relay_selection import select_close_relay
-from repro.core.close_cluster import CloseClusterEntry
 from repro.evaluation.sessions import generate_workload
 from repro.baselines.opt import SESSION_BATCH
 from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
 from repro.storage.columns import ColumnStore
 from repro.topology import TopologyConfig, generate_topology
 from repro.util.rng import derive_rng
+from repro.worldarrays.closesets import CloseClusterEntry, CloseClusterSet
 from repro.worldarrays.virtual import VirtualMatrices
 from tests.oracles import (
     best_one_hop,
@@ -175,6 +175,47 @@ class TestCloseSetProperties:
                 continue
             assert entry.rtt_ms < config.lat_threshold_ms
             assert entry.loss < config.loss_threshold
+
+
+
+@pytest.fixture(scope="module")
+def tiny_close_sets():
+    """A ``tiny`` system's builder, each cluster's AS, and each cluster's
+    one-source :meth:`FlatCloseSetBuilder.build`."""
+    scenario = tiny_scenario(0)
+    builder = ASAPSystem(scenario, ASAPConfig()).close_set_builder
+    asn_of = scenario.matrix_view().asn_of.tolist()
+    return builder, asn_of, [builder.build(c, asn) for c, asn in enumerate(asn_of)]
+
+
+#: One step on the computed-set table: the operation and the clusters it
+#: names (drawn as indices, reduced modulo the cluster count).
+_TABLE_STEP = st.tuples(
+    st.sampled_from(("want", "take", "build")),
+    st.lists(st.integers(0, 10_000), min_size=1, max_size=5),
+)
+
+
+class TestComputedSetTable:
+    @given(steps=st.lists(_TABLE_STEP, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_every_set_handed_out_is_a_one_source_build(self, tiny_close_sets, steps):
+        builder, asn_of, reference = tiny_close_sets
+        table = _ComputedSets(builder)
+        for op, picks in steps:
+            clusters = [pick % len(asn_of) for pick in picks]
+            if op == "want":
+                for cluster in clusters:
+                    table.want(cluster, asn_of[cluster])
+            elif op == "take":
+                sources = {cluster: asn_of[cluster] for cluster in clusters}
+                taken = table.take(sources)
+                assert list(taken) == list(sources)
+                for cluster, close_set in taken.items():
+                    assert close_set == reference[cluster]
+            else:
+                cluster = clusters[0]
+                assert table.build(cluster, asn_of[cluster]) == reference[cluster]
 
 
 def close_set_strategy(owner: int):

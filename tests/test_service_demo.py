@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.close_cluster import CloseClusterEntry, CloseClusterSet
+from repro.worldarrays.closesets import CloseClusterEntry, CloseClusterSet
 from repro.core.runtime import RuntimePolicy
 from repro.errors import ProtocolError, RemoteError
 from repro.net.codec import (

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ArtifactError, BGPParseError, ReproError
-from repro.evaluation.metrics import MethodRecord
+from repro.evaluation.metrics import MethodRecord, load_records_csv, save_records_csv
 from repro.scenario import tiny_scenario
 from repro.storage import (
     load_matrices,
-    load_records_csv,
     read_rib_file,
     read_update_file,
     save_matrices,
-    save_records_csv,
     write_rib_file,
     write_update_file,
 )

@@ -12,7 +12,7 @@ from repro.media.jitterbuf import AdaptiveJitterBuffer
 from repro.media.frames import ReceivedFrame, ReceivedTrace
 from repro.media.session import MediaPlaneConfig, PathWindow, run_media_session
 from repro.util.rng import derive_rng
-from repro.voip.call import merge_diverse_traces
+from repro.media.call import merge_diverse_traces
 from tests.test_media import _trace
 
 

@@ -279,6 +279,33 @@ class TestReport:
         for expected in ("control", "net", "engine", "critical path", "call"):
             assert expected in text
 
+    def test_report_renders_a_run_from_before_a_schema_bump(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run_dir = self._run_dir(tmp_path)
+        (run_dir / obs.TRACES_FILENAME).unlink()
+        path = run_dir / obs.MANIFEST_FILENAME
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document.update(schema=6, workers=1)  # as written before the v7 bump
+        path.write_text(json.dumps(document, indent=2), encoding="utf-8")
+        assert main(["report", "--run-dir", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "schema 6" in out and "INVALID (" in out
+        assert "unknown field 'workers'" in out and "schema must be 7, got 6" in out
+        assert "subsystem timelines (3 subsystems)" in out
+        assert "control.alive_hosts" in out
+
+    @pytest.mark.parametrize("text", ["[1, 2]\n", '{"schema": 7\n'])
+    def test_report_rejects_a_manifest_that_is_no_json_object(self, tmp_path, capsys, text):
+        from repro.cli import main
+
+        run_dir = self._run_dir(tmp_path)
+        (run_dir / obs.MANIFEST_FILENAME).write_text(text, encoding="utf-8")
+        with pytest.raises(ArtifactError, match=obs.MANIFEST_FILENAME):
+            load_run(run_dir)
+        assert main(["report", "--run-dir", str(run_dir)]) == 2
+        assert obs.MANIFEST_FILENAME in capsys.readouterr().err
+
     def test_subsystem_grouping_and_sparkline(self, tmp_path):
         artifacts = load_run(self._run_dir(tmp_path))
         groups = series_by_subsystem(artifacts.telemetry)

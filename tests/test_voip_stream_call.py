@@ -17,7 +17,7 @@ from repro.media import (
     run_media_session,
     score_trace,
 )
-from repro.voip.call import (
+from repro.media.call import (
     CallConfig,
     PathQualityProcess,
     VoiceCall,

@@ -26,14 +26,11 @@ from repro.scenario import PopulationConfig, TopologyConfig
 from repro.storage.columns import ColumnStore
 from repro.topology.generator import generate_topology
 from repro.util.rng import derive_rng
-from repro.core.close_cluster import CloseClusterSet
+from repro.worldarrays.closesets import CloseClusterSet
 from repro.worldarrays import closesets
-from repro.worldarrays import (
-    FlatCloseSetBuilder,
-    FlatMatrixAssembler,
-    VirtualMatrices,
-    WorldArrays,
-)
+from repro.measurement.matrixfill import FlatMatrixAssembler, WorldArrays
+from repro.worldarrays import FlatCloseSetBuilder
+from repro.worldarrays.virtual import VirtualMatrices
 from tests.oracles import (
     assert_arrays_are_the_set,
     fill_destinations,
@@ -258,7 +255,10 @@ def _counting_builder(scenario):
         scenario.protocol_graph,
         counting,
         {asn: np.flatnonzero(view.asn_of == asn).tolist() for asn in set(view.asn_of.tolist())},
-        system.config,
+        k_hops=system.config.k_hops,
+        lat_threshold_ms=system.config.lat_threshold_ms,
+        loss_threshold=system.config.loss_threshold,
+        valley_free=system.config.valley_free,
     )
     return system, counting, builder
 

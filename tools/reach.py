@@ -45,6 +45,7 @@ ALLOWED = {
     "read_update_file": "boundary reader of real BGP update dumps (boundary suite)",
     "read_asgraph_file": "boundary reader of CAIDA AS-relationship files (boundary suite)",
     "load_records_csv": "boundary reader of exported session records (boundary suite)",
+    "load_manifest": "validating manifest reader of the CI smokes and the suite; repro report reads unvalidated",
 }
 
 
