@@ -19,15 +19,12 @@ def test_ext_limit_detection(benchmark, eval_scenario, section5_result):
         king=KingEstimator(eval_scenario.latency, seed=0, non_response_rate=0.0),
         population=eval_scenario.population,
     )
-    king = KingEstimator(eval_scenario.latency, seed=0, non_response_rate=0.0)
 
     report = benchmark.pedantic(
         lambda: detect_limits(
             section5_result.analyses,
             section5_result.results,
             analyzer,
-            king=king,
-            population=eval_scenario.population,
             thresholds=LimitThresholds(),
         ),
         rounds=1,

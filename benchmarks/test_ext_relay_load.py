@@ -16,7 +16,7 @@ import numpy as np
 from repro.core import ASAPConfig, ASAPSystem
 from repro.evaluation.assignment import RelayAssignmentService
 from repro.core.config import derive_k_hops
-from repro.baselines import BaselineConfig, DEDIMethod
+from repro.baselines import DEDIMethod
 from repro.evaluation.report import render_kv_table
 from repro.evaluation.sessions import generate_workload
 
@@ -32,7 +32,7 @@ def test_ext_relay_load(benchmark, eval_scenario):
         service = RelayAssignmentService(
             eval_scenario.clusters, eval_scenario.matrices, seed=13
         )
-        dedi = DEDIMethod(eval_scenario.topology.graph, BaselineConfig())
+        dedi = DEDIMethod(eval_scenario.topology.graph)
         dedi_load: Counter = Counter()
         assigned = 0
         for sid, session in enumerate(latent):

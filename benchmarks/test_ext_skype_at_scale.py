@@ -32,14 +32,8 @@ def test_ext_skype_limits_at_scale(benchmark, eval_scenario):
         king=KingEstimator(eval_scenario.latency, seed=3, non_response_rate=0.0),
         population=eval_scenario.population,
     )
-    king = KingEstimator(eval_scenario.latency, seed=3, non_response_rate=0.0)
     report = detect_limits(
-        study.analyses,
-        study.results,
-        analyzer,
-        king=king,
-        population=eval_scenario.population,
-        thresholds=LimitThresholds(),
+        study.analyses, study.results, analyzer, thresholds=LimitThresholds()
     )
 
     n = len(study.analyses)

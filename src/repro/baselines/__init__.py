@@ -11,14 +11,13 @@ All methods score relay paths against the same delegate matrices ASAP
 uses, so differences come purely from *which* relays each one considers.
 """
 
-from repro.baselines.base import BaselineConfig, MethodResult, RelayMethod, RelayPolicy
+from repro.baselines.base import MethodResult, RelayMethod, RelayPolicy
 from repro.baselines.dedi import DEDIMethod
 from repro.baselines.rand import RANDMethod
 from repro.baselines.mix import MIXMethod
 from repro.baselines.opt import OPTMethod
 
 __all__ = [
-    "BaselineConfig",
     "DEDIMethod",
     "MIXMethod",
     "MethodResult",

@@ -31,34 +31,18 @@ from typing import (
 
 import numpy as np
 
-from repro.core.config import require_count
 from repro.errors import ConfigurationError
+from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.util.rng import derive_rng
+from repro.voip.quality import RTT_THRESHOLD_MS
 
 
-@dataclass(frozen=True, kw_only=True)
-class BaselineConfig:
-    """Probe budgets of the baseline methods — the paper's Section 7.1
-    values: DEDI probes 80 dedicated nodes, RAND 200 random nodes, MIX
-    40 dedicated + 120 random."""
-
-    dedicated_count: int = 80
-    random_probes: int = 200
-    mix_dedicated: int = 40
-    mix_random: int = 120
-    relay_delay_rtt_ms: float = 40.0
-    lat_threshold_ms: float = 300.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        # Each range test is negated so that NaN, which fails every
-        # comparison, fails it too.
-        for name in ("dedicated_count", "random_probes", "mix_dedicated", "mix_random"):
-            require_count(name, getattr(self, name), 0)
-        if not self.relay_delay_rtt_ms >= 0:
-            raise ConfigurationError("relay_delay_rtt_ms must be >= 0")
-        if not self.lat_threshold_ms > 0:
-            raise ConfigurationError("lat_threshold_ms must be positive")
+#: The paper's Section 7.1 probe budgets: DEDI probes 80 dedicated nodes,
+#: RAND 200 random nodes, MIX 40 dedicated + 120 random.
+DEDICATED_COUNT = 80
+RANDOM_PROBES = 200
+MIX_DEDICATED = 40
+MIX_RANDOM = 120
 
 
 @dataclass(frozen=True)
@@ -139,13 +123,6 @@ class RelayMethod(ABC):
 
     name: str = "abstract"
 
-    def __init__(self, config: Optional[BaselineConfig] = None) -> None:
-        self._config = config if config is not None else BaselineConfig()
-
-    @property
-    def config(self) -> BaselineConfig:
-        return self._config
-
     @abstractmethod
     def evaluate_sessions(
         self,
@@ -179,10 +156,10 @@ class RelayMethod(ABC):
         path = (
             world.gather_rtt(a_arr[:, None], candidates)
             + world.gather_rtt(candidates, b_arr[:, None])
-            + self._config.relay_delay_rtt_ms
+            + RELAY_DELAY_RTT_MS
         )
         path[~valid] = np.inf
-        quality = (path < self._config.lat_threshold_ms).sum(axis=1)
+        quality = (path < RTT_THRESHOLD_MS).sum(axis=1)
         best = np.min(path, axis=1)
         probed = valid.sum(axis=1)
         return [
@@ -197,4 +174,6 @@ class RelayMethod(ABC):
         ]
 
     def _session_rng(self, session_id: int) -> np.random.Generator:
-        return derive_rng(self._config.seed, self.name, str(session_id))
+        # Seed 0 whatever the run's seed: the pinned RAND / MIX numbers
+        # were drawn so.
+        return derive_rng(0, self.name, str(session_id))

@@ -15,8 +15,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.base import BaselineConfig, MethodResult, RelayMethod, session_batch
+from repro.baselines.base import DEDICATED_COUNT, MethodResult, RelayMethod, session_batch
 from repro.bgp.asgraph import ASGraph
+from repro.core.config import require_count
 
 
 class DEDIMethod(RelayMethod):
@@ -24,17 +25,10 @@ class DEDIMethod(RelayMethod):
 
     name = "DEDI"
 
-    def __init__(
-        self,
-        graph: ASGraph,
-        config: Optional[BaselineConfig] = None,
-        fleet_size: Optional[int] = None,
-    ) -> None:
-        super().__init__(config)
+    def __init__(self, graph: ASGraph, fleet_size: int = DEDICATED_COUNT) -> None:
+        require_count("fleet_size", fleet_size, 0)
         self._graph = graph
-        self._fleet_size = (
-            self._config.dedicated_count if fleet_size is None else fleet_size
-        )
+        self._fleet_size = fleet_size
         # The fleet depends on the evaluated world's cluster headers, so
         # it is ranked lazily on first use and cached per world identity.
         self._fleet_world: Optional[int] = None

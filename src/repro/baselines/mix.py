@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.baselines.base import BaselineConfig, MethodResult, RelayMethod
+from repro.baselines.base import MIX_DEDICATED, MIX_RANDOM, MethodResult, RelayMethod
 from repro.baselines.dedi import DEDIMethod
 from repro.baselines.rand import RANDMethod
 from repro.bgp.asgraph import ASGraph
@@ -20,15 +20,9 @@ class MIXMethod(RelayMethod):
 
     name = "MIX"
 
-    def __init__(
-        self,
-        graph: ASGraph,
-        config: Optional[BaselineConfig] = None,
-    ) -> None:
-        super().__init__(config)
-        config = self._config
-        self._dedi = DEDIMethod(graph, config, fleet_size=config.mix_dedicated)
-        self._rand = RANDMethod(config, probes=config.mix_random)
+    def __init__(self, graph: ASGraph) -> None:
+        self._dedi = DEDIMethod(graph, fleet_size=MIX_DEDICATED)
+        self._rand = RANDMethod(probes=MIX_RANDOM)
         # Share the RNG namespace with MIX so results differ from RAND's.
         self._rand.name = "MIX"
 

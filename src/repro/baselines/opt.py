@@ -30,7 +30,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.baselines.base import BaselineConfig, MethodResult, RelayMethod, session_batch
+from repro.baselines.base import MethodResult, RelayMethod, session_batch
+from repro.measurement.latency import RELAY_DELAY_RTT_MS
+from repro.voip.quality import RTT_THRESHOLD_MS
 
 #: Sessions scored per sweep — bounds the (sessions × clusters)
 #: row/column buffers regardless of batch size.
@@ -42,12 +44,7 @@ class OPTMethod(RelayMethod):
 
     name = "OPT"
 
-    def __init__(
-        self,
-        config: Optional[BaselineConfig] = None,
-        include_two_hop: bool = True,
-    ) -> None:
-        super().__init__(config)
+    def __init__(self, include_two_hop: bool = True) -> None:
         self._include_two_hop = include_two_hop
 
     def evaluate_sessions(
@@ -100,13 +97,12 @@ class OPTMethod(RelayMethod):
         for legs in (first, second):  # no relay hop in an endpoint's cluster
             legs[rows, a_arr] = np.inf
             legs[rows, b_arr] = np.inf
-        delay = self._config.relay_delay_rtt_ms
-        path = first + second + delay
-        quality = (path < self._config.lat_threshold_ms).astype(np.int64) @ world.sizes
+        path = first + second + RELAY_DELAY_RTT_MS
+        quality = (path < RTT_THRESHOLD_MS).astype(np.int64) @ world.sizes
         if not two_hop:
             return path, quality, None
         bound = np.min(path, axis=1) if prune else np.full(len(a_arr), np.inf)
-        return path, quality, _two_hop_below(world, first, second, 2.0 * delay, bound)
+        return path, quality, _two_hop_below(world, first, second, 2.0 * RELAY_DELAY_RTT_MS, bound)
 
 
 def _session_legs(world, a_arr: np.ndarray, b_arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.base import BaselineConfig, MethodResult, RelayMethod, session_batch
+from repro.baselines.base import RANDOM_PROBES, MethodResult, RelayMethod, session_batch
 from repro.core.config import require_count
 
 
@@ -22,15 +22,9 @@ class RANDMethod(RelayMethod):
 
     name = "RAND"
 
-    def __init__(
-        self,
-        config: Optional[BaselineConfig] = None,
-        probes: Optional[int] = None,
-    ) -> None:
-        super().__init__(config)
-        if probes is not None:
-            require_count("probes", probes, 0)
-        self._probes = self._config.random_probes if probes is None else probes
+    def __init__(self, probes: int = RANDOM_PROBES) -> None:
+        require_count("probes", probes, 0)
+        self._probes = probes
 
     def evaluate_sessions(
         self,

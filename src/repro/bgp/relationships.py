@@ -18,25 +18,18 @@ heuristic over the AS paths of a RIB:
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.bgp.asgraph import ASGraph
 from repro.bgp.rib import RIBEntry
 
 
-@dataclass(frozen=True)
-class InferenceConfig:
-    """Tuning knobs of the Gao inference heuristic.
-
-    ``sibling_ratio``: if transit votes exist in both directions and
-    max/min <= sibling_ratio, the pair is classified sibling.
-    ``peer_degree_ratio``: an unvoted adjacent pair is peer-peer when
-    max(degree)/min(degree) <= peer_degree_ratio.
-    """
-
-    sibling_ratio: float = 1.0
-    peer_degree_ratio: float = 60.0
+#: Transit votes in both directions with max/min at most this make the
+#: pair siblings.
+SIBLING_RATIO = 1.0
+#: An unvoted adjacent pair is peer-peer when max(degree)/min(degree) is
+#: at most this.
+PEER_DEGREE_RATIO = 60.0
 
 
 def collect_paths(entries: Iterable[RIBEntry]) -> List[Tuple[int, ...]]:
@@ -64,10 +57,7 @@ def path_degrees(paths: Sequence[Tuple[int, ...]]) -> Dict[int, int]:
     return {asn: len(neigh) for asn, neigh in adjacency.items()}
 
 
-def infer_relationships(
-    entries: Iterable[RIBEntry],
-    config: InferenceConfig = InferenceConfig(),
-) -> ASGraph:
+def infer_relationships(entries: Iterable[RIBEntry]) -> ASGraph:
     """Infer an annotated :class:`ASGraph` from RIB entries."""
     paths = collect_paths(entries)
     degrees = path_degrees(paths)
@@ -96,7 +86,7 @@ def infer_relationships(
             if key in classified:
                 continue
             classified.add(key)
-            _classify_pair(graph, a, b, transit, degrees, config)
+            _classify_pair(graph, a, b, transit, degrees)
     return graph
 
 
@@ -106,12 +96,11 @@ def _classify_pair(
     b: int,
     transit: Counter,
     degrees: Dict[int, int],
-    config: InferenceConfig,
 ) -> None:
     ab = transit[(a, b)]  # votes that a transits for b (a provider of b)
     ba = transit[(b, a)]
     if ab > 0 and ba > 0:
-        if max(ab, ba) <= config.sibling_ratio * min(ab, ba):
+        if max(ab, ba) <= SIBLING_RATIO * min(ab, ba):
             graph.add_sibling(a, b)
         elif ab > ba:
             graph.add_provider_customer(a, b)
@@ -128,7 +117,7 @@ def _classify_pair(
     # otherwise assume the bigger AS provides for the smaller one.
     deg_a = max(degrees.get(a, 1), 1)
     deg_b = max(degrees.get(b, 1), 1)
-    if max(deg_a, deg_b) <= config.peer_degree_ratio * min(deg_a, deg_b):
+    if max(deg_a, deg_b) <= PEER_DEGREE_RATIO * min(deg_a, deg_b):
         graph.add_peer(a, b)
     elif deg_a > deg_b:
         graph.add_provider_customer(a, b)

@@ -345,11 +345,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         king=KingEstimator(scenario.latency, seed=args.seed, non_response_rate=0.0),
         population=scenario.population,
     )
-    king = KingEstimator(scenario.latency, seed=args.seed, non_response_rate=0.0)
-    report = detect_limits(
-        study.analyses, study.results, analyzer,
-        king=king, population=scenario.population,
-    )
+    report = detect_limits(study.analyses, study.results, analyzer)
     print(render_kv_table("detected Skype limits:", report.summary_rows()))
     return 0
 

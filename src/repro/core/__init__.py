@@ -28,7 +28,6 @@ from repro.core.dial import (
     FailoverEvent,
     JoinRecord,
     MediaSessionRecord,
-    RuntimePolicy,
 )
 from repro.core.runtime import ASAPRuntime
 
@@ -39,7 +38,6 @@ __all__ = [
     "FailoverEvent",
     "JoinRecord",
     "MediaSessionRecord",
-    "RuntimePolicy",
     "ASAPSession",
     "ASAPSystem",
     "RelaySelection",

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.voip.quality import RTT_THRESHOLD_MS
 
 
 def require_count(name: str, value, minimum: int) -> None:
@@ -28,21 +28,14 @@ class ASAPConfig:
     Defaults follow the paper: ``k = 4`` AS hops for the close-cluster
     BFS ("more than 90% of the sessions with direct IP routing RTTs below
     300 ms have no more than 4 AS hops"), ``lat_threshold_ms`` close to
-    300 ms, ``size_threshold = 300`` candidate relay IPs before two-hop
-    selection starts, and a 40 ms round-trip relay delay per hop.
+    300 ms and ``size_threshold = 300`` candidate relay IPs before
+    two-hop selection starts.  The 40 ms round-trip relay delay per hop
+    is :data:`repro.measurement.latency.RELAY_DELAY_RTT_MS`.
     """
 
     k_hops: int = 4
-    lat_threshold_ms: float = 300.0
-    loss_threshold: float = 0.05
+    lat_threshold_ms: float = RTT_THRESHOLD_MS
     size_threshold: int = 300
-    relay_delay_rtt_ms: float = 40.0
-    bootstrap_count: int = 3
-    # Cap on how many one-hop candidate surrogates a caller queries for
-    # their close sets during two-hop selection (None = query all); the
-    # paper suggests probing "a fraction of candidate relay nodes" to
-    # bound overhead.
-    max_two_hop_queries: Optional[int] = None
     # Valley-free constraint in the close-cluster BFS (ablation knob —
     # the paper always keeps it on).
     valley_free: bool = True
@@ -57,20 +50,13 @@ class ASAPConfig:
         require_count("k_hops", self.k_hops, 0)
         if not self.lat_threshold_ms > 0:
             raise ConfigurationError("lat_threshold_ms must be positive")
-        if not 0.0 < self.loss_threshold <= 1.0:
-            raise ConfigurationError("loss_threshold must be in (0, 1]")
         require_count("size_threshold", self.size_threshold, 0)
-        if not self.relay_delay_rtt_ms >= 0:
-            raise ConfigurationError("relay_delay_rtt_ms must be >= 0")
-        require_count("bootstrap_count", self.bootstrap_count, 1)
-        if self.max_two_hop_queries is not None:
-            require_count("max_two_hop_queries", self.max_two_hop_queries, 0)
         require_count("hosts_per_surrogate", self.hosts_per_surrogate, 1)
 
 
 def derive_k_hops(
     matrices,
-    threshold_ms: float = 300.0,
+    threshold_ms: float = RTT_THRESHOLD_MS,
     quantile: float = 90.0,
     minimum: int = 2,
     maximum: int = 8,

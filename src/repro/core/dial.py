@@ -11,10 +11,10 @@ one over a wire transport.
 
 A port provides:
 
-- ``policy`` (:class:`RuntimePolicy`), ``config`` (the
-  :class:`~repro.core.config.ASAPConfig`), ``namespace`` (the counter
-  prefix, ``runtime`` or ``service``), ``host`` (the end host running
-  the flow) and ``address`` (what it advertises when it joins);
+- ``config`` (the :class:`~repro.core.config.ASAPConfig`),
+  ``namespace`` (the counter prefix, ``runtime`` or ``service``),
+  ``host`` (the end host running the flow) and ``address`` (what it
+  advertises when it joins);
 - ``now_ms()``, ``await sleep_ms(ms)`` and ``await gather(*coros)``;
 - ``await exchange(span, target, message, timeout_ms)``: the reply (an
   :class:`~repro.net.codec.ErrorFrame` when the peer answered with an
@@ -56,7 +56,7 @@ from repro.core.relay_selection import (
     select_one_hop,
     select_two_hop,
 )
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.net.codec import (
     ROLE_HOST,
     Bye,
@@ -85,7 +85,6 @@ __all__ = [
     "FailoverEvent",
     "JoinRecord",
     "MediaSessionRecord",
-    "RuntimePolicy",
     "run_dial",
     "run_join",
 ]
@@ -106,49 +105,28 @@ CATEGORY = {
 }
 
 
-@dataclass(frozen=True, kw_only=True)
-class RuntimePolicy:
-    """Timeout / retry / backoff / keepalive knobs of the call flow.
+# Timeouts per message category, deliberately generous relative to
+# simulated RTTs (a few hundred ms) so a timeout genuinely means a fault,
+# not a slow path.
+JOIN_TIMEOUT_MS = 1_500.0
+PING_TIMEOUT_MS = 1_000.0
+CLOSE_SET_TIMEOUT_MS = 1_200.0
+TWO_HOP_TIMEOUT_MS = 800.0
+KEEPALIVE_INTERVAL_MS = 2_000.0
+KEEPALIVE_TIMEOUT_MS = 600.0
 
-    Timeouts are per message category; retries are bounded and backed
-    off exponentially (``backoff_base_ms * backoff_factor**attempt``).
-    Defaults are deliberately generous relative to simulated RTTs (a few
-    hundred ms) so a timeout genuinely means a fault, not a slow path.
-    """
+#: Attempts per stage before the stage gives up.
+MAX_JOIN_ATTEMPTS = 3
+MAX_PING_ATTEMPTS = 3
+MAX_CLOSE_SET_ATTEMPTS = 3
 
-    join_timeout_ms: float = 1_500.0
-    ping_timeout_ms: float = 1_000.0
-    close_set_timeout_ms: float = 1_200.0
-    two_hop_timeout_ms: float = 800.0
-    keepalive_interval_ms: float = 2_000.0
-    keepalive_timeout_ms: float = 600.0
-    max_join_attempts: int = 3
-    max_ping_attempts: int = 3
-    max_close_set_attempts: int = 3
-    backoff_base_ms: float = 100.0
-    backoff_factor: float = 2.0
+BACKOFF_BASE_MS = 100.0
+BACKOFF_FACTOR = 2.0
 
-    def __post_init__(self) -> None:
-        for name in (
-            "join_timeout_ms",
-            "ping_timeout_ms",
-            "close_set_timeout_ms",
-            "two_hop_timeout_ms",
-            "keepalive_interval_ms",
-            "keepalive_timeout_ms",
-            "backoff_base_ms",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("max_join_attempts", "max_ping_attempts", "max_close_set_attempts"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
 
-    def backoff_ms(self, attempt: int) -> float:
-        """Delay before retry number ``attempt + 1`` (0-indexed)."""
-        return self.backoff_base_ms * self.backoff_factor**attempt
+def backoff_ms(attempt: int) -> float:
+    """Delay before retry number ``attempt + 1`` (0-indexed): exponential."""
+    return BACKOFF_BASE_MS * BACKOFF_FACTOR**attempt
 
 
 @dataclass
@@ -191,13 +169,12 @@ class FailoverEvent:
 class MediaSessionRecord:
     """A call's media, from the end of set-up to the end of the call.
 
-    The caller keepalives the relay every ``keepalive_interval_ms``; a
+    The caller keepalives the relay every :data:`KEEPALIVE_INTERVAL_MS`; a
     missed keepalive drives failover to the next relay candidate, or —
     with none left — to the direct path if the callee still answers a
-    ping, else the call drops.  The substrate scores the session when it
-    ends (``finish_media``): the outage windows through
-    :func:`repro.voip.outage.account_outages`, and, in the simulator with
-    a media plane, real frames over the sampled path.
+    ping, else the call drops.  The substrate closes the session when it
+    ends (``finish_media``); the simulator scores its outage windows
+    through :func:`repro.voip.outage.account_outages`.
     """
 
     caller: IPv4Address
@@ -216,12 +193,6 @@ class MediaSessionRecord:
     impact: Optional[OutageImpact] = None  # once scored
     #: Where media goes now: the relay's target, or the callee's.
     target: object = field(default=None, repr=False, compare=False)
-    #: Simulator media plane: sampled path segments, the measured
-    #: :class:`repro.media.session.MediaResult`, and the switch count.
-    media_call_id: int = 0
-    path_windows: List = field(default_factory=list, repr=False)
-    measured: Optional[object] = field(default=None, repr=False)
-    codec_switches: int = 0
     trace: object = field(default=NULL_TRACE_SPAN, repr=False, compare=False)
 
     @property
@@ -307,17 +278,17 @@ async def run_join(port, record: JoinRecord) -> Optional[Tuple[object, JoinOk]]:
     Returns the answering bootstrap's target and its ``JoinOk``, or
     ``None`` when the join failed (``record`` says why).
     """
-    policy, host, now = port.policy, port.host, port.now_ms
+    host, now = port.host, port.now_ms
     record.started_ms = now()
     tracer = obs.tracer()
     if tracer:
         tracer.clock = now
         record.trace = tracer.begin("join", record.started_ms, ip=str(host.ip), asn=host.asn)
     message = Join(ip=host.ip, role=ROLE_HOST, cluster=-1, wire_addr=port.address)
-    for attempt in range(policy.max_join_attempts):
+    for attempt in range(MAX_JOIN_ATTEMPTS):
         target = port.bootstrap(attempt)
         record.attempts += 1
-        reply = await port.exchange(record.trace, target, message, policy.join_timeout_ms)
+        reply = await port.exchange(record.trace, target, message, JOIN_TIMEOUT_MS)
         if isinstance(reply, JoinOk):
             break
         if reply is not None:
@@ -325,8 +296,8 @@ async def run_join(port, record: JoinRecord) -> Optional[Tuple[object, JoinOk]]:
             return _join_failed(port, record, reason)
         obs.counter(f"{port.namespace}.join_retries").inc()
         record.trace.point("join.retry", now(), attempt=attempt + 1)
-        if attempt + 1 < policy.max_join_attempts:
-            await port.sleep_ms(policy.backoff_ms(attempt))
+        if attempt + 1 < MAX_JOIN_ATTEMPTS:
+            await port.sleep_ms(backoff_ms(attempt))
     else:
         return _join_failed(port, record, "join-timeout")
     info = host.info
@@ -408,7 +379,7 @@ async def run_dial(
         _setup_done(port, call, "completed", "direct")
 
     admission = CallSetup(call_id=call.call_id, caller_ip=call.caller, callee_ip=call.callee)
-    accept = await port.exchange(call.trace, target, admission, port.policy.ping_timeout_ms)
+    accept = await port.exchange(call.trace, target, admission, PING_TIMEOUT_MS)
     if isinstance(accept, CallAccept) and accept.accept:
         if media_ms is not None:
             relay = await _media(port, call, target, relay, media_ms)
@@ -466,12 +437,11 @@ def _setup_done(
 async def _ping(port, call: DialResult, target) -> Optional[float]:
     """The ping ladder: the measured RTT, or None after every attempt
     went unanswered (each retry backed off)."""
-    policy = port.policy
-    for attempt in range(policy.max_ping_attempts):
+    for attempt in range(MAX_PING_ATTEMPTS):
         start = port.now_ms()
         span = call.trace.child("setup.ping", start, attempt=attempt + 1)
         call.attempts += 1
-        reply = await port.exchange(span, target, Ping(token=attempt + 1), policy.ping_timeout_ms)
+        reply = await port.exchange(span, target, Ping(token=attempt + 1), PING_TIMEOUT_MS)
         end = port.now_ms()
         if isinstance(reply, Pong):
             rtt = end - start
@@ -480,8 +450,8 @@ async def _ping(port, call: DialResult, target) -> Optional[float]:
             return rtt
         span.end(end, outcome="timeout")
         obs.counter(f"{port.namespace}.ping_retries").inc()
-        if attempt + 1 < policy.max_ping_attempts:
-            await port.sleep_ms(policy.backoff_ms(attempt))
+        if attempt + 1 < MAX_PING_ATTEMPTS:
+            await port.sleep_ms(backoff_ms(attempt))
     return None
 
 
@@ -551,9 +521,8 @@ async def _close_set_leg(port, call: DialResult, callee, leg: str):
     """One close-set leg: ``"own"`` asks the caller's surrogate,
     ``"peer"`` asks the callee, who asks its own.  Each attempt goes to
     the target the port names for it; the set, or None once exhausted."""
-    policy = port.policy
     query = CloseSetQuery(cluster=-1, requester_ip=call.caller)
-    for attempt in range(policy.max_close_set_attempts):
+    for attempt in range(MAX_CLOSE_SET_ATTEMPTS):
         named = port.leg_target(call, leg, attempt, callee)
         if named is None:
             break
@@ -568,9 +537,7 @@ async def _close_set_leg(port, call: DialResult, callee, leg: str):
             attempt=attempt + 1,
             surrogate=str(surrogate_ip),
         )
-        close_set = await _fetch_close_set(
-            port, span, target, query, policy.close_set_timeout_ms
-        )
+        close_set = await _fetch_close_set(port, span, target, query, CLOSE_SET_TIMEOUT_MS)
         if close_set is not None:
             return close_set
     return None
@@ -586,9 +553,7 @@ async def _two_hop(port, call: DialResult, cluster: int, fetched: dict) -> None:
         "setup.two_hop", port.now_ms(), cluster=cluster, surrogate=str(surrogate_ip)
     )
     query = CloseSetQuery(cluster=cluster, requester_ip=call.caller)
-    close_set = await _fetch_close_set(
-        port, span, target, query, port.policy.two_hop_timeout_ms
-    )
+    close_set = await _fetch_close_set(port, span, target, query, TWO_HOP_TIMEOUT_MS)
     if close_set is not None:
         fetched[cluster] = close_set
 
@@ -615,7 +580,6 @@ async def _establish_relay(port, call: DialResult, span, exclude: Set[IPv4Addres
     at most :data:`RELAY_TRIES_PER_CLUSTER` located hosts per cluster;
     ``(cluster, ip, target, relay-path RTT)``, or None."""
     setup = RelaySetup(call_id=call.call_id, caller_ip=call.caller, callee_ip=call.callee)
-    timeout_ms = port.policy.ping_timeout_ms
     for rtt, cluster in ranked_relay_clusters(call.selection):
         tried = 0
         for host in port.relay_hosts(cluster):
@@ -627,7 +591,7 @@ async def _establish_relay(port, call: DialResult, span, exclude: Set[IPv4Addres
             if target is None:
                 continue
             tried += 1
-            if isinstance(await port.exchange(span, target, setup, timeout_ms), RelayOk):
+            if isinstance(await port.exchange(span, target, setup, PING_TIMEOUT_MS), RelayOk):
                 return cluster, host.ip, target, rtt
     return None
 
@@ -668,24 +632,22 @@ async def _media(port, call: DialResult, callee, relay, media_ms: float):
 async def _keepalives(port, call: DialResult, media: MediaSessionRecord, callee) -> None:
     """Keepalive the relay every interval while the call lasts; a
     missed one means the relay is lost, and the call fails over."""
-    policy, now = port.policy, port.now_ms
+    now = port.now_ms
     dead: Set[IPv4Address] = set()
-    next_at = media.started_ms + policy.keepalive_interval_ms
+    next_at = media.started_ms + KEEPALIVE_INTERVAL_MS
     while media.relay_ip is not None and media.outcome == "active" and next_at < media.ends_ms:
         await port.sleep_ms(next_at - now())
         media.keepalives += 1
         sent_at = now()
         keepalive = Keepalive(call_id=call.call_id, seq=media.keepalives)
-        reply = await port.exchange(
-            media.trace, media.target, keepalive, policy.keepalive_timeout_ms
-        )
+        reply = await port.exchange(media.trace, media.target, keepalive, KEEPALIVE_TIMEOUT_MS)
         if isinstance(reply, KeepaliveAck):
-            next_at = sent_at + policy.keepalive_interval_ms
+            next_at = sent_at + KEEPALIVE_INTERVAL_MS
             continue
         obs.counter(f"{port.namespace}.keepalive_timeouts").inc()
         media.trace.point("media.relay_lost", now(), relay=str(media.relay_ip))
         await _failover(port, call, media, callee, sent_at, dead)
-        next_at = now() + policy.keepalive_interval_ms
+        next_at = now() + KEEPALIVE_INTERVAL_MS
 
 
 async def _failover(
@@ -703,7 +665,7 @@ async def _failover(
     if relay is None:
         probe = Ping(token=0)
         answered = isinstance(
-            await port.exchange(media.trace, callee, probe, port.policy.ping_timeout_ms), Pong
+            await port.exchange(media.trace, callee, probe, PING_TIMEOUT_MS), Pong
         )
     restored = now()
     event = FailoverEvent(

@@ -144,7 +144,6 @@ class ASAPSystem:
             self._clusters_by_as,
             k_hops=config.k_hops,
             lat_threshold_ms=config.lat_threshold_ms,
-            loss_threshold=config.loss_threshold,
             valley_free=config.valley_free,
         )
 

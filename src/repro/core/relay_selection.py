@@ -28,6 +28,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.config import ASAPConfig
+from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.worldarrays.closesets import CloseClusterSet
 
 
@@ -151,7 +152,7 @@ def select_one_hop(
     """
     result = RelaySelection(messages=2)  # h1 obtains S2 from h2 (request + response)
     c1, rtt1 = s1.rows()
-    relay_rtt = rtt1 + _legs(_leg_table(s2), c1) + config.relay_delay_rtt_ms
+    relay_rtt = rtt1 + _legs(_leg_table(s2), c1) + RELAY_DELAY_RTT_MS
     close = relay_rtt < config.lat_threshold_ms
     for cluster, rtt in zip(c1[close].tolist(), relay_rtt[close].tolist()):
         size = cluster_size(cluster)
@@ -164,7 +165,7 @@ def select_one_hop(
     # Two-hop expands through the close sets of one-hop candidates (clusters
     # already known close to h1), and only while OS is short of sizeT.
     if result.one_hop_ips < config.size_threshold:
-        result.first_hops = result.one_hop[: config.max_two_hop_queries]
+        result.first_hops = list(result.one_hop)
     return result
 
 
@@ -201,7 +202,7 @@ def select_two_hop(
     c1, rtt1 = s1.rows()
     lead = rtt1[np.searchsorted(c1, r1)]  # every first hop is a member of S1
     relay_rtt = (
-        lead[owner] + via_rtt + _legs(_leg_table(s2), via) + 2.0 * config.relay_delay_rtt_ms
+        lead[owner] + via_rtt + _legs(_leg_table(s2), via) + 2.0 * RELAY_DELAY_RTT_MS
     )
     close = (relay_rtt < config.lat_threshold_ms) & (via != r1[owner])
     for at, r2, rtt in zip(owner[close].tolist(), via[close].tolist(), relay_rtt[close].tolist()):

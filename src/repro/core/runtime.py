@@ -20,7 +20,7 @@ what is particular to the simulator:
   surrogate group (§6.3's replicas), relays are the cluster's online
   hosts, most capable first, and selection counts online hosts only;
 - scheduling, churn (:meth:`ASAPRuntime.fail_host` and friends, driven
-  by :mod:`repro.faults`), and media path sampling and scoring.
+  by :mod:`repro.faults`), and media scoring from the outage windows.
 
 The headline measurement is **call setup time** — the paper's answer to
 Skype's Limit 3: where Skype needs tens-to-hundreds of seconds of
@@ -44,7 +44,6 @@ from repro.core.dial import (
     DialResult,
     JoinRecord,
     MediaSessionRecord,
-    RuntimePolicy,
     run_dial,
     run_join,
 )
@@ -72,7 +71,10 @@ from repro.topology.population import Host, NodalInfo
 from repro.voip.outage import OutageWindow, account_outages
 from repro.voip.quality import mos_of_path
 
-__all__ = ["ASAPRuntime", "RuntimePolicy", "make_bootstrap_hosts"]
+__all__ = ["ASAPRuntime", "make_bootstrap_hosts"]
+
+#: Dedicated bootstrap servers the simulated runtime synthesizes.
+BOOTSTRAP_COUNT = 3
 
 
 def make_bootstrap_hosts(scenario: Scenario, count: int) -> List[Host]:
@@ -126,22 +128,13 @@ class ASAPRuntime:
         self,
         scenario: Scenario,
         config: Optional[ASAPConfig] = None,
-        policy: Optional[RuntimePolicy] = None,
-        media_plane=None,
-        media_seed: int = 0,
     ) -> None:
         self._scenario = scenario
         self._config = config = config if config is not None else ASAPConfig()
-        self._policy = policy if policy is not None else RuntimePolicy()
-        #: Optional :class:`repro.media.session.MediaPlaneConfig`.  When
-        #: set, every media session also runs real frames over its
-        #: (sampled) path and is scored from the received trace.
-        self._media_plane = media_plane
-        self._media_seed = media_seed
         self._system = ASAPSystem(scenario, config)
         self.sim = Simulator()
         self.network = SimNetwork(self.sim, scenario.latency)
-        self._bootstrap_hosts = make_bootstrap_hosts(scenario, config.bootstrap_count)
+        self._bootstrap_hosts = make_bootstrap_hosts(scenario, BOOTSTRAP_COUNT)
         self.joins: List[JoinRecord] = []
         self.call_setups: List[DialResult] = []
         self.media_sessions: List[MediaSessionRecord] = []
@@ -152,10 +145,6 @@ class ASAPRuntime:
     @property
     def system(self) -> ASAPSystem:
         return self._system
-
-    @property
-    def policy(self) -> RuntimePolicy:
-        return self._policy
 
     @property
     def bootstrap_hosts(self) -> List[Host]:
@@ -209,55 +198,10 @@ class ASAPRuntime:
         self.sim.schedule_at(at_ms, lambda: self.sim.spawn(call()))
         return record
 
-    # -- media path sampling and scoring -----------------------------------------
-
-    def _media_path_conditions(self, media: MediaSessionRecord):
-        """Current (rtt_ms, loss_rate) of the media path — relay legs
-        when relayed, the direct pair otherwise.  Pure reads: no RNG
-        draws, no messages, so sampling never perturbs the event flow."""
-        network = self.network
-        caller, callee = network.host(media.caller), network.host(media.callee)
-        if media.relay_ip is not None:
-            relay = network.host(media.relay_ip)
-            legs = [(caller, relay), (relay, callee)]
-        else:
-            legs = [(caller, callee)]
-        rtt = 0.0
-        survive = 1.0
-        for src, dst in legs:
-            leg_rtt = self._scenario.latency.host_rtt_ms(src, dst)
-            if leg_rtt is None or not np.isfinite(leg_rtt):
-                return None, 1.0
-            rtt += leg_rtt
-            survive *= 1.0 - network.loss_rate_between(src, dst)
-        return rtt, 1.0 - survive
-
-    def _sample_media_path(self, media: MediaSessionRecord) -> None:
-        """Record the path's conditions as a session-relative segment."""
-        if media.outcome != "active" or self.sim.now_ms >= media.ends_ms:
-            return
-        from repro.media.session import PathWindow
-
-        rtt, loss = self._media_path_conditions(media)
-        if rtt is None:
-            # Structurally unreachable right now: keep the last known
-            # RTT (frames in flight pace against it) but lose everything.
-            rtt = media.path_windows[-1].rtt_ms if media.path_windows else media.base_rtt_ms
-            if not np.isfinite(rtt):
-                return
-            loss = 1.0
-        segment = PathWindow(
-            start_ms=round(self.sim.now_ms - media.started_ms, 3),
-            rtt_ms=float(rtt),
-            loss_rate=float(loss),
-        )
-        last = media.path_windows[-1] if media.path_windows else None
-        if last is None or (last.rtt_ms, last.loss_rate) != (segment.rtt_ms, segment.loss_rate):
-            media.path_windows.append(segment)
+    # -- media scoring -------------------------------------------------------------
 
     def _score_media(self, media: MediaSessionRecord) -> None:
-        """Score the outage windows (and, with a media plane, the frames
-        over the sampled path), then end the media span."""
+        """Score the outage windows, then end the media span."""
         duration = max(media.duration_ms, 1e-9)
         base_mos = mos_of_path(media.base_rtt_ms) if np.isfinite(media.base_rtt_ms) else 1.0
         # Windows are recorded in absolute sim time, but account_outages
@@ -271,32 +215,6 @@ class ASAPRuntime:
         ]
         media.impact = account_outages(base_mos=base_mos, duration_ms=duration, windows=windows)
         obs.histogram("runtime.media_mos_dip").observe(media.impact.mos_dip)
-        if self._media_plane is not None and media.path_windows:
-            from repro.media.session import run_media_session
-
-            result = run_media_session(
-                call_id=media.media_call_id,
-                duration_ms=duration,
-                path=media.path_windows,
-                outages=windows,
-                config=self._media_plane,
-                seed=self._media_seed,
-                start_ms=media.started_ms,
-                timeline=obs.timeline(),
-                span=media.trace,
-                call=f"{media.caller}-{media.callee}",
-            )
-            media.measured = result
-            media.codec_switches = len(result.switches)
-            obs.histogram("runtime.media_measured_mos").observe(result.score.mos)
-            media.trace.point(
-                "media.measured",
-                self.sim.now_ms,
-                mos=round(result.score.mos, 6),
-                frames=len(result.trace.frames),
-                switches=media.codec_switches,
-                effective_loss=round(result.score.effective_loss, 6),
-            )
         media.trace.end(
             self.sim.now_ms,
             outcome=media.outcome,
@@ -377,7 +295,6 @@ class _SimPort:
         self._network = runtime.network
         self.host = host
         self.address = str(host.ip)
-        self.policy = runtime.policy
         self.config = runtime._config
         self.gather = sim.gather
         self.cluster_size = runtime.system.online_size
@@ -468,20 +385,10 @@ class _SimPort:
         return reply
 
     async def voice(self, call: DialResult, media: MediaSessionRecord) -> None:
-        """Hold the media until it ends, sampling its path every window
-        when the runtime has a media plane."""
+        """Hold the media until it ends."""
         runtime = self._runtime
         runtime.media_sessions.append(media)
-        plane = runtime._media_plane
-        if plane is not None:
-            media.media_call_id = len(runtime.media_sessions)
-            tick = media.started_ms
-            while tick < media.ends_ms:
-                runtime._sample_media_path(media)
-                tick += plane.window_ms
-                await runtime.sim.sleep_until(min(tick, media.ends_ms))
-        else:
-            await runtime.sim.sleep_until(media.ends_ms)
+        await runtime.sim.sleep_until(media.ends_ms)
 
     def finish_media(self, call: DialResult, media: MediaSessionRecord) -> None:
         self._runtime._score_media(media)

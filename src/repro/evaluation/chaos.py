@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import ASAPConfig
-from repro.core.runtime import ASAPRuntime, RuntimePolicy
+from repro.core.runtime import ASAPRuntime
 from repro.errors import EvaluationError
 from repro.evaluation.sessions import generate_workload
 from repro.faults import FaultInjector, FaultScheduleConfig, compile_schedule
@@ -258,7 +258,6 @@ def run_chaos(
     media_duration_ms: float = 10_000.0,
     seed: int = 0,
     asap_config: Optional[ASAPConfig] = None,
-    policy: Optional[RuntimePolicy] = None,
     latent_target: Optional[int] = None,
 ) -> ChaosResult:
     """Drive a workload through a runtime under an injected fault schedule.
@@ -272,7 +271,7 @@ def run_chaos(
     any record fails to reach a terminal outcome — the no-hang
     invariant chaos CI enforces.
     """
-    runtime = ASAPRuntime(scenario, asap_config, policy)
+    runtime = ASAPRuntime(scenario, asap_config)
     schedule = compile_schedule(fault_config, scenario)
     injector = FaultInjector(runtime, schedule)
     injector.install()

@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Union
 
 from repro import obs
-from repro.baselines.base import BaselineConfig
 from repro.core.config import ASAPConfig, derive_k_hops, require_count
 from repro.errors import ConfigurationError
 from repro.evaluation.policies import METHOD_NAMES, default_policies
@@ -83,8 +82,6 @@ class ExperimentConfig:
     stream: Optional[bool] = None
     spill_dir: Optional[Union[str, Path]] = None
     chunk_columns: int = 256
-    asap_config: Optional[ASAPConfig] = None
-    baseline_config: Optional[BaselineConfig] = None
 
     def __post_init__(self) -> None:
         if self.scale not in SCALES:
@@ -223,23 +220,19 @@ class Experiment:
                 )
 
                 started = time.perf_counter()
-                asap_config = config.asap_config
-                if asap_config is None:
-                    asap_config = ASAPConfig(k_hops=derive_k_hops(view))
+                asap_config = ASAPConfig(k_hops=derive_k_hops(view))
                 policies = [
                     _TimedPolicy(policy, policy_seconds)
                     for policy in default_policies(
                         scenario,
                         methods=config.methods,
                         asap_config=asap_config,
-                        baseline_config=config.baseline_config,
                     )
                 ]
                 result = run_section7(
                     scenario,
                     seed=config.seed,
                     asap_config=asap_config,
-                    baseline_config=config.baseline_config,
                     workload=workload,
                     max_latent_sessions=config.max_latent_sessions,
                     policies=policies,

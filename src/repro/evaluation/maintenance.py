@@ -32,6 +32,7 @@ from repro.evaluation.sessions import Session
 from repro.measurement.conditions import generate_conditions
 from repro.measurement.latency import LatencyModel
 from repro.scenario import Scenario
+from repro.worldarrays.closesets import LOSS_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def staleness(
     members = stale_set.ids
     rtt = fresh.rtt_ms[cluster_index, members]
     loss = fresh.loss[cluster_index, members]
-    passing = np.isfinite(rtt) & (rtt < config.lat_threshold_ms) & (loss < config.loss_threshold)
+    passing = np.isfinite(rtt) & (rtt < config.lat_threshold_ms) & (loss < LOSS_THRESHOLD)
     violating = int(len(members) - passing.sum())
 
     # Missing: clusters that would qualify now (fresh RTT under the
@@ -174,9 +175,7 @@ def run_maintenance_study(
             if not selection.one_hop:
                 continue
             believed = min(selection.one_hop, key=lambda c: c.relay_rtt_ms)
-            realized_rtt = realized.one_hop_rtt(
-                ca, believed.cluster, cb, config.relay_delay_rtt_ms
-            )
+            realized_rtt = realized.one_hop_rtt(ca, believed.cluster, cb)
             if np.isfinite(realized_rtt):
                 bests.append(realized_rtt)
                 if realized_rtt < config.lat_threshold_ms:

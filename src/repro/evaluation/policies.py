@@ -18,14 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.baselines import (
-    BaselineConfig,
-    DEDIMethod,
-    MIXMethod,
-    OPTMethod,
-    RANDMethod,
-    RelayPolicy,
-)
+from repro.baselines import DEDIMethod, MIXMethod, OPTMethod, RANDMethod, RelayPolicy
 from repro.baselines.base import MethodResult, session_batch
 from repro.core.config import ASAPConfig
 from repro.core.protocol import ASAPSystem
@@ -83,22 +76,19 @@ def default_policies(
     scenario: Scenario,
     methods: Sequence[str] = METHOD_NAMES,
     asap_config: Optional[ASAPConfig] = None,
-    baseline_config: Optional[BaselineConfig] = None,
 ) -> List[RelayPolicy]:
     """Build the requested methods as policies, in ``methods`` order."""
-    if baseline_config is None:
-        baseline_config = BaselineConfig()
     graph = scenario.topology.graph
     policies: List[RelayPolicy] = []
     for name in methods:
         if name == "DEDI":
-            policies.append(DEDIMethod(graph, baseline_config))
+            policies.append(DEDIMethod(graph))
         elif name == "RAND":
-            policies.append(RANDMethod(baseline_config))
+            policies.append(RANDMethod())
         elif name == "MIX":
-            policies.append(MIXMethod(graph, baseline_config))
+            policies.append(MIXMethod(graph))
         elif name == "OPT":
-            policies.append(OPTMethod(baseline_config))
+            policies.append(OPTMethod())
         elif name == "ASAP":
             policies.append(ASAPPolicy(ASAPSystem(scenario, asap_config)))
         else:

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.baselines.base import BaselineConfig
 from repro.core.config import ASAPConfig
 from repro.evaluation.section7 import Section7Result, run_section7
 from repro.evaluation.sessions import Session, SessionWorkload, generate_workload
@@ -99,7 +98,6 @@ def run_scalability(
     seed: int = 0,
     methods: Sequence[str] = ("DEDI", "RAND", "MIX", "ASAP"),
     asap_config: Optional[ASAPConfig] = None,
-    baseline_config: Optional[BaselineConfig] = None,
     max_latent_sessions: int = 60,
 ) -> ScalabilityResult:
     """Run the Fig. 17 experiment at two population scales.
@@ -120,7 +118,6 @@ def run_scalability(
             seed=seed,
             methods=methods,
             asap_config=asap_config,
-            baseline_config=baseline_config,
             workload=large_workload,
             max_latent_sessions=max_latent_sessions,
         )
@@ -155,7 +152,6 @@ def run_scalability(
             seed=seed,
             methods=methods,
             asap_config=asap_config,
-            baseline_config=baseline_config,
             workload=small_workload,
             max_latent_sessions=max_latent_sessions,
         )

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.baselines.base import BaselineConfig
 from repro.baselines.opt import OPTMethod
 from repro.evaluation.sessions import SessionWorkload, generate_workload
 from repro.scenario import Scenario
@@ -69,7 +68,7 @@ def run_section3(
     if workload is None:
         workload = generate_workload(scenario, session_count, seed=seed)
     world = scenario.matrix_view()
-    opt = OPTMethod(BaselineConfig(), include_two_hop=False)
+    opt = OPTMethod(include_two_hop=False)
 
     direct = workload.direct_rtts()
     with obs.span("section3.optimal_one_hop", sessions=len(workload)):

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.baselines import BaselineConfig, RelayPolicy
+from repro.baselines import RelayPolicy
 from repro.core import ASAPConfig, derive_k_hops
 from repro.evaluation.metrics import (
     MethodRecord,
@@ -67,7 +67,6 @@ def run_section7(
     latent_target: int = 100,
     seed: int = 0,
     asap_config: Optional[ASAPConfig] = None,
-    baseline_config: Optional[BaselineConfig] = None,
     methods: Sequence[str] = METHOD_NAMES,
     workload: Optional[SessionWorkload] = None,
     max_latent_sessions: Optional[int] = None,
@@ -103,7 +102,6 @@ def run_section7(
             scenario,
             methods=methods,
             asap_config=asap_config,
-            baseline_config=baseline_config,
         )
 
     result = Section7Result(latent_sessions=latent)

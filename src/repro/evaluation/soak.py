@@ -42,7 +42,7 @@ import numpy as np
 from repro import obs
 from repro.control import CloseSetMaintainer, HashRing, MembershipEvent, ShardedDirectory
 from repro.core.config import ASAPConfig, require_count
-from repro.core.runtime import ASAPRuntime, RuntimePolicy
+from repro.core.runtime import ASAPRuntime
 from repro.errors import ConfigurationError
 from repro.evaluation.chaos import (
     _dist,
@@ -72,7 +72,6 @@ class SoakConfig:
     sim_minutes: float = 60.0
     #: Directory shards on the consistent-hash ring.
     shards: int = 3
-    virtual_nodes: int = 16
 
     # Workload (same knobs as chaos, same seeded stream).
     sessions: int = 40
@@ -107,7 +106,6 @@ class SoakConfig:
         if not (math.isfinite(self.sim_minutes) and self.sim_minutes > 0):
             raise ConfigurationError("sim_minutes must be positive and finite")
         require_count("shards", self.shards, 1)
-        require_count("virtual_nodes", self.virtual_nodes, 1)
         require_count("sessions", self.sessions, 0)
         require_count("joins", self.joins, 0)
         if self.latent_target is not None:
@@ -261,7 +259,6 @@ def run_soak(
     config: SoakConfig,
     *,
     asap_config: Optional[ASAPConfig] = None,
-    policy: Optional[RuntimePolicy] = None,
 ) -> SoakReport:
     """Run one churn soak; returns the gated :class:`SoakReport`.
 
@@ -271,10 +268,10 @@ def run_soak(
     """
     duration = config.duration_ms
     fault_config = config.fault_config()
-    runtime = ASAPRuntime(scenario, asap_config, policy)
+    runtime = ASAPRuntime(scenario, asap_config)
     schedule = compile_schedule(fault_config, scenario)
 
-    ring = HashRing(config.shards, config.virtual_nodes)
+    ring = HashRing(config.shards)
     directory = ShardedDirectory(
         ring, runtime.system.cluster_of_ip, ttl_ms=config.registry_ttl_ms
     )

@@ -26,7 +26,7 @@ import numpy as np
 from repro import obs
 from repro.errors import MeasurementError
 from repro.netaddr import IPv4Prefix
-from repro.measurement.latency import LatencyModel
+from repro.measurement.latency import RELAY_DELAY_RTT_MS, LatencyModel
 from repro.measurement.matrixfill import FlatMatrixAssembler, WorldArrays
 from repro.topology.clustering import Cluster, ClusterIndex
 from repro.util.rng import derive_rng
@@ -56,7 +56,9 @@ class DelegateMatrices:
     def count(self) -> int:
         return len(self.prefixes)
 
-    def one_hop_rtt(self, a: int, relay: int, b: int, relay_delay_rtt_ms: float = 40.0) -> float:
+    def one_hop_rtt(
+        self, a: int, relay: int, b: int, relay_delay_rtt_ms: float = RELAY_DELAY_RTT_MS
+    ) -> float:
         """RTT of the a→relay→b overlay path at cluster granularity."""
         return float(self.rtt_ms[a, relay] + self.rtt_ms[relay, b] + relay_delay_rtt_ms)
 

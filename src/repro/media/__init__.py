@@ -17,8 +17,8 @@ Five stages, each its own module:
   measured MOS through :mod:`repro.voip.emodel` and outage accounting.
 
 :mod:`session <repro.media.session>` wires the stages into one
-seed-deterministic in-call media session, consumable by the sim
-runtime, the conference scenario and the CLI; :mod:`call
+seed-deterministic in-call media session, consumable by the
+conference scenario and the CLI; :mod:`call
 <repro.media.call>` runs §6.2's path switching / diversity / FEC over
 relay candidates as a sequence of such sessions.
 """
@@ -37,7 +37,7 @@ from repro.media.jitterbuf import (
     PlayedFrame,
     PlayoutResult,
 )
-from repro.media.plc import ConcealmentReport, PLCConfig, conceal
+from repro.media.plc import ConcealmentReport, conceal
 from repro.media.score import (
     MEASURED_MOS_TOLERANCE,
     MeasuredScore,
@@ -63,7 +63,6 @@ __all__ = [
     "MeasuredScore",
     "MediaPlaneConfig",
     "MediaResult",
-    "PLCConfig",
     "PathWindow",
     "PlayedFrame",
     "PlayoutResult",

@@ -31,7 +31,17 @@ from repro.media.jitterbuf import JitterBufferConfig
 from repro.media.score import MeasuredScore, score_trace
 from repro.media.session import MediaPlaneConfig, MediaResult, PathWindow, run_media_session
 from repro.util.rng import derive_rng
-from repro.voip.codecs import Codec, G729A_VAD
+from repro.voip.codecs import G729A_VAD
+
+#: One call window: the unit of path state, switching and scoring.
+CALL_WINDOW_MS = 2_000.0
+#: Fixed playout depth of a call's jitter buffer.
+PLAYOUT_DEPTH_MS = 40.0
+#: Path switching: switch when the active window's MOS dips below.
+SWITCH_MOS_THRESHOLD = 3.2
+#: FEC over the secondary path [Nguyen & Zakhor]: one XOR parity per
+#: this many voice packets.
+FEC_GROUP_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -93,31 +103,19 @@ class PathQualityProcess:
 class CallConfig:
     """Knobs of the call runtime."""
 
-    codec: Codec = G729A_VAD
-    window_ms: float = 2_000.0
     windows: int = 30
-    playout_depth_ms: float = 40.0
-    # Path switching: switch when the active window's MOS dips below.
-    switch_mos_threshold: float = 3.2
     use_switching: bool = True
     use_diversity: bool = False
-    # FEC over the secondary path [Nguyen & Zakhor]: one XOR parity per
-    # ``fec_group_size`` voice packets; mutually exclusive with full
+    # FEC parity over the secondary path; mutually exclusive with full
     # duplication (use_diversity).
     use_fec: bool = False
-    fec_group_size: int = 4
-    jitter_mean_ms: float = 6.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.window_ms <= 0 or self.windows < 1:
-            raise ConfigurationError("window_ms and windows must be positive")
-        if not 1.0 <= self.switch_mos_threshold <= 4.5:
-            raise ConfigurationError("switch_mos_threshold must be a MOS value")
+        if self.windows < 1:
+            raise ConfigurationError("windows must be positive")
         if self.use_fec and self.use_diversity:
             raise ConfigurationError("use_fec and use_diversity are exclusive")
-        if self.fec_group_size < 2:
-            raise ConfigurationError("fec_group_size must be >= 2")
 
 
 @dataclass
@@ -178,14 +176,13 @@ class VoiceCall:
             raise ConfigurationError("a call needs at least one candidate path")
         self._paths = list(paths)
         self._config = config
-        depth = config.playout_depth_ms
         # Fixed codec: both legs of a diverse send carry the same frames.
         self._media = MediaPlaneConfig(
-            codec=config.codec,
-            jitter_mean_ms=config.jitter_mean_ms,
-            jitterbuf=JitterBufferConfig(min_depth_ms=depth, max_depth_ms=depth),
+            jitterbuf=JitterBufferConfig(
+                min_depth_ms=PLAYOUT_DEPTH_MS, max_depth_ms=PLAYOUT_DEPTH_MS
+            ),
             adaptation=None,
-            window_ms=config.window_ms,
+            window_ms=CALL_WINDOW_MS,
         )
 
     def run(self) -> CallOutcome:
@@ -197,11 +194,11 @@ class VoiceCall:
             states = [p.step() for p in self._paths]
             score = self._window_score(window, states, active)
             heard = score.windows[0]  # one call window = one scoring window
-            mouth_to_ear = heard.mean_delay_ms + config.codec.codec_delay_ms()
+            mouth_to_ear = heard.mean_delay_ms + G729A_VAD.codec_delay_ms()
             switched = False
             if (
                 config.use_switching
-                and score.mos < config.switch_mos_threshold
+                and score.mos < SWITCH_MOS_THRESHOLD
                 and len(self._paths) > 1
             ):
                 active = self._best_alternate(states, active)
@@ -222,7 +219,7 @@ class VoiceCall:
         """One window's frames over one path (role 0 active, 1 secondary)."""
         return run_media_session(
             call_id=2 * window + role,
-            duration_ms=self._config.window_ms,
+            duration_ms=CALL_WINDOW_MS,
             path=[PathWindow(0.0, 2.0 * state.one_way_delay_ms, state.loss_rate)],
             config=self._media,
             seed=self._config.seed,
@@ -239,9 +236,9 @@ class VoiceCall:
         if config.use_diversity:
             trace = merge_diverse_traces(primary.trace, secondary.trace)
         else:
-            trace = recover_with_parity(primary.trace, secondary.trace, config.fec_group_size)
+            trace = recover_with_parity(primary.trace, secondary.trace)
         media = self._media
-        return score_trace(trace, media.jitterbuf, media.plc, media.window_ms)
+        return score_trace(trace, media.jitterbuf, media.window_ms)
 
     def _best_alternate(self, states: Sequence[PathState], active: int) -> int:
         """The non-active path with the best instantaneous quality."""
@@ -277,7 +274,7 @@ def merge_diverse_traces(primary: ReceivedTrace, secondary: ReceivedTrace) -> Re
 
 
 def recover_with_parity(
-    voice: ReceivedTrace, secondary: ReceivedTrace, group_size: int = 4
+    voice: ReceivedTrace, secondary: ReceivedTrace, group_size: int = FEC_GROUP_SIZE
 ) -> ReceivedTrace:
     """FEC over a diverse path [Nguyen & Zakhor]: one XOR parity packet
     per ``group_size`` voice frames travels the secondary path in the

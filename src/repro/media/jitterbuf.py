@@ -21,9 +21,15 @@ from repro.errors import ConfigurationError
 from repro.media.frames import ReceivedTrace
 
 
+#: Delay EWMA retention.
+ALPHA = 0.998
+#: Deadline = depth = FACTOR * v_hat (clamped to the configured depths).
+FACTOR = 4.0
+
+
 @dataclass(frozen=True)
 class JitterBufferConfig:
-    """Playout policy knobs.
+    """Playout depth bounds.
 
     ``min_depth_ms`` defaults to 20 ms — deliberately equal to
     :class:`repro.voip.emodel.EModelConfig`'s closed-form jitter-buffer
@@ -31,16 +37,10 @@ class JitterBufferConfig:
     matches what the analytic score already charges for.
     """
 
-    alpha: float = 0.998          # delay EWMA retention
-    factor: float = 4.0           # deadline = depth = factor * v_hat
     min_depth_ms: float = 20.0
     max_depth_ms: float = 200.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("alpha must be in (0, 1)")
-        if self.factor <= 0:
-            raise ConfigurationError("factor must be positive")
         if self.min_depth_ms < 0 or self.max_depth_ms < self.min_depth_ms:
             raise ConfigurationError(
                 "need 0 <= min_depth_ms <= max_depth_ms"
@@ -87,7 +87,7 @@ class AdaptiveJitterBuffer:
 
     The delay estimate seeds from the first arriving frame, then
     follows the EWMA; the deadline for frame *i* is
-    ``sent_i + d_hat + depth`` with ``depth = clamp(factor * v_hat,
+    ``sent_i + d_hat + depth`` with ``depth = clamp(FACTOR * v_hat,
     min_depth_ms, max_depth_ms)``, never earlier than frame *i-1*'s
     playout instant (a fast-moving estimate cannot run the playout clock
     backwards).  Estimator state advances on every *arriving* frame
@@ -104,9 +104,9 @@ class AdaptiveJitterBuffer:
     def play(self, trace: ReceivedTrace) -> PlayoutResult:
         """Run the whole trace through the buffer."""
         cfg = self.config
-        a = cfg.alpha
+        a = ALPHA
         b = 1.0 - a
-        factor, low, high = cfg.factor, cfg.min_depth_ms, cfg.max_depth_ms
+        factor, low, high = FACTOR, cfg.min_depth_ms, cfg.max_depth_ms
         d_hat, v_hat, seeded = self._d_hat, self._v_hat, self._seeded
         out: List[PlayedFrame] = []
         append = out.append

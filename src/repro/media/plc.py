@@ -3,9 +3,9 @@
 Waveform-substitution PLC (repeat last frame, attenuate) masks short
 loss runs almost completely but collapses on long bursts — the decoder
 has nothing plausible left to repeat.  We model that with a window:
-the first ``max_conceal_frames`` of every *consecutive* loss run count
-as *concealed* (weight ``conceal_weight`` toward effective loss), the
-remainder as *revealed* (full weight).  The model is burst-aware by
+the first :data:`MAX_CONCEAL_FRAMES` of every *consecutive* loss run
+count as *concealed* (weight :data:`CONCEAL_WEIGHT` toward effective
+loss), the remainder as *revealed* (full weight).  The model is burst-aware by
 construction: a Gilbert–Elliott channel producing the same mean loss
 in longer bursts reveals strictly more loss than random drops do.
 """
@@ -15,19 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class PLCConfig:
-    max_conceal_frames: int = 3   # repeat/attenuate window per loss run
-    conceal_weight: float = 0.35  # residual impairment of a concealed frame
-
-    def __post_init__(self) -> None:
-        if self.max_conceal_frames < 0:
-            raise ConfigurationError("max_conceal_frames must be >= 0")
-        if not 0.0 <= self.conceal_weight <= 1.0:
-            raise ConfigurationError("conceal_weight must be in [0, 1]")
+#: Repeat/attenuate window per loss run, in frames.
+MAX_CONCEAL_FRAMES = 3
+#: Residual impairment of a concealed frame.
+CONCEAL_WEIGHT = 0.35
 
 
 @dataclass(frozen=True)
@@ -54,12 +45,12 @@ class ConcealmentReport:
         return sum(self.weights) / len(self.weights)
 
 
-def conceal(loss_flags: Sequence[bool], config: PLCConfig = PLCConfig()) -> ConcealmentReport:
+def conceal(loss_flags: Sequence[bool]) -> ConcealmentReport:
     """Apply the repeat/attenuate window model to a loss-flag sequence.
 
     ``loss_flags[i]`` is True when frame *i* was lost (or arrived too
     late to play).  Weight per frame: 0 for a played frame,
-    ``conceal_weight`` for a concealed loss, 1.0 for a revealed loss.
+    :data:`CONCEAL_WEIGHT` for a concealed loss, 1.0 for a revealed loss.
     """
     weights: List[float] = []
     statuses: List[str] = []
@@ -72,9 +63,9 @@ def conceal(loss_flags: Sequence[bool], config: PLCConfig = PLCConfig()) -> Conc
             statuses.append("ok")
             continue
         run += 1
-        if run <= config.max_conceal_frames:
+        if run <= MAX_CONCEAL_FRAMES:
             concealed += 1
-            weights.append(config.conceal_weight)
+            weights.append(CONCEAL_WEIGHT)
             statuses.append("concealed")
         else:
             revealed += 1

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.media.frames import ReceivedTrace, _codec_by_name
 from repro.media.jitterbuf import AdaptiveJitterBuffer, JitterBufferConfig, PlayoutResult
-from repro.media.plc import ConcealmentReport, PLCConfig, conceal
+from repro.media.plc import ConcealmentReport, conceal
 from repro.voip.emodel import EModel, EModelConfig
 from repro.voip.outage import OutageWindow, account_outages
 
@@ -112,7 +112,6 @@ class MeasuredScore:
 def score_trace(
     trace: ReceivedTrace,
     jitterbuf: JitterBufferConfig = JitterBufferConfig(),
-    plc: PLCConfig = PLCConfig(),
     window_ms: float = DEFAULT_WINDOW_MS,
     playout: Optional[PlayoutResult] = None,
 ) -> MeasuredScore:
@@ -131,7 +130,7 @@ def score_trace(
     if len(playout.frames) != len(trace.frames):
         raise ConfigurationError("playout does not cover the trace")
     unplayed = playout.effective_loss_flags
-    report: ConcealmentReport = conceal(unplayed, plc)
+    report: ConcealmentReport = conceal(unplayed)
 
     duration = trace.duration_ms
     window_count = max(1, int(-(-duration // window_ms)))  # ceil

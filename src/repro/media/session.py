@@ -1,7 +1,7 @@
 """One end-to-end media session: frames → channel → buffer → PLC → MOS.
 
 :func:`run_media_session` is the media plane's single entry point for
-the sim runtime, the conference scenario and the CLI.  The caller
+the conference scenario, the voice-call runtime and the CLI.  The caller
 describes the *path* as a piecewise-constant sequence of
 :class:`PathWindow` segments (RTT + loss per segment, session-relative
 times) plus optional hard outage windows (failovers: nothing flows);
@@ -33,14 +33,14 @@ from repro.errors import ConfigurationError
 from repro.media.adapt import AdaptationPolicy, CodecAdapter, CodecSwitch
 from repro.media.frames import ReceivedFrame, ReceivedTrace
 from repro.media.jitterbuf import AdaptiveJitterBuffer, JitterBufferConfig, PlayoutResult
-from repro.media.plc import PLCConfig, conceal
+from repro.media.plc import conceal
 from repro.media.score import (
     DEFAULT_WINDOW_MS, MeasuredScore, score_trace, window_members, window_values,
 )
 from repro.obs.timeseries import NULL_TIMELINE
 from repro.obs.trace import NULL_TRACE_SPAN
 from repro.util.rng import derive_rng
-from repro.voip.codecs import Codec, G729A_VAD
+from repro.voip.codecs import G729A_VAD
 from repro.voip.outage import OutageWindow
 
 
@@ -63,17 +63,14 @@ class PathWindow:
 class MediaPlaneConfig:
     """Everything the media plane needs beyond the path itself."""
 
-    codec: Codec = G729A_VAD
     jitter_mean_ms: float = 6.0
     # Mean loss-burst length in frames for the Gilbert–Elliott channel;
     # ``None`` drops losses i.i.d. at each segment's rate instead.
     burst_frames: Optional[float] = None
     jitterbuf: JitterBufferConfig = field(default_factory=JitterBufferConfig)
-    plc: PLCConfig = field(default_factory=PLCConfig)
     # ``None`` disables codec switching entirely.
     adaptation: Optional[AdaptationPolicy] = field(default_factory=AdaptationPolicy)
     window_ms: float = DEFAULT_WINDOW_MS
-    payload_bytes: int = 20
 
     def __post_init__(self) -> None:
         if self.jitter_mean_ms < 0:
@@ -82,8 +79,6 @@ class MediaPlaneConfig:
             raise ConfigurationError("burst_frames must be >= 1")
         if self.window_ms <= 0:
             raise ConfigurationError("window_ms must be positive")
-        if self.payload_bytes < 0:
-            raise ConfigurationError("payload_bytes must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -169,12 +164,11 @@ def run_media_session(
     rng = derive_rng(seed, "media", str(call_id))
     uniform, exponential = rng.random, rng.exponential
     adapter = CodecAdapter(config.adaptation) if config.adaptation else None
-    # With adaptation on, the policy's primary codec governs pacing;
-    # ``config.codec`` applies only to fixed-codec sessions.  Each frame
-    # advances the send clock by its own codec's interval, so a switch
-    # changes the pacing of every later frame, as a real sender's
-    # renegotiation does.
-    codec = adapter.codec if adapter is not None else config.codec
+    # With adaptation on, the policy's primary codec governs pacing; a
+    # fixed-codec session sends G.729A+VAD.  Each frame advances the send
+    # clock by its own codec's interval, so a switch changes the pacing
+    # of every later frame, as a real sender's renegotiation does.
+    codec = adapter.codec if adapter is not None else G729A_VAD
     codec_name, interval = codec.name, codec.packet_interval_ms()
     jitter_mean = config.jitter_mean_ms
     # Gilbert–Elliott: per-frame leave-bad probability ``r`` at the
@@ -241,12 +235,12 @@ def run_media_session(
     trace = ReceivedTrace(call_id=call_id, frames=tuple(received))
     playout = AdaptiveJitterBuffer(config.jitterbuf).play(trace)
     score = score_trace(
-        trace, jitterbuf=config.jitterbuf, plc=config.plc,
+        trace, jitterbuf=config.jitterbuf,
         window_ms=config.window_ms, playout=playout,
     )
 
     if timeline:
-        report = conceal(playout.effective_loss_flags, config.plc)
+        report = conceal(playout.effective_loss_flags)
         window_ms = config.window_ms
         window_count = max(1, int(-(-trace.duration_ms // window_ms)))
         sent_ms = [f.sent_ms for f in trace.frames]

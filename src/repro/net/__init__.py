@@ -17,85 +17,3 @@ here as real bytes on a wire:
 - :mod:`repro.net.shaped` — per-destination latency shaping, so real
   localhost sockets pay the scenario's RTTs.
 """
-
-from repro.net.codec import (
-    CODEC_SCHEMA_VERSION,
-    ERROR,
-    MESSAGE_TYPES,
-    ONEWAY,
-    REQUEST,
-    RESPONSE,
-    Bye,
-    CallAccept,
-    CallSetup,
-    CloseSetQuery,
-    CloseSetReply,
-    ErrorFrame,
-    Frame,
-    FrameDecoder,
-    Join,
-    JoinOk,
-    Keepalive,
-    KeepaliveAck,
-    Leave,
-    MediaFrame,
-    NodalPublish,
-    Ping,
-    Pong,
-    RelayOk,
-    RelaySetup,
-    Resolve,
-    ResolveOk,
-    decode_frame,
-    encode_frame,
-)
-from repro.net.shaped import ShapedTransport
-from repro.net.loopback import LoopbackHub, LoopbackTransport
-from repro.net.transport import Transport
-
-
-def __getattr__(name: str):
-    # The socket stack (asyncio) loads on first use, so importing the
-    # codec — as the call flow in repro.core.dial does — stays light.
-    if name == "TcpTransport":
-        from repro.net.sockets import TcpTransport
-
-        return TcpTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "CODEC_SCHEMA_VERSION",
-    "ERROR",
-    "MESSAGE_TYPES",
-    "ONEWAY",
-    "REQUEST",
-    "RESPONSE",
-    "Bye",
-    "CallAccept",
-    "CallSetup",
-    "CloseSetQuery",
-    "CloseSetReply",
-    "ErrorFrame",
-    "Frame",
-    "FrameDecoder",
-    "Join",
-    "JoinOk",
-    "Keepalive",
-    "KeepaliveAck",
-    "Leave",
-    "LoopbackHub",
-    "LoopbackTransport",
-    "MediaFrame",
-    "NodalPublish",
-    "Ping",
-    "Pong",
-    "RelayOk",
-    "RelaySetup",
-    "Resolve",
-    "ResolveOk",
-    "ShapedTransport",
-    "TcpTransport",
-    "Transport",
-    "decode_frame",
-    "encode_frame",
-]

@@ -18,8 +18,8 @@ package runs the same flow, and the daemons that answer it, over
 
 All daemons share :class:`ServiceWorld`, the deterministically built
 scenario both sides of a TCP deployment reconstruct from
-``(scale, seed)``.  Timeouts, retries and backoff come from the same
-:class:`repro.core.dial.RuntimePolicy` the simulator uses, and the
+``(scale, seed)``.  Timeouts, retries and backoff are the same
+:mod:`repro.core.dial` constants the simulator uses, and the
 agents emit the same trace-span vocabulary (``join``, ``call``,
 ``setup.ping``, ``setup.close_set``, ``setup.two_hop``,
 ``setup.relay_pick``, ``setup.done``, ``media``), so a call over real

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro import obs
 from repro.control.sharding import BootstrapRouter, HashRing
 from repro.core.relay_selection import ranked_relay_clusters
-from repro.core.dial import DialResult, RuntimePolicy
+from repro.core.dial import DialResult
 from repro.errors import ServiceError
 from repro.media.frames import trace_from_wire
 from repro.net.shaped import ShapedTransport
@@ -213,7 +213,6 @@ async def start_agents(
     make_transport: TransportFactory,
     bootstrap: Union[str, BootstrapRouter],
     pairs: List,
-    policy: Optional[RuntimePolicy] = None,
 ) -> Dict[IPv4Address, HostAgent]:
     """Start a host agent for every endpoint of ``pairs`` and for their
     relay pool, then join them all in address order; closes them and
@@ -221,7 +220,7 @@ async def start_agents(
     endpoint_ips = {ip for pair in pairs for ip in pair}
     agents: Dict[IPv4Address, HostAgent] = {}
     for ip in list(endpoint_ips) + _relay_pool_ips(world, pairs, endpoint_ips):
-        agent = HostAgent(world, ip, make_transport(str(ip)), bootstrap, policy)
+        agent = HostAgent(world, ip, make_transport(str(ip)), bootstrap)
         await agent.start()
         agents[ip] = agent
     for ip in sorted(agents, key=lambda a: a.value):
@@ -237,14 +236,13 @@ async def _demo_main(
     make_transport: TransportFactory,
     pairs: List,
     media_ms: float,
-    policy: RuntimePolicy,
     result: DemoResult,
     shards: int,
 ) -> List[Dict]:
     servers = await start_servers(world, make_transport, shards)
     result.shard_count = shards
     result.surrogate_count = len(servers.surrogates)
-    agents = await start_agents(world, make_transport, servers.router, pairs, policy)
+    agents = await start_agents(world, make_transport, servers.router, pairs)
     result.host_count = len(agents)
 
     dials = [agents[caller].dial(callee, media_ms=media_ms) for caller, callee in pairs]
@@ -273,7 +271,6 @@ def run_demo(
     calls: int = 1,
     media_ms: float = 2_000.0,
     transport: str = "loopback",
-    policy: Optional[RuntimePolicy] = None,
     cache_dir: Optional[str] = None,
     shards: int = 1,
     media_frames: bool = False,
@@ -285,8 +282,6 @@ def run_demo(
     """
     if world is None:
         world = ServiceWorld.from_scale(scale, seed, cache_dir=cache_dir)
-    if policy is None:
-        policy = RuntimePolicy()
     pairs = world.latent_pairs(calls)
     if not pairs:
         raise ServiceError(
@@ -298,7 +293,7 @@ def run_demo(
         hub = loopback_hub(world)
         make = lambda addr: LoopbackTransport(hub, addr)
         obs.tracer().clock = lambda: hub.now_ms
-        main = _demo_main(world, make, pairs, media_ms, policy, result, shards)
+        main = _demo_main(world, make, pairs, media_ms, result, shards)
         receipts = asyncio.run(hub.run(main))
         result.virtual_ms = hub.now_ms
         result.wire_deliveries = hub.deliveries
@@ -306,7 +301,7 @@ def run_demo(
     elif transport == "tcp":
         # Every node starts before any join or dial, so the shaping
         # registry is complete by the time any RTT matters.
-        main = _demo_main(world, shaped_tcp(world), pairs, media_ms, policy, result, shards)
+        main = _demo_main(world, shaped_tcp(world), pairs, media_ms, result, shards)
         receipts = asyncio.run(main)
     else:
         raise ServiceError(f"unknown transport {transport!r} (loopback|tcp)")

@@ -29,10 +29,11 @@ from repro import obs
 from repro.control.sharding import BootstrapRouter
 from repro.core.dial import (
     CATEGORY,
+    CLOSE_SET_TIMEOUT_MS,
+    PING_TIMEOUT_MS,
     DialResult,
     JoinRecord,
     MediaSessionRecord,
-    RuntimePolicy,
     run_dial,
     run_join,
 )
@@ -100,7 +101,6 @@ class HostAgent(ServiceNode):
         ip: IPv4Address,
         transport: Transport,
         bootstrap_addr: Union[str, BootstrapRouter],
-        policy: Optional[RuntimePolicy] = None,
     ) -> None:
         super().__init__(transport, name=f"host-{ip}")
         self._world = world
@@ -118,7 +118,6 @@ class HostAgent(ServiceNode):
         )
         self._bootstrap_addr = self._router.owner_addr(ip)
         self._joined_addr: Optional[str] = None
-        self._policy = policy if policy is not None else RuntimePolicy()
         self.cluster: Optional[int] = None
         self.surrogate_ip: Optional[IPv4Address] = None
         self.surrogate_addr: Optional[str] = None
@@ -142,10 +141,6 @@ class HostAgent(ServiceNode):
         self.handle(Keepalive, self._on_keepalive)
         self.handle(Bye, self._on_bye)
 
-    @property
-    def policy(self) -> RuntimePolicy:
-        return self._policy
-
     # -- inbound -----------------------------------------------------------
 
     async def _on_ping(self, sender: str, message: Ping) -> Message:
@@ -159,7 +154,7 @@ class HostAgent(ServiceNode):
         return await self.transport.request(
             self.surrogate_addr,
             CloseSetQuery(cluster=-1, requester_ip=self.ip),
-            timeout_ms=self._policy.close_set_timeout_ms,
+            timeout_ms=CLOSE_SET_TIMEOUT_MS,
         )
 
     async def _on_call_setup(self, sender: str, message: CallSetup) -> Message:
@@ -287,7 +282,7 @@ class HostAgent(ServiceNode):
                 reply = await self.transport.request(
                     addr,
                     Resolve(ip=ip),
-                    timeout_ms=self._policy.ping_timeout_ms,
+                    timeout_ms=PING_TIMEOUT_MS,
                 )
             except TransportError:
                 continue

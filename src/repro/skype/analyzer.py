@@ -96,6 +96,14 @@ class TraceAnalyzer:
         self._king = king
         self._population = population
 
+    @property
+    def king(self) -> Optional[KingEstimator]:
+        return self._king
+
+    @property
+    def population(self) -> Optional[PeerPopulation]:
+        return self._population
+
     # -- per-direction analysis --------------------------------------------
 
     def analyze_direction(

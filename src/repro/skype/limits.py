@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.measurement.latency import RELAY_DELAY_RTT_MS
-from repro.measurement.tools import KingEstimator
 from repro.netaddr import IPv4Address
 from repro.skype.analyzer import SessionAnalysis, TraceAnalyzer
 from repro.skype.session import SkypeSessionResult
-from repro.topology.population import PeerPopulation
 from repro.voip.quality import RTT_THRESHOLD_MS
 
 
@@ -77,15 +75,15 @@ def detect_limits(
     analyses: Sequence[SessionAnalysis],
     results: Sequence[SkypeSessionResult],
     analyzer: TraceAnalyzer,
-    king: Optional[KingEstimator] = None,
-    population: Optional[PeerPopulation] = None,
     thresholds: LimitThresholds = LimitThresholds(),
 ) -> LimitReport:
     """Run all four detectors over a batch of analyzed sessions.
 
-    Limit 1 needs King + the population registry to score probed paths
-    (exactly the paper's method); without them, it is skipped.
+    Limit 1 scores probed paths with the analyzer's King estimator and
+    population registry (exactly the paper's method); an analyzer
+    without both skips it.
     """
+    limit1 = analyzer.king is not None and analyzer.population is not None
     report = LimitReport()
     for analysis, result in zip(analyses, results):
         # Limit 2: same-AS probe groups (already computed by analysis).
@@ -98,10 +96,8 @@ def detect_limits(
         if analysis.total_probed > thresholds.heavy_probing_nodes:
             report.limit4[analysis.session_id] = analysis.total_probed
         # Limit 1: slow major despite a faster probed path.
-        if king is not None and population is not None:
-            finding = _detect_limit1(
-                analysis, result, analyzer, king, population, thresholds
-            )
+        if limit1:
+            finding = _detect_limit1(analysis, result, analyzer, thresholds)
             if finding is not None:
                 report.limit1.append(finding)
     return report
@@ -111,10 +107,9 @@ def _detect_limit1(
     analysis: SessionAnalysis,
     result: SkypeSessionResult,
     analyzer: TraceAnalyzer,
-    king: KingEstimator,
-    population: PeerPopulation,
     thresholds: LimitThresholds,
 ) -> Optional[Limit1Finding]:
+    king, population = analyzer.king, analyzer.population
     trace = result.trace
     forward = analysis.forward
     # Major path RTT: direct (ping) or via the major relay (King legs).

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.topology.population import Host, PeerPopulation
+from repro.voip.quality import RTT_THRESHOLD_MS
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class SkypeConfig:
     # A new path must beat the current one by this margin to switch.
     switch_margin: float = 0.05
     # Stop batch-probing once the current path RTT is below this.
-    target_rtt_ms: float = 300.0
+    target_rtt_ms: float = RTT_THRESHOLD_MS
     # Hard cap on probed candidates per direction (the paper's worst
     # session probed 59 nodes across both directions).
     max_probes: int = 32

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.voip.codecs import Codec, G729A_VAD
 
-#: Default R0 - Is with all G.107 defaults.
-DEFAULT_BASE_R = 93.2
+#: R0 - Is with all G.107 defaults.
+BASE_R = 93.2
+#: G.107's expectation factor A (fixed-network expectation).
+ADVANTAGE = 0.0
 #: Delay knee of the Id curve (ms, one-way mouth-to-ear).
 _DELAY_KNEE_MS = 177.3
 
@@ -36,19 +38,15 @@ class EModelConfig:
     """Fixed (non-network) terms of the E-model computation.
 
     ``jitter_buffer_ms`` is the playout buffer depth added to the one-way
-    network delay; ``advantage`` is G.107's expectation factor A.
+    network delay.
     """
 
     codec: Codec = G729A_VAD
-    base_r: float = DEFAULT_BASE_R
     jitter_buffer_ms: float = 20.0
-    advantage: float = 0.0
 
     def __post_init__(self) -> None:
         if self.jitter_buffer_ms < 0:
             raise ConfigurationError("jitter_buffer_ms must be non-negative")
-        if not 0.0 <= self.advantage <= 20.0:
-            raise ConfigurationError("advantage factor must be in [0, 20]")
 
 
 class EModel:
@@ -90,12 +88,7 @@ class EModel:
     def r_factor(self, one_way_network_ms: float, loss_rate: float) -> float:
         """Transmission rating R for a path."""
         d = self.mouth_to_ear_delay_ms(one_way_network_ms)
-        return (
-            self._config.base_r
-            - self.delay_impairment(d)
-            - self.loss_impairment(loss_rate)
-            + self._config.advantage
-        )
+        return BASE_R - self.delay_impairment(d) - self.loss_impairment(loss_rate) + ADVANTAGE
 
     def mos(self, one_way_network_ms: float, loss_rate: float) -> float:
         """Mean Opinion Score of a path under this codec."""

@@ -60,6 +60,10 @@ from repro.errors import ProtocolError
 #: scatters fall out of cache.  Same value as ``bgp.routing.CELLS``.
 CELLS = 2**16
 
+#: lossT: a probed cluster joins the set only below this one-way loss
+#: rate (and below the latency threshold the builder is given).
+LOSS_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class CloseClusterEntry:
@@ -241,8 +245,8 @@ class FlatCloseSetBuilder:
     :class:`~repro.measurement.matrix.DelegateMatrices` or the streamed
     :class:`~repro.worldarrays.virtual.VirtualMatrices` (the gathers
     return the same floats either way).  The keyword arguments are the
-    four protocol parameters the BFS reads (``ASAPConfig`` fields of the
-    same names).
+    three protocol parameters the BFS reads (``ASAPConfig`` fields of the
+    same names); the loss threshold is :data:`LOSS_THRESHOLD`.
     """
 
     def __init__(
@@ -253,12 +257,10 @@ class FlatCloseSetBuilder:
         *,
         k_hops: int,
         lat_threshold_ms: float,
-        loss_threshold: float,
         valley_free: bool,
     ) -> None:
         self.k_hops = k_hops
         self._lat_threshold_ms = lat_threshold_ms
-        self._loss_threshold = loss_threshold
         self._valley_free = valley_free
         self._csr = csr = graph.csr()
         self._world = world
@@ -550,7 +552,7 @@ class FlatCloseSetBuilder:
             passed = (
                 np.isfinite(rtt)
                 & (rtt < self._lat_threshold_ms)
-                & (lost < self._loss_threshold)
+                & (lost < LOSS_THRESHOLD)
             )
             rows, at, rtt, lost = rows[passed], at[passed], rtt[passed], lost[passed]
         expands = (probed == 0) | (np.bincount(at, minlength=len(nodes)) > 0)

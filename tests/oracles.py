@@ -79,6 +79,7 @@ from repro.bgp.asgraph import _PHASE_UP, ASGraph
 from repro.bgp.routes import RouteClass
 from repro.control.sharding import HashRing, _stable_hash
 from repro.worldarrays.closesets import (
+    LOSS_THRESHOLD,
     CloseClusterEntry,
     CloseClusterSet,
     emit_build_observability,
@@ -90,18 +91,18 @@ from repro.core.relay_selection import (
     TwoHopCandidate,
 )
 from repro.errors import ProtocolError, TopologyError
-from repro.measurement.latency import LatencyModel
+from repro.measurement.latency import RELAY_DELAY_RTT_MS, LatencyModel
 from repro.measurement.matrix import UNREACHABLE, DelegateMatrices, cluster_headers
 from repro.media.adapt import AdaptationPolicy, CodecSwitch
 from repro.media.frames import ReceivedFrame, ReceivedTrace, _codec_by_name
-from repro.media.jitterbuf import JitterBufferConfig
-from repro.media.plc import PLCConfig, conceal
+from repro.media.jitterbuf import ALPHA, FACTOR, JitterBufferConfig
+from repro.media.plc import conceal
 from repro.media.score import MeasuredScore, WindowScore
 from repro.media.session import MediaPlaneConfig, PathWindow
 from repro.netaddr import IPv4Address, IPv4Prefix
 from repro.topology.clustering import ClusterIndex
 from repro.util.rng import derive_rng
-from repro.voip.codecs import Codec
+from repro.voip.codecs import G729A_VAD, Codec
 from repro.voip.emodel import EModel, EModelConfig
 from repro.voip.outage import OutageWindow, account_outages
 from repro.voip.quality import RTT_THRESHOLD_MS
@@ -372,7 +373,7 @@ def construct_close_cluster_set(
         measured = _probe(result, own_cluster, cluster, own_as, lat, loss)
         if measured is not None:
             rtt, lost = measured
-            if rtt < config.lat_threshold_ms and lost < config.loss_threshold:
+            if rtt < config.lat_threshold_ms and lost < LOSS_THRESHOLD:
                 found[cluster] = CloseClusterEntry(cluster, rtt, lost, 0)
     result.ases_visited = 1
 
@@ -441,7 +442,7 @@ def _visit_as(
         if measured is None:
             continue
         rtt, lost = measured
-        if rtt < config.lat_threshold_ms and lost < config.loss_threshold:
+        if rtt < config.lat_threshold_ms and lost < LOSS_THRESHOLD:
             found.setdefault(cluster, CloseClusterEntry(cluster, rtt, lost, depth))
             any_passed = True
     return any_passed
@@ -588,7 +589,7 @@ def scalar_select_close_relay(
         size = cluster_size(cluster)
         if size <= 0:
             continue  # churned dark: no hosts left to relay through
-        relay_rtt = rtt_to(s1, cluster) + rtt_to(s2, cluster) + config.relay_delay_rtt_ms
+        relay_rtt = rtt_to(s1, cluster) + rtt_to(s2, cluster) + RELAY_DELAY_RTT_MS
         if relay_rtt < config.lat_threshold_ms:
             result.one_hop.append(
                 OneHopCandidate(
@@ -604,8 +605,6 @@ def scalar_select_close_relay(
     # Two-hop: expand through the close sets of one-hop candidate
     # clusters (the surrogates of clusters already known close to h1).
     first_hops = [c.cluster for c in result.one_hop]
-    if config.max_two_hop_queries is not None:
-        first_hops = first_hops[: config.max_two_hop_queries]
     seen_pairs: Dict[Tuple[int, int], float] = {}
     for r1 in first_hops:
         os1 = close_set_of(r1)
@@ -618,7 +617,7 @@ def scalar_select_close_relay(
                 rtt_to(s1, r1)
                 + rtt_to(os1, r2)
                 + rtt_to(s2, r2)
-                + 2.0 * config.relay_delay_rtt_ms
+                + 2.0 * RELAY_DELAY_RTT_MS
             )
             if relay_rtt < config.lat_threshold_ms:
                 key = (r1, r2)
@@ -900,10 +899,10 @@ class ReferenceJitterBuffer:
 
     def _depth_ms(self) -> float:
         cfg = self.config
-        return min(max(cfg.factor * self._v_hat, cfg.min_depth_ms), cfg.max_depth_ms)
+        return min(max(FACTOR * self._v_hat, cfg.min_depth_ms), cfg.max_depth_ms)
 
     def _observe(self, delay_ms: float) -> None:
-        a = self.config.alpha
+        a = ALPHA
         if not self._seeded:
             self._d_hat, self._v_hat, self._seeded = delay_ms, 0.0, True
             return
@@ -951,11 +950,10 @@ def _reference_dominant_codec(names: List[str]) -> str:
 def reference_score_trace(
     trace: ReceivedTrace,
     playout: List[ReferencePlayedFrame],
-    plc: PLCConfig,
     window_ms: float,
 ) -> MeasuredScore:
     """Window scoring with every frame bucketed through a dict."""
-    report = conceal(tuple(f.status != "played" for f in playout), plc)
+    report = conceal(tuple(f.status != "played" for f in playout))
     duration = trace.duration_ms
     window_count = max(1, int(-(-duration // window_ms)))
     buckets: Dict[int, List[int]] = {}
@@ -1037,7 +1035,7 @@ def reference_media_session(
     jitter draw, outage override, adapter — then buffer and scorer."""
     rng = derive_rng(seed, "media", str(call_id))
     adapter = ReferenceCodecAdapter(config.adaptation) if config.adaptation else None
-    source = FrameSource(adapter.codec if adapter is not None else config.codec)
+    source = FrameSource(adapter.codec if adapter is not None else G729A_VAD)
 
     received: List[ReceivedFrame] = []
     switches: List[CodecSwitch] = []
@@ -1086,7 +1084,7 @@ def reference_media_session(
 
     trace = ReceivedTrace(call_id=call_id, frames=tuple(received))
     playout = ReferenceJitterBuffer(config.jitterbuf).play(trace)
-    score = reference_score_trace(trace, playout, config.plc, config.window_ms)
+    score = reference_score_trace(trace, playout, config.window_ms)
     return ReferenceMedia(trace, playout, score, tuple(switches))
 
 

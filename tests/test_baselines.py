@@ -7,14 +7,15 @@ import pytest
 
 from repro import obs
 from repro.baselines import (
-    BaselineConfig,
     DEDIMethod,
     MIXMethod,
     OPTMethod,
     RANDMethod,
 )
-from repro.baselines.base import session_batch
+from repro.baselines.base import MIX_DEDICATED, MIX_RANDOM, session_batch
+from repro.bgp.asgraph import ASGraph
 from repro.errors import ConfigurationError
+from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.measurement.matrix import DelegateMatrices
 from repro.netaddr.ipv4 import IPv4Prefix
 from repro.scenario import tiny_scenario
@@ -36,33 +37,18 @@ def a_session(matrices):
 
 
 class TestBaselineConfig:
+    """The baselines' settable inputs: probe budgets and session batches."""
+
     def test_rejects_negative_counts(self):
-        with pytest.raises(ConfigurationError):
-            BaselineConfig(dedicated_count=-1)
+        with pytest.raises(ConfigurationError, match="fleet_size"):
+            DEDIMethod(ASGraph(), fleet_size=-1)
+        with pytest.raises(ConfigurationError, match="probes"):
+            RANDMethod(probes=-1)
 
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ConfigurationError):
-            BaselineConfig(lat_threshold_ms=0)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("dedicated_count", True),
-            ("random_probes", 2.5),
-            ("mix_dedicated", 1.5),
-            ("mix_random", "120"),
-            ("relay_delay_rtt_ms", float("nan")),
-            ("relay_delay_rtt_ms", -1.0),
-            ("lat_threshold_ms", float("nan")),
-        ],
-    )
-    def test_rejects_bad_field(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            BaselineConfig(**{field: value})
-
-    def test_accepts_numpy_counts(self):
-        config = BaselineConfig(random_probes=np.int64(7), relay_delay_rtt_ms=0.0)
-        assert config.random_probes == 7
+    def test_accepts_numpy_counts(self, world):
+        _, matrices, graph = world
+        assert RANDMethod(probes=np.int64(7))._draws(matrices, [0]).shape == (1, 7)
+        assert len(DEDIMethod(graph, fleet_size=np.int64(7)).fleet_for(matrices)) == 7
 
     def test_rand_rejects_fractional_probe_override(self):
         with pytest.raises(ConfigurationError, match="probes"):
@@ -77,8 +63,7 @@ class TestBaselineConfig:
 class TestDEDI:
     def test_fleet_in_top_degree_clusters(self, world):
         _, matrices, graph = world
-        config = BaselineConfig(dedicated_count=10)
-        dedi = DEDIMethod(graph, config)
+        dedi = DEDIMethod(graph, fleet_size=10)
         fleet = dedi.fleet_for(matrices)
         assert len(fleet) == 10
         degrees = [graph.degree(int(matrices.asn_of[c])) for c in fleet]
@@ -91,7 +76,7 @@ class TestDEDI:
 
     def test_fixed_messages(self, world):
         _, matrices, graph = world
-        dedi = DEDIMethod(graph, BaselineConfig(dedicated_count=10))
+        dedi = DEDIMethod(graph, fleet_size=10)
         a, b = a_session(matrices)
         result = evaluate_session(dedi, matrices, a, b)
         assert result.messages == 2 * result.probed_nodes
@@ -99,14 +84,14 @@ class TestDEDI:
 
     def test_endpoints_excluded_from_fleet_probes(self, world):
         _, matrices, graph = world
-        dedi = DEDIMethod(graph, BaselineConfig(dedicated_count=matrices.count))
+        dedi = DEDIMethod(graph, fleet_size=matrices.count)
         a, b = a_session(matrices)
         result = evaluate_session(dedi, matrices, a, b)
         assert result.probed_nodes == matrices.count - 2
 
     def test_quality_counts_threshold(self, world):
         _, matrices, graph = world
-        dedi = DEDIMethod(graph, BaselineConfig(dedicated_count=20))
+        dedi = DEDIMethod(graph, fleet_size=20)
         a, b = a_session(matrices)
         result = evaluate_session(dedi, matrices, a, b)
         manual = 0
@@ -122,7 +107,7 @@ class TestDEDI:
 class TestRAND:
     def test_deterministic_per_session(self, world):
         _, matrices, _ = world
-        rand = RANDMethod(BaselineConfig(random_probes=50))
+        rand = RANDMethod(probes=50)
         a, b = a_session(matrices)
         r1 = evaluate_session(rand, matrices, a, b, session_id=7)
         r2 = evaluate_session(rand, matrices, a, b, session_id=7)
@@ -130,7 +115,7 @@ class TestRAND:
 
     def test_different_sessions_differ(self, world):
         _, matrices, _ = world
-        rand = RANDMethod(BaselineConfig(random_probes=50))
+        rand = RANDMethod(probes=50)
         a, b = a_session(matrices)
         r1 = evaluate_session(rand, matrices, a, b, session_id=1)
         r2 = evaluate_session(rand, matrices, a, b, session_id=2)
@@ -139,7 +124,7 @@ class TestRAND:
 
     def test_probe_budget_respected(self, world):
         _, matrices, _ = world
-        rand = RANDMethod(BaselineConfig(random_probes=30))
+        rand = RANDMethod(probes=30)
         a, b = a_session(matrices)
         result = evaluate_session(rand, matrices, a, b)
         assert result.probed_nodes <= 30
@@ -147,7 +132,7 @@ class TestRAND:
     def test_population_weighting(self, world):
         # Clusters with more hosts must be drawn more often.
         _, matrices, _ = world
-        rand = RANDMethod(BaselineConfig(random_probes=2000))
+        rand = RANDMethod(probes=2000)
         sizes = matrices.sizes.astype(float)
         weights = sizes / sizes.sum()
         rng = rand._session_rng(0)
@@ -168,7 +153,7 @@ class TestRAND:
         else:  # zero weights inside and at the end, one dominant cluster
             sizes = np.array([0, 1, 0, 1000, 3, 0, 7, 0, 0], dtype=np.int64)
         view = SimpleNamespace(count=len(sizes), sizes=sizes)
-        rand = RANDMethod(BaselineConfig(random_probes=200))
+        rand = RANDMethod()
         draws = rand._draws(view, list(range(50)))
         p = sizes / sizes.sum()
         for sid in range(50):
@@ -179,21 +164,19 @@ class TestRAND:
 class TestMIX:
     def test_combines_budgets(self, world):
         _, matrices, graph = world
-        config = BaselineConfig(mix_dedicated=5, mix_random=15)
-        mix = MIXMethod(graph, config)
+        mix = MIXMethod(graph)
         a, b = a_session(matrices)
         result = evaluate_session(mix, matrices, a, b)
-        assert result.probed_nodes <= 20
+        assert result.probed_nodes <= MIX_DEDICATED + MIX_RANDOM
         assert result.messages == 2 * result.probed_nodes
 
     def test_best_of_both(self, world):
         _, matrices, graph = world
-        config = BaselineConfig(mix_dedicated=5, mix_random=15)
-        mix = MIXMethod(graph, config)
+        mix = MIXMethod(graph)
         a, b = a_session(matrices)
         result = evaluate_session(mix, matrices, a, b, session_id=3)
         dedi = evaluate_session(
-            DEDIMethod(graph, config, fleet_size=5), matrices, a, b, 3
+            DEDIMethod(graph, fleet_size=MIX_DEDICATED), matrices, a, b, 3
         )
         if result.best_rtt_ms is not None and dedi.best_rtt_ms is not None:
             assert result.best_rtt_ms <= dedi.best_rtt_ms
@@ -242,11 +225,10 @@ class TestOPT:
             loss=np.zeros((n, n)),
             as_hops=np.ones((n, n), dtype=np.int64),
         )
-        config = BaselineConfig()
-        opt = OPTMethod(config)
+        opt = OPTMethod()
         two = best_two_hop(opt, matrices, 0, 1)
         # Best legitimate path: 0 -> 2 -> 2 -> 1 (i == j allowed).
-        assert two == pytest.approx(200.0 + 2 * config.relay_delay_rtt_ms)
+        assert two == pytest.approx(200.0 + 2 * RELAY_DELAY_RTT_MS)
 
     def test_two_hop_at_least_as_good_with_extra_delay(self, world):
         _, matrices, _ = world
@@ -280,10 +262,9 @@ class TestOPT:
 
     def test_opt_beats_or_matches_probing_methods(self, world):
         _, matrices, graph = world
-        config = BaselineConfig()
-        opt = OPTMethod(config)
-        dedi = DEDIMethod(graph, config)
-        rand = RANDMethod(config)
+        opt = OPTMethod()
+        dedi = DEDIMethod(graph)
+        rand = RANDMethod()
         rng = np.random.default_rng(1)
         for sid in range(10):
             a, b = rng.integers(0, matrices.count, 2)
@@ -325,7 +306,7 @@ class TestOPTPruningBoundary:
     a two-hop path one ulp faster survives, a tying one may go."""
 
     def _score(self, matrices):
-        opt = OPTMethod(BaselineConfig())
+        opt = OPTMethod()
         with obs.observe() as run:
             result = evaluate_session(opt, matrices, 0, 1)
             cells = run.registry.counter_value("opt.two_hop_cells")

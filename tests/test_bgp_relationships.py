@@ -5,7 +5,6 @@ import pytest
 from repro.bgp import RoutingTable, infer_relationships
 from repro.bgp.asgraph import Relationship
 from repro.bgp.relationships import (
-    InferenceConfig,
     collect_paths,
     inference_accuracy,
     path_degrees,

@@ -13,6 +13,7 @@ from repro.bgp.asgraph import ASGraph
 from repro.core import ASAPConfig, ASAPSystem
 from repro.core.relay_selection import select_close_relay
 from repro.scenario import tiny_scenario
+from repro.worldarrays.closesets import LOSS_THRESHOLD
 from tests.oracles import best_one_hop, best_two_hop
 
 
@@ -51,7 +52,7 @@ def reference_close_set(system, scenario, cluster_index, config):
         return (
             np.isfinite(rtt)
             and rtt < config.lat_threshold_ms
-            and loss < config.loss_threshold
+            and loss < LOSS_THRESHOLD
         )
 
     def expandable(asn):
@@ -161,10 +162,10 @@ def _assert_best(fast, slow):
 
 class TestOptConformance:
     def test_matches_reference(self, opt_worlds):
-        from repro.baselines import BaselineConfig, OPTMethod
+        from repro.baselines import OPTMethod
         from repro.baselines.opt import SESSION_BATCH
 
-        opt = OPTMethod(BaselineConfig(), include_two_hop=False)
+        opt = OPTMethod(include_two_hop=False)
         for matrices, view, pairs in opt_worlds:
             assert len(pairs) > SESSION_BATCH
             batch = opt.evaluate_sessions(view, pairs)
@@ -201,9 +202,9 @@ def reference_two_hop(matrices, a, b, relay_delay=40.0):
 
 class TestTwoHopConformance:
     def test_matches_reference(self, opt_worlds):
-        from repro.baselines import BaselineConfig, OPTMethod
+        from repro.baselines import OPTMethod
 
-        opt = OPTMethod(BaselineConfig())
+        opt = OPTMethod()
         for matrices, view, pairs in opt_worlds:
             batch = opt.evaluate_sessions(view, pairs)
             assert len(batch) == len(pairs)

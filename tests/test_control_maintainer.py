@@ -71,7 +71,6 @@ def make_maintainer(graph, lat_map, clusters_map, asn_of, counts, config=None):
         clusters_map,
         k_hops=config.k_hops,
         lat_threshold_ms=config.lat_threshold_ms,
-        loss_threshold=config.loss_threshold,
         valley_free=config.valley_free,
     )
     maintainer = CloseSetMaintainer(

@@ -142,7 +142,7 @@ class TestEndHost:
     every one is down — is ``tests/test_runtime_faults.py::TestJoinFaults``."""
 
     def test_join_picks_bootstrap_by_ip_hash(self, scenario):
-        runtime = ASAPRuntime(scenario, ASAPConfig(bootstrap_count=3))
+        runtime = ASAPRuntime(scenario)
         fleet = runtime.bootstrap_hosts
         host = scenario.population.hosts[0]
         port = _SimPort(runtime, host)

@@ -125,20 +125,6 @@ class TestTwoHop:
         result = select_close_relay(s1, s2, sizes({}), close_of, ASAPConfig())
         assert result.two_hop == []
 
-    def test_max_two_hop_queries_cap(self):
-        s1 = close_set(0, {10: 80.0, 11: 80.0, 12: 80.0})
-        s2 = close_set(1, {10: 80.0, 11: 80.0, 12: 80.0})
-        fetched = []
-
-        def close_of(idx):
-            fetched.append(idx)
-            return close_set(idx, {})
-
-        config = ASAPConfig(size_threshold=10**6, max_two_hop_queries=2)
-        result = select_close_relay(s1, s2, sizes({}), close_of, config)
-        assert len(fetched) == 2
-        assert result.messages == 2 + 4
-
     def test_r1_equals_r2_skipped(self):
         s1 = close_set(0, {10: 50.0})
         s2 = close_set(1, {10: 50.0})
@@ -179,10 +165,7 @@ SPARSE_FILL = st.sampled_from([0.0, "one", 0.5, 0.9])
 
 
 def draw_config(draw):
-    return ASAPConfig(
-        size_threshold=draw(st.sampled_from([0, 3, 10**9])),
-        max_two_hop_queries=draw(st.sampled_from([None, 0, 2])),
-    )
+    return ASAPConfig(size_threshold=draw(st.sampled_from([0, 3, 10**9])))
 
 
 @st.composite
@@ -275,7 +258,7 @@ def check_against_oracle(world):
     for got in (results[0], results[2]):
         assert_same_selection(got, results[1], asked[1])
     assert asked[0] == asked[1] == asked[2]
-    if config.size_threshold == 0 or config.max_two_hop_queries == 0:
+    if config.size_threshold == 0:
         assert asked[1] == []
 
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import ASAPConfig, ASAPSystem
+from repro.core import ASAPConfig, ASAPSystem, relay_selection
 from repro.core.runtime import ASAPRuntime
 from repro.errors import EvaluationError, MeasurementError, TopologyError
 from repro.measurement.matrix import compute_delegate_matrices
 from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
 from repro.topology import PopulationConfig, TopologyConfig
 from repro.topology.clustering import ClusterIndex
+from repro.worldarrays import closesets
 from repro.evaluation.sessions import generate_workload
 from tests.oracles import rtt_to
 
@@ -112,8 +113,9 @@ class TestFailureInjection:
 
 
 class TestConfigInteractions:
-    def test_zero_relay_delay(self, scenario):
-        system = ASAPSystem(scenario, ASAPConfig(relay_delay_rtt_ms=0.0, k_hops=5))
+    def test_zero_relay_delay(self, scenario, monkeypatch):
+        monkeypatch.setattr(relay_selection, "RELAY_DELAY_RTT_MS", 0.0)
+        system = ASAPSystem(scenario, ASAPConfig(k_hops=5))
         workload = generate_workload(scenario, 200, seed=4, latent_target=3)
         latent = workload.latent()[:3]
         if not latent:
@@ -136,8 +138,10 @@ class TestConfigInteractions:
         a = 0
         assert set(huge_k.close_set(a).entries) >= set(small_k.close_set(a).entries)
 
-    def test_loss_threshold_zero_point_one_percent(self, scenario):
+    def test_loss_threshold_zero_point_one_percent(self, scenario, monkeypatch):
         # An extremely tight loss threshold shrinks close sets.
-        tight = ASAPSystem(scenario, ASAPConfig(loss_threshold=1e-6, k_hops=4))
-        loose = ASAPSystem(scenario, ASAPConfig(loss_threshold=0.5, k_hops=4))
-        assert len(tight.close_set(0)) <= len(loose.close_set(0))
+        sizes = []
+        for threshold in (1e-6, 0.5):
+            monkeypatch.setattr(closesets, "LOSS_THRESHOLD", threshold)
+            sizes.append(len(ASAPSystem(scenario, ASAPConfig(k_hops=4)).close_set(0)))
+        assert sizes[0] <= sizes[1]

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.baselines import BaselineConfig
 from repro.baselines.base import RelayPolicy
 from repro.errors import ConfigurationError
 from repro.evaluation import generate_workload
@@ -379,7 +378,7 @@ class TestRelayPolicyConformance:
 
     @pytest.fixture(scope="class")
     def policies(self, scenario):
-        return default_policies(scenario, baseline_config=BaselineConfig(seed=0))
+        return default_policies(scenario)
 
     def test_full_roster_satisfies_protocol(self, policies):
         assert [p.name for p in policies] == list(METHOD_NAMES)

@@ -91,6 +91,9 @@ class TestGate:
 
 def test_import_repro_core_stays_off_the_upper_layers():
     heavy = ("repro.storage", "repro.media", "repro.evaluation", "repro.service")
+    # ``core.dial`` imports its messages from ``net.codec``; the package
+    # around it re-exports nothing, so no transport loads with them.
+    heavy += ("repro.net.loopback", "repro.net.shaped", "repro.net.transport", "repro.net.sockets")
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, repro.core; print(' '.join(sys.modules))"],
         capture_output=True,

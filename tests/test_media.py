@@ -16,8 +16,9 @@ from repro.media.frames import (
     codec_by_wire_id,
     trace_from_wire,
 )
+from repro.media import jitterbuf
 from repro.media.jitterbuf import AdaptiveJitterBuffer, JitterBufferConfig
-from repro.media.plc import PLCConfig, conceal
+from repro.media.plc import conceal
 from repro.media.score import MEASURED_MOS_TOLERANCE, score_trace
 from repro.media.session import MediaPlaneConfig, PathWindow, run_media_session
 from repro.voip.codecs import ALL_CODECS, G729A_VAD, ILBC
@@ -221,8 +222,6 @@ class TestJitterBuffer:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            JitterBufferConfig(alpha=1.5)
-        with pytest.raises(ConfigurationError):
             JitterBufferConfig(min_depth_ms=100.0, max_depth_ms=10.0)
 
 
@@ -244,8 +243,8 @@ def wire_receipts(draw):
 
 
 jitterbuf_configs = st.builds(
-    lambda alpha, factor, low, extra: JitterBufferConfig(alpha, factor, low, low + extra),
-    st.floats(0.01, 0.999), st.floats(0.1, 10.0), st.floats(0.0, 100.0), st.floats(0.0, 300.0),
+    lambda low, extra: JitterBufferConfig(low, low + extra),
+    st.floats(0.0, 100.0), st.floats(0.0, 300.0),
 )
 
 
@@ -273,14 +272,14 @@ class TestPlayoutProperties:
             if out.status == "played":
                 assert frame.arrival_ms <= out.playout_ms
 
-    def test_delay_spike_with_fast_estimator_keeps_clock_monotone(self):
+    def test_delay_spike_with_fast_estimator_keeps_clock_monotone(self, monkeypatch):
         """alpha=0.5 lets one 600 ms spike drag ``d_hat`` down by more
         than a frame interval on the next arrival."""
+        monkeypatch.setattr(jitterbuf, "ALPHA", 0.5)
+        monkeypatch.setattr(jitterbuf, "FACTOR", 1.0)
         arrivals = [i * 20.0 + 60.0 for i in range(12)]
         arrivals[5] = 5 * 20.0 + 660.0
-        result = AdaptiveJitterBuffer(JitterBufferConfig(alpha=0.5, factor=1.0)).play(
-            _trace(arrivals)
-        )
+        result = AdaptiveJitterBuffer().play(_trace(arrivals))
         instants = [f.playout_ms for f in result.frames]
         assert instants == sorted(instants)
         assert result.frames[5].status == "late"
@@ -298,7 +297,7 @@ class TestPLC:
 
     def test_long_burst_revealed_past_window(self):
         flags = [False] * 5 + [True] * 8 + [False] * 5
-        report = conceal(flags, PLCConfig(max_conceal_frames=3))
+        report = conceal(flags)
         assert report.concealed == 3 and report.revealed == 5
         assert report.statuses[5:8] == ("concealed",) * 3
         assert report.statuses[8:13] == ("revealed",) * 5
@@ -313,7 +312,7 @@ class TestPLC:
 
     def test_runs_reset_after_good_frame(self):
         flags = [True] * 3 + [False] + [True] * 3
-        report = conceal(flags, PLCConfig(max_conceal_frames=3))
+        report = conceal(flags)
         assert report.revealed == 0  # both runs fit the window
 
 
@@ -614,7 +613,7 @@ class TestReferencePipeline:
         assert _rows(playout.frames) == _rows(rows)
         assert playout.effective_loss_flags == tuple(f.status != "played" for f in rows)
         got = score_trace(trace, config, window_ms=window_ms, playout=playout)
-        assert got == reference_score_trace(trace, rows, PLCConfig(), window_ms)
+        assert got == reference_score_trace(trace, rows, window_ms)
 
     @given(
         st.lists(st.booleans(), max_size=300),

@@ -1,14 +1,10 @@
 """Integration tests for the media plane riding the rest of the stack:
-the event-driven runtime, the N-way conference evaluation, and the
-service-layer demo shipping real ``MediaFrame`` messages."""
+the N-way conference evaluation and the service-layer demo shipping
+real ``MediaFrame`` messages."""
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import ASAPConfig
-from repro.core.config import derive_k_hops
-from repro.core.runtime import ASAPRuntime
 from repro.evaluation.conference import run_conference
 from repro.media.score import MEASURED_MOS_TOLERANCE, score_trace
 from repro.media.session import MediaPlaneConfig
@@ -20,82 +16,6 @@ from repro.voip.codecs import ILBC
 @pytest.fixture(scope="module")
 def scenario():
     return tiny_scenario(seed=11)
-
-
-def latent_host_pair(scenario):
-    m = scenario.matrices
-    clusters = scenario.clusters.all_clusters()
-    for a, b in np.argwhere(m.rtt_ms > 300):
-        ca, cb = clusters[int(a)], clusters[int(b)]
-        if ca.hosts and cb.hosts:
-            return ca.hosts[0].ip, cb.hosts[0].ip
-    pytest.skip("no latent pair")
-
-
-def _media_runtime(scenario, seed=7):
-    return ASAPRuntime(
-        scenario,
-        ASAPConfig(k_hops=derive_k_hops(scenario.matrices)),
-        media_plane=MediaPlaneConfig(burst_frames=4.0),
-        media_seed=seed,
-    )
-
-
-class TestRuntimeMediaPlane:
-    def test_default_runtime_has_no_media_state(self, scenario):
-        """``media_plane=None`` (the default) must leave zero media-plane
-        footprint — the bit-identical-to-seed contract."""
-        runtime = ASAPRuntime(
-            scenario, ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
-        )
-        caller, callee = latent_host_pair(scenario)
-        runtime.schedule_call(caller, callee, media_duration_ms=5_000.0)
-        runtime.run()
-        assert runtime.media_sessions
-        media = runtime.media_sessions[0]
-        assert media.measured is None
-        assert media.path_windows == []
-        assert media.codec_switches == 0
-
-    def test_measured_mos_scored_at_session_end(self, scenario):
-        runtime = _media_runtime(scenario)
-        caller, callee = latent_host_pair(scenario)
-        runtime.schedule_call(caller, callee, media_duration_ms=8_000.0)
-        runtime.run()
-        media = runtime.media_sessions[0]
-        assert media.measured is not None
-        assert 1.0 <= media.measured.score.mos <= 4.5
-        # The path was sampled at least once, session-relative.
-        assert media.path_windows
-        assert media.path_windows[0].start_ms == 0.0
-        assert media.path_windows[0].rtt_ms > 0.0
-        # Frames cover the media duration at the codec's pacing.
-        assert len(media.measured.trace.frames) == pytest.approx(
-            8_000.0 / 20.0, abs=1
-        )
-
-    def test_same_seed_runs_identical(self, scenario):
-        caller, callee = latent_host_pair(scenario)
-        scores = []
-        for _ in range(2):
-            runtime = _media_runtime(scenario, seed=3)
-            runtime.schedule_call(caller, callee, media_duration_ms=8_000.0)
-            runtime.run()
-            media = runtime.media_sessions[0]
-            scores.append(
-                (media.measured.trace.to_jsonl(), media.measured.score.to_dict())
-            )
-        assert scores[0] == scores[1]
-
-    def test_media_seed_changes_trace(self, scenario):
-        caller, callee = latent_host_pair(scenario)
-        traces = []
-        for seed in (1, 2):
-            runtime = _media_runtime(scenario, seed=seed)
-            runtime.schedule_call(caller, callee, media_duration_ms=8_000.0)
-            runtime.run()
-            traces.append(runtime.media_sessions[0].measured.trace.to_jsonl())
-        assert traces[0] != traces[1]
 
 
 class TestConference:

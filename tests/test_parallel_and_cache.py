@@ -19,7 +19,6 @@ import pytest
 
 from repro import obs
 from repro.baselines import (
-    BaselineConfig,
     DEDIMethod,
     MIXMethod,
     OPTMethod,
@@ -253,23 +252,23 @@ class TestBatchEvaluationParity:
 
     def test_opt(self, world):
         matrices, _ = world
-        self._check(OPTMethod(BaselineConfig()), matrices)
+        self._check(OPTMethod(), matrices)
 
     def test_dedi(self, world):
         matrices, graph = world
-        self._check(DEDIMethod(graph, BaselineConfig()), matrices)
+        self._check(DEDIMethod(graph), matrices)
 
     def test_rand(self, world):
         matrices, _ = world
-        self._check(RANDMethod(BaselineConfig()), matrices)
+        self._check(RANDMethod(), matrices)
 
     def test_mix(self, world):
         matrices, graph = world
-        self._check(MIXMethod(graph, BaselineConfig()), matrices)
+        self._check(MIXMethod(graph), matrices)
 
     def test_default_session_ids(self, world):
         matrices, _ = world
-        engine = RANDMethod(BaselineConfig())
+        engine = RANDMethod()
         pairs = _some_pairs(matrices, count=4)
         batch = engine.evaluate_sessions(matrices, pairs)
         loop = [
@@ -280,4 +279,4 @@ class TestBatchEvaluationParity:
 
     def test_empty_batch(self, world):
         matrices, _ = world
-        assert OPTMethod(BaselineConfig()).evaluate_sessions(matrices, []) == []
+        assert OPTMethod().evaluate_sessions(matrices, []) == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import BaselineConfig, OPTMethod
+from repro.baselines import OPTMethod
 from repro.bgp.asgraph import ASGraph
 from repro.bgp.pathinfer import infer_as_path
 from repro.bgp.routing import PolicyRouter
@@ -15,12 +15,14 @@ from repro.core import ASAPConfig, ASAPSystem
 from repro.core.protocol import _ComputedSets
 from repro.core.relay_selection import select_close_relay
 from repro.evaluation.sessions import generate_workload
+from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.baselines.opt import SESSION_BATCH
 from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
 from repro.storage.columns import ColumnStore
 from repro.topology import TopologyConfig, generate_topology
 from repro.util.rng import derive_rng
-from repro.worldarrays.closesets import CloseClusterEntry, CloseClusterSet
+from repro.voip.quality import RTT_THRESHOLD_MS
+from repro.worldarrays.closesets import LOSS_THRESHOLD, CloseClusterEntry, CloseClusterSet
 from repro.worldarrays.virtual import VirtualMatrices
 from tests.oracles import (
     best_one_hop,
@@ -174,7 +176,7 @@ class TestCloseSetProperties:
             if cluster == own:
                 continue
             assert entry.rtt_ms < config.lat_threshold_ms
-            assert entry.loss < config.loss_threshold
+            assert entry.loss < LOSS_THRESHOLD
 
 
 
@@ -239,12 +241,12 @@ class TestRelaySelectionProperties:
     @given(close_set_strategy(100), close_set_strategy(200))
     @settings(max_examples=60, deadline=None)
     def test_message_accounting_formula(self, s1, s2):
-        config = ASAPConfig(size_threshold=10**9, max_two_hop_queries=3)
+        config = ASAPConfig(size_threshold=10**9)
         result = select_close_relay(
             s1, s2, lambda idx: 1, lambda idx: _build_set(idx, []), config
         )
         assert result.messages == 2 + 2 * result.two_hop_queries
-        assert result.two_hop_queries <= 3
+        assert result.two_hop_queries == len(result.one_hop)
 
     @given(close_set_strategy(100), close_set_strategy(200))
     @settings(max_examples=60, deadline=None)
@@ -260,7 +262,7 @@ class TestRelaySelectionProperties:
             assert candidate.relay_rtt_ms == pytest.approx(
                 rtt_to(s1, candidate.cluster)
                 + rtt_to(s2, candidate.cluster)
-                + config.relay_delay_rtt_ms
+                + RELAY_DELAY_RTT_MS
             )
 
     @given(close_set_strategy(100), close_set_strategy(200))
@@ -293,9 +295,8 @@ class TestOptLowerBoundsAsap:
         matrices = scenario.matrices
         rtt = matrices.rtt_ms
         system = ASAPSystem(scenario, ASAPConfig())
-        opt = OPTMethod(BaselineConfig())
-        delay = system.config.relay_delay_rtt_ms
-        assert delay == BaselineConfig().relay_delay_rtt_ms
+        opt = OPTMethod()
+        delay = RELAY_DELAY_RTT_MS
         workload = generate_workload(scenario, 200, seed=seed, latent_target=20)
         for session in workload.latent()[:20]:
             a, b = session.caller_cluster, session.callee_cluster
@@ -375,11 +376,10 @@ class TestOptPrunedFoldIsExact:
             rtt[:, col] = np.inf
             view = dataclasses.replace(view, rtt_ms=rtt)
             pairs[-1] = (row, col)
-        config = BaselineConfig()
-        opt = OPTMethod(config)
+        opt = OPTMethod()
         results = opt.evaluate_sessions(view, pairs)
         quality, one, two = reference_opt_scores(
-            view, pairs, config.relay_delay_rtt_ms, config.lat_threshold_ms
+            view, pairs, RELAY_DELAY_RTT_MS, RTT_THRESHOLD_MS
         )
         best = np.minimum(one, two)
         assert [r.quality_paths for r in results] == quality.tolist()

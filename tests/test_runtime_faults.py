@@ -5,8 +5,15 @@ import pytest
 
 from repro.core import ASAPConfig
 from repro.core.config import derive_k_hops
-from repro.core.runtime import ASAPRuntime, RuntimePolicy
-from repro.errors import ConfigurationError
+from repro.core.dial import (
+    BACKOFF_BASE_MS,
+    BACKOFF_FACTOR,
+    JOIN_TIMEOUT_MS,
+    MAX_JOIN_ATTEMPTS,
+    MAX_PING_ATTEMPTS,
+    backoff_ms,
+)
+from repro.core.runtime import ASAPRuntime
 from repro.evaluation.chaos import run_chaos, sweep_chaos
 from repro.faults import FaultScheduleConfig
 from repro.scenario import tiny_scenario
@@ -54,17 +61,8 @@ def relayed_setup(runtime, scenario):
 
 class TestRuntimePolicy:
     def test_defaults_valid(self):
-        policy = RuntimePolicy()
-        assert policy.backoff_ms(0) == policy.backoff_base_ms
-        assert policy.backoff_ms(2) == policy.backoff_base_ms * policy.backoff_factor**2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RuntimePolicy(join_timeout_ms=0)
-        with pytest.raises(ConfigurationError):
-            RuntimePolicy(max_join_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RuntimePolicy(backoff_factor=0.5)
+        assert backoff_ms(0) == BACKOFF_BASE_MS
+        assert backoff_ms(2) == BACKOFF_BASE_MS * BACKOFF_FACTOR**2
 
 
 class TestJoinFaults:
@@ -78,7 +76,7 @@ class TestJoinFaults:
         assert record.attempts == 2
         assert record.completed_ms is not None
         # The retry waited out a timeout + backoff before succeeding.
-        assert record.duration_ms > runtime.policy.join_timeout_ms
+        assert record.duration_ms > JOIN_TIMEOUT_MS
 
     def test_join_fails_when_all_bootstraps_down(self, scenario, runtime):
         for host in runtime.bootstrap_hosts:
@@ -88,7 +86,7 @@ class TestJoinFaults:
         assert record.outcome == "failed"
         assert record.failure_reason == "join-timeout"
         assert record.completed_ms is None  # failed joins never complete
-        assert record.attempts == runtime.policy.max_join_attempts
+        assert record.attempts == MAX_JOIN_ATTEMPTS
 
     def test_failed_join_counted_in_obs(self, scenario):
         from repro import obs
@@ -111,7 +109,7 @@ class TestCallSetupFaults:
         runtime.run()
         assert record.outcome == "failed"
         assert record.failure_reason == "ping-timeout"
-        assert record.attempts == runtime.policy.max_ping_attempts
+        assert record.attempts == MAX_PING_ATTEMPTS
         assert record.completed_ms is None
         assert not runtime.pending_records()
 

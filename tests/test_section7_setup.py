@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import BaselineConfig, DEDIMethod
+from repro.baselines import DEDIMethod
+from repro.baselines.base import DEDICATED_COUNT, MIX_DEDICATED
 from repro.bgp.csr import GraphCSR
 from repro.bgp.routing import PolicyRouter
 from repro.core import ASAPConfig, ASAPSystem
@@ -259,11 +260,10 @@ class TestFleetRanking:
         assert fleet == reference_top_degree_clusters(world, graph, size)
 
     def test_scenario_fleets(self, tiny):
-        config = BaselineConfig()
         view = tiny.matrix_view()
         graph = tiny.topology.graph
-        for size in (config.dedicated_count, config.mix_dedicated):
-            fleet = DEDIMethod(graph, config, fleet_size=size).fleet_for(view)
+        for size in (DEDICATED_COUNT, MIX_DEDICATED):
+            fleet = DEDIMethod(graph, fleet_size=size).fleet_for(view)
             assert fleet == reference_top_degree_clusters(view, graph, size)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.worldarrays.closesets import CloseClusterEntry, CloseClusterSet
-from repro.core.runtime import RuntimePolicy
+from repro.core.dial import MAX_CLOSE_SET_ATTEMPTS
 from repro.errors import ProtocolError, RemoteError
 from repro.net.codec import (
     ERR_NOT_SERVING,
@@ -356,7 +356,7 @@ class TestCloseSetWire:
         )
         legs = [r["attrs"]["outcome"] for r in records if r.get("name") == "setup.close_set"]
         assert legs and set(legs) == {"malformed"}
-        assert len(legs) == 2 * RuntimePolicy().max_close_set_attempts  # both legs, every retry
+        assert len(legs) == 2 * MAX_CLOSE_SET_ATTEMPTS  # both legs, every retry
         assert (call.outcome, call.failure_reason) == ("degraded", "close-set-unavailable")
         assert call.path == "direct"
 

@@ -76,7 +76,6 @@ class TestSoakConfig:
             ("sim_minutes", float("nan")),
             ("sim_minutes", float("inf")),
             ("shards", 2.5),
-            ("virtual_nodes", 0),
             ("sessions", -1),
             ("joins", -1),
             ("latent_target", -1),

@@ -89,13 +89,10 @@ class TestLimitDetection:
 
     def test_detects_limits(self, study):
         scenario, analyzer, sessions, analyses = study
-        king = KingEstimator(scenario.latency, seed=1, non_response_rate=0.0)
         report = detect_limits(
             analyses,
             sessions,
             analyzer,
-            king=king,
-            population=scenario.population,
             thresholds=LimitThresholds(heavy_probing_nodes=5, long_stabilization_ms=100.0),
         )
         # With low bounds, probing-heavy sessions must appear.
@@ -113,17 +110,14 @@ class TestLimitDetection:
 
     def test_limit1_findings_consistent(self, study):
         scenario, analyzer, sessions, analyses = study
-        king = KingEstimator(scenario.latency, seed=1, non_response_rate=0.0)
-        report = detect_limits(
-            analyses, sessions, analyzer, king=king, population=scenario.population
-        )
+        report = detect_limits(analyses, sessions, analyzer)
         for finding in report.limit1:
             assert finding.major_path_rtt_ms > finding.best_probed_rtt_ms
             assert finding.wasted_ms > 0
 
     def test_without_king_skips_limit1(self, study):
-        scenario, analyzer, sessions, analyses = study
-        report = detect_limits(analyses, sessions, analyzer)
+        scenario, _, sessions, analyses = study
+        report = detect_limits(analyses, sessions, TraceAnalyzer(scenario.prefix_table))
         assert report.limit1 == []
 
 

@@ -257,7 +257,6 @@ def _counting_builder(scenario):
         {asn: np.flatnonzero(view.asn_of == asn).tolist() for asn in set(view.asn_of.tolist())},
         k_hops=system.config.k_hops,
         lat_threshold_ms=system.config.lat_threshold_ms,
-        loss_threshold=system.config.loss_threshold,
         valley_free=system.config.valley_free,
     )
     return system, counting, builder

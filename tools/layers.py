@@ -66,18 +66,10 @@ LAZY = {
         "repro.__getattr__: `import repro` stays off the evaluation stack, "
         "which pulls in every protocol layer"
     ),
-    ("net/__init__.py", "repro.net.sockets"): (
-        "net.__getattr__: the asyncio socket stack loads on first use, so "
-        "importing the codec (as core.dial does) stays light"
-    ),
     ("bgp/asgraph.py", "repro.bgp.csr"): (
         "ASGraph.csr() builds the numpy export on first use; at module top "
         "numpy loads from inside bgp.asgraph and `import repro.core` "
         "measured ~12 ms heavier"
-    ),
-    ("core/runtime.py", "repro.media.session"): (
-        "the media pipeline loads only when a simulated call carries "
-        "voice, so `import repro.core` stays off repro.media"
     ),
     ("scenario.py", "repro.storage.cache"): (
         "the artifact cache loads when a scenario is built, so "
