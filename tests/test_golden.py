@@ -13,14 +13,17 @@ import pytest
 
 from repro.cli import main
 
-#: ``(argv, {artifact: sha256})``; ``traces`` / ``telemetry`` are read
-#: from the ``--obs-dir``, ``report`` is the ``--json`` file.
+#: ``(argv, report flag, {artifact: sha256})``; ``traces`` / ``telemetry``
+#: are read from the ``--obs-dir``, ``report`` is the file the command
+#: writes through its report flag (``--json``, or ``section7``'s
+#: ``--records`` CSV).
 GOLDEN = {
     # 47 close_set.build spans: simulated surrogates serving batch-computed
     # sets under churn and a shard kill.
     "soak-small-seed3": (
         ["soak", "--scale", "small", "--seed", "3", "--minutes", "20",
          "--churn-rate", "2", "--kill-shard", "0"],
+        "--json",
         {
             "traces": "6f972f3ad255ae82aaeef63982b580dbfb2fd789511624e5eee3c9524883f250",
             "telemetry": "e8a762caee138eb0083b3af4a90ba017a93f10a70794231f1e6a41277c2fd9a3",
@@ -31,10 +34,21 @@ GOLDEN = {
     "chaos-small-seed1": (
         ["chaos", "--scale", "small", "--seed", "1", "--latent", "10",
          "--crash-rate", "1"],
+        "--json",
         {
             "traces": "5ef8bb9185fa96a8831b8ae7249a98eca0e4331750fcf377f8f62d01dc13eadf",
             "telemetry": "cfd338add27ac4e59eb3e704d45b2bf3ebd89c141f11d025260fbbf067eed7e4",
             "report": "f85aba005ccd97ff896ed7ad896e1d5d75a1791b48b1f8c9c5ac89a1e7fd3aeb",
+        },
+    ),
+    # Every policy's per-session records and ASAP's close_set.build spans
+    # of a Section-7 run: relay selection for a batch of latent sessions.
+    "section7-small-seed0": (
+        ["section7", "--scale", "small", "--seed", "0"],
+        "--records",
+        {
+            "traces": "c4ae7ad490ab4a40b873f778464474a8af43039f363a516fe8e1959d57ad5d20",
+            "report": "47bc36386a0378c381430ee0e6c63d2b055505bb19f04eb1b56f854e3432c441",
         },
     ),
 }
@@ -42,9 +56,9 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_artifacts_match_the_pinned_digests(case, tmp_path, capsys):
-    argv, pinned = GOLDEN[case]
-    obs_dir, report = tmp_path / "obs", tmp_path / "report.json"
-    code = main([*argv, "--trace", "--obs-dir", str(obs_dir), "--json", str(report)])
+    argv, report_flag, pinned = GOLDEN[case]
+    obs_dir, report = tmp_path / "obs", tmp_path / "report"
+    code = main([*argv, "--trace", "--obs-dir", str(obs_dir), report_flag, str(report)])
     capsys.readouterr()
     assert code == 0
     files = {
