@@ -37,7 +37,7 @@ def test_ext_relay_load(benchmark, eval_scenario):
         assigned = 0
         for sid, session in enumerate(latent):
             call = system.call(session.caller, session.callee)
-            if call.selection is not None and call.selection.one_hop:
+            if call.selection is not None and len(call.selection.one_hop):
                 if service.assign(sid, call.selection) is not None:
                     assigned += 1
             # DEDI: the session goes through its best dedicated node.

@@ -46,7 +46,7 @@ def test_ext_voice_transport(benchmark, eval_scenario):
     sessions = []
     for session in workload.latent()[:25]:
         call = system.call(session.caller, session.callee)
-        if call.selection is not None and call.selection.one_hop:
+        if call.selection is not None and len(call.selection.one_hop):
             sessions.append(
                 (call.selection, session.caller_cluster, session.callee_cluster)
             )

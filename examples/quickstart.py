@@ -68,13 +68,13 @@ def main() -> None:
     improvement = (session.direct_rtt_ms - best) / session.direct_rtt_ms
     print(f"    improvement over direct: {100 * improvement:.0f}%")
 
-    top = sorted(selection.one_hop, key=lambda c: c.relay_rtt_ms)[:5]
+    ips = dict(zip(selection.one_hop["cluster"].tolist(), selection.one_hop["ips"].tolist()))
     print("    best one-hop relay clusters:")
-    for cand in top:
-        prefix = matrices.prefixes[cand.cluster]
+    for rtt, cluster in selection.one_hop_ranked()[:5]:
+        prefix = matrices.prefixes[cluster]
         print(
-            f"      {str(prefix):>18}  relay-path RTT {cand.relay_rtt_ms:6.0f} ms  "
-            f"({cand.member_ips} relay IPs)"
+            f"      {str(prefix):>18}  relay-path RTT {rtt:6.0f} ms  "
+            f"({ips[cluster]} relay IPs)"
         )
 
 

@@ -143,9 +143,7 @@ class CloseSetMaintainer:
         """Wire a maintainer to a running :class:`ASAPSystem`."""
         view = system.scenario.matrix_view()
         if membership is None:
-            membership = ClusterMembership(
-                {idx: system.online_size(idx) for idx in range(len(view.asn_of))}
-            )
+            membership = ClusterMembership(dict(enumerate(system.online_sizes.tolist())))
         return cls(
             builder=system.close_set_builder,
             membership=membership,

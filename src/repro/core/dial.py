@@ -1,10 +1,11 @@
 """The paper's call flow (Fig. 8, §6.4–6.5), written once over a port.
 
 :func:`run_join` and :func:`run_dial` are the protocol: the join ladder,
-the ping ladder, the two concurrent close-set legs, ``select_one_hop`` →
-two-hop gather → ``select_two_hop``, relay establishment, call
-admission, media with a concurrent keepalive loop and failover, and
-teardown.  They run over a *port* — everything that depends on where
+the ping ladder, the two concurrent close-set legs, the one-hop step →
+two-hop gather → the two-hop step (a
+:class:`~repro.core.relay_selection.SelectionBatch` of one), relay
+establishment, call admission, media with a concurrent keepalive loop
+and failover, and teardown.  They run over a *port* — everything that depends on where
 the flow runs.  :class:`~repro.core.runtime.ASAPRuntime` supplies one
 over the simulated network and :class:`~repro.service.host.HostAgent`
 one over a wire transport.
@@ -32,8 +33,9 @@ A port provides:
 - ``close_set(reply)``: the set a close-set reply carries (``None`` when
   it carries none; raises :class:`~repro.errors.ProtocolError` when it
   is malformed);
-- ``cluster_size(cluster)`` and ``relay_hosts(cluster)``: selection's
-  size function and a cluster's relay candidates, in the order tried;
+- ``cluster_sizes`` and ``relay_hosts(cluster)``: selection's host
+  count per cluster (an array indexed by cluster id) and a cluster's
+  relay candidates, in the order tried;
 - ``await voice(call, media)``: carry the media until it ends, sending
   to ``media.target``; ``finish_media(call, media)``: score the media
   and end its span.
@@ -50,12 +52,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 from repro import obs
-from repro.core.relay_selection import (
-    RelaySelection,
-    ranked_relay_clusters,
-    select_one_hop,
-    select_two_hop,
-)
+from repro.core.relay_selection import RelaySelection, SelectionBatch, ranked_relay_clusters
 from repro.errors import ProtocolError
 from repro.net.codec import (
     ROLE_HOST,
@@ -472,15 +469,14 @@ async def _set_up_relay(port, call: DialResult, callee) -> Optional[object]:
     # Fig. 10: the one-hop step names the candidate clusters to expand;
     # their close sets are fetched in parallel and the two-hop step runs
     # over whichever arrived.
-    selection = select_one_hop(s1, s2, port.cluster_size, config)
+    batch = SelectionBatch([(s1, s2)], port.cluster_sizes, config)
+    first_hops = batch.first_hops[0].tolist()
     fetched: dict = {}
-    if selection.first_hops:
+    if first_hops:
         start = now()
-        await port.gather(
-            *[_two_hop(port, call, first.cluster, fetched) for first in selection.first_hops]
-        )
+        await port.gather(*[_two_hop(port, call, first, fetched) for first in first_hops])
         call.steps.append(("two_hop", round(now() - start, 3)))
-    select_two_hop(selection, s1, s2, fetched, port.cluster_size, config)
+    (selection,) = batch.expand(fetched)
     call.selection = selection
     call.selection_messages = selection.messages
     call.trace.child("setup.select", now()).end(
@@ -511,7 +507,7 @@ async def _set_up_relay(port, call: DialResult, callee) -> Optional[object]:
     if relay is not None:
         _setup_done(port, call, "completed", "relay")
         return target
-    had_candidates = bool(selection.one_hop or selection.two_hop)
+    had_candidates = bool(len(selection.one_hop) or len(selection.two_hop))
     reason = "relay-offline" if had_candidates else "no-relay-candidates"
     _setup_done(port, call, "degraded", "direct", reason)
     return None

@@ -31,7 +31,6 @@ surrogate of the system.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import ASAPConfig
-from repro.core.relay_selection import RelaySelection, select_one_hop, select_two_hop
+from repro.core.relay_selection import RelaySelection, SelectionBatch
 from repro.core.surrogate import Surrogate
 from repro.errors import ProtocolError, TopologyError
 from repro.netaddr import IPv4Address
@@ -157,7 +156,11 @@ class ASAPSystem:
         self._surrogates: Dict[int, List[Surrogate]] = {}
 
         self._offline: set = set()
-        self._offline_in_cluster: Counter = Counter()
+        #: Online host count per cluster (its relay capacity right now),
+        #: kept up to date in place by every join and leave: the ``sizes``
+        #: relay selection reads, so a churned-dark cluster offers zero
+        #: relays however attractive its measured paths.
+        self.online_sizes = np.array(self._view.sizes, dtype=np.int64)
         self.sessions_run = 0
 
     # -- wiring ---------------------------------------------------------------
@@ -240,22 +243,12 @@ class ASAPSystem:
     def _mark_offline(self, ip: IPv4Address) -> None:
         if ip not in self._offline:
             self._offline.add(ip)
-            self._offline_in_cluster[self.cluster_of_ip(ip)] += 1
+            self.online_sizes[self.cluster_of_ip(ip)] -= 1
 
     def _mark_online(self, ip: IPv4Address) -> None:
         if ip in self._offline:
             self._offline.discard(ip)
-            self._offline_in_cluster[self.cluster_of_ip(ip)] -= 1
-
-    def online_size(self, cluster_index: int) -> int:
-        """Online host count of a cluster (its relay capacity right now).
-
-        Feeding this into :func:`select_close_relay` keeps churned-away
-        hosts out of the candidate accounting — a dark cluster offers
-        zero relays, however attractive its measured paths.
-        """
-        total = int(self._view.sizes[cluster_index])
-        return total - self._offline_in_cluster.get(cluster_index, 0)
+            self.online_sizes[self.cluster_of_ip(ip)] += 1
 
     def online_hosts_in_cluster(self, cluster_index: int) -> List:
         """Online member hosts of a cluster, most capable first."""
@@ -344,10 +337,13 @@ class ASAPSystem:
         Every caller pings its callee first; only sessions whose direct
         RTT misses the threshold run relay selection.  For those: the
         endpoint close sets nobody has built yet are built in one batch,
-        the one-hop step runs per session, the close sets its first hops
-        name are built in one batch, the two-hop step runs per session.
-        Outcomes, request counts and observability are those of calling
-        session by session: a set built here is reported
+        the one-hop step runs for the whole batch
+        (:class:`~repro.core.relay_selection.SelectionBatch`), the close
+        sets its first hops name are built in one batch, and the two-hop
+        step runs for the whole batch over one fetch of each.  Outcomes,
+        request counts and observability are those of calling session by
+        session: every (session, first hop) fetch bills the requester's
+        surrogate-group member, and a set built here is reported
         (``close_set.build``) under the first session that asks for it,
         in the order that session asks — S1, S2, first hops ascending.
         """
@@ -376,36 +372,39 @@ class ASAPSystem:
         unreported = self._build_missing(
             c for session in latent for c in (session.caller_cluster, session.callee_cluster)
         )
-        endpoints = []
-        for session in latent:
-            s1 = self.surrogate(session.caller_cluster, requester=session.caller).serve_close_set()
-            s2 = self.surrogate(session.callee_cluster, requester=session.callee).serve_close_set()
-            session.selection = select_one_hop(s1, s2, self.online_size, config)
-            endpoints.append((s1, s2))
-        unreported.update(
-            self._build_missing(
-                hop.cluster for session in latent for hop in session.selection.first_hops
-            )
+        serve = self.surrogate
+        batch = SelectionBatch(
+            [
+                (
+                    serve(session.caller_cluster, requester=session.caller).serve_close_set(),
+                    serve(session.callee_cluster, requester=session.callee).serve_close_set(),
+                )
+                for session in latent
+            ],
+            self.online_sizes,
+            config,
         )
-        for session, (s1, s2) in zip(latent, endpoints):
-            obs.counter("asap.sessions.relay_needed").inc()
-            selection = session.selection
-            with obs.span("asap.select_close_relay", level="debug"):
-                fetched = {
-                    hop.cluster: self.surrogate(
-                        hop.cluster, requester=session.caller
-                    ).serve_close_set()
-                    for hop in selection.first_hops
-                }
-                for cluster in (session.caller_cluster, session.callee_cluster, *fetched):
-                    if cluster in unreported:
-                        emit_build_observability(*unreported.pop(cluster))
-                select_two_hop(selection, s1, s2, fetched, self.online_size, config)
+        hops = np.unique(np.concatenate(batch.first_hops)).tolist()
+        unreported.update(self._build_missing(hops))
+        for session, firsts in zip(latent, batch.first_hops):
+            firsts = firsts.tolist()
+            for cluster in firsts:  # the fetch, billed as surrogate(cluster, caller) serves it
+                group = self._surrogates[cluster]
+                group[session.caller.value % len(group)].close_set_requests += 1
+            for cluster in (session.caller_cluster, session.callee_cluster, *firsts):
+                if cluster in unreported:
+                    emit_build_observability(*unreported.pop(cluster))
+        selections = batch.expand({cluster: self.close_set(cluster) for cluster in hops})
+        for session, selection in zip(latent, selections):
+            session.selection = selection
             session.best_relay_rtt_ms = selection.best_rtt_ms()
-            obs.counter("asap.select.messages").inc(selection.messages)
-            obs.counter("asap.select.quality_paths").inc(selection.quality_paths)
-            obs.counter("asap.select.one_hop_ips").inc(selection.one_hop_ips)
-            obs.counter("asap.select.two_hop_pairs").inc(selection.two_hop_pairs)
+        one_hop = sum(s.one_hop_ips for s in selections)
+        two_hop = sum(s.two_hop_pairs for s in selections)
+        obs.counter("asap.sessions.relay_needed").inc(len(latent))
+        obs.counter("asap.select.messages").inc(sum(s.messages for s in selections))
+        obs.counter("asap.select.quality_paths").inc(one_hop + two_hop)
+        obs.counter("asap.select.one_hop_ips").inc(one_hop)
+        obs.counter("asap.select.two_hop_pairs").inc(two_hop)
         return sessions
 
     def _build_missing(self, clusters: Iterable[int]) -> Dict[int, Tuple[CloseClusterSet, int]]:

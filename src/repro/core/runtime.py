@@ -297,7 +297,7 @@ class _SimPort:
         self.address = str(host.ip)
         self.config = runtime._config
         self.gather = sim.gather
-        self.cluster_size = runtime.system.online_size
+        self.cluster_sizes = runtime.system.online_sizes
         self.relay_hosts = runtime.system.online_hosts_in_cluster
 
     def now_ms(self) -> float:

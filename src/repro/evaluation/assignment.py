@@ -90,17 +90,17 @@ class RelayAssignmentService:
         """
         if session_id in self._assignments:
             raise ProtocolError(f"session {session_id} already assigned")
-        if not selection.one_hop:
+        ranked = selection.one_hop_ranked()
+        if not ranked:
             return None
-        ranked = sorted(selection.one_hop, key=lambda c: c.relay_rtt_ms)
-        best_rtt = ranked[0].relay_rtt_ms
+        best_rtt = ranked[0][0]
         eligible = [
-            c for c in ranked[:max_candidate_clusters]
-            if c.relay_rtt_ms <= best_rtt + self._slack
+            (rtt, cluster) for rtt, cluster in ranked[:max_candidate_clusters]
+            if rtt <= best_rtt + self._slack
         ]
         candidates: List[Tuple[float, float, IPv4Address, int, float]] = []
-        for cand in eligible:
-            prefix = self._matrices.prefixes[cand.cluster]
+        for relay_rtt, relay_cluster in eligible:
+            prefix = self._matrices.prefixes[relay_cluster]
             cluster = self._clusters.clusters.get(prefix)
             if cluster is None:
                 continue
@@ -110,9 +110,7 @@ class RelayAssignmentService:
                     continue
                 utilization = self.load[host.ip] / cap
                 jitter = float(self._rng.random()) * 1e-6
-                candidates.append(
-                    (utilization, jitter, host.ip, cand.cluster, cand.relay_rtt_ms)
-                )
+                candidates.append((utilization, jitter, host.ip, relay_cluster, relay_rtt))
         if not candidates:
             return None
         utilization, _, ip, cluster_idx, rtt = min(candidates)

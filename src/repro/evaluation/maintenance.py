@@ -168,14 +168,15 @@ def run_maintenance_study(
             selection = select_close_relay(
                 s1,
                 s2,
-                cluster_size=lambda idx: 1,
+                cluster_size=np.ones(len(system.online_sizes), dtype=np.int64),
                 close_set_of=lambda idx: system.surrogate(idx).serve_close_set(),
                 config=config,
             )
-            if not selection.one_hop:
+            ranked = selection.one_hop_ranked()
+            if not ranked:
                 continue
-            believed = min(selection.one_hop, key=lambda c: c.relay_rtt_ms)
-            realized_rtt = realized.one_hop_rtt(ca, believed.cluster, cb)
+            _, believed = ranked[0]
+            realized_rtt = realized.one_hop_rtt(ca, believed, cb)
             if np.isfinite(realized_rtt):
                 bests.append(realized_rtt)
                 if realized_rtt < config.lat_threshold_ms:

@@ -105,35 +105,43 @@ class MethodSummary:
 
 
 def summarize_method(records: Sequence[MethodRecord]) -> MethodSummary:
-    """Aggregate records (all from one method) into a summary row."""
+    """Aggregate records (all from one method) into a summary row: one
+    pass over the records, one median and one 90th-percentile call over
+    stacked columns.  Each statistic keeps its own formula (a median and
+    a 50th percentile can differ in the last ulp), so every float is a
+    reduction per statistic's (``tests/oracles.py``)."""
     if not records:
         raise ValueError("cannot summarize zero records")
     methods = {r.method for r in records}
     if len(methods) != 1:
         raise ValueError(f"records mix methods: {sorted(methods)}")
-    qp = np.array([r.quality_paths for r in records], dtype=float)
-    rtts = np.array(
-        [r.best_rtt_ms if r.best_rtt_ms is not None else np.inf for r in records]
-    )
-    mos = np.array(
-        [r.highest_mos if r.highest_mos is not None else 1.0 for r in records]
-    )
-    msgs = np.array([r.messages for r in records], dtype=float)
-    finite_rtts = rtts[np.isfinite(rtts)]
+    qp, rtts, mos, msgs = np.array(
+        [
+            (r.quality_paths, np.inf if r.best_rtt_ms is None else r.best_rtt_ms,
+             1.0 if r.highest_mos is None else r.highest_mos, r.messages)
+            for r in records
+        ],
+        dtype=float,
+    ).T
+    qp_median, mos_median, msgs_median = np.median(np.stack((qp, mos, msgs)), axis=1).tolist()
+    qp_p90, msgs_p90 = np.percentile(np.stack((qp, msgs)), 90, axis=1).tolist()
+    finite = np.isfinite(rtts)
+    finite_rtts = rtts[finite]
+    n = len(records)
     return MethodSummary(
         method=methods.pop(),
-        sessions=len(records),
-        quality_paths_median=float(np.median(qp)),
-        quality_paths_p90=float(np.percentile(qp, 90)),
+        sessions=n,
+        quality_paths_median=qp_median,
+        quality_paths_p90=qp_p90,
         best_rtt_median_ms=float(np.median(finite_rtts)) if finite_rtts.size else float("inf"),
         best_rtt_p95_ms=float(np.percentile(finite_rtts, 95)) if finite_rtts.size else float("inf"),
-        frac_best_below_300=float(np.mean(rtts < RTT_THRESHOLD_MS)),
-        frac_rtt_above_1s=float(np.mean(~np.isfinite(rtts) | (rtts > 1000.0))),
-        mos_median=float(np.median(mos)),
-        frac_mos_below_2_9=float(np.mean(mos < 2.9)),
-        frac_mos_above_3_6=float(np.mean(mos > 3.6)),
-        messages_median=float(np.median(msgs)),
-        messages_p90=float(np.percentile(msgs, 90)),
+        frac_best_below_300=int(np.count_nonzero(rtts < RTT_THRESHOLD_MS)) / n,
+        frac_rtt_above_1s=int(np.count_nonzero(~finite | (rtts > 1000.0))) / n,
+        mos_median=mos_median,
+        frac_mos_below_2_9=int(np.count_nonzero(mos < 2.9)) / n,
+        frac_mos_above_3_6=int(np.count_nonzero(mos > 3.6)) / n,
+        messages_median=msgs_median,
+        messages_p90=msgs_p90,
     )
 
 

@@ -56,11 +56,9 @@ class DelegateMatrices:
     def count(self) -> int:
         return len(self.prefixes)
 
-    def one_hop_rtt(
-        self, a: int, relay: int, b: int, relay_delay_rtt_ms: float = RELAY_DELAY_RTT_MS
-    ) -> float:
+    def one_hop_rtt(self, a: int, relay: int, b: int) -> float:
         """RTT of the a→relay→b overlay path at cluster granularity."""
-        return float(self.rtt_ms[a, relay] + self.rtt_ms[relay, b] + relay_delay_rtt_ms)
+        return float(self.rtt_ms[a, relay] + self.rtt_ms[relay, b] + RELAY_DELAY_RTT_MS)
 
     def one_hop_path_loss(self, a: int, relay: int, b: int) -> float:
         """One-way loss of the relayed path (independent segments)."""

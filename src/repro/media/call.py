@@ -313,9 +313,9 @@ def call_paths_from_selection(
         candidates.append(
             (direct_rtt / 2.0, float(matrices.loss[caller_cluster, callee_cluster]))
         )
-    for cand in sorted(selection.one_hop, key=lambda c: c.relay_rtt_ms)[:max_paths]:
-        loss = matrices.one_hop_path_loss(caller_cluster, cand.cluster, callee_cluster)
-        candidates.append((cand.relay_rtt_ms / 2.0, loss))
+    for rtt, cluster in selection.one_hop_ranked()[:max_paths]:
+        loss = matrices.one_hop_path_loss(caller_cluster, cluster, callee_cluster)
+        candidates.append((rtt / 2.0, loss))
     candidates.sort(key=lambda c: c[0] + 2_000.0 * c[1])
     return [
         PathQualityProcess(

@@ -34,9 +34,6 @@ class Cluster:
     def __len__(self) -> int:
         return len(self.hosts)
 
-    def member_ips(self) -> List[IPv4Address]:
-        return [h.ip for h in self.hosts]
-
 
 @dataclass
 class ClusterIndex:

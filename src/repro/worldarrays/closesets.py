@@ -94,6 +94,8 @@ class CloseClusterSet:
     ases_visited: int = 0
     #: Probe messages split by the AS whose clusters were probed — the
     #: trace layer's L2/L4 attribution (which AS absorbed the probing).
+    #: A set the builder assembled keeps it as the sweep's columns until
+    #: something reads it (:meth:`__getattr__`).
     probes_by_as: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -117,20 +119,31 @@ class CloseClusterSet:
         as_hops: np.ndarray,
         probe_messages: int,
         ases_visited: int,
-        probes_by_as: Dict[int, int],
+        probes: Tuple[np.ndarray, np.ndarray],
     ) -> "CloseClusterSet":
         """A set from columns that already hold the stored-array
         invariants — ``int64`` / ``float64``, aligned, ids strictly
         ascending and ≥ 0 — taken as they are, unchecked.  For the
         builder's sweep, which sorted them itself; every other caller
-        goes through the validating constructor."""
+        goes through the validating constructor.  ``probes`` is the
+        ``(asn, messages)`` columns ``probes_by_as`` is made of when it
+        is first read."""
         built = cls.__new__(cls)
         built.owner = owner
         built.ids, built.rtt_ms, built.loss, built.as_hops = ids, rtt_ms, loss, as_hops
         built.probe_messages = probe_messages
         built.ases_visited = ases_visited
-        built.probes_by_as = probes_by_as
+        built._probes = probes
         return built
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: an assembled
+        # set's ``probes_by_as`` before its first read.
+        if name == "probes_by_as" and "_probes" in self.__dict__:
+            asns, messages = self.__dict__.pop("_probes")
+            self.probes_by_as = dict(zip(asns.tolist(), messages.tolist()))
+            return self.probes_by_as
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CloseClusterSet):
@@ -431,8 +444,10 @@ class FlatCloseSetBuilder:
         edges = np.searchsorted(slot[order], bounds).tolist()
         slot, asns, messages = (np.concatenate(column) for column in zip(*probes))
         order = np.argsort(slot, kind="stable")
-        asns, messages = asns[order].tolist(), messages[order].tolist()
-        probe_edges = np.searchsorted(slot[order], bounds).tolist()
+        asns, messages = asns[order], messages[order]
+        probe_edges = np.searchsorted(slot[order], bounds)
+        totals = np.diff(np.concatenate(([0], np.cumsum(messages)))[probe_edges]).tolist()
+        probe_edges = probe_edges.tolist()
         ases_visited = seen.reshape(slots, count).sum(axis=1).tolist()
         results = []
         for i, owner in enumerate(owners.tolist()):
@@ -441,9 +456,9 @@ class FlatCloseSetBuilder:
                 CloseClusterSet.assembled(
                     owner,
                     *(column[edges[i] : edges[i + 1]] for column in columns),
-                    probe_messages=sum(messages[probed]),
+                    probe_messages=totals[i],
                     ases_visited=ases_visited[i],
-                    probes_by_as=dict(zip(asns[probed], messages[probed])),
+                    probes=(asns[probed], messages[probed]),
                 )
             )
         return results

@@ -16,10 +16,11 @@
   :func:`reference_close_set` wires it to a system's world, which
   :class:`repro.worldarrays.FlatCloseSetBuilder` must match.
 - :func:`scalar_select_close_relay`: the Fig. 10 transcription over the
-  close sets' ``entries`` views — the body
+  close sets' ``entries`` views, one candidate at a time — the body
   :func:`repro.core.relay_selection.select_close_relay` had before it
-  went array-native, which it (and its two steps) must reproduce float
-  for float.
+  went array-native, which the batch kernel
+  (:class:`repro.core.relay_selection.SelectionBatch`) must reproduce
+  session by session, float for float.
 - :func:`valley_free_ball`: the close-set property's reference — the
   minimum valley-free hop count to every AS within a radius, moved out of
   ``ASGraph`` because only tests compare against it.
@@ -52,6 +53,9 @@
 - :func:`prefix_contains` / :func:`prefix_contains_prefix`: CIDR
   containment, which the placement tests check addresses and prefixes
   against.
+- :func:`reference_summarize_method`: a Section-7 method summary with
+  one numpy reduction per statistic, as it was before the reductions
+  were folded into one pass.
 - :func:`reference_media_session`: the per-frame media pipeline
   :func:`repro.media.run_media_session` ran before it became one pass
   over locals — a :class:`FrameSource` of :class:`SentFrame` rows, a
@@ -67,6 +71,7 @@
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -85,12 +90,9 @@ from repro.worldarrays.closesets import (
     emit_build_observability,
 )
 from repro.core.config import ASAPConfig
-from repro.core.relay_selection import (
-    OneHopCandidate,
-    RelaySelection,
-    TwoHopCandidate,
-)
+from repro.core.relay_selection import ONE_HOP, TWO_HOP, RelaySelection
 from repro.errors import ProtocolError, TopologyError
+from repro.evaluation.metrics import MethodRecord, MethodSummary
 from repro.measurement.latency import RELAY_DELAY_RTT_MS, LatencyModel
 from repro.measurement.matrix import UNREACHABLE, DelegateMatrices, cluster_headers
 from repro.media.adapt import AdaptationPolicy, CodecSwitch
@@ -568,74 +570,81 @@ def rtt_to(close_set: CloseClusterSet, cluster: int) -> float:
 def scalar_select_close_relay(
     s1: CloseClusterSet,
     s2: CloseClusterSet,
-    cluster_size: Callable[[int], int],
+    cluster_size,
     close_set_of: Callable[[int], CloseClusterSet],
     config: Optional[ASAPConfig] = None,
 ) -> RelaySelection:
     """``select_close_relay`` the scalar way: Fig. 10 over the entries views.
 
-    ``cluster_size`` maps a cluster index to its online host count;
+    ``cluster_size[c]`` is cluster ``c``'s online host count;
     ``close_set_of`` fetches another surrogate's close cluster set (the
-    two-hop step; each call is billed 2 messages).
+    two-hop step; each call is billed 2 messages).  The candidates are
+    collected one at a time and packed into the selection's tables at
+    the end.
     """
     if config is None:
         config = ASAPConfig()
-    result = RelaySelection()
-    result.messages += 2  # h1 obtains S2 from h2 (request + response)
+    messages, queries = 2, 0  # h1 obtains S2 from h2 (request + response)
 
     # One-hop: intersect close sets.
+    one_hop: List[Tuple[int, float, int]] = []
     common = sorted(set(s1.entries) & set(s2.entries))
     for cluster in common:
-        size = cluster_size(cluster)
+        size = int(cluster_size[cluster])
         if size <= 0:
             continue  # churned dark: no hosts left to relay through
         relay_rtt = rtt_to(s1, cluster) + rtt_to(s2, cluster) + RELAY_DELAY_RTT_MS
         if relay_rtt < config.lat_threshold_ms:
-            result.one_hop.append(
-                OneHopCandidate(
-                    cluster=cluster,
-                    relay_rtt_ms=relay_rtt,
-                    member_ips=size,
+            one_hop.append((cluster, relay_rtt, size))
+
+    two_hop: List[Tuple[int, int, float, int]] = []
+    if sum(size for _, _, size in one_hop) < config.size_threshold:
+        # Two-hop: expand through the close sets of one-hop candidate
+        # clusters (the surrogates of clusters already known close to h1).
+        seen_pairs: Dict[Tuple[int, int], float] = {}
+        for r1, _, _ in one_hop:
+            os1 = close_set_of(r1)
+            messages += 2
+            queries += 1
+            for r2 in sorted(os1.entries):
+                if r2 not in s2.entries or r2 == r1:
+                    continue
+                relay_rtt = (
+                    rtt_to(s1, r1)
+                    + rtt_to(os1, r2)
+                    + rtt_to(s2, r2)
+                    + 2.0 * RELAY_DELAY_RTT_MS
                 )
-            )
+                if relay_rtt < config.lat_threshold_ms:
+                    key = (r1, r2)
+                    if key not in seen_pairs or relay_rtt < seen_pairs[key]:
+                        seen_pairs[key] = relay_rtt
+        for (r1, r2), relay_rtt in sorted(seen_pairs.items()):
+            pairs = int(cluster_size[r1]) * int(cluster_size[r2])
+            if pairs <= 0:
+                continue  # either leg's cluster has churned dark
+            two_hop.append((r1, r2, relay_rtt, pairs))
+    return RelaySelection(
+        one_hop=np.array(one_hop, dtype=ONE_HOP),
+        two_hop=np.array(two_hop, dtype=TWO_HOP),
+        messages=messages,
+        two_hop_queries=queries,
+    )
 
-    if result.one_hop_ips >= config.size_threshold:
-        return result
 
-    # Two-hop: expand through the close sets of one-hop candidate
-    # clusters (the surrogates of clusters already known close to h1).
-    first_hops = [c.cluster for c in result.one_hop]
-    seen_pairs: Dict[Tuple[int, int], float] = {}
-    for r1 in first_hops:
-        os1 = close_set_of(r1)
-        result.messages += 2
-        result.two_hop_queries += 1
-        for r2 in sorted(os1.entries):
-            if r2 not in s2.entries or r2 == r1:
-                continue
-            relay_rtt = (
-                rtt_to(s1, r1)
-                + rtt_to(os1, r2)
-                + rtt_to(s2, r2)
-                + 2.0 * RELAY_DELAY_RTT_MS
-            )
-            if relay_rtt < config.lat_threshold_ms:
-                key = (r1, r2)
-                if key not in seen_pairs or relay_rtt < seen_pairs[key]:
-                    seen_pairs[key] = relay_rtt
-    for (r1, r2), relay_rtt in sorted(seen_pairs.items()):
-        pairs = cluster_size(r1) * cluster_size(r2)
-        if pairs <= 0:
-            continue  # either leg's cluster has churned dark
-        result.two_hop.append(
-            TwoHopCandidate(
-                first=r1,
-                second=r2,
-                relay_rtt_ms=relay_rtt,
-                member_pairs=pairs,
-            )
-        )
-    return result
+class EntriesSnapshot(CloseClusterSet):
+    """A close set whose ``entries`` view is derived once: the scalar
+    oracle reads S2's entries once per two-hop candidate."""
+
+    @functools.cached_property
+    def entries(self):
+        return CloseClusterSet.entries.fget(self)
+
+
+def snapshot(close_set):
+    return EntriesSnapshot(
+        close_set.owner, close_set.ids, close_set.rtt_ms, close_set.loss, close_set.as_hops
+    )
 
 
 def dense_k_hops(
@@ -1101,3 +1110,38 @@ def prefix_contains_prefix(outer: IPv4Prefix, inner: IPv4Prefix) -> bool:
     if inner.length < outer.length:
         return False
     return (inner.network & outer.netmask_int()) == outer.network
+
+
+def reference_summarize_method(records: Sequence[MethodRecord]) -> MethodSummary:
+    """``summarize_method`` one numpy reduction per statistic: the body
+    it had before it folded them into one pass, which it must match
+    float for float."""
+    if not records:
+        raise ValueError("cannot summarize zero records")
+    methods = {r.method for r in records}
+    if len(methods) != 1:
+        raise ValueError(f"records mix methods: {sorted(methods)}")
+    qp = np.array([r.quality_paths for r in records], dtype=float)
+    rtts = np.array(
+        [r.best_rtt_ms if r.best_rtt_ms is not None else np.inf for r in records]
+    )
+    mos = np.array(
+        [r.highest_mos if r.highest_mos is not None else 1.0 for r in records]
+    )
+    msgs = np.array([r.messages for r in records], dtype=float)
+    finite_rtts = rtts[np.isfinite(rtts)]
+    return MethodSummary(
+        method=methods.pop(),
+        sessions=len(records),
+        quality_paths_median=float(np.median(qp)),
+        quality_paths_p90=float(np.percentile(qp, 90)),
+        best_rtt_median_ms=float(np.median(finite_rtts)) if finite_rtts.size else float("inf"),
+        best_rtt_p95_ms=float(np.percentile(finite_rtts, 95)) if finite_rtts.size else float("inf"),
+        frac_best_below_300=float(np.mean(rtts < RTT_THRESHOLD_MS)),
+        frac_rtt_above_1s=float(np.mean(~np.isfinite(rtts) | (rtts > 1000.0))),
+        mos_median=float(np.median(mos)),
+        frac_mos_below_2_9=float(np.mean(mos < 2.9)),
+        frac_mos_above_3_6=float(np.mean(mos > 3.6)),
+        messages_median=float(np.median(msgs)),
+        messages_p90=float(np.percentile(msgs, 90)),
+    )

@@ -160,7 +160,7 @@ class TestSurrogateFailover:
             pytest.skip("no single-host cluster")
         idx = scenario.matrices.index_of[single.prefix]
         assert fresh.leave(single.hosts[0].ip) is None
-        assert fresh.online_size(idx) == 0
+        assert fresh.online_sizes[idx] == 0
 
 
 class TestCalling:
@@ -207,10 +207,8 @@ class TestCalling:
     def test_relay_entries_respect_threshold(self, scenario, system):
         caller, callee = latent_pair(scenario)
         session = system.call(caller, callee)
-        for candidate in session.selection.one_hop:
-            assert candidate.relay_rtt_ms < system.config.lat_threshold_ms
-        for candidate in session.selection.two_hop:
-            assert candidate.relay_rtt_ms < system.config.lat_threshold_ms
+        assert np.all(session.selection.one_hop["rtt_ms"] < system.config.lat_threshold_ms)
+        assert np.all(session.selection.two_hop["rtt_ms"] < system.config.lat_threshold_ms)
 
 
 def _per_call_results(system, pairs):

@@ -1,6 +1,5 @@
 """Tests for select-close-relay (paper Fig. 10)."""
 
-import functools
 import random
 
 import numpy as np
@@ -11,13 +10,9 @@ from hypothesis import strategies as st
 from repro.core import ASAPConfig, ASAPSystem, select_close_relay
 from repro.worldarrays.closesets import CloseClusterEntry, CloseClusterSet
 from repro.core.config import derive_k_hops
-from repro.core.relay_selection import (
-    ranked_relay_clusters,
-    select_one_hop,
-    select_two_hop,
-)
+from repro.core.relay_selection import SelectionBatch, ranked_relay_clusters
 from repro.scenario import small_scenario
-from tests.oracles import scalar_select_close_relay
+from tests.oracles import scalar_select_close_relay, snapshot
 
 
 def close_set(owner, rtts):
@@ -28,8 +23,10 @@ def close_set(owner, rtts):
     return cs
 
 
-def sizes(mapping):
-    return lambda idx: mapping.get(idx, 1)
+def sizes(mapping, clusters=64):
+    """Online host counts of ``clusters`` clusters: 1 unless ``mapping``
+    says otherwise."""
+    return np.array([mapping.get(idx, 1) for idx in range(clusters)])
 
 
 def no_two_hop(idx):
@@ -42,7 +39,7 @@ class TestOneHop:
         s2 = close_set(1, {10: 100.0, 12: 100.0, 13: 50.0})
         config = ASAPConfig(size_threshold=0)  # no two-hop
         result = select_close_relay(s1, s2, sizes({10: 5, 12: 3}), no_two_hop, config)
-        clusters = {c.cluster for c in result.one_hop}
+        clusters = set(result.one_hop["cluster"].tolist())
         # 10: 100+100+40=240 ✓; 12: 280+100+40=420 ✗; 11/13 not common.
         assert clusters == {10}
         assert result.one_hop_ips == 5
@@ -63,7 +60,7 @@ class TestOneHop:
         result = select_close_relay(
             s1, s2, sizes({}), no_two_hop, ASAPConfig(size_threshold=0)
         )
-        assert result.one_hop[0].relay_rtt_ms == pytest.approx(120.0 + 90.0 + 40.0)
+        assert result.one_hop[0]["rtt_ms"] == pytest.approx(120.0 + 90.0 + 40.0)
 
     def test_empty_intersection_no_one_hop(self):
         s1 = close_set(0, {10: 100.0})
@@ -71,7 +68,7 @@ class TestOneHop:
         result = select_close_relay(
             s1, s2, sizes({}), lambda idx: close_set(idx, {}), ASAPConfig()
         )
-        assert result.one_hop == []
+        assert len(result.one_hop) == 0
         assert result.best_rtt_ms() is None
 
 
@@ -92,7 +89,7 @@ class TestTwoHop:
         assert result.messages == 4  # 2 + 2 per query
         # Path 0 -10- 20 -1: 80 + 50 + 60 + 80 = 270 < 300.
         assert len(result.two_hop) == 1
-        assert result.two_hop[0].relay_rtt_ms == pytest.approx(270.0)
+        assert result.two_hop[0]["rtt_ms"] == pytest.approx(270.0)
         assert result.two_hop_pairs == 2 * 3
         assert result.quality_paths == 2 + 6
 
@@ -102,7 +99,7 @@ class TestTwoHop:
         result = select_close_relay(
             s1, s2, sizes({10: 500}), no_two_hop, ASAPConfig(size_threshold=300)
         )
-        assert result.two_hop == []
+        assert len(result.two_hop) == 0
 
     def test_two_hop_requires_r2_in_s2(self):
         s1 = close_set(0, {10: 80.0})
@@ -112,7 +109,7 @@ class TestTwoHop:
             return close_set(idx, {30: 10.0})  # 30 not in S2
 
         result = select_close_relay(s1, s2, sizes({10: 1}), close_of, ASAPConfig())
-        assert result.two_hop == []
+        assert len(result.two_hop) == 0
 
     def test_two_hop_threshold_applies(self):
         s1 = close_set(0, {10: 150.0})
@@ -123,7 +120,7 @@ class TestTwoHop:
 
         # 150 + 100 + 100 + 80 = 430 > 300 → rejected.
         result = select_close_relay(s1, s2, sizes({}), close_of, ASAPConfig())
-        assert result.two_hop == []
+        assert len(result.two_hop) == 0
 
     def test_r1_equals_r2_skipped(self):
         s1 = close_set(0, {10: 50.0})
@@ -133,7 +130,7 @@ class TestTwoHop:
             return close_set(idx, {10: 0.0})
 
         result = select_close_relay(s1, s2, sizes({10: 1}), close_of, ASAPConfig())
-        assert all(c.first != c.second for c in result.two_hop)
+        assert not np.any(result.two_hop["first"] == result.two_hop["second"])
 
     def test_best_rtt_over_both_sets(self):
         s1 = close_set(0, {10: 100.0})
@@ -180,16 +177,15 @@ def selection_worlds(draw):
     # be empty itself or hold its own owner (r2 == r1).
     answered, fill = draw(FILL), draw(FILL)
     fetched = {c: rtt_map(fill) for c in UNIVERSE if rng.random() < answered}
-    sizes_of = [rng.choice((0, 1, 1, 2, 4)) for _ in UNIVERSE]  # 0: churned dark
-    return s1, s2, fetched, sizes_of.__getitem__, draw_config(draw)
+    sizes_of = np.array([rng.choice((0, 1, 1, 2, 4)) for _ in UNIVERSE])  # 0: churned dark
+    return s1, s2, fetched, sizes_of, draw_config(draw)
 
 
 @st.composite
 def sparse_selection_worlds(draw):
     """Fourteen ids out of a few thousand, so S2's leg table is mostly
     +inf: S1 reaches past S2's largest member, the fetched sets hold ids
-    past both (reads of the table's sentinel slot), and any set may be
-    empty or hold a single member."""
+    past both, and any set may be empty or hold a single member."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     ids = sorted(rng.sample(range(4000), 14))
     shared, s1_top = ids[:10], ids[10:12]
@@ -204,36 +200,42 @@ def sparse_selection_worlds(draw):
         s1.update(rtt_map(s1_top, "one"))
     answered, fill = draw(FILL), draw(SPARSE_FILL)
     fetched = {c: rtt_map(ids, fill) for c in ids if rng.random() < answered}
-    sizes_of = {c: rng.choice((0, 1, 1, 2, 4)) for c in ids}
-    return s1, s2, fetched, sizes_of.__getitem__, draw_config(draw)
+    sizes_of = np.ones(4000, dtype=np.int64)
+    sizes_of[ids] = [rng.choice((0, 1, 1, 2, 4)) for _ in ids]
+    return s1, s2, fetched, sizes_of, draw_config(draw)
 
 
 def stepwise_select(s1, s2, cluster_size, close_set_of, config):
-    """Fig. 10 the way a host on a network runs it: the one-hop step,
-    a fetch of the sets it names, the two-hop step.  A set that never
-    arrives (``close_set_of`` answers None) is left out of the mapping."""
-    selection = select_one_hop(s1, s2, cluster_size, config)
-    assert (selection.messages, selection.two_hop_queries, selection.two_hop) == (2, 0, [])
+    """Fig. 10 the way a host on a network runs it: the one-hop step (a
+    batch of one), a fetch of the sets it names, the two-hop step.  A
+    set that never arrives (``close_set_of`` answers None) is left out
+    of the mapping."""
+    batch = SelectionBatch([(s1, s2)], cluster_size, config)
+    (selection,) = batch.selections
+    assert (selection.messages, selection.two_hop_queries, len(selection.two_hop)) == (2, 0, 0)
+    first_hops = batch.first_hops[0].tolist()
+    assert first_hops in ([], selection.one_hop["cluster"].tolist())
     fetched = {}
-    for first in selection.first_hops:
-        answer = close_set_of(first.cluster)
+    for first in first_hops:
+        answer = close_set_of(first)
         if answer is not None:
-            fetched[first.cluster] = answer
-    assert select_two_hop(selection, s1, s2, fetched, cluster_size, config) is selection
+            fetched[first] = answer
+    (expanded,) = batch.expand(fetched)
+    assert expanded is selection
     return selection
 
 
 def assert_same_selection(got, want, asked):
-    """``got`` is the oracle's ``want``: exact floats, order, bill, and
-    the named first hops are exactly the ``asked`` queries, in fetch order."""
-    assert got.one_hop == want.one_hop
-    assert got.two_hop == want.two_hop
-    assert got.messages == want.messages
-    assert got.two_hop_queries == want.two_hop_queries
+    """``got`` is the oracle's ``want``: the same candidate bytes (exact
+    floats, order), bill and ranking, and the first hops asked for are
+    all of the one-hop candidates or none of them, ascending."""
+    assert got.one_hop.tobytes() == want.one_hop.tobytes()
+    assert got.two_hop.tobytes() == want.two_hop.tobytes()
+    assert got == want
     assert got.best_rtt_ms() == want.best_rtt_ms()
     assert ranked_relay_clusters(got) == ranked_relay_clusters(want)
-    assert [c.cluster for c in got.first_hops] == asked
-    assert got.first_hops == got.one_hop[: len(asked)]
+    assert asked in ([], got.one_hop["cluster"].tolist())
+    assert got.two_hop_queries == len(asked)
 
 
 def check_against_oracle(world):
@@ -274,21 +276,6 @@ class TestMatchesScalarOracle:
         check_against_oracle(world)
 
 
-class EntriesSnapshot(CloseClusterSet):
-    """A close set whose ``entries`` view is derived once: the scalar
-    oracle reads S2's entries once per two-hop candidate."""
-
-    @functools.cached_property
-    def entries(self):
-        return CloseClusterSet.entries.fget(self)
-
-
-def snapshot(close_set):
-    return EntriesSnapshot(
-        close_set.owner, close_set.ids, close_set.rtt_ms, close_set.loss, close_set.as_hops
-    )
-
-
 class TestBatchPathMatchesOracle:
     """``ASAPSystem.call_many`` on the ``small`` world ≡ the scalar
     oracle run session by session on the same close sets."""
@@ -316,15 +303,13 @@ class TestBatchPathMatchesOracle:
             want = scalar_select_close_relay(
                 serve(session.caller_cluster, session.caller),
                 serve(session.callee_cluster, session.callee),
-                system.online_size,
+                system.online_sizes,
                 lambda cluster: serve(cluster, session.caller),
                 config,
             )
             got = session.selection
-            assert (got.one_hop, got.two_hop, got.messages) == (
-                want.one_hop,
-                want.two_hop,
-                want.messages,
-            )
-            two_hop += bool(got.two_hop)
+            assert got.one_hop.tobytes() == want.one_hop.tobytes()
+            assert got.two_hop.tobytes() == want.two_hop.tobytes()
+            assert got == want
+            two_hop += bool(len(got.two_hop))
         assert two_hop > 10  # the two-hop step ran on many sessions

@@ -123,13 +123,13 @@ class TestConfigInteractions:
         for session in latent:
             call = system.call(session.caller, session.callee)
             if call.selection is not None:
-                for cand in call.selection.one_hop:
+                for cluster, relay_rtt_ms, _ in call.selection.one_hop.tolist():
                     # Without relay delay, the candidate RTT is just the
                     # two legs.
                     s1 = system.close_set(call.caller_cluster)
                     s2 = system.close_set(call.callee_cluster)
-                    assert cand.relay_rtt_ms == pytest.approx(
-                        rtt_to(s1, cand.cluster) + rtt_to(s2, cand.cluster)
+                    assert relay_rtt_ms == pytest.approx(
+                        rtt_to(s1, cluster) + rtt_to(s2, cluster)
                     )
 
     def test_huge_k_saturates_at_reachability(self, scenario):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.base import MethodResult
 from repro.errors import EvaluationError
@@ -20,6 +22,7 @@ from repro.evaluation.report import (
 from repro.evaluation.section3 import run_section3
 from repro.evaluation.section7 import run_section7
 from repro.scenario import tiny_scenario
+from tests.oracles import reference_summarize_method
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,28 @@ class TestMetrics:
         assert summary.quality_paths_median == 20
         assert summary.frac_best_below_300 == pytest.approx(2 / 3)
         assert summary.frac_rtt_above_1s == pytest.approx(1 / 3)
+
+
+#: Few distinct values, so draws tie; None is a session with no path.
+_RTTS = st.one_of(st.none(), st.sampled_from([40.0, 120.5, 299.9, 300.0, 950.0, 1000.0, 1500.0]))
+_MOS = st.one_of(st.none(), st.sampled_from([1.0, 2.5, 2.9, 3.6, 3.605, 4.1]))
+_RECORDS = st.lists(
+    st.tuples(st.integers(0, 40), _RTTS, _MOS, st.integers(0, 12) | st.sampled_from([2, 2, 2])),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestSummaryMatchesReference:
+    @given(_RECORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_summary_equals_reduction_per_statistic(self, rows):
+        records = [
+            MethodRecord("ASAP", i, qp, rtt, mos, msgs) for i, (qp, rtt, mos, msgs) in enumerate(rows)
+        ]
+        got, want = summarize_method(records), reference_summarize_method(records)
+        assert got == want
+        assert all(type(value) is type(getattr(want, name)) for name, value in vars(got).items())
 
 
 class TestSection3:

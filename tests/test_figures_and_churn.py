@@ -92,7 +92,7 @@ class TestRuntimeChurn:
         runtime.sim.schedule_at(10.0, lambda: runtime.fail_host(ip))
         runtime.run()
         assert runtime.surrogate_failures == []
-        assert runtime.system.online_size(idx) == 0
+        assert runtime.system.online_sizes[idx] == 0
 
     def test_calls_succeed_after_failover(self, scenario):
         import numpy as np

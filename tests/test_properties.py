@@ -243,7 +243,7 @@ class TestRelaySelectionProperties:
     def test_message_accounting_formula(self, s1, s2):
         config = ASAPConfig(size_threshold=10**9)
         result = select_close_relay(
-            s1, s2, lambda idx: 1, lambda idx: _build_set(idx, []), config
+            s1, s2, np.ones(31, dtype=int), lambda idx: _build_set(idx, []), config
         )
         assert result.messages == 2 + 2 * result.two_hop_queries
         assert result.two_hop_queries == len(result.one_hop)
@@ -253,23 +253,21 @@ class TestRelaySelectionProperties:
     def test_one_hop_candidates_in_intersection(self, s1, s2):
         config = ASAPConfig(size_threshold=0)
         result = select_close_relay(
-            s1, s2, lambda idx: 1, lambda idx: _build_set(idx, []), config
+            s1, s2, np.ones(31, dtype=int), lambda idx: _build_set(idx, []), config
         )
         common = set(s1.entries) & set(s2.entries)
-        for candidate in result.one_hop:
-            assert candidate.cluster in common
-            assert candidate.relay_rtt_ms < config.lat_threshold_ms
-            assert candidate.relay_rtt_ms == pytest.approx(
-                rtt_to(s1, candidate.cluster)
-                + rtt_to(s2, candidate.cluster)
-                + RELAY_DELAY_RTT_MS
+        for cluster, relay_rtt_ms, _ in result.one_hop.tolist():
+            assert cluster in common
+            assert relay_rtt_ms < config.lat_threshold_ms
+            assert relay_rtt_ms == pytest.approx(
+                rtt_to(s1, cluster) + rtt_to(s2, cluster) + RELAY_DELAY_RTT_MS
             )
 
     @given(close_set_strategy(100), close_set_strategy(200))
     @settings(max_examples=40, deadline=None)
     def test_quality_paths_nonnegative_and_consistent(self, s1, s2):
         result = select_close_relay(
-            s1, s2, lambda idx: 2, lambda idx: _build_set(idx, []), ASAPConfig()
+            s1, s2, np.full(31, 2), lambda idx: _build_set(idx, []), ASAPConfig()
         )
         assert result.quality_paths == result.one_hop_ips + result.two_hop_pairs
         assert result.one_hop_ips == 2 * len(result.one_hop)
@@ -302,13 +300,15 @@ class TestOptLowerBoundsAsap:
             a, b = session.caller_cluster, session.callee_cluster
             selection = system.call(session.caller, session.callee).selection
             realized = [
-                rtt[a, c.cluster] + rtt[c.cluster, b] + delay
-                for c in selection.one_hop
-                if c.cluster not in (a, b)
+                rtt[a, cluster] + rtt[cluster, b] + delay
+                for cluster in selection.one_hop["cluster"].tolist()
+                if cluster not in (a, b)
             ] + [
-                rtt[a, c.first] + rtt[c.first, c.second] + rtt[c.second, b] + 2.0 * delay
-                for c in selection.two_hop
-                if not {c.first, c.second} & {a, b}
+                rtt[a, first] + rtt[first, second] + rtt[second, b] + 2.0 * delay
+                for first, second in zip(
+                    selection.two_hop["first"].tolist(), selection.two_hop["second"].tolist()
+                )
+                if not {first, second} & {a, b}
             ]
             if not realized:
                 continue

@@ -148,12 +148,12 @@ class TestRelayExclusion:
         fresh = ASAPRuntime(scenario, config)
         for host in fresh.system.online_hosts_in_cluster(target):
             fresh.system.leave(host.ip)
-        assert fresh.system.online_size(target) == 0
+        assert fresh.system.online_sizes[target] == 0
         session = fresh.system.call(record.caller, record.callee)
         if session.selection is not None:
-            assert target not in [c.cluster for c in session.selection.one_hop]
-            assert target not in [c.first for c in session.selection.two_hop]
-            assert target not in [c.second for c in session.selection.two_hop]
+            assert target not in session.selection.one_hop["cluster"].tolist()
+            assert target not in session.selection.two_hop["first"].tolist()
+            assert target not in session.selection.two_hop["second"].tolist()
 
     def test_pick_relay_skips_offline_hosts(self, scenario):
         config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
@@ -295,7 +295,7 @@ class TestRepeatedChurn:
         last = runtime.system.leave(runtime.system.surrogate(idx).ip)
         assert last is not None
         assert runtime.system.leave(last.ip) is None
-        assert runtime.system.online_size(idx) == 0
+        assert runtime.system.online_sizes[idx] == 0
 
 
 class TestChaosRuns:

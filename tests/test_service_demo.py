@@ -115,23 +115,30 @@ class TestLoopbackDemo:
     def test_relayed_dial_runs_each_selection_step_once(self, tmp_path, world, monkeypatch):
         from repro.core import dial, relay_selection
 
-        calls = {"select_close_relay": 0, "select_one_hop": 0, "select_two_hop": 0}
+        calls = {"select_close_relay": 0, "one_hop": 0, "two_hop": 0}
+        genuine = relay_selection.select_close_relay
 
-        def counting(module, name):
-            genuine = getattr(module, name)
+        def select_close_relay(*args, **kwargs):
+            calls["select_close_relay"] += 1
+            return genuine(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return genuine(*args, **kwargs)
+        class CountedBatch(relay_selection.SelectionBatch):
+            """Counts the sessions each step runs for."""
 
-            monkeypatch.setattr(module, name, wrapper)
+            def __init__(self, endpoints, *args, **kwargs):
+                endpoints = list(endpoints)
+                calls["one_hop"] += len(endpoints)
+                super().__init__(endpoints, *args, **kwargs)
 
-        counting(relay_selection, "select_close_relay")
-        counting(dial, "select_one_hop")
-        counting(dial, "select_two_hop")
+            def expand(self, fetched):
+                calls["two_hop"] += len(self.selections)
+                return super().expand(fetched)
+
+        monkeypatch.setattr(relay_selection, "select_close_relay", select_close_relay)
+        monkeypatch.setattr(dial, "SelectionBatch", CountedBatch)
         result, trace_bytes = _traced_demo(tmp_path / "t", world)
         assert result.relayed == 1
-        assert calls == {"select_close_relay": 0, "select_one_hop": 1, "select_two_hop": 1}
+        assert calls == {"select_close_relay": 0, "one_hop": 1, "two_hop": 1}
         # Recorded from the two-pass dial this one replaced (same scale and
         # seed): the bill and every span are unchanged, except the media
         # span's packet count — voice is codec frames now, 100 per 2 s
@@ -381,7 +388,8 @@ class TestCloseSetWire:
         from repro.core import relay_selection
         from repro.service.host import HostAgent
 
-        genuine_reply, genuine_table = HostAgent._on_close_set_query, relay_selection._leg_table
+        genuine_reply = HostAgent._on_close_set_query
+        genuine_table = relay_selection.SelectionBatch._leg_table
         forged, widths = [], []
 
         async def answer(agent, sender, message):
@@ -392,13 +400,13 @@ class TestCloseSetWire:
             forged_entry = pairs_table([(2**32 - 1, 1.0)])
             return CloseSetReply(reply.owner, np.concatenate([reply.entries, forged_entry]))
 
-        def leg_table(s2):
-            table = genuine_table(s2)
-            widths.append(len(table))
+        def leg_table(batch, first, last):
+            table = genuine_table(batch, first, last)
+            widths.append(table.shape[1])
             return table
 
         monkeypatch.setattr(HostAgent, "_on_close_set_query", answer)
-        monkeypatch.setattr(relay_selection, "_leg_table", leg_table)
+        monkeypatch.setattr(relay_selection.SelectionBatch, "_leg_table", leg_table)
         result, trace_bytes = _traced_demo(tmp_path, world)
         records = [json.loads(line) for line in trace_bytes.splitlines() if line]
         peer = [

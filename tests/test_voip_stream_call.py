@@ -266,7 +266,7 @@ class TestCallPathsFromSelection:
         a, b = (int(x) for x in latent[0])
         clusters = scenario.clusters.all_clusters()
         session = system.call(clusters[a].hosts[0].ip, clusters[b].hosts[0].ip)
-        if session.selection is None or not session.selection.one_hop:
+        if session.selection is None or not len(session.selection.one_hop):
             pytest.skip("no one-hop candidates")
         paths = call_paths_from_selection(session.selection, m, a, b)
         assert 1 <= len(paths) <= 4
