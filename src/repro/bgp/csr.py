@@ -4,15 +4,16 @@
 :class:`~repro.bgp.asgraph.ASGraph`: the valley-free step tables
 (providers / customers / peers / siblings, and the provider ∪ sibling
 "uphill" rows customer routes climb) over a dense int index.  The
-batched routing-tree builder (:mod:`repro.bgp.routing`) and the
-vectorized close-set BFS (:mod:`repro.worldarrays.closesets`) both
-traverse it with :func:`csr_gather`.
+batched routing-tree builder (:mod:`repro.bgp.routing`) traverses it with
+:func:`csr_gather`; the bit-parallel close-set BFS
+(:mod:`repro.worldarrays.closesets`) walks its (node, phase) state graph,
+:meth:`GraphCSR.state_graph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -89,6 +90,45 @@ class GraphCSR:
     @property
     def count(self) -> int:
         return len(self.as_ids)
+
+    def state_graph(self, valley_free: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The BFS moves as a graph over 2V states — node ``v`` UP is
+        state ``v``, DOWN is ``V + v`` — built once per flag and kept.
+
+        Valley-free, UP climbs providers and siblings (UP) and crosses
+        peers (DOWN); both phases descend customers (DOWN); siblings keep
+        DOWN.  Otherwise every neighbour keeps the phase.  Returns
+        ``(sources, targets, starts)``: edge sources sorted by target,
+        the distinct targets, and where each target's edges begin — the
+        offsets of a ``reduceat`` over ``x[sources]``.
+        """
+        cached = self.__dict__.setdefault("_state_graphs", {})
+        if valley_free not in cached:
+            count = self.count
+
+            def moves(indptr, indices, up_from: bool, up_to: bool):
+                src = np.repeat(np.arange(count), np.diff(indptr))
+                return src + (0 if up_from else count), indices + (0 if up_to else count)
+
+            if valley_free:
+                pairs = [
+                    moves(self.providers_indptr, self.providers_indices, True, True),
+                    moves(self.siblings_indptr, self.siblings_indices, True, True),
+                    moves(self.peers_indptr, self.peers_indices, True, False),
+                    moves(self.customers_indptr, self.customers_indices, True, False),
+                    moves(self.customers_indptr, self.customers_indices, False, False),
+                    moves(self.siblings_indptr, self.siblings_indices, False, False),
+                ]
+            else:
+                pairs = [
+                    moves(self.neighbors_indptr, self.neighbors_indices, up, up)
+                    for up in (True, False)
+                ]
+            src, dst = (np.concatenate(column) for column in zip(*pairs))
+            order = np.argsort(dst, kind="stable")
+            targets, starts = np.unique(dst[order], return_index=True)
+            cached[valley_free] = (src[order], targets, starts)
+        return cached[valley_free]
 
     @classmethod
     def from_asgraph(cls, graph: ASGraph) -> "GraphCSR":

@@ -46,7 +46,7 @@ class SessionWorkload:
         return [
             s
             for s in self.sessions
-            if not (np.isfinite(s.direct_rtt_ms) and s.direct_rtt_ms < threshold_ms)
+            if not (math.isfinite(s.direct_rtt_ms) and s.direct_rtt_ms < threshold_ms)
         ]
 
     def direct_rtts(self) -> np.ndarray:
@@ -92,26 +92,50 @@ def generate_workload(
         raise EvaluationError("population too small for sessions")
 
     workload = SessionWorkload()
-    latent_found = 0
+    n = len(host_ips)
+    host_cluster = np.asarray(host_cluster, dtype=np.int64)
     cap = count * 50
-    generated = 0
+    latent_found = generated = 0
     while generated < count or (latent_target is not None and latent_found < latent_target):
         if generated >= cap:
             break
-        i, j = rng.choice(len(host_ips), size=2, replace=False).tolist()
+        # A block of at least as many sessions as the loop still needs,
+        # scaled by the latent rate so far; draws past where it stops are
+        # never seen (the RNG is local).
+        needed = max(count - generated, 0)
+        if latent_target is not None:
+            ratio = (generated + 1) // (latent_found + 1) + 1
+            needed = max(needed, (latent_target - latent_found) * ratio)
+        block = min(needed, cap - generated)
+        i, j = _distinct_pairs(rng, n, block)
         ca, cb = host_cluster[i], host_cluster[j]
-        direct = view.rtt_cell(ca, cb)
-        workload.sessions.append(
-            Session(
-                session_id=generated,
-                caller=host_ips[i],
-                callee=host_ips[j],
-                caller_cluster=ca,
-                callee_cluster=cb,
-                direct_rtt_ms=direct,
-            )
+        direct = view.gather_rtt(ca, cb)
+        latent = ~(np.isfinite(direct) & (direct < threshold_ms))
+        # Cut where the one-at-a-time loop would have stopped.
+        go_on = generated + np.arange(1, block + 1) < count
+        if latent_target is not None:
+            go_on |= latent_found + np.cumsum(latent) < latent_target
+        take = block if go_on.all() else int(np.argmin(go_on)) + 1
+        rows = zip(i[:take].tolist(), j[:take].tolist(), ca[:take].tolist(),
+                   cb[:take].tolist(), direct[:take].tolist())
+        workload.sessions.extend(
+            Session(generated + k, host_ips[a], host_ips[b], c, d, rtt)
+            for k, (a, b, c, d, rtt) in enumerate(rows)
         )
-        generated += 1
-        if not (math.isfinite(direct) and direct < threshold_ms):
-            latent_found += 1
+        generated += take
+        latent_found += int(latent[:take].sum())
     return workload
+
+
+def _distinct_pairs(rng: np.random.Generator, n: int, block: int):
+    """``block`` draws of ``rng.choice(n, 2, replace=False)`` as two
+    index arrays, draw for draw: ``choice`` draws with Floyd's algorithm
+    (a bounded draw on ``[0, n-2]``, one on ``[0, n-1]`` that becomes
+    ``n-1`` on a repeat), then shuffles the pair with a draw on
+    ``[0, 1]`` — the same bounded draws ``integers`` makes over an array
+    of upper bounds."""
+    highs = np.tile(np.array([n - 2, n - 1, 1], dtype=np.int64), block)
+    first, second, shuffle = rng.integers(0, highs, endpoint=True).reshape(block, 3).T
+    second = np.where(second == first, n - 1, second)
+    swap = shuffle == 0
+    return np.where(swap, second, first), np.where(swap, first, second)

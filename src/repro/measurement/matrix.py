@@ -84,6 +84,12 @@ class DelegateMatrices:
         """``loss[rows, cols]`` with numpy broadcasting semantics."""
         return self.loss[rows, cols]
 
+    def rows(self, sources) -> tuple:
+        """``(rtt_ms[sources], loss[sources])``: each source's whole row,
+        ``(S, N)`` new arrays in cluster order — the floats
+        :meth:`gather_rtt` / :meth:`gather_loss` return for those cells."""
+        return self.rtt_ms[sources], self.loss[sources]
+
     def iter_column_blocks(self, chunk: int = 256):
         """Yield ``(cols, rtt_block, loss_block, hops_block)`` over all
         destination columns in ascending order; blocks are (N, len(cols))

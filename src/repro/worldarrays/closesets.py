@@ -12,22 +12,22 @@ This is the close-set code production runs: every surrogate build and
 every maintainer rebuild, verdict and patch.  The executable
 specification (``tests/oracles.py::construct_close_cluster_set``, the
 Fig. 9 transcription tests compare against) runs a level-synchronous
-valley-free BFS with python sets; this builder runs the same levels as
-arrays over the CSR step tables:
+valley-free BFS with python sets; this builder runs it for ``CELLS // V``
+sources at once (one source is the one-slot case) in three steps:
 
-- many sources run as one BFS over the disjoint union of one copy of the
-  graph per source (state key ``slot * V + node``, the layout of
-  :func:`repro.bgp.routing._build_batch`), ``CELLS // V`` sources at a
-  time; one source is the one-slot case;
-- the frontier is the pair of (UP, DOWN) key arrays the previous level
-  discovered; one level is four ragged CSR gathers (providers, peers,
-  customers, siblings) for every source at once;
-- expansion rights only matter at the *next* level, so the (source, AS)
-  pairs a level newly visits are one independent batch: their cluster
-  rows come out of one CSR gather, are probed with one ``gather_rtt``
-  and one ``gather_loss`` from their owners, and the per-pair verdicts
-  are two ``np.bincount`` passes over the owning-pair index.
+- **one probe block**: each source's RTT and loss rows are read once,
+  ``(S, N)``, through the view's ``rows``;
+- **every verdict up front**: whether an AS expands depends only on the
+  (source, AS) pair, never on the depth it is reached at (the home AS
+  always expands), so one cumulative sum of the pass mask in per-AS
+  cluster order gives every verdict before the BFS starts;
+- **a bit-parallel BFS** over the graph's (node, phase) state graph
+  (:meth:`GraphCSR.state_graph`), multi-source BFS as in Then et al.,
+  "The More the Merrier" (VLDB 2015): bit ``i`` of a state's uint64
+  words is source ``i``, and one level is one gather plus one
+  ``np.bitwise_or.reduceat`` for every source at once.
 
+Members are the passing probes in visited ASes, at their AS's depth.
 It reproduces the reference *exactly*: same entries (cluster, rtt,
 loss, depth), same ``probe_messages`` / ``probes_by_as`` /
 ``ases_visited`` accounting, and the same observability emission
@@ -35,9 +35,9 @@ loss, depth), same ``probe_messages`` / ``probes_by_as`` /
 ``traces.jsonl`` is byte-identical whichever path built the set.
 
 Every build shares the graph's one CSR export (:meth:`ASGraph.csr`,
-also shared with every other builder and router on that graph), the
-builder's cluster-row table and its probe view; nothing is set up per
-source cluster.
+also shared with every other builder and router on that graph, with
+its state graph), the builder's cluster-row table and its probe view;
+nothing is set up per source cluster.
 """
 
 from __future__ import annotations
@@ -50,14 +50,12 @@ import numpy as np
 
 from repro import obs
 from repro.bgp.asgraph import ASGraph
-from repro.bgp.csr import csr_gather
 from repro.errors import ProtocolError
 
 #: (source × AS) cells of one multi-source sweep.  Measured, not tunable
-#: (docs/performance.md "1.9"): the per-source cost bottoms out here at
-#: ``small``, ``10k`` and ``evaluation`` alike — below 2^14 cells numpy
-#: call overhead per level dominates, above 2^17 the per-level masks and
-#: scatters fall out of cache.  Same value as ``bgp.routing.CELLS``.
+#: (docs/performance.md "1.22"): the per-source cost is flat within ~15 %
+#: from 2^15 to 2^18 at ``small`` and ``10k``; 2^16 keeps a sweep's row
+#: block and visit table near 1 MB.  Same value as ``bgp.routing.CELLS``.
 CELLS = 2**16
 
 #: lossT: a probed cluster joins the set only below this one-way loss
@@ -256,7 +254,7 @@ class FlatCloseSetBuilder:
     hosts (the same table :meth:`ASAPSystem.clusters_in_as` serves);
     ``world`` is the matrix view the surrogate probes read — dense
     :class:`~repro.measurement.matrix.DelegateMatrices` or the streamed
-    :class:`~repro.worldarrays.virtual.VirtualMatrices` (the gathers
+    :class:`~repro.worldarrays.virtual.VirtualMatrices` (their row reads
     return the same floats either way).  The keyword arguments are the
     three protocol parameters the BFS reads (``ASAPConfig`` fields of the
     same names); the loss threshold is :data:`LOSS_THRESHOLD`.
@@ -295,8 +293,8 @@ class FlatCloseSetBuilder:
         self._rows_flat = flat[np.lexsort((flat, nodes))]
         self._rows_indptr = np.zeros(csr.count + 1, dtype=np.int64)
         np.cumsum(np.bincount(nodes, minlength=csr.count), out=self._rows_indptr[1:])
-        # The graph node hosting each cluster (-1: none).
-        self._home = np.full(world.count, -1, dtype=np.int64)
+        # The graph node hosting each cluster (V: none).
+        self._home = np.full(world.count, csr.count, dtype=np.int64)
         self._home[self._rows_flat] = np.repeat(
             np.arange(csr.count), np.diff(self._rows_indptr)
         )
@@ -375,140 +373,107 @@ class FlatCloseSetBuilder:
         online: Optional[np.ndarray],
         metas: Optional[List[dict]] = None,
     ) -> List[CloseClusterSet]:
-        """One level-synchronous BFS for every source at once, over state
-        keyed ``slot * V + node`` (module docstring).  Keys ascend, so a
-        level's records come out in (source, AS ascending, row ascending)
-        order and a stable sort by slot restores each source's own
-        (level, AS, row) order.  ``metas`` holds one :meth:`build`
-        ``meta_out`` hook per source.
+        """One bit-parallel BFS for every source at once (module
+        docstring): bit ``i`` of a state's words is source ``i``.  Visits
+        come out in each source's (depth, AS) order and members in its
+        cluster order, so nothing is sorted.  ``metas`` holds one
+        :meth:`build` ``meta_out`` hook per source.
         """
         csr = self._csr
         count, slots = csr.count, len(sources)
         owners = np.array([cluster for cluster, _ in sources], dtype=np.int64)
         home = np.array([csr.index_of[asn] for _, asn in sources], dtype=np.int64)
-        fresh = front_up = np.arange(slots, dtype=np.int64) * count + home
-        front_down = fresh[:0]
-        up = np.zeros(slots * count, dtype=bool)
-        down = np.zeros(slots * count, dtype=bool)
-        expands = np.zeros(slots * count, dtype=bool)
-        seen = np.zeros(slots * count, dtype=bool)
-        up[fresh] = seen[fresh] = True
+        every = np.arange(slots)
+        # The own cluster, when it lives in the home AS, is never probed
+        # and joins with a zero entry; the home AS always expands.
+        at_home = self._home[owners] == home
+        rtt, lost = self._world.rows(owners)
+        passes, probed, expands = self._verdicts(owners, at_home, rtt, lost, online)
+        expands[every, home] = True
 
-        # The own cluster joins with a zero-cost entry and is never probed.
-        own = self._home[owners] == home
-        if online is not None:
-            own &= online[owners]
-        own_slots = np.nonzero(own)[0]
-        zeros = np.zeros(len(own_slots))
-        # Per level: members as (slot, cluster, rtt, loss, depth) and the
-        # probe accounting as (slot, asn, messages).
-        members = [(own_slots, owners[own], zeros, zeros, np.zeros(len(own_slots), int))]
-        probes: List[Tuple[np.ndarray, ...]] = []
-        for depth in range(self.k_hops + 1):
-            if depth:
-                new_up, new_down = self._level(
-                    front_up[expands[front_up]], front_down[expands[front_down]], up, down
-                )
-                if not new_up.any() and not new_down.any():
-                    break
-                up |= new_up
-                down |= new_down
-                front_up, front_down = np.nonzero(new_up)[0], np.nonzero(new_down)[0]
-                fresh = np.nonzero((new_up | new_down) & ~seen)[0]
-                seen[fresh] = True
-            # Probe the ASes this level newly visited as one batch.  The
-            # accounting matches the oracle's ``_probe``/``_visit_as``
-            # pair — 2 messages per probed cluster, attributed to its AS.
-            slot, node = np.divmod(fresh, count)
-            verdict, probed, at, rows, rtt, lost = self._measure(
-                owners[slot], node, depth, online
-            )
-            expands[fresh] = verdict
-            hit = probed > 0
-            probes.append((slot[hit], csr.as_ids[node[hit]], 2 * probed[hit]))
-            members.append((slot[at], rows, rtt, lost, np.full(len(rows), depth)))
-            if metas is not None:
-                for i, asn, rights in zip(
-                    slot.tolist(), csr.as_ids[node].tolist(), verdict.tolist()
-                ):
-                    metas[i][asn] = (depth, rights)
+        words = -(-slots // 64)
 
-        # An AS is probed once per source, so no (slot, cluster) pair
-        # repeats and one stable sort on ``slot * N + cluster`` orders
-        # each source's members by cluster.  The first level's own-cluster
-        # arrays fix the dtypes (int64 ids and depths, float64 metrics).
-        slot, *columns = (np.concatenate(column) for column in zip(*members))
-        order = np.argsort(slot * self._world.count + columns[0], kind="stable")
-        columns = [column[order] for column in columns]
-        bounds = np.arange(slots + 1)
-        edges = np.searchsorted(slot[order], bounds).tolist()
-        slot, asns, messages = (np.concatenate(column) for column in zip(*probes))
-        order = np.argsort(slot, kind="stable")
-        asns, messages = asns[order], messages[order]
-        probe_edges = np.searchsorted(slot[order], bounds)
+        def pack(bits: np.ndarray) -> np.ndarray:  # (S, X) bool -> (X, words) words
+            padded = np.zeros((bits.shape[1], 64 * words), dtype=bool)
+            padded[:, :slots] = bits.T
+            return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+        start = np.zeros((slots, count), dtype=bool)
+        start[every, home] = True
+        levels = [pack(start)]
+        gate = np.concatenate([pack(expands)] * 2)
+        front = np.concatenate((levels[0], np.zeros_like(levels[0])))
+        seen, reached = front.copy(), levels[0].copy()
+        moves, targets, starts = csr.state_graph(self._valley_free)
+        for _ in range(self.k_hops if len(moves) else 0):
+            step = np.bitwise_or.reduceat((front & gate)[moves], starts, axis=0)
+            front = np.zeros_like(front)
+            front[targets] = step & ~seen[targets]
+            if not front.any():
+                break
+            seen |= front
+            fresh = (front[:count] | front[count:]) & ~reached
+            reached |= fresh
+            levels.append(fresh)
+
+        # Visits in (source, depth, AS) order off the one-hot of each
+        # level's newly visited ASes.
+        onehot = np.unpackbits(
+            np.stack(levels).view(np.uint8), axis=2, count=slots, bitorder="little"
+        ).view(bool)
+        visit = np.flatnonzero(onehot.transpose(2, 0, 1)).astype(np.int32)
+        slot = visit // (len(levels) * count)
+        node = visit - slot * (len(levels) * count)
+        depth = node // count
+        node -= depth * count
+        depth = depth.astype(np.int8)
+        # Each source's depth per AS (-1: not visited; column V: no AS).
+        depth_at = np.full((slots, count + 1), -1, dtype=np.int8)
+        depth_at.ravel()[slot * (count + 1) + node] = depth
+        # The accounting matches the oracle's ``_probe``/``_visit_as``
+        # pair — 2 messages per probed cluster, attributed to its AS.
+        messages = 2 * probed.ravel()[slot * count + node]
+        hit = messages > 0
+        asns = csr.as_ids[node]
+        if metas is not None:
+            for i, asn, at, rights in zip(
+                slot.tolist(), asns.tolist(), depth.tolist(), expands[slot, node].tolist()
+            ):
+                metas[i][asn] = (at, rights)
+        bounds = np.arange(slots + 1, dtype=np.int32)
+        ases_visited = np.diff(np.searchsorted(slot, bounds)).tolist()
+        probe_edges = np.searchsorted(slot[hit], bounds)
+        asns, messages = asns[hit], messages[hit]
         totals = np.diff(np.concatenate(([0], np.cumsum(messages)))[probe_edges]).tolist()
         probe_edges = probe_edges.tolist()
-        ases_visited = seen.reshape(slots, count).sum(axis=1).tolist()
+
+        # Members: passed probes in visited ASes, at their AS's depth.
+        depth_of = depth_at[:, self._home]
+        member = passes & (depth_of >= 0)
+        own = at_home if online is None else at_home & online[owners]
+        member[own, owners[own]] = True
+        cells = np.flatnonzero(member)
+        slot = cells // len(self._home)
+        ids = cells - slot * len(self._home)
+        hops = depth_of.take(cells).astype(np.int64)
+        columns = [ids, rtt.take(cells), lost.take(cells), hops]
+        del rtt, lost, passes, member, depth_of  # the probe block
+        is_own = own[slot] & (ids == owners[slot])  # the zero entries
+        columns[1][is_own] = columns[2][is_own] = 0.0
+        edges = np.searchsorted(slot, bounds).tolist()
         results = []
         for i, owner in enumerate(owners.tolist()):
-            probed = slice(probe_edges[i], probe_edges[i + 1])
+            probed_at = slice(probe_edges[i], probe_edges[i + 1])
             results.append(
                 CloseClusterSet.assembled(
                     owner,
                     *(column[edges[i] : edges[i + 1]] for column in columns),
                     probe_messages=totals[i],
                     ases_visited=ases_visited[i],
-                    probes=(asns[probed], messages[probed]),
+                    probes=(asns[probed_at], messages[probed_at]),
                 )
             )
         return results
-
-    def _level(
-        self,
-        active_up: np.ndarray,
-        active_down: np.ndarray,
-        up: np.ndarray,
-        down: np.ndarray,
-    ):
-        """One valley-free BFS level: the (UP, DOWN) states not yet in
-        the visited masks ``up``/``down`` that one step reaches.
-
-        ``active_*`` are the state keys the previous level discovered —
-        the reference's ``frontier`` — whose AS holds expansion rights (a
-        property of the AS, its probe verdict).  Older states were
-        expanded at their own level and can reach nothing new.  A step
-        stays inside its key's slot.
-        """
-        csr = self._csr
-        count = csr.count
-        new_up = np.zeros(len(up), dtype=bool)
-        new_down = np.zeros(len(down), dtype=bool)
-        single = len(up) == count  # one slot: keys are nodes, no offset to add
-
-        def reach(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> np.ndarray:
-            if single:
-                return csr_gather(indptr, indices, keys)
-            nodes = keys % count
-            return csr_gather(indptr, indices, nodes) + np.repeat(
-                keys - nodes, indptr[nodes + 1] - indptr[nodes]
-            )
-
-        if not self._valley_free:
-            # Unconstrained BFS: every neighbor, phase preserved.
-            new_up[reach(csr.neighbors_indptr, csr.neighbors_indices, active_up)] = True
-            new_down[reach(csr.neighbors_indptr, csr.neighbors_indices, active_down)] = True
-        else:
-            # UP frontier climbs providers (UP) and crosses peers (DOWN).
-            new_up[reach(csr.providers_indptr, csr.providers_indices, active_up)] = True
-            new_down[reach(csr.peers_indptr, csr.peers_indices, active_up)] = True
-            # Both phases descend customers (DOWN) and keep phase on siblings.
-            both = np.concatenate((active_up, active_down))
-            new_down[reach(csr.customers_indptr, csr.customers_indices, both)] = True
-            new_up[reach(csr.siblings_indptr, csr.siblings_indices, active_up)] = True
-            new_down[reach(csr.siblings_indptr, csr.siblings_indices, active_down)] = True
-        new_up &= ~up
-        new_down &= ~down
-        return new_up, new_down
 
     def probe_as(
         self,
@@ -521,56 +486,49 @@ class FlatCloseSetBuilder:
 
         Returns ``(expands, rows, rtt, lost)``: whether the BFS may
         expand through the AS, then the clusters that passed (ascending)
-        with their measurements — the single-AS form of the step
-        :meth:`build` runs per level, which the maintainer's verdicts
-        and patches go through.
+        with their measurements — the single-AS form of the verdicts
+        :meth:`build` derives, which the maintainer's verdicts and
+        patches go through.  ``depth`` 0 is the owner's home AS.
         """
-        nodes = np.array([self._csr.index_of[asn]], dtype=np.int64)
-        verdict, _, _, rows, rtt, lost = self._measure(
-            np.array([own_cluster]), nodes, depth, online
-        )
-        return bool(verdict[0]), rows, rtt, lost
+        node = self._csr.index_of[asn]
+        owner = np.array([own_cluster])
+        rtt, lost = self._world.rows(owner)
+        at_home = np.array([depth == 0 and self._home[own_cluster] == node])
+        passes, _, expands = self._verdicts(owner, at_home, rtt, lost, online)
+        rows = self._rows_flat[self._rows_indptr[node] : self._rows_indptr[node + 1]]
+        rows = rows[passes[0, rows]]
+        return depth == 0 or bool(expands[0, node]), rows, rtt[0, rows], lost[0, rows]
 
-    def _measure(
-        self, own: np.ndarray, nodes: np.ndarray, depth: int, online: Optional[np.ndarray]
-    ):
-        """Probe every online cluster of each AS ``nodes[i]`` from the
-        cluster ``own[i]`` — every pair of the batch with one
-        ``gather_rtt`` and one ``gather_loss``.
+    def _verdicts(
+        self,
+        owners: np.ndarray,
+        at_home: np.ndarray,
+        rtt: np.ndarray,
+        lost: np.ndarray,
+        online: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every probe and every expansion verdict of the sources
+        ``owners`` from their ``(S, N)`` rows ``rtt`` / ``lost``; an
+        ``at_home`` source's own cluster is not probed.
 
-        Returns ``(expands, probed, at, rows, rtt, lost)``: per pair, its
-        expansion rights and how many clusters were probed; then the
-        clusters that passed with their measurements and the pair ``at``
-        which each was probed, in (pair, row ascending) order.  This is
-        the one place the close-set rule is written: a probe passes iff
-        it was answered and ``rtt < latT`` and ``loss < lossT``; a
-        populated AS expands iff any probe passed, while the own AS
-        (``depth == 0``, where the own cluster is never probed) and
-        transit ASes (nothing to probe) always expand.
+        Returns ``(passes, probed, expands)``: ``(S, N)`` whether each
+        probe passed, ``(S, V)`` how many clusters of each AS were
+        probed and whether the BFS may expand through it.  This is the
+        one place the close-set rule is written: a probe of an online
+        cluster passes iff it was answered and ``rtt < latT`` and
+        ``loss < lossT``; an AS expands iff it has nothing to probe or
+        any of its probes passed (the caller lets the home AS expand).
         """
-        indptr = self._rows_indptr
-        rows = csr_gather(indptr, self._rows_flat, nodes)
-        at = np.repeat(np.arange(len(nodes)), indptr[nodes + 1] - indptr[nodes])
-        if online is not None:
-            keep = online[rows]
-            rows, at = rows[keep], at[keep]
-        source = own[at]
-        if depth == 0:
-            keep = rows != source
-            rows, at, source = rows[keep], at[keep], source[keep]
-        probed = np.bincount(at, minlength=len(nodes))
-        if len(rows) == 0:
-            rtt = lost = np.zeros(0)
-        else:
-            rtt = self._world.gather_rtt(source, rows)
-            lost = self._world.gather_loss(source, rows)
-            passed = (
-                np.isfinite(rtt)
-                & (rtt < self._lat_threshold_ms)
-                & (lost < LOSS_THRESHOLD)
-            )
-            rows, at, rtt, lost = rows[passed], at[passed], rtt[passed], lost[passed]
-        expands = (probed == 0) | (np.bincount(at, minlength=len(nodes)) > 0)
-        if depth == 0:
-            expands[:] = True
-        return expands, probed, at, rows, rtt, lost
+        passes = np.isfinite(rtt) & (rtt < self._lat_threshold_ms) & (lost < LOSS_THRESHOLD)
+        if online is None:
+            online = np.ones(len(self._home), dtype=bool)
+        passes &= online
+        inside = np.flatnonzero(at_home & online[owners])
+        passes[inside, owners[inside]] = False
+        indptr, flat = self._rows_indptr, self._rows_flat
+        totals = np.zeros((len(owners), len(flat) + 1), dtype=np.int32)
+        np.cumsum(passes[:, flat], axis=1, out=totals[:, 1:])
+        per_as = np.concatenate(([0], np.cumsum(online[flat])))[indptr]
+        probed = np.tile(np.diff(per_as), (len(owners), 1))
+        probed[inside, self._home[owners[inside]]] -= 1
+        return passes, probed, (probed == 0) | (np.diff(totals[:, indptr], axis=1) > 0)

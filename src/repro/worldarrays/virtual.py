@@ -2,8 +2,8 @@
 
 :class:`VirtualMatrices` exposes the same read surface as dense
 :class:`~repro.measurement.matrix.DelegateMatrices` — header arrays,
-cell reads, broadcast gathers, column-block iteration, the workload's
-finite-row fractions — over a chunked
+cell reads, broadcast gathers, whole-row reads, column-block
+iteration, the workload's finite-row fractions — over a chunked
 :class:`~repro.storage.columns.ColumnStore`.  Every read is a *chunk
 fault*: the first touch of a chunk adopts it from disk, or assembles it
 column-at-a-time with a
@@ -172,6 +172,19 @@ class VirtualMatrices:
 
     def gather_loss(self, rows, cols) -> np.ndarray:
         return self._gather(1, rows, cols)
+
+    def rows(self, sources) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rtt, loss)`` rows of ``sources``, ``(S, N)`` new arrays in
+        cluster order: one row read per column chunk."""
+        sources = np.asarray(sources, dtype=np.int64)
+        rtt = np.empty((len(sources), self.count))
+        loss = np.empty((len(sources), self.count))
+        for start in self._store.starts():
+            block_rtt, block_loss, _ = self._chunk_arrays(start)
+            stop = start + block_rtt.shape[1]
+            rtt[:, start:stop] = block_rtt[sources]
+            loss[:, start:stop] = block_loss[sources]
+        return rtt, loss
 
     def _gather(self, which: int, rows, cols) -> np.ndarray:
         """``matrix[rows, cols]`` with numpy broadcasting: one fancy index

@@ -41,9 +41,10 @@
   for bit, :func:`best_two_hop` the two-hop minimum.  :func:`best_one_hop`
   / :func:`best_two_hop` / :func:`evaluate_session` are one-session
   probes into the production kernels, for the tests that pick one pair.
-- :func:`reference_generate_workload`: the session draw loop with a
-  cluster lookup per endpoint, verbatim; ``generate_workload`` must
-  return the same sessions at the default threshold.
+- :func:`reference_generate_workload`: the session draw loop — one
+  ``rng.choice`` and one cell read per session, a cluster lookup per
+  endpoint — verbatim; ``generate_workload`` (block draws) must return
+  the same sessions at the default threshold.
 - Section-7 set-up, as it was before a round paid only for what it
   touched: :func:`elect_every_group` (every cluster's surrogate group
   elected in ``ASAPSystem.__init__``, in prefix order),
@@ -508,10 +509,11 @@ def valley_free_ball(graph: ASGraph, start: int, max_hops: int) -> Dict[int, int
     return best
 
 
-def reference_close_set(system, cluster: int, online=None, meta_out=None):
+def reference_close_set(system, cluster: int, online=None, meta_out=None, own_as=None):
     """Fig. 9 (:func:`construct_close_cluster_set`) over an
     :class:`ASAPSystem`'s world — scalar probes of the same matrix view,
-    ``clusters_in_as`` filtered by the optional ``online`` mask."""
+    ``clusters_in_as`` filtered by the optional ``online`` mask.  The
+    owner builds from its own AS unless ``own_as`` names another."""
     view = system.scenario.matrix_view()
 
     def lat(own: int, other: int) -> Optional[float]:
@@ -527,7 +529,7 @@ def reference_close_set(system, cluster: int, online=None, meta_out=None):
 
     return construct_close_cluster_set(
         cluster,
-        int(view.asn_of[cluster]),
+        int(view.asn_of[cluster]) if own_as is None else own_as,
         system.scenario.protocol_graph,
         clusters_in_as,
         lat,
@@ -745,9 +747,11 @@ def best_two_hop(opt, world, a: int, b: int) -> Optional[float]:
 def reference_generate_workload(
     scenario, count: int, seed: int = 0, latent_target: Optional[int] = None
 ):
-    """The session draw loop :func:`repro.evaluation.sessions.generate_workload`
-    ran before it looked each online host's cluster up once, verbatim
-    (it counts ``latent_target`` at the 300 ms RTT threshold)."""
+    """The scalar session draw loop
+    :func:`repro.evaluation.sessions.generate_workload` ran before it drew
+    sessions in blocks and looked each online host's cluster up once,
+    verbatim: one ``rng.choice`` and one cell read per session (it counts
+    ``latent_target`` at the 300 ms RTT threshold)."""
     from repro.evaluation.sessions import Session, SessionWorkload
 
     rng = derive_rng(seed, "workload")

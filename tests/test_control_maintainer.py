@@ -39,7 +39,7 @@ def chain():
 
 
 class ArrayView:
-    """The two gathers the builder probes through, over a symmetric
+    """The row read the builder probes through, over a symmetric
     ``lat_map`` (unlisted pairs never answer; answered probes lose 0)."""
 
     def __init__(self, lat_map, count):
@@ -49,11 +49,8 @@ class ArrayView:
             self.rtt_ms[a, b] = self.rtt_ms[b, a] = rtt
         self.loss = np.zeros((count, count))
 
-    def gather_rtt(self, rows, cols):
-        return self.rtt_ms[rows, cols]
-
-    def gather_loss(self, rows, cols):
-        return self.loss[rows, cols]
+    def rows(self, sources):
+        return self.rtt_ms[sources], self.loss[sources]
 
 
 def make_maintainer(graph, lat_map, clusters_map, asn_of, counts, config=None):

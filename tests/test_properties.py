@@ -14,7 +14,7 @@ from repro.bgp.routing import PolicyRouter
 from repro.core import ASAPConfig, ASAPSystem
 from repro.core.protocol import _ComputedSets
 from repro.core.relay_selection import select_close_relay
-from repro.evaluation.sessions import generate_workload
+from repro.evaluation.sessions import _distinct_pairs, generate_workload
 from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.baselines.opt import SESSION_BATCH
 from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
@@ -406,3 +406,54 @@ class TestWorkloadMatchesOracle:
         assert len(fast.sessions) > count or latent_target is None
         assert fast.sessions == slow.sessions
         assert [type(s.direct_rtt_ms) for s in fast.sessions[:3]] == [float] * 3
+
+    @given(
+        world=st.sampled_from([("tiny", False), ("tiny", True), ("small", False), ("small", True)]),
+        seed=st.integers(0, 10_000),
+        count=st.integers(1, 120),
+        latent_target=st.one_of(st.none(), st.integers(0, 400)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_block_draws_equal_the_scalar_loop(self, scenarios, world, seed, count, latent_target):
+        scale, streamed = world
+        scenario = scenarios(scale, 0, streamed)
+        fast = generate_workload(scenario, count, seed=seed, latent_target=latent_target)
+        slow = reference_generate_workload(scenario, count, seed=seed, latent_target=latent_target)
+        assert fast.sessions == slow.sessions
+        assert all(
+            type(s.direct_rtt_ms) is float and type(s.caller_cluster) is int
+            for s in fast.sessions
+        )
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["dense", "streamed"])
+    def test_the_cap_cuts_the_same_session(self, scenarios, streamed):
+        scenario = scenarios("tiny", 0, streamed)
+        fast = generate_workload(scenario, 2, seed=1, latent_target=10_000)
+        assert len(fast) == 2 * 50  # the cap, not the target, ended the loop
+        assert fast.sessions == reference_generate_workload(
+            scenario, 2, seed=1, latent_target=10_000
+        ).sessions
+
+
+class TestBlockDrawMatchesChoice:
+    """``_distinct_pairs`` draws what ``rng.choice(n, 2, replace=False)``
+    draws, call for call — the session workload's stream depends on it."""
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        n=st.one_of(
+            st.sampled_from([2, 3, 7, 2_795, 10**6, 2**31 + 11, 2**32 + 1, 3 * 10**9]),
+            st.integers(2, 2**40),
+        ),
+        block=st.integers(1, 300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_equals_choice_per_draw(self, seed, n, block):
+        first, second = _distinct_pairs(np.random.default_rng(seed), n, block)
+        rng = np.random.default_rng(seed)
+        want = [rng.choice(n, size=2, replace=False).tolist() for _ in range(block)]
+        got = np.stack((first, second), axis=1).tolist()
+        assert got == want, (
+            "numpy's Generator.choice(n, 2, replace=False) no longer draws Floyd's "
+            "pair then a one-swap shuffle: the session workload's stream changed"
+        )

@@ -101,6 +101,32 @@ def test_a_field_set_only_in_tests_fails(tree):
     assert len(problems) == 3
 
 
+def test_a_policy_field_set_only_in_tests_fails(tree):
+    (tree / "src/repro/policy.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\n"
+        "class SwitchPolicy:\n"
+        "    in_src: int = 0\n"
+        "    only_in_tests: int = 1\n\n"
+        "DEFAULT = SwitchPolicy(in_src=2)\n",
+        encoding="utf-8",
+    )
+    (tree / "tests/test_policy.py").write_text(
+        "from repro.policy import SwitchPolicy\n\n"
+        "def test_policy():\n"
+        "    SwitchPolicy(only_in_tests=3)\n",
+        encoding="utf-8",
+    )
+    found = reach.unset_fields(tree)
+    assert "SwitchPolicy.only_in_tests" in _names(found)
+    assert "SwitchPolicy.in_src" not in _names(found)
+    policy = Path("src/repro/policy.py")
+    assert (
+        f"{policy}:6: config field SwitchPolicy.only_in_tests is set by nothing outside tests/"
+        in reach.field_problems(found, allowed={})
+    )
+
+
 def test_fields_set_in_src_or_bench_pass(tree):
     names = _names(reach.unset_fields(tree))
     for setter in ("positional", "by_keyword", "by_replace", "by_dict"):

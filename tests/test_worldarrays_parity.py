@@ -226,13 +226,13 @@ class TestCloseSetParity:
 
 
 class CountingView:
-    """A dense view that records the cells of every gather as
-    ``row * count + col`` keys."""
+    """A dense view that records every read: the cells of each gather as
+    ``row * count + col`` keys, and the sources of each row read."""
 
     def __init__(self, view):
         self._view = view
         self.count = view.count
-        self.rtt_reads, self.loss_reads = [], []
+        self.rtt_reads, self.loss_reads, self.row_reads = [], [], []
 
     def _cells(self, rows, cols):
         rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
@@ -245,6 +245,10 @@ class CountingView:
     def gather_loss(self, rows, cols):
         self.loss_reads.append(self._cells(rows, cols))
         return self._view.gather_loss(rows, cols)
+
+    def rows(self, sources):
+        self.row_reads.append(np.array(sources).tolist())
+        return self._view.rows(sources)
 
 
 def _counting_builder(scenario):
@@ -262,33 +266,27 @@ def _counting_builder(scenario):
     return system, counting, builder
 
 
-class TestLevelProbe:
-    def test_one_gather_pair_per_level_each_cluster_read_once(self, scenarios):
+class TestOneRowReadPerSweep:
+    def test_one_row_read_per_build_and_no_gathers(self, scenarios):
         system, counting, builder = _counting_builder(scenarios[-1])
         view = system.scenario.matrix_view()
         for cluster in range(view.count):
-            counting.rtt_reads.clear()
-            counting.loss_reads.clear()
+            counting.row_reads.clear()
             built = builder.build(cluster, int(view.asn_of[cluster]))
             _assert_close_set_identical(built, reference_close_set(system, cluster))
-            assert len(counting.rtt_reads) == len(counting.loss_reads)
-            assert len(counting.rtt_reads) <= system.config.k_hops + 1
-            for reads in (counting.rtt_reads, counting.loss_reads):
-                cells = np.concatenate(reads) if reads else np.zeros(0, dtype=np.int64)
-                assert len(cells) == len(set(cells.tolist())) == built.probe_messages // 2
+            assert counting.row_reads == [[cluster]]
+        assert counting.rtt_reads == counting.loss_reads == []
 
-    def test_one_batch_one_gather_pair_per_level_each_cell_read_once(self, scenarios):
+    def test_one_row_read_per_batch_and_no_gathers(self, scenarios):
         system, counting, builder = _counting_builder(scenarios[-1])
         view = system.scenario.matrix_view()
         sources = [(c, int(view.asn_of[c])) for c in range(view.count)]
         assert view.count * builder._csr.count <= closesets.CELLS  # one sweep
         built = builder.build_many(sources + sources[:5])  # repeats are built once
-        assert len(counting.rtt_reads) == len(counting.loss_reads)
-        assert len(counting.rtt_reads) <= system.config.k_hops + 1
-        probes = sum(close_set.probe_messages for close_set in built.values()) // 2
-        for reads in (counting.rtt_reads, counting.loss_reads):
-            cells = np.concatenate(reads)
-            assert len(cells) == len(set(cells.tolist())) == probes
+        assert counting.row_reads == [list(range(view.count))]
+        assert counting.rtt_reads == counting.loss_reads == []
+        for cluster, close_set in built.items():
+            _assert_close_set_identical(close_set, reference_close_set(system, cluster))
 
 
 def _assert_bytes_identical(batch, single):

@@ -15,12 +15,13 @@ Names collide (two methods called ``run`` reach each other), so a pass
 is a lower bound on dead code, not proof of life.
 
 A second pass holds config fields to the same rule: each field of a
-``*Config`` dataclass under ``src/repro`` (and of :data:`CONFIG_NAMES`)
-needs a *setter* in ``src/``, ``bench/`` or ``benchmarks/`` — a
-constructor argument, a ``dataclasses.replace`` keyword, or a key of a
-dict ``**``-unpacked into the constructor.  A value nothing outside the
-tests sets is a module constant, not a knob.  Exits 1 on an unset field
-not on :data:`UNSET_ALLOWED`, or on a stale entry there.
+``*Config`` or ``*Policy`` dataclass under ``src/repro`` (and of
+:data:`CONFIG_NAMES`) needs a *setter* in ``src/``, ``bench/`` or
+``benchmarks/`` — a constructor argument, a ``dataclasses.replace``
+keyword, or a key of a dict ``**``-unpacked into the constructor.  A
+value nothing outside the tests sets is a module constant, not a knob.
+Exits 1 on an unset field not on :data:`UNSET_ALLOWED`, or on a stale
+entry there.
 
 Run: ``python tools/reach.py``.
 """
@@ -56,7 +57,7 @@ ALLOWED = {
     "load_manifest": "validating manifest reader of the CI smokes and the suite; repro report reads unvalidated",
 }
 
-#: Dataclasses the field pass checks besides the ``*Config`` ones.
+#: Dataclasses the field pass checks besides the ``*Config`` / ``*Policy`` ones.
 CONFIG_NAMES = ("LimitThresholds",)
 FIELD_SCANNED = ("src", "bench", "benchmarks")
 
@@ -77,6 +78,7 @@ UNSET_ALLOWED = {
     "LimitThresholds": _SKYPE,
     "SoakConfig.maintenance_interval_ms": _SOFT_STATE,
     "SoakConfig.registry_ttl_ms": _SOFT_STATE,
+    "AdaptationPolicy": "the hysteresis tests shape the adapter with short windows",
     "MediaPlaneConfig.jitter_mean_ms": (
         "0 gives the jitter-free path MEASURED_MOS_TOLERANCE is stated on (docs/media.md)"
     ),
@@ -177,7 +179,7 @@ def _configs(trees: dict) -> dict:
         for node in tree.body:
             if not (
                 isinstance(node, ast.ClassDef)
-                and (node.name.endswith("Config") or node.name in CONFIG_NAMES)
+                and (node.name.endswith(("Config", "Policy")) or node.name in CONFIG_NAMES)
                 and any(_last_name(d) == "dataclass" for d in node.decorator_list)
             ):
                 continue
