@@ -63,13 +63,6 @@ class MembershipEvent:
         if self.kind not in EVENT_KINDS:
             raise ProtocolError(f"unknown membership event kind {self.kind!r}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"at_ms": round(self.at_ms, 3), "kind": self.kind, "cluster": self.cluster},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
 
 class ClusterMembership:
     """Online host counts per cluster; reports 0↔1 transitions.

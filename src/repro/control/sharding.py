@@ -11,9 +11,9 @@ Python's randomized ``hash()``.
 Two moving parts:
 
 - :class:`HashRing` — ``shards × virtual_nodes`` points on a 64-bit
-  ring; ``chain(key)`` walks clockwise from the key's hash once and
-  keeps the distinct shards in successor order (the failover chain when
-  the owner is down), ``owner(key)`` is its head;
+  ring; ``chain(key)`` is the walk clockwise from the key's hash, the
+  distinct shards in successor order (the failover chain when the owner
+  is down), ``owner(key)`` is its head;
 - :class:`BootstrapRouter` — the client-side view: cluster id → the
   wire addresses a host agent should try, owner first.  A plain
   single-bootstrap deployment is the degenerate one-shard router, so
@@ -64,7 +64,10 @@ class HashRing:
         points.sort()
         self._hashes = [h for h, _ in points]
         self._shards = [s for _, s in points]
-        # Placement is static, so each key's chain is walked once.  Keyed
+        # The chain walked from each ring point, once per ring.
+        self._walks = [tuple(dict.fromkeys(self._shards[at:] + self._shards[:at]))
+                       for at in range(len(points) + 1)]
+        # Placement is static, so each key's chain is found once.  Keyed
         # by the hashed text, so keys that compare equal but format
         # differently (1 and True) never share a chain.
         self._chains: Dict[str, Tuple[int, ...]] = {}
@@ -76,8 +79,7 @@ class HashRing:
         chain = self._chains.get(text)
         if chain is None:
             start = bisect.bisect_right(self._hashes, _stable_hash(text))
-            clockwise = self._shards[start:] + self._shards[:start]
-            chain = self._chains[text] = tuple(dict.fromkeys(clockwise))
+            chain = self._chains[text] = self._walks[start]
             obs.counter("control.ring.chains").inc()
         return chain
 

@@ -280,9 +280,10 @@ def run_soak(
     maintainer = CloseSetMaintainer.from_system(runtime.system)
 
     hosts = scenario.population.hosts
-    alive = {host.ip for host in hosts}
     # The lease refresh order: every host by address text, sorted once.
-    refresh_order = sorted((host.ip for host in hosts), key=str)
+    refresh_order = np.array(sorted((host.ip for host in hosts), key=str), dtype=object)
+    position = {ip.value: at for at, ip in enumerate(refresh_order)}
+    alive = np.ones(len(refresh_order), dtype=bool)  # a mask over refresh_order
     system = runtime.system
     sim = runtime.sim
     staleness_samples: List[float] = []
@@ -306,9 +307,9 @@ def run_soak(
     def on_leave(ip: IPv4Address) -> None:
         # Runs after the injector's fail_host at the same instant (FIFO
         # ties), so this mirrors exactly the faults that applied.
-        if ip not in alive:
+        if not alive[position[ip.value]]:
             return
-        alive.discard(ip)
+        alive[position[ip.value]] = False
         now = sim.now_ms
         directory.leave(ip, now)
         ensure_tracking()
@@ -318,9 +319,9 @@ def run_soak(
         sim.schedule_at(now + config.rejoin_delay_ms, lambda: on_rejoin(ip))
 
     def on_rejoin(ip: IPv4Address) -> None:
-        if ip in alive:
+        if alive[position[ip.value]]:
             return
-        alive.add(ip)
+        alive[position[ip.value]] = True
         now = sim.now_ms
         runtime.network.set_host_up(ip)
         system.join(ip)
@@ -332,9 +333,7 @@ def run_soak(
     def maintenance_tick() -> None:
         now = sim.now_ms
         # Lease refresh pass (deterministic host order) + TTL sweep.
-        for ip in refresh_order:
-            if ip in alive:
-                directory.join(ip, now)
+        directory.refresh_many(refresh_order[alive], now)
         directory.sweep(now)
         # Inter-tick close-set drift: snapshot, repair, compare against
         # the repaired truth (parity-exact with a fresh build).
@@ -361,7 +360,7 @@ def run_soak(
                 timeline.sample(
                     "control.shard_registrations", now, size, shard=str(shard)
                 )
-            timeline.sample("control.alive_hosts", now, len(alive))
+            timeline.sample("control.alive_hosts", now, int(np.count_nonzero(alive)))
             timeline.sample("control.repairs", now, maintainer.local_repairs)
             timeline.sample("control.rebuilds", now, maintainer.rebuilds)
             if staleness_samples:
@@ -386,9 +385,8 @@ def run_soak(
             latent_target=config.latent_target,
         )
 
-        # Directory bootstrap: every host registers at t=0.
-        for host in hosts:
-            directory.join(host.ip, 0.0)
+        # Directory bootstrap: every host registers at t=0 (none fails over).
+        directory.refresh_many(refresh_order, 0.0)
 
         # Mirror the schedule's host departures with control-plane
         # effects (+ a rejoin each), and run periodic maintenance.
@@ -411,11 +409,11 @@ def run_soak(
     end_ms = max(sim.now_ms, duration)
     workload_result = collect_chaos_result(runtime, config.seed, len(schedule))
 
-    resolved = all(directory.resolve(ip, end_ms) is not None for ip in alive)
+    # Scalar: all() stops at the first miss, and the report counts resolves.
+    resolved = all(directory.resolve(ip, end_ms) is not None for ip in refresh_order[alive])
+    alive_end = int(np.count_nonzero(alive))
     end_total = directory.total()
-    registry_bounded = (
-        directory.peak_total <= 2 * len(hosts) and end_total == len(alive)
-    )
+    registry_bounded = directory.peak_total <= 2 * len(hosts) and end_total == alive_end
     p95 = _percentile(staleness_samples, 95)
     staleness_bounded = p95 <= config.staleness_p95_max
 
@@ -432,7 +430,7 @@ def run_soak(
         sim_minutes=config.sim_minutes,
         shards=config.shards,
         hosts=len(hosts),
-        alive_end=len(alive),
+        alive_end=alive_end,
         fault_events=len(schedule),
         workload=workload_result.to_dict(),
         directory=directory_doc,

@@ -10,11 +10,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp import ASGraph
 from repro.control import ClusterMembership, CloseSetMaintainer, MembershipEvent
+from repro.control.maintainer import EVENT_KINDS
 from repro.core import ASAPConfig
+from repro.core.protocol import ASAPSystem
 from repro.errors import ProtocolError
+from repro.scenario import tiny_scenario
 from repro.worldarrays import FlatCloseSetBuilder
 from tests.oracles import assert_arrays_are_the_set, construct_close_cluster_set
 
@@ -241,26 +246,27 @@ class TestFrontierOnlyLevels:
         assert not {50, 60, 70} & set(meta)
 
 
+def diamond_world():
+    # Diamond with clusters spread over every AS; a mix of passing
+    # and failing probes so verdicts actually flip under churn.
+    lat_map = {
+        (0, 1): 50.0, (0, 2): 120.0, (0, 3): 500.0,
+        (0, 4): 90.0, (0, 5): 150.0, (0, 6): 700.0,
+    }
+    clusters = {5: [0], 3: [1, 3], 4: [2], 1: [4, 6], 2: [5]}
+    asn_of = {0: 5, 1: 3, 3: 3, 2: 4, 4: 1, 6: 1, 5: 2}
+    counts = {c: 2 for c in asn_of}
+    return make_maintainer(
+        diamond(), lat_map, clusters, asn_of, counts, ASAPConfig(k_hops=3)
+    )
+
+
 class TestRandomizedParity:
     """The acceptance property: incremental == from-scratch, any order."""
 
-    def _world(self):
-        # Diamond with clusters spread over every AS; a mix of passing
-        # and failing probes so verdicts actually flip under churn.
-        lat_map = {
-            (0, 1): 50.0, (0, 2): 120.0, (0, 3): 500.0,
-            (0, 4): 90.0, (0, 5): 150.0, (0, 6): 700.0,
-        }
-        clusters = {5: [0], 3: [1, 3], 4: [2], 1: [4, 6], 2: [5]}
-        asn_of = {0: 5, 1: 3, 3: 3, 2: 4, 4: 1, 6: 1, 5: 2}
-        counts = {c: 2 for c in asn_of}
-        return make_maintainer(
-            diamond(), lat_map, clusters, asn_of, counts, ASAPConfig(k_hops=3)
-        )
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 19])
     def test_seeded_event_interleavings(self, seed):
-        maintainer, _, _ = self._world()
+        maintainer, _, _ = diamond_world()
         maintainer.track(0)
         rng = random.Random(seed)
         clusters = [1, 2, 3, 4, 5, 6]
@@ -279,7 +285,7 @@ class TestRandomizedParity:
 
     def test_repair_log_is_byte_stable(self):
         def run():
-            maintainer, _, _ = self._world()
+            maintainer, _, _ = diamond_world()
             maintainer.track(0)
             rng = random.Random(5)
             for step in range(120):
@@ -294,3 +300,90 @@ class TestRandomizedParity:
             return list(maintainer.repair_log)
 
         assert run() == run()
+
+
+# -- repair == rebuild under generated churn on a real world --------------------
+
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    """The ``tiny`` world's system, its small clusters' hosts (the ones
+    churn can take dark) and the cluster -> AS table."""
+    scenario = tiny_scenario(seed=11)
+    system = ASAPSystem(scenario)
+    cluster_of = {host.ip: system.cluster_of_ip(host.ip) for host in scenario.population.hosts}
+    sizes = system.online_sizes.tolist()
+    return dict(
+        system=system,
+        pool=[ip for ip, cluster in cluster_of.items() if sizes[cluster] <= 3],
+        cluster_of=cluster_of,
+        asn_of=scenario.matrix_view().asn_of,
+    )
+
+
+class TestRepairEqualsRebuildUnderChurn:
+    """After any drain, every tracked set equals a from-scratch build on
+    the membership it has reached, whatever the host join/leave program,
+    the tracked owners and the drain points."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        owners=st.lists(st.integers(0, 45), min_size=2, max_size=5, unique=True),
+        # (pool host, drain after it?): a host toggles — leaves if it is
+        # online, rejoins if it left.
+        program=st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=60),
+    )
+    def test_repair_matches_rebuild(self, tiny_world, owners, program):
+        world = tiny_world
+        system, pool = world["system"], world["pool"]
+        builder = system.close_set_builder
+        maintainer = CloseSetMaintainer.from_system(system)
+        maintainer.track_many(owners)
+        gone = set()
+
+        def check():
+            online = maintainer.membership.online_mask(builder.cluster_count)
+            assert maintainer.tracked == sorted(o for o in owners if online[o])
+            for owner in maintainer.tracked:
+                rebuilt = builder.build(owner, int(world["asn_of"][owner]), online=online)
+                assert maintainer.current(owner).entries == rebuilt.entries
+                assert_arrays_are_the_set(maintainer.current(owner))
+                assert maintainer.staleness(owner) == 0.0
+
+        for step, (pick, drain) in enumerate(program):
+            ip = pool[pick % len(pool)]
+            kind = "host-join" if ip in gone else "host-leave"
+            gone.symmetric_difference_update({ip})
+            maintainer.enqueue(
+                MembershipEvent(at_ms=float(step), kind=kind, cluster=world["cluster_of"][ip])
+            )
+            if drain:
+                maintainer.drain()
+                check()
+        maintainer.drain()
+        check()
+        assert maintainer.events_seen == len(program)
+
+    # On ``tiny`` a flipped verdict seldom moves reachability (ASes are
+    # reached along many paths), so the diamond, where it does, runs the
+    # same property against the Fig. 9 reference.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        owners=st.lists(st.integers(0, 6), min_size=2, max_size=4, unique=True),
+        program=st.lists(
+            st.tuples(st.integers(0, 6), st.sampled_from(EVENT_KINDS), st.booleans()),
+            max_size=80,
+        ),
+    )
+    def test_repair_matches_rebuild_on_the_diamond(self, owners, program):
+        maintainer, _, _ = diamond_world()
+        maintainer.track_many(owners)
+        for step, (cluster, kind, drain) in enumerate(program):
+            maintainer.enqueue(MembershipEvent(at_ms=float(step), kind=kind, cluster=cluster))
+            if drain:
+                maintainer.drain()
+                assert_parity(maintainer)
+        maintainer.drain()
+        assert_parity(maintainer)
+        online = maintainer.membership.is_online
+        assert maintainer.tracked == [owner for owner in sorted(owners) if online(owner)]

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.control import ShardedDirectory
 from repro.control.maintainer import CloseSetMaintainer
 from repro.core.protocol import ASAPSystem
 from repro.errors import ConfigurationError
@@ -228,3 +229,41 @@ class TestBatchedCloseSets:
         assert max(len(clusters) for clusters in served) > 1
         # Sweeps are the only thing that fills the computed table.
         assert {c for clusters in served for c in clusters} <= named
+
+
+class TestBulkLeaseRefresh:
+    """The soak renews leases a pass at a time: ``refresh_many`` at t = 0
+    and on every maintenance tick.  The scalar ``join`` is a rejoin's
+    alone, so a ``small`` soak makes at most one per host-leave event,
+    never one per host per tick."""
+
+    def test_scalar_joins_are_rejoins_only(self, monkeypatch):
+        scenario = build_scenario(ScenarioConfig.preset("small", 0))
+        config = SoakConfig(
+            seed=0, sim_minutes=30.0, sessions=40, joins=10, churn_rate_per_min=5.0
+        )
+        config = dataclasses.replace(
+            config, shard_outages=(default_shard_outage(config, shard=1),)
+        )
+        scalar, passes = [], []
+        join = ShardedDirectory.join
+        refresh_many = ShardedDirectory.refresh_many
+
+        def spy_join(self, ip, at_ms, addr=""):
+            scalar.append(ip)
+            return join(self, ip, at_ms, addr)
+
+        def spy_refresh_many(self, ips, at_ms):
+            passes.append(len(ips))
+            return refresh_many(self, ips, at_ms)
+
+        monkeypatch.setattr(ShardedDirectory, "join", spy_join)
+        monkeypatch.setattr(ShardedDirectory, "refresh_many", spy_refresh_many)
+        report = run_soak(scenario, config)
+
+        assert report.ok
+        assert report.directory["failover_joins"] > 0  # the outage was refreshed through
+        ticks = int(config.duration_ms // config.maintenance_interval_ms)
+        assert len(passes) == ticks + 1 and passes[0] == report.hosts
+        assert 0 < len(scalar) <= report.directory["leaves"]
+        assert report.directory["joins"] == sum(passes) + len(scalar)
