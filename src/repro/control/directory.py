@@ -109,6 +109,11 @@ class ShardedDirectory:
         row = self._rows.get(ip.value)
         return self._place([ip]) if row is None else row
 
+    def _chain(self, ip: IPv4Address) -> Tuple[int, ...]:
+        """The ring chain of a host that has no row, without placing it
+        (an address that never joins must not grow the directory)."""
+        return self._ring.chain(self._cluster_of_ip(ip))
+
     def _rows_of(self, ips: Sequence[IPv4Address]) -> np.ndarray:
         get = self._rows.get
         rows = [get(ip.value) for ip in ips]
@@ -228,12 +233,15 @@ class ShardedDirectory:
         on a down shard linger until its post-recovery sweep)."""
         self.leaves += 1
         removed = 0
-        row = self._row(ip)
-        for shard in self._chains[self._chain_of[row]]:
-            if shard not in self._down and self._held[shard, row]:
-                self._held[shard, row] = False
-                self._sizes[shard] -= 1
-                removed += 1
+        row = self._rows.get(ip.value)
+        if row is None:  # never joined: no lease on any shard of its chain
+            self._chain(ip)
+        else:
+            for shard in self._chains[self._chain_of[row]]:
+                if shard not in self._down and self._held[shard, row]:
+                    self._held[shard, row] = False
+                    self._sizes[shard] -= 1
+                    removed += 1
         self.removals += removed
         self._log(at_ms, "leave", ip=str(ip), removed=removed)
         return removed
@@ -246,13 +254,16 @@ class ShardedDirectory:
         """
         self.resolves += 1
         attempts = 0
-        row = self._row(ip)
-        for shard in self._chains[self._chain_of[row]]:
-            if shard in self._down:
-                continue
-            attempts += 1
-            if self._held[shard, row] and self._expires_ms[shard, row] > at_ms:
-                return shard, attempts, self._addr[shard, row]
+        row = self._rows.get(ip.value)
+        if row is None:  # never joined: no lease on any shard of its chain
+            self._chain(ip)
+        else:
+            for shard in self._chains[self._chain_of[row]]:
+                if shard in self._down:
+                    continue
+                attempts += 1
+                if self._held[shard, row] and self._expires_ms[shard, row] > at_ms:
+                    return shard, attempts, self._addr[shard, row]
         self.resolve_misses += 1
         return None
 

@@ -280,8 +280,8 @@ def run_soak(
     maintainer = CloseSetMaintainer.from_system(runtime.system)
 
     hosts = scenario.population.hosts
-    # The lease refresh order: every host by address text, sorted once.
-    refresh_order = np.array(sorted((host.ip for host in hosts), key=str), dtype=object)
+    # The lease refresh order: every host by address text.
+    refresh_order = scenario.population.ips_by_text()
     position = {ip.value: at for at, ip in enumerate(refresh_order)}
     alive = np.ones(len(refresh_order), dtype=bool)  # a mask over refresh_order
     system = runtime.system

@@ -107,6 +107,8 @@ MAX_PAYLOAD_BYTES = 1 << 20
 
 _MAGIC = b"AS"
 _HEADER = struct.Struct("!2sBBBII")
+_HEADER_SIZE = _HEADER.size
+_unpack_header = _HEADER.unpack_from
 
 # -- frame flags --------------------------------------------------------------
 
@@ -816,6 +818,35 @@ def decode_frame(data: bytes) -> Frame:
     and trailing garbage both raise :class:`FrameError`; payload-schema
     violations raise :class:`CodecError`.
     """
+    # Fast path: an untraced frame whose header checks out and whose
+    # declared length is exactly what follows goes straight to its body
+    # decoder; anything else takes the checked path below, which raises.
+    size = len(data)
+    if size >= _HEADER_SIZE:
+        magic, version, msg_type, flags, request_id, length = _unpack_header(data)
+        if (
+            magic == _MAGIC
+            and version == CODEC_SCHEMA_VERSION
+            and flags in _FLAGS
+            and length == size - _HEADER_SIZE
+            and length <= MAX_PAYLOAD_BYTES
+            and msg_type in _DECODERS
+        ):
+            message = _DECODERS[msg_type](data, _HEADER_SIZE, size)
+            frame = _new(Frame)
+            fields = frame.__dict__
+            fields["message"] = message
+            fields["flags"] = flags
+            fields["request_id"] = request_id
+            fields["trace_id"] = None
+            fields["parent_span"] = None
+            return frame
+    return _decode_checked(data)
+
+
+def _decode_checked(data) -> Frame:
+    """:func:`decode_frame` for any input: every header and length check
+    in turn, raising on the first that fails."""
     msg_type, flags, request_id, length, has_trace = _decode_header(data)
     body_start = _HEADER.size
     trace_id = parent_span = None

@@ -1,9 +1,11 @@
 """In-process loopback transport: the wire stack under a virtual clock.
 
 The loopback carries exactly the same bytes as the socket transport —
-every delivery is ``encode_frame`` → bytes → ``decode_frame`` — but
-moves them through a deterministic discrete-event scheduler instead of
-an operating-system socket:
+every delivery is ``encode_frame`` → bytes → ``decode_frame``; a relay
+forwarding the untraced one-way message it was just handed re-sends
+the bytes it arrived as, which the canonical codec would write again —
+but moves them through a deterministic discrete-event scheduler instead
+of an operating-system socket:
 
 - **virtual time.**  :class:`LoopbackHub` owns a
   :class:`repro.sim.engine.Simulator` — the same clock and scheduler the
@@ -148,6 +150,12 @@ class LoopbackTransport(Transport):
         self._pending: Dict[int, Wait] = {}
         self._request_seq = itertools.count(1)
         self._started = False
+        # The last untraced one-way message handed to the handler and the
+        # bytes it arrived as: a relay forwarding that very object sends
+        # those bytes again (the codec is canonical, so re-encoding it
+        # would produce them anyway).
+        self._inbound_message: Optional[Message] = None
+        self._inbound_data = b""
 
     @property
     def local_address(self) -> str:
@@ -194,10 +202,16 @@ class LoopbackTransport(Transport):
             hub.drops += 1
             obs.counter("wire.dropped").inc()
             return
-        hub._at(rtt / 2.0, partial(dest._arrive, self._address, data, rtt))
+        half = rtt / 2.0
+        hub.sim.schedule(
+            0.0 if half < 0.0 else half, partial(dest._arrive, self._address, data, rtt)
+        )
 
     async def send(self, addr: str, message: Message) -> None:
-        data = encode_frame(message, ONEWAY, 0)
+        if message is self._inbound_message:
+            data = self._inbound_data
+        else:
+            data = encode_frame(message, ONEWAY, 0)
         obs.counter("wire.sent").inc()
         self._transmit(addr, data)
 
@@ -254,10 +268,15 @@ class LoopbackTransport(Transport):
         frame = decode_frame(data)
         self._hub.deliveries += 1
         obs.counter("wire.delivered").inc()
+        # ``start`` is the last act of this event action, so each handler
+        # runs exactly where ``spawn`` would have run it.
         if frame.flags == REQUEST:
-            self._hub.sim.spawn(self._answer(sender, frame, rtt))
+            self._hub.sim.start(self._answer(sender, frame, rtt))
         elif self._handler is not None:
-            self._hub.sim.spawn(_swallow(self._handler(sender, frame)))
+            if frame.flags == ONEWAY and frame.request_id == 0 and frame.trace_id is None:
+                self._inbound_message = frame.message
+                self._inbound_data = data
+            self._hub.sim.start(_swallow(self._handler(sender, frame)))
 
     async def _answer(self, sender: str, frame: Frame, rtt: float) -> None:
         out = await answer_frame(self._handler, sender, frame)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.control.sharding import BootstrapRouter, HashRing
@@ -123,9 +123,22 @@ class Servers:
 
 
 def loopback_hub(world: ServiceWorld) -> LoopbackHub:
-    """A virtual-clock wire paying the world's host-to-host RTTs."""
+    """A virtual-clock wire paying the world's host-to-host RTTs.
+
+    The RTTs are the world's static ground truth, so each address pair
+    is priced once for the hub's lifetime.
+    """
     rtt_ms = world.wire_rtt_ms
-    return LoopbackHub(latency_ms_fn=lambda src, dst: rtt_ms(src, dst, _UNMODELED_RTT_MS))
+    memo: Dict[Tuple[str, str], Optional[float]] = {}
+
+    def latency_ms(src: str, dst: str) -> Optional[float]:
+        try:
+            return memo[src, dst]
+        except KeyError:
+            rtt = memo[src, dst] = rtt_ms(src, dst, _UNMODELED_RTT_MS)
+            return rtt
+
+    return LoopbackHub(latency_ms_fn=latency_ms)
 
 
 class _RegisteringShaped(ShapedTransport):

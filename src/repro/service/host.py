@@ -176,16 +176,17 @@ class HostAgent(ServiceNode):
     async def _on_media_frame(self, sender: str, message: MediaFrame) -> None:
         """Voice frames: relays forward, the callee records a scoreable
         receipt per frame."""
-        state = self._relaying.get(message.call_id)
+        call_id = message.call_id
+        state = self._relaying.get(call_id)
         if state is not None:
             state.forwarded += 1
             obs.counter("service.media_forwarded").inc()
-            await self.transport.send(state.callee_addr, message)
+            await self._transport.send(state.callee_addr, message)
             return None
-        if message.call_id in self.media_received:
-            self.media_received[message.call_id] += 1
-            self.frame_traces.setdefault(message.call_id, []).append(
-                (message.seq, message.timestamp_ms, self.now_ms(), message.codec)
+        if call_id in self.media_received:
+            self.media_received[call_id] += 1
+            self.frame_traces.setdefault(call_id, []).append(
+                (message.seq, message.timestamp_ms, self._transport.now_ms(), message.codec)
             )
         return None
 
@@ -328,19 +329,23 @@ class HostAgent(ServiceNode):
         timestamped codec frame per packetization interval."""
         interval_ms = G729A_VAD.packet_interval_ms()
         codec_id = CODEC_WIRE_IDS[G729A_VAD.name]
+        transport = self._transport
+        send, sleep_ms, now_ms = transport.send, transport.sleep_ms, transport.now_ms
+        call_id = call.call_id
         for seq in range(media_frame_budget(media.duration_ms)):
             if media.outcome != "active":
                 return
             message = MediaFrame(
-                call_id=call.call_id,
+                call_id=call_id,
                 seq=seq,
-                timestamp_ms=self.now_ms(),
+                timestamp_ms=now_ms(),
                 codec=codec_id,
                 payload=_MEDIA_PAYLOAD,
             )
-            await self.transport.send(media.target, message)
+            # Read each frame: a relay failover re-targets the media.
+            await send(media.target, message)
             media.packets += 1
-            await self.transport.sleep_ms(interval_ms)
+            await sleep_ms(interval_ms)
 
     def finish_media(self, call: DialResult, media: MediaSessionRecord) -> None:
         outcome = "dropped" if media.outcome == "dropped" else "completed"

@@ -15,6 +15,8 @@ queue.  The ordering contract:
   (spawned coroutines, resolved waiters) runs FIFO to quiescence before
   the next event is popped, even one at the same timestamp;
 - a coroutine awaiting an already-resolved wait does not yield;
+- :meth:`Simulator.start`, called as an event action's last act, is
+  :meth:`Simulator.spawn` without the trip through the ready queue;
 - an exception escaping a spawned coroutine propagates out of
   :meth:`Simulator.step` / :meth:`Simulator.run`, exactly like one
   escaping an event action — nothing is held in a task object.
@@ -30,6 +32,7 @@ from typing import Any, Callable, Coroutine, Deque, List, NamedTuple, Optional
 from repro.errors import ReproError
 
 _INF = float("inf")
+_new_tuple = tuple.__new__
 
 
 class SimulationError(ReproError):
@@ -100,6 +103,9 @@ class Simulator:
         self._queue: List[Event] = []
         self._seq = itertools.count()
         self._ready: Deque[Coroutine] = deque()
+        #: True only while an event action runs outside any coroutine —
+        #: the one place :meth:`start` may run a coroutine in place.
+        self._in_action = False
 
     @property
     def now_ms(self) -> float:
@@ -110,7 +116,7 @@ class Simulator:
         """Schedule ``action`` to run ``delay_ms`` (finite, ≥ 0) from now."""
         if not 0.0 <= delay_ms < _INF:
             raise SimulationError(f"cannot schedule {delay_ms} ms from now (past or non-finite)")
-        event = Event(self._now_ms + delay_ms, next(self._seq), action)
+        event = _new_tuple(Event, (self._now_ms + delay_ms, next(self._seq), action))
         heapq.heappush(self._queue, event)
         return event
 
@@ -134,6 +140,31 @@ class Simulator:
         """Make ``coro`` runnable; it first runs in spawn order, after
         whatever is already ready and before the next timed event."""
         self._ready.append(coro)
+
+    def start(self, coro: Coroutine) -> None:
+        """:meth:`spawn` ``coro``, running it to its first suspension
+        right away when nothing would run before it anyway.
+
+        That holds when an event action (not a coroutine) calls it with
+        nothing ready: ``spawn`` would queue ``coro`` first and run it as
+        soon as the action returns.  Call it as the action's last act —
+        then the order of everything the simulator runs equals
+        ``spawn``'s.  Anywhere else it queues ``coro`` exactly like
+        ``spawn``.
+        """
+        if not self._in_action or self._ready:
+            self._ready.append(coro)
+            return
+        self._in_action = False
+        try:
+            wait = coro.send(None)
+        except StopIteration:
+            return
+        finally:
+            self._in_action = True
+        if not isinstance(wait, Wait) or wait._sim is not self or wait._waiter is not None:
+            raise self._misuse(wait)
+        wait._waiter = coro
 
     def sleep(self, delay_ms: float) -> Wait:
         """Awaitable that resolves ``delay_ms`` from now."""
@@ -189,30 +220,25 @@ class Simulator:
                 wait = coro.send(None)
             except StopIteration:
                 continue
-            if not isinstance(wait, Wait) or wait._sim is not self:
-                raise SimulationError(
-                    f"coroutine suspended on {wait!r}, not on a wait of this "
-                    "simulator (a bare asyncio.sleep cannot advance virtual time)"
-                )
-            if wait._waiter is not None:
-                raise SimulationError("two coroutines awaiting one wait")
+            if not isinstance(wait, Wait) or wait._sim is not self or wait._waiter is not None:
+                raise self._misuse(wait)
             wait._waiter = coro
+
+    def _misuse(self, wait: Any) -> SimulationError:
+        """Why a coroutine may not park on ``wait``."""
+        if not isinstance(wait, Wait) or wait._sim is not self:
+            return SimulationError(
+                f"coroutine suspended on {wait!r}, not on a wait of this "
+                "simulator (a bare asyncio.sleep cannot advance virtual time)"
+            )
+        return SimulationError("two coroutines awaiting one wait")
 
     # -- driving ---------------------------------------------------------------
 
     def step(self) -> bool:
         """Run the next event and everything it makes runnable; returns
         False when the event queue is empty."""
-        if self._ready:
-            self._drain()
-        if not self._queue:
-            return False
-        event = heapq.heappop(self._queue)
-        self._now_ms = event.time_ms
-        event.action()
-        if self._ready:
-            self._drain()
-        return True
+        return self.run(max_events=1) == 1
 
     def run(self, until_ms: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Drain the queue, optionally bounded by time and/or event count.
@@ -223,15 +249,22 @@ class Simulator:
         Coroutines still suspended when a bounded run stops stay
         resumable by a later call.
         """
+        queue, ready, pop = self._queue, self._ready, heapq.heappop
+        horizon = _INF if until_ms is None else until_ms
+        budget = _INF if max_events is None else max_events
         executed = 0
-        if self._ready:
+        if ready:
             self._drain()
-        while self._queue:
-            if until_ms is not None and self._queue[0].time_ms > until_ms:
-                break
-            if max_events is not None and executed >= max_events:
-                break
-            self.step()
+        # One event, then everything it made runnable; no call per event.
+        while queue and executed < budget and not queue[0][0] > horizon:
+            self._now_ms, _, action = pop(queue)
+            self._in_action = True
+            try:
+                action()
+            finally:
+                self._in_action = False
+            if ready:
+                self._drain()
             executed += 1
         if until_ms is not None and self._now_ms < until_ms:
             self._now_ms = until_ms

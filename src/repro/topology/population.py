@@ -95,12 +95,26 @@ class PeerPopulation:
 
     hosts: List[Host] = field(default_factory=list)
     _by_ip: Dict[IPv4Address, Host] = field(default_factory=dict)
+    #: :meth:`ips_by_text`, built on first use; ``add`` drops it.
+    _ips_by_text: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add(self, host: Host) -> None:
         if host.ip in self._by_ip:
             raise TopologyError(f"duplicate host IP {host.ip}")
         self.hosts.append(host)
         self._by_ip[host.ip] = host
+        self._ips_by_text = None
+
+    def ips_by_text(self) -> np.ndarray:
+        """Every host's IP ordered by its dotted text, as a read-only
+        object array — sorted once per population."""
+        if self._ips_by_text is None:
+            order = np.array(sorted((host.ip for host in self.hosts), key=str), dtype=object)
+            order.flags.writeable = False
+            self._ips_by_text = order
+        return self._ips_by_text
 
     def by_ip(self, ip: IPv4Address) -> Host:
         try:

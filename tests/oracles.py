@@ -67,6 +67,12 @@
   to it on purpose: a channel-kept frame draws its jitter before an
   outage overrides it (it used to skip the draw, which shifted every
   later frame's draws).
+- :class:`ReferenceSimulator`: the virtual clock's scheduling as it was
+  before ``run`` became one unrolled loop and ``start`` existed — one
+  ``step()`` per event, reading the popped ``Event``'s fields, and every
+  coroutine made runnable through the ready queue (``start`` is
+  ``spawn``).  :class:`repro.sim.engine.Simulator` must run every
+  program in the same order.
 """
 
 from __future__ import annotations
@@ -103,6 +109,7 @@ from repro.media.plc import conceal
 from repro.media.score import MeasuredScore, WindowScore
 from repro.media.session import MediaPlaneConfig, PathWindow
 from repro.netaddr import IPv4Address, IPv4Prefix
+from repro.sim.engine import Simulator
 from repro.topology.clustering import ClusterIndex
 from repro.util.rng import derive_rng
 from repro.voip.codecs import G729A_VAD, Codec
@@ -1149,3 +1156,37 @@ def reference_summarize_method(records: Sequence[MethodRecord]) -> MethodSummary
         messages_median=float(np.median(msgs)),
         messages_p90=float(np.percentile(msgs, 90)),
     )
+
+
+class ReferenceSimulator(Simulator):
+    """The scheduler's ordering model: a step-per-event loop, spawn only."""
+
+    def start(self, coro) -> None:
+        self.spawn(coro)
+
+    def step(self) -> bool:
+        if self._ready:
+            self._drain()
+        if not self._queue:
+            return False
+        event = heapq.heappop(self._queue)
+        self._now_ms = event.time_ms
+        event.action()
+        if self._ready:
+            self._drain()
+        return True
+
+    def run(self, until_ms: Optional[float] = None, max_events: Optional[int] = None) -> int:
+        executed = 0
+        if self._ready:
+            self._drain()
+        while self._queue:
+            if until_ms is not None and self._queue[0].time_ms > until_ms:
+                break
+            if max_events is not None and executed >= max_events:
+                break
+            self.step()
+            executed += 1
+        if until_ms is not None and self._now_ms < until_ms:
+            self._now_ms = until_ms
+        return executed

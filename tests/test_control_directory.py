@@ -291,3 +291,34 @@ def test_duplicate_join_unknown_leave_and_resolve_miss(run, world):
     sizes, answers = run(world, host)
     assert sizes[0] == sizes[1] == sizes[2]  # neither a rejoin nor a stray leave changes it
     assert answers == [(0, ""), (1, "client")]
+
+
+def test_strangers_are_never_placed(world):
+    """Resolves and leaves of addresses that never joined — which the
+    wire bootstrap answers from any peer — give them no row."""
+    hub = LoopbackHub(latency_ms_fn=lambda src, dst: 1.0)
+
+    async def main():
+        bootstrap = BootstrapServer(world, LoopbackTransport(hub, "boot"))
+        await bootstrap.start()
+        client = LoopbackTransport(hub, "client")
+        await client.start()
+        for value in range(1_000):
+            stranger = IPv4Address(0xC0000000 + value)
+            answer = await client.request("boot", Resolve(ip=stranger), timeout_ms=1_000.0)
+            assert not answer.found
+        await client.send("boot", Leave(ip=STRANGER))
+        await client.sleep_ms(10.0)
+        return bootstrap.registry
+
+    registry = asyncio.run(hub.run(main()))
+    assert len(registry._rows) == 0
+    assert registry.resolves == registry.resolve_misses == 1_000 and registry.leaves == 1
+    # The directory itself, at the full 10,000.
+    directory = ShardedDirectory(HashRing(SHARDS), _cluster_of)
+    directory.join(_ip(1), 0.0, "a")
+    for value in range(10_000):
+        assert directory.resolve(_ip(100 + value), 1.0) is None
+        assert directory.leave(_ip(100 + value), 1.0) == 0
+    assert len(directory._rows) == len(directory._value) == 1
+    assert directory.resolve(_ip(1), 1.0) == (ring_preference(directory._ring, 1)[0], 1, "a")

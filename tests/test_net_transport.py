@@ -24,6 +24,7 @@ from repro.net.codec import (
     MediaFrame,
     Ping,
     Pong,
+    decode_frame,
     encode_frame,
 )
 from repro.net.shaped import ShapedTransport
@@ -219,6 +220,50 @@ class TestLoopback:
         assert (bare.now_ms, bare.deliveries) == (looped.now_ms, looped.deliveries)
         # stale request timeouts are drained, so the clock ends past them
         assert bare.now_ms == pytest.approx(100.0)
+
+    def test_a_relay_forwards_an_untraced_frame_as_the_bytes_it_got(self, monkeypatch):
+        """A handler sending on the one-way message it was just handed
+        reuses its bytes; a traced arrival is re-encoded, untraced."""
+        from repro.net import loopback
+
+        encoded, arrived = [], []
+
+        def counting_encode(*args, **kwargs):
+            encoded.append(args[0])
+            return encode_frame(*args, **kwargs)
+
+        def recording_decode(data):
+            arrived.append(data)
+            return decode_frame(data)
+
+        monkeypatch.setattr(loopback, "encode_frame", counting_encode)
+        monkeypatch.setattr(loopback, "decode_frame", recording_decode)
+        voice = MediaFrame(call_id=7, seq=1, timestamp_ms=20.0, codec=2, payload=b"voice")
+        traced = encode_frame(voice, ONEWAY, 0, trace=("t-1", "s-1"))
+
+        async def main(hub):
+            caller, relay, callee = (LoopbackTransport(hub, name) for name in "arc")
+
+            async def forward(sender, frame):
+                await relay.send("c", frame.message)
+
+            async def record(sender, frame):
+                return None
+
+            relay.bind(forward)
+            callee.bind(record)
+            for transport in (caller, relay, callee):
+                await transport.start()
+            await caller.send("r", voice)
+            await caller.sleep_ms(10.0)
+            caller._transmit("r", traced)
+            await caller.sleep_ms(10.0)
+
+        _run_loopback(main, latency_ms_fn=lambda s, d: 2.0)
+        sent, relayed, traced_in, re_encoded = arrived
+        assert relayed is sent and traced_in is traced
+        assert re_encoded == sent == encode_frame(voice, ONEWAY, 0) != traced
+        assert encoded == [voice, voice]  # the caller's send and the traced re-encode
 
 
 class TestTcp:
