@@ -1,4 +1,4 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the figure suite.
 
 One evaluation-scale scenario (the stand-in for the paper's 23,366-IP
 measurement dataset) is built per session and shared by every figure

@@ -25,18 +25,14 @@ def _print(points, title):
         print("  " + point.row())
 
 
-def test_ablation_k_hops(benchmark, eval_scenario):
-    points = benchmark.pedantic(
-        lambda: sweep_k(
-            eval_scenario,
-            k_values=(3, 4, 5, 6),
-            session_count=SESSIONS,
-            latent_target=LATENT,
-            max_latent=LATENT,
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
+def test_ablation_k_hops(eval_scenario):
+    points = sweep_k(
+        eval_scenario,
+        k_values=(3, 4, 5, 6),
+        session_count=SESSIONS,
+        latent_target=LATENT,
+        max_latent=LATENT,
+        seed=0,
     )
     _print(points, "=== ablation: close-cluster BFS hop limit k ===")
     derived = derive_k_hops(eval_scenario.matrices)
@@ -49,18 +45,14 @@ def test_ablation_k_hops(benchmark, eval_scenario):
     assert by_k[6].maintenance_messages >= by_k[3].maintenance_messages
 
 
-def test_ablation_size_threshold(benchmark, eval_scenario):
-    points = benchmark.pedantic(
-        lambda: sweep_size_threshold(
-            eval_scenario,
-            size_values=(0, 300, 10**9),
-            session_count=SESSIONS,
-            latent_target=LATENT,
-            max_latent=LATENT,
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
+def test_ablation_size_threshold(eval_scenario):
+    points = sweep_size_threshold(
+        eval_scenario,
+        size_values=(0, 300, 10**9),
+        session_count=SESSIONS,
+        latent_target=LATENT,
+        max_latent=LATENT,
+        seed=0,
     )
     _print(points, "=== ablation: two-hop trigger sizeT ===")
 
@@ -72,18 +64,14 @@ def test_ablation_size_threshold(benchmark, eval_scenario):
     assert always.two_hop_sessions >= paper.two_hop_sessions
 
 
-def test_ablation_lat_threshold(benchmark, eval_scenario):
-    points = benchmark.pedantic(
-        lambda: sweep_lat_threshold(
-            eval_scenario,
-            thresholds_ms=(250.0, 300.0, 400.0),
-            session_count=SESSIONS,
-            latent_target=LATENT,
-            max_latent=LATENT,
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
+def test_ablation_lat_threshold(eval_scenario):
+    points = sweep_lat_threshold(
+        eval_scenario,
+        thresholds_ms=(250.0, 300.0, 400.0),
+        session_count=SESSIONS,
+        latent_target=LATENT,
+        max_latent=LATENT,
+        seed=0,
     )
     _print(points, "=== ablation: quality threshold latT ===")
 
@@ -98,17 +86,13 @@ def test_ablation_lat_threshold(benchmark, eval_scenario):
     assert loose.rescued_fraction <= paper.rescued_fraction
 
 
-def test_ablation_valley_free(benchmark, eval_scenario):
-    points = benchmark.pedantic(
-        lambda: sweep_valley_free(
-            eval_scenario,
-            session_count=SESSIONS,
-            latent_target=LATENT,
-            max_latent=LATENT,
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
+def test_ablation_valley_free(eval_scenario):
+    points = sweep_valley_free(
+        eval_scenario,
+        session_count=SESSIONS,
+        latent_target=LATENT,
+        max_latent=LATENT,
+        seed=0,
     )
     _print(points, "=== ablation: valley-free constraint in the BFS ===")
 

@@ -16,7 +16,7 @@ from repro.evaluation.report import render_kv_table
 from repro.evaluation.sessions import generate_workload
 
 
-def test_ext_call_setup_time(benchmark, eval_scenario, section5_result):
+def test_ext_call_setup_time(eval_scenario, section5_result):
     workload = generate_workload(eval_scenario, 2000, seed=3, latent_target=30)
     latent = workload.latent()[:30]
 
@@ -30,7 +30,7 @@ def test_ext_call_setup_time(benchmark, eval_scenario, section5_result):
         runtime.run()
         return runtime
 
-    runtime = benchmark.pedantic(run_setups, rounds=1, iterations=1)
+    runtime = run_setups()
     setups = np.array(runtime.setup_times_ms())
     skype_stab = np.array(section5_result.stabilization_seconds()) * 1000.0
 

@@ -18,7 +18,7 @@ from repro.evaluation.sessions import generate_workload
 from repro.util.rng import derive_rng
 
 
-def test_ext_churn(benchmark, eval_scenario):
+def test_ext_churn(eval_scenario):
     workload = generate_workload(eval_scenario, 2000, seed=11, latent_target=25)
     latent = workload.latent()[:25]
     config = ASAPConfig(k_hops=derive_k_hops(eval_scenario.matrices))
@@ -42,7 +42,7 @@ def test_ext_churn(benchmark, eval_scenario):
         runtime.run()
         return runtime
 
-    runtime = benchmark.pedantic(run_with_churn, rounds=1, iterations=1)
+    runtime = run_with_churn()
 
     setups = runtime.setup_times_ms()
     sessions_with_relay = [

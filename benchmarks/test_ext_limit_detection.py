@@ -13,22 +13,18 @@ from repro.skype.analyzer import TraceAnalyzer
 from repro.skype.limits import LimitThresholds, detect_limits
 
 
-def test_ext_limit_detection(benchmark, eval_scenario, section5_result):
+def test_ext_limit_detection(eval_scenario, section5_result):
     analyzer = TraceAnalyzer(
         eval_scenario.prefix_table,
         king=KingEstimator(eval_scenario.latency, seed=0, non_response_rate=0.0),
         population=eval_scenario.population,
     )
 
-    report = benchmark.pedantic(
-        lambda: detect_limits(
-            section5_result.analyses,
-            section5_result.results,
-            analyzer,
-            thresholds=LimitThresholds(),
-        ),
-        rounds=1,
-        iterations=1,
+    report = detect_limits(
+        section5_result.analyses,
+        section5_result.results,
+        analyzer,
+        thresholds=LimitThresholds(),
     )
 
     print()

@@ -16,15 +16,11 @@ from repro.evaluation.report import render_kv_table
 from repro.evaluation.sessions import generate_workload
 
 
-def test_ext_maintenance(benchmark, eval_scenario):
+def test_ext_maintenance(eval_scenario):
     workload = generate_workload(eval_scenario, 2000, seed=9, latent_target=30)
     sessions = workload.latent()[:30]
 
-    outcomes, reports = benchmark.pedantic(
-        lambda: run_maintenance_study(eval_scenario, sessions, weather_seed=17),
-        rounds=1,
-        iterations=1,
-    )
+    outcomes, reports = run_maintenance_study(eval_scenario, sessions, weather_seed=17)
 
     by_policy = {o.policy: o for o in outcomes}
     violation_rates = [r.violation_rate for r in reports if r.entries]
@@ -56,7 +52,7 @@ def test_ext_maintenance(benchmark, eval_scenario):
     assert (violation_rates and max(violation_rates) > 0) or max(missing, default=0) > 0
 
 
-def test_ext_substrate_realism(benchmark, eval_scenario):
+def test_ext_substrate_realism(eval_scenario):
     """Prints the DESIGN.md §2 substitution-validity report."""
     from repro.topology.validation import validate_latency, validate_topology
 
@@ -66,7 +62,7 @@ def test_ext_substrate_realism(benchmark, eval_scenario):
             validate_latency(eval_scenario, sample_pairs=300, seed=0),
         )
 
-    topo_report, lat_report = benchmark.pedantic(measure, rounds=1, iterations=1)
+    topo_report, lat_report = measure()
     print()
     print(render_kv_table("=== substrate realism: topology ===", topo_report.rows()))
     print(render_kv_table("=== substrate realism: latency ===", lat_report.rows()))

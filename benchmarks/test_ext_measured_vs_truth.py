@@ -14,20 +14,16 @@ from repro.evaluation.report import render_kv_table, render_method_table
 from repro.evaluation.section7 import run_section7
 
 
-def test_ext_measured_vs_truth(benchmark, eval_scenario, workload):
+def test_ext_measured_vs_truth(eval_scenario, workload):
     measured_scenario = eval_scenario.with_measured_matrices(
         seed=1, error_sigma=0.06, non_response_rate=0.3  # paper's ~70% answer rate
     )
 
-    result = benchmark.pedantic(
-        lambda: run_section7(
-            measured_scenario,
-            seed=0,
-            workload=workload,
-            max_latent_sessions=100,
-        ),
-        rounds=1,
-        iterations=1,
+    result = run_section7(
+        measured_scenario,
+        seed=0,
+        workload=workload,
+        max_latent_sessions=100,
     )
     truth = run_section7(
         eval_scenario, seed=0, workload=workload, max_latent_sessions=100

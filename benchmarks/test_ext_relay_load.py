@@ -21,7 +21,7 @@ from repro.evaluation.report import render_kv_table
 from repro.evaluation.sessions import generate_workload
 
 
-def test_ext_relay_load(benchmark, eval_scenario):
+def test_ext_relay_load(eval_scenario):
     system = ASAPSystem(
         eval_scenario, ASAPConfig(k_hops=derive_k_hops(eval_scenario.matrices))
     )
@@ -53,9 +53,7 @@ def test_ext_relay_load(benchmark, eval_scenario):
                 dedi_load[min(paths)[1]] += 1
         return service, dedi_load, assigned
 
-    service, dedi_load, assigned = benchmark.pedantic(
-        run_assignment, rounds=1, iterations=1
-    )
+    service, dedi_load, assigned = run_assignment()
 
     asap_dist = service.load_distribution()
     dedi_dist = sorted(dedi_load.values(), reverse=True)

@@ -27,13 +27,9 @@ STUDY_CONFIG = ScenarioConfig(
 )
 
 
-def test_ext_seed_robustness(benchmark):
-    results = benchmark.pedantic(
-        lambda: seed_study(
-            STUDY_CONFIG, seeds=(0, 1, 2), session_count=1200, latent_target=30
-        ),
-        rounds=1,
-        iterations=1,
+def test_ext_seed_robustness():
+    results = seed_study(
+        STUDY_CONFIG, seeds=(0, 1, 2), session_count=1200, latent_target=30
     )
     print()
     print("=== extension — headline metrics across seeds ===")
@@ -49,13 +45,9 @@ def test_ext_seed_robustness(benchmark):
         assert 0.8 < metrics.asap_over_opt_rtt < 1.3
 
 
-def test_ext_family_robustness(benchmark):
-    results = benchmark.pedantic(
-        lambda: family_study(
-            STUDY_CONFIG, as_count=300, session_count=1200, latent_target=30, seed=0
-        ),
-        rounds=1,
-        iterations=1,
+def test_ext_family_robustness():
+    results = family_study(
+        STUDY_CONFIG, as_count=300, session_count=1200, latent_target=30, seed=0
     )
     print()
     print("=== extension — headline metrics across topology families ===")

@@ -21,12 +21,8 @@ from repro.skype.limits import LimitThresholds, detect_limits
 from repro.util.rng import derive_rng
 
 
-def test_ext_skype_limits_at_scale(benchmark, eval_scenario):
-    study = benchmark.pedantic(
-        lambda: run_skype_batch(eval_scenario, session_count=40, seed=3),
-        rounds=1,
-        iterations=1,
-    )
+def test_ext_skype_limits_at_scale(eval_scenario):
+    study = run_skype_batch(eval_scenario, session_count=40, seed=3)
     analyzer = TraceAnalyzer(
         eval_scenario.prefix_table,
         king=KingEstimator(eval_scenario.latency, seed=3, non_response_rate=0.0),
@@ -63,7 +59,7 @@ def test_ext_skype_limits_at_scale(benchmark, eval_scenario):
     assert len(report.limit3) >= 1
 
 
-def test_ext_path_inference_accuracy(benchmark, eval_scenario):
+def test_ext_path_inference_accuracy(eval_scenario):
     graph = eval_scenario.topology.graph
     router = PolicyRouter(graph)
     stubs = eval_scenario.topology.stub_ases()
@@ -76,9 +72,7 @@ def test_ext_path_inference_accuracy(benchmark, eval_scenario):
         if a != b
     ]
 
-    report = benchmark.pedantic(
-        lambda: evaluate_inference(graph, router, pairs), rounds=1, iterations=1
-    )
+    report = evaluate_inference(graph, router, pairs)
     print()
     print(
         render_kv_table(

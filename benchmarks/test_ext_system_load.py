@@ -13,7 +13,7 @@ from repro.evaluation.report import render_kv_table
 from repro.evaluation.sessions import generate_workload
 
 
-def test_ext_system_load(benchmark, eval_scenario):
+def test_ext_system_load(eval_scenario):
     def run_load_study():
         system = ASAPSystem(eval_scenario, ASAPConfig(hosts_per_surrogate=100))
         workload = generate_workload(eval_scenario, 1500, seed=5, latent_target=40)
@@ -21,7 +21,7 @@ def test_ext_system_load(benchmark, eval_scenario):
             system.call(session.caller, session.callee)
         return system
 
-    system = benchmark.pedantic(run_load_study, rounds=1, iterations=1)
+    system = run_load_study()
     clusters = eval_scenario.clusters
     occupancy = clusters.occupancy_distribution()
 

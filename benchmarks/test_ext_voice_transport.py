@@ -38,7 +38,7 @@ def _run_calls(eval_scenario, use_switching, use_diversity, sessions, use_fec=Fa
     return outcomes
 
 
-def test_ext_voice_transport(benchmark, eval_scenario):
+def test_ext_voice_transport(eval_scenario):
     system = ASAPSystem(
         eval_scenario, ASAPConfig(k_hops=derive_k_hops(eval_scenario.matrices))
     )
@@ -51,17 +51,13 @@ def test_ext_voice_transport(benchmark, eval_scenario):
                 (call.selection, session.caller_cluster, session.callee_cluster)
             )
 
-    results = benchmark.pedantic(
-        lambda: {
-            "static": _run_calls(eval_scenario, False, False, sessions),
-            "switching": _run_calls(eval_scenario, True, False, sessions),
-            "fec": _run_calls(eval_scenario, False, False, sessions, use_fec=True),
-            "diversity": _run_calls(eval_scenario, False, True, sessions),
-            "both": _run_calls(eval_scenario, True, True, sessions),
-        },
-        rounds=1,
-        iterations=1,
-    )
+    results = {
+        "static": _run_calls(eval_scenario, False, False, sessions),
+        "switching": _run_calls(eval_scenario, True, False, sessions),
+        "fec": _run_calls(eval_scenario, False, False, sessions, use_fec=True),
+        "diversity": _run_calls(eval_scenario, False, True, sessions),
+        "both": _run_calls(eval_scenario, True, True, sessions),
+    }
 
     print()
     rows = []

@@ -15,12 +15,8 @@ from repro.evaluation.section3 import run_section3
 from repro.util.stats import fraction_above
 
 
-def test_fig02_rtt_distribution(benchmark, eval_scenario, workload):
-    result = benchmark.pedantic(
-        lambda: run_section3(eval_scenario, workload=workload),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig02_rtt_distribution(eval_scenario, workload):
+    result = run_section3(eval_scenario, workload=workload)
 
     direct = result.direct_rtts
     optimal = result.optimal_one_hop

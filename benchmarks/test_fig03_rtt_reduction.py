@@ -12,12 +12,8 @@ from repro.evaluation.report import render_cdf_row, render_kv_table
 from repro.evaluation.section3 import run_section3
 
 
-def test_fig03_rtt_reduction(benchmark, eval_scenario, workload):
-    result = benchmark.pedantic(
-        lambda: run_section3(eval_scenario, workload=workload),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig03_rtt_reduction(eval_scenario, workload):
+    result = run_section3(eval_scenario, workload=workload)
 
     print()
     print("=== Fig. 3(a) — RTT reduction ratio of improved sessions ===")

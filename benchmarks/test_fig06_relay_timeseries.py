@@ -13,7 +13,7 @@ from repro.measurement.tools import KingEstimator
 from repro.skype.analyzer import TraceAnalyzer
 
 
-def test_fig06_relay_timeseries(benchmark, eval_scenario, section5_result):
+def test_fig06_relay_timeseries(eval_scenario, section5_result):
     analyzer = TraceAnalyzer(
         eval_scenario.prefix_table,
         king=KingEstimator(eval_scenario.latency, seed=0),
@@ -33,7 +33,7 @@ def test_fig06_relay_timeseries(benchmark, eval_scenario, section5_result):
             )
         return out
 
-    all_series = benchmark.pedantic(series_for_all, rounds=1, iterations=1)
+    all_series = series_for_all()
 
     # Rank sessions by their worst probed relay-path estimate.
     def worst_estimate(entry):

@@ -10,8 +10,8 @@ import numpy as np
 from repro.evaluation.report import render_kv_table
 
 
-def test_fig07_skype_overhead(benchmark, section5_result):
-    study = benchmark.pedantic(lambda: section5_result, rounds=1, iterations=1)
+def test_fig07_skype_overhead(section5_result):
+    study = section5_result
 
     stabilization = study.stabilization_seconds()
     probed = study.probed_counts()

@@ -10,8 +10,8 @@ import numpy as np
 from repro.evaluation.report import render_kv_table, render_series
 
 
-def test_fig15_16_mos(benchmark, section7_result):
-    result = benchmark.pedantic(lambda: section7_result, rounds=1, iterations=1)
+def test_fig15_16_mos(section7_result):
+    result = section7_result
     methods = ("DEDI", "RAND", "MIX", "ASAP", "OPT")
 
     print()

@@ -13,18 +13,14 @@ from repro.evaluation.report import render_kv_table, render_series
 from repro.evaluation.scalability import PAPER_POPULATION_RATIO, run_scalability
 
 
-def test_fig17_scalability(benchmark, eval_scenario):
-    result = benchmark.pedantic(
-        lambda: run_scalability(
-            eval_scenario,
-            ratio=PAPER_POPULATION_RATIO,
-            session_count=3000,
-            latent_target=80,
-            max_latent_sessions=80,
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig17_scalability(eval_scenario):
+    result = run_scalability(
+        eval_scenario,
+        ratio=PAPER_POPULATION_RATIO,
+        session_count=3000,
+        latent_target=80,
+        max_latent_sessions=80,
+        seed=0,
     )
 
     methods = ("DEDI", "RAND", "MIX", "ASAP")

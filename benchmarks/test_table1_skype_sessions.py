@@ -9,8 +9,8 @@ several asymmetric ones.
 from repro.evaluation.section5 import REGION_A_SITES, REGION_B_SITES
 
 
-def test_table1_skype_sessions(benchmark, section5_result):
-    study = benchmark.pedantic(lambda: section5_result, rounds=1, iterations=1)
+def test_table1_skype_sessions(section5_result):
+    study = section5_result
 
     print()
     print("=== Fig. 5 — sites ===")

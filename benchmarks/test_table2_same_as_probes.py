@@ -10,10 +10,8 @@ from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.measurement.tools import KingEstimator
 
 
-def test_table2_same_as_probes(benchmark, eval_scenario, section5_result):
-    rows = benchmark.pedantic(
-        section5_result.same_as_table, rounds=1, iterations=1
-    )
+def test_table2_same_as_probes(eval_scenario, section5_result):
+    rows = section5_result.same_as_table()
     king = KingEstimator(eval_scenario.latency, seed=0, non_response_rate=0.0)
     population = eval_scenario.population
 

@@ -161,9 +161,5 @@ class RoutingTable:
     def entries(self) -> Iterator[RIBEntry]:
         return iter(self.routes.values())
 
-    def prefixes(self) -> List[IPv4Prefix]:
-        """Distinct prefixes present in the table."""
-        return sorted({prefix for (_, prefix) in self.routes})
-
     def __len__(self) -> int:
         return len(self.routes)

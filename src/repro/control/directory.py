@@ -230,18 +230,19 @@ class ShardedDirectory:
 
     def leave(self, ip: IPv4Address, at_ms: float) -> int:
         """Deregister from every *live* shard holding the lease (entries
-        on a down shard linger until its post-recovery sweep)."""
+        on a down shard linger until its post-recovery sweep).  A host that
+        never joined is counted and changes nothing, not even the log."""
         self.leaves += 1
-        removed = 0
         row = self._rows.get(ip.value)
-        if row is None:  # never joined: no lease on any shard of its chain
+        if row is None:  # never joined: no lease to drop, and no log line
             self._chain(ip)
-        else:
-            for shard in self._chains[self._chain_of[row]]:
-                if shard not in self._down and self._held[shard, row]:
-                    self._held[shard, row] = False
-                    self._sizes[shard] -= 1
-                    removed += 1
+            return 0
+        removed = 0
+        for shard in self._chains[self._chain_of[row]]:
+            if shard not in self._down and self._held[shard, row]:
+                self._held[shard, row] = False
+                self._sizes[shard] -= 1
+                removed += 1
         self.removals += removed
         self._log(at_ms, "leave", ip=str(ip), removed=removed)
         return removed

@@ -166,10 +166,6 @@ class CloseSetMaintainer:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def track(self, owner: int) -> CloseClusterSet:
-        """Start maintaining a cluster's close set (fresh build now)."""
-        return self.track_many([owner])[0]
-
     def track_many(self, owners: Sequence[int]) -> List[CloseClusterSet]:
         """Start maintaining several clusters' close sets: one
         multi-source sweep builds them all, then each is reported as
@@ -205,14 +201,6 @@ class CloseSetMaintainer:
                 continue
             self._on_transition(event.cluster, transition, event.at_ms)
         return processed
-
-    def staleness(self, owner: int) -> float:
-        """Divergence of the maintained set from a fresh build *right
-        now* — ``|maintained Δ fresh| / max(1, |fresh|)``.  Zero after a
-        drain; positive while repair events are still queued.  This is
-        the soak's convergence gauge (cf. :mod:`repro.evaluation.maintenance`).
-        """
-        return self.current(owner).drift_from(self._fresh(owner))
 
     # -- repair ------------------------------------------------------------------
 

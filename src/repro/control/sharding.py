@@ -10,7 +10,7 @@ Python's randomized ``hash()``.
 
 Two moving parts:
 
-- :class:`HashRing` — ``shards × virtual_nodes`` points on a 64-bit
+- :class:`HashRing` — ``shards × VIRTUAL_NODES`` points on a 64-bit
   ring; ``chain(key)`` is the walk clockwise from the key's hash, the
   distinct shards in successor order (the failover chain when the owner
   is down), ``owner(key)`` is its head;
@@ -32,6 +32,11 @@ from repro.netaddr import IPv4Address
 
 __all__ = ["BootstrapRouter", "HashRing"]
 
+#: Ring points per shard: enough to keep load even when shards are few.
+VIRTUAL_NODES = 16
+#: Hashed into every ring point, so placement is fixed across processes.
+RING_SALT = "asap-ring"
+
 
 def _stable_hash(data: str) -> int:
     """64-bit BLAKE2 hash — identical in every process and run."""
@@ -43,24 +48,20 @@ def _stable_hash(data: str) -> int:
 class HashRing:
     """A consistent-hash ring over ``shard_count`` directory shards.
 
-    Each shard contributes ``virtual_nodes`` points so load stays even
-    when shards are few; a key's owner is the first point clockwise
+    Each shard contributes :data:`VIRTUAL_NODES` points so load stays
+    even when shards are few; a key's owner is the first point clockwise
     from the key's hash.  Keys are prefix-cluster ids (any int/str).
     """
 
-    def __init__(
-        self, shard_count: int, virtual_nodes: int = 16, salt: str = "asap-ring"
-    ) -> None:
+    def __init__(self, shard_count: int) -> None:
         if shard_count < 1:
             raise ConfigurationError("shard_count must be >= 1")
-        if virtual_nodes < 1:
-            raise ConfigurationError("virtual_nodes must be >= 1")
         self.shard_count = shard_count
-        self.virtual_nodes = virtual_nodes
         points: List[Tuple[int, int]] = []
+        replicas = VIRTUAL_NODES if shard_count > 1 else 1  # a lone shard owns every key
         for shard in range(shard_count):
-            for replica in range(virtual_nodes):
-                points.append((_stable_hash(f"{salt}:{shard}:{replica}"), shard))
+            for replica in range(replicas):
+                points.append((_stable_hash(f"{RING_SALT}:{shard}:{replica}"), shard))
         points.sort()
         self._hashes = [h for h, _ in points]
         self._shards = [s for _, s in points]
@@ -121,15 +122,7 @@ class BootstrapRouter:
     @classmethod
     def single(cls, addr: str) -> "BootstrapRouter":
         """The degenerate one-shard router (a plain bootstrap address)."""
-        return cls(HashRing(1, 1), [addr], lambda ip: 0)
-
-    @property
-    def shard_count(self) -> int:
-        return self._ring.shard_count
-
-    @property
-    def addrs(self) -> List[str]:
-        return list(self._addrs)
+        return cls(HashRing(1), [addr], lambda ip: 0)
 
     def addrs_for(self, ip: IPv4Address) -> List[str]:
         """Directory addresses for an overlay IP, owner shard first."""

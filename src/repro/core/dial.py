@@ -139,12 +139,6 @@ class JoinRecord:
     #: The join's root trace span (the shared no-op when tracing is off).
     trace: object = field(default=NULL_TRACE_SPAN, repr=False, compare=False)
 
-    @property
-    def duration_ms(self) -> Optional[float]:
-        if self.completed_ms is None:
-            return None
-        return self.completed_ms - self.started_ms
-
 
 @dataclass(frozen=True)
 class FailoverEvent:
@@ -243,14 +237,6 @@ class DialResult:
         if self.completed_ms is None:
             return None
         return round(self.completed_ms - self.started_ms, 3)
-
-    @property
-    def terminal(self) -> bool:
-        return self.outcome != "pending"
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome in ("completed", "degraded")
 
     @property
     def media_packets(self) -> int:

@@ -36,10 +36,6 @@ class ASAPPolicy:
     def __init__(self, system: ASAPSystem) -> None:
         self._system = system
 
-    @property
-    def system(self) -> ASAPSystem:
-        return self._system
-
     def evaluate_sessions(
         self,
         world,

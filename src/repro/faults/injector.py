@@ -12,8 +12,8 @@ determinism check chaos CI relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro import obs
 from repro.faults.schedule import FaultEvent, FaultSchedule
@@ -53,10 +53,6 @@ class FaultInjector:
         self._directory = directory
         self.log: List[FaultLogEntry] = []
         self._installed = False
-
-    @property
-    def schedule(self) -> FaultSchedule:
-        return self._schedule
 
     def install(self) -> int:
         """Schedule every fault event; returns the number installed.
@@ -142,10 +138,6 @@ class FaultInjector:
         elif kind in ("loss-burst-start", "loss-burst-end") and scope != "net":
             asns.add(int(value))
         return ips, asns
-
-    def _asn_of(self, ip: IPv4Address) -> Optional[int]:
-        host = self._runtime.network.host(ip)
-        return host.asn if host is not None else None
 
     def _disrupted_traces(self, ips: set, asns: set) -> List[str]:
         """Trace ids of in-flight flows inside the fault's blast radius.

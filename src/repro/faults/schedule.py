@@ -10,8 +10,7 @@ be replayed against many runtimes (or serialized for audit).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.faults.config import FaultScheduleConfig
@@ -49,11 +48,6 @@ class FaultEvent:
     def sort_key(self) -> Tuple[float, int, str]:
         return (self.at_ms, EVENT_KINDS.index(self.kind), self.target)
 
-    def to_json(self) -> str:
-        """Canonical one-line JSON form (stable across processes)."""
-        doc = {k: v for k, v in asdict(self).items() if v is not None}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
 
 @dataclass(frozen=True)
 class FaultSchedule:
@@ -65,10 +59,6 @@ class FaultSchedule:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def lines(self) -> List[str]:
-        """Canonical serialization, one JSON line per event."""
-        return [event.to_json() for event in self.events]
 
 
 def _sample_times(rng, count: int, duration_ms: float) -> List[float]:

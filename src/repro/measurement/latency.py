@@ -25,7 +25,6 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MeasurementError
-from repro.netaddr import IPv4Address
 from repro.bgp.routing import PolicyRouter, RoutingTree
 from repro.measurement.conditions import NetworkConditions
 from repro.topology.generator import Topology
@@ -68,10 +67,6 @@ class LatencyModel:
     @property
     def router(self) -> PolicyRouter:
         return self._router
-
-    @property
-    def topology(self) -> Topology:
-        return self._topology
 
     @property
     def conditions(self) -> NetworkConditions:

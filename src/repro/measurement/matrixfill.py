@@ -79,10 +79,6 @@ class WorldArrays:
     def as_count(self) -> int:
         return len(self.as_ids)
 
-    @property
-    def cluster_count(self) -> int:
-        return len(self.cluster_as_idx)
-
     def edge_cost_of(self, src_idx: np.ndarray, dst_idx: np.ndarray) -> np.ndarray:
         """Edge costs for aligned (src, dst) index pairs (must exist)."""
         keys = src_idx * np.int64(self.as_count) + dst_idx
@@ -185,10 +181,6 @@ class FlatMatrixAssembler:
         self._universe_of = np.searchsorted(
             world.as_ids, np.array(model.router.graph.ases(), dtype=np.int64)
         )
-
-    @property
-    def world(self) -> WorldArrays:
-        return self._world
 
     def fill_columns(
         self,

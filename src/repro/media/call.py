@@ -42,6 +42,12 @@ SWITCH_MOS_THRESHOLD = 3.2
 #: FEC over the secondary path [Nguyen & Zakhor]: one XOR parity per
 #: this many voice packets.
 FEC_GROUP_SIZE = 4
+#: Congestion episodes of a path (:class:`PathQualityProcess`): the
+#: per-window chance to enter and to leave one, and what one adds.
+CONGEST_PROBABILITY = 0.05
+RECOVER_PROBABILITY = 0.5
+CONGESTION_DELAY_MS = 120.0
+CONGESTION_LOSS = 0.05
 
 
 @dataclass(frozen=True)
@@ -55,31 +61,21 @@ class PathState:
 class PathQualityProcess:
     """Two-state (clear/congested) Markov process per path, per window.
 
-    In the congested state the path gains extra one-way delay and loss.
-    Transitions are sampled independently per window with the given
-    probabilities, seeded deterministically per path.
+    In the congested state the path gains :data:`CONGESTION_DELAY_MS` of
+    one-way delay and :data:`CONGESTION_LOSS`.  Transitions are sampled
+    independently per window with :data:`CONGEST_PROBABILITY` /
+    :data:`RECOVER_PROBABILITY`, seeded deterministically per path.
     """
 
-    def __init__(
-        self,
-        base_one_way_ms: float,
-        base_loss: float,
-        congest_probability: float = 0.05,
-        recover_probability: float = 0.5,
-        congestion_delay_ms: float = 120.0,
-        congestion_loss: float = 0.05,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 <= congest_probability <= 1.0 or not 0.0 <= recover_probability <= 1.0:
-            raise ConfigurationError("transition probabilities must be in [0, 1]")
-        if base_one_way_ms < 0 or congestion_delay_ms < 0:
+    def __init__(self, base_one_way_ms: float, base_loss: float, seed: int = 0) -> None:
+        if base_one_way_ms < 0:
             raise ConfigurationError("delays must be non-negative")
         self._base_delay = base_one_way_ms
         self._base_loss = min(max(base_loss, 0.0), 1.0)
-        self._p_congest = congest_probability
-        self._p_recover = recover_probability
-        self._extra_delay = congestion_delay_ms
-        self._extra_loss = congestion_loss
+        self._p_congest = CONGEST_PROBABILITY
+        self._p_recover = RECOVER_PROBABILITY
+        self._extra_delay = CONGESTION_DELAY_MS
+        self._extra_loss = CONGESTION_LOSS
         self._rng = derive_rng(seed, "path-quality")
         self._congested = False
 
@@ -273,17 +269,14 @@ def merge_diverse_traces(primary: ReceivedTrace, secondary: ReceivedTrace) -> Re
     return trace_from_wire(primary.call_id, receipts, len(primary.frames))
 
 
-def recover_with_parity(
-    voice: ReceivedTrace, secondary: ReceivedTrace, group_size: int = FEC_GROUP_SIZE
-) -> ReceivedTrace:
+def recover_with_parity(voice: ReceivedTrace, secondary: ReceivedTrace) -> ReceivedTrace:
     """FEC over a diverse path [Nguyen & Zakhor]: one XOR parity packet
-    per ``group_size`` voice frames travels the secondary path in the
-    group's last send slot, so its fate is ``secondary``'s frame there.
-    A group missing exactly one voice frame recovers it when the parity
-    arrived, at the latest arrival among the parity and the survivors —
-    reconstruction needs every piece."""
-    if group_size < 2:
-        raise ConfigurationError("group_size must be >= 2")
+    per :data:`FEC_GROUP_SIZE` voice frames travels the secondary path in
+    the group's last send slot, so its fate is ``secondary``'s frame
+    there.  A group missing exactly one voice frame recovers it when the
+    parity arrived, at the latest arrival among the parity and the
+    survivors — reconstruction needs every piece."""
+    group_size = FEC_GROUP_SIZE
     _require_same_frames(voice, secondary)
     frames = list(voice.frames)
     for lo in range(0, len(frames), group_size):

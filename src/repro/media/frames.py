@@ -73,12 +73,6 @@ class ReceivedTrace:
         codec = _codec_by_name(last.codec)
         return last.sent_ms + codec.packet_interval_ms()
 
-    @property
-    def loss_rate(self) -> float:
-        if not self.frames:
-            return 0.0
-        return sum(1 for f in self.frames if f.lost) / len(self.frames)
-
     def to_jsonl(self) -> str:
         """Canonical byte-stable serialization (one frame per line)."""
         lines = [

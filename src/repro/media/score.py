@@ -80,34 +80,6 @@ class MeasuredScore:
     late_frames: int
     lost_frames: int
 
-    def to_dict(self) -> dict:
-        """Stable plain-dict form (CI byte-diffs JSON dumps of this)."""
-        return {
-            "mos": round(self.mos, 6),
-            "base_mos": round(self.base_mos, 6),
-            "concealed_rate": round(self.concealed_rate, 6),
-            "effective_loss": round(self.effective_loss, 6),
-            "late_frames": self.late_frames,
-            "lost_frames": self.lost_frames,
-            "outages": [
-                {"start_ms": round(w.start_ms, 3), "end_ms": round(w.end_ms, 3)}
-                for w in self.outage_windows
-            ],
-            "windows": [
-                {
-                    "start_ms": round(w.start_ms, 3),
-                    "end_ms": round(w.end_ms, 3),
-                    "frames": w.frames,
-                    "played": w.played,
-                    "effective_loss": round(w.effective_loss, 6),
-                    "mean_delay_ms": round(w.mean_delay_ms, 3),
-                    "codec": w.codec,
-                    "mos": round(w.mos, 6),
-                }
-                for w in self.windows
-            ],
-        }
-
 
 def score_trace(
     trace: ReceivedTrace,

@@ -96,30 +96,6 @@ class MediaResult:
     def mos(self) -> float:
         return self.score.mos
 
-    def to_dict(self) -> dict:
-        """Stable summary dict (CI byte-diffs JSON dumps of this)."""
-        return {
-            "call_id": self.call_id,
-            "duration_ms": round(self.duration_ms, 3),
-            "frames": len(self.trace.frames),
-            "mos": round(self.score.mos, 6),
-            "base_mos": round(self.score.base_mos, 6),
-            "effective_loss": round(self.score.effective_loss, 6),
-            "concealed_rate": round(self.score.concealed_rate, 6),
-            "late_frames": self.score.late_frames,
-            "lost_frames": self.score.lost_frames,
-            "switches": [
-                {
-                    "at_ms": s.at_ms,
-                    "seq": s.sequence,
-                    "from": s.from_codec,
-                    "to": s.to_codec,
-                    "window_loss": s.window_loss,
-                }
-                for s in self.switches
-            ],
-        }
-
 
 def _segment_channel(seg: PathWindow, r: Optional[float]) -> Tuple[float, float, float]:
     """``(one-way delay, loss rate, Gilbert–Elliott enter-bad probability)``.

@@ -376,10 +376,6 @@ class Message:
     TYPE: int = -1
     FIELDS: Tuple[Tuple[str, str], ...] = ()
 
-    def pack_payload(self) -> bytes:
-        """This message's payload bytes: its frame minus the header."""
-        return encode_frame(self)[_HEADER.size:]
-
 
 def _register(cls):
     """Class decorator: enter a message into the wire-type registry."""
@@ -890,11 +886,6 @@ class FrameDecoder:
     def __init__(self) -> None:
         self._buffer = bytearray()
         self._poisoned = False
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward the next (incomplete) frame."""
-        return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Frame]:
         """Add bytes; return every frame completed by them.

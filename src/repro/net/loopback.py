@@ -161,10 +161,6 @@ class LoopbackTransport(Transport):
     def local_address(self) -> str:
         return self._address
 
-    @property
-    def hub(self) -> LoopbackHub:
-        return self._hub
-
     def bind(self, handler: Handler) -> None:
         self._handler = handler
 

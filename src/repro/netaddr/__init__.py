@@ -6,12 +6,11 @@ dependency-free IPv4 machinery for that: value types for addresses and
 prefixes plus a binary trie supporting longest-prefix match.
 """
 
-from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix, parse_prefix
+from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
 from repro.netaddr.trie import PrefixTrie
 
 __all__ = [
     "IPv4Address",
     "IPv4Prefix",
     "PrefixTrie",
-    "parse_prefix",
 ]

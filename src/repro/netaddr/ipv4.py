@@ -9,7 +9,6 @@ representation, containment, canonicalization — are explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import AddressError
 
@@ -112,11 +111,6 @@ class IPv4Prefix:
             raise AddressError(f"host index {n} out of range for {self}")
         return IPv4Address(self.network + n)
 
-    def hosts(self) -> Iterator[IPv4Address]:
-        """Iterate over every address in the prefix (network address first)."""
-        for n in range(self.size()):
-            yield IPv4Address(self.network + n)
-
     def __str__(self) -> str:
         return f"{IPv4Address(self.network)}/{self.length}"
 
@@ -124,6 +118,3 @@ class IPv4Prefix:
         return f"IPv4Prefix({str(self)!r})"
 
 
-def parse_prefix(text: str) -> IPv4Prefix:
-    """Module-level convenience wrapper for :meth:`IPv4Prefix.from_string`."""
-    return IPv4Prefix.from_string(text)

@@ -117,10 +117,6 @@ class Histogram:
             if self._on_drop is not None:
                 self._on_drop(1)
 
-    @property
-    def mean(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
-
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from the buckets.
 

@@ -283,10 +283,6 @@ class SkypeSummary:
     directions: List[SkypeDirectionSummary] = field(default_factory=list)
 
     @property
-    def probes(self) -> int:
-        return sum(d.probes for d in self.directions)
-
-    @property
     def bounces(self) -> int:
         return sum(d.bounces for d in self.directions)
 

@@ -48,7 +48,6 @@ from repro.net.codec import (
     ErrorFrame,
     Keepalive,
     KeepaliveAck,
-    Leave,
     MediaFrame,
     Message,
     Ping,
@@ -210,18 +209,6 @@ class HostAgent(ServiceNode):
         self.surrogate_addr = reply.surrogate_addr
         self.joined = True
         return True
-
-    async def leave(self) -> None:
-        """Deregister (best-effort, oneway) from the shard we joined
-        through — crashed hosts never send this; the TTL sweep is the
-        directory's real garbage collector."""
-        if not self.joined:
-            return
-        addr = self._joined_addr or self._bootstrap_addr
-        await self.transport.send(addr, Leave(ip=self.ip))
-        obs.counter("service.hosts_left").inc()
-        self.joined = False
-        self._joined_addr = None
 
     async def dial(self, callee_ip: IPv4Address, media_ms: Optional[float] = None) -> DialResult:
         """Place one call (:func:`repro.core.dial.run_dial`)."""

@@ -10,7 +10,7 @@ the same information boundary as the original methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.netaddr import IPv4Address
 
@@ -26,9 +26,6 @@ class PacketRecord:
     dst_port: int
     size_bytes: int
     kind: str  # "voice" | "probe" | "signal"
-
-    def endpoints(self) -> Tuple[IPv4Address, IPv4Address]:
-        return (self.src_ip, self.dst_ip)
 
 
 @dataclass

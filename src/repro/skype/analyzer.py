@@ -53,10 +53,6 @@ class DirectionAnalysis:
     def uses_relay(self) -> bool:
         return self.major_carrier is not None
 
-    @property
-    def total_probed(self) -> int:
-        return len(self.probed_nodes)
-
 
 @dataclass
 class SessionAnalysis:

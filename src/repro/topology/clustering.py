@@ -87,9 +87,6 @@ class ClusterIndex:
         state.pop("_host_table", None)
         return state
 
-    def delegates(self) -> List[Host]:
-        return [c.delegate for c in self.all_clusters() if c.delegate is not None]
-
     def occupancy_distribution(self) -> List[int]:
         """Cluster sizes, descending — §6.3's '90% hold ≤100 hosts' check."""
         return sorted((len(c) for c in self.all_clusters()), reverse=True)

@@ -128,9 +128,6 @@ class PeerPopulation:
     def __len__(self) -> int:
         return len(self.hosts)
 
-    def ips(self) -> List[IPv4Address]:
-        return [h.ip for h in self.hosts]
-
 
 def generate_population(
     topology: Topology,

@@ -55,10 +55,6 @@ class EModel:
     def __init__(self, config: EModelConfig = EModelConfig()) -> None:
         self._config = config
 
-    @property
-    def config(self) -> EModelConfig:
-        return self._config
-
     def mouth_to_ear_delay_ms(self, one_way_network_ms: float) -> float:
         """Total one-way delay: network + codec + playout buffering."""
         if one_way_network_ms < 0:

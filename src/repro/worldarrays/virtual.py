@@ -87,16 +87,8 @@ class VirtualMatrices:
         return len(self.prefixes)
 
     @property
-    def world(self) -> WorldArrays:
-        return self._world
-
-    @property
     def store(self) -> ColumnStore:
         return self._store
-
-    @property
-    def chunk_columns(self) -> int:
-        return self._chunk
 
     # -- the one read path ---------------------------------------------
 

@@ -31,8 +31,8 @@ class TestPrefixOriginTable:
             table.add(IPv4Prefix.from_string("10.0.0.0/8"), 0)
 
     def test_from_entries(self):
-        table = PrefixOriginTable.from_entries(
-            [entry("10.0.0.0/8", 5), entry("192.168.0.0/16", 6)]
+        table = PrefixOriginTable.from_routing_table(
+            RoutingTable.from_entries([entry("10.0.0.0/8", 5), entry("192.168.0.0/16", 6)])
         )
         assert len(table) == 2
         assert table.origin_of(IPv4Address.from_string("10.9.9.9")) == 5
@@ -54,23 +54,12 @@ class TestPrefixOriginTable:
         table = PrefixOriginTable.from_routing_table(RoutingTable.from_entries(entries))
         assert table.origin_of(IPv4Address.from_string("10.0.0.9")) == 4
 
-    def test_prefixes_of_and_ases(self):
-        table = PrefixOriginTable()
-        p1 = IPv4Prefix.from_string("10.0.0.0/16")
-        p2 = IPv4Prefix.from_string("10.1.0.0/16")
-        table.add(p1, 5)
-        table.add(p2, 5)
-        assert table.prefixes_of(5) == sorted([p1, p2])
-        assert table.ases() == [5]
-        assert table.prefixes_of(99) == []
-
     def test_add_overwrite_moves_prefix_between_ases(self):
         table = PrefixOriginTable()
         p = IPv4Prefix.from_string("10.0.0.0/16")
         table.add(p, 5)
         table.add(p, 6)
-        assert table.prefixes_of(5) == []
-        assert table.prefixes_of(6) == [p]
+        assert table.origin_of(IPv4Address.from_string("10.0.0.1")) == 6
         assert len(table) == 1
 
     def test_contains(self):

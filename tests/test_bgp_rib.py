@@ -142,4 +142,4 @@ class TestRoutingTable:
         table = RoutingTable.from_entries(
             [entry(), entry(peer="10.0.0.2"), entry(prefix="198.51.100.0/24")]
         )
-        assert len(table.prefixes()) == 2
+        assert len({prefix for _, prefix in table.routes}) == 2

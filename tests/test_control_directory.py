@@ -49,6 +49,7 @@ class DictDirectory:
         self.ring = HashRing(SHARDS)
         self.shards = [{} for _ in range(SHARDS)]
         self.down = set()
+        self.placed = set()  # every host that ever joined
         self.log = []
         self.counts = dict.fromkeys(
             ["joins", "failover_joins", "failed_joins", "leaves", "resolves",
@@ -67,6 +68,7 @@ class DictDirectory:
 
     def join(self, ip, at_ms, addr=""):
         self.counts["joins"] += 1
+        self.placed.add(ip)
         owner = self._chain(ip)[0]
         for shard in self._live_chain(ip):
             self.counts["refreshes"] += ip in self.shards[shard]
@@ -82,6 +84,8 @@ class DictDirectory:
 
     def leave(self, ip, at_ms):
         self.counts["leaves"] += 1
+        if ip not in self.placed:
+            return 0
         chain = self._live_chain(ip)
         removed = sum(self.shards[shard].pop(ip, None) is not None for shard in chain)
         self.counts["removals"] += removed
@@ -322,3 +326,17 @@ def test_strangers_are_never_placed(world):
         assert directory.leave(_ip(100 + value), 1.0) == 0
     assert len(directory._rows) == len(directory._value) == 1
     assert directory.resolve(_ip(1), 1.0) == (ring_preference(directory._ring, 1)[0], 1, "a")
+
+
+def test_a_strangers_leave_writes_no_log_line():
+    """The log is unbounded, so a Leave of an address that never joined
+    (any peer can send one) must not grow it; the counters still count it."""
+    directory = ShardedDirectory(HashRing(SHARDS), _cluster_of)
+    directory.join(_ip(1), 0.0, "a")
+    before = list(directory.log)
+    for value in range(10_000):
+        assert directory.leave(_ip(100 + value), 1.0) == 0
+    assert directory.log == before
+    assert directory.stats().leaves == 10_000 and directory.removals == 0
+    assert directory.leave(_ip(1), 2.0) == 1
+    assert len(directory.log) == len(before) + 1

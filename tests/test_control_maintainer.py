@@ -103,11 +103,16 @@ def fresh_entries(maintainer, owner):
     return dict(maintainer.reference(owner).entries)
 
 
+def _staleness(maintainer, owner):
+    """``|maintained Δ fresh| / max(1, |fresh|)``: 0 after a drain."""
+    return maintainer.current(owner).drift_from(maintainer._fresh(owner))
+
+
 def assert_parity(maintainer):
     for owner in maintainer.tracked:
         assert maintainer.current(owner).entries == fresh_entries(maintainer, owner)
         assert_arrays_are_the_set(maintainer.current(owner))  # patched or rebuilt
-        assert maintainer.staleness(owner) == 0.0
+        assert _staleness(maintainer, owner) == 0.0
 
 
 class TestClusterMembership:
@@ -140,7 +145,7 @@ class TestRepairPaths:
 
     def test_local_patch_when_verdict_unchanged(self):
         maintainer, _, _ = self._small_world()
-        maintainer.track(0)
+        maintainer.track_many([0])
         assert set(maintainer.current(0).entries) == {0, 1, 2}
         # Cluster 2 leaves: AS 1's verdict may flip but it sits at the
         # hop limit (depth == k_hops) where it never expands — patch.
@@ -153,7 +158,7 @@ class TestRepairPaths:
 
     def test_verdict_flip_triggers_rebuild(self):
         maintainer, _, _ = self._small_world()
-        maintainer.track(0)
+        maintainer.track_many([0])
         # Cluster 1 (AS 3's only passing probe) leaves: AS 3's verdict
         # flips True -> False at depth 1 < k_hops — downstream AS 1
         # becomes unreachable, only a rebuild can know that.
@@ -171,7 +176,7 @@ class TestRepairPaths:
 
     def test_unvisited_as_is_a_noop(self):
         maintainer, _, _ = self._small_world()
-        maintainer.track(0)
+        maintainer.track_many([0])
         before = dict(maintainer.current(0).entries)
         # Cluster 9's AS 99 is never visited by the BFS.
         maintainer.enqueue(MembershipEvent(at_ms=1.0, kind="host-join", cluster=9))
@@ -182,7 +187,7 @@ class TestRepairPaths:
     def test_owner_goes_dark_and_returns(self):
         maintainer, _, _ = self._small_world()
         maintainer.membership._counts[0] = 1  # single host in the owner
-        maintainer.track(0)
+        maintainer.track_many([0])
         maintainer.enqueue(MembershipEvent(at_ms=1.0, kind="host-leave", cluster=0))
         maintainer.drain()
         assert maintainer.tracked == []
@@ -197,7 +202,7 @@ class TestRepairPaths:
         maintainer, _, _ = self._small_world()
         maintainer.membership._counts[1] = 0
         with pytest.raises(ProtocolError):
-            maintainer.track(1)
+            maintainer.track_many([1])
 
 
 class TestFrontierOnlyLevels:
@@ -225,7 +230,7 @@ class TestFrontierOnlyLevels:
         maintainer, _, _ = make_maintainer(
             g, lat_map, clusters, asn_of, {c: 1 for c in asn_of}, ASAPConfig(k_hops=k_hops)
         )
-        built = maintainer.track(0)
+        built = maintainer.track_many([0])[0]
         assert_parity(maintainer)
         return built, maintainer._tracked[0][1]
 
@@ -267,7 +272,7 @@ class TestRandomizedParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 19])
     def test_seeded_event_interleavings(self, seed):
         maintainer, _, _ = diamond_world()
-        maintainer.track(0)
+        maintainer.track_many([0])
         rng = random.Random(seed)
         clusters = [1, 2, 3, 4, 5, 6]
         for step in range(300):
@@ -286,7 +291,7 @@ class TestRandomizedParity:
     def test_repair_log_is_byte_stable(self):
         def run():
             maintainer, _, _ = diamond_world()
-            maintainer.track(0)
+            maintainer.track_many([0])
             rng = random.Random(5)
             for step in range(120):
                 maintainer.enqueue(
@@ -348,7 +353,7 @@ class TestRepairEqualsRebuildUnderChurn:
                 rebuilt = builder.build(owner, int(world["asn_of"][owner]), online=online)
                 assert maintainer.current(owner).entries == rebuilt.entries
                 assert_arrays_are_the_set(maintainer.current(owner))
-                assert maintainer.staleness(owner) == 0.0
+                assert _staleness(maintainer, owner) == 0.0
 
         for step, (pick, drain) in enumerate(program):
             ip = pool[pick % len(pool)]

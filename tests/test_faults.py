@@ -97,14 +97,14 @@ class TestCompileSchedule:
         )
         a = compile_schedule(config, scenario)
         b = compile_schedule(config, scenario)
-        assert a.lines() == b.lines()
+        assert a.events == b.events
         assert len(a) > 0
 
     def test_seed_changes_schedule(self, scenario):
         base = dict(duration_ms=20_000, host_churn_rate_per_min=30.0)
         a = compile_schedule(FaultScheduleConfig(seed=1, **base), scenario)
         b = compile_schedule(FaultScheduleConfig(seed=2, **base), scenario)
-        assert a.lines() != b.lines()
+        assert a.events != b.events
 
     def test_events_sorted_and_paired(self, scenario):
         config = FaultScheduleConfig(

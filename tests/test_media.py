@@ -105,7 +105,7 @@ class TestFrames:
         again = ReceivedTrace.read(path)
         assert again == trace
         assert again.to_jsonl() == trace.to_jsonl()
-        assert trace.loss_rate == pytest.approx(1 / 6)
+        assert _loss_rate(trace) == pytest.approx(1 / 6)
 
     @pytest.mark.parametrize("line, text", [
         pytest.param(3, '{"seq": 1, "sent_ms": 20.0', id="not-json"),
@@ -175,6 +175,11 @@ class TestFrames:
 
 
 # -- jitter buffer ------------------------------------------------------------
+
+
+def _loss_rate(trace):
+    """Share of a trace's frames that never arrived."""
+    return sum(f.lost for f in trace.frames) / len(trace.frames) if trace.frames else 0.0
 
 
 def _trace(arrivals, interval=20.0, codec="G.729A+VAD"):
@@ -583,7 +588,6 @@ class TestReferencePipeline:
         want = reference_media_session(7, duration, path, outages, config, seed)
         assert got.trace.to_jsonl() == want.trace.to_jsonl()
         assert _rows(got.playout.frames) == _rows(want.playout)
-        assert got.score.to_dict() == want.score.to_dict()
         assert got.score == want.score
         assert got.switches == want.switches
         statuses = [f.status for f in want.playout]

@@ -11,6 +11,7 @@ from repro.media.session import MediaPlaneConfig
 from repro.scenario import tiny_scenario
 from repro.service import ServiceWorld, run_demo
 from repro.voip.codecs import ILBC
+from tests.test_media import _loss_rate
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +97,7 @@ class TestServiceMediaFrames:
         assert result.frame_traces and result.frame_traces[0]
         (trace,) = result.frame_traces[0].values()
         assert len(trace.frames) > 50  # ~2 s at 20 ms pacing
-        assert trace.loss_rate < 0.5
+        assert _loss_rate(trace) < 0.5
         score = score_trace(trace)
         assert 1.0 <= score.mos <= 4.5
 

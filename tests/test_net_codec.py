@@ -426,13 +426,13 @@ class TestFrameDecoder:
             frames.extend(decoder.feed(stream[index:index + 1]))
         assert [f.message for f in frames] == messages
         assert [f.request_id for f in frames] == [1, 2, 3]
-        assert decoder.pending_bytes == 0
+        assert len(decoder._buffer) == 0
 
     def test_partial_frame_is_buffered_not_an_error(self):
         data = encode_frame(Ping(token=9))
         decoder = FrameDecoder()
         assert decoder.feed(data[:5]) == []
-        assert decoder.pending_bytes == 5
+        assert len(decoder._buffer) == 5
         assert [f.message for f in decoder.feed(data[5:])] == [Ping(token=9)]
 
     def test_corrupt_header_poisons_the_decoder(self):
@@ -462,8 +462,7 @@ class TestFrameDecoder:
 def _split_traced(message, trace, flags=REQUEST, request_id=7):
     """Encode a traced frame and return (header, ext_with_len, payload)."""
     raw = encode_frame(message, flags, request_id, trace=trace)
-    payload = message.pack_payload()
-    header_size = len(encode_frame(message, flags, request_id)) - len(payload)
+    header_size = codec._HEADER.size
     body_start = header_size + 1 + raw[header_size]
     return raw[:header_size], raw[header_size:body_start], raw[body_start:]
 
@@ -551,12 +550,10 @@ class TestTraceExtension:
     def test_stream_decoder_buffers_partial_extension(self):
         raw = encode_frame(Ping(token=7), REQUEST, 2, trace=("tr-abc", "sp-def"))
         decoder = FrameDecoder()
-        header_size = len(encode_frame(Ping(token=7), REQUEST, 2)) - len(
-            Ping(token=7).pack_payload()
-        )
+        header_size = codec._HEADER.size
         # stop inside the extension: nothing emitted, nothing rejected
         assert decoder.feed(raw[:header_size + 3]) == []
-        assert decoder.pending_bytes == header_size + 3
+        assert len(decoder._buffer) == header_size + 3
         frames = decoder.feed(raw[header_size + 3:])
         assert [f.trace_id for f in frames] == ["tr-abc"]
 

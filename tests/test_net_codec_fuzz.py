@@ -138,15 +138,15 @@ class TestFrameDecoderFuzz:
             decoder = FrameDecoder()
             frames = _feed_in_chunks(decoder, stream, rng)
             assert frames == [frame for _, frame in picks]
-            assert decoder.pending_bytes == 0
+            assert len(decoder._buffer) == 0
 
     def test_truncated_tail_stays_pending_not_an_error(self):
         raw, frame = _corpus()[0]
         decoder = FrameDecoder()
         assert decoder.feed(raw + raw[:-1]) == [frame]
-        assert decoder.pending_bytes == len(raw) - 1
+        assert len(decoder._buffer) == len(raw) - 1
         assert decoder.feed(raw[-1:]) == [frame]
-        assert decoder.pending_bytes == 0
+        assert len(decoder._buffer) == 0
 
     def test_mutated_streams_poison_and_never_emit_partials(self):
         corpus = _corpus()

@@ -1,5 +1,6 @@
-"""The reachability ratchet's field pass (``tools/reach.py``): every
-config field has a setter outside the tests."""
+"""The reachability ratchet (``tools/reach.py``): the execution probe's
+pieces, and the field pass (every config field has a setter outside the
+tests)."""
 
 import importlib.util
 from pathlib import Path
@@ -147,3 +148,55 @@ def test_an_allowed_field_passes_and_a_stale_entry_fails(tree):
         "tools/reach.py: field allow-list entry 'GoneConfig' is stale; remove it",
         "tools/reach.py: field allow-list entry 'KnobConfig.by_keyword' is stale; remove it",
     ]
+
+
+CI_LINES = """\
+      - run: |
+          PYTHONPATH=src python -m repro.cli soak --scale tiny \\
+            --json run1.json | tee soak.out
+          PYTHONPATH=src python -m repro.cli serve --port 9700 > serve.out 2>&1 &
+          help=$(PYTHONPATH=src python -m repro.cli "$cmd" --help)
+          PYTHONPATH=src python -m repro.cli soak --scale tiny \\
+            --json run1.json
+"""
+
+
+def test_ci_lines_become_argv_without_shell_words_or_repeats():
+    assert reach.ci_commands(CI_LINES) == [
+        (["soak", "--scale", "tiny", "--json", "run1.json"], False),
+        (["serve", "--port", "9700"], True),
+    ]
+
+
+def test_ci_runs_every_subcommand():
+    """The probe runs what CI runs, so a subcommand with no CI line would
+    have every definition only it reaches reported as uncalled."""
+    import argparse
+
+    from repro.cli import make_parser
+
+    parser = make_parser()
+    subcommands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    run = {argv[0] for argv, _ in reach.ci_commands(reach.CI.read_text())}
+    assert run == set(subcommands)
+
+
+def test_the_probe_maps_calls_to_definitions():
+    from repro.evaluation.report import render_series
+    from repro.voip.outage import OutageWindow
+
+    defined = {qualname: (str(path), line) for path, line, qualname, _ in reach.definitions()}
+    probe = reach.Probe()
+    with probe:
+        OutageWindow(0.0, 5.0).duration_ms  # a property: its site is the decorator's line
+        render_series("t", [("a", [1.0])])
+    sites = probe.sites()
+    assert defined["OutageWindow.duration_ms"] in sites
+    assert defined["render_series"] in sites
+    assert defined["account_outages"] not in sites
+    assert defined["render_series"] + ("unit",) in probe.unchanged()
+    with probe:
+        render_series("t", [("a", [1.0])], unit="ms")
+    assert defined["render_series"] + ("unit",) not in probe.unchanged()

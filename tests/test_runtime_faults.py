@@ -76,7 +76,7 @@ class TestJoinFaults:
         assert record.attempts == 2
         assert record.completed_ms is not None
         # The retry waited out a timeout + backoff before succeeding.
-        assert record.duration_ms > JOIN_TIMEOUT_MS
+        assert record.completed_ms - record.started_ms > JOIN_TIMEOUT_MS
 
     def test_join_fails_when_all_bootstraps_down(self, scenario, runtime):
         for host in runtime.bootstrap_hosts:
@@ -132,7 +132,7 @@ class TestCallSetupFaults:
         record = runtime.schedule_call(caller, callee)
         runtime.run()
         assert record.outcome in ("completed", "degraded")
-        assert record.terminal
+        assert record.outcome != "pending"
         assert record.attempts == 1
         assert record.retries == 0
 

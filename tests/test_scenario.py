@@ -20,13 +20,13 @@ class TestBuildScenario:
     def test_deterministic(self):
         a = tiny_scenario(seed=11)
         b = tiny_scenario(seed=11)
-        assert a.population.ips() == b.population.ips()
+        assert [h.ip for h in a.population.hosts] == [h.ip for h in b.population.hosts]
         assert np.array_equal(a.matrices.rtt_ms, b.matrices.rtt_ms)
 
     def test_seed_changes_world(self):
         a = tiny_scenario(seed=11)
         b = tiny_scenario(seed=12)
-        assert a.population.ips() != b.population.ips()
+        assert [h.ip for h in a.population.hosts] != [h.ip for h in b.population.hosts]
 
     def test_with_seed_propagates(self):
         config = ScenarioConfig().with_seed(42)
@@ -60,7 +60,7 @@ class TestBuildScenario:
     def test_routing_table_updates_applied(self, scenario):
         # The update stream re-announces churned prefixes; the table
         # must still cover every allocated prefix.
-        announced = set(scenario.routing_table.prefixes())
+        announced = {prefix for _, prefix in scenario.routing_table.routes}
         for prefixes in scenario.allocation.prefixes_of.values():
             for prefix in prefixes:
                 assert prefix in announced
@@ -73,8 +73,8 @@ class TestSubsample:
 
     def test_hosts_are_subset(self, scenario):
         small = subsample_scenario(scenario, 0.25, seed=1)
-        original = set(scenario.population.ips())
-        assert set(small.population.ips()) <= original
+        original = {h.ip for h in scenario.population.hosts}
+        assert {h.ip for h in small.population.hosts} <= original
 
     def test_topology_shared(self, scenario):
         small = subsample_scenario(scenario, 0.25, seed=1)
@@ -119,7 +119,7 @@ class TestSubsample:
     def test_deterministic(self, scenario):
         a = subsample_scenario(scenario, 0.3, seed=2)
         b = subsample_scenario(scenario, 0.3, seed=2)
-        assert a.population.ips() == b.population.ips()
+        assert [h.ip for h in a.population.hosts] == [h.ip for h in b.population.hosts]
 
 
 class TestPickleIsHistoryFree:

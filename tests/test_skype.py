@@ -215,7 +215,7 @@ class TestAnalyzerOnSimulatedSessions:
         caller, callee = pick_pair(scenario)
         res = run_skype_session(scenario, caller, callee, overlay, session_id=7)
         analysis = TraceAnalyzer(scenario.prefix_table).analyze(res.trace)
-        assert analysis.forward.total_probed == len(
+        assert len(analysis.forward.probed_nodes) == len(
             {ip for _, ip in res.forward_probes}
         )
 

@@ -97,13 +97,13 @@ class TestGeneratePopulation:
 
     def test_no_duplicate_ips(self):
         _, _, pop = self._population()
-        ips = pop.ips()
+        ips = [h.ip for h in pop.hosts]
         assert len(ips) == len(set(ips))
 
     def test_deterministic(self):
         _, _, a = self._population(seed=5)
         _, _, b = self._population(seed=5)
-        assert a.ips() == b.ips()
+        assert [h.ip for h in a.hosts] == [h.ip for h in b.hosts]
 
     def test_by_ip_lookup(self):
         _, _, pop = self._population()

@@ -218,7 +218,7 @@ class TestCallAnalysis:
         report = ta.limits_report(calls, skypes)
         assert report.n_calls == 1 and report.n_skype == 2
         # L4: Skype probe messages equal 2x the probes its traces record.
-        total_probes = sum(s.probes for s in skypes)
+        total_probes = sum(d.probes for s in skypes for d in s.directions)
         assert total_probes > 0
         assert report.l4_skype_probe_messages == 2 * total_probes
         assert report.l4_asap_probe_messages == sum(

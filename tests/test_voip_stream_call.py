@@ -17,6 +17,7 @@ from repro.media import (
     run_media_session,
     score_trace,
 )
+from repro.media import call as media_call
 from repro.media.call import (
     CallConfig,
     PathQualityProcess,
@@ -25,7 +26,17 @@ from repro.media.call import (
     merge_diverse_traces,
     recover_with_parity,
 )
-from tests.test_media import _trace
+from tests.test_media import _loss_rate, _trace
+
+
+def _path(base_one_way_ms, base_loss, seed=0, **constants):
+    """A :class:`PathQualityProcess` built with congestion constants of
+    ``repro.media.call`` replaced (``CONGEST_PROBABILITY=0.0``: a path
+    that never congests)."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(media_call, name, value)
+        return PathQualityProcess(base_one_way_ms, base_loss, seed=seed)
 
 
 def stream(one_way_ms, loss, duration_ms=10_000.0, jitter=6.0, seed=0, call_id=1):
@@ -81,7 +92,7 @@ class TestSimulateStream:
         assert all(f.lost for f in stream(50.0, 1.0, duration_ms=1000.0).frames)
 
     def test_loss_rate_statistics(self):
-        assert 0.15 < stream(50.0, 0.2, duration_ms=60_000.0, seed=3).loss_rate < 0.25
+        assert 0.15 < _loss_rate(stream(50.0, 0.2, duration_ms=60_000.0, seed=3)) < 0.25
 
     def test_deterministic_by_seed(self):
         assert stream(50.0, 0.1, seed=5) == stream(50.0, 0.1, seed=5)
@@ -128,7 +139,7 @@ class TestDiversity:
     def test_diversity_never_increases_loss(self, loss_a, loss_b):
         a = stream(40.0, loss_a, duration_ms=5000.0, seed=1)
         b = stream(60.0, loss_b, duration_ms=5000.0, seed=1, call_id=2)
-        assert merge_diverse_traces(a, b).loss_rate <= min(a.loss_rate, b.loss_rate)
+        assert _loss_rate(merge_diverse_traces(a, b)) <= min(_loss_rate(a), _loss_rate(b))
 
 
 class TestPlayoutBuffer:
@@ -144,7 +155,7 @@ class TestPlayoutBuffer:
 
     def test_effective_loss_combines(self):
         trace = stream(50.0, 0.1, jitter=20.0, seed=2)
-        assert heard_loss(play(trace, fixed(10.0))) > max(0.1, trace.loss_rate)
+        assert heard_loss(play(trace, fixed(10.0))) > max(0.1, _loss_rate(trace))
 
     def test_all_lost_stream(self):
         trace = stream(50.0, 1.0, duration_ms=500.0)
@@ -168,31 +179,23 @@ class TestPlayoutBuffer:
 
 class TestPathQualityProcess:
     def test_clear_state_matches_base(self):
-        process = PathQualityProcess(50.0, 0.01, congest_probability=0.0, seed=1)
+        process = _path(50.0, 0.01, seed=1, CONGEST_PROBABILITY=0.0)
         for _ in range(10):
             state = process.step()
             assert state.one_way_delay_ms == 50.0
             assert state.loss_rate == pytest.approx(0.01)
 
     def test_congestion_raises_delay_and_loss(self):
-        process = PathQualityProcess(
-            50.0, 0.01, congest_probability=1.0, recover_probability=0.0, seed=1
-        )
+        process = _path(50.0, 0.01, seed=1, CONGEST_PROBABILITY=1.0, RECOVER_PROBABILITY=0.0)
         state = process.step()
         assert state.one_way_delay_ms > 50.0
         assert state.loss_rate > 0.01
-
-    def test_invalid_probabilities(self):
-        with pytest.raises(ConfigurationError):
-            PathQualityProcess(50.0, 0.0, congest_probability=1.5)
 
 
 class TestVoiceCall:
     def _paths(self, n=3, congest=0.0, seed=0):
         return [
-            PathQualityProcess(
-                60.0 + 15.0 * i, 0.003, congest_probability=congest, seed=seed + i
-            )
+            _path(60.0 + 15.0 * i, 0.003, seed=seed + i, CONGEST_PROBABILITY=congest)
             for i in range(n)
         ]
 
@@ -210,19 +213,17 @@ class TestVoiceCall:
     def test_switching_recovers_from_congestion(self):
         # Path 0 is permanently congested from window 0; switching must
         # move off it and recover quality.
-        bad = PathQualityProcess(
-            60.0, 0.003, congest_probability=1.0, recover_probability=0.0,
-            congestion_delay_ms=300.0, congestion_loss=0.15, seed=1,
+        congested = dict(
+            CONGEST_PROBABILITY=1.0, RECOVER_PROBABILITY=0.0,
+            CONGESTION_DELAY_MS=300.0, CONGESTION_LOSS=0.15,
         )
-        good = PathQualityProcess(75.0, 0.003, congest_probability=0.0, seed=2)
+        bad = _path(60.0, 0.003, seed=1, **congested)
+        good = _path(75.0, 0.003, seed=2, CONGEST_PROBABILITY=0.0)
         with_switching = VoiceCall(
             [bad, good], CallConfig(windows=12, use_switching=True, seed=3)
         ).run()
-        bad2 = PathQualityProcess(
-            60.0, 0.003, congest_probability=1.0, recover_probability=0.0,
-            congestion_delay_ms=300.0, congestion_loss=0.15, seed=1,
-        )
-        good2 = PathQualityProcess(75.0, 0.003, congest_probability=0.0, seed=2)
+        bad2 = _path(60.0, 0.003, seed=1, **congested)
+        good2 = _path(75.0, 0.003, seed=2, CONGEST_PROBABILITY=0.0)
         without = VoiceCall(
             [bad2, good2], CallConfig(windows=12, use_switching=False, seed=3)
         ).run()
@@ -233,8 +234,8 @@ class TestVoiceCall:
     def test_diversity_improves_lossy_call(self):
         def paths(seed):
             return [
-                PathQualityProcess(60.0, 0.08, congest_probability=0.0, seed=seed),
-                PathQualityProcess(70.0, 0.08, congest_probability=0.0, seed=seed + 1),
+                _path(60.0, 0.08, seed=seed, CONGEST_PROBABILITY=0.0),
+                _path(70.0, 0.08, seed=seed + 1, CONGEST_PROBABILITY=0.0),
             ]
 
         plain = VoiceCall(
@@ -320,7 +321,7 @@ class TestFECRecovery:
 
     def test_recovers_isolated_losses(self):
         voice = self._voice(loss=0.05)
-        recovered = recover_with_parity(voice, self._secondary(voice), group_size=4)
+        recovered = recover_with_parity(voice, self._secondary(voice))
         before = sum(1 for f in voice.frames if f.lost)
         after = sum(1 for f in recovered.frames if f.lost)
         assert before > 0
@@ -332,46 +333,45 @@ class TestFECRecovery:
     def test_cannot_recover_double_loss_in_group(self):
         voice = _trace([None, None, 90.0, 110.0])
         secondary = _trace([50.0, 70.0, 90.0, 130.0])
-        recovered = recover_with_parity(voice, secondary, group_size=4)
+        recovered = recover_with_parity(voice, secondary)
         assert recovered == voice
 
     def test_recovery_waits_for_all_pieces(self):
         voice = _trace([None, 70.0, 95.0, 200.0])
         secondary = _trace([None, None, None, 130.0])  # only the parity slot matters
-        recovered = recover_with_parity(voice, secondary, group_size=4)
+        recovered = recover_with_parity(voice, secondary)
         assert recovered.frames[0].arrival_ms == 200.0  # last surviving piece
         late_parity = _trace([None, None, None, 260.0])
-        assert recover_with_parity(voice, late_parity, 4).frames[0].arrival_ms == 260.0
+        assert recover_with_parity(voice, late_parity).frames[0].arrival_ms == 260.0
 
-    def test_lost_parity_recovers_nothing(self):
+    def test_lost_parity_recovers_nothing(self, monkeypatch):
+        monkeypatch.setattr(media_call, "FEC_GROUP_SIZE", 2)
         voice = _trace([None, 60.0])
         secondary = _trace([50.0, None])  # the group's last slot carried the parity
-        assert recover_with_parity(voice, secondary, group_size=2).frames[0].lost
+        assert recover_with_parity(voice, secondary).frames[0].lost
 
     def test_parity_count_validated(self):
         voice = self._voice(loss=0.0, duration=1000.0)
         with pytest.raises(ConfigurationError):
-            recover_with_parity(voice, _trace([]), group_size=4)
-        with pytest.raises(ConfigurationError):
-            recover_with_parity(voice, voice, group_size=1)
+            recover_with_parity(voice, _trace([]))
 
     def test_short_last_group_uses_its_own_last_slot(self):
         voice = _trace([40.0, 60.0, 80.0, 100.0, None, 140.0])
         secondary = _trace([None, None, None, None, None, 190.0])
-        recovered = recover_with_parity(voice, secondary, group_size=4)
+        recovered = recover_with_parity(voice, secondary)
         assert recovered.frames[4].arrival_ms == 190.0
 
     def test_fec_improves_playout_mos(self):
         voice = self._voice(loss=0.08, duration=30_000.0)
-        recovered = recover_with_parity(voice, self._secondary(voice, loss=0.08), 4)
+        recovered = recover_with_parity(voice, self._secondary(voice, loss=0.08))
         assert score_trace(recovered, fixed(60.0)).mos > score_trace(voice, fixed(60.0)).mos
 
 
 class TestVoiceCallFEC:
     def _lossy_paths(self, seed=1):
         return [
-            PathQualityProcess(60.0, 0.08, congest_probability=0.0, seed=seed),
-            PathQualityProcess(70.0, 0.08, congest_probability=0.0, seed=seed + 1),
+            _path(60.0, 0.08, seed=seed, CONGEST_PROBABILITY=0.0),
+            _path(70.0, 0.08, seed=seed + 1, CONGEST_PROBABILITY=0.0),
         ]
 
     def test_fec_improves_lossy_call(self):
@@ -402,7 +402,7 @@ class TestVoiceCallFEC:
             CallConfig(use_fec=True, use_diversity=True)
 
     def test_single_path_fec_noop(self):
-        single = [PathQualityProcess(60.0, 0.05, congest_probability=0.0, seed=2)]
+        single = [_path(60.0, 0.05, seed=2, CONGEST_PROBABILITY=0.0)]
         outcome = VoiceCall(
             single, CallConfig(windows=4, use_switching=False, use_fec=True, seed=2)
         ).run()
@@ -420,7 +420,7 @@ class TestVoiceCallDeterminism:
 
     def _run(self, seed, **variant):
         paths = [
-            PathQualityProcess(60.0 + 10.0 * i, 0.04, congest_probability=0.3, seed=seed + i)
+            _path(60.0 + 10.0 * i, 0.04, seed=seed + i, CONGEST_PROBABILITY=0.3)
             for i in range(3)
         ]
         return VoiceCall(paths, CallConfig(windows=6, seed=seed, **variant)).run()

@@ -1,61 +1,166 @@
 #!/usr/bin/env python3
-"""Reachability ratchet: every definition under ``src/repro`` is named by
-something other than the tests.
+"""Reachability ratchet: every definition under ``src/repro`` runs in CI.
 
-A definition is a top-level function or class, or a method of a
-top-level class (dunder methods excepted: Python calls them).  It is
-*reached* when its name occurs as an identifier, an attribute or a word
-inside a non-docstring string literal in some file under ``src/``,
-``bench/``, ``examples/`` or ``benchmarks/`` — not counting its own body,
-``__all__`` lists, or the imports of an ``__init__.py`` (re-exports).
+The one rule: a definition — a top-level function, or a method of a
+top-level class (dunders excepted: Python calls them) — is alive when it
+gets at least one call while CI's product commands run under a stdlib
+``sys.setprofile`` hook.  Those commands are
 
-Exits 1 when an unreached definition is not on :data:`ALLOWED`, or when
-an allowed name is no longer defined-and-unreached (a stale entry).
-Names collide (two methods called ``run`` reach each other), so a pass
-is a lower bound on dead code, not proof of life.
+- every ``python -m repro.cli`` line of ``.github/workflows/ci.yml``, with
+  its flags, in process (a line ending in ``&``, ``repro serve``, runs in a
+  child process under its own hook);
+- ``examples/*.py``;
+- the six ``bench/workloads.py`` workloads in smoke mode, in process;
+- the figure suite (``pytest benchmarks``), on a cold scenario cache.
 
-A second pass holds config fields to the same rule: each field of a
-``*Config`` or ``*Policy`` dataclass under ``src/repro`` (and of
-:data:`CONFIG_NAMES`) needs a *setter* in ``src/``, ``bench/`` or
+Exits 1 when one of them fails, when a definition got no call and is not
+on :data:`ALLOWED`, or when an allowed definition got a call (a stale
+entry; entries whose reason is in :data:`SOMETIMES` are exempt).  Something
+only the tests call is deleted, moved into ``tests/``, or — when a fault,
+a flag CI never passes, an interface or the benchmark needs it — allowed.
+To allow one, add ``"Class.method": reason`` (or ``"function": reason``) to
+:data:`ALLOWED`, reusing a reason constant where one fits, and say in the
+reason what calls it instead.
+
+The run also lists, for information, each keyword of a called function
+that no call passed a value other than its default: a value nothing but
+the tests changes is a module constant, not a parameter.
+
+A second pass holds config fields to the same rule, by reading the source:
+each field of a ``*Config`` or ``*Policy`` dataclass under ``src/repro``
+(and of :data:`CONFIG_NAMES`) needs a *setter* in ``src/``, ``bench/`` or
 ``benchmarks/`` — a constructor argument, a ``dataclasses.replace``
-keyword, or a key of a dict ``**``-unpacked into the constructor.  A
-value nothing outside the tests sets is a module constant, not a knob.
-Exits 1 on an unset field not on :data:`UNSET_ALLOWED`, or on a stale
-entry there.
+keyword, or a key of a dict ``**``-unpacked into the constructor.  Exits 1
+on an unset field not on :data:`UNSET_ALLOWED`, or on a stale entry there.
 
-Run: ``python tools/reach.py``.
+Run: ``python tools/reach.py`` (about a minute; needs pytest).
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import inspect
+import itertools
+import json
+import os
 import re
+import runpy
+import shlex
+import signal
+import subprocess
 import sys
-from collections import Counter
+import tempfile
+import threading
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "repro"
-SCANNED = ("src", "bench", "examples", "benchmarks")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-#: Unreached on purpose: qualified name -> why it stays.
+_ABSTRACT = "abstract: every subclass overrides it"
+_BOUNDARY = "boundary reader of an external file format; its tests round-trip the writer's output"
+_BENCH = "bench/tracing.py wraps it by name"
+_SCRIPT = "a CI script (a heredoc, not a CLI command) calls it"
+_FAULT = "fault kind with no CLI flag; the fault-injection tests drive it"
+_CHECKED = "error path: names the bad field when a struct pack fails"
+_NULL = "null-object Tracer method: callers never check which tracer they hold"
+_TCP = "TCP flow control or timeout: runs only when the kernel or the clock says so"
+_LARGE = "--scale 100k / 1m only: too large for CI"
+_KEEPALIVE = "wire keepalive: CI's wire calls end within one KEEPALIVE_INTERVAL_MS"
+_PINNED = "only tests call it, from a test of its own; it goes when that test goes"
+
+#: Definitions CI's product commands never call, on purpose: qualified
+#: name -> why it stays.
 ALLOWED = {
-    "_Conn.connection_made": "asyncio.Protocol callback; the event loop calls it",
-    "_Conn.data_received": "asyncio.Protocol callback; the event loop calls it",
-    "_Conn.connection_lost": "asyncio.Protocol callback; the event loop calls it",
-    "_Conn.pause_writing": "asyncio.Protocol flow-control callback; the transport calls it",
-    "_Conn.resume_writing": "asyncio.Protocol flow-control callback; the transport calls it",
-    "tiny_scenario": "test fixture world shared by many test modules",
-    "MetricsRegistry.counter_value": "test accessor for counters, used across the suite",
-    "FrameDecoder.pending_bytes": "test accessor for the decoder's buffered tail",
-    "Message.pack_payload": "codec test hook: payload bytes without the frame header",
-    "read_rib_file": "boundary reader of real RIB dumps (boundary suite)",
-    "read_update_file": "boundary reader of real BGP update dumps (boundary suite)",
-    "read_asgraph_file": "boundary reader of CAIDA AS-relationship files (boundary suite)",
-    "load_records_csv": "boundary reader of exported session records (boundary suite)",
-    "load_manifest": "validating manifest reader of the CI smokes and the suite; repro report reads unvalidated",
+    "RelayPolicy.evaluate_sessions": _ABSTRACT,
+    "RelayMethod.evaluate_sessions": _ABSTRACT,
+    "Transport.local_address": _ABSTRACT,
+    "Transport.bind": _ABSTRACT,
+    "Transport.start": _ABSTRACT,
+    "Transport.close": _ABSTRACT,
+    "Transport.send": _ABSTRACT,
+    "Transport.request": _ABSTRACT,
+    "Transport.now_ms": _ABSTRACT,
+    "Transport.sleep_ms": _ABSTRACT,
+    "Transport.gather": _ABSTRACT,
+    "parse_update_stream": _BOUNDARY,
+    "parse_update_line": _BOUNDARY,
+    "_parse_update_fields": _BOUNDARY,
+    "_parse_ts": _BOUNDARY,
+    "read_rib_file": _BOUNDARY,
+    "read_update_file": _BOUNDARY,
+    "read_asgraph_file": _BOUNDARY,
+    "load_records_csv": _BOUNDARY,
+    "ReceivedTrace.read": _BOUNDARY,
+    "ReceivedTrace.from_jsonl": _BOUNDARY,
+    "_json_object": _BOUNDARY,
+    "_checked": _BOUNDARY,
+    "_is_int": _BOUNDARY,
+    "_is_finite": _BOUNDARY,
+    "_is_finite_or_none": _BOUNDARY,
+    "_is_codec_name": _BOUNDARY,
+    "LoopbackHub.sleep_ms": _BENCH,
+    "VirtualMatrices.gather_loss": _BENCH,
+    "DelegateMatrices.gather_loss": "dense twin of VirtualMatrices.gather_loss; the parity tests read both",
+    "tiny_scenario": _SCRIPT + " (chaos-smoke); the tests' small world",
+    "enabled": _SCRIPT + " (obs-smoke)",
+    "observe": _SCRIPT + " (cache-smoke, perf-smoke); bench/worker.py's traced rounds",
+    "load_manifest": _SCRIPT + " (soak-smoke, trace-smoke, report-smoke)",
+    "MetricsRegistry.counter_value": _SCRIPT + " (cache-smoke, perf-smoke)",
+    "ReceivedTrace.write": _SCRIPT + " (media-smoke writes frames.jsonl)",
+    "ReceivedTrace.to_jsonl": _SCRIPT + " (media-smoke, through write); tests/test_golden.py digests it",
+    "ASAPRuntime.bootstrap_hosts": _FAULT + " (bootstrap outage)",
+    "SimNetwork.set_as_down": _FAULT + " (AS outage)",
+    "SimNetwork.set_as_up": _FAULT + " (AS outage)",
+    "SimNetwork.push_loss": _FAULT + " (loss burst)",
+    "SimNetwork.pop_loss": _FAULT + " (loss burst)",
+    "ShardedDirectory._chain": "a resolve or leave of an address that never joined",
+    "BootstrapServer._on_leave": "wire handler: a Leave may come from any peer",
+    "Wait.fail": "loopback request timeout",
+    "Simulator._misuse": "error path: a wait awaited twice",
+    "Simulator.step": "test reference: tests/test_sim.py steps the simulator event by event",
+    "_DirectionMachine._relay_died": "a Skype relay's sampled lifetime ends inside a session",
+    "ColumnStore.clear": "a stale or corrupt spill directory",
+    "_reservoir_slot": "a histogram's reservoir overflows",
+    "MetricsRegistry._count_dropped": "a histogram's reservoir overflows",
+    "Tracer.set_node": "serve / dial under --trace",
+    "CloseClusterSet.clusters": "CloseClusterSet.__eq__ and the oracles read the set through it",
+    "CloseClusterSet.entries": "CloseClusterSet.__eq__ and the oracles read the set through it",
+    "_check_i32": _CHECKED,
+    "_check_f64": _CHECKED,
+    "_check_ip": _CHECKED,
+    "_check_all": _CHECKED,
+    "_pack_pairs_checked": "close-set pairs given as tuples; the product sends PAIR_DTYPE tables",
+    "_NullTracer.active": _NULL,
+    "_NullTracer.scope": _NULL,
+    "_NullTracer.continue_trace": _NULL,
+    "_NullTracer.flush": _NULL,
+    "_NullTracer.close": _NULL,
+    "_expire": _TCP,
+    "_Conn.pause_writing": _TCP,
+    "_Conn.resume_writing": _TCP,
+    "_Conn.enqueue_waiter": _TCP,
+    "_100k_preset": _LARGE,
+    "_1m_preset": _LARGE,
+    "allocate_prefixes_hierarchical": _LARGE,
+    "HostAgent._on_keepalive": _KEEPALIVE,
+    "HostAgent.sleep_ms": _KEEPALIVE,
+    "Surrogate.refresh": _PINNED,
+    "RelayAssignmentService.release": _PINNED,
+    "SessionTrace.duration_ms": _PINNED,
+    "PrefixTrie.get": _PINNED,
+    "PrefixTrie.remove": _PINNED,
+    "PrefixTrie.items": _PINNED,
+    "PrefixTrie._walk_exact": _PINNED,
+    "PrefixAllocation.origin_of": _PINNED,
+    "DistributionSummary.row": _PINNED,
+    "summarize": _PINNED,
+    "percentile": _PINNED,
 }
+#: Reasons whose entries may get a call on one run and none on the next.
+SOMETIMES = {_TCP}
 
 #: Dataclasses the field pass checks besides the ``*Config`` / ``*Policy`` ones.
 CONFIG_NAMES = ("LimitThresholds",)
@@ -83,79 +188,6 @@ UNSET_ALLOWED = {
         "0 gives the jitter-free path MEASURED_MOS_TOLERANCE is stated on (docs/media.md)"
     ),
 }
-
-
-def _docstrings(tree: ast.AST) -> set:
-    """ids of the docstring constants of a module and its defs."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            body = node.body
-            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-                found.add(id(body[0].value))
-    return found
-
-
-def _names(root: ast.AST, docstrings: set, reexports: bool) -> Counter:
-    """Every name ``root`` mentions: identifiers, attributes, words in strings."""
-    names: Counter = Counter()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and reexports:
-            continue
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name.rsplit(".", 1)[-1]] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in docstrings:
-                names.update(WORD.findall(node.value))
-        stack.extend(ast.iter_child_nodes(node))
-    return names
-
-
-def _definitions(tree: ast.Module):
-    """(qualname, node) for top-level defs and the methods of top-level classes."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not (
-            node.name.startswith("__") and node.name.endswith("__")
-        ):
-            yield node.name, node
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
-                    yield f"{node.name}.{item.name}", item
-
-
-def unreached() -> list:
-    """(path, line, qualname, lines) of each definition nothing reaches."""
-    total: Counter = Counter()
-    parsed = {}
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_bytes(), filename=str(path))
-            docstrings = _docstrings(tree)
-            total.update(_names(tree, docstrings, path.name == "__init__.py"))
-            if path.is_relative_to(SOURCE):
-                parsed[path] = (tree, docstrings)
-    found = []
-    for path, (tree, docstrings) in parsed.items():
-        for qualname, node in _definitions(tree):
-            name = node.name
-            own = _names(node, docstrings, False)[name]
-            if total[name] - own <= 0:
-                lines = node.end_lineno - node.lineno + 1
-                found.append((path.relative_to(ROOT), node.lineno, qualname, lines))
-    return found
 
 
 def _last_name(node: ast.expr) -> str:
@@ -342,19 +374,284 @@ def field_problems(found: list, allowed: dict = UNSET_ALLOWED) -> list:
     return problems
 
 
-def main() -> int:
-    found = unreached()
-    names = {qualname for _, _, qualname, _ in found}
-    failed = False
-    for path, line, qualname, lines in found:
-        if qualname in ALLOWED:
+CI = ROOT / ".github" / "workflows" / "ci.yml"
+CLI = "python -m repro.cli"
+#: Shell words that end a command's argv on a CI line.
+SHELL = ("|", ">", ">>", "2>&1", "&")
+
+
+def ci_commands(text: str) -> list:
+    """``(argv, background)`` of each ``python -m repro.cli`` line of a CI
+    workflow, continuation lines joined; lines that expand a variable
+    (the ``--help`` loop) are skipped."""
+    commands, joined = [], ""
+    for line in text.splitlines():
+        joined += line.strip()
+        if joined.endswith("\\"):
+            joined = joined[:-1] + " "
             continue
-        print(f"{path}:{line}: {qualname} ({lines} lines) is reached by nothing outside tests/")
-        failed = True
+        line, joined = joined, ""
+        if CLI not in line:
+            continue
+        words = shlex.split(line.split(CLI, 1)[1])
+        argv = list(itertools.takewhile(lambda word: word not in SHELL, words))
+        command = (argv, words[-1:] == ["&"])
+        if command not in commands and not any("$" in word for word in argv):
+            commands.append(command)
+    return commands
+
+
+def definitions() -> list:
+    """``(path, first line, qualname, lines)`` of each top-level function and
+    method of a top-level class under ``src/repro`` (dunders excepted: Python
+    calls them).  The first line is a decorator's, as in ``co_firstlineno``."""
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_bytes(), filename=str(path))
+        for node in tree.body:
+            items = [(node, "")]
+            if isinstance(node, ast.ClassDef):
+                items = [(item, f"{node.name}.") for item in node.body]
+            for item, owner in items:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if item.name.startswith("__") and item.name.endswith("__"):
+                    continue
+                first = min([d.lineno for d in item.decorator_list] + [item.lineno])
+                lines = item.end_lineno - first + 1
+                found.append((path, first, owner + item.name, lines))
+    return found
+
+
+class Probe:
+    """A ``sys.setprofile`` hook that keeps every code object it sees called,
+    and for each ``repro`` function keyword with a default, whether a call
+    passed something else."""
+
+    def __init__(self) -> None:
+        self.called = set()
+        self.extra = set()     # sites a child process reported
+        self.watched = {}      # code -> {keyword: default} not yet seen changed
+        self.keywords = set()  # (path, first line, keyword) of every default
+        self.changed = set()   # the ones some call passed another value
+        self.modules = 0
+        self.source = str(SOURCE)
+
+    def __call__(self, frame, event, arg) -> None:
+        if event != "call":
+            return
+        code = frame.f_code
+        self.called.add(code)
+        watch = self.watched.get(code)
+        if watch is None and len(sys.modules) != self.modules and code.co_filename.startswith(self.source):
+            self._refresh()
+            watch = self.watched.get(code)
+        if watch:
+            values = frame.f_locals
+            for name in [n for n, d in watch.items() if _differs(values.get(n, d), d)]:
+                del watch[name]
+                self.changed.add((code.co_filename, code.co_firstlineno, name))
+
+    def _refresh(self) -> None:
+        self.modules = len(sys.modules)
+        for module in list(sys.modules.values()):
+            if not getattr(module, "__name__", "").startswith("repro"):
+                continue
+            for value in list(vars(module).values()):
+                for function in _functions(value, module.__name__):
+                    code = function.__code__
+                    if code in self.watched:
+                        continue
+                    positional = code.co_varnames[: code.co_argcount]
+                    defaults = function.__defaults__ or ()
+                    keywords = dict(zip(positional[len(positional) - len(defaults):], defaults))
+                    keywords.update(function.__kwdefaults__ or {})
+                    self.watched[code] = keywords
+                    self.keywords |= {(code.co_filename, code.co_firstlineno, k) for k in keywords}
+
+    def sites(self) -> set:
+        """``(path, first line)`` of each ``repro`` code object called."""
+        return self.extra | {
+            (code.co_filename, code.co_firstlineno)
+            for code in self.called
+            if code.co_filename.startswith(self.source)
+        }
+
+    def unchanged(self) -> set:
+        """``(path, first line, keyword)`` of each keyword of a called
+        function that no call passed another value."""
+        sites = self.sites()
+        return {key for key in self.keywords - self.changed if key[:2] in sites}
+
+    def __enter__(self):
+        sys.setprofile(self)
+        threading.setprofile(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.setprofile(None)
+        threading.setprofile(None)
+
+
+SIMPLE = (int, float, bool, str, bytes, type(None))
+
+
+def _differs(value, default) -> bool:
+    if value is default:
+        return False
+    if isinstance(value, SIMPLE) and isinstance(default, SIMPLE):
+        return value != default
+    return True
+
+
+def _functions(value, module: str):
+    """The plain functions a module attribute defines in ``module``: itself,
+    or a class's methods (static, class and property ones unwrapped)."""
+    if inspect.isfunction(value):
+        if value.__module__ == module:
+            yield value
+    elif inspect.isclass(value) and value.__module__ == module:
+        for item in vars(value).values():
+            if isinstance(item, (staticmethod, classmethod)):
+                item = item.__func__
+            if isinstance(item, property):
+                yield from (f for f in (item.fget, item.fset) if f is not None)
+            elif inspect.isfunction(item):
+                yield item
+
+
+#: Started in a child process by :func:`_start_child`: a background CI
+#: command (``repro serve ... &``) under its own probe.
+CHILD = """\
+import sys
+sys.path[:0] = [{tools!r}, {src!r}]
+import reach
+reach.child({argv!r}, {out!r})
+"""
+
+
+def child(argv: list, out: str) -> None:
+    """Run one CLI command under a probe; write the called ``repro`` code."""
+    from repro.cli import main as cli
+
+    probe = Probe()
+    try:
+        with probe:
+            cli(argv)
+    finally:
+        found = {"sites": sorted(probe.sites()), "changed": sorted(probe.changed)}
+        Path(out).write_text(json.dumps(found))
+
+
+def _start_child(argv: list, scratch: Path):
+    """Start a background command in a child probe; return once it printed a
+    line (``repro serve`` prints its address when it listens)."""
+    name = scratch / f"child-{len(list(scratch.glob('child-*.out')))}"
+    out, log = name.with_suffix(".json"), name.with_suffix(".out")
+    code = CHILD.format(tools=str(ROOT / "tools"), src=str(ROOT / "src"), argv=argv, out=str(out))
+    with log.open("w") as sink:
+        process = subprocess.Popen(
+            [sys.executable, "-c", code], cwd=scratch, stdout=sink, stderr=subprocess.STDOUT
+        )
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline and process.poll() is None and not log.read_text():
+        time.sleep(0.2)
+    return process, out
+
+
+def run_product(probe: Probe, scratch: Path) -> list:
+    """Run CI's product commands in ``scratch`` under ``probe``: each CLI
+    command of the CI workflow, ``examples/*.py``, the benchmark's workloads
+    in smoke mode and the figure suite.  Returns one line per failure."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    home = os.getcwd()
+    os.chdir(scratch)
+    from repro.cli import main as cli
+
+    failures, children = [], []
+
+    def run(label, action):
+        with (scratch / "product.out").open("a") as sink:
+            with probe, contextlib.redirect_stdout(sink):
+                try:
+                    status = action()
+                except SystemExit as exc:
+                    status = exc.code
+        if status:
+            failures.append(f"{label}: {status}")
+
+    try:
+        for argv, background in ci_commands(CI.read_text()):
+            if background:
+                children.append(_start_child(argv, scratch))
+            else:
+                run("repro " + " ".join(argv), lambda: cli(argv))
+    finally:
+        for process, _ in children:
+            process.send_signal(signal.SIGINT)
+            try:
+                process.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+    for _, out in children:
+        found = json.loads(out.read_text())
+        probe.extra |= {tuple(site) for site in found["sites"]}
+        probe.changed |= {tuple(key) for key in found["changed"]}
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        run(path.name, lambda: runpy.run_path(str(path), run_name="__main__") and 0)
+
+    import workloads
+
+    def workload(name):
+        work = workloads.make_workload(name, 0, True, str(scratch))
+        work.setup()
+        finish = work.finish([work.reduce(work.round())])
+        checks = finish["checks"] + work.teardown()
+        return [check for check, ok, _ in checks if not ok]
+
+    for name in [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]:
+        run(f"workload {name}", lambda: workload(name))
+
+    import pytest
+
+    os.environ["REPRO_CACHE_DIR"] = str(scratch / "figure-cache")
+    with probe:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "benchmarks")])
+    if status:
+        failures.append(f"figure suite: exit {status}")
+    os.chdir(home)
+    return failures
+
+
+def main() -> int:
+    started = time.perf_counter()
+    probe = Probe()
+    with tempfile.TemporaryDirectory() as scratch:
+        failures = run_product(probe, Path(scratch))
+    for line in failures:
+        print(f"FAIL: {line}")
+    defined = {(str(path), line): (path.relative_to(ROOT), qualname, lines)
+               for path, line, qualname, lines in definitions()}
+    sites = probe.sites()
+    found = [(site[1],) + where for site, where in defined.items() if site not in sites]
+    names = {qualname for _, _, qualname, _ in found}
+    failed = bool(failures)
+    for line, path, qualname, lines in found:
+        if qualname not in ALLOWED:
+            print(f"{path}:{line}: {qualname} ({lines} lines) got no call from CI's product commands")
+            failed = True
     for qualname in sorted(set(ALLOWED) - names):
-        print(f"tools/reach.py: allow-list entry {qualname!r} is stale; remove it")
+        if ALLOWED[qualname] in SOMETIMES:
+            continue
+        print(f"tools/reach.py: allow-list entry {qualname!r} got a call; remove it")
         failed = True
-    print(f"{len(found)} unreached definitions, {len(ALLOWED)} allowed")
+    print(f"{len(found)} definitions with no call, {len(ALLOWED)} allowed "
+          f"({time.perf_counter() - started:.0f} s)")
+    kept = sorted(defined[key[:2]][:2] + key[2:] for key in probe.unchanged() if key[:2] in defined)
+    for path, qualname, keyword in kept:
+        print(f"{path}: {qualname}({keyword}=) only ever took its default")
+    print(f"{len(kept)} keywords of called definitions only ever took their defaults")
     unset = unset_fields()
     problems = field_problems(unset)
     for line in problems:
