@@ -18,10 +18,11 @@ from repro.bgp.asgraph import ASGraph, _PHASE_DOWN, _PHASE_UP
 from repro.bgp.routing import PolicyRouter
 from repro.errors import TopologyError
 
+#: The inference gives up on a pair farther apart than this many AS hops.
+MAX_PATH_HOPS = 32
 
-def infer_as_path(
-    graph: ASGraph, src: int, dst: int, max_hops: int = 32
-) -> Optional[Tuple[int, ...]]:
+
+def infer_as_path(graph: ASGraph, src: int, dst: int) -> Optional[Tuple[int, ...]]:
     """Shortest valley-free AS path from src to dst, or None.
 
     Ties break deterministically toward lower ASNs, matching the rest of
@@ -38,7 +39,7 @@ def infer_as_path(
     goal: Optional[Tuple[int, int]] = None
     while queue and goal is None:
         node, phase, dist = queue.popleft()
-        if dist == max_hops:
+        if dist == MAX_PATH_HOPS:
             continue
         for nxt, nxt_phase in sorted(graph._valley_free_steps(node, phase)):
             state = (nxt, nxt_phase)

@@ -10,7 +10,7 @@ day to get an up-to-date view.  We model updates as a line-oriented stream:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.errors import AddressError, BGPParseError
 from repro.netaddr import IPv4Address, IPv4Prefix
@@ -112,27 +112,15 @@ def parse_update_stream(lines: Iterable[str]) -> Iterator[BGPUpdate]:
             raise BGPParseError(f"line {lineno}: {exc}") from exc
 
 
-def apply_updates(
-    table: RoutingTable,
-    updates: Iterable[BGPUpdate],
-    until: Optional[int] = None,
-) -> int:
-    """Apply updates in timestamp order to ``table``; returns count applied.
-
-    Updates with timestamp beyond ``until`` (if given) are ignored —
-    mirrors replaying an update archive up to the snapshot moment.
-    """
+def apply_updates(table: RoutingTable, updates: Iterable[BGPUpdate]) -> int:
+    """Apply updates in timestamp order to ``table``; returns count applied."""
     ordered: List[BGPUpdate] = sorted(updates, key=lambda u: u.timestamp)
-    applied = 0
     for update in ordered:
-        if until is not None and update.timestamp > until:
-            continue
         if update.kind == "ANNOUNCE":
             table.install(update.to_entry())
         else:
             table.withdraw(update.peer, update.prefix)
-        applied += 1
-    return applied
+    return len(ordered)
 
 
 def _parse_ts(text: str, line: str) -> int:

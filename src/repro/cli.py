@@ -392,7 +392,11 @@ def _flushed_trace_path():
     return tracer.path
 
 
-def _print_traced_failovers(limit: int = 5) -> int:
+#: Failover timelines printed in full; the rest are counted.
+FAILOVERS_SHOWN = 5
+
+
+def _print_traced_failovers() -> int:
     """Render the failover timelines captured by the active run's trace.
 
     No-op (returns 0) unless tracing is on and writing to disk.  Reads
@@ -410,11 +414,11 @@ def _print_traced_failovers(limit: int = 5) -> int:
     if not interesting:
         return 0
     print(f"traced failover timelines ({len(interesting)} calls):")
-    for tree in interesting[:limit]:
+    for tree in interesting[:FAILOVERS_SHOWN]:
         for line in ta.render_timeline(tree, faults):
             print("  " + line)
-    if len(interesting) > limit:
-        print(f"  ... {len(interesting) - limit} more traced calls with failovers")
+    if len(interesting) > FAILOVERS_SHOWN:
+        print(f"  ... {len(interesting) - FAILOVERS_SHOWN} more traced calls with failovers")
     return len(interesting)
 
 

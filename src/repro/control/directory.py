@@ -109,11 +109,6 @@ class ShardedDirectory:
         row = self._rows.get(ip.value)
         return self._place([ip]) if row is None else row
 
-    def _chain(self, ip: IPv4Address) -> Tuple[int, ...]:
-        """The ring chain of a host that has no row, without placing it
-        (an address that never joins must not grow the directory)."""
-        return self._ring.chain(self._cluster_of_ip(ip))
-
     def _rows_of(self, ips: Sequence[IPv4Address]) -> np.ndarray:
         get = self._rows.get
         rows = [get(ip.value) for ip in ips]
@@ -235,7 +230,6 @@ class ShardedDirectory:
         self.leaves += 1
         row = self._rows.get(ip.value)
         if row is None:  # never joined: no lease to drop, and no log line
-            self._chain(ip)
             return 0
         removed = 0
         for shard in self._chains[self._chain_of[row]]:
@@ -256,9 +250,7 @@ class ShardedDirectory:
         self.resolves += 1
         attempts = 0
         row = self._rows.get(ip.value)
-        if row is None:  # never joined: no lease on any shard of its chain
-            self._chain(ip)
-        else:
+        if row is not None:  # a host that never joined holds no lease
             for shard in self._chains[self._chain_of[row]]:
                 if shard in self._down:
                     continue

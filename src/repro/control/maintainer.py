@@ -132,14 +132,12 @@ class CloseSetMaintainer:
         self.noops = 0
 
     @classmethod
-    def from_system(cls, system, membership: Optional[ClusterMembership] = None):
+    def from_system(cls, system):
         """Wire a maintainer to a running :class:`ASAPSystem`."""
         view = system.scenario.matrix_view()
-        if membership is None:
-            membership = ClusterMembership(dict(enumerate(system.online_sizes.tolist())))
         return cls(
             builder=system.close_set_builder,
-            membership=membership,
+            membership=ClusterMembership(dict(enumerate(system.online_sizes.tolist()))),
             asn_of_cluster=lambda c: int(view.asn_of[c]),
         )
 

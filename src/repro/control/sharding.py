@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ConfigurationError
@@ -88,12 +88,9 @@ class HashRing:
         """The shard owning a key (first ring point clockwise)."""
         return self.chain(key)[0]
 
-    def preference(self, key, count: Optional[int] = None) -> List[int]:
-        """The first ``count`` shards of the key's chain (all of them by
-        default) — the failover order."""
-        if count is not None and count < 1:
-            raise ConfigurationError(f"preference count must be >= 1, got {count}")
-        return list(self.chain(key)[:count])
+    def preference(self, key) -> List[int]:
+        """The key's chain as a list — the failover order."""
+        return list(self.chain(key))
 
 
 class BootstrapRouter:

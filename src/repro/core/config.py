@@ -11,6 +11,12 @@ from repro.errors import ConfigurationError
 from repro.voip.quality import RTT_THRESHOLD_MS
 
 
+#: The Section 6.2 rule: k is this percentile of the AS hop counts of
+#: paths under :data:`RTT_THRESHOLD_MS`, clamped to [K_HOPS_MIN, K_HOPS_MAX].
+K_HOPS_QUANTILE = 90.0
+K_HOPS_MIN, K_HOPS_MAX = 2, 8
+
+
 def require_count(name: str, value, minimum: int) -> None:
     """Raise :class:`ConfigurationError` unless ``value`` is an integer —
     numpy integers are, ``bool`` and ``float`` are not — of at least
@@ -54,13 +60,7 @@ class ASAPConfig:
         require_count("hosts_per_surrogate", self.hosts_per_surrogate, 1)
 
 
-def derive_k_hops(
-    matrices,
-    threshold_ms: float = RTT_THRESHOLD_MS,
-    quantile: float = 90.0,
-    minimum: int = 2,
-    maximum: int = 8,
-) -> int:
+def derive_k_hops(matrices) -> int:
     """Derive the BFS hop limit by the paper's own rule.
 
     Section 6.2 sets k = 4 because "more than 90% of the sessions with
@@ -79,7 +79,7 @@ def derive_k_hops(
     """
     counts = np.zeros(64, dtype=np.int64)
     for _, rtt, _, hops in matrices.iter_column_blocks():
-        mask = np.isfinite(rtt) & (rtt < threshold_ms) & (hops >= 0)
+        mask = np.isfinite(rtt) & (rtt < RTT_THRESHOLD_MS) & (hops >= 0)
         values = hops[mask]
         if values.size:
             high = int(values.max())
@@ -93,8 +93,8 @@ def derive_k_hops(
     total = int(counts.sum())
     if total == 0:
         return 4
-    derived = int(_percentile_from_histogram(counts, total, quantile))
-    return max(minimum, min(maximum, derived))
+    derived = int(_percentile_from_histogram(counts, total, K_HOPS_QUANTILE))
+    return max(K_HOPS_MIN, min(K_HOPS_MAX, derived))
 
 
 def _percentile_from_histogram(counts: np.ndarray, total: int, quantile: float) -> float:

@@ -33,7 +33,7 @@ peer.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -99,10 +99,6 @@ def make_bootstrap_hosts(scenario: Scenario, count: int) -> List[Host]:
     return hosts
 
 
-def _ignore(message) -> None:
-    """Simulated hosts answer through :meth:`_SimPort.exchange`."""
-
-
 #: How a simulated peer answers each request (close-set queries and joins
 #: change protocol state, so :meth:`_SimPort._answer` handles those).
 _REPLY = {
@@ -140,7 +136,7 @@ class ASAPRuntime:
         self.media_sessions: List[MediaSessionRecord] = []
         self.surrogate_failures: List = []
         for host in self._bootstrap_hosts:
-            self.network.register(host, _ignore)
+            self.network.register(host)
 
     @property
     def system(self) -> ASAPSystem:
@@ -155,7 +151,7 @@ class ASAPRuntime:
         host = self.network.host(ip)
         if host is None:
             host = self._scenario.population.by_ip(ip)
-            self.network.register(host, _ignore)
+            self.network.register(host)
         return host
 
     # -- flows -----------------------------------------------------------------
@@ -173,13 +169,12 @@ class ASAPRuntime:
         caller_ip: IPv4Address,
         callee_ip: IPv4Address,
         at_ms: float = 0.0,
-        on_complete: Optional[Callable[[DialResult], None]] = None,
         media_duration_ms: Optional[float] = None,
     ) -> DialResult:
         """Schedule a call; its timing and outcome land in the returned
         record.  With ``media_duration_ms`` set, a successful setup
         carries keepalive-guarded media on the selected path for that
-        long.  ``on_complete(record)`` runs when the call ends."""
+        long."""
         record = DialResult(
             caller=caller_ip,
             callee=callee_ip,
@@ -189,13 +184,9 @@ class ASAPRuntime:
         self.call_setups.append(record)
         port = _SimPort(self, self._host(caller_ip))
         callee = self._host(callee_ip)
-
-        async def call() -> None:
-            await run_dial(port, record, callee, media_duration_ms)
-            if on_complete is not None:
-                on_complete(record)
-
-        self.sim.schedule_at(at_ms, lambda: self.sim.spawn(call()))
+        self.sim.schedule_at(
+            at_ms, lambda: self.sim.spawn(run_dial(port, record, callee, media_duration_ms))
+        )
         return record
 
     # -- media scoring -------------------------------------------------------------

@@ -64,13 +64,6 @@ class Surrogate:
         self.close_set_requests += 1
         return self.close_set()
 
-    def refresh(self) -> CloseClusterSet:
-        """Rebuild the close set (periodic maintenance)."""
-        if self.close_set_source is not None:
-            return self.close_set_source.refresh()
-        self._close_set = None
-        return self.close_set()
-
     def accept_nodal_info(self, ip: IPv4Address, info: NodalInfo) -> None:
         """Record a cluster member's published capability record."""
         self.published_info[ip] = info

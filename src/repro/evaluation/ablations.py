@@ -11,7 +11,7 @@ varying one knob:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.config import ASAPConfig
 from repro.core.protocol import ASAPSystem
 from repro.evaluation.metrics import MethodRecord, record_from_asap
-from repro.evaluation.sessions import Session, SessionWorkload, generate_workload
+from repro.evaluation.sessions import Session, generate_workload
 from repro.scenario import Scenario
 
 
@@ -98,14 +98,11 @@ def sweep_k(
     latent_target: int = 40,
     seed: int = 0,
     max_latent: Optional[int] = 40,
-    base: Optional[ASAPConfig] = None,
 ) -> List[AblationPoint]:
     """BFS hop-limit sweep (paper fixes k = 4)."""
-    if base is None:
-        base = ASAPConfig()
     latent = _latent_sessions(scenario, session_count, latent_target, seed, max_latent)
     return [
-        _evaluate(scenario, latent, replace(base, k_hops=k), f"k={k}")
+        _evaluate(scenario, latent, ASAPConfig(k_hops=k), f"k={k}")
         for k in k_values
     ]
 
@@ -117,15 +114,12 @@ def sweep_size_threshold(
     latent_target: int = 40,
     seed: int = 0,
     max_latent: Optional[int] = 40,
-    base: Optional[ASAPConfig] = None,
 ) -> List[AblationPoint]:
     """Two-hop trigger sweep (paper uses sizeT = 300)."""
-    if base is None:
-        base = ASAPConfig()
     latent = _latent_sessions(scenario, session_count, latent_target, seed, max_latent)
     return [
         _evaluate(
-            scenario, latent, replace(base, size_threshold=size), f"sizeT={size}"
+            scenario, latent, ASAPConfig(size_threshold=size), f"sizeT={size}"
         )
         for size in size_values
     ]
@@ -138,21 +132,18 @@ def sweep_lat_threshold(
     latent_target: int = 40,
     seed: int = 0,
     max_latent: Optional[int] = 40,
-    base: Optional[ASAPConfig] = None,
 ) -> List[AblationPoint]:
     """Quality-threshold sweep (paper sets latT close to 300 ms).
 
     The latent session set is held fixed (at 300 ms) so points are
     comparable; only the protocol's own threshold moves.
     """
-    if base is None:
-        base = ASAPConfig()
     latent = _latent_sessions(scenario, session_count, latent_target, seed, max_latent)
     return [
         _evaluate(
             scenario,
             latent,
-            replace(base, lat_threshold_ms=threshold),
+            ASAPConfig(lat_threshold_ms=threshold),
             f"latT={threshold:.0f}",
         )
         for threshold in thresholds_ms
@@ -165,7 +156,6 @@ def sweep_valley_free(
     latent_target: int = 40,
     seed: int = 0,
     max_latent: Optional[int] = 40,
-    base: Optional[ASAPConfig] = None,
 ) -> List[AblationPoint]:
     """Valley-free constraint on/off — what the AS-awareness is worth.
 
@@ -173,10 +163,8 @@ def sweep_valley_free(
     close sets balloon (more maintenance probes for the same quality) —
     the same failure mode as AS-oblivious probing, quantified.
     """
-    if base is None:
-        base = ASAPConfig()
     latent = _latent_sessions(scenario, session_count, latent_target, seed, max_latent)
     return [
-        _evaluate(scenario, latent, replace(base, valley_free=True), "valley-free"),
-        _evaluate(scenario, latent, replace(base, valley_free=False), "unconstrained"),
+        _evaluate(scenario, latent, ASAPConfig(valley_free=True), "valley-free"),
+        _evaluate(scenario, latent, ASAPConfig(valley_free=False), "unconstrained"),
     ]

@@ -20,10 +20,8 @@ concentrates every session on the same 80 nodes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.relay_selection import RelaySelection
 from repro.errors import ProtocolError
@@ -34,6 +32,8 @@ from repro.util.rng import derive_rng
 
 #: Bandwidth cost of relaying one call, both directions (kbps).
 RELAY_SESSION_KBPS = 64.0
+#: Best-ranked one-hop clusters :meth:`RelayAssignmentService.assign` weighs.
+MAX_CANDIDATE_CLUSTERS = 8
 
 
 def relay_capacity(bandwidth_kbps: float) -> int:
@@ -74,18 +74,14 @@ class RelayAssignmentService:
 
     # -- assignment ---------------------------------------------------------
 
-    def assign(
-        self,
-        session_id: int,
-        selection: RelaySelection,
-        max_candidate_clusters: int = 8,
-    ) -> Optional[RelayAssignment]:
+    def assign(self, session_id: int, selection: RelaySelection) -> Optional[RelayAssignment]:
         """Pick the least-loaded relay IP among near-best candidates.
 
-        Considers one-hop candidate clusters within ``latency_slack_ms``
-        of the best candidate, and within them every member IP with
-        spare capacity; picks the lowest-utilization IP (ties broken
-        randomly but deterministically per session).  Returns None when
+        Considers the first :data:`MAX_CANDIDATE_CLUSTERS` one-hop
+        candidate clusters within ``latency_slack_ms`` of the best one,
+        and within them every member IP with spare capacity; picks the
+        lowest-utilization IP (ties broken randomly but deterministically
+        per session).  Returns None when
         no candidate has spare capacity.
         """
         if session_id in self._assignments:
@@ -95,7 +91,7 @@ class RelayAssignmentService:
             return None
         best_rtt = ranked[0][0]
         eligible = [
-            (rtt, cluster) for rtt, cluster in ranked[:max_candidate_clusters]
+            (rtt, cluster) for rtt, cluster in ranked[:MAX_CANDIDATE_CLUSTERS]
             if rtt <= best_rtt + self._slack
         ]
         candidates: List[Tuple[float, float, IPv4Address, int, float]] = []
@@ -123,15 +119,6 @@ class RelayAssignmentService:
         )
         self._assignments[session_id] = assignment
         return assignment
-
-    def release(self, session_id: int) -> None:
-        """End a session and return its relay's capacity."""
-        assignment = self._assignments.pop(session_id, None)
-        if assignment is None:
-            raise ProtocolError(f"session {session_id} has no assignment")
-        self.load[assignment.relay_ip] -= 1
-        if self.load[assignment.relay_ip] <= 0:
-            del self.load[assignment.relay_ip]
 
     # -- reporting --------------------------------------------------------------
 

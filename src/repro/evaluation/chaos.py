@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.config import ASAPConfig
 from repro.core.runtime import ASAPRuntime
 from repro.errors import EvaluationError
 from repro.evaluation.sessions import generate_workload
@@ -257,7 +256,6 @@ def run_chaos(
     joins: int = 40,
     media_duration_ms: float = 10_000.0,
     seed: int = 0,
-    asap_config: Optional[ASAPConfig] = None,
     latent_target: Optional[int] = None,
 ) -> ChaosResult:
     """Drive a workload through a runtime under an injected fault schedule.
@@ -271,7 +269,7 @@ def run_chaos(
     any record fails to reach a terminal outcome — the no-hang
     invariant chaos CI enforces.
     """
-    runtime = ASAPRuntime(scenario, asap_config)
+    runtime = ASAPRuntime(scenario)
     schedule = compile_schedule(fault_config, scenario)
     injector = FaultInjector(runtime, schedule)
     injector.install()

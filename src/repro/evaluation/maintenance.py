@@ -20,7 +20,7 @@ description: surrogates "periodically" rebuild their sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -125,7 +125,6 @@ def run_maintenance_study(
     scenario: Scenario,
     sessions: Sequence[Session],
     weather_seed: int = 1,
-    config: Optional[ASAPConfig] = None,
 ) -> Tuple[List[MaintenanceOutcome], List[StalenessReport]]:
     """Compare stale vs refreshed close sets after a weather change.
 
@@ -135,8 +134,7 @@ def run_maintenance_study(
     sets, and with a fresh system built natively on the new weather
     (the upper bound).
     """
-    if config is None:
-        config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
+    config = ASAPConfig(k_hops=derive_k_hops(scenario.matrices))
     fresh_scenario = reweather(scenario, weather_seed)
 
     # Stale: close sets built under old weather, sessions scored under

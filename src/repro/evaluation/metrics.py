@@ -17,7 +17,7 @@ import numpy as np
 from repro.baselines.base import MethodResult
 from repro.core.protocol import ASAPSession
 from repro.errors import ReproError
-from repro.voip.quality import DEFAULT_EVAL_LOSS_RATE, RTT_THRESHOLD_MS, mos_of_path
+from repro.voip.quality import RTT_THRESHOLD_MS, mos_of_path
 
 PathLike = Union[str, Path]
 
@@ -47,12 +47,10 @@ class MethodRecord:
         return self.quality_paths
 
 
-def record_from_baseline(
-    session_id: int, result: MethodResult, loss_rate: float = DEFAULT_EVAL_LOSS_RATE
-) -> MethodRecord:
+def record_from_baseline(session_id: int, result: MethodResult) -> MethodRecord:
     """Convert a baseline MethodResult into a MethodRecord."""
     mos = (
-        mos_of_path(result.best_rtt_ms, loss_rate)
+        mos_of_path(result.best_rtt_ms)
         if result.best_rtt_ms is not None and np.isfinite(result.best_rtt_ms)
         else None
     )
@@ -67,12 +65,10 @@ def record_from_baseline(
     )
 
 
-def record_from_asap(
-    session: ASAPSession, session_id: int, loss_rate: float = DEFAULT_EVAL_LOSS_RATE
-) -> MethodRecord:
+def record_from_asap(session: ASAPSession, session_id: int) -> MethodRecord:
     """Convert an ASAPSession into a MethodRecord."""
     best = session.best_relay_rtt_ms
-    mos = mos_of_path(best, loss_rate) if best is not None else None
+    mos = mos_of_path(best) if best is not None else None
     one_hop = session.selection.one_hop_ips if session.selection else 0
     return MethodRecord(
         method="ASAP",

@@ -50,13 +50,11 @@ def render_method_table(summaries: Sequence[MethodSummary]) -> str:
     return "\n".join(lines)
 
 
-def render_series(
-    title: str, rows: Sequence[Tuple[str, Sequence[float]]], unit: str = ""
-) -> str:
+def render_series(title: str, rows: Sequence[Tuple[str, Sequence[float]]]) -> str:
     """A titled block of CDF rows (one per method/series)."""
     lines = [title]
     for label, samples in rows:
-        lines.append(render_cdf_row(label, samples, unit))
+        lines.append(render_cdf_row(label, samples))
     return "\n".join(lines)
 
 

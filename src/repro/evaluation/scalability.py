@@ -15,18 +15,18 @@ method (ASAP), large for fixed-probe methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.config import ASAPConfig
 from repro.evaluation.section7 import Section7Result, run_section7
 from repro.evaluation.sessions import Session, SessionWorkload, generate_workload
 from repro.scenario import Scenario, subsample_scenario
 
 #: The paper's population ratio: 103,625 / 23,366.
 PAPER_POPULATION_RATIO = 4.434
+#: The methods Fig. 17 compares across the two population scales.
+SCALABILITY_METHODS = ("DEDI", "RAND", "MIX", "ASAP")
 
 
 @dataclass
@@ -96,8 +96,6 @@ def run_scalability(
     session_count: int = 2000,
     latent_target: int = 60,
     seed: int = 0,
-    methods: Sequence[str] = ("DEDI", "RAND", "MIX", "ASAP"),
-    asap_config: Optional[ASAPConfig] = None,
     max_latent_sessions: int = 60,
 ) -> ScalabilityResult:
     """Run the Fig. 17 experiment at two population scales.
@@ -116,8 +114,7 @@ def run_scalability(
         large = run_section7(
             scenario,
             seed=seed,
-            methods=methods,
-            asap_config=asap_config,
+            methods=SCALABILITY_METHODS,
             workload=large_workload,
             max_latent_sessions=max_latent_sessions,
         )
@@ -150,8 +147,7 @@ def run_scalability(
         small = run_section7(
             small_scenario,
             seed=seed,
-            methods=methods,
-            asap_config=asap_config,
+            methods=SCALABILITY_METHODS,
             workload=small_workload,
             max_latent_sessions=max_latent_sessions,
         )

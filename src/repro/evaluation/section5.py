@@ -36,6 +36,11 @@ TABLE1_SESSION_PLAN: List[Tuple[int, int]] = [
 #: Fig. 5 of the paper: sites 1-12 in region A, 13-17 in region B.
 REGION_A_SITES = tuple(range(1, 13))
 REGION_B_SITES = tuple(range(13, 18))
+#: Length of each Table 1 session, and of each randomized batch session.
+SECTION5_DURATION_MS, BATCH_DURATION_MS = 400_000.0, 300_000.0
+#: A batch samples only pairs whose direct RTT exceeds this: the
+#: problematic population where Skype's limits live.
+BATCH_MIN_DIRECT_RTT_MS = 250.0
 
 
 @dataclass
@@ -146,17 +151,13 @@ def build_site_plan(scenario: Scenario, seed: int = 0) -> SitePlan:
 
 
 def run_section5(
-    scenario: Scenario,
-    config: Optional[SkypeConfig] = None,
-    duration_ms: float = 400_000.0,
-    seed: int = 0,
-    session_plan: Optional[List[Tuple[int, int]]] = None,
+    scenario: Scenario, config: Optional[SkypeConfig] = None, seed: int = 0
 ) -> Section5Result:
     """Run the 14-session Skype study end to end."""
     if config is None:
         config = SkypeConfig()
     plan = build_site_plan(scenario, seed=seed)
-    sessions = session_plan if session_plan is not None else list(TABLE1_SESSION_PLAN)
+    sessions = list(TABLE1_SESSION_PLAN)
     overlay = SupernodeOverlay(scenario.population, config)
     analyzer = TraceAnalyzer(
         scenario.prefix_table,
@@ -175,7 +176,7 @@ def run_section5(
                 callee.ip,
                 overlay=overlay,
                 config=config,
-                duration_ms=duration_ms,
+                duration_ms=SECTION5_DURATION_MS,
                 session_id=sid,
             )
             results.append(result)
@@ -185,27 +186,21 @@ def run_section5(
 
 
 def run_skype_batch(
-    scenario: Scenario,
-    session_count: int = 40,
-    config: Optional[SkypeConfig] = None,
-    duration_ms: float = 300_000.0,
-    seed: int = 0,
-    min_direct_rtt_ms: float = 250.0,
+    scenario: Scenario, session_count: int = 40, seed: int = 0
 ) -> Section5Result:
     """A randomized Skype study beyond Table 1's fixed plan.
 
     Samples ``session_count`` caller-callee host pairs whose direct RTT
-    exceeds ``min_direct_rtt_ms`` (the problematic population where the
-    limits live) and runs the full simulate-capture-analyze pipeline on
-    each.  Used for aggregate limit statistics at scale.
+    exceeds :data:`BATCH_MIN_DIRECT_RTT_MS` and runs the full
+    simulate-capture-analyze pipeline on each.  Used for aggregate limit
+    statistics at scale.
     """
-    if config is None:
-        config = SkypeConfig()
+    config = SkypeConfig()
     rng = derive_rng(seed, "skype-batch")
     matrices = scenario.matrices
     clusters = scenario.clusters.all_clusters()
     candidates = np.argwhere(
-        np.isfinite(matrices.rtt_ms) & (matrices.rtt_ms > min_direct_rtt_ms)
+        np.isfinite(matrices.rtt_ms) & (matrices.rtt_ms > BATCH_MIN_DIRECT_RTT_MS)
     )
     if candidates.size == 0:
         raise EvaluationError("no session pairs above the RTT floor")
@@ -239,7 +234,7 @@ def run_skype_batch(
             callee.ip,
             overlay=overlay,
             config=config,
-            duration_ms=duration_ms,
+            duration_ms=BATCH_DURATION_MS,
             session_id=sid,
         )
         results.append(result)

@@ -35,17 +35,16 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.control import CloseSetMaintainer, HashRing, MembershipEvent, ShardedDirectory
-from repro.core.config import ASAPConfig, require_count
+from repro.core.config import require_count
 from repro.core.runtime import ASAPRuntime
 from repro.errors import ConfigurationError
 from repro.evaluation.chaos import (
-    _dist,
     collect_chaos_result,
     schedule_telemetry_ticks,
     schedule_workload,
@@ -254,12 +253,7 @@ def _percentile(values: Sequence[float], q: float) -> float:
     return round(float(np.percentile(np.asarray(sorted(values), dtype=float), q)), 4)
 
 
-def run_soak(
-    scenario: Scenario,
-    config: SoakConfig,
-    *,
-    asap_config: Optional[ASAPConfig] = None,
-) -> SoakReport:
+def run_soak(scenario: Scenario, config: SoakConfig) -> SoakReport:
     """Run one churn soak; returns the gated :class:`SoakReport`.
 
     Raises :class:`~repro.errors.EvaluationError` if any runtime record
@@ -268,7 +262,7 @@ def run_soak(
     """
     duration = config.duration_ms
     fault_config = config.fault_config()
-    runtime = ASAPRuntime(scenario, asap_config)
+    runtime = ASAPRuntime(scenario)
     schedule = compile_schedule(fault_config, scenario)
 
     ring = HashRing(config.shards)

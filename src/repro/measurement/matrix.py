@@ -32,6 +32,8 @@ from repro.topology.clustering import Cluster, ClusterIndex
 from repro.util.rng import derive_rng
 
 UNREACHABLE = np.inf
+#: Destination columns per block of :meth:`DelegateMatrices.iter_column_blocks`.
+COLUMN_BLOCK = 256
 
 
 @dataclass
@@ -90,13 +92,13 @@ class DelegateMatrices:
         :meth:`gather_rtt` / :meth:`gather_loss` return for those cells."""
         return self.rtt_ms[sources], self.loss[sources]
 
-    def iter_column_blocks(self, chunk: int = 256):
+    def iter_column_blocks(self):
         """Yield ``(cols, rtt_block, loss_block, hops_block)`` over all
         destination columns in ascending order; blocks are (N, len(cols))
         contiguous copies, which numpy adds and reduces faster than views."""
         n = self.count
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
+        for start in range(0, n, COLUMN_BLOCK):
+            stop = min(start + COLUMN_BLOCK, n)
             blocks = (m[:, start:stop].copy() for m in (self.rtt_ms, self.loss, self.as_hops))
             yield (np.arange(start, stop, dtype=np.int64), *blocks)
 

@@ -42,6 +42,9 @@ SWITCH_MOS_THRESHOLD = 3.2
 #: FEC over the secondary path [Nguyen & Zakhor]: one XOR parity per
 #: this many voice packets.
 FEC_GROUP_SIZE = 4
+#: Paths a call built from a relay selection carries: the direct path
+#: and the best one-hop relays, the best of them this many in all.
+CALL_PATHS = 4
 #: Congestion episodes of a path (:class:`PathQualityProcess`): the
 #: per-window chance to enter and to leave one, and what one adds.
 CONGEST_PROBABILITY = 0.05
@@ -295,7 +298,6 @@ def call_paths_from_selection(
     matrices,
     caller_cluster: int,
     callee_cluster: int,
-    max_paths: int = 4,
     seed: int = 0,
 ) -> List[PathQualityProcess]:
     """Wrap a RelaySelection's best one-hop candidates (plus the direct
@@ -306,7 +308,7 @@ def call_paths_from_selection(
         candidates.append(
             (direct_rtt / 2.0, float(matrices.loss[caller_cluster, callee_cluster]))
         )
-    for rtt, cluster in selection.one_hop_ranked()[:max_paths]:
+    for rtt, cluster in selection.one_hop_ranked()[:CALL_PATHS]:
         loss = matrices.one_hop_path_loss(caller_cluster, cluster, callee_cluster)
         candidates.append((rtt / 2.0, loss))
     candidates.sort(key=lambda c: c[0] + 2_000.0 * c[1])
@@ -316,5 +318,5 @@ def call_paths_from_selection(
             base_loss=loss,
             seed=seed + index,
         )
-        for index, (delay, loss) in enumerate(candidates[:max_paths])
+        for index, (delay, loss) in enumerate(candidates[:CALL_PATHS])
     ]

@@ -118,17 +118,15 @@ def run_media_session(
     outages: Sequence[OutageWindow] = (),
     config: MediaPlaneConfig = MediaPlaneConfig(),
     seed: int = 0,
-    start_ms: float = 0.0,
     timeline=NULL_TIMELINE,
     span=NULL_TRACE_SPAN,
     **tags: str,
 ) -> MediaResult:
     """Run one direction of a call's media over a described path.
 
-    ``path`` segments and ``outages`` use session-relative times;
-    ``start_ms`` only offsets telemetry timestamps and trace points so
-    they land at the right absolute sim time.  ``tags`` label every
-    telemetry sample (e.g. ``leg="a-b"``).
+    ``path`` segments, ``outages``, telemetry timestamps and trace points
+    all use session-relative times.  ``tags`` label every telemetry
+    sample (e.g. ``leg="a-b"``).
     """
     if duration_ms <= 0:
         raise ConfigurationError("duration_ms must be positive")
@@ -200,7 +198,7 @@ def run_media_session(
                 codec_name, interval = codec.name, codec.packet_interval_ms()
                 span.point(
                     "media.codec_switch",
-                    at_ms=start_ms + switch.at_ms,
+                    at_ms=switch.at_ms,
                     seq=switch.sequence,
                     from_codec=switch.from_codec,
                     to_codec=switch.to_codec,
@@ -225,7 +223,7 @@ def run_media_session(
         cumulative_switches = 0
         depths = [f.depth_ms for f in playout.frames]
         for idx, parts in window_members(sent_ms, window_ms, window_count):
-            end = start_ms + min((idx + 1) * window_ms, trace.duration_ms)
+            end = min((idx + 1) * window_ms, trace.duration_ms)
             window_depths = window_values(depths, parts)
             frames = len(window_depths)
             depth = sum(window_depths) / frames
@@ -240,7 +238,7 @@ def run_media_session(
             timeline.sample("media.codec_switches", end, cumulative_switches, **tags)
         for w in score.windows:
             if not w.is_outage:
-                timeline.sample("media.window_mos", start_ms + w.end_ms, w.mos, **tags)
+                timeline.sample("media.window_mos", w.end_ms, w.mos, **tags)
 
     return MediaResult(
         call_id=call_id,

@@ -8,7 +8,7 @@ prefix clusters.
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
 
@@ -28,8 +28,8 @@ class _TrieNode(Generic[V]):
 class PrefixTrie(Generic[V]):
     """Map from :class:`IPv4Prefix` to arbitrary values, with LPM lookup.
 
-    Supports exact insert/get/delete plus :meth:`longest_match` for an
-    address.
+    Supports insert and exact membership plus :meth:`longest_match` for
+    an address.
     """
 
     def __init__(self) -> None:
@@ -40,8 +40,12 @@ class PrefixTrie(Generic[V]):
         return self._size
 
     def __contains__(self, prefix: IPv4Prefix) -> bool:
-        node = self._walk_exact(prefix)
-        return node is not None and node.has_value
+        node = self._root
+        for depth in range(prefix.length):
+            node = node.children[(prefix.network >> (31 - depth)) & 1]
+            if node is None:
+                return False
+        return node.has_value
 
     def insert(self, prefix: IPv4Prefix, value: V) -> None:
         """Insert or overwrite the value stored at ``prefix``."""
@@ -59,24 +63,6 @@ class PrefixTrie(Generic[V]):
         node.value = value
         node.has_value = True
 
-    def get(self, prefix: IPv4Prefix, default=None):
-        """Return the value stored at exactly ``prefix``, else ``default``."""
-        node = self._walk_exact(prefix)
-        if node is not None and node.has_value:
-            return node.value
-        return default
-
-    def remove(self, prefix: IPv4Prefix) -> bool:
-        """Delete the entry at ``prefix``; returns True if one existed."""
-        node = self._walk_exact(prefix)
-        if node is None or not node.has_value:
-            return False
-        node.has_value = False
-        node.value = None
-        node.prefix = None
-        self._size -= 1
-        return True
-
     def longest_match(self, address: IPv4Address) -> Optional[Tuple[IPv4Prefix, V]]:
         """Return ``(prefix, value)`` for the longest prefix covering address."""
         best: Optional[Tuple[IPv4Prefix, V]] = None
@@ -92,24 +78,3 @@ class PrefixTrie(Generic[V]):
             if node.has_value:
                 best = (node.prefix, node.value)  # type: ignore[assignment]
         return best
-
-    def items(self) -> Iterator[Tuple[IPv4Prefix, V]]:
-        """Iterate over ``(prefix, value)`` pairs in trie (DFS) order."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.has_value:
-                yield node.prefix, node.value  # type: ignore[misc]
-            for child in node.children:
-                if child is not None:
-                    stack.append(child)
-
-    def _walk_exact(self, prefix: IPv4Prefix) -> Optional[_TrieNode[V]]:
-        node = self._root
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (31 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                return None
-            node = child
-        return node

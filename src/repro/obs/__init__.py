@@ -328,12 +328,12 @@ def tracer():
     return NULL_TRACER
 
 
-def span(name: str, level: str = "info", **fields):
+def span(name: str, **fields):
     """A timed span context manager (free no-op when off)."""
     observer = _ACTIVE
     if observer is None:
         return NULL_SPAN
-    return Span(observer, name, level=level, **fields)
+    return Span(observer, name, **fields)
 
 
 def event(name: str, level: str = "info", **fields) -> None:

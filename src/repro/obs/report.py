@@ -285,14 +285,12 @@ def flame_document(trees: Dict[str, TraceTree]) -> dict:
 
 # -- rendering ---------------------------------------------------------------
 
+#: Telemetry series the report draws before it truncates, and the rows of
+#: its span profile.
+MAX_SERIES, PROFILE_ROWS = 40, 15
 
-def render_report(
-    artifacts: RunArtifacts,
-    *,
-    width: int = 48,
-    max_series: int = 40,
-    profile_rows: int = 15,
-) -> List[str]:
+
+def render_report(artifacts: RunArtifacts, *, width: int = 48) -> List[str]:
     """The full terminal report, as a list of printable lines."""
     lines: List[str] = [f"run report: {artifacts.run_dir}"]
 
@@ -323,8 +321,8 @@ def render_report(
         for subsystem in sorted(grouped):
             lines.append(f"  [{subsystem}]")
             for label in sorted(grouped[subsystem]):
-                if emitted >= max_series:
-                    lines.append(f"  … truncated at {max_series} series")
+                if emitted >= MAX_SERIES:
+                    lines.append(f"  … truncated at {MAX_SERIES} series")
                     break
                 points = grouped[subsystem][label]
                 last = points[-1][1]
@@ -333,7 +331,7 @@ def render_report(
                     f"last={_fmt_value(last)} n={len(points)}"
                 )
                 emitted += 1
-            if emitted >= max_series:
+            if emitted >= MAX_SERIES:
                 break
     elif artifacts.telemetry:
         lines.append("  telemetry: header only (no samples)")
@@ -351,7 +349,7 @@ def render_report(
             lines.append(
                 f"    {'span':<28} {'count':>6} {'total ms':>12} {'self ms':>12}"
             )
-            for row in profile[:profile_rows]:
+            for row in profile[:PROFILE_ROWS]:
                 lines.append(
                     f"    {row['name']:<28} {row['count']:>6} "
                     f"{row['total_ms']:>12.1f} {row['self_ms']:>12.1f}"

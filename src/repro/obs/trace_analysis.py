@@ -384,10 +384,10 @@ def _mean(values: List[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def _fmt(value: Optional[float], unit: str = "") -> str:
+def _fmt(value: Optional[float]) -> str:
     if value is None:
         return "-"
-    return f"{value:.1f}{unit}"
+    return f"{value:.1f}"
 
 
 @dataclass
@@ -514,10 +514,12 @@ def _attr_string(node: TraceNode) -> str:
     return " ".join(parts)
 
 
+#: Entries :func:`render_timeline` prints before it truncates a trace.
+TIMELINE_MAX_POINTS = 200
+
+
 def render_timeline(
-    tree: TraceTree,
-    faults: Optional[Dict[str, List[TraceNode]]] = None,
-    max_points: int = 200,
+    tree: TraceTree, faults: Optional[Dict[str, List[TraceNode]]] = None
 ) -> List[str]:
     """One trace as indented text lines, times relative to its root."""
     root = tree.root
@@ -535,7 +537,7 @@ def render_timeline(
     def walk(node: TraceNode, depth: int) -> None:
         nonlocal emitted
         for child in node.children:
-            if emitted >= max_points:
+            if emitted >= TIMELINE_MAX_POINTS:
                 return
             emitted += 1
             indent = "  " * depth
@@ -552,8 +554,8 @@ def render_timeline(
             walk(child, depth + 1)
 
     walk(root, 1)
-    if emitted >= max_points:
-        lines.append(f"  … truncated at {max_points} entries")
+    if emitted >= TIMELINE_MAX_POINTS:
+        lines.append(f"  … truncated at {TIMELINE_MAX_POINTS} entries")
     for fault in (faults or {}).get(tree.trace_id, []):
         offset = fault.start_ms - origin
         lines.append(

@@ -41,6 +41,9 @@ from repro.worldarrays.closesets import CloseClusterSet
 
 __all__ = ["SurrogateServer", "close_set_to_pairs", "pairs_to_close_set"]
 
+#: How long a surrogate daemon waits for the bootstrap to answer its Join.
+REGISTER_TIMEOUT_MS = 2_000.0
+
 
 def close_set_to_pairs(close_set) -> np.ndarray:
     """Wire form of a close cluster set: a :data:`PAIR_DTYPE` table of
@@ -97,7 +100,7 @@ class SurrogateServer(ServiceNode):
         self.handle(NodalPublish, self._on_nodal_publish)
         self.handle(Ping, self._on_ping)
 
-    async def register(self, timeout_ms: float = 2_000.0) -> JoinOk:
+    async def register(self) -> JoinOk:
         """Announce this daemon to the bootstrap as its cluster's server."""
         reply = await self.transport.request(
             self._bootstrap_addr,
@@ -107,7 +110,7 @@ class SurrogateServer(ServiceNode):
                 cluster=self.cluster,
                 wire_addr=self.address,
             ),
-            timeout_ms=timeout_ms,
+            timeout_ms=REGISTER_TIMEOUT_MS,
         )
         if not isinstance(reply, JoinOk):
             raise ServiceError(f"surrogate join answered with {reply!r}")

@@ -1,15 +1,16 @@
-"""Simulated network: host-to-host message delivery over the latency model.
+"""Simulated network: host-to-host exchanges over the latency model.
 
-Control-plane messages are delivered after the one-way delay of the
-direct policy path between the two hosts; messages to unreachable hosts
+Messages carry no payload: the caller produces the answer itself (see
+:class:`repro.core.runtime._SimPort`), and the network decides only
+whether and when an exchange completes.  Messages to unreachable hosts
 are silently dropped (like UDP into a failed AS).  Per-category message
 counters feed the overhead metric (paper Fig. 18).
 
-Beyond fire-and-forget :meth:`SimNetwork.send`, the network supports
-**request/response** exchanges (:meth:`SimNetwork.request`) with
-per-call timeouts — the primitive the fault-tolerant runtime's retry
-state machines are built on — and three fault dimensions the injector
-(:mod:`repro.faults`) drives:
+Besides fire-and-forget :meth:`SimNetwork.send`, which only counts and
+drops, the network supports **request/response** exchanges
+(:meth:`SimNetwork.request`) with per-call timeouts — the primitive the
+fault-tolerant runtime's retry state machines are built on — and three
+fault dimensions the injector (:mod:`repro.faults`) drives:
 
 - *down hosts* (crashed/churned peers, bootstrap outages);
 - *down ASes* (mid-run AS failures: anything to or from the AS drops);
@@ -19,15 +20,13 @@ state machines are built on — and three fault dimensions the injector
 Fault checks happen at send time, in a fixed order (unregistered →
 host-down → AS-down → unreachable → loss), so a run's drop record is a
 pure function of the schedule and seed.  With no faults configured the
-loss sampler is never consulted and behaviour is identical to the
-original fire-and-forget network.
+loss sampler is never consulted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.measurement.latency import LatencyModel
@@ -37,27 +36,13 @@ from repro.topology.population import Host
 from repro.util.rng import derive_rng
 
 
-@dataclass(frozen=True)
-class Message:
-    """A control-plane message in flight."""
-
-    src: IPv4Address
-    dst: IPv4Address
-    category: str
-    payload: Any = None
-
-
-Handler = Callable[[Message], None]
-
-
 class SimNetwork:
-    """Delivers messages between registered hosts through the simulator."""
+    """Carries exchanges between registered hosts through the simulator."""
 
     def __init__(self, sim: Simulator, latency: LatencyModel, seed: int = 0) -> None:
         self._sim = sim
         self._latency = latency
         self._hosts: Dict[IPv4Address, Host] = {}
-        self._handlers: Dict[IPv4Address, Handler] = {}
         self.sent_by_category: Counter = Counter()
         self.dropped = 0
         self.dropped_by_reason: Counter = Counter()
@@ -78,10 +63,9 @@ class SimNetwork:
     def total_timeouts(self) -> int:
         return sum(self.timeouts_by_category.values())
 
-    def register(self, host: Host, handler: Handler) -> None:
-        """Attach a host with its message handler."""
+    def register(self, host: Host) -> None:
+        """Attach a host to the network."""
         self._hosts[host.ip] = host
-        self._handlers[host.ip] = handler
 
     # -- fault state (driven by repro.faults.FaultInjector) -----------------
 
@@ -133,7 +117,7 @@ class SimNetwork:
         the loss draw happens only when a nonzero rate is in force.
         """
         dst = self._hosts.get(dst_ip)
-        if dst is None or dst_ip not in self._handlers:
+        if dst is None:
             return "unregistered"
         if dst_ip in self._down_hosts or src.ip in self._down_hosts:
             return "host-down"
@@ -153,41 +137,21 @@ class SimNetwork:
 
     # -- delivery -----------------------------------------------------------
 
-    def send(
-        self,
-        src: Host,
-        dst_ip: IPv4Address,
-        category: str,
-        payload: Any = None,
-        trace=None,
-    ) -> bool:
-        """Send a message; returns False if it was dropped immediately.
+    def send(self, src: Host, dst_ip: IPv4Address, category: str) -> bool:
+        """Send a one-way message; returns False if it was dropped.
 
         Every send is counted (overhead is measured at the sender, like
         the paper counting probe traffic), but delivery requires the
-        destination to be registered, up, and reachable.  With a live
-        ``trace`` span, the send is recorded as a ``net.send`` point on
-        it (AS-tagged, so the analyzer can attribute message overhead
-        per AS); tracing never changes delivery.
+        destination to be registered, up, and reachable.  Nothing waits
+        for a one-way message, so its arrival schedules no event.
         """
         self.sent_by_category[category] += 1
         dst = self._hosts.get(dst_ip)
         rtt = self._latency.host_rtt_ms(src, dst) if dst is not None else None
         reason = self._drop_reason(src, dst_ip, rtt)
-        if trace:
-            trace.point(
-                "net.send",
-                self._sim.now_ms,
-                category=category,
-                src_as=src.asn,
-                dst_as=dst.asn if dst is not None else None,
-                dropped=reason,
-            )
         if reason is not None:
             self._record_drop(reason)
             return False
-        message = Message(src=src.ip, dst=dst_ip, category=category, payload=payload)
-        self._sim.schedule(rtt / 2.0, lambda: self._handlers[dst_ip](message))
         return True
 
     def request(
@@ -200,7 +164,6 @@ class SimNetwork:
         on_response: Callable[[], None],
         on_timeout: Optional[Callable[[], None]] = None,
         rtt_ms: Optional[float] = None,
-        payload: Any = None,
         trace=None,
     ) -> bool:
         """A request that expects an answer one round trip later.
@@ -258,11 +221,7 @@ class SimNetwork:
             if on_timeout is not None:
                 self._sim.schedule(timeout_ms, on_timeout)
             return False
-        message = Message(src=src.ip, dst=dst_ip, category=category, payload=payload)
-        handler = self._handlers[dst_ip]
-
         def respond() -> None:
-            handler(message)
             if net_span is not None:
                 net_span.end(self._sim.now_ms, outcome="response", rtt_ms=round(rtt, 3))
             on_response()

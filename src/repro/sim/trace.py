@@ -44,13 +44,6 @@ class SessionTrace:
     def record_at_callee(self, packet: PacketRecord) -> None:
         self.callee_packets.append(packet)
 
-    def duration_ms(self) -> float:
-        packets = self.caller_packets + self.callee_packets
-        if not packets:
-            return 0.0
-        times = [p.time_ms for p in packets]
-        return max(times) - min(times)
-
     def packets_sent_by(self, ip: IPv4Address) -> List[PacketRecord]:
         """Packets originated by one endpoint (seen at its capture point)."""
         source = self.caller_packets if ip == self.caller else self.callee_packets

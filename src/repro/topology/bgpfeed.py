@@ -11,9 +11,7 @@ pipelines do.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.errors import TopologyError
 from repro.netaddr import IPv4Address
@@ -58,14 +56,11 @@ def _vantage_peer_ip(allocation: PrefixAllocation, asn: int) -> IPv4Address:
 def generate_rib_entries(
     topology: Topology,
     allocation: PrefixAllocation,
-    router: Optional[PolicyRouter] = None,
     vantage_count: int = 10,
-    timestamp: int = DEFAULT_SNAPSHOT_TS,
     seed: int = 0,
 ) -> List[RIBEntry]:
     """Export every vantage AS's selected route for every prefix."""
-    if router is None:
-        router = PolicyRouter(topology.graph)
+    router = PolicyRouter(topology.graph)
     vantages = pick_vantage_ases(topology, vantage_count, seed=seed)
     peer_ip_of = {vantage: _vantage_peer_ip(allocation, vantage) for vantage in vantages}
     origins = sorted(allocation.prefixes_of.items())
@@ -80,7 +75,7 @@ def generate_rib_entries(
             for prefix in prefixes:
                 entries.append(
                     RIBEntry(
-                        timestamp=timestamp,
+                        timestamp=DEFAULT_SNAPSHOT_TS,
                         peer=peer_ip_of[vantage],
                         prefix=prefix,
                         as_path=path,
@@ -95,24 +90,21 @@ def generate_rib_entries(
 def generate_update_stream(
     topology: Topology,
     allocation: PrefixAllocation,
-    router: Optional[PolicyRouter] = None,
     churn_fraction: float = 0.02,
     vantage_count: int = 10,
-    base_timestamp: int = DEFAULT_SNAPSHOT_TS,
     seed: int = 0,
 ) -> List[BGPUpdate]:
     """A plausible update stream: withdraw/re-announce churn on a random
     subset of prefixes, interleaved in time after the snapshot."""
     if not 0.0 <= churn_fraction <= 1.0:
         raise TopologyError("churn_fraction must be in [0, 1]")
-    if router is None:
-        # An origin's churned prefixes are consecutive reads of one cached
-        # tree; the RNG draws depend on each path, so no batch here.
-        router = PolicyRouter(topology.graph, cache_size=1)
+    # An origin's churned prefixes are consecutive reads of one cached
+    # tree; the RNG draws depend on each path, so no batch here.
+    router = PolicyRouter(topology.graph, cache_size=1)
     rng = derive_rng(seed, "bgp-updates")
     vantages = pick_vantage_ases(topology, vantage_count, seed=seed)
     updates: List[BGPUpdate] = []
-    ts = base_timestamp
+    ts = DEFAULT_SNAPSHOT_TS
     for origin_as, prefixes in sorted(allocation.prefixes_of.items()):
         for prefix in prefixes:
             if rng.random() >= churn_fraction:

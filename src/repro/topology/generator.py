@@ -207,13 +207,16 @@ def _preferential_pick(
     return int(rng.choice(candidates, p=weights))
 
 
+#: Distance scale of :func:`_geo_preferential_pick`'s proximity weight.
+PROVIDER_LOCALITY_KM = 2500.0
+
+
 def _geo_preferential_pick(
     rng: np.random.Generator,
     graph: ASGraph,
     geography: Geography,
     buyer: int,
     candidates: List[int],
-    locality_km: float = 2500.0,
 ) -> Optional[int]:
     """Pick a provider weighted by degree *and* geographic proximity.
 
@@ -226,7 +229,7 @@ def _geo_preferential_pick(
     weights = np.array(
         [
             (graph.degree(a) + 1.0)
-            * np.exp(-geography.distance_km(buyer, a) / locality_km)
+            * np.exp(-geography.distance_km(buyer, a) / PROVIDER_LOCALITY_KM)
             for a in candidates
         ]
     )

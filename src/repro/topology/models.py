@@ -29,18 +29,19 @@ from repro.topology.generator import Topology, TopologyConfig
 from repro.topology.geography import Geography
 from repro.util.rng import derive_rng
 
+#: ASes in the peered, transit-free core of either family.
+CORE_SIZE = 6
+#: Barabási–Albert: providers each new AS attaches to.
+ATTACHMENT = 2
+#: Waxman: edge probability ``WAXMAN_ALPHA * exp(-d / WAXMAN_BETA_KM)``.
+WAXMAN_ALPHA, WAXMAN_BETA_KM = 0.08, 3500.0
 
-def generate_barabasi_albert(
-    as_count: int = 450,
-    attachment: int = 2,
-    core_size: int = 6,
-    seed: int = 0,
-) -> Topology:
+
+def generate_barabasi_albert(as_count: int = 450, seed: int = 0) -> Topology:
     """Flat preferential-attachment topology with a peered core."""
+    core_size = CORE_SIZE
     if as_count < core_size + 2:
         raise TopologyError("as_count too small for the requested core")
-    if attachment < 1:
-        raise TopologyError("attachment must be >= 1")
     rng = derive_rng(seed, "ba-topology")
     graph = ASGraph()
     geography = Geography()
@@ -62,7 +63,7 @@ def generate_barabasi_albert(
         graph.add_as(asn)
         providers: Set[int] = set()
         attempts = 0
-        while len(providers) < min(attachment, asn - 1) and attempts < 50:
+        while len(providers) < min(ATTACHMENT, asn - 1) and attempts < 50:
             attempts += 1
             provider = int(attachment_pool[int(rng.integers(0, len(attachment_pool)))])
             if provider != asn and graph.relationship(provider, asn) is None:
@@ -99,20 +100,16 @@ def generate_barabasi_albert(
     return topology
 
 
-def generate_waxman(
-    as_count: int = 450,
-    alpha: float = 0.08,
-    beta_km: float = 3500.0,
-    core_size: int = 6,
-    seed: int = 0,
-) -> Topology:
+def generate_waxman(as_count: int = 450, seed: int = 0) -> Topology:
     """Random-geometric (Waxman) topology, degree-annotated.
 
-    Edge (a, b) exists with probability ``alpha * exp(-d(a,b)/beta_km)``;
-    the higher-degree endpoint becomes the provider.  A peered core of
-    the highest-degree nodes guarantees a transit-free top, and every
-    component is stitched to the core so the world is connected.
+    Edge (a, b) exists with probability ``WAXMAN_ALPHA *
+    exp(-d(a,b)/WAXMAN_BETA_KM)``; the higher-degree endpoint becomes the
+    provider.  A peered core of the :data:`CORE_SIZE` highest-degree
+    nodes guarantees a transit-free top, and every component is stitched
+    to the core so the world is connected.
     """
+    core_size = CORE_SIZE
     if as_count < core_size + 2:
         raise TopologyError("as_count too small for the requested core")
     rng = derive_rng(seed, "waxman-topology")
@@ -128,7 +125,7 @@ def generate_waxman(
     for a in range(1, as_count + 1):
         for b in range(a + 1, as_count + 1):
             d = geography.distance_km(a, b)
-            if rng.random() < alpha * np.exp(-d / beta_km):
+            if rng.random() < WAXMAN_ALPHA * np.exp(-d / WAXMAN_BETA_KM):
                 edges.append((a, b))
                 degree[a] += 1
                 degree[b] += 1

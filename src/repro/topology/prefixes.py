@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.errors import TopologyError
 from repro.netaddr import IPv4Prefix
 from repro.topology.generator import Topology
@@ -24,12 +22,6 @@ class PrefixAllocation:
     """The result of allocating prefixes to every AS of a topology."""
 
     prefixes_of: Dict[int, List[IPv4Prefix]] = field(default_factory=dict)
-
-    def origin_of(self, prefix: IPv4Prefix) -> Optional[int]:
-        for asn, prefixes in self.prefixes_of.items():
-            if prefix in prefixes:
-                return asn
-        return None
 
     def __len__(self) -> int:
         return sum(len(p) for p in self.prefixes_of.values())
@@ -56,27 +48,26 @@ class PrefixAllocator:
         return IPv4Prefix(aligned, length)
 
 
-def allocate_prefixes(
-    topology: Topology,
-    seed: int = 0,
-    min_prefixes_per_stub: int = 1,
-    max_prefixes_per_stub: int = 3,
-    stub_prefix_lengths: tuple = (20, 21, 22, 23, 24),
-    transit_prefix_length: int = 19,
-) -> PrefixAllocation:
+#: A stub AS announces between these many prefixes, each of a length
+#: drawn from :data:`STUB_PREFIX_LENGTHS`.
+STUB_PREFIXES_MIN, STUB_PREFIXES_MAX = 1, 3
+STUB_PREFIX_LENGTHS = (20, 21, 22, 23, 24)
+#: A transit AS's one block: flat allocation, and provider-aggregatable.
+TRANSIT_PREFIX_LENGTH, PROVIDER_BLOCK_LENGTH = 19, 15
+
+
+def allocate_prefixes(topology: Topology, seed: int = 0) -> PrefixAllocation:
     """Allocate prefixes for every AS: stubs get 1-3 small blocks, transit
     ASes get one larger block (their infrastructure space)."""
-    if min_prefixes_per_stub < 1 or max_prefixes_per_stub < min_prefixes_per_stub:
-        raise TopologyError("invalid stub prefix count bounds")
     rng = derive_rng(seed, "prefixes")
     allocator = PrefixAllocator()
     allocation = PrefixAllocation()
     for asn in topology.transit_ases():
-        allocation.prefixes_of[asn] = [allocator.allocate(transit_prefix_length)]
+        allocation.prefixes_of[asn] = [allocator.allocate(TRANSIT_PREFIX_LENGTH)]
     for asn in topology.stub_ases():
-        count = int(rng.integers(min_prefixes_per_stub, max_prefixes_per_stub + 1))
+        count = int(rng.integers(STUB_PREFIXES_MIN, STUB_PREFIXES_MAX + 1))
         blocks = [
-            allocator.allocate(int(rng.choice(stub_prefix_lengths)))
+            allocator.allocate(int(rng.choice(STUB_PREFIX_LENGTHS)))
             for _ in range(count)
         ]
         allocation.prefixes_of[asn] = blocks
@@ -88,14 +79,7 @@ def allocate_prefixes(
     return allocation
 
 
-def allocate_prefixes_hierarchical(
-    topology: Topology,
-    seed: int = 0,
-    provider_block_length: int = 15,
-    stub_prefix_lengths: tuple = (20, 21, 22, 23, 24),
-    min_prefixes_per_stub: int = 1,
-    max_prefixes_per_stub: int = 3,
-) -> PrefixAllocation:
+def allocate_prefixes_hierarchical(topology: Topology, seed: int = 0) -> PrefixAllocation:
     """Provider-aggregatable allocation: stubs get PA space carved from
     their primary provider's block.
 
@@ -106,13 +90,11 @@ def allocate_prefixes_hierarchical(
     selects between an aggregate and its more-specifics — the situation
     the paper's prefix clustering (and our trie) exists for.
 
-    Tier-1/tier-2 ASes receive one large block each (``/13`` default)
+    Tier-1/tier-2 ASes receive one large block each (``/15``)
     and announce it whole; each tier-3 stub carves its prefixes from
     its lowest-numbered provider's block (falling back to independent
     ("PI") space when the provider block is exhausted).
     """
-    if min_prefixes_per_stub < 1 or max_prefixes_per_stub < min_prefixes_per_stub:
-        raise TopologyError("invalid stub prefix count bounds")
     rng = derive_rng(seed, "prefixes-hierarchical")
     # Large blocks need more room than 10/8: use a /4 super-block.
     allocator = PrefixAllocator(IPv4Prefix.from_string("16.0.0.0/4"))
@@ -123,7 +105,7 @@ def allocate_prefixes_hierarchical(
     block_of: Dict[int, IPv4Prefix] = {}
     cursor_of: Dict[int, int] = {}
     for asn in topology.transit_ases():
-        block = allocator.allocate(provider_block_length)
+        block = allocator.allocate(PROVIDER_BLOCK_LENGTH)
         allocation.prefixes_of[asn] = [block]
         block_of[asn] = block
         # Skip the head of the block: the provider's own infrastructure.
@@ -143,10 +125,10 @@ def allocate_prefixes_hierarchical(
     for asn in topology.stub_ases():
         providers = sorted(topology.graph.providers(asn))
         primary = providers[0] if providers else None
-        count = int(rng.integers(min_prefixes_per_stub, max_prefixes_per_stub + 1))
+        count = int(rng.integers(STUB_PREFIXES_MIN, STUB_PREFIXES_MAX + 1))
         blocks: List[IPv4Prefix] = []
         for _ in range(count):
-            length = int(rng.choice(stub_prefix_lengths))
+            length = int(rng.choice(STUB_PREFIX_LENGTHS))
             prefix = carve(primary, length) if primary is not None else None
             if prefix is None:
                 prefix = allocator.allocate(length)  # PI fallback

@@ -15,11 +15,10 @@ Internet.  This module measures them, tests assert them, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.bgp.asgraph import ASGraph
 from repro.bgp.routing import PolicyRouter
 from repro.errors import TopologyError
 from repro.topology.generator import Topology
@@ -60,7 +59,6 @@ def validate_topology(
     topology: Topology,
     sample_pairs: int = 400,
     seed: int = 0,
-    router: Optional[PolicyRouter] = None,
 ) -> TopologyReport:
     """Measure the report over a random sample of stub pairs."""
     graph = topology.graph
@@ -71,8 +69,7 @@ def validate_topology(
     stubs = topology.stub_ases()
     multihomed = sum(1 for a in stubs if len(graph.providers(a)) >= 2)
 
-    if router is None:
-        router = PolicyRouter(graph)
+    router = PolicyRouter(graph)
     rng = derive_rng(seed, "topology-validation")
     hops: List[int] = []
     valley_free = 0

@@ -1,17 +1,9 @@
 """Shared utilities: deterministic RNG plumbing and distribution helpers."""
 
 from repro.util.rng import derive_rng
-from repro.util.stats import (
-    cdf_points,
-    percentile,
-    summarize,
-    DistributionSummary,
-)
+from repro.util.stats import cdf_points
 
 __all__ = [
-    "DistributionSummary",
     "cdf_points",
     "derive_rng",
-    "percentile",
-    "summarize",
 ]

@@ -73,7 +73,6 @@ def account_outages(
     base_mos: float,
     duration_ms: float,
     windows: Sequence[OutageWindow],
-    floor_mos: float = OUTAGE_FLOOR_MOS,
 ) -> OutageImpact:
     """Score a call's outage windows against its duration.
 
@@ -90,9 +89,9 @@ def account_outages(
     ]
     interruption = sum(w.duration_ms for w in merge_windows(clipped))
     fraction = min(1.0, interruption / duration_ms)
-    effective = base_mos * (1.0 - fraction) + floor_mos * fraction
+    effective = base_mos * (1.0 - fraction) + OUTAGE_FLOOR_MOS * fraction
     # A path already at the floor cannot dip below it.
-    effective = min(base_mos, max(effective, min(base_mos, floor_mos)))
+    effective = min(base_mos, max(effective, min(base_mos, OUTAGE_FLOOR_MOS)))
     return OutageImpact(
         base_mos=base_mos,
         effective_mos=effective,

@@ -7,8 +7,6 @@ above 3.6" (paper Section 7.1); a path meeting the RTT requirement is a
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.voip.emodel import EModel
 
 #: RTT threshold for a quality path (= 2 × ITU G.114's 150 ms one-way cap).
@@ -19,12 +17,7 @@ MOS_THRESHOLD = 3.6
 DEFAULT_EVAL_LOSS_RATE = 0.005
 
 
-def mos_of_path(
-    rtt_ms: float,
-    loss_rate: float = DEFAULT_EVAL_LOSS_RATE,
-    emodel: Optional[EModel] = None,
-) -> float:
+def mos_of_path(rtt_ms: float, loss_rate: float = DEFAULT_EVAL_LOSS_RATE) -> float:
     """Score one path exactly as the paper's evaluation does:
     G.729A+VAD E-model on (RTT/2, loss)."""
-    scorer = emodel if emodel is not None else EModel()
-    return scorer.mos_from_rtt(rtt_ms, loss_rate)
+    return EModel().mos_from_rtt(rtt_ms, loss_rate)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bgp import ASGraph, PolicyRouter
+from repro.bgp import pathinfer
 from repro.bgp.pathinfer import evaluate_inference, infer_as_path
 from repro.errors import TopologyError
 from repro.topology import TopologyConfig, generate_topology
@@ -47,9 +48,9 @@ class TestInferAsPath:
         with pytest.raises(TopologyError):
             infer_as_path(diamond(), 99, 1)
 
-    def test_max_hops_cutoff(self):
-        g = diamond()
-        assert infer_as_path(g, 3, 4, max_hops=2) is None
+    def test_max_hops_cutoff(self, monkeypatch):
+        monkeypatch.setattr(pathinfer, "MAX_PATH_HOPS", 2)
+        assert infer_as_path(diamond(), 3, 4) is None
 
     def test_deterministic_tie_break(self):
         # Two equal-length uphill routes: prefer the lower ASN chain.

@@ -84,12 +84,6 @@ class TestApplyUpdates:
         apply_updates(table, [announce(ts=5), withdraw(ts=2)])
         assert len(table) == 1
 
-    def test_until_cutoff_skips_later_updates(self):
-        table = RoutingTable()
-        applied = apply_updates(table, [announce(ts=1), withdraw(ts=100)], until=50)
-        assert applied == 1
-        assert len(table) == 1
-
     def test_reannounce_replaces_path(self):
         table = RoutingTable()
         apply_updates(table, [announce(ts=1, path=(1, 2)), announce(ts=2, path=(3, 4))])

@@ -340,3 +340,17 @@ def test_a_strangers_leave_writes_no_log_line():
     assert directory.stats().leaves == 10_000 and directory.removals == 0
     assert directory.leave(_ip(1), 2.0) == 1
     assert len(directory.log) == len(before) + 1
+
+
+def test_a_strangers_lookups_walk_no_ring_chain():
+    """A resolve or leave of an address that never joined reads no chain:
+    no ring walk is counted and the ring's memo gains no entry."""
+    directory = ShardedDirectory(HashRing(SHARDS), _cluster_of)
+    directory.join(_ip(1), 0.0, "a")
+    memo = dict(directory._ring._chains)
+    with obs.observe() as run:
+        for value in range(100):
+            assert directory.resolve(_ip(100 + value), 1.0) is None
+            assert directory.leave(_ip(100 + value), 1.0) == 0
+        assert run.registry.counter_value("control.ring.chains") == 0
+    assert directory._ring._chains == memo

@@ -38,15 +38,6 @@ class TestHashRing:
             assert chain[0] == ring.owner(key)
             assert sorted(chain) == [0, 1, 2, 3]
 
-    def test_preference_count_truncates(self):
-        ring = HashRing(4)
-        assert len(ring.preference(7, count=2)) == 2
-
-    @pytest.mark.parametrize("count", [0, -1, -4])
-    def test_preference_count_below_one_rejected(self, count):
-        with pytest.raises(ConfigurationError):
-            HashRing(4).preference(7, count=count)
-
     @settings(max_examples=60, deadline=None)
     @given(
         shards=st.integers(1, 8),
@@ -67,8 +58,6 @@ class TestHashRing:
                 assert ring.chain(key) == tuple(walk)
                 assert ring.owner(key) == walk[0]
                 assert ring.preference(key) == walk
-                for count in range(1, shards + 2):
-                    assert ring.preference(key, count) == ring_preference(ring, key, count)
 
     def test_each_key_chain_is_walked_once(self):
         ring = HashRing(3)
@@ -76,7 +65,7 @@ class TestHashRing:
             for _ in range(5):
                 for key in range(10):
                     ring.owner(key)
-                    ring.preference(key, 2)
+                    ring.preference(key)
             ring.chain("7")  # formats like 7: the same ring position
             assert run.registry.counter_value("control.ring.chains") == 10
 

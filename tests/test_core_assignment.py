@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ASAPConfig, ASAPSystem
+from repro.evaluation import assignment as assignment_module
 from repro.evaluation.assignment import (
     RelayAssignmentService,
     relay_capacity,
@@ -46,15 +47,13 @@ class TestAssignment:
         best = call.selection.one_hop["rtt_ms"].min()
         assert assignment.relay_rtt_ms <= best + service._slack
 
-    def test_load_counted_and_released(self, world):
+    def test_load_counted(self, world):
         scenario, system, calls = world
         service = RelayAssignmentService(scenario.clusters, scenario.matrices)
         assignment = service.assign(0, calls[0].selection)
         assert service.load[assignment.relay_ip] == 1
         assert sum(service.load.values()) == 1
-        service.release(0)
-        assert sum(service.load.values()) == 0
-        assert service.max_load() == 0
+        assert service.max_load() == 1
 
     def test_duplicate_session_rejected(self, world):
         scenario, system, calls = world
@@ -62,12 +61,6 @@ class TestAssignment:
         service.assign(0, calls[0].selection)
         with pytest.raises(ProtocolError):
             service.assign(0, calls[0].selection)
-
-    def test_release_unknown_rejected(self, world):
-        scenario, system, calls = world
-        service = RelayAssignmentService(scenario.clusters, scenario.matrices)
-        with pytest.raises(ProtocolError):
-            service.release(99)
 
     def test_repeated_sessions_spread_load(self, world):
         scenario, system, calls = world
@@ -102,8 +95,9 @@ class TestAssignment:
         service = RelayAssignmentService(scenario.clusters, scenario.matrices)
         assert service.assign(0, RelaySelection()) is None
 
-    def test_capacity_exhaustion(self, world):
+    def test_capacity_exhaustion(self, world, monkeypatch):
         scenario, system, calls = world
+        monkeypatch.setattr(assignment_module, "MAX_CANDIDATE_CLUSTERS", 1)
         service = RelayAssignmentService(
             scenario.clusters, scenario.matrices, latency_slack_ms=0.0
         )
@@ -112,7 +106,7 @@ class TestAssignment:
         # candidate pool runs out of capacity.
         results = []
         for sid in range(10_000):
-            assignment = service.assign(sid, call.selection, max_candidate_clusters=1)
+            assignment = service.assign(sid, call.selection)
             if assignment is None:
                 break
             results.append(assignment)

@@ -124,11 +124,6 @@ class TestSurrogate:
         surrogate.serve_close_set()
         assert surrogate.close_set_requests == 2
 
-    def test_refresh_rebuilds(self):
-        surrogate = make_surrogate()
-        first = surrogate.close_set()
-        assert surrogate.refresh() is not first
-
     def test_maintenance_messages_zero_before_build(self):
         surrogate = make_surrogate()
         assert surrogate.maintenance_messages == 0

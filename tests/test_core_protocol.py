@@ -8,6 +8,7 @@ import pytest
 from repro import obs
 from repro.baselines.base import MethodResult
 from repro.core import ASAPConfig, ASAPSystem
+from repro.core import config as config_module
 from repro.core.config import derive_k_hops
 from repro.core.runtime import ASAPRuntime, _SimPort
 from repro.errors import ConfigurationError, ProtocolError
@@ -92,14 +93,16 @@ class TestConfig:
     @pytest.mark.parametrize("threshold_ms", [40.0, 150.0, 300.0, 1e9])
     @pytest.mark.parametrize("quantile", [0.0, 37.5, 50.0, 90.0, 100.0])
     def test_derive_k_hops_matches_the_dense_percentile(
-        self, scenario, threshold_ms, quantile
+        self, scenario, threshold_ms, quantile, monkeypatch
     ):
         args = dict(
             threshold_ms=threshold_ms, quantile=quantile, minimum=0, maximum=10**6
         )
-        assert derive_k_hops(scenario.matrices, **args) == dense_k_hops(
-            scenario.matrices, **args
-        )
+        monkeypatch.setattr(config_module, "RTT_THRESHOLD_MS", threshold_ms)
+        monkeypatch.setattr(config_module, "K_HOPS_QUANTILE", quantile)
+        monkeypatch.setattr(config_module, "K_HOPS_MIN", 0)
+        monkeypatch.setattr(config_module, "K_HOPS_MAX", 10**6)
+        assert derive_k_hops(scenario.matrices) == dense_k_hops(scenario.matrices, **args)
 
 
 class TestMembership:

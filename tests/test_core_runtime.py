@@ -93,14 +93,6 @@ class TestCallSetup:
         assert record.setup_ms < 10_000.0
         assert record.setup_ms > record.direct_rtt_ms  # ping + fetches
 
-    def test_callback_invoked(self, scenario, runtime):
-        caller, callee = latent_host_pair(scenario)
-        seen = []
-        runtime.schedule_call(caller, callee, on_complete=seen.append)
-        runtime.run()
-        assert len(seen) == 1
-        assert seen[0].setup_ms is not None
-
     def test_concurrent_calls(self, scenario, runtime):
         caller, callee = latent_host_pair(scenario)
         caller2, callee2 = good_host_pair(scenario)
@@ -224,9 +216,6 @@ class TestBatchedCloseSets:
             served = promoted.serve_close_set()
             assert (sweeps, count("close_set.built")) == ([[other, cluster]], 2)
             assert served == expected
-            refreshed = promoted.refresh()
-            assert (sweeps[-1], count("close_set.built")) == ([cluster], 3)
-            assert refreshed == expected and refreshed is not served
 
     def test_run_names_the_endpoint_clusters_of_pending_calls(
         self, scenario, runtime, monkeypatch

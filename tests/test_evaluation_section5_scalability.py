@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.evaluation import scalability, section5
 from repro.evaluation.scalability import run_scalability
 from repro.evaluation.section5 import (
     REGION_A_SITES,
@@ -70,7 +71,9 @@ class TestRunSection5:
             target_rtt_ms=120.0,
             switch_margin=0.02,
         )
-        return run_section5(scenario, config=config, duration_ms=150_000.0, seed=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(section5, "SECTION5_DURATION_MS", 150_000.0)
+            return run_section5(scenario, config=config, seed=1)
 
     def test_fourteen_sessions(self, result):
         assert len(result.results) == 14
@@ -108,27 +111,28 @@ class TestRunSection5:
         analysis = result.analyses[0]
         assert analysis.forward.major_carrier is None
 
-    def test_deterministic(self, scenario, result):
+    def test_deterministic(self, scenario, result, monkeypatch):
         config = SkypeConfig(
             max_probes=24,
             max_background_probes=3,
             target_rtt_ms=120.0,
             switch_margin=0.02,
         )
-        again = run_section5(scenario, config=config, duration_ms=150_000.0, seed=1)
+        monkeypatch.setattr(section5, "SECTION5_DURATION_MS", 150_000.0)
+        again = run_section5(scenario, config=config, seed=1)
         assert again.probed_counts() == result.probed_counts()
         assert again.stabilization_seconds() == result.stabilization_seconds()
 
 
 class TestScalability:
-    def test_asap_scales_baselines_do_not(self, scenario):
+    def test_asap_scales_baselines_do_not(self, scenario, monkeypatch):
+        monkeypatch.setattr(scalability, "SCALABILITY_METHODS", ("DEDI", "ASAP"))
         result = run_scalability(
             scenario,
             ratio=2.0,
             session_count=400,
             latent_target=10,
             max_latent_sessions=10,
-            methods=("DEDI", "ASAP"),
             seed=1,
         )
         assert result.small_population < result.large_population
@@ -139,14 +143,14 @@ class TestScalability:
         dedi_err = result.scalability_error("DEDI")
         assert asap_err < dedi_err
 
-    def test_normalization(self, scenario):
+    def test_normalization(self, scenario, monkeypatch):
+        monkeypatch.setattr(scalability, "SCALABILITY_METHODS", ("ASAP",))
         result = run_scalability(
             scenario,
             ratio=2.0,
             session_count=300,
             latent_target=5,
             max_latent_sessions=5,
-            methods=("ASAP",),
             seed=2,
         )
         raw = result.large.series("ASAP", "one_hop_quality_paths")

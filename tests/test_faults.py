@@ -144,8 +144,8 @@ class TestNetworkFaults:
     def test_down_host_drops(self, scenario):
         a, b = self._pair(scenario)
         sim, net = self._net(scenario)
-        net.register(a, lambda m: None)
-        net.register(b, lambda m: None)
+        net.register(a)
+        net.register(b)
         net.set_host_down(b.ip)
         assert not net.send(a, b.ip, "ping")
         assert net.dropped_by_reason["host-down"] == 1
@@ -155,8 +155,8 @@ class TestNetworkFaults:
     def test_down_as_drops_both_directions(self, scenario):
         a, b = self._pair(scenario)
         sim, net = self._net(scenario)
-        net.register(a, lambda m: None)
-        net.register(b, lambda m: None)
+        net.register(a)
+        net.register(b)
         net.set_as_down(b.asn)
         assert not net.send(a, b.ip, "ping")
         assert not net.send(b, a.ip, "ping")
@@ -167,8 +167,8 @@ class TestNetworkFaults:
     def test_request_response_timing(self, scenario):
         a, b = self._pair(scenario)
         sim, net = self._net(scenario)
-        net.register(a, lambda m: None)
-        net.register(b, lambda m: None)
+        net.register(a)
+        net.register(b)
         rtt = scenario.latency.host_rtt_ms(a, b)
         seen = []
         ok = net.request(
@@ -183,8 +183,8 @@ class TestNetworkFaults:
     def test_request_timeout_on_down_host(self, scenario):
         a, b = self._pair(scenario)
         sim, net = self._net(scenario)
-        net.register(a, lambda m: None)
-        net.register(b, lambda m: None)
+        net.register(a)
+        net.register(b)
         net.set_host_down(b.ip)
         fired = []
         ok = net.request(
@@ -201,8 +201,8 @@ class TestNetworkFaults:
     def test_loss_burst_full_rate_drops_everything(self, scenario):
         a, b = self._pair(scenario)
         sim, net = self._net(scenario)
-        net.register(a, lambda m: None)
-        net.register(b, lambda m: None)
+        net.register(a)
+        net.register(b)
         net.push_loss(1.0)
         assert not net.send(a, b.ip, "ping")
         assert net.dropped_by_reason["loss"] == 1
@@ -214,8 +214,8 @@ class TestNetworkFaults:
         outcomes = []
         for _ in range(2):
             sim, net = self._net(scenario)
-            net.register(a, lambda m: None)
-            net.register(b, lambda m: None)
+            net.register(a)
+            net.register(b)
             net.reseed_loss(42)
             net.set_background_loss(0.5)
             outcomes.append([net.send(a, b.ip, "ping") for _ in range(50)])

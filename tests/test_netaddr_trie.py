@@ -20,15 +20,14 @@ class TestPrefixTrieBasics:
     def test_insert_get(self):
         trie = PrefixTrie()
         trie.insert(P("10.0.0.0/8"), "a")
-        assert trie.get(P("10.0.0.0/8")) == "a"
-        assert trie.get(P("10.0.0.0/9")) is None
+        assert trie.longest_match(A("10.200.0.1")) == (P("10.0.0.0/8"), "a")
         assert len(trie) == 1
 
     def test_insert_overwrites(self):
         trie = PrefixTrie()
         trie.insert(P("10.0.0.0/8"), 1)
         trie.insert(P("10.0.0.0/8"), 2)
-        assert trie.get(P("10.0.0.0/8")) == 2
+        assert trie.longest_match(A("10.0.0.1")) == (P("10.0.0.0/8"), 2)
         assert len(trie) == 1
 
     def test_contains(self):
@@ -36,14 +35,6 @@ class TestPrefixTrieBasics:
         trie.insert(P("10.0.0.0/8"), 1)
         assert P("10.0.0.0/8") in trie
         assert P("10.0.0.0/16") not in trie
-
-    def test_remove(self):
-        trie = PrefixTrie()
-        trie.insert(P("10.0.0.0/8"), 1)
-        assert trie.remove(P("10.0.0.0/8"))
-        assert not trie.remove(P("10.0.0.0/8"))
-        assert len(trie) == 0
-        assert trie.longest_match(A("10.1.1.1")) is None
 
     def test_longest_match_prefers_most_specific(self):
         trie = PrefixTrie()
@@ -69,13 +60,6 @@ class TestPrefixTrieBasics:
         _, value = trie.longest_match(A("203.0.113.7"))
         assert value == "default"
 
-    def test_items_returns_all_entries(self):
-        trie = PrefixTrie()
-        entries = {P("10.0.0.0/8"): 1, P("192.168.0.0/16"): 2, P("10.1.0.0/16"): 3}
-        for prefix, value in entries.items():
-            trie.insert(prefix, value)
-        assert dict(trie.items()) == entries
-
     def test_slash32_entry(self):
         trie = PrefixTrie()
         trie.insert(P("10.0.0.5/32"), "host")
@@ -91,16 +75,6 @@ prefix_strategy = st.builds(
 
 
 class TestPrefixTrieProperties:
-    @given(st.dictionaries(prefix_strategy, st.integers(), max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_get_returns_what_was_inserted(self, mapping):
-        trie = PrefixTrie()
-        for prefix, value in mapping.items():
-            trie.insert(prefix, value)
-        assert len(trie) == len(mapping)
-        for prefix, value in mapping.items():
-            assert trie.get(prefix) == value
-
     @given(
         st.dictionaries(prefix_strategy, st.integers(), max_size=30),
         st.integers(min_value=0, max_value=2**32 - 1),

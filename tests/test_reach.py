@@ -1,6 +1,6 @@
 """The reachability ratchet (``tools/reach.py``): the execution probe's
-pieces, and the field pass (every config field has a setter outside the
-tests)."""
+pieces, the keyword gate and the field pass (every keyword and config
+field has a setter outside the tests)."""
 
 import importlib.util
 from pathlib import Path
@@ -38,32 +38,36 @@ class KnobConfig:
 class InnerConfig:
     by_attribute_replace: int = 0
     unset: int = 1
+
+def tune(level, by_position=0, by_name=1, only_in_tests=2, in_bench=3):
+    return level
 """
 
 USES = """\
 from dataclasses import replace
-from repro.knobs import KnobConfig
+from repro.knobs import KnobConfig, tune
 
 def build(outer):
     first = KnobConfig(7, by_keyword=2)
-    return first, replace(outer.nested, by_attribute_replace=3)
+    return first, replace(outer.nested, by_attribute_replace=3), tune(0, 5), tune(0, by_name=6)
 """
 
 WORKLOAD = """\
-from repro.knobs import KnobConfig
+from repro.knobs import KnobConfig, tune
 
 def config(smoke):
     sizes = dict(by_dict=1) if smoke else {"by_dict": 2}
     base = dict(**sizes)
-    return KnobConfig(**base)
+    return KnobConfig(**base), tune(1, **dict(in_bench=4))
 """
 
 TEST = """\
-from repro.knobs import InnerConfig, KnobConfig
+from repro.knobs import InnerConfig, KnobConfig, tune
 
 def test_knobs():
     KnobConfig(only_in_tests=9)
     InnerConfig(unset=2)
+    tune(0, only_in_tests=9)
 """
 
 
@@ -150,6 +154,38 @@ def test_an_allowed_field_passes_and_a_stale_entry_fails(tree):
     ]
 
 
+#: What the probe reports for ``tune``: no call changed any keyword.
+TUNE = [(Path("src/repro/knobs.py"), "tune", keyword)
+        for keyword in ("by_position", "by_name", "only_in_tests", "in_bench")]
+
+
+def test_a_keyword_only_tests_pass_fails(tree):
+    problems = reach.keyword_problems(TUNE, reach.scan(tree).passed, allowed={})
+    assert problems == [
+        f"{Path('src/repro/knobs.py')}: tune(only_in_tests=) only ever took its default, "
+        "and nothing outside tests/ passes it"
+    ]
+
+
+def test_keywords_passed_in_src_or_bench_pass(tree):
+    passed = reach.scan(tree).passed
+    for keyword in ("by_position", "by_name", "in_bench"):
+        assert ("tune", keyword) in passed
+    assert ("tune", "only_in_tests") not in passed
+
+
+def test_an_allowed_keyword_passes_and_a_stale_entry_fails(tree):
+    allowed = {
+        "tune(only_in_tests=)": "why it stays",
+        "tune(by_name=)": "passed in src: stale",
+        "gone(level=)": "no such keyword: stale",
+    }
+    assert reach.keyword_problems(TUNE, reach.scan(tree).passed, allowed) == [
+        "tools/reach.py: keyword allow-list entry 'gone(level=)' is stale; remove it",
+        "tools/reach.py: keyword allow-list entry 'tune(by_name=)' is stale; remove it",
+    ]
+
+
 CI_LINES = """\
       - run: |
           PYTHONPATH=src python -m repro.cli soak --scale tiny \\
@@ -184,7 +220,7 @@ def test_ci_runs_every_subcommand():
 
 
 def test_the_probe_maps_calls_to_definitions():
-    from repro.evaluation.report import render_series
+    from repro.evaluation.report import render_cdf_row, render_series
     from repro.voip.outage import OutageWindow
 
     defined = {qualname: (str(path), line) for path, line, qualname, _ in reach.definitions()}
@@ -196,7 +232,7 @@ def test_the_probe_maps_calls_to_definitions():
     assert defined["OutageWindow.duration_ms"] in sites
     assert defined["render_series"] in sites
     assert defined["account_outages"] not in sites
-    assert defined["render_series"] + ("unit",) in probe.unchanged()
+    assert defined["render_cdf_row"] + ("unit",) in probe.unchanged()
     with probe:
-        render_series("t", [("a", [1.0])], unit="ms")
-    assert defined["render_series"] + ("unit",) not in probe.unchanged()
+        render_cdf_row("a", [1.0], unit="ms")
+    assert defined["render_cdf_row"] + ("unit",) not in probe.unchanged()

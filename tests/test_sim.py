@@ -483,26 +483,34 @@ class TestSimNetwork:
     def scenario(self):
         return tiny_scenario(seed=4)
 
-    def test_delivery_after_one_way_delay(self, scenario):
+    def test_response_after_one_round_trip(self, scenario):
         sim = Simulator()
         net = SimNetwork(sim, scenario.latency)
         a, b = scenario.population.hosts[0], scenario.population.hosts[1]
         got = []
-        net.register(a, lambda m: None)
-        net.register(b, lambda m: got.append((sim.now_ms, m)))
-        assert net.send(a, b.ip, "probe", payload=42)
-        sim.run()
-        assert len(got) == 1
-        t, msg = got[0]
-        assert t == pytest.approx(scenario.latency.host_rtt_ms(a, b) / 2.0)
-        assert msg.payload == 42
-        assert msg.category == "probe"
+        net.register(a)
+        net.register(b)
+        assert net.request(
+            a, b.ip, "probe", timeout_ms=10_000.0, on_response=lambda: got.append(sim.now_ms)
+        )
+        assert sim.run() == 1
+        assert got == [pytest.approx(scenario.latency.host_rtt_ms(a, b))]
+        assert net.sent_by_category["probe"] == 1
+
+    def test_a_send_schedules_no_event(self, scenario):
+        sim = Simulator()
+        net = SimNetwork(sim, scenario.latency)
+        a, b = scenario.population.hosts[0], scenario.population.hosts[1]
+        net.register(a)
+        net.register(b)
+        assert net.send(a, b.ip, "probe")
+        assert sim.run() == 0
 
     def test_unregistered_destination_dropped(self, scenario):
         sim = Simulator()
         net = SimNetwork(sim, scenario.latency)
         a, b = scenario.population.hosts[0], scenario.population.hosts[1]
-        net.register(a, lambda m: None)
+        net.register(a)
         assert not net.send(a, b.ip, "probe")
         assert net.dropped == 1
         assert net.total_sent == 1  # counted at the sender regardless
@@ -511,8 +519,8 @@ class TestSimNetwork:
         sim = Simulator()
         net = SimNetwork(sim, scenario.latency)
         a, b = scenario.population.hosts[0], scenario.population.hosts[1]
-        net.register(a, lambda m: None)
-        net.register(b, lambda m: None)
+        net.register(a)
+        net.register(b)
         net.send(a, b.ip, "probe")
         net.send(a, b.ip, "probe")
         net.send(b, a.ip, "join")
@@ -534,17 +542,6 @@ def _packet(t, src, dst, size, kind="voice"):
 
 
 class TestSessionTrace:
-    def test_duration_and_merge(self):
-        trace = SessionTrace(
-            session_id=1,
-            caller=IPv4Address.from_string("10.0.0.1"),
-            callee=IPv4Address.from_string("10.0.0.2"),
-        )
-        trace.record_at_caller(_packet(0.0, "10.0.0.1", "10.0.0.2", 160))
-        trace.record_at_callee(_packet(50.0, "10.0.0.2", "10.0.0.1", 160))
-        trace.record_at_caller(_packet(100.0, "10.0.0.1", "10.0.0.9", 48))
-        assert trace.duration_ms() == 100.0
-
     def test_packets_sent_by(self):
         trace = SessionTrace(
             session_id=1,

@@ -15,6 +15,7 @@ from repro.topology import (
     generate_topology,
     generate_update_stream,
 )
+from repro.topology import bgpfeed
 from repro.topology.bgpfeed import pick_vantage_ases
 from tests.oracles import prefix_contains
 
@@ -74,10 +75,10 @@ class TestBGPFeed:
         assert len(table) == before
 
     @pytest.mark.parametrize("config", [TINY, SMALL], ids=["tiny", "small"])
-    def test_feed_is_independent_of_the_router_cache(self, config):
+    def test_feed_is_independent_of_the_router_cache(self, config, monkeypatch):
         """The feed reads each origin's tree once, in sorted order, so
-        its default router keeps a single tree; an explicit router of
-        any cache size yields the same entries and updates."""
+        its router keeps a single tree; a router of any cache size yields
+        the same entries and updates."""
         topo = generate_topology(config)
         allocation = allocate_prefixes(topo, seed=1)
         kwargs = dict(vantage_count=5, seed=1)
@@ -87,10 +88,13 @@ class TestBGPFeed:
         )
         assert entries and updates
         for cache_size in (1, 4096):
-            router = PolicyRouter(topo.graph, cache_size=cache_size)
-            assert generate_rib_entries(topo, allocation, router=router, **kwargs) == entries
+            def router(graph, **_):  # the feed's own cache_size is overridden
+                return PolicyRouter(graph, cache_size=cache_size)
+
+            monkeypatch.setattr(bgpfeed, "PolicyRouter", router)
+            assert generate_rib_entries(topo, allocation, **kwargs) == entries
             assert generate_update_stream(
-                topo, allocation, router=router, churn_fraction=0.2, **kwargs
+                topo, allocation, churn_fraction=0.2, **kwargs
             ) == updates
 
     def test_prefix_table_covers_population(self, world):

@@ -12,6 +12,7 @@ from repro.evaluation.robustness import (
 )
 from repro.scenario import ScenarioConfig, build_scenario_from_topology
 from repro.topology import PopulationConfig, TopologyConfig
+from repro.topology import models
 from repro.topology.models import generate_barabasi_albert, generate_waxman
 from repro.topology.validation import validate_topology
 
@@ -22,8 +23,9 @@ class TestBarabasiAlbert:
         topo.validate()
         assert len(topo.graph) == 120
 
-    def test_core_is_peered_and_transit_free(self):
-        topo = generate_barabasi_albert(as_count=120, core_size=5, seed=3)
+    def test_core_is_peered_and_transit_free(self, monkeypatch):
+        monkeypatch.setattr(models, "CORE_SIZE", 5)
+        topo = generate_barabasi_albert(as_count=120, seed=3)
         core = [a for a, t in topo.tier_of.items() if t == 1]
         assert len(core) == 5
         for asn in core:
@@ -48,7 +50,7 @@ class TestBarabasiAlbert:
 
     def test_rejects_tiny(self):
         with pytest.raises(TopologyError):
-            generate_barabasi_albert(as_count=5, core_size=6)
+            generate_barabasi_albert(as_count=5)
 
 
 class TestWaxman:

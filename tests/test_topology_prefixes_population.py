@@ -67,14 +67,6 @@ class TestAllocatePrefixes:
         b = allocate_prefixes(topo, seed=1)
         assert a.prefixes_of == b.prefixes_of
 
-    def test_origin_of(self):
-        topo = generate_topology(SMALL)
-        allocation = allocate_prefixes(topo, seed=1)
-        asn = topo.stub_ases()[0]
-        prefix = allocation.prefixes_of[asn][0]
-        assert allocation.origin_of(prefix) == asn
-        assert allocation.origin_of(IPv4Prefix.from_string("203.0.113.0/24")) is None
-
 
 class TestGeneratePopulation:
     def _population(self, host_count=400, seed=2, **kwargs):

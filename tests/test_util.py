@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util import (
-    cdf_points,
-    derive_rng,
-    percentile,
-    summarize,
-)
+from repro.util import cdf_points, derive_rng
 from repro.util.stats import fraction_above
 
 
@@ -40,24 +35,6 @@ class TestDeriveRng:
 
 
 class TestStats:
-    def test_summarize_fields(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.median == pytest.approx(2.5)
-        assert "n=" in summary.row()
-
-    def test_summarize_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_percentile(self):
-        assert percentile(range(101), 90) == pytest.approx(90.0)
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
     def test_cdf_points_shape(self):
         points = cdf_points([3.0, 1.0, 2.0])
         assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
@@ -79,12 +56,6 @@ class TestStats:
         assert ps == sorted(ps)
         assert vs == sorted(vs)
         assert ps[-1] == pytest.approx(1.0)
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_summary_ordering(self, samples):
-        s = summarize(samples)
-        assert s.minimum <= s.p25 <= s.median <= s.p75 <= s.p90 <= s.p99 <= s.maximum
 
 
 class TestGoldenDeterminism:

@@ -22,9 +22,13 @@ To allow one, add ``"Class.method": reason`` (or ``"function": reason``) to
 :data:`ALLOWED`, reusing a reason constant where one fits, and say in the
 reason what calls it instead.
 
-The run also lists, for information, each keyword of a called function
-that no call passed a value other than its default: a value nothing but
-the tests changes is a module constant, not a parameter.
+Keywords are held to the same rule.  A keyword of a called definition
+fails the run when no call under the hook passed it a value other than its
+default *and* no call in ``src/``, ``bench/`` or ``benchmarks/`` passes it,
+by name or by position (the source scan below; calls are matched to
+definitions by name) — unless :data:`KEYWORD_ALLOWED` gives a reason.  A
+value nothing but the tests changes is a module constant, not a parameter;
+a stale allow-list entry fails too.
 
 A second pass holds config fields to the same rule, by reading the source:
 each field of a ``*Config`` or ``*Policy`` dataclass under ``src/repro``
@@ -69,7 +73,6 @@ _NULL = "null-object Tracer method: callers never check which tracer they hold"
 _TCP = "TCP flow control or timeout: runs only when the kernel or the clock says so"
 _LARGE = "--scale 100k / 1m only: too large for CI"
 _KEEPALIVE = "wire keepalive: CI's wire calls end within one KEEPALIVE_INTERVAL_MS"
-_PINNED = "only tests call it, from a test of its own; it goes when that test goes"
 
 #: Definitions CI's product commands never call, on purpose: qualified
 #: name -> why it stays.
@@ -116,7 +119,6 @@ ALLOWED = {
     "SimNetwork.set_as_up": _FAULT + " (AS outage)",
     "SimNetwork.push_loss": _FAULT + " (loss burst)",
     "SimNetwork.pop_loss": _FAULT + " (loss burst)",
-    "ShardedDirectory._chain": "a resolve or leave of an address that never joined",
     "BootstrapServer._on_leave": "wire handler: a Leave may come from any peer",
     "Wait.fail": "loopback request timeout",
     "Simulator._misuse": "error path: a wait awaited twice",
@@ -147,17 +149,6 @@ ALLOWED = {
     "allocate_prefixes_hierarchical": _LARGE,
     "HostAgent._on_keepalive": _KEEPALIVE,
     "HostAgent.sleep_ms": _KEEPALIVE,
-    "Surrogate.refresh": _PINNED,
-    "RelayAssignmentService.release": _PINNED,
-    "SessionTrace.duration_ms": _PINNED,
-    "PrefixTrie.get": _PINNED,
-    "PrefixTrie.remove": _PINNED,
-    "PrefixTrie.items": _PINNED,
-    "PrefixTrie._walk_exact": _PINNED,
-    "PrefixAllocation.origin_of": _PINNED,
-    "DistributionSummary.row": _PINNED,
-    "summarize": _PINNED,
-    "percentile": _PINNED,
 }
 #: Reasons whose entries may get a call on one run and none on the next.
 SOMETIMES = {_TCP}
@@ -186,6 +177,25 @@ UNSET_ALLOWED = {
     "AdaptationPolicy": "the hysteresis tests shape the adapter with short windows",
     "MediaPlaneConfig.jitter_mean_ms": (
         "0 gives the jitter-free path MEASURED_MOS_TOLERANCE is stated on (docs/media.md)"
+    ),
+}
+
+
+#: Keywords of called definitions that CI's product commands leave at their
+#: defaults and that no call outside the tests passes, on purpose:
+#: ``"qualname(keyword=)"`` -> why it stays a keyword.
+KEYWORD_ALLOWED = {
+    "OPTMethod._score(prune=)": (
+        "reference path: tests/oracles.py scores with prune=False, the full fold "
+        "CI's Section-7 exactness step compares the pruned one against"
+    ),
+    "run_section5(config=)": _SKYPE,
+    "run_conference(media=)": (
+        "the jitter-free MediaPlaneConfig MEASURED_MOS_TOLERANCE is stated on (docs/media.md)"
+    ),
+    "run_demo(shards=)": (
+        "the sharded wire bootstrap; ROADMAP's bootstrap-under-load study drives it, "
+        "and until then only tests start more than one shard"
     ),
 }
 
@@ -225,12 +235,30 @@ def _configs(trees: dict) -> dict:
     return configs
 
 
-class _Setters(ast.NodeVisitor):
-    """Collects (class, field) pairs that some call sets."""
+def _signatures(trees: dict) -> dict:
+    """Function or method name -> the parameter lists a positional argument
+    may fill (``self`` / ``cls`` dropped), one per definition of that name."""
+    signatures = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = [a.arg for a in node.args.posonlyargs + node.args.args]
+                if params[:1] in (["self"], ["cls"]):
+                    params = params[1:]
+                signatures.setdefault(node.name, []).append(params)
+    return signatures
 
-    def __init__(self, configs: dict) -> None:
+
+class _Setters(ast.NodeVisitor):
+    """Collects (class, field) pairs that some call sets, and (name,
+    keyword) pairs of the parameters some call to ``name`` passes, by
+    name or by position."""
+
+    def __init__(self, configs: dict, signatures: dict) -> None:
         self.configs = configs
+        self.signatures = signatures
         self.found = set()
+        self.passed = set()
         self.scopes = []   # enclosing module / function / class nodes
         self.owner = []    # enclosing config class names
 
@@ -327,9 +355,16 @@ class _Setters(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _last_name(node)
+        keywords = self._kwargs(node.keywords)
+        self.passed.update((name, keyword) for keyword in keywords)
+        # A ``*args`` hides which parameters the arguments after it fill.
+        starred = [at for at, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
+        positional = starred[0] if starred else len(node.args)
+        for params in self.signatures.get(name, ()):
+            self.passed.update((name, param) for param in params[:positional])
         if name == "replace" and node.args:
             owners = self._types(node.args[0]) or set(self.configs)
-            for keyword in self._kwargs(node.keywords):
+            for keyword in keywords:
                 self.found.update((c, keyword) for c in owners)
         else:
             owner = name if name in self.configs else None
@@ -338,24 +373,30 @@ class _Setters(ast.NodeVisitor):
             if owner is not None:
                 fields = list(self.configs[owner][1])
                 self.found.update((owner, f) for f in fields[: len(node.args)])
-                self.found.update((owner, k) for k in self._kwargs(node.keywords))
+                self.found.update((owner, k) for k in keywords)
         self.generic_visit(node)
 
 
-def unset_fields(root: Path = ROOT) -> list:
-    """(path, line, ``Class.field``) of each config field nothing outside the tests sets."""
+def scan(root: Path = ROOT) -> _Setters:
+    """The setters and passed keywords of every call in ``src/``, ``bench/``
+    and ``benchmarks/``."""
     trees = {}
     for top in FIELD_SCANNED:
         for path in sorted((root / top).rglob("*.py")):
             trees[path] = ast.parse(path.read_bytes(), filename=str(path))
-    source = root / "src" / "repro"
-    configs = _configs({p: t for p, t in trees.items() if p.is_relative_to(source)})
-    setters = _Setters(configs)
+    source = {p: t for p, t in trees.items() if p.is_relative_to(root / "src" / "repro")}
+    setters = _Setters(_configs(source), _signatures(source))
     for tree in trees.values():
         setters.visit(tree)
+    return setters
+
+
+def unset_fields(root: Path = ROOT) -> list:
+    """(path, line, ``Class.field``) of each config field nothing outside the tests sets."""
+    setters = scan(root)
     return [
         (path.relative_to(root), line, f"{name}.{field}")
-        for name, (path, fields) in sorted(configs.items())
+        for name, (path, fields) in sorted(setters.configs.items())
         for field, (line, _) in fields.items()
         if (name, field) not in setters.found
     ]
@@ -371,6 +412,28 @@ def field_problems(found: list, allowed: dict = UNSET_ALLOWED) -> list:
             problems.append(f"{path}:{line}: config field {qualname} is set by nothing outside tests/")
     for key in sorted(set(allowed) - used):
         problems.append(f"tools/reach.py: field allow-list entry {key!r} is stale; remove it")
+    return problems
+
+
+def keyword_problems(unchanged: list, passed: set, allowed: dict = KEYWORD_ALLOWED) -> list:
+    """One line per keyword that only ever took its default and that no call
+    outside the tests passes, unless allowed, and per stale allow-list entry.
+
+    ``unchanged`` holds ``(path, qualname, keyword)``; ``passed`` the
+    ``(name, keyword)`` pairs of :func:`scan`."""
+    problems, used = [], set()
+    for path, qualname, keyword in sorted(unchanged):
+        if (qualname.rsplit(".", 1)[-1], keyword) in passed:
+            continue
+        key = f"{qualname}({keyword}=)"
+        if key in allowed:
+            used.add(key)
+        else:
+            problems.append(
+                f"{path}: {key} only ever took its default, and nothing outside tests/ passes it"
+            )
+    for key in sorted(set(allowed) - used):
+        problems.append(f"tools/reach.py: keyword allow-list entry {key!r} is stale; remove it")
     return problems
 
 
@@ -649,11 +712,11 @@ def main() -> int:
     print(f"{len(found)} definitions with no call, {len(ALLOWED)} allowed "
           f"({time.perf_counter() - started:.0f} s)")
     kept = sorted(defined[key[:2]][:2] + key[2:] for key in probe.unchanged() if key[:2] in defined)
-    for path, qualname, keyword in kept:
-        print(f"{path}: {qualname}({keyword}=) only ever took its default")
-    print(f"{len(kept)} keywords of called definitions only ever took their defaults")
+    problems = keyword_problems(kept, scan().passed)
+    print(f"{len(kept)} keywords of called definitions only ever took their defaults, "
+          f"{len(KEYWORD_ALLOWED)} allowed")
     unset = unset_fields()
-    problems = field_problems(unset)
+    problems += field_problems(unset)
     for line in problems:
         print(line)
     print(f"{len(unset)} config fields without a setter outside tests/, {len(UNSET_ALLOWED)} allow-list entries")
