@@ -21,7 +21,6 @@ from repro.scenario import (
     ScenarioConfig,
     build_scenario,
     small_scenario,
-    tiny_scenario,
 )
 
 __version__ = "1.9.0"
@@ -35,7 +34,6 @@ __all__ = [
     "build_scenario",
     "run_experiment",
     "small_scenario",
-    "tiny_scenario",
     "__version__",
 ]
 

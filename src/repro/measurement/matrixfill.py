@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.bgp.csr import bucket_csr
 from repro.bgp.routing import CELLS, RoutingTree
 from repro.errors import MeasurementError
 from repro.measurement.latency import LatencyModel
@@ -72,8 +71,6 @@ class WorldArrays:
     cluster_as_idx: np.ndarray   # (N,) int64 — universe index of each cluster's AS
     access_ms: np.ndarray        # (N,) float — delegate access delay
     sizes: np.ndarray            # (N,) int64 — online hosts per cluster
-    rows_indptr: np.ndarray      # (V+1,) CSR: cluster rows grouped by AS index
-    rows_indices: np.ndarray     # (N,) ascending within each AS
 
     @property
     def as_count(self) -> int:
@@ -147,12 +144,6 @@ class WorldArrays:
         cluster_as_idx = np.array(
             [as_index_of[int(a)] for a in cluster_asns], dtype=np.int64
         )
-        rows_lists: Dict[int, List[int]] = {}
-        for row, as_idx in enumerate(cluster_as_idx):
-            rows_lists.setdefault(int(as_idx), []).append(row)
-        rows_indptr, rows_indices = bucket_csr(
-            count, {k: np.array(v, dtype=np.int64) for k, v in rows_lists.items()}
-        )
         return cls(
             as_ids=as_ids,
             as_index_of=as_index_of,
@@ -164,8 +155,6 @@ class WorldArrays:
             cluster_as_idx=cluster_as_idx,
             access_ms=np.asarray(access_ms, dtype=float),
             sizes=np.asarray(sizes, dtype=np.int64),
-            rows_indptr=rows_indptr,
-            rows_indices=rows_indices,
         )
 
 

@@ -31,7 +31,6 @@ from repro.media.jitterbuf import JitterBufferConfig
 from repro.media.score import MeasuredScore, score_trace
 from repro.media.session import MediaPlaneConfig, MediaResult, PathWindow, run_media_session
 from repro.util.rng import derive_rng
-from repro.voip.codecs import G729A_VAD
 
 #: One call window: the unit of path state, switching and scoring.
 CALL_WINDOW_MS = 2_000.0
@@ -126,7 +125,6 @@ class WindowOutcome:
     mos: float
     switched: bool
     effective_loss: float
-    mouth_to_ear_ms: float
 
 
 @dataclass
@@ -192,8 +190,6 @@ class VoiceCall:
         for window in range(config.windows):
             states = [p.step() for p in self._paths]
             score = self._window_score(window, states, active)
-            heard = score.windows[0]  # one call window = one scoring window
-            mouth_to_ear = heard.mean_delay_ms + G729A_VAD.codec_delay_ms()
             switched = False
             if (
                 config.use_switching
@@ -209,7 +205,6 @@ class VoiceCall:
                     mos=score.mos,
                     switched=switched,
                     effective_loss=score.effective_loss,
-                    mouth_to_ear_ms=mouth_to_ear if heard.played else float("inf"),
                 )
             )
         return outcome

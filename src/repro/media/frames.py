@@ -92,9 +92,6 @@ class ReceivedTrace:
             lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + "\n"
 
-    def write(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
-
     @classmethod
     def from_jsonl(cls, text: str) -> "ReceivedTrace":
         """Parse :meth:`to_jsonl` output.

@@ -88,7 +88,6 @@ __all__ = [
     "active",
     "annotate",
     "counter",
-    "enabled",
     "event",
     "finish_run",
     "gauge",
@@ -272,11 +271,6 @@ class _NullHistogram:
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
-
-
-def enabled() -> bool:
-    """Whether a run observer is currently active."""
-    return _ACTIVE is not None
 
 
 def active() -> Optional[RunObserver]:

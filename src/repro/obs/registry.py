@@ -188,11 +188,6 @@ class MetricsRegistry:
 
     # -- read side ---------------------------------------------------------
 
-    def counter_value(self, name: str) -> int:
-        """Current value of a counter (0 when it never fired)."""
-        instrument = self._counters.get(name)
-        return instrument.value if instrument is not None else 0
-
     def snapshot(self) -> dict:
         """Plain-dict view of every instrument (JSON-serializable)."""
         return {

@@ -340,11 +340,11 @@ class _NullTracer:
     def scope(self, span) -> _Scope:
         return _Scope(self, span)
 
-    def begin(self, name: str, at_ms: float = 0.0, **attrs) -> _NullTraceSpan:
+    def begin(self, name: str, at_ms: float, **attrs) -> _NullTraceSpan:
         return NULL_TRACE_SPAN
 
     def continue_trace(
-        self, trace_id, parent_span_id, name, at_ms: float = 0.0, **attrs
+        self, trace_id, parent_span_id, name, at_ms: float, **attrs
     ) -> _NullTraceSpan:
         return NULL_TRACE_SPAN
 

@@ -162,8 +162,6 @@ class CallSummary:
     direct_rtt_ms: Optional[float]
     failovers: int
     relay_losses: int
-    #: Setup critical path: phase name -> milliseconds spent.
-    phases: Dict[str, float] = field(default_factory=dict)
     #: Probe messages by AS from close-set builds nested under the call.
     probes_by_as: Dict[str, int] = field(default_factory=dict)
     probe_messages: int = 0
@@ -177,29 +175,6 @@ class CallSummary:
         if self.chosen_rtt_ms is None or self.best_candidate_rtt_ms is None:
             return None
         return max(0.0, self.chosen_rtt_ms - self.best_candidate_rtt_ms)
-
-
-def _setup_phases(root: TraceNode) -> Dict[str, float]:
-    """The call-setup critical path, phase by phase.
-
-    Ping and selection are sequential; the two close-set legs run
-    concurrently (the slower one gates); two-hop queries run in parallel
-    after both legs (again the slower gates) — mirroring Fig. 8's steps.
-    """
-    phases: Dict[str, float] = {}
-    pings = root.find("setup.ping")
-    if pings:
-        phases["ping"] = round(sum(p.duration_ms for p in pings), 3)
-    own = [n.duration_ms for n in root.find("setup.close_set")
-           if n.attrs.get("leg") == "own"]
-    peer = [n.duration_ms for n in root.find("setup.close_set")
-            if n.attrs.get("leg") == "peer"]
-    if own or peer:
-        phases["close_set"] = round(max(sum(own), sum(peer)), 3)
-    two_hop = [n.duration_ms for n in root.find("setup.two_hop")]
-    if two_hop:
-        phases["two_hop"] = round(max(two_hop), 3)
-    return phases
 
 
 def analyze_calls(trees: Dict[str, TraceTree]) -> List[CallSummary]:
@@ -241,7 +216,6 @@ def analyze_calls(trees: Dict[str, TraceTree]) -> List[CallSummary]:
                     else 0
                 ),
                 relay_losses=len(root.find("media.relay_lost")),
-                phases=_setup_phases(root),
                 probes_by_as=probes_by_as,
                 probe_messages=probe_messages,
                 same_as_duplicate_probes=duplicates,
@@ -410,8 +384,6 @@ class LimitsReport:
     l3_skype_bounces: float
     l4_asap_probe_messages: int
     l4_skype_probe_messages: int
-    asap_probes_by_as: Dict[str, int] = field(default_factory=dict)
-    skype_probes_by_as: Dict[str, int] = field(default_factory=dict)
 
     def rows(self) -> List[Tuple[str, str]]:
         """(label, "asap vs skype") rows for a text report."""
@@ -473,8 +445,6 @@ def limits_report(
         l3_skype_bounces=_mean(skype_bounces) or 0.0,
         l4_asap_probe_messages=sum(asap_by_as.values()),
         l4_skype_probe_messages=sum(skype_by_as.values()),
-        asap_probes_by_as=asap_by_as,
-        skype_probes_by_as=skype_by_as,
     )
 
 

@@ -436,11 +436,6 @@ _PRESETS = {
 SCALES = tuple(_PRESETS)
 
 
-def tiny_scenario(seed: int = 0) -> Scenario:
-    """A very small world for unit tests (sub-second build)."""
-    return build_scenario(ScenarioConfig.preset("tiny", seed))
-
-
 def small_scenario(seed: int = 0) -> Scenario:
     """A mid-size world (~350 clusters, ~3k hosts): examples, quick runs."""
     return build_scenario(ScenarioConfig.preset("small", seed))

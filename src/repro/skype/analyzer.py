@@ -47,7 +47,6 @@ class DirectionAnalysis:
     relay_switches: int
     probed_nodes: List[IPv4Address]
     probed_after_stabilization: List[IPv4Address]
-    voice_packets: int
 
     @property
     def uses_relay(self) -> bool:
@@ -136,7 +135,6 @@ class TraceAnalyzer:
             relay_switches=switches,
             probed_nodes=probed,
             probed_after_stabilization=probed_after,
-            voice_packets=len(voice),
         )
 
     def analyze(self, trace: SessionTrace) -> SessionAnalysis:

@@ -73,6 +73,9 @@
   coroutine made runnable through the ready queue (``start`` is
   ``spawn``).  :class:`repro.sim.engine.Simulator` must run every
   program in the same order.
+- :func:`tiny_scenario` / :func:`counter_value`: the unit tests' world
+  and a metrics counter read (0 when it never fired); no product code
+  needs either.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ from repro.media.plc import conceal
 from repro.media.score import MeasuredScore, WindowScore
 from repro.media.session import MediaPlaneConfig, PathWindow
 from repro.netaddr import IPv4Address, IPv4Prefix
+from repro.scenario import Scenario, ScenarioConfig, build_scenario
 from repro.sim.engine import Simulator
 from repro.topology.clustering import ClusterIndex
 from repro.util.rng import derive_rng
@@ -1190,3 +1194,13 @@ class ReferenceSimulator(Simulator):
         if until_ms is not None and self._now_ms < until_ms:
             self._now_ms = until_ms
         return executed
+
+
+def tiny_scenario(seed: int = 0) -> Scenario:
+    """A very small world for unit tests (sub-second build)."""
+    return build_scenario(ScenarioConfig.preset("tiny", seed))
+
+
+def counter_value(registry, name: str) -> int:
+    """A counter's value in a metrics registry (0 when it never fired)."""
+    return registry.snapshot()["counters"].get(name, 0)

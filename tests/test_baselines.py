@@ -18,8 +18,14 @@ from repro.errors import ConfigurationError
 from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.measurement.matrix import DelegateMatrices
 from repro.netaddr.ipv4 import IPv4Prefix
-from repro.scenario import tiny_scenario
-from tests.oracles import best_one_hop, best_two_hop, evaluate_session, reference_opt_scores
+from tests.oracles import (
+    best_one_hop,
+    best_two_hop,
+    counter_value,
+    evaluate_session,
+    reference_opt_scores,
+    tiny_scenario,
+)
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +315,7 @@ class TestOPTPruningBoundary:
         opt = OPTMethod()
         with obs.observe() as run:
             result = evaluate_session(opt, matrices, 0, 1)
-            cells = run.registry.counter_value("opt.two_hop_cells")
+            cells = counter_value(run.registry, "opt.two_hop_cells")
         quality, one, two = reference_opt_scores(matrices, [(0, 1)], 40.0, 300.0)
         assert result.quality_paths == int(quality[0])
         assert result.best_rtt_ms == float(min(one[0], two[0]))

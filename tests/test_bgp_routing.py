@@ -1,5 +1,7 @@
 """Unit + property tests for the BGP policy routing engine."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from repro.bgp import routing
 from repro.bgp.csr import GraphCSR
 from repro.bgp.routing import UNROUTED
 from repro.topology import TopologyConfig, generate_topology
-from tests.oracles import assert_tree_matches_dict, dict_routing_tree
+from tests.oracles import assert_tree_matches_dict, counter_value, dict_routing_tree
 
 
 def diamond():
@@ -131,7 +133,7 @@ class TestPolicyRoutesOnDiamond:
                 router.trees([5, 99])
             with pytest.raises(TopologyError, match="unknown destination AS 99"):
                 router.tree(99)
-        assert run.registry.counter_value("routing.tree_batches") == 0
+        assert counter_value(run.registry, "routing.tree_batches") == 0
 
     def test_isolated_as_reaches_only_itself(self):
         g = diamond()
@@ -147,7 +149,7 @@ class TestPolicyRoutesOnDiamond:
         monkeypatch.setattr(routing, "CELLS", 2 * len(g))  # two trees a sweep
         router = PolicyRouter(g)
         with obs.observe() as run:
-            count = run.registry.counter_value
+            count = functools.partial(counter_value, run.registry)
             trees = router.trees([5, 4, 3, 2, 1])
             assert count("routing.tree_batches") == 0
             assert next(trees).destination == 5

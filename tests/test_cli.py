@@ -234,7 +234,7 @@ class TestExtendedCommands:
         from repro import obs
 
         records = obs.load_trace_file(out / obs.TRACES_FILENAME)
-        assert records
+        assert {"call", "setup.ping", "setup.done", "skype.call"} <= {r.get("name") for r in records}
         manifest = obs.load_manifest(out / obs.MANIFEST_FILENAME)
         assert manifest["traces_file"] == obs.TRACES_FILENAME
         assert manifest["traces_written"] == len(records)

@@ -12,9 +12,8 @@ import pytest
 from repro.bgp.asgraph import ASGraph
 from repro.core import ASAPConfig, ASAPSystem
 from repro.core.relay_selection import select_close_relay
-from repro.scenario import tiny_scenario
 from repro.worldarrays.closesets import LOSS_THRESHOLD
-from tests.oracles import best_one_hop, best_two_hop
+from tests.oracles import best_one_hop, best_two_hop, tiny_scenario
 
 
 @pytest.fixture(scope="module")

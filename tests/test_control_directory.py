@@ -27,7 +27,7 @@ from repro.netaddr import IPv4Address
 from repro.service import ServiceWorld
 from repro.service.bootstrap import BootstrapServer
 from repro.service.surrogate import SurrogateServer
-from tests.oracles import ring_preference
+from tests.oracles import counter_value, ring_preference
 
 SHARDS, TTL_MS, HOSTS = 3, 100.0, 12
 
@@ -225,7 +225,7 @@ class TestAgainstDictModel:
                 assert directory.stats() == model.stats()
                 assert "\n".join(directory.log).encode() == "\n".join(model.log).encode()
             for name in ("failover_joins", "failed_joins"):
-                assert run.registry.counter_value(f"control.directory.{name}") == (
+                assert counter_value(run.registry, f"control.directory.{name}") == (
                     model.counts[name]
                 )
 
@@ -352,5 +352,5 @@ def test_a_strangers_lookups_walk_no_ring_chain():
         for value in range(100):
             assert directory.resolve(_ip(100 + value), 1.0) is None
             assert directory.leave(_ip(100 + value), 1.0) == 0
-        assert run.registry.counter_value("control.ring.chains") == 0
+        assert counter_value(run.registry, "control.ring.chains") == 0
     assert directory._ring._chains == memo

@@ -19,9 +19,8 @@ from repro.control.maintainer import EVENT_KINDS
 from repro.core import ASAPConfig
 from repro.core.protocol import ASAPSystem
 from repro.errors import ProtocolError
-from repro.scenario import tiny_scenario
 from repro.worldarrays import FlatCloseSetBuilder
-from tests.oracles import assert_arrays_are_the_set, construct_close_cluster_set
+from tests.oracles import assert_arrays_are_the_set, construct_close_cluster_set, tiny_scenario
 
 
 def diamond():

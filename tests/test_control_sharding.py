@@ -8,7 +8,7 @@ from repro import obs
 from repro.control import BootstrapRouter, HashRing, ShardedDirectory, sharding
 from repro.errors import ConfigurationError
 from repro.netaddr import IPv4Address
-from tests.oracles import ring_preference
+from tests.oracles import counter_value, ring_preference
 from tests.test_control_directory import DictDirectory
 
 
@@ -67,7 +67,7 @@ class TestHashRing:
                     ring.owner(key)
                     ring.preference(key)
             ring.chain("7")  # formats like 7: the same ring position
-            assert run.registry.counter_value("control.ring.chains") == 10
+            assert counter_value(run.registry, "control.ring.chains") == 10
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -12,7 +12,7 @@ from repro.evaluation.assignment import (
 from repro.core.config import derive_k_hops
 from repro.errors import ProtocolError
 from repro.evaluation.sessions import generate_workload
-from repro.scenario import tiny_scenario
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

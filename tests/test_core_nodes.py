@@ -15,11 +15,10 @@ from repro.errors import ProtocolError, RemoteError
 from repro.net.codec import ERR_NOT_SERVING, ROLE_HOST, Join
 from repro.net.loopback import LoopbackHub, LoopbackTransport
 from repro.netaddr import IPv4Address, IPv4Prefix
-from repro.scenario import tiny_scenario
 from repro.service import ServiceWorld
 from repro.service.bootstrap import BootstrapServer
 from repro.topology.population import Host, NodalInfo
-from tests.oracles import construct_close_cluster_set, prefix_contains
+from tests.oracles import construct_close_cluster_set, prefix_contains, tiny_scenario
 
 
 PFX = IPv4Prefix.from_string("10.0.0.0/24")

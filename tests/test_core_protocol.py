@@ -14,9 +14,8 @@ from repro.core.runtime import ASAPRuntime, _SimPort
 from repro.errors import ConfigurationError, ProtocolError
 from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.evaluation.policies import ASAPPolicy
-from repro.scenario import tiny_scenario
 from repro.voip.quality import mos_of_path
-from tests.oracles import dense_k_hops, prefix_contains
+from tests.oracles import dense_k_hops, prefix_contains, tiny_scenario
 
 
 @pytest.fixture(scope="module")

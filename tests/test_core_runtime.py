@@ -1,5 +1,7 @@
 """Tests for the event-driven ASAP runtime (joins + call setups)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from repro.core import ASAPConfig, ASAPSystem
 from repro.worldarrays.closesets import CloseClusterSet
 from repro.core.config import derive_k_hops
 from repro.core.runtime import ASAPRuntime
-from repro.scenario import tiny_scenario
 from repro.worldarrays import FlatCloseSetBuilder
+from tests.oracles import counter_value, tiny_scenario
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +210,7 @@ class TestBatchedCloseSets:
         sweeps = self._spy_sweeps(monkeypatch)
         system.want([cluster])
         with obs.observe() as run:
-            count = run.registry.counter_value
+            count = functools.partial(counter_value, run.registry)
             system.surrogate(other).serve_close_set()
             assert sweeps == [[other, cluster]]
             assert count("close_set.built") == 1  # computed, not yet reported

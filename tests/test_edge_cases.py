@@ -7,12 +7,12 @@ from repro.core import ASAPConfig, ASAPSystem, relay_selection
 from repro.core.runtime import ASAPRuntime
 from repro.errors import EvaluationError, MeasurementError, TopologyError
 from repro.measurement.matrix import compute_delegate_matrices
-from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
+from repro.scenario import ScenarioConfig, build_scenario
 from repro.topology import PopulationConfig, TopologyConfig
 from repro.topology.clustering import ClusterIndex
 from repro.worldarrays import closesets
 from repro.evaluation.sessions import generate_workload
-from tests.oracles import rtt_to
+from tests.oracles import rtt_to, tiny_scenario
 
 
 @pytest.fixture(scope="module")

@@ -21,8 +21,7 @@ from repro.evaluation.report import (
 )
 from repro.evaluation.section3 import run_section3
 from repro.evaluation.section7 import run_section7
-from repro.scenario import tiny_scenario
-from tests.oracles import reference_summarize_method
+from tests.oracles import reference_summarize_method, tiny_scenario
 
 
 @pytest.fixture(scope="module")

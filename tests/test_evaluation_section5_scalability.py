@@ -12,8 +12,8 @@ from repro.evaluation.section5 import (
     build_site_plan,
     run_section5,
 )
-from repro.scenario import tiny_scenario
 from repro.skype import SkypeConfig
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

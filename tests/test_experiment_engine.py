@@ -31,10 +31,10 @@ from repro.evaluation.policies import METHOD_NAMES, default_policies
 from repro.scenario import (
     SCALES,
     ScenarioConfig,
-    tiny_scenario,
 )
 from repro.storage.columns import ColumnStore
 from repro.worldarrays.virtual import VirtualMatrices
+from tests.oracles import tiny_scenario
 
 EXPERIMENT_KWARGS = dict(
     scale="tiny", seed=3, session_count=400, latent_target=10, max_latent_sessions=10

@@ -13,9 +13,9 @@ from repro.faults import (
     LossBurst,
     compile_schedule,
 )
-from repro.scenario import tiny_scenario
 from repro.sim.engine import Simulator
 from repro.sim.network import SimNetwork
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from repro.cli import main
 from repro.core import ASAPConfig
 from repro.core.runtime import ASAPRuntime
 from repro.evaluation.figures import export_all, export_section3, export_section7
-from repro.scenario import tiny_scenario
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

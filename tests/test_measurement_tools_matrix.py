@@ -9,7 +9,7 @@ from repro.measurement import (
     apply_king_noise,
     compute_delegate_matrices,
 )
-from repro.scenario import tiny_scenario
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

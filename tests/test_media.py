@@ -101,7 +101,7 @@ class TestFrames:
         )
         trace = ReceivedTrace(call_id=9, frames=frames)
         path = tmp_path / "trace.jsonl"
-        trace.write(path)
+        path.write_text(trace.to_jsonl(), encoding="utf-8")
         again = ReceivedTrace.read(path)
         assert again == trace
         assert again.to_jsonl() == trace.to_jsonl()
@@ -482,30 +482,44 @@ class TestMediaSession:
                 assert f_clean == f_cut
         assert cut.score.mos < clean.score.mos
 
-    @pytest.mark.parametrize("burst_frames", [4.0, None])
-    def test_outage_leaves_jittered_lossy_channel_untouched(self, burst_frames):
+    #: One 10 s window at 5 % loss, cut 3–5 s; and 20 s at seed 11 through a
+    #: 4 s loss burst, cut 6–8 s (the burst's GE draws precede the cut).
+    _SHORT = (3, 10_000.0, [PathWindow(0.0, 100.0, 0.05)], 0, (3_000.0, 5_000.0))
+    _AFTER_BURST = (
+        1, 20_000.0,
+        [PathWindow(0.0, 120.0, 0.005), PathWindow(5_000.0, 120.0, 0.30),
+         PathWindow(9_000.0, 120.0, 0.005)],
+        11, (6_000.0, 8_000.0),
+    )
+
+    @pytest.mark.parametrize("burst_frames, session", [
+        pytest.param(4.0, _SHORT, id="4.0"),
+        pytest.param(None, _SHORT, id="None"),
+        pytest.param(4.0, _AFTER_BURST, id="after-burst"),
+    ])
+    def test_outage_leaves_jittered_lossy_channel_untouched(self, burst_frames, session):
         """With jitter and loss on, an outage changes only the frames it
         covers: every other frame keeps its loss and arrival, field for
         field.  (A frame lost to the outage used to skip its jitter draw,
         shifting the draws of every later frame.)"""
+        call_id, duration_ms, path, seed, (start, end) = session
         kwargs = dict(
-            call_id=3, duration_ms=10_000.0,
-            path=[PathWindow(0.0, 100.0, 0.05)],
+            call_id=call_id, duration_ms=duration_ms, path=path,
             config=MediaPlaneConfig(
                 jitter_mean_ms=6.0, burst_frames=burst_frames, adaptation=None,
             ),
-            seed=0,
+            seed=seed,
         )
         clean = run_media_session(**kwargs)
-        cut = run_media_session(outages=[OutageWindow(3_000.0, 5_000.0)], **kwargs)
-        inside = [f for f in cut.trace.frames if 3_000.0 <= f.sent_ms < 5_000.0]
+        cut = run_media_session(outages=[OutageWindow(start, end)], **kwargs)
+        inside = [f for f in cut.trace.frames if start <= f.sent_ms < end]
         assert len(inside) == 100 and all(f.lost for f in inside)
         outside = [
             (f_clean, f_cut)
             for f_clean, f_cut in zip(clean.trace.frames, cut.trace.frames)
-            if not 3_000.0 <= f_clean.sent_ms < 5_000.0
+            if not start <= f_clean.sent_ms < end
         ]
-        assert len(outside) == 400
+        assert len(outside) == len(clean.trace.frames) - 100
         assert [f for f, _ in outside] == [f for _, f in outside]
 
     def test_session_validation(self):

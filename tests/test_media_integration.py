@@ -8,9 +8,9 @@ from repro import obs
 from repro.evaluation.conference import run_conference
 from repro.media.score import MEASURED_MOS_TOLERANCE, score_trace
 from repro.media.session import MediaPlaneConfig
-from repro.scenario import tiny_scenario
 from repro.service import ServiceWorld, run_demo
 from repro.voip.codecs import ILBC
+from tests.oracles import tiny_scenario
 from tests.test_media import _loss_rate
 
 

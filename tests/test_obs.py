@@ -12,6 +12,7 @@ Covers the four contracts the layer makes:
 """
 
 import json
+import re
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.evaluation.policies import ASAPPolicy, default_policies
 from repro.evaluation.section7 import run_section7
 from repro.measurement.matrix import compute_delegate_matrices
 from repro.obs.registry import MetricsRegistry
-from repro.scenario import tiny_scenario
+from tests.oracles import counter_value, tiny_scenario
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +33,10 @@ def scenario():
 @pytest.fixture(autouse=True)
 def no_leaked_run():
     """Every test starts and ends with no active observability run."""
-    if obs.enabled():
+    if obs.active() is not None:
         obs.finish_run()
     yield
-    if obs.enabled():
+    if obs.active() is not None:
         obs.finish_run()
 
 
@@ -47,8 +48,8 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("a").inc()
         registry.counter("a").inc(4)
-        assert registry.counter_value("a") == 5
-        assert registry.counter_value("never-touched") == 0
+        assert counter_value(registry, "a") == 5
+        assert counter_value(registry, "never-touched") == 0
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
@@ -110,7 +111,7 @@ class TestHistogramQuantiles:
 
 class TestHooks:
     def test_disabled_hooks_are_shared_noops(self):
-        assert not obs.enabled()
+        assert obs.active() is None
         assert obs.counter("x") is obs.counter("y")
         obs.counter("x").inc()  # goes nowhere, raises nothing
         obs.gauge("x").set(1.0)
@@ -128,13 +129,13 @@ class TestHooks:
     def test_counters_reach_the_active_run(self):
         with obs.observe() as run:
             obs.counter("hit").inc(2)
-            assert run.registry.counter_value("hit") == 2
-        assert not obs.enabled()
+            assert counter_value(run.registry, "hit") == 2
+        assert obs.active() is None
 
     def test_matrix_fill_counts_each_column_once(self, scenario):
         with obs.observe() as run:
             matrices = compute_delegate_matrices(scenario.latency, scenario.clusters)
-            assert run.registry.counter_value("matrix.columns") == matrices.count
+            assert counter_value(run.registry, "matrix.columns") == matrices.count
 
 
 # -- events and manifest -------------------------------------------------------
@@ -204,6 +205,20 @@ class TestEventsAndManifest:
             assert run.registry.histogram("span.unit.block").count == 1
 
 
+    def test_section7_command_counts_the_messages_it_prints(self, tmp_path, capsys):
+        from repro.cli import main
+
+        rc = main(["section7", "--scale", "tiny", "--sessions", "400", "--latent", "10",
+                   "--obs-dir", str(tmp_path)])
+        assert rc == 0
+        printed = re.search(
+            r"ASAP relay-selection messages \(total\): (\d+)", capsys.readouterr().out
+        )
+        manifest = obs.load_manifest(tmp_path / obs.MANIFEST_FILENAME)
+        events = (tmp_path / obs.EVENTS_FILENAME).read_text().splitlines()
+        assert events and manifest["events_written"] == len(events)
+        assert manifest["counters"]["asap.select.messages"] == int(printed.group(1))
+
 # -- policies satisfy the protocol ---------------------------------------------
 
 
@@ -235,4 +250,4 @@ class TestResultsUnchanged:
         # The acceptance contract: the relay-selection message counter
         # equals the ASAPSession.messages totals the runner reports.
         asap_messages = sum(r.messages for r in observed.records["ASAP"])
-        assert run.registry.counter_value("asap.select.messages") == asap_messages
+        assert counter_value(run.registry, "asap.select.messages") == asap_messages

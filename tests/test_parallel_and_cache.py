@@ -13,6 +13,7 @@ Covers the three pillars of fast repeated evaluation:
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -24,17 +25,17 @@ from repro.baselines import (
     OPTMethod,
     RANDMethod,
 )
+from repro.core import ASAPConfig, ASAPSystem
 from repro.measurement.matrix import compute_delegate_matrices
 from repro.scenario import (
     SCALES,
     ScenarioConfig,
     build_scenario,
     subsample_scenario,
-    tiny_scenario,
 )
 from repro.storage import SCHEMA_VERSION, ScenarioCache, scenario_cache_key
 from repro.storage.cache import CACHE_DIR_ENV, resolve_cache_dir
-from tests.oracles import evaluate_session, scalar_delegate_matrices
+from tests.oracles import counter_value, evaluate_session, scalar_delegate_matrices, tiny_scenario
 
 
 @pytest.fixture(scope="module")
@@ -101,14 +102,19 @@ class TestScenarioCacheKey:
 
 class TestScenarioCache:
     def test_round_trip_is_identical(self, tmp_path):
-        config = dataclasses.replace(ScenarioConfig.preset("tiny", 7), cache_dir=str(tmp_path))
+        config = dataclasses.replace(ScenarioConfig.preset("small", 0), cache_dir=str(tmp_path))
+        started = time.perf_counter()
         cold = build_scenario(config)
+        cold.matrices
+        cold_s = time.perf_counter() - started
         entry_dir = tmp_path / scenario_cache_key(config)
         assert (entry_dir / "scenario.pkl.gz").exists()
         assert (entry_dir / "matrices.npz").exists()
         assert (entry_dir / "meta.json").exists()
 
+        started = time.perf_counter()
         warm = build_scenario(config)
+        assert time.perf_counter() - started < cold_s
         assert np.array_equal(cold.matrices.rtt_ms, warm.matrices.rtt_ms)
         assert np.array_equal(cold.matrices.loss, warm.matrices.loss)
         assert np.array_equal(cold.matrices.as_hops, warm.matrices.as_hops)
@@ -117,6 +123,12 @@ class TestScenarioCache:
         ]
         assert len(cold.clusters.all_clusters()) == len(warm.clusters.all_clusters())
         assert warm.config == config
+        # The cache holds the world and its matrices, not close sets: the
+        # system builds none on construction and leaves no file behind.
+        with obs.observe() as run:
+            ASAPSystem(warm, ASAPConfig())
+            assert counter_value(run.registry, "close_set.built") == 0
+        assert not list(tmp_path.rglob("close_sets-*"))
 
     @pytest.mark.parametrize(
         "name, damage",
@@ -151,7 +163,7 @@ class TestScenarioCache:
             np.savez_compressed(path, **arrays)
         with obs.observe() as run:
             rebuilt = build_scenario(config)  # must rebuild, not crash
-            assert run.registry.counter_value("cache.scenario.misses") == 1
+            assert counter_value(run.registry, "cache.scenario.misses") == 1
         assert np.array_equal(rebuilt.matrices.rtt_ms, intact.matrices.rtt_ms)
         assert ScenarioCache(tmp_path).load(config) is not None  # and the entry is whole again
 

@@ -17,7 +17,7 @@ from repro.core.relay_selection import select_close_relay
 from repro.evaluation.sessions import _distinct_pairs, generate_workload
 from repro.measurement.latency import RELAY_DELAY_RTT_MS
 from repro.baselines.opt import SESSION_BATCH
-from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
+from repro.scenario import ScenarioConfig, build_scenario
 from repro.storage.columns import ColumnStore
 from repro.topology import TopologyConfig, generate_topology
 from repro.util.rng import derive_rng
@@ -31,6 +31,7 @@ from tests.oracles import (
     reference_generate_workload,
     reference_opt_scores,
     rtt_to,
+    tiny_scenario,
     valley_free_ball,
 )
 

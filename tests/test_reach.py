@@ -174,6 +174,19 @@ def test_keywords_passed_in_src_or_bench_pass(tree):
     assert ("tune", "only_in_tests") not in passed
 
 
+def test_a_positional_call_to_a_shared_name_passes_no_keyword(tree):
+    """A second ``tune`` makes ``tune(0, 5)`` ambiguous: its positional
+    argument counts for neither definition; keywords still match by name."""
+    (tree / "src/repro/dial.py").write_text(
+        "class Dial:\n    def tune(self, level, volume=0):\n        return volume\n",
+        encoding="utf-8",
+    )
+    passed = reach.scan(tree).passed
+    assert ("tune", "volume") not in passed
+    assert ("tune", "by_position") not in passed
+    assert ("tune", "by_name") in passed
+
+
 def test_an_allowed_keyword_passes_and_a_stale_entry_fails(tree):
     allowed = {
         "tune(only_in_tests=)": "why it stays",

@@ -16,8 +16,8 @@ from repro.core.dial import (
 from repro.core.runtime import ASAPRuntime
 from repro.evaluation.chaos import run_chaos, sweep_chaos
 from repro.faults import FaultScheduleConfig
-from repro.scenario import tiny_scenario
 from repro.voip.outage import OutageWindow, account_outages, merge_windows
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +315,23 @@ class TestChaosRuns:
         assert set(result.call_outcomes) <= {"completed", "degraded", "failed"}
         assert set(result.join_outcomes) <= {"completed", "failed"}
         assert set(result.media_outcomes) <= {"finished", "dropped"}
+
+    def test_no_call_hangs_at_fault_seed_3(self, scenario):
+        config = FaultScheduleConfig(
+            seed=3,
+            duration_ms=30_000,
+            surrogate_crash_rate_per_min=6.0,
+            host_churn_rate_per_min=40.0,
+            message_loss_rate=0.02,
+            random_as_outages=1,
+        )
+        # run_chaos raises if anything is still pending at the end.
+        result = run_chaos(scenario, config, sessions=25, joins=25, seed=7)
+        assert sum(result.call_outcomes.values()) == 25
+        assert set(result.call_outcomes) | set(result.join_outcomes) <= {
+            "completed", "degraded", "failed"
+        }
+        assert result.fault_log
 
     def test_chaos_is_deterministic(self, scenario):
         config = FaultScheduleConfig(

@@ -5,10 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import Scenario, ScenarioConfig, build_scenario, tiny_scenario
+from repro import Scenario, ScenarioConfig, build_scenario
 from repro.errors import ConfigurationError
 from repro.scenario import subsample_scenario
 from repro.topology import PopulationConfig, TopologyConfig
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,9 @@ Each property holds the on-demand form to the eager one kept in
 ``tests/oracles.py``: surrogate groups elected on first touch ≡ every
 group elected up front; a graph's shared CSR export ≡ a fresh export;
 streamed gathers ≡ dense reads; the DEDI / MIX fleet ≡ the ``sorted``
-ranking; the world-static host table ≡ the per-host lookup loop.
+ranking; the world-static host table ≡ the per-host lookup loop.  One
+count test holds a ``small`` round's sweeps, exports and folds to their
+ceilings.
 """
 
 import dataclasses
@@ -17,16 +19,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.baselines import DEDIMethod
 from repro.baselines.base import DEDICATED_COUNT, MIX_DEDICATED
 from repro.bgp.csr import GraphCSR
 from repro.bgp.routing import PolicyRouter
 from repro.core import ASAPConfig, ASAPSystem
 from repro.errors import ReproError, TopologyError
+from repro.evaluation.policies import default_policies
+from repro.evaluation.section7 import run_section7
+from repro.measurement.matrix import DelegateMatrices
 from repro.scenario import ScenarioConfig, build_scenario
 from repro.storage.columns import ColumnStore
 from repro.worldarrays.virtual import VirtualMatrices
 from tests.oracles import (
+    counter_value,
     elect_every_group,
     reference_host_table,
     reference_top_degree_clusters,
@@ -290,3 +297,53 @@ class TestHostTable:
         assert first[1].tolist() == reference_host_table(tiny.clusters, hosts, index_of)[1]
         assert pickle.loads(pickle.dumps(tiny.clusters)) == tiny.clusters
         assert "_host_table" not in pickle.loads(pickle.dumps(tiny.clusters)).__dict__
+
+
+# -- (vi) what a small round pays for, counted ------------------------------------
+
+
+def test_a_small_round_builds_trees_sets_and_folds_in_batches(monkeypatch):
+    """``small`` seed 0, counted from outside: routing trees come in array
+    sweeps (735 in 15), two policy sets share one CSR export, a surrogate
+    group is elected per cluster touched (264 of 347), ASAP's close sets
+    read rows in three multi-source sweeps, and OPT folds ~2.5 % of the
+    two-hop cells.  Per-destination trees, per-source builds or the full
+    fold read hundreds of sweeps, reads or 100 %."""
+    with obs.observe() as run:
+        scenario = build_scenario(ScenarioConfig.preset("small", 0))
+        scenario.matrices
+        trees = counter_value(run.registry, "routing.trees")
+        batches = counter_value(run.registry, "routing.tree_batches")
+    assert trees >= 700 and batches <= 16, (trees, batches)
+
+    exports, elected, touched, reads = [], [], set(), []
+    export, elect = GraphCSR.from_asgraph.__func__, ASAPSystem._elect_group
+    surrogate, rows = ASAPSystem.surrogate, DelegateMatrices.rows
+    monkeypatch.setattr(
+        GraphCSR, "from_asgraph",
+        classmethod(lambda cls, graph: exports.append(graph) or export(cls, graph)),
+    )
+    default_policies(scenario)
+    default_policies(scenario)
+    assert len(exports) == 1
+
+    monkeypatch.setattr(
+        ASAPSystem, "_elect_group",
+        lambda self, idx, asn, hosts: elected.append(idx) or elect(self, idx, asn, hosts),
+    )
+    monkeypatch.setattr(
+        ASAPSystem, "surrogate",
+        lambda self, idx, requester=None: touched.add(idx) or surrogate(self, idx, requester),
+    )
+    monkeypatch.setattr(
+        DelegateMatrices, "rows",
+        lambda view, sources: reads.append(len(sources)) or rows(view, sources),
+    )
+    with obs.observe() as run:
+        run_section7(scenario, seed=0)
+        cells = counter_value(run.registry, "opt.two_hop_cells")
+        sessions = counter_value(run.registry, "section7.sessions.OPT")
+    n = scenario.matrix_view().count
+    assert touched and len(elected) == len(touched) < n, (len(elected), len(touched), n)
+    assert 0 < len(reads) <= 6, reads
+    assert sessions > 0 and cells <= 0.10 * sessions * n * n, (cells, sessions, n)

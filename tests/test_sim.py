@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netaddr import IPv4Address
-from repro.scenario import tiny_scenario
 from repro.sim import PacketRecord, SessionTrace, SimNetwork, Simulator
 from repro.sim.engine import SimulationError
-from tests.oracles import ReferenceSimulator
+from tests.oracles import ReferenceSimulator, tiny_scenario
 
 
 class TestSimulator:

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.measurement.tools import KingEstimator
 from repro.netaddr import IPv4Address
-from repro.scenario import tiny_scenario
 from repro.sim.trace import PacketRecord, SessionTrace
 from repro.skype import (
     SkypeConfig,
@@ -16,6 +15,7 @@ from repro.skype import (
 )
 from repro.skype.analyzer import _carrier_switches, _stabilization_time
 from repro.util.rng import derive_rng
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

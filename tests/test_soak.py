@@ -1,9 +1,12 @@
 """The churn soak harness: determinism, gates, chaos equivalence."""
 
 import dataclasses
+import json
 
 import pytest
 
+from repro import obs
+from repro.cli import main
 from repro.control import ShardedDirectory
 from repro.control.maintainer import CloseSetMaintainer
 from repro.core.protocol import ASAPSystem
@@ -12,8 +15,11 @@ from repro.evaluation.chaos import run_chaos
 from repro.evaluation.soak import SoakConfig, default_shard_outage, run_soak
 from repro.faults import ChurnWave, FaultScheduleConfig, ShardOutage
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, validate_manifest
-from repro.scenario import ScenarioConfig, build_scenario, tiny_scenario
+from repro.obs.report import critical_path, load_run, series_by_subsystem, write_flame
+from repro.obs.trace_analysis import build_trees
+from repro.scenario import ScenarioConfig, build_scenario
 from repro.worldarrays import FlatCloseSetBuilder
+from tests.oracles import tiny_scenario
 
 SOAK_SEED = 3
 
@@ -176,6 +182,58 @@ class TestZeroChurnEquivalence:
         assert report.workload == static.to_dict()
         assert report.ok
         assert report.maintainer["events_seen"] == 0
+
+
+class TestSoakCommand:
+    """``repro soak --scale tiny --seed 3`` through a shard kill, traced:
+    the manifest carries every gate and a telemetry block that matches
+    its file, each cluster's ring chain is walked at most once (thousands
+    means once per directory operation), and the run renders per
+    subsystem with a critical path and a flamegraph."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("soak")
+        code = main([
+            "soak", "--scale", "tiny", "--seed", "3", "--minutes", "20", "--churn-rate", "2",
+            "--kill-shard", "0", "--trace", "--obs-dir", str(out), "--json", str(out / "r.json"),
+        ])
+        assert code == 0
+        return out, obs.load_manifest(out / obs.MANIFEST_FILENAME)
+
+    def test_manifest_carries_the_gates_and_ring_chains_stay_per_cluster(self, run):
+        out, manifest = run
+        assert manifest["schema"] == MANIFEST_SCHEMA_VERSION
+        soak = manifest["soak"]
+        for gate in ("registry_bounded", "directory_converged", "staleness_bounded",
+                     "calls_terminal", "ok"):
+            assert soak[gate] is True, gate
+        assert json.loads((out / "r.json").read_text())["ok"] is True
+        assert soak["directory"]["end_total"] == soak["alive_end"]
+        events = [json.loads(line) for line in (out / obs.EVENTS_FILENAME).read_text().splitlines()]
+        clusters = next(e["clusters"] for e in events if e.get("name") == "matrix.assemble")
+        assert 0 < manifest["counters"]["control.ring.chains"] <= clusters
+
+    def test_telemetry_block_matches_the_file(self, run):
+        out, manifest = run
+        block = manifest["telemetry"]
+        records = obs.load_telemetry_file(out / obs.TELEMETRY_FILENAME)
+        samples = [r for r in records if r["kind"] == "sample"]
+        assert block["file"] == obs.TELEMETRY_FILENAME
+        assert block["samples"] == len(samples)
+        assert block["series"] == len({r["series"] for r in samples})
+        assert not any(r.get("wall") for r in samples)  # the simulated clock only
+
+    def test_report_renders_three_subsystems_and_a_critical_path(self, run):
+        out, _ = run
+        artifacts = load_run(out)
+        assert {"control", "net", "runtime"} <= set(series_by_subsystem(artifacts.telemetry))
+        trees = build_trees(artifacts.traces)
+        longest = max(trees.values(), key=lambda t: t.root.duration_ms if t.root else 0.0)
+        assert critical_path(longest)
+        path, _ = write_flame(artifacts, out / "flame.json")
+        flame = json.loads(path.read_text())
+        assert flame["name"] == "run" and flame["children"]
 
 
 class TestBatchedCloseSets:

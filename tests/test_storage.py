@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ArtifactError, BGPParseError, ReproError
 from repro.evaluation.metrics import MethodRecord, load_records_csv, save_records_csv
-from repro.scenario import tiny_scenario
 from repro.storage import (
     load_matrices,
     read_rib_file,
@@ -15,6 +14,7 @@ from repro.storage import (
     write_update_file,
 )
 from repro.topology import allocate_prefixes, generate_rib_entries, generate_topology, generate_update_stream, TopologyConfig
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

@@ -41,12 +41,13 @@ from repro.obs.timeseries import (
 )
 from repro.obs.trace import Tracer, load_trace_files
 from repro.obs.trace_analysis import build_trees
+from tests.oracles import counter_value
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_run():
     yield
-    if obs.enabled():
+    if obs.active() is not None:
         obs.finish_run()
 
 
@@ -160,7 +161,7 @@ class TestHistogramReservoir:
         assert len(histogram.samples) == RESERVOIR_SIZE
         assert histogram.count == total
         assert histogram.dropped == total - RESERVOIR_SIZE
-        assert registry.counter_value("telemetry.samples_dropped") == histogram.dropped
+        assert counter_value(registry, "telemetry.samples_dropped") == histogram.dropped
         # bucket-backed quantiles are unaffected by reservoir eviction
         assert histogram.min == 0.0 and histogram.max == 349.0
         q50 = histogram.quantile(0.5)
@@ -183,7 +184,7 @@ class TestHistogramReservoir:
             histogram.observe(float(i))
         assert histogram.samples == [float(i) for i in range(10)]
         assert histogram.dropped == 0
-        assert registry.counter_value("telemetry.samples_dropped") == 0
+        assert counter_value(registry, "telemetry.samples_dropped") == 0
 
 
 class TestTelemetryFileAndManifest:

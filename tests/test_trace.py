@@ -30,10 +30,10 @@ from repro.obs.trace import (
 
 @pytest.fixture(autouse=True)
 def no_leaked_run():
-    if obs.enabled():
+    if obs.active() is not None:
         obs.finish_run()
     yield
-    if obs.enabled():
+    if obs.active() is not None:
         obs.finish_run()
 
 

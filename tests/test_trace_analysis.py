@@ -26,8 +26,8 @@ from repro.evaluation.sessions import generate_workload
 from repro.faults import FaultScheduleConfig
 from repro.obs import trace_analysis as ta
 from repro.obs.trace import Tracer, load_trace_file
-from repro.scenario import tiny_scenario
 from repro.skype.session import run_skype_session
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +37,10 @@ def scenario():
 
 @pytest.fixture(autouse=True)
 def no_leaked_run():
-    if obs.enabled():
+    if obs.active() is not None:
         obs.finish_run()
     yield
-    if obs.enabled():
+    if obs.active() is not None:
         obs.finish_run()
 
 
@@ -188,9 +188,6 @@ class TestCallAnalysis:
         assert call.chosen_rtt_ms is not None
         assert call.best_candidate_rtt_ms is not None
         assert call.relay_gap_ms is not None and call.relay_gap_ms >= 0.0
-        # Critical path: ping always present; phase times non-negative.
-        assert "ping" in call.phases
-        assert all(v >= 0.0 for v in call.phases.values())
         # Lazy close-set builds under the call carry per-AS attribution.
         if call.probe_messages:
             assert call.probes_by_as

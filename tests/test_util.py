@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.util import cdf_points, derive_rng
 from repro.util.stats import fraction_above
+from tests.oracles import tiny_scenario
 
 
 class TestDeriveRng:
@@ -64,8 +65,6 @@ class TestGoldenDeterminism:
     deliberately (and re-check EXPERIMENTS.md)."""
 
     def test_tiny_world_fingerprint(self):
-        from repro.scenario import tiny_scenario
-
         scenario = tiny_scenario(seed=11)
         matrices = scenario.matrices
         assert len(scenario.population) == 300
@@ -79,7 +78,7 @@ class TestGoldenDeterminism:
         from repro.core.config import derive_k_hops
         from repro.evaluation import generate_workload
 
-        scenario = tiny_scenario = __import__("repro.scenario", fromlist=["tiny_scenario"]).tiny_scenario(seed=11)
+        scenario = tiny_scenario(seed=11)
         system = ASAPSystem(scenario, ASAPConfig(k_hops=derive_k_hops(scenario.matrices)))
         workload = generate_workload(scenario, 300, seed=1, latent_target=5)
         latent = workload.latent()[:5]

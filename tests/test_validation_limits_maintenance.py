@@ -11,11 +11,11 @@ from repro.evaluation.maintenance import (
 )
 from repro.evaluation.sessions import generate_workload
 from repro.measurement.tools import KingEstimator
-from repro.scenario import tiny_scenario
 from repro.skype import SkypeConfig, SupernodeOverlay, TraceAnalyzer, run_skype_session
 from repro.skype.limits import LimitThresholds, detect_limits
 from repro.topology import TopologyConfig, generate_topology
 from repro.topology.validation import validate_latency, validate_topology
+from tests.oracles import tiny_scenario
 
 
 @pytest.fixture(scope="module")

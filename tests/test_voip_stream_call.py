@@ -26,6 +26,7 @@ from repro.media.call import (
     merge_diverse_traces,
     recover_with_parity,
 )
+from tests.oracles import tiny_scenario
 from tests.test_media import _loss_rate, _trace
 
 
@@ -254,7 +255,6 @@ class TestVoiceCall:
 
 class TestCallPathsFromSelection:
     def test_builds_processes_from_selection(self):
-        from repro.scenario import tiny_scenario
         from repro.core import ASAPSystem, ASAPConfig
         from repro.core.config import derive_k_hops
 

@@ -21,7 +21,7 @@ from repro.core import ASAPConfig, ASAPSystem
 from repro.measurement.conditions import ConditionsConfig, generate_conditions
 from repro.measurement.latency import LatencyModel
 from repro.measurement.matrix import compute_delegate_matrices
-from repro.scenario import ScenarioConfig, build_scenario, small_scenario, tiny_scenario
+from repro.scenario import ScenarioConfig, build_scenario, small_scenario
 from repro.scenario import PopulationConfig, TopologyConfig
 from repro.storage.columns import ColumnStore
 from repro.topology.generator import generate_topology
@@ -33,9 +33,11 @@ from repro.worldarrays import FlatCloseSetBuilder
 from repro.worldarrays.virtual import VirtualMatrices
 from tests.oracles import (
     assert_arrays_are_the_set,
+    counter_value,
     fill_destinations,
     reference_close_set,
     scalar_delegate_matrices,
+    tiny_scenario,
 )
 
 SEEDS = (3, 11, 29)
@@ -355,9 +357,9 @@ class TestBatchBuilder:
             built = builder.build_many([(0, int(view.asn_of[0])), (1, unknown_as)])
             assert built[1] == builder.build(1, unknown_as) == CloseClusterSet(owner=1)
             assert len(built[0]) > 0
-            assert run.registry.counter_value("close_set.built") == 0
+            assert counter_value(run.registry, "close_set.built") == 0
             builder.build(0, int(view.asn_of[0]))
-            assert run.registry.counter_value("close_set.built") == 1
+            assert counter_value(run.registry, "close_set.built") == 1
 
 
 class TestObservabilityParity:

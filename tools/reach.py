@@ -26,7 +26,9 @@ Keywords are held to the same rule.  A keyword of a called definition
 fails the run when no call under the hook passed it a value other than its
 default *and* no call in ``src/``, ``bench/`` or ``benchmarks/`` passes it,
 by name or by position (the source scan below; calls are matched to
-definitions by name) — unless :data:`KEYWORD_ALLOWED` gives a reason.  A
+definitions by name, and a positional argument counts only when one
+``src/repro`` definition has that name) — unless :data:`KEYWORD_ALLOWED`
+gives a reason.  A
 value nothing but the tests changes is a module constant, not a parameter;
 a stale allow-list entry fails too.
 
@@ -107,13 +109,11 @@ ALLOWED = {
     "LoopbackHub.sleep_ms": _BENCH,
     "VirtualMatrices.gather_loss": _BENCH,
     "DelegateMatrices.gather_loss": "dense twin of VirtualMatrices.gather_loss; the parity tests read both",
-    "tiny_scenario": _SCRIPT + " (chaos-smoke); the tests' small world",
-    "enabled": _SCRIPT + " (obs-smoke)",
-    "observe": _SCRIPT + " (cache-smoke, perf-smoke); bench/worker.py's traced rounds",
-    "load_manifest": _SCRIPT + " (soak-smoke, trace-smoke, report-smoke)",
-    "MetricsRegistry.counter_value": _SCRIPT + " (cache-smoke, perf-smoke)",
-    "ReceivedTrace.write": _SCRIPT + " (media-smoke writes frames.jsonl)",
-    "ReceivedTrace.to_jsonl": _SCRIPT + " (media-smoke, through write); tests/test_golden.py digests it",
+    "observe": "bench/worker.py runs its traced rounds under it",
+    "load_manifest": _SCRIPT + " (e2e-smoke, service-smoke's TCP demo)",
+    "ReceivedTrace.to_jsonl": (
+        "the writer of the format ReceivedTrace.read parses: the boundary tests round-trip it"
+    ),
     "ASAPRuntime.bootstrap_hosts": _FAULT + " (bootstrap outage)",
     "SimNetwork.set_as_down": _FAULT + " (AS outage)",
     "SimNetwork.set_as_up": _FAULT + " (AS outage)",
@@ -360,8 +360,11 @@ class _Setters(ast.NodeVisitor):
         # A ``*args`` hides which parameters the arguments after it fill.
         starred = [at for at, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
         positional = starred[0] if starred else len(node.args)
-        for params in self.signatures.get(name, ()):
-            self.passed.update((name, param) for param in params[:positional])
+        # Which definition a positional argument fills is known only when
+        # one definition has the called name.
+        signatures = self.signatures.get(name, ())
+        if len(signatures) == 1:
+            self.passed.update((name, param) for param in signatures[0][:positional])
         if name == "replace" and node.args:
             owners = self._types(node.args[0]) or set(self.configs)
             for keyword in keywords:
