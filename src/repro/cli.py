@@ -12,7 +12,7 @@ holds only argument handling and printing.
 
 Every subcommand is registered through :func:`_subcommand`, the single
 place the uniform flags (``--scale``/``--seed``/``--cache-dir``/
-``--obs-dir``/``--log-level``/``--trace``) are wired —
+``--obs-dir``/``--trace``) are wired —
 a new subcommand cannot drift from the shared interface, and the CLI
 tests enumerate the registered parsers to enforce it.
 """
@@ -56,10 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "build, so it pays from the second (default: $REPRO_CACHE_DIR or none)")
     parser.add_argument("--obs-dir", default=None, metavar="DIR",
                         help="enable observability: write run_manifest.json "
-                             "and events.jsonl to this directory")
-    parser.add_argument("--log-level", choices=obs.LOG_LEVELS, default="info",
-                        help="event level written to events.jsonl "
-                             "(default: info; requires --obs-dir)")
+                             "and telemetry.jsonl to this directory")
     parser.add_argument("--trace", action="store_true",
                         help="also write causal trace records to "
                              "<obs-dir>/traces.jsonl (requires --obs-dir)")
@@ -71,7 +68,7 @@ def _subcommand(sub, name: str, func, help_text: str) -> argparse.ArgumentParser
     The only sanctioned way to add a subparser: common flags are wired
     here and nowhere else, so every present and future subcommand
     accepts the same ``--scale``/``--seed``/``--cache-dir``/``--obs-dir``/
-    ``--log-level``/``--trace`` interface.
+    ``--trace`` interface.
     """
     parser = sub.add_parser(name, help=help_text)
     _add_common(parser)
@@ -1029,7 +1026,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         obs_dir=obs_dir,
         command=args.command,
         argv=list(sys.argv[1:] if argv is None else argv),
-        log_level=getattr(args, "log_level", "info"),
         trace=trace,
     )
     from repro.net.codec import CODEC_SCHEMA_VERSION

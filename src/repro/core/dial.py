@@ -304,7 +304,6 @@ def _join_failed(port, record: JoinRecord, reason: str) -> None:
     record.outcome = "failed"
     record.failure_reason = reason
     obs.counter(f"{port.namespace}.joins_failed").inc()
-    obs.event("join.failed", level="debug", ip=str(record.ip), reason=reason)
     record.trace.end(port.now_ms(), outcome="failed", reason=reason)
 
 
@@ -380,13 +379,6 @@ def _failed(port, call: DialResult, reason: str) -> DialResult:
     call.outcome = "failed"
     call.failure_reason = reason
     obs.counter(f"{port.namespace}.calls_failed").inc()
-    obs.event(
-        "call.failed",
-        level="debug",
-        caller=str(call.caller),
-        callee=str(call.callee),
-        reason=reason,
-    )
     call.trace.end(port.now_ms(), outcome="failed", reason=reason)
     return call
 

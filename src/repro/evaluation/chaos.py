@@ -274,9 +274,7 @@ def run_chaos(
     injector = FaultInjector(runtime, schedule)
     injector.install()
 
-    planned_joins = min(joins, len(scenario.population.hosts))
-    with obs.span("chaos.run", sessions=sessions, joins=planned_joins,
-                  fault_events=len(schedule)):
+    with obs.span("chaos.run"):
         schedule_workload(
             runtime,
             scenario,

@@ -184,9 +184,7 @@ class Experiment:
         if config.streamed and config.spill_dir is None:
             ephemeral_spill = Path(tempfile.mkdtemp(prefix="repro-columns-"))
         try:
-            with obs.span(
-                "experiment.run", scale=config.scale, streamed=config.streamed
-            ):
+            with obs.span("experiment.run"):
                 started = time.perf_counter()
                 if config.streamed:
                     scenario = self._build_streamed(
@@ -320,7 +318,7 @@ class Experiment:
         """
         config = self.config
         scenario_config = ScenarioConfig.preset(config.scale, config.seed)
-        with obs.span("experiment.build", scale=config.scale):
+        with obs.span("experiment.build"):
             topology = generate_topology(scenario_config.topology)
             scenario = build_scenario_from_topology(topology, scenario_config)
         n = len(scenario.clusters.all_clusters())

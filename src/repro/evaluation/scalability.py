@@ -110,7 +110,7 @@ def run_scalability(
     large_workload = generate_workload(
         scenario, session_count, seed=seed, latent_target=latent_target
     )
-    with obs.span("scalability.large", population=len(scenario.population)):
+    with obs.span("scalability.large"):
         large = run_section7(
             scenario,
             seed=seed,
@@ -143,7 +143,7 @@ def run_scalability(
             )
         )
     small_workload = SessionWorkload(sessions=small_sessions)
-    with obs.span("scalability.small", population=len(small_scenario.population)):
+    with obs.span("scalability.small"):
         small = run_section7(
             small_scenario,
             seed=seed,

@@ -71,7 +71,7 @@ def run_section3(
     opt = OPTMethod(include_two_hop=False)
 
     direct = workload.direct_rtts()
-    with obs.span("section3.optimal_one_hop", sessions=len(workload)):
+    with obs.span("section3.optimal_one_hop"):
         results = opt.evaluate_sessions(world, workload.sessions)
     optimal = np.array([np.inf if r.best_rtt_ms is None else r.best_rtt_ms for r in results])
     obs.counter("section3.sessions").inc(len(workload))

@@ -166,7 +166,7 @@ def run_section5(
     )
     results: List[SkypeSessionResult] = []
     analyses: List[SessionAnalysis] = []
-    with obs.span("section5.sessions", sessions=len(sessions)):
+    with obs.span("section5.sessions"):
         for sid, (caller_site, callee_site) in enumerate(sessions, start=1):
             caller = plan.host(caller_site)
             callee = plan.host(callee_site)

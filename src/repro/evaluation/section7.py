@@ -115,7 +115,7 @@ def run_section7(
     pairs = [(s.caller_cluster, s.callee_cluster) for s in latent]
     session_ids = [s.session_id for s in latent]
     for policy in policies:
-        with obs.span("section7.policy", policy=policy.name, sessions=len(pairs)):
+        with obs.span("section7.policy"):
             outcomes = policy.evaluate_sessions(world, pairs, session_ids=session_ids)
         result.records[policy.name] = [
             record_from_baseline(sid, outcome)

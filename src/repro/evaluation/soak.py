@@ -365,9 +365,7 @@ def run_soak(scenario: Scenario, config: SoakConfig) -> SoakReport:
     # Schedule the workload first so its simulator event sequence is
     # identical to a chaos run's (same seed stream, same insertion
     # order); control-plane bookkeeping events follow.
-    planned_joins = min(config.joins, len(hosts))
-    with obs.span("chaos.run", sessions=config.sessions, joins=planned_joins,
-                  fault_events=len(schedule)):
+    with obs.span("chaos.run"):
         schedule_workload(
             runtime,
             scenario,

@@ -97,10 +97,6 @@ class FaultInjector:
             )
             obs.counter("faults.injected").inc()
             obs.counter(f"faults.{event.kind}").inc()
-            # ``kind`` would collide with the sink's own record-kind field.
-            obs.event(
-                "fault", level="debug", fault_kind=event.kind, target=event.target
-            )
             if tracer:
                 now = self._runtime.sim.now_ms
                 span = tracer.begin(

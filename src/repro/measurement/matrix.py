@@ -141,7 +141,7 @@ def compute_delegate_matrices(
     loss = np.full((n, n), 1.0, dtype=float)
     hops = np.full((n, n), -1, dtype=np.int64)
 
-    with obs.span("matrix.assemble", clusters=n):
+    with obs.span("matrix.assemble"):
         assembler = FlatMatrixAssembler(
             model, WorldArrays.from_clusters(model, cluster_list)
         )

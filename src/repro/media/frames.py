@@ -5,17 +5,16 @@ A sender paces frames at the codec's packetization interval in
 so inline); the receiving side reconstructs a :class:`ReceivedTrace` —
 one :class:`ReceivedFrame` per sequence number, lost frames included —
 which is the unit every downstream stage (jitter buffer, PLC, scorer)
-consumes and the unit written to disk for byte-diff determinism checks.
+consumes and the unit serialized (:meth:`ReceivedTrace.to_jsonl`) for
+byte-diff determinism checks.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from operator import itemgetter
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.voip.codecs import ALL_CODECS, Codec
@@ -91,86 +90,6 @@ class ReceivedTrace:
             }
             lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "ReceivedTrace":
-        """Parse :meth:`to_jsonl` output.
-
-        This is an outside-input boundary: a line that is not a JSON
-        object, a missing key, a non-integer count or sequence number, a
-        send or arrival time that is not a finite number, an unknown
-        codec, or frames out of sequence raise
-        :class:`~repro.errors.ConfigurationError` naming the line.
-        """
-        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-        if not lines:
-            raise ConfigurationError("empty trace file")
-        n, ln = lines[0]
-        header = _json_object(n, ln)
-        call_id = _checked(n, header, "call_id", _is_int, "an integer")
-        count = _checked(n, header, "frames", _is_int, "an integer")
-        frames = []
-        for n, ln in lines[1:]:
-            rec = _json_object(n, ln)
-            seq = _checked(n, rec, "seq", _is_int, "an integer")
-            if seq != len(frames):
-                raise ConfigurationError(
-                    f"trace line {n}: seq {seq} where {len(frames)} was due; "
-                    "traces must be gap-free and ordered"
-                )
-            frames.append(ReceivedFrame(
-                seq,
-                _checked(n, rec, "sent_ms", _is_finite, "a finite number"),
-                _checked(n, rec, "arrival_ms", _is_finite_or_none, "a finite number or null"),
-                _checked(n, rec, "codec", _is_codec_name, "a known codec name"),
-            ))
-        if len(frames) != count:
-            raise ConfigurationError(
-                f"trace header frame count mismatch: line {lines[0][0]} says {count}, "
-                f"{len(frames)} frame lines follow"
-            )
-        return cls(call_id=call_id, frames=tuple(frames))
-
-    @classmethod
-    def read(cls, path: Union[str, Path]) -> "ReceivedTrace":
-        return cls.from_jsonl(Path(path).read_text(encoding="utf-8"))
-
-
-def _json_object(line: int, text: str) -> dict:
-    try:
-        value = json.loads(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"trace line {line}: not JSON ({exc})") from None
-    if not isinstance(value, dict):
-        raise ConfigurationError(
-            f"trace line {line}: expected a JSON object, got {type(value).__name__}"
-        )
-    return value
-
-
-def _checked(line: int, record: dict, key: str, valid, expected: str):
-    if key not in record:
-        raise ConfigurationError(f"trace line {line}: missing key {key!r}")
-    value = record[key]
-    if not valid(value):
-        raise ConfigurationError(f"trace line {line}: {key} must be {expected}, got {value!r}")
-    return value
-
-
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _is_finite(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _is_finite_or_none(value) -> bool:
-    return value is None or _is_finite(value)
-
-
-def _is_codec_name(value) -> bool:
-    return isinstance(value, str) and value in _CODECS_BY_NAME
 
 
 def _codec_by_name(name: str) -> Codec:

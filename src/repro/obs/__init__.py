@@ -1,17 +1,19 @@
-"""``repro.obs`` — run-wide observability: metrics, spans, run manifests.
+"""``repro.obs`` — run-wide observability: metrics, traces, run manifests.
 
 The paper's core claims are *accounting* claims — probe message counts
 (Fig. 18), call-setup stabilization (Skype Limit 3), close-set build
 cost — so the repro carries a first-class, zero-dependency measurement
-layer.  Three pieces:
+layer.  Its pieces:
 
 - a :class:`~repro.obs.registry.MetricsRegistry` of counters, gauges
-  and histograms (created on demand by name);
-- :mod:`span <repro.obs.spans>` timers with nesting and a structured
-  JSONL :class:`~repro.obs.events.EventSink`;
+  and histograms (created on demand by name); :func:`span` times a
+  stretch of wall-clock work into the ``span.<name>`` histogram;
+- a virtual-clock :mod:`time series <repro.obs.timeseries>`
+  (``telemetry.jsonl``) and, under ``trace=True``, a causal
+  :mod:`tracer <repro.obs.trace>` (``traces.jsonl``);
 - a per-run :mod:`manifest <repro.obs.manifest>` — canonical config
   hash (shared with :mod:`repro.storage.cache`), seed, wall times,
-  cache hit/miss counts and the final counter snapshot
+  cache hit/miss counts and the final metric snapshot
   — written next to every result directory.
 
 **Off by default, near-zero overhead.**  Instrumented code calls the
@@ -20,20 +22,19 @@ run these return shared no-op instruments, so the cost is one global
 read and an attribute call.  A run is activated explicitly::
 
     with obs.observe(obs_dir="out/obs", command="section7") as run:
-        ...                      # counters/spans/events accumulate
-    # run_manifest.json + events.jsonl now exist under out/obs
+        ...                      # counters/spans/samples accumulate
+    # run_manifest.json + telemetry.jsonl now exist under out/obs
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.obs.events import LOG_LEVELS, EventSink
 from repro.obs.manifest import (
     MANIFEST_FILENAME,
     MANIFEST_SCHEMA,
@@ -43,7 +44,6 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.spans import NULL_SPAN, Span
 from repro.obs.timeseries import (
     NULL_TIMELINE,
     TELEMETRY_FILENAME,
@@ -66,10 +66,8 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "EventSink",
     "Gauge",
     "Histogram",
-    "LOG_LEVELS",
     "MANIFEST_FILENAME",
     "MANIFEST_SCHEMA",
     "MANIFEST_SCHEMA_VERSION",
@@ -88,7 +86,6 @@ __all__ = [
     "active",
     "annotate",
     "counter",
-    "event",
     "finish_run",
     "gauge",
     "histogram",
@@ -107,15 +104,12 @@ __all__ = [
     "write_manifest",
 ]
 
-#: Events file name inside an observability directory.
-EVENTS_FILENAME = "events.jsonl"
-
 
 class RunObserver:
     """One run's accumulated observability state.
 
-    Owns the metrics registry, the (optional) JSONL event sink, the
-    manifest annotations and the span-nesting depth.  Create through
+    Owns the metrics registry, the time series, the (optional) tracer
+    and the manifest annotations.  Create through
     :func:`start_run` / :func:`observe` rather than directly so the
     module-level hooks see it.
     """
@@ -125,7 +119,6 @@ class RunObserver:
         obs_dir: Optional[Union[str, Path]] = None,
         command: str = "",
         argv: Optional[List[str]] = None,
-        log_level: str = "info",
         trace: bool = False,
     ) -> None:
         self.registry = MetricsRegistry()
@@ -133,21 +126,10 @@ class RunObserver:
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
         self.command = command
         self.argv = list(argv) if argv is not None else []
-        self.log_level = log_level
         self.started_at = time.time()
         self.run_id = f"{int(self.started_at * 1000):x}-{os.getpid():x}"
         self.annotations: dict = {}
-        self.span_depth = 0
         self.finished = False
-        self.sink: Optional[EventSink] = (
-            EventSink(
-                self.obs_dir / EVENTS_FILENAME,
-                level=log_level,
-                start_time=self.started_at,
-            )
-            if self.obs_dir is not None
-            else None
-        )
         self.trace: Optional[Tracer] = (
             Tracer(
                 self.obs_dir / TRACES_FILENAME
@@ -157,8 +139,6 @@ class RunObserver:
             if trace
             else None
         )
-        if self.sink is not None:
-            self.sink.emit("event", "run.start", command=command, run_id=self.run_id)
 
     # -- manifest ----------------------------------------------------------
 
@@ -202,8 +182,6 @@ class RunObserver:
             "counters": counters,
             "gauges": snapshot["gauges"],
             "histograms": snapshot["histograms"],
-            "events_file": EVENTS_FILENAME if self.sink is not None else None,
-            "events_written": self.sink.events_written if self.sink is not None else 0,
             "traces_file": (
                 TRACES_FILENAME
                 if self.trace is not None and self.trace.path is not None
@@ -218,19 +196,11 @@ class RunObserver:
         }
 
     def finish(self) -> Optional[Path]:
-        """Close the sink and write the manifest; returns its path."""
+        """Close the tracer and write the artifacts; returns the manifest path."""
         if self.finished:
             raise RuntimeError("run observer already finished")
         self.finished = True
-        if self.sink is not None:
-            self.sink.emit(
-                "event",
-                "run.finish",
-                wall_s=round(time.time() - self.started_at, 6),
-            )
         document = self.manifest_document()
-        if self.sink is not None:
-            self.sink.close()
         if self.trace is not None:
             self.trace.close()
         if self.obs_dir is None:
@@ -268,9 +238,29 @@ class _NullHistogram:
         pass
 
 
+class _Span:
+    """A wall-clock timer: its duration lands in one histogram on exit."""
+
+    __slots__ = ("histogram", "_t0")
+
+    def __init__(self, histogram: Histogram) -> None:
+        self.histogram = histogram
+        self._t0 = 0.0
+
+    def __enter__(self) -> "_Span":
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.histogram.observe(time.perf_counter() - self._t0)
+        return False
+
+
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
+#: The span of a run-less process: a free, reusable context manager.
+NULL_SPAN = nullcontext()
 
 
 def active() -> Optional[RunObserver]:
@@ -322,19 +312,13 @@ def tracer():
     return NULL_TRACER
 
 
-def span(name: str, **fields):
-    """A timed span context manager (free no-op when off)."""
+def span(name: str):
+    """A context manager timing its block, in seconds of wall clock, into
+    the histogram ``span.<name>`` (free no-op when off)."""
     observer = _ACTIVE
     if observer is None:
         return NULL_SPAN
-    return Span(observer, name, **fields)
-
-
-def event(name: str, level: str = "info", **fields) -> None:
-    """Emit one structured JSONL event (dropped when off or below level)."""
-    observer = _ACTIVE
-    if observer is not None and observer.sink is not None:
-        observer.sink.emit("event", name, level=level, **fields)
+    return _Span(observer.registry.histogram(f"span.{name}"))
 
 
 def annotate(**fields) -> None:
@@ -348,13 +332,12 @@ def start_run(
     obs_dir: Optional[Union[str, Path]] = None,
     command: str = "",
     argv: Optional[List[str]] = None,
-    log_level: str = "info",
     trace: bool = False,
 ) -> RunObserver:
     """Activate observability for the current process.
 
-    With ``obs_dir`` set, events stream to ``<obs_dir>/events.jsonl``
-    and :func:`finish_run` writes ``<obs_dir>/run_manifest.json``;
+    With ``obs_dir`` set, :func:`finish_run` writes
+    ``<obs_dir>/run_manifest.json`` and ``<obs_dir>/telemetry.jsonl``;
     without it, metrics still accumulate in memory (useful in tests).
     With ``trace=True``, causal trace records additionally stream to
     ``<obs_dir>/traces.jsonl`` (see :mod:`repro.obs.trace`).
@@ -362,9 +345,7 @@ def start_run(
     global _ACTIVE
     if _ACTIVE is not None:
         raise RuntimeError("an observability run is already active")
-    _ACTIVE = RunObserver(
-        obs_dir=obs_dir, command=command, argv=argv, log_level=log_level, trace=trace
-    )
+    _ACTIVE = RunObserver(obs_dir=obs_dir, command=command, argv=argv, trace=trace)
     return _ACTIVE
 
 
@@ -383,13 +364,10 @@ def observe(
     obs_dir: Optional[Union[str, Path]] = None,
     command: str = "",
     argv: Optional[List[str]] = None,
-    log_level: str = "info",
     trace: bool = False,
 ):
     """``start_run``/``finish_run`` as a context manager."""
-    observer = start_run(
-        obs_dir=obs_dir, command=command, argv=argv, log_level=log_level, trace=trace
-    )
+    observer = start_run(obs_dir=obs_dir, command=command, argv=argv, trace=trace)
     try:
         yield observer
     finally:

@@ -48,7 +48,9 @@ __all__ = [
 #: sets are built on first use, never cached on disk).
 #: v7: the ``workers`` and ``parallel`` fields are gone (the matrix
 #: fill is serial; there is no worker count to record).
-MANIFEST_SCHEMA_VERSION = 7
+#: v8: ``events_file`` and ``events_written`` are gone (no run writes
+#: ``events.jsonl``; wall-clock spans live in the ``span.*`` histograms).
+MANIFEST_SCHEMA_VERSION = 8
 
 #: Canonical file name of a run manifest inside an observability directory.
 MANIFEST_FILENAME = "run_manifest.json"
@@ -74,8 +76,6 @@ MANIFEST_SCHEMA: Dict[str, Tuple[tuple, bool]] = {
     "counters": ((dict,), True),
     "gauges": ((dict,), True),
     "histograms": ((dict,), True),
-    "events_file": ((str, _NoneType), True),
-    "events_written": ((int,), True),
     "traces_file": ((str, _NoneType), True),
     "traces_written": ((int,), True),
     "annotations": ((dict,), False),

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ArtifactError
-from repro.obs.events import read_jsonl
+from repro.obs.trace import read_jsonl
 
 __all__ = [
     "TELEMETRY_FILENAME",

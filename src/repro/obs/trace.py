@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import IO, Callable, Dict, List, Optional, Union
 
 from repro.errors import ArtifactError
-from repro.obs.events import read_jsonl
 
 __all__ = [
     "NULL_TRACER",
@@ -457,6 +456,20 @@ def validate_trace_records(records: List[dict]) -> List[str]:
                 f"not {record.get('trace')!r}"
             )
     return problems
+
+
+def read_jsonl(path: Union[str, Path]) -> List[dict]:
+    """The records of a JSONL artifact, blank lines skipped.  A line that
+    is not JSON raises :class:`ArtifactError` naming the file and line."""
+    records = []
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"{path}: line {number} is not JSON ({exc.msg})") from None
+    return records
 
 
 def load_trace_file(path: Union[str, Path]) -> List[dict]:

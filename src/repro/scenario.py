@@ -255,7 +255,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
     obs.annotate(config_key=scenario_cache_key(config), seed=config.seed)
     cache_root = resolve_cache_dir(config.cache_dir)
     cache = ScenarioCache(cache_root) if cache_root is not None else None
-    with obs.span("scenario.build", cached=cache is not None):
+    with obs.span("scenario.build"):
         if cache is not None:
             cached = cache.load(config)
             if cached is not None:

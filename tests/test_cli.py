@@ -9,7 +9,7 @@ from repro.cli import main, make_parser
 #: ``_subcommand``; this test file is the drift alarm).
 COMMON_FLAGS = (
     "--scale", "--seed", "--cache-dir",
-    "--obs-dir", "--log-level", "--trace",
+    "--obs-dir", "--trace",
 )
 
 
@@ -38,7 +38,7 @@ class TestUniformFlags:
         parser = make_parser()
         for name, subparser in _subparsers(parser).items():
             argv = [name, "--scale", "tiny", "--seed", "7",
-                    "--obs-dir", "obs", "--log-level", "debug", "--trace"]
+                    "--obs-dir", "obs", "--trace"]
             # Satisfy per-command required options generically.
             for option, action in subparser._option_string_actions.items():
                 if action.required and option not in argv:
@@ -46,8 +46,9 @@ class TestUniformFlags:
             args = parser.parse_args(argv)
             assert args.seed == 7
             assert args.obs_dir == "obs"
-            assert args.log_level == "debug"
             assert args.trace is True
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--log-level", "debug"])
 
     def test_trace_without_obs_dir_is_an_error(self, capsys):
         rc = main(["section3", "--scale", "tiny", "--trace"])

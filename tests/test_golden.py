@@ -2,8 +2,8 @@
 
 Each case runs one ``repro`` command in-process and compares the sha256
 of its deterministic artifacts — report files, ``telemetry.jsonl`` and
-``traces.jsonl`` (``events.jsonl`` and the manifest carry wall time and
-are left out), or what it printed — to the values pinned here.  A change
+``traces.jsonl`` (the manifest carries wall time and is left out), or
+what it printed — to the values pinned here.  A change
 that moves one of them must say why and re-pin it: a mismatch prints one
 ``name: pinned <sha256>, now <sha256>`` line per changed artifact.
 """

@@ -118,7 +118,6 @@ class TestHooks:
         obs.histogram("x").observe(1.0)
         with obs.span("x"):
             pass
-        obs.event("x")
         obs.annotate(seed=3)
 
     def test_nested_runs_are_rejected(self):
@@ -138,7 +137,7 @@ class TestHooks:
             assert counter_value(run.registry, "matrix.columns") == matrices.count
 
 
-# -- events and manifest -------------------------------------------------------
+# -- manifest, spans and the run directory -------------------------------------
 
 
 class TestEventsAndManifest:
@@ -147,7 +146,6 @@ class TestEventsAndManifest:
             obs.annotate(seed=3, scale="tiny", config_key="abc")
             obs.annotate(custom="kept")
             obs.counter("cache.scenario.hits").inc()
-            obs.event("marker", payload=7)
         manifest = obs.load_manifest(tmp_path / obs.MANIFEST_FILENAME)
         assert obs.validate_manifest(manifest) == []
         assert manifest["command"] == "unit"
@@ -160,15 +158,6 @@ class TestEventsAndManifest:
         assert manifest["counters"]["cache.scenario.hits"] == 1
         assert manifest["annotations"] == {"custom": "kept"}
         assert manifest["run_id"] == run.run_id
-        events = [
-            json.loads(line)
-            for line in (tmp_path / "events.jsonl").read_text().splitlines()
-        ]
-        names = [e["name"] for e in events]
-        assert names[0] == "run.start"
-        assert "marker" in names
-        assert names[-1] == "run.finish"
-        assert manifest["events_written"] == len(events)
 
     def test_validator_rejects_malformed_documents(self, tmp_path):
         with obs.observe(obs_dir=tmp_path):
@@ -187,23 +176,23 @@ class TestEventsAndManifest:
         bad_cache = dict(document, cache={})
         assert any("cache." in p for p in obs.validate_manifest(bad_cache))
 
-    def test_debug_events_dropped_at_info_level(self, tmp_path):
-        with obs.observe(obs_dir=tmp_path, log_level="info"):
-            obs.event("kept", level="info")
-            obs.event("dropped", level="debug")
-        names = [
-            json.loads(line)["name"]
-            for line in (tmp_path / "events.jsonl").read_text().splitlines()
-        ]
-        assert "kept" in names
-        assert "dropped" not in names
-
     def test_span_durations_land_in_histograms(self):
         with obs.observe() as run:
             with obs.span("unit.block"):
                 pass
             assert run.registry.histogram("span.unit.block").count == 1
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_obs_dir_holds_the_manifest_and_telemetry_plus_traces(self, tmp_path, traced):
+        from repro.cli import main
+
+        argv = ["call", "--scale", "tiny", "--obs-dir", str(tmp_path)]
+        expected = {obs.MANIFEST_FILENAME, obs.TELEMETRY_FILENAME}
+        if traced:
+            argv.append("--trace")
+            expected.add(obs.TRACES_FILENAME)
+        assert main(argv) == 0
+        assert {path.name for path in tmp_path.iterdir()} == expected
 
     def test_section7_command_counts_the_messages_it_prints(self, tmp_path, capsys):
         from repro.cli import main
@@ -215,8 +204,6 @@ class TestEventsAndManifest:
             r"ASAP relay-selection messages \(total\): (\d+)", capsys.readouterr().out
         )
         manifest = obs.load_manifest(tmp_path / obs.MANIFEST_FILENAME)
-        events = (tmp_path / obs.EVENTS_FILENAME).read_text().splitlines()
-        assert events and manifest["events_written"] == len(events)
         assert manifest["counters"]["asap.select.messages"] == int(printed.group(1))
 
 # -- policies satisfy the protocol ---------------------------------------------

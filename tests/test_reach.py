@@ -217,9 +217,30 @@ def test_ci_lines_become_argv_without_shell_words_or_repeats():
     ]
 
 
+GOLDEN_TABLE = """\
+GOLDEN = {
+    # A comment between rows.
+    "soak-row": (["soak", "--seed", "3"], {"report": "--json"}, 0, {"traces": "ab"}),
+    "demo-row": (["demo"], {}, 1, {"telemetry": "cd"}),
+    "conference-row": (["conference", "--json"], {}, 0, {"stdout": "ef"}),
+}
+"""
+
+
+def test_golden_rows_become_argv_with_the_flags_their_test_adds():
+    soak, demo = Path("golden", "soak-row"), Path("golden", "demo-row")
+    assert reach.golden_commands(GOLDEN_TABLE) == [
+        (soak, ["soak", "--seed", "3", "--json", str(soak / "report"),
+                "--trace", "--obs-dir", str(soak / "obs")], 0),
+        (demo, ["demo", "--trace", "--obs-dir", str(demo / "obs")], 1),
+        (Path("golden", "conference-row"), ["conference", "--json"], 0),
+    ]
+
+
 def test_ci_runs_every_subcommand():
-    """The probe runs what CI runs, so a subcommand with no CI line would
-    have every definition only it reaches reported as uncalled."""
+    """The probe runs what CI and the golden table run, so a subcommand in
+    neither would have every definition only it reaches reported as
+    uncalled."""
     import argparse
 
     from repro.cli import make_parser
@@ -229,6 +250,7 @@ def test_ci_runs_every_subcommand():
         a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     run = {argv[0] for argv, _ in reach.ci_commands(reach.CI.read_text())}
+    run |= {argv[0] for _, argv, _ in reach.golden_commands(reach.GOLDEN.read_text())}
     assert run == set(subcommands)
 
 

@@ -286,15 +286,21 @@ class TestReport:
         run_dir = self._run_dir(tmp_path)
         (run_dir / obs.TRACES_FILENAME).unlink()
         path = run_dir / obs.MANIFEST_FILENAME
-        document = json.loads(path.read_text(encoding="utf-8"))
-        document.update(schema=6, workers=1)  # as written before the v7 bump
-        path.write_text(json.dumps(document, indent=2), encoding="utf-8")
-        assert main(["report", "--run-dir", str(run_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "schema 6" in out and "INVALID (" in out
-        assert "unknown field 'workers'" in out and "schema must be 7, got 6" in out
-        assert "subsystem timelines (3 subsystems)" in out
-        assert "control.alive_hosts" in out
+        current = json.loads(path.read_text(encoding="utf-8"))
+        events = {"events_file": "events.jsonl", "events_written": 3}
+        for old, unknown in [
+            (dict(events, schema=6, workers=1), "workers"),  # before the v7 bump
+            (dict(events, schema=7), "events_file"),  # before the v8 bump
+        ]:
+            path.write_text(json.dumps(dict(current, **old), indent=2), encoding="utf-8")
+            assert main(["report", "--run-dir", str(run_dir)]) == 0
+            out = capsys.readouterr().out
+            version = old["schema"]
+            assert f"schema {version}" in out and "INVALID (" in out
+            assert f"unknown field {unknown!r}" in out
+            assert f"schema must be 8, got {version}" in out
+            assert "subsystem timelines (3 subsystems)" in out
+            assert "control.alive_hosts" in out
 
     @pytest.mark.parametrize("text", ["[1, 2]\n", '{"schema": 7\n'])
     def test_report_rejects_a_manifest_that_is_no_json_object(self, tmp_path, capsys, text):

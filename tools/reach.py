@@ -9,6 +9,8 @@ gets at least one call while CI's product commands run under a stdlib
 - every ``python -m repro.cli`` line of ``.github/workflows/ci.yml``, with
   its flags, in process (a line ending in ``&``, ``repro serve``, runs in a
   child process under its own hook);
+- every row of ``tests/test_golden.py``'s ``GOLDEN`` table, in process, with
+  the artifact flags that test adds;
 - ``examples/*.py``;
 - the six ``bench/workloads.py`` workloads in smoke mode, in process;
 - the figure suite (``pytest benchmarks``), on a cold scenario cache.
@@ -74,7 +76,6 @@ _CHECKED = "error path: names the bad field when a struct pack fails"
 _NULL = "null-object Tracer method: callers never check which tracer they hold"
 _TCP = "TCP flow control or timeout: runs only when the kernel or the clock says so"
 _LARGE = "--scale 100k / 1m only: too large for CI"
-_KEEPALIVE = "wire keepalive: CI's wire calls end within one KEEPALIVE_INTERVAL_MS"
 
 #: Definitions CI's product commands never call, on purpose: qualified
 #: name -> why it stays.
@@ -98,21 +99,13 @@ ALLOWED = {
     "read_update_file": _BOUNDARY,
     "read_asgraph_file": _BOUNDARY,
     "load_records_csv": _BOUNDARY,
-    "ReceivedTrace.read": _BOUNDARY,
-    "ReceivedTrace.from_jsonl": _BOUNDARY,
-    "_json_object": _BOUNDARY,
-    "_checked": _BOUNDARY,
-    "_is_int": _BOUNDARY,
-    "_is_finite": _BOUNDARY,
-    "_is_finite_or_none": _BOUNDARY,
-    "_is_codec_name": _BOUNDARY,
     "LoopbackHub.sleep_ms": _BENCH,
     "VirtualMatrices.gather_loss": _BENCH,
     "DelegateMatrices.gather_loss": "dense twin of VirtualMatrices.gather_loss; the parity tests read both",
     "observe": "bench/worker.py runs its traced rounds under it",
     "load_manifest": _SCRIPT + " (e2e-smoke, service-smoke's TCP demo)",
     "ReceivedTrace.to_jsonl": (
-        "the writer of the format ReceivedTrace.read parses: the boundary tests round-trip it"
+        "the golden media-session digest and the determinism tests serialize frame traces through it"
     ),
     "ASAPRuntime.bootstrap_hosts": _FAULT + " (bootstrap outage)",
     "SimNetwork.set_as_down": _FAULT + " (AS outage)",
@@ -147,8 +140,6 @@ ALLOWED = {
     "_100k_preset": _LARGE,
     "_1m_preset": _LARGE,
     "allocate_prefixes_hierarchical": _LARGE,
-    "HostAgent._on_keepalive": _KEEPALIVE,
-    "HostAgent.sleep_ms": _KEEPALIVE,
 }
 #: Reasons whose entries may get a call on one run and none on the next.
 SOMETIMES = {_TCP}
@@ -467,6 +458,31 @@ def ci_commands(text: str) -> list:
     return commands
 
 
+GOLDEN = ROOT / "tests" / "test_golden.py"
+
+
+def golden_commands(text: str) -> list:
+    """``(directory, argv, exit code)`` of each row of the ``GOLDEN`` table
+    in the golden test's source ``text``, with the flags that test adds:
+    each flagged artifact's file, and ``--trace --obs-dir`` when a row pins
+    ``traces`` or ``telemetry``.  Paths are relative: each row writes under
+    its own ``directory``, laid out as the test's ``tmp_path``."""
+    table = next(
+        node.value
+        for node in ast.parse(text).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "GOLDEN" for t in node.targets)
+    )
+    commands = []
+    for name, (argv, outputs, code, pinned) in ast.literal_eval(table).items():
+        out = Path("golden", name)
+        args = [arg for key, flag in outputs.items() for arg in (flag, str(out / key))]
+        if {"traces", "telemetry"} & set(pinned):
+            args += ["--trace", "--obs-dir", str(out / "obs")]
+        commands.append((out, [*argv, *args], code))
+    return commands
+
+
 def definitions() -> list:
     """``(path, first line, qualname, lines)`` of each top-level function and
     method of a top-level class under ``src/repro`` (dunders excepted: Python
@@ -627,8 +643,9 @@ def _start_child(argv: list, scratch: Path):
 
 def run_product(probe: Probe, scratch: Path) -> list:
     """Run CI's product commands in ``scratch`` under ``probe``: each CLI
-    command of the CI workflow, ``examples/*.py``, the benchmark's workloads
-    in smoke mode and the figure suite.  Returns one line per failure."""
+    command of the CI workflow and of the golden table, ``examples/*.py``,
+    the benchmark's workloads in smoke mode and the figure suite.  Returns
+    one line per failure."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     home = os.getcwd()
     os.chdir(scratch)
@@ -636,14 +653,14 @@ def run_product(probe: Probe, scratch: Path) -> list:
 
     failures, children = [], []
 
-    def run(label, action):
+    def run(label, action, expected=0):
         with (scratch / "product.out").open("a") as sink:
             with probe, contextlib.redirect_stdout(sink):
                 try:
                     status = action()
                 except SystemExit as exc:
                     status = exc.code
-        if status:
+        if (status or 0) != expected:
             failures.append(f"{label}: {status}")
 
     try:
@@ -664,6 +681,9 @@ def run_product(probe: Probe, scratch: Path) -> list:
         found = json.loads(out.read_text())
         probe.extra |= {tuple(site) for site in found["sites"]}
         probe.changed |= {tuple(key) for key in found["changed"]}
+    for out, argv, code in golden_commands(GOLDEN.read_text()):
+        out.mkdir(parents=True)
+        run("repro " + " ".join(argv), lambda: cli(argv), code)
     for path in sorted((ROOT / "examples").glob("*.py")):
         run(path.name, lambda: runpy.run_path(str(path), run_name="__main__") and 0)
 
